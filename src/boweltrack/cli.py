@@ -72,10 +72,6 @@ def _add_config_arguments(p: argparse.ArgumentParser) -> None:
                         "(default: 0.5; decision)")
     p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=None,
                    help="2-opt tour refinement (default: on; decision)")
-    p.add_argument("--seed", type=int,
-                   help="seed recorded with the run (default: 0; decision)")
-    p.add_argument("--threads", type=int,
-                   help="max worker threads per stage (default: 1; decision)")
     p.add_argument("--quiet", action="store_true", help="suppress stage logging")
 
 
@@ -107,10 +103,6 @@ def _config_overrides(args) -> dict:
             out[key] = fmt % value
     if args.refine is not None:
         out["refine"] = "true" if args.refine else "false"
-    if args.seed is not None:
-        out["seed"] = str(args.seed)
-    if args.threads is not None:
-        out["threads"] = str(args.threads)
     return out
 
 

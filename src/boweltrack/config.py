@@ -28,8 +28,6 @@ class TrackingConfig:
     wall_threshold: float = 0.2
     min_inside_fraction: float = 0.5
     refine: bool = True
-    seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         for name in (
@@ -55,8 +53,6 @@ class TrackingConfig:
                 f"delta ({self.delta}) must exceed theta_d ({self.theta_d}); "
                 "otherwise no pair of sampled peaks counts as near"
             )
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if len(self.start) != 3 or len(self.end) != 3:
             raise ConfigError("start and end must be 3D coordinates (mm)")
         for label, path in (
@@ -88,8 +84,6 @@ _KNOWN_KEYS = _FLOAT_FIELDS | {
     "output_dir",
     "scales",
     "refine",
-    "seed",
-    "threads",
 }
 
 
@@ -133,10 +127,4 @@ def load_tracking_config(path, overrides: dict | None = None) -> TrackingConfig:
             kwargs[key] = parse_floats(pairs[key], 1, key)[0]
     if "refine" in pairs:
         kwargs["refine"] = parse_bool(pairs["refine"], "refine")
-    for key in ("seed", "threads"):
-        if key in pairs:
-            try:
-                kwargs[key] = int(pairs[key])
-            except ValueError as exc:
-                raise ConfigError(f"{key}: expected integer, got {pairs[key]!r}") from exc
     return TrackingConfig(**kwargs)

@@ -221,28 +221,7 @@ def _terminal_node(point, which, seg, labels, node_map) -> int:
     return node
 
 
-def _leg_costs(route: Route, rag) -> list:
-    """Per-leg realized cost, reconstructed from leg node counts."""
-    lookup = rag.edge_lookup()
-    costs = []
-    offset = 0
-    for leg in route.legs:
-        n = leg.get("n_nodes")
-        if n is None:
-            seq = route.nodes
-        else:
-            seq = route.nodes[offset : offset + n]
-            offset += n - 1
-        total = 0.0
-        for a, b in zip(seq, seq[1:]):
-            key = (min(a, b), max(a, b))
-            if key in lookup:
-                total += lookup[key][0]
-        costs.append(total)
-    return costs
-
-
-def _write_diagnostics(path, stages, route, rag, header_lines=()) -> None:
+def _write_diagnostics(path, stages, route, header_lines=()) -> None:
     lines = ["tracking diagnostics", ""]
     lines.extend(header_lines)
     lines.append("stage timings:")
@@ -253,10 +232,10 @@ def _write_diagnostics(path, stages, route, rag, header_lines=()) -> None:
     lines.append(f"route total cost: {route.total_cost:.17g}")
     straight = sum(1 for leg in route.legs if leg.get("source") == "straight")
     lines.append(f"legs: {len(route.legs)} total, {straight} straight-line")
-    for leg, cost in zip(route.legs, _leg_costs(route, rag)):
+    for leg in route.legs:
         a, b = leg["pair"]
         lines.append(
-            f"  leg {a} -> {b}: source={leg.get('source', '?')} cost={cost:.17g}"
+            f"  leg {a} -> {b}: source={leg.get('source', '?')} cost={leg['cost']:.17g}"
             + (f" nodes={leg['n_nodes']}" if "n_nodes" in leg else "")
         )
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
@@ -313,11 +292,10 @@ def run_track(config: TrackingConfig, log=None) -> TrackResult:
     runner.artifacts["route"] = runner.path("route")
 
     _write_diagnostics(
-        runner.path("diagnostics"), runner.records, route, masked,
+        runner.path("diagnostics"), runner.records, route,
         header_lines=[
             f"must-pass nodes: {len(must_pass)} (pruned {must_pass.pruned_count})",
             f"terminals: start node {v_st}, end node {v_ed}",
-            f"threads: {config.threads} (stages run single-threaded)",
             "",
         ],
     )
@@ -345,7 +323,7 @@ def run_baseline(config: TrackingConfig, log=None) -> TrackResult:
     runner.artifacts["baseline_route"] = runner.path("baseline_route")
 
     _write_diagnostics(
-        runner.path("baseline_diagnostics"), runner.records, route, masked,
+        runner.path("baseline_diagnostics"), runner.records, route,
         header_lines=[f"terminals: start node {v_st}, end node {v_ed}", ""],
     )
     runner.artifacts["baseline_diagnostics"] = runner.path("baseline_diagnostics")

@@ -68,12 +68,6 @@ class Rag:
         sl = slice(indptr[node], indptr[node + 1])
         return dst[sl], cost[sl]
 
-    def edge_lookup(self) -> dict:
-        return {
-            (int(i), int(j)): (float(c), int(f))
-            for i, j, c, f in zip(self.edge_i, self.edge_j, self.edge_cost, self.edge_faces)
-        }
-
 
 def build_rag(labels: LabelVolume, wall_map: Volume) -> Rag:
     """Accumulate boundary faces between 6-adjacent differently-labeled voxels."""

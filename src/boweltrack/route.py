@@ -1,25 +1,23 @@
 """Path-finding on the supervoxel graph.
 
-Provides plain Dijkstra (the shortcut-prone baseline), an exact must-pass
-solver over (node, visited-bitmask) states, the normalized simplified graph
-over {start, end} + must-pass nodes, a dummy-node TSP solved by the
-nearest-fragment heuristic with optional 2-opt refinement, and the expansion
-of a tour back into a node path and polyline.
+Provides shortest-path trees (scipy's Dijkstra with a canonical tie rule),
+the plain shortest path (the shortcut-prone baseline), the normalized
+simplified graph over {start, end} + must-pass nodes, a dummy-node TSP solved
+by the nearest-fragment heuristic with optional 2-opt refinement, and the
+expansion of a tour back into a node path and polyline.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 
 import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from .errors import InfeasibleError, InvariantError
 from .rag import Rag
 from .sampling import MustPassSet
 from .volume_io import Polyline
-
-MAX_EXACT_MUST_PASS = 20
 
 
 @dataclasses.dataclass
@@ -29,7 +27,7 @@ class Route:
     nodes: list
     polyline: Polyline
     total_cost: float
-    legs: list = dataclasses.field(default_factory=list)
+    legs: list = dataclasses.field(default_factory=list)   # {pair, source, cost[, n_nodes]}
 
     def __post_init__(self):
         if not self.nodes:
@@ -67,32 +65,46 @@ class SimplifiedGraph:
         return len(self.members)
 
 
+def _cost_matrix(rag: Rag) -> csr_array:
+    """Edge costs as a sparse matrix over both directions; zero-cost edges
+    are stored explicitly, so they stay edges."""
+    indptr, nbr, weight = rag.adjacency()
+    return csr_array((weight, nbr, indptr), shape=(rag.n_nodes, rag.n_nodes))
+
+
+def _shortest_paths(rag: Rag, sources):
+    """Shortest-path costs and predecessors from each source, one row each.
+
+    Ties go to the smallest predecessor id among positive-cost edges into a
+    node; a node reached only over zero-cost edges keeps scipy's predecessor.
+    Every positive-cost link lowers the cost, so the tree has no cycles.
+    Sources and unreachable nodes have predecessor -1."""
+    n = rag.n_nodes
+    indptr, nbr, weight = rag.adjacency()
+    dist, pred = csgraph.dijkstra(_cost_matrix(rag), directed=True, indices=sources,
+                                  return_predecessors=True)
+    pred = np.where(pred < 0, -1, pred).astype(np.int64)      # scipy's sentinel is -9999
+    positive = weight > 0
+    src = np.repeat(np.arange(n), np.diff(indptr))[positive]
+    dst, cost = nbr[positive], weight[positive]
+    for d, p in zip(dist, pred):        # one row at a time bounds the memory
+        via = d[src]
+        tight = np.isfinite(via) & (via + cost == d[dst])
+        smallest = np.full(n, n)
+        np.minimum.at(smallest, dst[tight], src[tight])
+        found = smallest < n
+        p[found] = smallest[found]
+    return dist, pred
+
+
 def dijkstra(rag: Rag, source: int):
     """Single-source shortest paths; ties resolved to the smallest
     predecessor id, making the returned tree canonical."""
     n = rag.n_nodes
     if not (0 <= source < n):
         raise ValueError(f"source {source} outside 0..{n - 1}")
-    indptr, nbr, weight = rag.adjacency()
-    dist = np.full(n, np.inf)
-    pred = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    done = np.zeros(n, dtype=bool)
-    while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for v, w in zip(nbr[indptr[u] : indptr[u + 1]], weight[indptr[u] : indptr[u + 1]]):
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                pred[v] = u
-                heapq.heappush(heap, (nd, int(v)))
-            elif nd == dist[v] and 0 <= u < pred[v]:
-                pred[v] = u
-    return dist, pred
+    dist, pred = _shortest_paths(rag, [source])
+    return dist[0], pred[0]
 
 
 def path_from_predecessors(pred: np.ndarray, source: int, target: int) -> list:
@@ -102,21 +114,27 @@ def path_from_predecessors(pred: np.ndarray, source: int, target: int) -> list:
         if p < 0:
             raise InfeasibleError(f"node {target} unreachable from {source}")
         path.append(p)
+        if len(path) > len(pred):
+            raise InvariantError(f"predecessor cycle on the walk from {target} to {source}")
     path.reverse()
     return path
 
 
-def _route_from_nodes(rag: Rag, nodes: list, legs=None) -> Route:
-    lookup = rag.edge_lookup()
+def _walk_cost(rag: Rag, nodes) -> float:
+    """Edge costs summed in walk order; a step that is not an edge (a
+    straight-line leg) adds nothing."""
     total = 0.0
-    for a, b in zip(nodes, nodes[1:]):
-        key = (min(a, b), max(a, b))
-        if key in lookup:
-            total += lookup[key][0]
+    if len(nodes) > 1:
+        for cost in _cost_matrix(rag)[nodes[:-1], nodes[1:]].tolist():
+            total += cost
+    return total
+
+
+def _route_from_nodes(rag: Rag, nodes: list, legs=None) -> Route:
     return Route(
         nodes=list(nodes),
         polyline=Polyline(rag.centroids[np.asarray(nodes, dtype=int)].copy()),
-        total_cost=total,
+        total_cost=_walk_cost(rag, nodes),
         legs=legs or [],
     )
 
@@ -130,64 +148,8 @@ def shortest_path_baseline(rag: Rag, v_st: int, v_ed: int) -> Route:
     if not np.isfinite(dist[v_ed]):
         raise InfeasibleError(f"end node {v_ed} unreachable from start {v_st}")
     nodes = path_from_predecessors(pred, v_st, v_ed)
-    route = _route_from_nodes(rag, nodes, legs=[{"pair": (v_st, v_ed), "source": "dijkstra"}])
-    route.total_cost = float(dist[v_ed])
-    return route
-
-
-def constrained_dijkstra_exact(rag: Rag, v_st: int, v_ed: int, must_pass) -> Route:
-    """Globally minimal walk from v_st to v_ed visiting every must-pass node,
-    via Dijkstra over (node, visited-subset) states; revisits allowed."""
-    mp_nodes = list(dict.fromkeys(int(v) for v in _must_pass_ids(must_pass)))
-    if len(mp_nodes) > MAX_EXACT_MUST_PASS:
-        raise ValueError(
-            f"{len(mp_nodes)} must-pass nodes exceed the exact-solver limit "
-            f"{MAX_EXACT_MUST_PASS}; state space grows as 2^k"
-        )
-    for node in (v_st, v_ed, *mp_nodes):
-        if not (0 <= node < rag.n_nodes):
-            raise ValueError(f"node {node} outside graph")
-
-    bit_of = {node: 1 << k for k, node in enumerate(mp_nodes)}
-    full = (1 << len(mp_nodes)) - 1
-    indptr, nbr, weight = rag.adjacency()
-
-    start_mask = bit_of.get(v_st, 0)
-    best = {(v_st, start_mask): 0.0}
-    pred = {}
-    heap = [(0.0, v_st, start_mask)]
-    goal = None
-    while heap:
-        d, u, mask = heapq.heappop(heap)
-        if d > best.get((u, mask), np.inf):
-            continue
-        if u == v_ed and mask == full:
-            goal = (u, mask)
-            break
-        for v, w in zip(nbr[indptr[u] : indptr[u + 1]],
-                        weight[indptr[u] : indptr[u + 1]]):
-            v = int(v)
-            nmask = mask | bit_of.get(v, 0)
-            nd = d + w
-            state = (v, nmask)
-            if nd < best.get(state, np.inf):
-                best[state] = nd
-                pred[state] = (u, mask)
-                heapq.heappush(heap, (nd, v, nmask))
-    if goal is None:
-        missing = [n for n in mp_nodes + [v_ed]]
-        raise InfeasibleError(
-            f"no walk from {v_st} to {v_ed} covers all must-pass nodes {missing}"
-        )
-
-    states = [goal]
-    while states[-1] in pred:
-        states.append(pred[states[-1]])
-    states.reverse()
-    nodes = [s[0] for s in states]
-    route = _route_from_nodes(rag, nodes, legs=[{"pair": (v_st, v_ed), "source": "exact"}])
-    route.total_cost = float(best[goal])
-    return route
+    leg = {"pair": (v_st, v_ed), "source": "dijkstra", "cost": _walk_cost(rag, nodes)}
+    return _route_from_nodes(rag, nodes, legs=[leg])
 
 
 def _must_pass_ids(must_pass):
@@ -218,13 +180,9 @@ def build_simplified_graph(
     diff = positions[:, None, :] - positions[None, :, :]
     eucl = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
-    sp_cost = np.full((n, n), np.inf)
+    dist, preds = _shortest_paths(rag, members)
+    sp_cost = dist[:, members]
     cached = {}
-    preds = []
-    for k, node in enumerate(members):
-        dist, pred = dijkstra(rag, int(node))
-        sp_cost[k] = dist[members]
-        preds.append(pred)
 
     near = eucl <= delta
     reachable = np.isfinite(sp_cost)
@@ -358,10 +316,6 @@ def _two_opt(path: list, cost: np.ndarray) -> list:
     return path
 
 
-def path_cost(order: list, costs: np.ndarray) -> float:
-    return float(sum(costs[a, b] for a, b in zip(order, order[1:])))
-
-
 def expand_tour(rag: Rag, order: list, simplified: SimplifiedGraph) -> Route:
     """Realize consecutive V' pairs as node paths: cached shortest paths when
     available, fresh Dijkstra otherwise, straight flagged segment as a last
@@ -383,6 +337,7 @@ def expand_tour(rag: Rag, order: list, simplified: SimplifiedGraph) -> Route:
             else:
                 seq = [a, b]
                 source = "straight"
-        legs.append({"pair": (a, b), "source": source, "n_nodes": len(seq)})
+        legs.append({"pair": (a, b), "source": source, "n_nodes": len(seq),
+                     "cost": _walk_cost(rag, seq)})
         nodes.extend(seq[1:])
     return _route_from_nodes(rag, nodes, legs=legs)

@@ -1,11 +1,9 @@
 """Must-pass node sampling: exact EDT of the bowel interior, then peaks.
 
-The distance transform is the separable squared-distance algorithm: the first
-axis pass reduces the binary mask to per-line nearest-zero distances by two
-linear scans, and each remaining axis applies the exact parabolic
-lower-envelope min-convolution.  The volume border counts as background (the
-mask is implicitly zero-padded by one layer), so distances never exceed the
-distance to the bounding box.
+The distance transform is scipy's exact Euclidean distance transform in
+physical units (mm).  The mask is zero-padded by one layer, so the volume
+border counts as background and distances never exceed the distance to the
+bounding box.
 """
 
 from __future__ import annotations
@@ -21,57 +19,6 @@ from .supervoxel import LabelVolume
 from .volume_io import Volume
 
 
-def _lower_envelope_pass(rows: np.ndarray, w2: float) -> np.ndarray:
-    """d[r, p] = min_q rows[r, q] + w2 * (p - q)^2, exactly, per row."""
-    n_rows, n = rows.shape
-    out = np.empty_like(rows)
-    inf = float("inf")
-    for r in range(n_rows):
-        f = rows[r].tolist()
-        v = [0] * n
-        z = [-inf, inf] + [0.0] * (n - 1)
-        k = 0
-        for q in range(1, n):
-            fq = f[q] + w2 * q * q
-            vk = v[k]
-            s = (fq - (f[vk] + w2 * vk * vk)) / (2.0 * w2 * (q - vk))
-            while s <= z[k]:
-                k -= 1
-                vk = v[k]
-                s = (fq - (f[vk] + w2 * vk * vk)) / (2.0 * w2 * (q - vk))
-            k += 1
-            v[k] = q
-            z[k] = s
-            z[k + 1] = inf
-        k = 0
-        d = [0.0] * n
-        for p in range(n):
-            while z[k + 1] < p:
-                k += 1
-            vk = v[k]
-            d[p] = w2 * (p - vk) * (p - vk) + f[vk]
-        out[r] = d
-    return out
-
-
-def _nearest_zero_scan(mask_lines: np.ndarray) -> np.ndarray:
-    """Per-line voxel distance to the nearest 0 along the last axis; lines are
-    flanked by implicit zeros (one-layer padding)."""
-    n_rows, n = mask_lines.shape
-    dist = np.empty((n_rows, n), dtype=np.float64)
-    run = np.full(n_rows, 1.0)
-    for p in range(n):
-        run = np.where(mask_lines[:, p], run, 0.0)
-        dist[:, p] = run
-        run += 1.0
-    run = np.full(n_rows, 1.0)
-    for p in range(n - 1, -1, -1):
-        run = np.where(mask_lines[:, p], run, 0.0)
-        dist[:, p] = np.minimum(dist[:, p], run)
-        run += 1.0
-    return dist
-
-
 def distance_transform(interior: Volume) -> Volume:
     """Exact Euclidean distance (mm) to the nearest background voxel center,
     with everything outside the volume treated as background."""
@@ -83,27 +30,9 @@ def distance_transform(interior: Volume) -> Volume:
     if not mask.any():
         return interior.like(np.zeros(interior.dims, dtype=np.float64))
 
-    sp = np.asarray(interior.spacing, dtype=np.float64)
-
-    # Axis 0: voxel distance to nearest zero (padding included), squared, in mm^2.
-    moved = np.moveaxis(mask, 0, -1)
-    lines = moved.reshape(-1, mask.shape[0])
-    d = _nearest_zero_scan(lines) * sp[0]
-    sq = (d * d).reshape(moved.shape)
-    sq = np.moveaxis(sq, -1, 0)
-
-    # Axes 1 and 2: parabolic envelope over finite squared distances.  The
-    # implicit zero-padding contributes a parabola rooted one voxel outside
-    # each end, folded in by extending the line with a zero at both ends.
-    for axis in (1, 2):
-        moved = np.moveaxis(sq, axis, -1)
-        flat = moved.reshape(-1, sq.shape[axis])
-        padded = np.zeros((flat.shape[0], flat.shape[1] + 2), dtype=np.float64)
-        padded[:, 1:-1] = flat
-        result = _lower_envelope_pass(padded, float(sp[axis] ** 2))[:, 1:-1]
-        sq = np.moveaxis(result.reshape(moved.shape), -1, axis)
-
-    out = np.sqrt(sq)
+    # One layer of padding makes the volume border count as background.
+    out = ndimage.distance_transform_edt(np.pad(mask, 1), sampling=interior.spacing)
+    out = out[1:-1, 1:-1, 1:-1]
     out[~mask] = 0.0
     return interior.like(out)
 

@@ -63,20 +63,6 @@ class Volume:
     def voxel_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        """Physical coordinates of voxel centers along one axis."""
-        n = self.data.shape[axis]
-        return self.origin[axis] + (np.arange(n) + 0.5) * self.spacing[axis]
-
-    def index_to_physical(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.float64)
-        return self.origin + (idx + 0.5) * self.spacing
-
-    def physical_to_index(self, pos: np.ndarray) -> np.ndarray:
-        """Continuous voxel index of a physical position (mm)."""
-        pos = np.asarray(pos, dtype=np.float64)
-        return (pos - self.origin) / self.spacing - 0.5
-
     def nearest_voxel(self, pos: np.ndarray) -> tuple[int, int, int]:
         """Index of the voxel whose cell contains ``pos``; raises if outside."""
         idx = np.floor((np.asarray(pos, np.float64) - self.origin) / self.spacing)

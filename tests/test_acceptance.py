@@ -21,15 +21,14 @@ from boweltrack.rag import Rag, build_rag, load_rag
 from boweltrack.route import (
     SimplifiedGraph,
     build_simplified_graph,
-    constrained_dijkstra_exact,
     dijkstra,
     expand_tour,
-    path_cost,
     solve_tsp,
 )
 from boweltrack.sampling import distance_transform, sample_must_pass
 from boweltrack.supervoxel import LabelVolume, slic_supervoxels
 from boweltrack.volume_io import Polyline, Volume, save_polyline, save_volume
+from oracles import constrained_dijkstra_exact, path_cost
 
 
 def report(criterion, detail):

@@ -192,8 +192,7 @@ class TestHelpDefaults:
             assert fragment in text, fragment
         # Unpublished defaults are explicitly marked as decisions.
         for fragment in ("(default: 2 3; decision)", "(default: 0.2; decision)",
-                         "(default: 0.5; decision)", "(default: on; decision)",
-                         "(default: 0; decision)", "(default: 1; decision)"):
+                         "(default: 0.5; decision)", "(default: on; decision)"):
             assert fragment in text, fragment
 
     def test_eval_help_marks_step_decision(self, capsys):

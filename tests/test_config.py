@@ -51,8 +51,6 @@ class TestParsing:
         assert cfg.wall_threshold == 0.2
         assert cfg.min_inside_fraction == 0.5
         assert cfg.refine is True
-        assert cfg.seed == 0
-        assert cfg.threads == 1
 
     def test_all_keys_parsed(self, workspace):
         path = write_config(
@@ -69,8 +67,6 @@ class TestParsing:
                 "wall_threshold: 0.3\n"
                 "min_inside_fraction: 0.6\n"
                 "refine: false\n"
-                "seed: 7\n"
-                "threads: 2\n"
             ),
         )
         cfg = load_tracking_config(path)
@@ -83,8 +79,6 @@ class TestParsing:
         assert cfg.wall_threshold == 0.3
         assert cfg.min_inside_fraction == 0.6
         assert cfg.refine is False
-        assert cfg.seed == 7
-        assert cfg.threads == 2
 
     def test_absolute_paths_kept(self, workspace):
         abs_ct = str(workspace / "ct.vol")
@@ -94,14 +88,14 @@ class TestParsing:
         assert cfg.intensity_path == abs_ct
 
     def test_comments_and_blank_lines_ignored(self, workspace):
-        path = write_config(workspace, extra="# trailing comment\n\nseed: 3  # inline\n")
-        assert load_tracking_config(path).seed == 3
+        path = write_config(workspace, extra="# trailing comment\n\ntheta_v: 4  # inline\n")
+        assert load_tracking_config(path).theta_v == 4.0
 
     def test_overrides_win(self, workspace):
-        path = write_config(workspace, extra="delta: 40\nseed: 1\n")
-        cfg = load_tracking_config(path, {"delta": "60", "seed": "9", "refine": "off"})
+        path = write_config(workspace, extra="delta: 40\ntheta_v: 2\n")
+        cfg = load_tracking_config(path, {"delta": "60", "theta_v": "4", "refine": "off"})
         assert cfg.delta == 60.0
-        assert cfg.seed == 9
+        assert cfg.theta_v == 4.0
         assert cfg.refine is False
 
     def test_none_overrides_skipped(self, workspace):
@@ -161,15 +155,6 @@ class TestErrors:
     def test_bad_boolean(self, workspace):
         with pytest.raises(ConfigError, match="refine"):
             load_tracking_config(write_config(workspace, extra="refine: maybe\n"))
-
-    @pytest.mark.parametrize("extra", ["seed: 1.5\n", "threads: two\n"])
-    def test_bad_integer(self, workspace, extra):
-        with pytest.raises(ConfigError, match="integer"):
-            load_tracking_config(write_config(workspace, extra=extra))
-
-    def test_threads_must_be_positive(self, workspace):
-        with pytest.raises(ConfigError, match="threads"):
-            load_tracking_config(write_config(workspace, extra="threads: 0\n"))
 
     def test_missing_intensity_file(self, workspace):
         os.remove(workspace / "ct.vol")

@@ -162,14 +162,6 @@ class TestResumeAndDeterminism:
         for key in self.BITWISE_KEYS:
             assert self.read(out, key) == self.read(src, key), key
 
-    def test_threads_flag_does_not_change_route(self, straight, tmp_path):
-        config = make_config(straight["paths"], straight["gt"],
-                             str(tmp_path / "threads"), threads=4)
-        run_track(config)
-        assert self.read(config.output_dir, "route") == self.read(
-            straight["config"].output_dir, "route"
-        )
-
 
 class TestTerminalResolution:
     def test_start_in_background_is_pruned(self, straight):

@@ -34,6 +34,14 @@ def brute_force_edges(lab: np.ndarray, wall: np.ndarray) -> dict:
     return {k: (sums[k] / cnt[k], cnt[k]) for k in sums}
 
 
+def edge_table(rag) -> dict:
+    """{(i, j): (cost, face count)} over the stored edges."""
+    return {
+        (int(i), int(j)): (float(c), int(f))
+        for i, j, c, f in zip(rag.edge_i, rag.edge_j, rag.edge_cost, rag.edge_faces)
+    }
+
+
 def random_labeling(seed, dims=(8, 8, 8), n_labels=4):
     rng = np.random.default_rng(seed)
     while True:
@@ -73,7 +81,7 @@ class TestBuild:
         lv, wall = random_labeling(seed)
         rag = build_rag(lv, wall)
         expected = brute_force_edges(lv.data, wall.data.astype(np.float64))
-        got = rag.edge_lookup()
+        got = edge_table(rag)
         assert set(got) == set(expected)
         for key, (cost, faces) in expected.items():
             assert got[key][0] == pytest.approx(cost, abs=1e-9)
@@ -156,7 +164,7 @@ class TestMasking:
             kept = mask_nodes(rag, mask, lv, 0.5)
         except InfeasibleError:
             return
-        orig = rag.edge_lookup()
+        orig = edge_table(rag)
         for i, j, cost, faces in zip(
             kept.edge_i, kept.edge_j, kept.edge_cost, kept.edge_faces
         ):

@@ -10,14 +10,13 @@ from boweltrack.rag import Rag
 from boweltrack.route import (
     SimplifiedGraph,
     build_simplified_graph,
-    constrained_dijkstra_exact,
     dijkstra,
     expand_tour,
-    path_cost,
     path_from_predecessors,
     shortest_path_baseline,
     solve_tsp,
 )
+from oracles import constrained_dijkstra_exact, path_cost
 
 
 def make_rag(n, edges, positions=None):
@@ -59,9 +58,8 @@ def random_rag(seed, n_lo=4, n_hi=10, p=0.5, tie_free=True):
 def enumerate_shortest(rag, source):
     """All-simple-paths exhaustion; exponential, fine for n <= 10."""
     n = rag.n_nodes
-    lookup = rag.edge_lookup()
     adj = {k: [] for k in range(n)}
-    for (i, j), (c, _) in lookup.items():
+    for i, j, c in zip(rag.edge_i.tolist(), rag.edge_j.tolist(), rag.edge_cost.tolist()):
         adj[i].append((j, c))
         adj[j].append((i, c))
     best = np.full(n, np.inf)
@@ -168,6 +166,37 @@ class TestDijkstra:
         with pytest.raises(ValueError, match="source"):
             dijkstra(rag, 5)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_predecessor_is_smallest_tight_neighbor(self, seed):
+        rag = random_rag(seed + 900, tie_free=False)
+        source = seed % rag.n_nodes
+        ref = enumerate_shortest(rag, source)
+        _, pred = dijkstra(rag, source)
+        for v in range(rag.n_nodes):
+            nbr, cost = rag.neighbors(v)
+            tight = [int(u) for u, c in zip(nbr, cost) if ref[u] + c == ref[v]]
+            reached = v != source and np.isfinite(ref[v])
+            expected = min(tight) if reached and tight else -1
+            assert pred[v] == expected, v
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_zero_cost_ties_give_an_acyclic_tight_tree(self, seed):
+        rng = np.random.default_rng(seed + 700)
+        n = int(rng.integers(4, 12))
+        edges = [(i, j, float(rng.integers(0, 3)))
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+        rag = make_rag(n, edges or [(0, 1, 0.0)])
+        dist, _ = dijkstra(rag, 0)
+        assert np.array_equal(dist, enumerate_shortest(rag, 0))
+        for v in np.flatnonzero(np.isfinite(dist))[1:]:
+            route = shortest_path_baseline(rag, 0, int(v))
+            assert len(set(route.nodes)) == len(route.nodes)
+            assert route.total_cost == dist[v]
+
+    def test_predecessor_cycle_raises(self):
+        with pytest.raises(InvariantError, match="cycle"):
+            path_from_predecessors(np.array([1, 0, -1, -1]), 3, 0)
+
 
 class TestBaseline:
     def test_route_shape(self):
@@ -181,6 +210,13 @@ class TestBaseline:
         rag = make_rag(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(InfeasibleError, match="unreachable"):
             shortest_path_baseline(rag, 0, 3)
+
+    def test_zero_cost_edge_terminates(self):
+        rag = make_rag(4, [(0, 1, 0.0), (1, 3, 1.0)])
+        route = shortest_path_baseline(rag, 3, 0)
+        assert route.nodes == [3, 1, 0]
+        assert route.total_cost == 1.0
+        assert route.legs[0]["cost"] == 1.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cost_scaling_preserves_argmin(self, seed):
@@ -411,6 +447,17 @@ class TestExpandTour:
         route = expand_tour(rag, [0, 1], sg)
         assert route.legs[0]["source"] == "straight"
         assert route.nodes == [0, 1]
+        assert route.legs[0]["cost"] == 0.0
+        assert route.total_cost == 0.0
+
+    def test_legs_carry_their_realized_cost(self):
+        positions = np.zeros((4, 3))
+        positions[:, 0] = [0.0, 10.0, 20.0, 30.0]
+        rag = make_rag(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0)], positions)
+        sg = build_simplified_graph(rag, 0, 3, [2], delta=100.0)
+        route = expand_tour(rag, solve_tsp(sg), sg)
+        assert [leg["cost"] for leg in route.legs] == [3.0, 4.0]
+        assert route.total_cost == 7.0
 
     def test_junctions_not_duplicated(self):
         positions = np.zeros((5, 3))
