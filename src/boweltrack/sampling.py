@@ -58,6 +58,30 @@ class MustPassSet:
         return len(self.node_ids)
 
 
+def _peak_candidates(data: np.ndarray, sp: np.ndarray, theta_v: float, theta_d: float):
+    """Voxels (raster order) with value >= theta_v that no voxel within
+    theta_d mm exceeds; outside the volume counts as 0."""
+    radii = np.maximum(1, np.floor(theta_d / sp).astype(int))
+    grids = np.meshgrid(*[np.arange(-r, r + 1) for r in radii], indexing="ij")
+    ball = sum((g * s) ** 2 for g, s in zip(grids, sp)) <= theta_d**2
+
+    # The ball's central 3^3 cube lies inside the ball, so a cheap filter
+    # with it keeps every ball maximum; the few survivors are then checked
+    # against each ball offset.
+    core = ball[tuple(slice(r - 1, r + 2) for r in radii)]
+    local_max = data >= ndimage.maximum_filter(data, footprint=core, mode="constant")
+    candidates = np.argwhere(local_max & (data >= theta_v))
+    padded = np.pad(data, [(r, r) for r in radii]).ravel()
+    strides = np.array([(data.shape[1] + 2 * radii[1]) * (data.shape[2] + 2 * radii[2]),
+                        data.shape[2] + 2 * radii[2], 1])
+    at = (candidates + radii) @ strides
+    values = padded[at]
+    keep = np.ones(len(candidates), dtype=bool)
+    for off in (np.argwhere(ball) - radii) @ strides:
+        keep &= values >= padded[at + off]
+    return candidates[keep]
+
+
 def sample_must_pass(
     dist: Volume,
     labels: LabelVolume,
@@ -74,13 +98,8 @@ def sample_must_pass(
         raise ValueError(f"distance map dims {dist.dims} != labels dims {labels.dims}")
 
     sp = np.asarray(dist.spacing)
-    radii = np.maximum(1, np.floor(theta_d / sp).astype(int))
-    grids = np.meshgrid(*[np.arange(-r, r + 1) for r in radii], indexing="ij")
-    ball = sum((g * s) ** 2 for g, s in zip(grids, sp)) <= theta_d**2
-
     data = dist.data
-    local_max = data >= ndimage.maximum_filter(data, footprint=ball, mode="constant")
-    candidates = np.argwhere(local_max & (data >= theta_v))
+    candidates = _peak_candidates(data, sp, theta_v, theta_d)
     if len(candidates) == 0:
         raise InfeasibleError(
             f"no distance peaks >= theta_v={theta_v} mm found; "

@@ -5,12 +5,22 @@ adaptive compactness m_i: initialised from the `compactness` argument and
 raised each iteration to the cluster's maximum observed feature distance, so
 feature-flat clusters stay compact while boundary-hugging ones loosen.
 Distances are physical (mm) which keeps the target volume spacing-independent.
+
+Each assignment step gives every voxel the smallest (D, cluster id) pair
+among the clusters whose window (WINDOW_FACTOR grid steps around the
+center) covers it; a voxel no window covers goes to the nearest cluster
+overall.  This is what SLIC's per-cluster loop (Achanta et al., TPAMI 2012)
+computes when clusters run in id order and take a voxel only on a strictly
+smaller D.  The step computes the pair for batches of clusters whose windows
+have the same shape, and keeps a running minimum over the batches: a voxel
+whose D drops takes the batch's lowest winning id, and on an equal D the
+lower id stays.  The minimum does not depend on the order of the batches.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+import itertools
 
 import numpy as np
 from scipy import sparse
@@ -23,26 +33,15 @@ SLIC_ITERATIONS = 10
 # Assignment windows extend this many grid steps from the cluster center;
 # 1.5 covers every voxel even when axis extents round the seed grid down.
 WINDOW_FACTOR = 1.5
+# Window voxels per assignment batch: bounds the batch temporaries to about
+# 0.5 MB each, whatever the volume size or cluster count.
+_BATCH_VOXELS = 1 << 16
 
+# The 3^3 block in raster order; (0, 0, 0) sits in the middle, at index 13.
+_OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
+_OFFSETS_26 = np.delete(_OFFSETS_27, 13, axis=0)
 # Half of the 26-neighbourhood: lexicographically positive offsets.
-_HALF_OFFSETS = [
-    (dx, dy, dz)
-    for dx in (-1, 0, 1)
-    for dy in (-1, 0, 1)
-    for dz in (-1, 0, 1)
-    if (dx, dy, dz) > (0, 0, 0)
-]
-
-_OFFSETS_26 = np.array(
-    [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) != (0, 0, 0)
-    ],
-    dtype=np.int64,
-)
+_HALF_OFFSETS = [tuple(int(o) for o in off) for off in _OFFSETS_27[14:]]
 
 
 @dataclasses.dataclass
@@ -117,17 +116,17 @@ def _seed_grid(feature: Volume, step: float):
     grads = np.gradient(feature.data.astype(np.float64), *sp)
     grad_mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
 
-    seeds = []
-    for cx in axes[0]:
-        for cy in axes[1]:
-            for cz in axes[2]:
-                idx = np.minimum((np.array([cx, cy, cz]) / sp).astype(int), dims - 1)
-                lo = np.maximum(idx - 1, 0)
-                hi = np.minimum(idx + 2, dims)
-                block = grad_mag[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
-                off = np.unravel_index(int(np.argmin(block)), block.shape)
-                seeds.append(lo + np.asarray(off))
-    seeds = np.asarray(seeds, dtype=np.int64)
+    # Each grid point moves to the lowest-gradient voxel of the 3^3 block
+    # around it: the first minimum in block raster order, never a voxel
+    # outside the volume.
+    idx = [np.minimum((axes[a] / sp[a]).astype(int), dims[a] - 1) for a in range(3)]
+    grid = np.stack(np.meshgrid(*idx, indexing="ij"), axis=-1).reshape(-1, 3)
+    block = np.full((len(grid), len(_OFFSETS_27)), np.inf)
+    for j, off in enumerate(_OFFSETS_27):
+        nbr = grid + off
+        inside = np.all((nbr >= 0) & (nbr < dims), axis=1)
+        block[inside, j] = grad_mag[tuple(nbr[inside].T)]
+    seeds = grid + _OFFSETS_27[np.argmin(block, axis=1)]
     centers = (seeds + 0.5) * sp
     return seeds, centers
 
@@ -136,7 +135,8 @@ def _same_label_components(labels: np.ndarray):
     """26-connected components of the labeling (two voxels join a component
     iff adjacent and equally labeled).  Returns (comp map, comp count)."""
     n_vox = labels.size
-    lin = np.arange(n_vox, dtype=np.int64).reshape(labels.shape)
+    index = np.int32 if n_vox <= np.iinfo(np.int32).max else np.int64
+    lin = np.arange(n_vox, dtype=index).reshape(labels.shape)
     rows, cols = [], []
     for off in _HALF_OFFSETS:
         src = tuple(
@@ -146,13 +146,17 @@ def _same_label_components(labels: np.ndarray):
             slice(max(0, o), n - max(0, -o)) for o, n in zip(off, labels.shape)
         )
         same = labels[src] == labels[dst]
-        rows.append(lin[src][same].ravel())
-        cols.append(lin[dst][same].ravel())
+        rows.append(lin[src][same])
+        cols.append(lin[dst][same])
+    del lin
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
+    # float64 weights: connected_components copies the graph to float64
+    # otherwise.
     graph = sparse.coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n_vox, n_vox)
-    )
+        (np.ones(len(rows)), (rows, cols)), shape=(n_vox, n_vox)
+    ).tocsr()
+    del rows, cols
     n_comp, comp = connected_components(graph, directed=False)
     return comp.reshape(labels.shape), n_comp
 
@@ -216,6 +220,74 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     return final
 
 
+def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
+    """One SLIC assignment step.  Every voxel gets the smallest (distance,
+    cluster id) pair among the clusters whose window covers it; returns
+    (winning cluster id, -1 where no window covers the voxel, and the
+    winner's feature distance) per voxel."""
+    dims = feat.shape
+    n_clusters = len(centers)
+    best_label = np.full(dims, -1, dtype=np.int64)
+    best_dist = np.full(dims, np.inf)
+    win_dfeat = np.zeros(dims)
+    flat_label, flat_dist, flat_dfeat = best_label.ravel(), best_dist.ravel(), win_dfeat.ravel()
+    flat_feat = feat.ravel()
+    strides = (dims[1] * dims[2], dims[2], 1)
+    # Broadcast per-axis (batch, n_a) terms to (batch, n_x, n_y, n_z).
+    expand = [(slice(None), slice(None), None, None),
+              (slice(None), None, slice(None), None),
+              (slice(None), None, None, slice(None))]
+
+    lo = np.stack([np.searchsorted(axis_pos[a], centers[:, a] - window) for a in range(3)], 1)
+    hi = np.stack(
+        [np.searchsorted(axis_pos[a], centers[:, a] + window, side="right") for a in range(3)], 1
+    )
+    extent = hi - lo
+    live = np.flatnonzero(np.all(extent > 0, axis=1))
+    # Clusters whose windows have the same shape share a batch.
+    live = live[np.lexsort(extent[live].T[::-1])]
+    cuts = np.flatnonzero(np.any(np.diff(extent[live], axis=0) != 0, axis=1)) + 1
+
+    for group in np.split(live, cuts):
+        shape = extent[group[0]]
+        size = int(np.prod(shape))
+        batch = max(1, _BATCH_VOXELS // size)
+        for start in range(0, len(group), batch):
+            ids = group[start : start + batch]
+            sq, lin = [], []
+            for a in range(3):
+                pos = lo[ids, a, None] + np.arange(shape[a])
+                sq.append(((axis_pos[a][pos] - centers[ids, a, None]) ** 2)[expand[a]])
+                lin.append((pos * strides[a])[expand[a]])
+            vox = (lin[0] + lin[1] + lin[2]).ravel()
+            # In place, in the per-cluster loop's order of operations:
+            # dist = |f - f_i| + (m_i / step) * sqrt((dx^2 + dy^2) + dz^2).
+            ds = sq[0] + sq[1] + sq[2]
+            np.sqrt(ds, out=ds)
+            df = flat_feat.take(vox).reshape(ds.shape)
+            df -= cluster_feat[ids, None, None, None]
+            np.abs(df, out=df)
+            ds *= (cluster_m[ids] / step)[:, None, None, None]
+            ds += df
+            dist = ds.ravel()
+
+            # Running minimum of (dist, id): a voxel whose distance drops
+            # forgets its earlier label; on an equal distance the lower id
+            # stays.  Neither depends on the order of the batches.
+            prev = flat_dist.take(vox)
+            sel = np.flatnonzero(dist <= prev)
+            vox, dist, prev = vox.take(sel), dist.take(sel), prev.take(sel)
+            np.minimum.at(flat_dist, vox, dist)
+            win = np.flatnonzero(dist == flat_dist.take(vox))
+            sel, vox = sel.take(win), vox.take(win)
+            flat_label[vox[dist.take(win) < prev.take(win)]] = n_clusters
+            label = ids[sel // size]
+            np.minimum.at(flat_label, vox, label)
+            win = label == flat_label.take(vox)
+            flat_dfeat[vox[win]] = df.ravel().take(sel[win])
+    return best_label, win_dfeat
+
+
 def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) -> LabelVolume:
     """Partition a feature volume into compact supervoxels of roughly
     target_volume mm^3 each.  Deterministic: ties go to the lower label id."""
@@ -239,33 +311,11 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
     cluster_m = np.full(n_clusters, float(compactness))
 
     window = WINDOW_FACTOR * step
-    best_label = np.empty(dims, dtype=np.int64)
-    best_dist = np.empty(dims, dtype=np.float64)
-    win_dfeat = np.empty(dims, dtype=np.float64)
 
     for _ in range(SLIC_ITERATIONS):
-        best_label.fill(-1)
-        best_dist.fill(np.inf)
-        win_dfeat.fill(0.0)
-        for i in range(n_clusters):
-            c = centers[i]
-            lo = [int(np.searchsorted(axis_pos[a], c[a] - window)) for a in range(3)]
-            hi = [int(np.searchsorted(axis_pos[a], c[a] + window, side="right")) for a in range(3)]
-            if any(lo[a] >= hi[a] for a in range(3)):
-                continue
-            region = (slice(lo[0], hi[0]), slice(lo[1], hi[1]), slice(lo[2], hi[2]))
-            df = np.abs(feat[region] - cluster_feat[i])
-            dx2 = (axis_pos[0][region[0]] - c[0]) ** 2
-            dy2 = (axis_pos[1][region[1]] - c[1]) ** 2
-            dz2 = (axis_pos[2][region[2]] - c[2]) ** 2
-            ds = np.sqrt(dx2[:, None, None] + dy2[None, :, None] + dz2[None, None, :])
-            dist = df + (cluster_m[i] / step) * ds
-            better = dist < best_dist[region]
-            if better.any():
-                best_dist[region][better] = dist[better]
-                best_label[region][better] = i
-                win_dfeat[region][better] = df[better]
-
+        best_label, win_dfeat = _assign(
+            feat, axis_pos, centers, cluster_feat, cluster_m, step, window
+        )
         stray = best_label < 0
         if stray.any():
             coords = np.argwhere(stray)

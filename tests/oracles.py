@@ -1,9 +1,11 @@
-"""Test-only oracles for the routing code: an exact must-pass solver and the
-cost of a visiting order over a simplified-graph cost matrix."""
+"""Test-only oracles: an exact must-pass solver and the cost of a visiting
+order over a simplified-graph cost matrix (routing), and the per-cluster
+SLIC assignment loop and seed-grid loop (supervoxels)."""
 
 import heapq
 
 import numpy as np
+from scipy import ndimage
 
 from boweltrack.errors import InfeasibleError
 from boweltrack.rag import Rag
@@ -69,3 +71,76 @@ def constrained_dijkstra_exact(rag: Rag, v_st: int, v_ed: int, must_pass) -> Rou
 
 def path_cost(order: list, costs: np.ndarray) -> float:
     return float(sum(costs[a, b] for a, b in zip(order, order[1:])))
+
+
+def seed_grid_loop(feature, step: float):
+    """Seed grid of `supervoxel._seed_grid`, one grid point at a time."""
+    dims = np.asarray(feature.dims)
+    sp = np.asarray(feature.spacing)
+    extent = dims * sp
+    if np.any(extent < step):
+        bad = int(np.argmin(extent - step))
+        raise ValueError(
+            f"axis {bad} extent {extent[bad]:.1f}mm is smaller than one grid step "
+            f"{step:.1f}mm; reduce target_volume or supply a larger volume"
+        )
+    counts = [max(1, int(round(extent[a] / step))) for a in range(3)]
+    axes = [(np.arange(n) + 0.5) * (extent[a] / n) for a, n in enumerate(counts)]
+
+    grads = np.gradient(feature.data.astype(np.float64), *sp)
+    grad_mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
+
+    seeds = []
+    for cx in axes[0]:
+        for cy in axes[1]:
+            for cz in axes[2]:
+                idx = np.minimum((np.array([cx, cy, cz]) / sp).astype(int), dims - 1)
+                lo = np.maximum(idx - 1, 0)
+                hi = np.minimum(idx + 2, dims)
+                block = grad_mag[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
+                off = np.unravel_index(int(np.argmin(block)), block.shape)
+                seeds.append(lo + np.asarray(off))
+    seeds = np.asarray(seeds, dtype=np.int64)
+    centers = (seeds + 0.5) * sp
+    return seeds, centers
+
+
+def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
+    """SLIC assignment step of `supervoxel._assign`, one cluster window at a
+    time in id order; a cluster takes a voxel only on a strictly smaller
+    distance.  Returns (best label, winner's feature distance) per voxel."""
+    dims = feat.shape
+    n_clusters = len(centers)
+    best_label = np.full(dims, -1, dtype=np.int64)
+    best_dist = np.full(dims, np.inf)
+    win_dfeat = np.zeros(dims)
+    for i in range(n_clusters):
+        c = centers[i]
+        lo = [int(np.searchsorted(axis_pos[a], c[a] - window)) for a in range(3)]
+        hi = [int(np.searchsorted(axis_pos[a], c[a] + window, side="right")) for a in range(3)]
+        if any(lo[a] >= hi[a] for a in range(3)):
+            continue
+        region = (slice(lo[0], hi[0]), slice(lo[1], hi[1]), slice(lo[2], hi[2]))
+        df = np.abs(feat[region] - cluster_feat[i])
+        dx2 = (axis_pos[0][region[0]] - c[0]) ** 2
+        dy2 = (axis_pos[1][region[1]] - c[1]) ** 2
+        dz2 = (axis_pos[2][region[2]] - c[2]) ** 2
+        ds = np.sqrt(dx2[:, None, None] + dy2[None, :, None] + dz2[None, None, :])
+        dist = df + (cluster_m[i] / step) * ds
+        better = dist < best_dist[region]
+        if better.any():
+            best_dist[region][better] = dist[better]
+            best_label[region][better] = i
+            win_dfeat[region][better] = df[better]
+    return best_label, win_dfeat
+
+
+def peaks_full_ball(data: np.ndarray, spacing, theta_v: float, theta_d: float) -> np.ndarray:
+    """Must-pass candidates of `sampling._peak_candidates` from one maximum
+    filter with the whole theta_d ball footprint."""
+    sp = np.asarray(spacing)
+    radii = np.maximum(1, np.floor(theta_d / sp).astype(int))
+    grids = np.meshgrid(*[np.arange(-r, r + 1) for r in radii], indexing="ij")
+    ball = sum((g * s) ** 2 for g, s in zip(grids, sp)) <= theta_d**2
+    local_max = data >= ndimage.maximum_filter(data, footprint=ball, mode="constant")
+    return np.argwhere(local_max & (data >= theta_v))

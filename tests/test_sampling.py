@@ -7,9 +7,15 @@ from scipy.spatial import cKDTree
 
 from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.phantom import SEG_LUMEN, PhantomSpec, generate_phantom
-from boweltrack.sampling import MustPassSet, distance_transform, sample_must_pass
+from boweltrack.sampling import (
+    MustPassSet,
+    _peak_candidates,
+    distance_transform,
+    sample_must_pass,
+)
 from boweltrack.supervoxel import LabelVolume
 from boweltrack.volume_io import Volume
+from oracles import peaks_full_ball
 
 
 def brute_force_sq_dist(mask: np.ndarray, spacing) -> np.ndarray:
@@ -179,6 +185,46 @@ class TestPeakSampling:
         assert len(mp) == 1
         assert mp.values[0] == pytest.approx(5.0)
         assert mp.positions[0][0] == pytest.approx(16.5)
+
+
+class TestPeakCandidates:
+    """The cube-then-ball peak search finds exactly the voxels of one
+    maximum filter with the whole theta_d ball."""
+
+    @staticmethod
+    def assert_matches_full_ball(data, spacing, theta_v, theta_d):
+        expected = peaks_full_ball(data, spacing, theta_v, theta_d)
+        got = _peak_candidates(data, np.asarray(spacing, dtype=float), theta_v, theta_d)
+        assert np.array_equal(got, expected)
+        return len(expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "spacing,theta_d",
+        [((1.0, 1.0, 1.0), 4.5), ((1.0, 1.5, 2.5), 5.0), ((2.0, 2.0, 2.0), 6.0),
+         ((1.0, 1.0, 3.0), 2.0)],
+    )
+    def test_distance_maps(self, seed, spacing, theta_d):
+        rng = np.random.default_rng(seed)
+        mask = (rng.random((20, 17, 14)) < 0.85).astype(np.uint8)
+        dist = distance_transform(Volume(mask, spacing, (0, 0, 0)))
+        self.assert_matches_full_ball(dist.data.astype(np.float32), spacing, 1.0, theta_d)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plateaus(self, seed):
+        rng = np.random.default_rng(seed)
+        data = np.round(ndimage.gaussian_filter(rng.random((16, 15, 13)), 2.0) * 8)
+        found = self.assert_matches_full_ball(data, (1.0, 1.0, 1.5), 2.0, 3.5)
+        assert found > 1
+        # A constant volume is one plateau; zero outside the volume keeps it a peak.
+        self.assert_matches_full_ball(np.full((9, 8, 7), 3.0), (1.0, 1.0, 1.0), 1.0, 2.5)
+
+    @pytest.mark.parametrize("theta_d", [0.5, 1.9])
+    def test_theta_d_below_spacing(self, theta_d):
+        # The ball is the centre voxel alone, so every voxel >= theta_v passes.
+        data = np.random.default_rng(7).random((10, 9, 8))
+        found = self.assert_matches_full_ball(data, (2.0, 2.0, 2.0), 0.5, theta_d)
+        assert found == int((data >= 0.5).sum())
 
 
 class TestPeakInvariants:

@@ -1,9 +1,13 @@
-"""Supervoxel clustering: partition/connectivity audits and boundary adherence."""
+"""Supervoxel clustering: partition/connectivity audits, boundary adherence,
+equivalence with the per-cluster loop and a memory bound."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from boweltrack import supervoxel
 from boweltrack.errors import FormatError, InvariantError
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.ridge import meijering_response
@@ -14,6 +18,7 @@ from boweltrack.supervoxel import (
     slic_supervoxels,
 )
 from boweltrack.volume_io import Volume
+from oracles import assign_per_cluster, seed_grid_loop
 
 
 def constant_volume(dims=(60, 60, 60), spacing=(2.0, 2.0, 2.0)):
@@ -102,12 +107,95 @@ class TestInvariants:
         assert a.label_count == b.label_count
 
     def test_deterministic_on_phantom_wall_map(self):
-        spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
-        intensity, _, _ = generate_phantom(spec)
-        wall = meijering_response(intensity)
+        wall = phantom_wall_map()
         a = slic_supervoxels(wall, 216.0, 0.01)
         b = slic_supervoxels(wall, 216.0, 0.01)
         assert np.array_equal(a.data, b.data)
+
+
+def phantom_wall_map():
+    spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
+    intensity, _, _ = generate_phantom(spec)
+    return meijering_response(intensity)
+
+
+def oracle_slic(monkeypatch, feature, target_volume, compactness):
+    """slic_supervoxels with the per-cluster assignment loop and the
+    one-point-at-a-time seed grid."""
+    with monkeypatch.context() as patch:
+        patch.setattr(supervoxel, "_assign", assign_per_cluster)
+        patch.setattr(supervoxel, "_seed_grid", seed_grid_loop)
+        return slic_supervoxels(feature, target_volume, compactness)
+
+
+EQUIVALENCE_CASES = {
+    # name: (feature, target_volume mm^3, compactness)
+    **{
+        f"random-{seed}": (random_feature(seed), 125.0, 0.01)
+        for seed in range(4)
+    },
+    "random-compact": (random_feature(9), 125.0, 0.3),
+    # Every voxel ties between the clusters that cover it.
+    "constant": (constant_volume((20, 17, 13)), 216.0, 0.01),
+    # Few feature levels: many equal distances between clusters.
+    "quantized": (
+        Volume(np.random.default_rng(3).integers(0, 3, (14, 12, 10)).astype(np.float32),
+               (1.0, 1.0, 1.0), (0, 0, 0)),
+        27.0, 0.3,
+    ),
+    "anisotropic": (random_feature(11, dims=(16, 14, 9), spacing=(1.0, 1.3, 2.0)), 22.0, 0.5),
+    # 17, 13 and 11 voxels are no multiple of the 3-voxel step.
+    "ragged-dims": (random_feature(12, dims=(17, 13, 11), spacing=(2.0, 2.0, 2.0)), 216.0, 0.01),
+    # Windows reach past every border of these small volumes.
+    "tiny": (random_feature(13, dims=(5, 5, 5), spacing=(1.0, 1.0, 1.0)), 8.0, 0.1),
+    "tiny-flat": (random_feature(14, dims=(7, 4, 5), spacing=(1.0, 1.0, 1.0)), 9.0, 0.05),
+}
+
+
+class TestOracleEquivalence:
+    """The batched assignment and the vectorised seed grid give the labels
+    of the per-cluster loop, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_labels_match_per_cluster_loop(self, monkeypatch, case):
+        feature, target_volume, compactness = EQUIVALENCE_CASES[case]
+        got = slic_supervoxels(feature, target_volume, compactness)
+        expected = oracle_slic(monkeypatch, feature, target_volume, compactness)
+        assert np.array_equal(got.data, expected.data)
+        assert got.label_count == expected.label_count
+
+    def test_phantom_wall_map_matches_per_cluster_loop(self, monkeypatch):
+        wall = phantom_wall_map()
+        got = slic_supervoxels(wall, 216.0, 0.01)
+        expected = oracle_slic(monkeypatch, wall, 216.0, 0.01)
+        assert np.array_equal(got.data, expected.data)
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_seed_grid_matches_loop(self, case):
+        feature, target_volume, _ = EQUIVALENCE_CASES[case]
+        step = target_volume ** (1.0 / 3.0)
+        got = supervoxel._seed_grid(feature, step)
+        expected = seed_grid_loop(feature, step)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+
+def test_memory_bounded_by_volume_size(monkeypatch):
+    """The allocation peak stays a fixed multiple of the volume's float64
+    size: assignment temporaries are batched, never (clusters, window)."""
+    data = ndimage.gaussian_filter(np.random.default_rng(0).normal(size=(96, 96, 96)), 2.0)
+    feature = Volume(data.astype(np.float32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    # Each iteration allocates the same; two keep the test short.
+    monkeypatch.setattr(supervoxel, "SLIC_ITERATIONS", 2)
+    tracemalloc.start()
+    try:
+        slic_supervoxels(feature, 27.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # About 25x today, set by connectivity enforcement; one (clusters,
+    # window) float64 array alone is 27x.
+    assert peak <= 40 * data.size * 8
 
 
 class TestValidation:
