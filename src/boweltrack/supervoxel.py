@@ -228,11 +228,9 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
     dims = feat.shape
     n_clusters = len(centers)
     best_label = np.full(dims, -1, dtype=np.int64)
-    best_dist = np.full(dims, np.inf)
     win_dfeat = np.zeros(dims)
-    flat_label, flat_dist, flat_dfeat = best_label.ravel(), best_dist.ravel(), win_dfeat.ravel()
-    flat_feat = feat.ravel()
-    strides = (dims[1] * dims[2], dims[2], 1)
+    flat_label, flat_dfeat, flat_feat = best_label.ravel(), win_dfeat.ravel(), feat.ravel()
+    flat_dist = np.full(feat.size, np.inf)
     # Broadcast per-axis (batch, n_a) terms to (batch, n_x, n_y, n_z).
     expand = [(slice(None), slice(None), None, None),
               (slice(None), None, slice(None), None),
@@ -250,16 +248,16 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
 
     for group in np.split(live, cuts):
         shape = extent[group[0]]
-        size = int(np.prod(shape))
-        batch = max(1, _BATCH_VOXELS // size)
+        # Flat index of each window voxel relative to the window's corner.
+        offsets = np.ravel_multi_index(np.indices(shape).reshape(3, -1), dims)
+        batch = max(1, _BATCH_VOXELS // len(offsets))
         for start in range(0, len(group), batch):
             ids = group[start : start + batch]
-            sq, lin = [], []
+            vox = (np.ravel_multi_index(lo[ids].T, dims)[:, None] + offsets).ravel()
+            sq = []
             for a in range(3):
                 pos = lo[ids, a, None] + np.arange(shape[a])
                 sq.append(((axis_pos[a][pos] - centers[ids, a, None]) ** 2)[expand[a]])
-                lin.append((pos * strides[a])[expand[a]])
-            vox = (lin[0] + lin[1] + lin[2]).ravel()
             # In place, in the per-cluster loop's order of operations:
             # dist = |f - f_i| + (m_i / step) * sqrt((dx^2 + dy^2) + dz^2).
             ds = sq[0] + sq[1] + sq[2]
@@ -271,9 +269,10 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
             ds += df
             dist = ds.ravel()
 
-            # Running minimum of (dist, id): a voxel whose distance drops
-            # forgets its earlier label; on an equal distance the lower id
-            # stays.  Neither depends on the order of the batches.
+            # Running minimum of (dist, id): a voxel whose distance drops is
+            # reset to n_clusters, above every id, and takes the batch's
+            # lowest winning id; on an equal distance the lower id stays.
+            # Neither depends on the order of the batches.
             prev = flat_dist.take(vox)
             sel = np.flatnonzero(dist <= prev)
             vox, dist, prev = vox.take(sel), dist.take(sel), prev.take(sel)
@@ -281,7 +280,7 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
             win = np.flatnonzero(dist == flat_dist.take(vox))
             sel, vox = sel.take(win), vox.take(win)
             flat_label[vox[dist.take(win) < prev.take(win)]] = n_clusters
-            label = ids[sel // size]
+            label = ids[sel // len(offsets)]
             np.minimum.at(flat_label, vox, label)
             win = label == flat_label.take(vox)
             flat_dfeat[vox[win]] = df.ravel().take(sel[win])

@@ -31,6 +31,12 @@ def random_feature(seed, dims=(18, 15, 12), spacing=(2.0, 2.0, 2.5)):
     return Volume(data.astype(np.float32), spacing, (0.0, 0.0, 0.0))
 
 
+def phantom_wall_map():
+    spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
+    intensity, _, _ = generate_phantom(spec)
+    return meijering_response(intensity)
+
+
 def assert_each_label_connected(lv: LabelVolume):
     """Flood-fill audit: every label is a single 26-connected component."""
     structure = np.ones((3, 3, 3), dtype=bool)
@@ -111,12 +117,6 @@ class TestInvariants:
         a = slic_supervoxels(wall, 216.0, 0.01)
         b = slic_supervoxels(wall, 216.0, 0.01)
         assert np.array_equal(a.data, b.data)
-
-
-def phantom_wall_map():
-    spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
-    intensity, _, _ = generate_phantom(spec)
-    return meijering_response(intensity)
 
 
 def oracle_slic(monkeypatch, feature, target_volume, compactness):
