@@ -71,14 +71,15 @@ def _peak_candidates(data: np.ndarray, sp: np.ndarray, theta_v: float, theta_d: 
     core = ball[tuple(slice(r - 1, r + 2) for r in radii)]
     local_max = data >= ndimage.maximum_filter(data, footprint=core, mode="constant")
     candidates = np.argwhere(local_max & (data >= theta_v))
-    padded = np.pad(data, [(r, r) for r in radii]).ravel()
-    strides = np.array([(data.shape[1] + 2 * radii[1]) * (data.shape[2] + 2 * radii[2]),
-                        data.shape[2] + 2 * radii[2], 1])
-    at = (candidates + radii) @ strides
-    values = padded[at]
+    # In the padded map a candidate's ball starts at the candidate's own index.
+    padded = np.pad(data, [(r, r) for r in radii])
+    corner = np.ravel_multi_index(candidates.T, padded.shape)
+    offsets = np.ravel_multi_index(np.nonzero(ball), padded.shape)
+    padded = padded.ravel()
+    values = data[tuple(candidates.T)]
     keep = np.ones(len(candidates), dtype=bool)
-    for off in (np.argwhere(ball) - radii) @ strides:
-        keep &= values >= padded[at + off]
+    for off in offsets:
+        keep &= values >= padded[corner + off]
     return candidates[keep]
 
 
