@@ -222,14 +222,12 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
 
 def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
     """One SLIC assignment step.  Every voxel gets the smallest (distance,
-    cluster id) pair among the clusters whose window covers it; returns
-    (winning cluster id, -1 where no window covers the voxel, and the
-    winner's feature distance) per voxel."""
+    cluster id) pair among the clusters whose window covers it; returns the
+    winning cluster id per voxel, -1 where no window covers the voxel."""
     dims = feat.shape
     n_clusters = len(centers)
     best_label = np.full(dims, -1, dtype=np.int64)
-    win_dfeat = np.zeros(dims)
-    flat_label, flat_dfeat, flat_feat = best_label.ravel(), win_dfeat.ravel(), feat.ravel()
+    flat_label, flat_feat = best_label.ravel(), feat.ravel()
     flat_dist = np.full(feat.size, np.inf)
     # Broadcast per-axis (batch, n_a) terms to (batch, n_x, n_y, n_z).
     expand = [(slice(None), slice(None), None, None),
@@ -280,11 +278,8 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
             win = np.flatnonzero(dist == flat_dist.take(vox))
             sel, vox = sel.take(win), vox.take(win)
             flat_label[vox[dist.take(win) < prev.take(win)]] = n_clusters
-            label = ids[sel // len(offsets)]
-            np.minimum.at(flat_label, vox, label)
-            win = label == flat_label.take(vox)
-            flat_dfeat[vox[win]] = df.ravel().take(sel[win])
-    return best_label, win_dfeat
+            np.minimum.at(flat_label, vox, ids[sel // len(offsets)])
+    return best_label
 
 
 def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) -> LabelVolume:
@@ -312,9 +307,7 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
     window = WINDOW_FACTOR * step
 
     for _ in range(SLIC_ITERATIONS):
-        best_label, win_dfeat = _assign(
-            feat, axis_pos, centers, cluster_feat, cluster_m, step, window
-        )
+        best_label = _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window)
         stray = best_label < 0
         if stray.any():
             coords = np.argwhere(stray)
@@ -325,10 +318,9 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
                 ds = np.linalg.norm(pos[sl, None, :] - centers[None, :, :], axis=2)
                 df = np.abs(fval[sl, None] - cluster_feat[None, :])
                 dist = df + (cluster_m[None, :] / step) * ds
-                winner = np.argmin(dist, axis=1)
-                rows = np.arange(dist.shape[0])
-                best_label[tuple(coords[sl].T)] = winner
-                win_dfeat[tuple(coords[sl].T)] = df[rows, winner]
+                best_label[tuple(coords[sl].T)] = np.argmin(dist, axis=1)
+        # Feature distance of each voxel to its cluster, as assigned.
+        win_dfeat = np.abs(feat - cluster_feat[best_label])
 
         flat = best_label.ravel()
         counts = np.bincount(flat, minlength=n_clusters).astype(np.float64)

@@ -108,12 +108,11 @@ def seed_grid_loop(feature, step: float):
 def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
     """SLIC assignment step of `supervoxel._assign`, one cluster window at a
     time in id order; a cluster takes a voxel only on a strictly smaller
-    distance.  Returns (best label, winner's feature distance) per voxel."""
+    distance.  Returns the winning cluster id per voxel, -1 if none."""
     dims = feat.shape
     n_clusters = len(centers)
     best_label = np.full(dims, -1, dtype=np.int64)
     best_dist = np.full(dims, np.inf)
-    win_dfeat = np.zeros(dims)
     for i in range(n_clusters):
         c = centers[i]
         lo = [int(np.searchsorted(axis_pos[a], c[a] - window)) for a in range(3)]
@@ -131,8 +130,7 @@ def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, w
         if better.any():
             best_dist[region][better] = dist[better]
             best_label[region][better] = i
-            win_dfeat[region][better] = df[better]
-    return best_label, win_dfeat
+    return best_label
 
 
 def peaks_full_ball(data: np.ndarray, spacing, theta_v: float, theta_d: float) -> np.ndarray:
