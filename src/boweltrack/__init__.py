@@ -7,7 +7,7 @@ from .errors import (
     InfeasibleError,
     InvariantError,
 )
-from .volume_io import Polyline, Volume, load_polyline, load_volume, resample_isotropic, save_polyline, save_volume
+from .volume_io import Polyline, Volume, load_polyline, load_volume, save_polyline, save_volume
 
 __all__ = [
     "BowelTrackError",
@@ -19,7 +19,6 @@ __all__ = [
     "Volume",
     "load_polyline",
     "load_volume",
-    "resample_isotropic",
     "save_polyline",
     "save_volume",
 ]

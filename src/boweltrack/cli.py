@@ -70,8 +70,6 @@ def _add_config_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-inside-fraction", type=float, metavar="F",
                    help="fraction of a supervoxel inside the mask to keep its node "
                         "(default: 0.5; decision)")
-    p.add_argument("--refine", action=argparse.BooleanOptionalAction, default=None,
-                   help="2-opt tour refinement (default: on; decision)")
     p.add_argument("--quiet", action="store_true", help="suppress stage logging")
 
 
@@ -101,8 +99,6 @@ def _config_overrides(args) -> dict:
         value = getattr(args, key)
         if value is not None:
             out[key] = fmt % value
-    if args.refine is not None:
-        out["refine"] = "true" if args.refine else "false"
     return out
 
 

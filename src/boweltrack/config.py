@@ -6,7 +6,7 @@ import dataclasses
 import os
 
 from .errors import ConfigError
-from .kvfile import parse_bool, parse_floats, read_kv_file
+from .kvfile import parse_floats, read_kv_file
 from .ridge import DEFAULT_SCALES_MM
 
 
@@ -27,7 +27,6 @@ class TrackingConfig:
     tolerance: float = 10.0
     wall_threshold: float = 0.2
     min_inside_fraction: float = 0.5
-    refine: bool = True
 
     def __post_init__(self):
         for name in (
@@ -83,7 +82,6 @@ _KNOWN_KEYS = _FLOAT_FIELDS | {
     "end",
     "output_dir",
     "scales",
-    "refine",
 }
 
 
@@ -125,6 +123,4 @@ def load_tracking_config(path, overrides: dict | None = None) -> TrackingConfig:
     for key in _FLOAT_FIELDS:
         if key in pairs:
             kwargs[key] = parse_floats(pairs[key], 1, key)[0]
-    if "refine" in pairs:
-        kwargs["refine"] = parse_bool(pairs["refine"], "refine")
     return TrackingConfig(**kwargs)

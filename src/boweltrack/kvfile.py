@@ -33,12 +33,3 @@ def parse_floats(value: str, count: int, key: str) -> tuple[float, ...]:
         return tuple(float(t) for t in tokens)
     except ValueError as exc:
         raise ConfigError(f"bad number in {key!r}: {exc}") from exc
-
-
-def parse_bool(value: str, key: str) -> bool:
-    lowered = value.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key!r} must be a boolean, got {value!r}")

@@ -221,6 +221,19 @@ def _terminal_node(point, which, seg, labels, node_map) -> int:
     return node
 
 
+def _terminals(config: TrackingConfig, seg, labels, masked):
+    """Node map of the masked graph and the start and end nodes under the
+    configured coordinates, which must be distinct."""
+    node_map = node_map_of(masked)
+    v_st = _terminal_node(config.start, "start", seg, labels, node_map)
+    v_ed = _terminal_node(config.end, "end", seg, labels, node_map)
+    if v_st == v_ed:
+        raise InfeasibleError(
+            "start and end fall in the same supervoxel; nothing to track"
+        )
+    return node_map, v_st, v_ed
+
+
 def _write_diagnostics(path, stages, route, header_lines=()) -> None:
     lines = ["tracking diagnostics", ""]
     lines.extend(header_lines)
@@ -257,14 +270,7 @@ def run_track(config: TrackingConfig, log=None) -> TrackResult:
     runner = _Runner(config.output_dir, log)
     intensity, seg = _load_grids(config)
     wall, labels, masked = _graph_stages(config, runner, intensity, seg)
-
-    node_map = node_map_of(masked)
-    v_st = _terminal_node(config.start, "start", seg, labels, node_map)
-    v_ed = _terminal_node(config.end, "end", seg, labels, node_map)
-    if v_st == v_ed:
-        raise InfeasibleError(
-            "start and end fall in the same supervoxel; nothing to track"
-        )
+    node_map, v_st, v_ed = _terminals(config, seg, labels, masked)
 
     interior = seg.like(
         ((seg.data != 0) & (wall.data < config.wall_threshold)).astype(np.uint8)
@@ -284,7 +290,7 @@ def run_track(config: TrackingConfig, log=None) -> TrackResult:
 
     def build_route():
         simplified = build_simplified_graph(masked, v_st, v_ed, must_pass, config.delta)
-        order = solve_tsp(simplified, refine=config.refine)
+        order = solve_tsp(simplified)
         return expand_tour(masked, order, simplified)
 
     route = runner.timed("route", build_route)
@@ -309,14 +315,7 @@ def run_baseline(config: TrackingConfig, log=None) -> TrackResult:
     runner = _Runner(config.output_dir, log)
     intensity, seg = _load_grids(config)
     wall, labels, masked = _graph_stages(config, runner, intensity, seg)
-
-    node_map = node_map_of(masked)
-    v_st = _terminal_node(config.start, "start", seg, labels, node_map)
-    v_ed = _terminal_node(config.end, "end", seg, labels, node_map)
-    if v_st == v_ed:
-        raise InfeasibleError(
-            "start and end fall in the same supervoxel; nothing to track"
-        )
+    _, v_st, v_ed = _terminals(config, seg, labels, masked)
 
     route = runner.timed("route", lambda: shortest_path_baseline(masked, v_st, v_ed))
     save_polyline(route.polyline, runner.path("baseline_route"))

@@ -2,9 +2,10 @@
 
 Provides shortest-path trees (scipy's Dijkstra with a canonical tie rule),
 the plain shortest path (the shortcut-prone baseline), the normalized
-simplified graph over {start, end} + must-pass nodes, a dummy-node TSP solved
-by the nearest-fragment heuristic with optional 2-opt refinement, and the
-expansion of a tour back into a node path and polyline.
+simplified graph over {start, end} + must-pass nodes with the shortest-path
+trees of its members, a dummy-node TSP solved by the nearest-fragment
+heuristic and refined by 2-opt, and the expansion of a tour back into a node
+path and polyline along those trees.
 """
 
 from __future__ import annotations
@@ -40,19 +41,23 @@ class SimplifiedGraph:
 
     costs[m, n] is the branch-normalized cost: shortest-path cost / M for
     pairs closer than delta, Euclidean distance / delta for far pairs, and
-    distance / delta + 1 for near-but-unreachable pairs."""
+    distance / delta + 1 for near-but-unreachable pairs.  trees[m] is the
+    shortest-path tree from members[m] over the whole rag."""
 
     members: np.ndarray      # rag node index per V' position; [0]=start, [-1]=end
     positions: np.ndarray    # (n, 3) mm
     costs: np.ndarray        # (n, n) symmetric, zero diagonal
-    cached_paths: dict       # (m, n) with m < n -> list of rag node indices
+    trees: np.ndarray        # (n, rag nodes) predecessors, -1 at the root and unreachable nodes
+    near: np.ndarray         # (n, n) bool, centroid distance <= delta
     normalizer: float
     delta: float
 
     def __post_init__(self):
         n = len(self.members)
-        if self.costs.shape != (n, n):
+        if self.costs.shape != (n, n) or self.near.shape != (n, n):
             raise InvariantError("cost matrix shape mismatch")
+        if self.trees.ndim != 2 or len(self.trees) != n:
+            raise InvariantError("need one shortest-path tree per member")
         if not np.allclose(self.costs, self.costs.T):
             raise InvariantError("cost matrix must be symmetric")
         if np.any(np.diag(self.costs) != 0):
@@ -164,7 +169,8 @@ def build_simplified_graph(
     rag: Rag, v_st: int, v_ed: int, must_pass, delta: float
 ) -> SimplifiedGraph:
     """Metric-closure-style graph over start/must-pass/end nodes: near pairs
-    carry normalized shortest-path cost, far pairs carry distance / delta."""
+    carry normalized shortest-path cost, far pairs carry distance / delta.
+    Each member's shortest-path tree is kept for `expand_tour`."""
     if not (delta > 0):
         raise ValueError(f"delta must be positive, got {delta}")
     mp_nodes = [n for n in dict.fromkeys(_must_pass_ids(must_pass)) if n not in (v_st, v_ed)]
@@ -180,9 +186,8 @@ def build_simplified_graph(
     diff = positions[:, None, :] - positions[None, :, :]
     eucl = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
-    dist, preds = _shortest_paths(rag, members)
+    dist, trees = _shortest_paths(rag, members)
     sp_cost = dist[:, members]
-    cached = {}
 
     near = eucl <= delta
     reachable = np.isfinite(sp_cost)
@@ -190,37 +195,28 @@ def build_simplified_graph(
     finite_near = sp_cost[store & ~np.eye(n, dtype=bool)]
     normalizer = float(finite_near.max()) if len(finite_near) else 0.0
 
-    costs = np.zeros((n, n))
-    for m in range(n):
-        for k in range(m + 1, n):
-            if near[m, k] and reachable[m, k]:
-                costs[m, k] = sp_cost[m, k] / normalizer if normalizer > 0 else 0.0
-                cached[(m, k)] = path_from_predecessors(
-                    preds[m], int(members[m]), int(members[k])
-                )
-            elif near[m, k]:
-                costs[m, k] = eucl[m, k] / delta + 1.0
-            else:
-                costs[m, k] = eucl[m, k] / delta
-            costs[k, m] = costs[m, k]
+    short = sp_cost / normalizer if normalizer > 0 else np.zeros((n, n))
+    costs = np.triu(np.where(store, short, eucl / delta + (near & ~reachable)), 1)
+    costs = costs + costs.T      # each pair costed from its lower member's row
 
     return SimplifiedGraph(
         members=members,
         positions=positions,
         costs=costs,
-        cached_paths=cached,
+        trees=trees,
+        near=near,
         normalizer=normalizer,
         delta=delta,
     )
 
 
-def solve_tsp(simplified: SimplifiedGraph, refine: bool = True) -> list:
+def solve_tsp(simplified: SimplifiedGraph) -> list:
     """Order V' from start to end via the dummy-node cycle construction.
 
     The dummy joins the endpoints with zero cost and everything else with a
     prohibitive-but-finite sentinel, so the cheapest cycle corresponds to an
     open start-to-end path.  Fragments are merged greedily by cheapest
-    endpoint pair; optional 2-opt never worsens the tour."""
+    endpoint pair; 2-opt then refines the tour and never worsens it."""
     n = simplified.n_nodes
     if n == 2:
         return [0, 1]
@@ -243,9 +239,7 @@ def solve_tsp(simplified: SimplifiedGraph, refine: bool = True) -> list:
     if path[0] != 0 or path[-1] != n - 1:
         raise InvariantError("dummy-node cycle did not isolate the endpoints")
 
-    if refine:
-        path = _two_opt(path, simplified.costs)
-    return path
+    return _two_opt(path, simplified.costs)
 
 
 def _nearest_fragment_cycle(cost: np.ndarray, prejoined=()) -> list:
@@ -317,26 +311,24 @@ def _two_opt(path: list, cost: np.ndarray) -> list:
 
 
 def expand_tour(rag: Rag, order: list, simplified: SimplifiedGraph) -> Route:
-    """Realize consecutive V' pairs as node paths: cached shortest paths when
-    available, fresh Dijkstra otherwise, straight flagged segment as a last
-    resort."""
-    nodes = [int(simplified.members[order[0]])]
+    """Realize consecutive V' pairs as node paths along the members'
+    shortest-path trees.  A near pair walks its lower member's tree (reversed
+    when the tour runs downward, so the path is the same either way round;
+    source "cached"), a far pair walks the tree of the leg's start (source
+    "dijkstra"), and a pair with no path becomes a flagged straight segment."""
+    members, trees = simplified.members, simplified.trees
+    nodes = [int(members[order[0]])]
     legs = []
     for m, k in zip(order, order[1:]):
-        a, b = int(simplified.members[m]), int(simplified.members[k])
-        key = (min(m, k), max(m, k))
-        seq = simplified.cached_paths.get(key)
-        if seq is not None:
-            seq = seq if seq[0] == a else seq[::-1]
-            source = "cached"
+        a, b = int(members[m]), int(members[k])
+        if trees[m, b] < 0:
+            seq, source = [a, b], "straight"
+        elif simplified.near[m, k]:
+            lo, hi = min(m, k), max(m, k)
+            seq = path_from_predecessors(trees[lo], int(members[lo]), int(members[hi]))
+            seq, source = (seq if lo == m else seq[::-1]), "cached"
         else:
-            dist, pred = dijkstra(rag, a)
-            if np.isfinite(dist[b]):
-                seq = path_from_predecessors(pred, a, b)
-                source = "dijkstra"
-            else:
-                seq = [a, b]
-                source = "straight"
+            seq, source = path_from_predecessors(trees[m], a, b), "dijkstra"
         legs.append({"pair": (a, b), "source": source, "n_nodes": len(seq),
                      "cost": _walk_cost(rag, seq)})
         nodes.extend(seq[1:])

@@ -62,16 +62,22 @@ class LabelVolume:
             raise InvariantError(f"labels must be integer, got {self.data.dtype}")
         if self.label_count <= 0:
             raise InvariantError("label_count must be positive")
-        counts = np.bincount(self.data.ravel(), minlength=self.label_count)
-        if len(counts) > self.label_count:
+        # Range checks first: bincount allocates one slot per label value.
+        if self.label_count > self.data.size:
+            raise InvariantError(
+                f"label_count {self.label_count} exceeds the {self.data.size} voxels; "
+                "labels must be contiguous"
+            )
+        if self.data.min() < 0:
+            raise InvariantError("negative label")
+        if self.data.max() >= self.label_count:
             raise InvariantError(
                 f"label {int(self.data.max())} outside 0..{self.label_count - 1}"
             )
+        counts = np.bincount(self.data.ravel(), minlength=self.label_count)
         if np.any(counts == 0):
             missing = int(np.flatnonzero(counts == 0)[0])
             raise InvariantError(f"label {missing} has no voxels; labels must be contiguous")
-        if self.data.min() < 0:
-            raise InvariantError("negative label")
 
     @property
     def dims(self):
@@ -91,9 +97,17 @@ def load_label_volume(path) -> LabelVolume:
     vol = load_volume(path)
     if not np.issubdtype(vol.data.dtype, np.integer):
         raise FormatError(f"{path}: label volume must hold integers, got {vol.data.dtype}")
+    # Contiguous labels lie in 0..voxels-1; checked before the int32 cast,
+    # which would wrap labels >= 2^31 negative.
+    lo, hi = int(vol.data.min()), int(vol.data.max())
+    if lo < 0 or hi >= vol.data.size:
+        raise FormatError(
+            f"{path}: invalid label volume: labels {lo}..{hi} do not fit "
+            f"0..{vol.data.size - 1}, one per voxel at most"
+        )
     data = vol.data.astype(np.int32)
     try:
-        return LabelVolume(data, vol.spacing, vol.origin, int(data.max()) + 1)
+        return LabelVolume(data, vol.spacing, vol.origin, hi + 1)
     except InvariantError as exc:
         raise FormatError(f"{path}: invalid label volume: {exc}") from exc
 

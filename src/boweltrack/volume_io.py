@@ -197,67 +197,3 @@ def _atomic_write_bytes(path, blob: bytes) -> None:
     with open(tmp, "wb") as fh:
         fh.write(blob)
     os.replace(tmp, path)
-
-
-def resample_isotropic(vol: Volume, target_spacing: float, method: str = "linear") -> Volume:
-    """Resample a volume onto an isotropic grid of the given spacing.
-
-    Trilinear interpolation for intensities; ``method="nearest"`` for label
-    and mask volumes where averaging is meaningless. Samples outside the
-    input extent clamp to the border voxel, so constants are preserved and
-    output values never leave the input range.
-    """
-    if not np.isfinite(target_spacing) or target_spacing <= 0:
-        raise ValueError(f"target spacing must be positive, got {target_spacing}")
-    if method not in ("linear", "nearest"):
-        raise ValueError(f"unknown interpolation method {method!r}")
-    t = float(target_spacing)
-    if np.all(vol.spacing == t):
-        return Volume(vol.data.copy(), vol.spacing.copy(), vol.origin.copy())
-
-    in_dims = np.array(vol.dims)
-    out_dims = np.ceil(in_dims * vol.spacing / t).astype(int)
-    # Continuous input index of each output voxel center, per axis.
-    axes = [
-        ((np.arange(out_dims[a]) + 0.5) * t) / vol.spacing[a] - 0.5
-        for a in range(3)
-    ]
-    if method == "nearest":
-        idx = [np.clip(np.rint(g).astype(int), 0, in_dims[a] - 1) for a, g in enumerate(axes)]
-        data = vol.data[np.ix_(*idx)]
-        return Volume(data.copy(), np.full(3, t), vol.origin.copy())
-
-    lo, w = [], []
-    for a, g in enumerate(axes):
-        if in_dims[a] == 1:
-            lo.append(np.zeros(out_dims[a], dtype=int))
-            w.append(np.zeros(out_dims[a]))
-        else:
-            i0 = np.clip(np.floor(g).astype(int), 0, in_dims[a] - 2)
-            lo.append(i0)
-            w.append(np.clip(g - i0, 0.0, 1.0))
-    src = vol.data.astype(np.float64)
-    hi = [np.minimum(lo[a] + 1, in_dims[a] - 1) for a in range(3)]
-
-    def gather(ix, iy, iz):
-        return src[np.ix_(ix, iy, iz)]
-
-    wx = w[0][:, None, None]
-    wy = w[1][None, :, None]
-    wz = w[2][None, None, :]
-    # Sequential lerp in the x0 + w*(x1 - x0) form: exact on constants.
-    c00 = gather(lo[0], lo[1], lo[2])
-    c00 += wz * (gather(lo[0], lo[1], hi[2]) - c00)
-    c01 = gather(lo[0], hi[1], lo[2])
-    c01 += wz * (gather(lo[0], hi[1], hi[2]) - c01)
-    c10 = gather(hi[0], lo[1], lo[2])
-    c10 += wz * (gather(hi[0], lo[1], hi[2]) - c10)
-    c11 = gather(hi[0], hi[1], lo[2])
-    c11 += wz * (gather(hi[0], hi[1], hi[2]) - c11)
-    c0 = c00 + wy * (c01 - c00)
-    c1 = c10 + wy * (c11 - c10)
-    out = c0 + wx * (c1 - c0)
-    np.clip(out, src.min(), src.max(), out=out)
-    if vol.data.dtype.kind == "f":
-        out = out.astype(vol.data.dtype)
-    return Volume(out, np.full(3, t), vol.origin.copy())

@@ -195,7 +195,8 @@ def test_criterion_04_tsp_quality_band():
             members=np.arange(n, dtype=np.int64),
             positions=rng.uniform(0, 100, size=(n, 3)),
             costs=costs,
-            cached_paths={},
+            trees=np.full((n, n), -1),
+            near=np.zeros((n, n), dtype=bool),
             normalizer=1.0,
             delta=50.0,
         )

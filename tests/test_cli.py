@@ -9,7 +9,7 @@ import pytest
 import boweltrack.cli as cli
 from boweltrack.errors import InvariantError
 from boweltrack.pipeline import ARTIFACTS
-from boweltrack.volume_io import load_polyline, load_volume
+from boweltrack.volume_io import Volume, load_polyline, load_volume, save_volume
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,16 @@ class TestExitCodes:
                          "--output-dir", str(tmp_path / "o")]) == 3
         assert "i/o error" in capsys.readouterr().err
 
+    def test_wrapping_label_is_io(self, workspace, tmp_path, capsys):
+        wall = load_volume(artifact(workspace, "wall_map"))
+        data = np.zeros(wall.dims, dtype=np.uint32)
+        data[0, 0, 0] = 2**31 + 5       # negative after an int32 cast
+        labels = tmp_path / "labels.vol"
+        save_volume(Volume(data, wall.spacing, wall.origin), labels)
+        assert cli.main(["rag", artifact(workspace, "wall_map"), str(labels),
+                         str(tmp_path / "rag.txt")]) == 3
+        assert "i/o error" in capsys.readouterr().err
+
     def test_pruned_start_is_infeasible(self, workspace, capsys):
         assert cli.main(["track", str(workspace["config"]), "--quiet",
                          "--start", "3", "3", "3"]) == 4
@@ -192,7 +202,7 @@ class TestHelpDefaults:
             assert fragment in text, fragment
         # Unpublished defaults are explicitly marked as decisions.
         for fragment in ("(default: 2 3; decision)", "(default: 0.2; decision)",
-                         "(default: 0.5; decision)", "(default: on; decision)"):
+                         "(default: 0.5; decision)"):
             assert fragment in text, fragment
 
     def test_eval_help_marks_step_decision(self, capsys):

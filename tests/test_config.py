@@ -50,7 +50,6 @@ class TestParsing:
         assert cfg.tolerance == 10.0
         assert cfg.wall_threshold == 0.2
         assert cfg.min_inside_fraction == 0.5
-        assert cfg.refine is True
 
     def test_all_keys_parsed(self, workspace):
         path = write_config(
@@ -66,7 +65,6 @@ class TestParsing:
                 "tolerance: 5\n"
                 "wall_threshold: 0.3\n"
                 "min_inside_fraction: 0.6\n"
-                "refine: false\n"
             ),
         )
         cfg = load_tracking_config(path)
@@ -78,7 +76,6 @@ class TestParsing:
         assert cfg.tolerance == 5.0
         assert cfg.wall_threshold == 0.3
         assert cfg.min_inside_fraction == 0.6
-        assert cfg.refine is False
 
     def test_absolute_paths_kept(self, workspace):
         abs_ct = str(workspace / "ct.vol")
@@ -93,10 +90,9 @@ class TestParsing:
 
     def test_overrides_win(self, workspace):
         path = write_config(workspace, extra="delta: 40\ntheta_v: 2\n")
-        cfg = load_tracking_config(path, {"delta": "60", "theta_v": "4", "refine": "off"})
+        cfg = load_tracking_config(path, {"delta": "60", "theta_v": "4"})
         assert cfg.delta == 60.0
         assert cfg.theta_v == 4.0
-        assert cfg.refine is False
 
     def test_none_overrides_skipped(self, workspace):
         cfg = load_tracking_config(write_config(workspace), {"delta": None})
@@ -151,10 +147,6 @@ class TestErrors:
         with pytest.raises(ConfigError, match="start"):
             load_tracking_config(write_config(workspace, drop=("start",),
                                               extra="start: 1 2\n"))
-
-    def test_bad_boolean(self, workspace):
-        with pytest.raises(ConfigError, match="refine"):
-            load_tracking_config(write_config(workspace, extra="refine: maybe\n"))
 
     def test_missing_intensity_file(self, workspace):
         os.remove(workspace / "ct.vol")

@@ -5,10 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+import boweltrack.route as route_module
 from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.rag import Rag
 from boweltrack.route import (
     SimplifiedGraph,
+    _two_opt,
     build_simplified_graph,
     dijkstra,
     expand_tour,
@@ -112,7 +114,8 @@ def random_simplified(seed, n_lo=3, n_hi=8):
         members=np.arange(n, dtype=np.int64),
         positions=pos,
         costs=costs,
-        cached_paths={},
+        trees=np.full((n, n), -1),
+        near=np.zeros((n, n), dtype=bool),
         normalizer=1.0,
         delta=50.0,
     )
@@ -344,18 +347,38 @@ class TestSimplifiedGraph:
         diff = sg.positions[:, None] - sg.positions[None, :]
         eucl = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         off = ~np.eye(m, dtype=bool)
-        near_cached = np.zeros((m, m), dtype=bool)
-        for a, b in sg.cached_paths:
-            near_cached[a, b] = near_cached[b, a] = True
+        reachable = sg.trees[:, sg.members] >= 0
+        near_cached = sg.near & reachable & off
         far = (eucl > 60.0) & off
         assert np.all(sg.costs[near_cached] <= 1.0 + 1e-12)
         if far.any():
             assert sg.costs[far].min() > 1.0
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_costs_mirror_the_lower_members_row(self, seed):
+        # Summed in opposite directions, the two shortest-path costs of a
+        # pair can differ in the last bit; the matrix takes the lower row's.
+        rag = random_rag(seed + 700, n_lo=6, n_hi=10, p=0.5)
+        n = rag.n_nodes
+        sg = build_simplified_graph(rag, 0, n - 1, list(range(1, n - 1)), delta=1e6)
+        assert np.array_equal(sg.costs, sg.costs.T)
+        for m in range(n):
+            dist, _ = dijkstra(rag, int(sg.members[m]))
+            for k in range(m + 1, n):
+                if np.isfinite(dist[sg.members[k]]):
+                    assert sg.costs[m, k] == dist[sg.members[k]] / sg.normalizer
+
     def test_cached_paths_cover_near_reachable_pairs_only(self):
         sg = self.three_node_instance()
-        assert set(sg.cached_paths) == {(0, 1), (1, 2)}
-        assert sg.cached_paths[(0, 1)] == [0, 1]
+        assert sg.near.tolist() == [[True, True, False], [True, True, True],
+                                    [False, True, True]]
+        assert path_from_predecessors(sg.trees[0], 0, 1) == [0, 1]
+        assert path_from_predecessors(sg.trees[1], 1, 2) == [1, 2]
+        # A near pair without a path has no tree path either.
+        positions = np.array([[0.0, 0, 0], [30.0, 0, 0], [60.0, 0, 0]])
+        rag = make_rag(3, [(0, 1, 5.0)], positions)
+        sg = build_simplified_graph(rag, 0, 2, [1], delta=50.0)
+        assert sg.near[1, 2] and sg.trees[1, 2] == -1 and sg.trees[2, 1] == -1
 
     def test_degenerate_endpoints_rejected(self):
         rag = make_rag(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -370,7 +393,8 @@ class TestSimplifiedGraph:
                 members=np.arange(2),
                 positions=np.zeros((2, 3)),
                 costs=np.array([[0.0, 1.0], [2.0, 0.0]]),
-                cached_paths={},
+                trees=np.full((2, 2), -1),
+                near=np.zeros((2, 2), dtype=bool),
                 normalizer=1.0,
                 delta=50.0,
             )
@@ -391,7 +415,8 @@ class TestSolveTsp:
             members=np.arange(n),
             positions=pos,
             costs=costs,
-            cached_paths={},
+            trees=np.full((n, n), -1),
+            near=np.zeros((n, n), dtype=bool),
             normalizer=1.0,
             delta=50.0,
         )
@@ -409,18 +434,62 @@ class TestSolveTsp:
         assert got <= 1.3 * opt + 1e-9
 
     @pytest.mark.parametrize("seed", range(15))
-    def test_refinement_never_worsens(self, seed):
+    def test_refinement_never_worsens(self, seed, monkeypatch):
         sg = random_simplified(seed + 500)
-        raw = path_cost(solve_tsp(sg, refine=False), sg.costs)
-        refined = path_cost(solve_tsp(sg, refine=True), sg.costs)
-        assert refined <= raw + 1e-12
+        with monkeypatch.context() as patch:
+            patch.setattr(route_module, "_two_opt", lambda path, cost: list(path))
+            raw = solve_tsp(sg)
+        refined = _two_opt(raw, sg.costs)
+        assert refined == solve_tsp(sg)
+        assert path_cost(refined, sg.costs) <= path_cost(raw, sg.costs) + 1e-12
 
     def test_deterministic(self):
         sg = random_simplified(33)
         assert solve_tsp(sg) == solve_tsp(sg)
 
 
+def crossing_rag():
+    """Two equal-cost routes between nodes 0 and 5 (0-1-4-5 and 0-2-3-5),
+    so the smallest-predecessor tree from 0 takes 0-2-3-5 while the tree
+    from 5 takes 5-4-1-0; node 6 hangs off 5 and node 7 off 0."""
+    edges = [(0, 1, 1.0), (1, 4, 1.0), (4, 5, 1.0), (0, 2, 1.0), (2, 3, 1.0),
+             (3, 5, 1.0), (5, 6, 1.0), (0, 7, 1.0)]
+    positions = np.zeros((8, 3))
+    positions[:, 0] = np.arange(8) * 10.0
+    return make_rag(8, edges, positions)
+
+
+def leg_nodes(route):
+    """Each leg's node sequence, cut from the route at the junctions."""
+    out, at = [], 0
+    for leg in route.legs:
+        out.append(route.nodes[at : at + leg["n_nodes"]])
+        at += leg["n_nodes"] - 1
+    return out
+
+
 class TestExpandTour:
+    def test_far_leg_walks_the_tree_of_its_start(self):
+        rag = crossing_rag()
+        # Members [6, 0, 5, 7]; every pair is farther apart than delta.
+        sg = build_simplified_graph(rag, 6, 7, [0, 5], delta=1.0)
+        route = expand_tour(rag, [0, 2, 1, 3], sg)
+        assert [leg["source"] for leg in route.legs] == ["dijkstra"] * 3
+        for leg, seq in zip(route.legs, leg_nodes(route)):
+            a, b = leg["pair"]
+            assert seq == path_from_predecessors(dijkstra(rag, a)[1], a, b)
+        assert leg_nodes(route)[1] == [5, 4, 1, 0]
+
+    def test_near_leg_toured_downward_is_reversed(self):
+        rag = crossing_rag()
+        sg = build_simplified_graph(rag, 6, 7, [0, 5], delta=1000.0)
+        up = expand_tour(rag, [0, 1, 2, 3], sg)
+        down = expand_tour(rag, [0, 2, 1, 3], sg)
+        assert all(leg["source"] == "cached" for leg in up.legs + down.legs)
+        assert leg_nodes(up)[1] == [0, 2, 3, 5]
+        assert down.legs[1]["pair"] == (5, 0)
+        assert leg_nodes(down)[1] == [5, 3, 2, 0]
+
     def test_two_adjacent_endpoints(self):
         positions = np.array([[0.0, 0, 0], [10.0, 0, 0]])
         rag = make_rag(2, [(0, 1, 1.0)], positions)

@@ -17,7 +17,7 @@ from boweltrack.supervoxel import (
     save_label_volume,
     slic_supervoxels,
 )
-from boweltrack.volume_io import Volume
+from boweltrack.volume_io import Volume, save_volume
 from oracles import assign_per_cluster, seed_grid_loop
 
 
@@ -225,6 +225,19 @@ class TestValidation:
         with pytest.raises(InvariantError):
             LabelVolume(data, (1, 1, 1), (0, 0, 0), 3)
 
+    def test_label_volume_range_checked_before_counting(self):
+        # One slot per label value would be allocated by the count; a label
+        # of 10^6 in 64 voxels must fail on the range, not on the count.
+        data = np.zeros((4, 4, 4), dtype=np.int64)
+        data[0, 0, 0] = 10**6
+        with pytest.raises(InvariantError, match="exceeds the 64 voxels"):
+            LabelVolume(data, (1, 1, 1), (0, 0, 0), 10**6 + 1)
+        with pytest.raises(InvariantError, match="outside"):
+            LabelVolume(data, (1, 1, 1), (0, 0, 0), 64)
+        data[0, 0, 0] = -1
+        with pytest.raises(InvariantError, match="negative"):
+            LabelVolume(data, (1, 1, 1), (0, 0, 0), 1)
+
     def test_label_volume_rejects_float_labels(self):
         with pytest.raises(InvariantError, match="integer"):
             LabelVolume(np.zeros((4, 4, 4)), (1, 1, 1), (0, 0, 0), 1)
@@ -254,9 +267,18 @@ class TestSerialization:
         assert np.array_equal(back.data, data)
         assert back.label_count == n
 
-    def test_load_rejects_float_volume(self, tmp_path):
-        from boweltrack.volume_io import save_volume
+    @pytest.mark.parametrize("label", [2**31 + 5, 10**6, 64])
+    def test_load_rejects_labels_beyond_voxel_count(self, tmp_path, label):
+        # 2^31 + 5 would wrap negative in an int32 cast; 10^6 would make the
+        # label count allocate far more than the volume.
+        data = np.zeros((4, 4, 4), dtype=np.uint32)
+        data[1, 2, 3] = label
+        out = tmp_path / "labels.vol"
+        save_volume(Volume(data, (1, 1, 1), (0, 0, 0)), out)
+        with pytest.raises(FormatError, match="do not fit 0..63"):
+            load_label_volume(out)
 
+    def test_load_rejects_float_volume(self, tmp_path):
         vol = Volume(np.zeros((4, 4, 4), dtype=np.float32), (1, 1, 1), (0, 0, 0))
         out = tmp_path / "float.vol"
         save_volume(vol, out)

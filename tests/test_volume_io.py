@@ -10,7 +10,6 @@ from boweltrack import (
     Volume,
     load_polyline,
     load_volume,
-    resample_isotropic,
     save_polyline,
     save_volume,
 )
@@ -97,55 +96,6 @@ def test_unsupported_dtype_rejected(tmp_path):
     vol = Volume(np.zeros((2, 2, 2), dtype=np.float64))
     with pytest.raises(FormatError, match="unsupported"):
         save_volume(vol, tmp_path / "v.vol")
-
-
-def test_resample_identity_is_bitwise():
-    rng = np.random.default_rng(0)
-    vol = Volume(rng.random((6, 5, 4), dtype=np.float32), spacing=(2, 2, 2))
-    out = resample_isotropic(vol, 2.0)
-    assert np.array_equal(out.data, vol.data)
-    assert out.data is not vol.data
-
-
-def test_resample_constant_exact():
-    vol = Volume(np.full((7, 6, 5), 3.7, dtype=np.float32), spacing=(1.0, 2.0, 3.0))
-    out = resample_isotropic(vol, 1.7)
-    assert np.all(out.data == np.float32(3.7))
-    assert out.dims == tuple(int(np.ceil(d * s / 1.7)) for d, s in zip((7, 6, 5), (1, 2, 3)))
-
-
-def test_resample_linear_ramp_matches_analytic():
-    nx = 12
-    x = (np.arange(nx) + 0.5) * 1.0
-    data = np.broadcast_to(x[:, None, None], (nx, 4, 4)).astype(np.float64).astype(np.float32)
-    vol = Volume(data, spacing=(1, 1, 1))
-    out = resample_isotropic(vol, 2.0)
-    centers = (np.arange(out.dims[0]) + 0.5) * 2.0
-    inner = (centers > 0.5) & (centers < nx - 0.5)
-    got = out.data[:, 1, 1].astype(np.float64)
-    assert np.allclose(got[inner], centers[inner], atol=1e-6)
-
-
-def test_resample_range_bounded():
-    rng = np.random.default_rng(7)
-    vol = Volume(rng.random((9, 8, 7), dtype=np.float32), spacing=(1.3, 0.9, 2.1))
-    out = resample_isotropic(vol, 0.7)
-    assert out.data.min() >= vol.data.min()
-    assert out.data.max() <= vol.data.max()
-
-
-def test_resample_nearest_keeps_label_values():
-    rng = np.random.default_rng(5)
-    data = rng.integers(0, 4, size=(6, 6, 6)).astype(np.uint8)
-    out = resample_isotropic(Volume(data, spacing=(2, 2, 2)), 1.0, method="nearest")
-    assert set(np.unique(out.data)) <= set(np.unique(data))
-    assert out.data.dtype == np.uint8
-
-
-def test_resample_rejects_bad_spacing():
-    vol = Volume(np.zeros((2, 2, 2), dtype=np.float32))
-    with pytest.raises(ValueError):
-        resample_isotropic(vol, 0.0)
 
 
 def test_polyline_round_trip(tmp_path):
