@@ -32,7 +32,7 @@ from .rag import build_rag, load_rag, mask_nodes, save_rag
 from .ridge import DEFAULT_SCALES_MM, meijering_response
 from .sampling import distance_transform, node_map_of, sample_must_pass
 from .supervoxel import load_label_volume, save_label_volume, slic_supervoxels
-from .volume_io import load_volume, save_volume
+from .volume_io import check_same_grid, load_volume, save_volume
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -173,6 +173,7 @@ def _cmd_sample(args) -> int:
     wall = load_volume(args.wall_map)
     labels = load_label_volume(args.labels)
     masked = load_rag(args.masked_rag)
+    check_same_grid(seg, wall, "segmentation and wall map")
     interior = seg.like(
         ((seg.data != 0) & (wall.data < args.wall_threshold)).astype("uint8")
     )

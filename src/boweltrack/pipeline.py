@@ -30,6 +30,7 @@ from .sampling import MustPassSet, distance_transform, node_map_of, sample_must_
 from .supervoxel import load_label_volume, save_label_volume, slic_supervoxels
 from .volume_io import (
     _atomic_write_bytes,
+    check_same_grid,
     load_polyline,
     load_volume,
     save_polyline,
@@ -167,12 +168,7 @@ def load_must_pass(path) -> MustPassSet:
 def _load_grids(config: TrackingConfig):
     intensity = load_volume(config.intensity_path)
     seg = load_volume(config.segmentation_path)
-    if (
-        seg.dims != intensity.dims
-        or not np.array_equal(seg.spacing, intensity.spacing)
-        or not np.array_equal(seg.origin, intensity.origin)
-    ):
-        raise ConfigError("intensity and segmentation are on different grids")
+    check_same_grid(intensity, seg, "intensity and segmentation", ConfigError)
     if not np.issubdtype(seg.data.dtype, np.integer):
         raise ConfigError(f"segmentation must be integer-coded, got {seg.data.dtype}")
     return intensity, seg

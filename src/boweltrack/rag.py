@@ -11,10 +11,11 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import FormatError, InfeasibleError, InvariantError
 from .supervoxel import LabelVolume
-from .volume_io import Volume, _atomic_write_bytes
+from .volume_io import Volume, _atomic_write_bytes, check_same_grid
 
 
 @dataclasses.dataclass
@@ -28,7 +29,7 @@ class Rag:
     edge_j: np.ndarray
     edge_cost: np.ndarray
     edge_faces: np.ndarray
-    _adj: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
+    _adj: csr_array | None = dataclasses.field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.node_ids)
@@ -51,32 +52,29 @@ class Rag:
     def n_edges(self) -> int:
         return len(self.edge_i)
 
-    def adjacency(self):
-        """CSR-style (indptr, neighbor, cost) over both edge directions."""
+    def adjacency(self) -> csr_array:
+        """Edge costs over both directions as an (n, n) sparse matrix, built
+        once.  Neighbours ascend within each row, and zero-cost edges are
+        stored entries, so they stay edges."""
         if self._adj is None:
             src = np.concatenate([self.edge_i, self.edge_j])
             dst = np.concatenate([self.edge_j, self.edge_i])
             cost = np.concatenate([self.edge_cost, self.edge_cost])
             order = np.lexsort((dst, src))
-            src, dst, cost = src[order], dst[order], cost[order]
-            indptr = np.searchsorted(src, np.arange(self.n_nodes + 1))
-            self._adj = (indptr, dst, cost)
+            indptr = np.searchsorted(src[order], np.arange(self.n_nodes + 1))
+            self._adj = csr_array((cost[order], dst[order], indptr),
+                                  shape=(self.n_nodes, self.n_nodes))
         return self._adj
 
     def neighbors(self, node: int):
-        indptr, dst, cost = self.adjacency()
-        sl = slice(indptr[node], indptr[node + 1])
-        return dst[sl], cost[sl]
+        adj = self.adjacency()
+        sl = slice(adj.indptr[node], adj.indptr[node + 1])
+        return adj.indices[sl], adj.data[sl]
 
 
 def build_rag(labels: LabelVolume, wall_map: Volume) -> Rag:
     """Accumulate boundary faces between 6-adjacent differently-labeled voxels."""
-    if labels.dims != wall_map.dims:
-        raise ValueError(f"labels dims {labels.dims} != wall map dims {wall_map.dims}")
-    if not np.allclose(labels.spacing, wall_map.spacing):
-        raise ValueError(
-            f"labels spacing {labels.spacing} != wall map spacing {tuple(wall_map.spacing)}"
-        )
+    check_same_grid(labels, wall_map, "labels and wall map")
 
     lab = labels.data
     wall = wall_map.data.astype(np.float64)
@@ -144,10 +142,7 @@ def mask_nodes(
 ) -> Rag:
     """Drop nodes mostly outside the mask; surviving nodes are re-indexed and
     keep their original supervoxel ids in node_ids."""
-    if segmentation.dims != labels.dims:
-        raise ValueError(
-            f"segmentation dims {segmentation.dims} != labels dims {labels.dims}"
-        )
+    check_same_grid(segmentation, labels, "segmentation and labels")
     seg = segmentation.data
     values = np.unique(seg)
     if not np.all(np.isin(values, (0, 1))):

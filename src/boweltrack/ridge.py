@@ -82,22 +82,19 @@ def gaussian_hessian(vol: Volume, sigma_mm: float):
     return tuple(vol.like(c) for c in components)
 
 
-def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM, black_ridges: bool = True) -> Volume:
+def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
     """Multi-scale sheet/line response in [0, 1].
 
     Per scale: eigenvalues l1 <= l2 <= l3 of the Hessian are shifted to
     l'_i = l_i - (sum of the other two) / 3 and the response is
     max(0, -min_i l'_i), normalised by its volume-wide maximum.  The final
-    map is the voxelwise maximum over scales.  With black_ridges the input
-    is negated first so dark sheets (walls between bright lumens) light up.
+    map is the voxelwise maximum over scales.  The input is negated first so
+    dark sheets (walls between bright lumens) light up.
     """
     scales = tuple(float(s) for s in scales_mm)
     if len(scales) == 0:
         raise ValueError("scales_mm must not be empty")
-    work = vol.data.astype(np.float64)
-    if black_ridges:
-        work = -work
-    src = Volume(work, vol.spacing, vol.origin)
+    src = Volume(-vol.data.astype(np.float64), vol.spacing, vol.origin)
 
     response = np.zeros(vol.dims, dtype=np.float64)
     for sigma in scales:

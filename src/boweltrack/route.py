@@ -3,9 +3,14 @@
 Provides shortest-path trees (scipy's Dijkstra with a canonical tie rule),
 the plain shortest path (the shortcut-prone baseline), the normalized
 simplified graph over {start, end} + must-pass nodes with the shortest-path
-trees of its members, a dummy-node TSP solved by the nearest-fragment
-heuristic and refined by 2-opt, and the expansion of a tour back into a node
+trees of its members, the start-to-end tour through them (nearest-fragment
+heuristic refined by 2-opt), and the expansion of a tour back into a node
 path and polyline along those trees.
+
+The tour is the open path that the paper's TSP finds through an extra node
+joined to start and end at zero cost: those two edges are forced, so the
+greedy builds the same path when start and end simply begin as one fragment
+(see `solve_tsp`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.sparse import csgraph, csr_array
+from scipy.sparse import csgraph
 
 from .errors import InfeasibleError, InvariantError
 from .rag import Rag
@@ -70,13 +75,6 @@ class SimplifiedGraph:
         return len(self.members)
 
 
-def _cost_matrix(rag: Rag) -> csr_array:
-    """Edge costs as a sparse matrix over both directions; zero-cost edges
-    are stored explicitly, so they stay edges."""
-    indptr, nbr, weight = rag.adjacency()
-    return csr_array((weight, nbr, indptr), shape=(rag.n_nodes, rag.n_nodes))
-
-
 def _shortest_paths(rag: Rag, sources):
     """Shortest-path costs and predecessors from each source, one row each.
 
@@ -85,10 +83,11 @@ def _shortest_paths(rag: Rag, sources):
     Every positive-cost link lowers the cost, so the tree has no cycles.
     Sources and unreachable nodes have predecessor -1."""
     n = rag.n_nodes
-    indptr, nbr, weight = rag.adjacency()
-    dist, pred = csgraph.dijkstra(_cost_matrix(rag), directed=True, indices=sources,
+    adj = rag.adjacency()
+    indptr, nbr, weight = adj.indptr, adj.indices, adj.data
+    dist, pred = csgraph.dijkstra(adj, directed=True, indices=sources,
                                   return_predecessors=True)
-    pred = np.where(pred < 0, -1, pred).astype(np.int64)      # scipy's sentinel is -9999
+    pred = np.where(pred < 0, -1, pred).astype(np.int64)      # scipy writes -9999 for none
     positive = weight > 0
     src = np.repeat(np.arange(n), np.diff(indptr))[positive]
     dst, cost = nbr[positive], weight[positive]
@@ -130,7 +129,7 @@ def _walk_cost(rag: Rag, nodes) -> float:
     straight-line leg) adds nothing."""
     total = 0.0
     if len(nodes) > 1:
-        for cost in _cost_matrix(rag)[nodes[:-1], nodes[1:]].tolist():
+        for cost in rag.adjacency()[nodes[:-1], nodes[1:]].tolist():
             total += cost
     return total
 
@@ -211,84 +210,55 @@ def build_simplified_graph(
 
 
 def solve_tsp(simplified: SimplifiedGraph) -> list:
-    """Order V' from start to end via the dummy-node cycle construction.
+    """Order V' from start to end: the nearest-fragment heuristic builds an
+    open start-to-end path, then 2-opt refines it and never worsens it.
 
-    The dummy joins the endpoints with zero cost and everything else with a
-    prohibitive-but-finite sentinel, so the cheapest cycle corresponds to an
-    open start-to-end path.  Fragments are merged greedily by cheapest
-    endpoint pair; 2-opt then refines the tour and never worsens it."""
-    n = simplified.n_nodes
-    if n == 2:
-        return [0, 1]
-
-    sentinel = (n + 1) * (float(simplified.costs.max()) + 1.0)
-    aug = np.full((n + 1, n + 1), sentinel)
-    aug[:n, :n] = simplified.costs
-    dummy = n
-    aug[dummy, 0] = aug[0, dummy] = 0.0
-    aug[dummy, n - 1] = aug[n - 1, dummy] = 0.0
-    np.fill_diagonal(aug, 0.0)
-
-    # The dummy's zero-cost edges are part of the construction, not choices;
-    # join them up front so endpoint degree can't be exhausted by cost ties.
-    order = _nearest_fragment_cycle(aug, prejoined=[(0, dummy), (n - 1, dummy)])
-    at = order.index(dummy)
-    path = order[at + 1 :] + order[:at]
-    if path[0] != 0:
-        path.reverse()
-    if path[0] != 0 or path[-1] != n - 1:
-        raise InvariantError("dummy-node cycle did not isolate the endpoints")
-
-    return _two_opt(path, simplified.costs)
+    This is the paper's TSP with an extra node that joins start and end at
+    zero cost and every other node at a prohibitive cost.  Both of its
+    zero-cost edges are in the cycle before the greedy makes a choice, so
+    the extra node never has a free link and never takes part in a choice,
+    and cutting the cycle there leaves a start-to-end path.  Letting start
+    and end begin as one fragment with one free link each gives the greedy
+    exactly the same choices."""
+    order = _nearest_fragment_path(simplified.costs)
+    return _two_opt(order, simplified.costs)
 
 
-def _nearest_fragment_cycle(cost: np.ndarray, prejoined=()) -> list:
-    """Greedy cycle: repeatedly join the globally cheapest pair of fragment
-    endpoints (ties to the lowest index pair), then close the last gap."""
+def _nearest_fragment_path(cost: np.ndarray) -> list:
+    """Greedy path from node 0 to node n-1: start and end begin as one
+    fragment with one free link each; then join the globally cheapest pair
+    of open ends of different fragments (ties to the lowest index pair)
+    until one fragment is left, and join its two loose ends."""
     n = len(cost)
     fragment_of = np.arange(n)
+    fragment_of[n - 1] = 0
     degree = np.zeros(n, dtype=np.int64)
-    link = {k: [] for k in range(n)}
+    degree[[0, n - 1]] = 1
+    link = [[] for _ in range(n)]
 
     def join(i, j):
         link[i].append(j)
         link[j].append(i)
-        degree[i] += 1
-        degree[j] += 1
+        degree[[i, j]] += 1
         fragment_of[fragment_of == fragment_of[j]] = fragment_of[i]
 
-    joins = 0
-    for i, j in prejoined:
-        join(i, j)
-        joins += 1
-
-    while joins < n - 1:
+    for _ in range(n - 2):
         open_end = degree < 2
         allowed = (
             open_end[:, None]
             & open_end[None, :]
             & (fragment_of[:, None] != fragment_of[None, :])
         )
-        masked = np.where(allowed, cost, np.inf)
-        flat = int(np.argmin(masked))         # C order: ties fall to lowest (i, j)
-        i, j = divmod(flat, n)
-        if not np.isfinite(masked[i, j]):
-            raise InvariantError("fragment merging stalled")
-        join(min(i, j), max(i, j))
-        joins += 1
+        flat = int(np.argmin(np.where(allowed, cost, np.inf)))   # C order: ties fall to lowest (i, j)
+        join(*divmod(flat, n))
+    join(*np.flatnonzero(degree < 2).tolist())
 
-    tips = np.flatnonzero(degree < 2)
-    if len(tips) != 2:
-        raise InvariantError(f"open cycle has {len(tips)} endpoints")
-    join(int(tips[0]), int(tips[1]))
-
-    order = [0]
-    prev = None
-    while len(order) < n:
-        nxt = [v for v in link[order[-1]] if v != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
+    path = [0]
+    while len(path) < n:
+        path.append(next(v for v in link[path[-1]] if v not in path[-2:]))
+    if path[-1] != n - 1:
+        raise InvariantError("greedy path does not end at the end node")
+    return path
 
 
 def _two_opt(path: list, cost: np.ndarray) -> list:

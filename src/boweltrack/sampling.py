@@ -16,7 +16,7 @@ from scipy import ndimage
 
 from .errors import InfeasibleError, InvariantError
 from .supervoxel import LabelVolume
-from .volume_io import Volume
+from .volume_io import Volume, check_same_grid
 
 
 def distance_transform(interior: Volume) -> Volume:
@@ -95,8 +95,7 @@ def sample_must_pass(
     voxel ties) while keeping every pair >= theta_d apart."""
     if not (theta_v > 0) or not (theta_d > 0):
         raise ValueError(f"theta_v and theta_d must be positive, got {theta_v}, {theta_d}")
-    if dist.dims != labels.dims:
-        raise ValueError(f"distance map dims {dist.dims} != labels dims {labels.dims}")
+    check_same_grid(dist, labels, "distance map and labels")
 
     sp = np.asarray(dist.spacing)
     data = dist.data

@@ -75,6 +75,15 @@ class Volume:
         return Volume(data, self.spacing.copy(), self.origin.copy())
 
 
+def check_same_grid(a, b, names: str, error=ValueError) -> None:
+    """Raise `error` unless `a` and `b` (volumes or label volumes) have the
+    same dims, spacing and origin: stages combine them voxel by voxel."""
+    for attr in ("dims", "spacing", "origin"):
+        va, vb = (tuple(np.asarray(getattr(v, attr)).tolist()) for v in (a, b))
+        if va != vb:
+            raise error(f"{names} are on different grids: {attr} {va} != {vb}")
+
+
 @dataclass
 class Polyline:
     """Ordered 3D point sequence in physical mm coordinates."""

@@ -1,13 +1,14 @@
-"""Test-only oracles: an exact must-pass solver and the cost of a visiting
-order over a simplified-graph cost matrix (routing), and the per-cluster
-SLIC assignment loop and seed-grid loop (supervoxels)."""
+"""Test-only oracles: an exact must-pass solver, the cost of a visiting
+order over a simplified-graph cost matrix and the dummy-node construction
+of the start-to-end tour (routing), and the per-cluster SLIC assignment
+loop and seed-grid loop (supervoxels)."""
 
 import heapq
 
 import numpy as np
 from scipy import ndimage
 
-from boweltrack.errors import InfeasibleError
+from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.rag import Rag
 from boweltrack.route import Route, _must_pass_ids, _route_from_nodes
 
@@ -29,7 +30,8 @@ def constrained_dijkstra_exact(rag: Rag, v_st: int, v_ed: int, must_pass) -> Rou
 
     bit_of = {node: 1 << k for k, node in enumerate(mp_nodes)}
     full = (1 << len(mp_nodes)) - 1
-    indptr, nbr, weight = rag.adjacency()
+    adj = rag.adjacency()
+    indptr, nbr, weight = adj.indptr, adj.indices, adj.data
 
     start_mask = bit_of.get(v_st, 0)
     best = {(v_st, start_mask): 0.0}
@@ -71,6 +73,86 @@ def constrained_dijkstra_exact(rag: Rag, v_st: int, v_ed: int, must_pass) -> Rou
 
 def path_cost(order: list, costs: np.ndarray) -> float:
     return float(sum(costs[a, b] for a, b in zip(order, order[1:])))
+
+
+def dummy_node_path(costs: np.ndarray) -> list:
+    """Greedy start-to-end order of `route.solve_tsp` before 2-opt, built as
+    the paper builds it: a cycle through a dummy node.
+
+    The dummy joins the endpoints with zero cost and everything else with a
+    prohibitive-but-finite sentinel, so the cheapest cycle corresponds to an
+    open start-to-end path; cutting the cycle at the dummy gives the path."""
+    n = len(costs)
+    if n == 2:
+        return [0, 1]
+
+    sentinel = (n + 1) * (float(costs.max()) + 1.0)
+    aug = np.full((n + 1, n + 1), sentinel)
+    aug[:n, :n] = costs
+    dummy = n
+    aug[dummy, 0] = aug[0, dummy] = 0.0
+    aug[dummy, n - 1] = aug[n - 1, dummy] = 0.0
+    np.fill_diagonal(aug, 0.0)
+
+    # The dummy's zero-cost edges are part of the construction, not choices;
+    # join them up front so endpoint degree can't be exhausted by cost ties.
+    order = nearest_fragment_cycle(aug, prejoined=[(0, dummy), (n - 1, dummy)])
+    at = order.index(dummy)
+    path = order[at + 1 :] + order[:at]
+    if path[0] != 0:
+        path.reverse()
+    if path[0] != 0 or path[-1] != n - 1:
+        raise InvariantError("dummy-node cycle did not isolate the endpoints")
+    return path
+
+
+def nearest_fragment_cycle(cost: np.ndarray, prejoined=()) -> list:
+    """Greedy cycle: repeatedly join the globally cheapest pair of fragment
+    endpoints (ties to the lowest index pair), then close the last gap."""
+    n = len(cost)
+    fragment_of = np.arange(n)
+    degree = np.zeros(n, dtype=np.int64)
+    link = {k: [] for k in range(n)}
+
+    def join(i, j):
+        link[i].append(j)
+        link[j].append(i)
+        degree[i] += 1
+        degree[j] += 1
+        fragment_of[fragment_of == fragment_of[j]] = fragment_of[i]
+
+    joins = 0
+    for i, j in prejoined:
+        join(i, j)
+        joins += 1
+
+    while joins < n - 1:
+        open_end = degree < 2
+        allowed = (
+            open_end[:, None]
+            & open_end[None, :]
+            & (fragment_of[:, None] != fragment_of[None, :])
+        )
+        masked = np.where(allowed, cost, np.inf)
+        flat = int(np.argmin(masked))         # C order: ties fall to lowest (i, j)
+        i, j = divmod(flat, n)
+        if not np.isfinite(masked[i, j]):
+            raise InvariantError("fragment merging stalled")
+        join(min(i, j), max(i, j))
+        joins += 1
+
+    tips = np.flatnonzero(degree < 2)
+    if len(tips) != 2:
+        raise InvariantError(f"open cycle has {len(tips)} endpoints")
+    join(int(tips[0]), int(tips[1]))
+
+    order = [0]
+    prev = None
+    while len(order) < n:
+        nxt = [v for v in link[order[-1]] if v != prev]
+        prev = order[-1]
+        order.append(nxt[0])
+    return order
 
 
 def seed_grid_loop(feature, step: float):

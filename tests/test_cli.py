@@ -263,3 +263,36 @@ class TestStageCommands:
         capsys.readouterr()
         assert read_bytes(out) == read_bytes(artifact(workspace, "must_pass"))
         assert read_bytes(dist_out) == read_bytes(artifact(workspace, "distance"))
+
+
+def regridded_segmentation(workspace, tmp_path, regrid):
+    """The phantom segmentation re-saved at 3 mm spacing, or with its
+    origin moved by +10 mm along x."""
+    seg = load_volume(str(workspace["data"] / "segmentation.vol"))
+    if regrid == "rescaled-spacing":
+        seg = Volume(seg.data, np.full(3, 3.0), seg.origin)
+    else:
+        seg = Volume(seg.data, seg.spacing, seg.origin + [10.0, 0.0, 0.0])
+    path = str(tmp_path / "seg.vol")
+    save_volume(seg, path)
+    return path
+
+
+@pytest.mark.parametrize("regrid", ["rescaled-spacing", "shifted-origin"])
+class TestGridMismatch:
+    def test_sample_exits_config(self, workspace, tmp_path, capsys, regrid):
+        seg = regridded_segmentation(workspace, tmp_path, regrid)
+        assert cli.main(["sample", seg, artifact(workspace, "wall_map"),
+                         artifact(workspace, "labels"),
+                         artifact(workspace, "masked_rag"),
+                         str(tmp_path / "mp.txt")]) == cli.EXIT_CONFIG
+        assert "different grids" in capsys.readouterr().err
+        assert not (tmp_path / "mp.txt").exists()
+
+    def test_masked_rag_exits_config(self, workspace, tmp_path, capsys, regrid):
+        seg = regridded_segmentation(workspace, tmp_path, regrid)
+        assert cli.main(["rag", artifact(workspace, "wall_map"),
+                         artifact(workspace, "labels"), str(tmp_path / "rag.txt"),
+                         "--segmentation", seg]) == cli.EXIT_CONFIG
+        assert "different grids" in capsys.readouterr().err
+        assert not (tmp_path / "rag.txt").exists()

@@ -108,6 +108,12 @@ class TestBuild:
         with pytest.raises(ValueError, match="spacing"):
             build_rag(lv, wall)
 
+    def test_origin_mismatch_rejected(self):
+        lv, _ = random_labeling(0)
+        wall = Volume(np.zeros((8, 8, 8), dtype=np.float32), lv.spacing, (10.0, 0, 0))
+        with pytest.raises(ValueError, match="origin"):
+            build_rag(lv, wall)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(20))
@@ -127,6 +133,28 @@ class TestInvariants:
             dst = tuple(slice(1, None) if s else slice(None) for s in step)
             total += int((lv.data[src] != lv.data[dst]).sum())
         assert rag.edge_faces.sum() == total
+
+    def test_adjacency_is_built_once(self):
+        rag = build_rag(*random_labeling(4))
+        assert rag.adjacency() is rag.adjacency()
+
+    def test_zero_cost_edges_stay_stored(self):
+        rag = build_rag(*plane_split(0.0))
+        adj = rag.adjacency()
+        assert adj.nnz == 2
+        assert np.array_equal(adj.data, [0.0, 0.0])
+        assert rag.neighbors(0)[0].tolist() == [1]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_neighbors_ascend(self, seed):
+        lv, wall = random_labeling(seed, dims=(7, 6, 5), n_labels=6)
+        rag = build_rag(lv, wall)
+        table = edge_table(rag)
+        for node in range(rag.n_nodes):
+            nbr, cost = rag.neighbors(node)
+            assert np.all(np.diff(nbr) > 0)
+            for v, c in zip(nbr.tolist(), cost.tolist()):
+                assert table[(min(node, v), max(node, v))][0] == c
 
     def test_costs_nonnegative_finite(self):
         lv, wall = random_labeling(3)
@@ -179,6 +207,16 @@ class TestMasking:
         bad = Volume(np.full(lv.dims, 2, dtype=np.uint8), lv.spacing, lv.origin)
         with pytest.raises(ValueError, match="binary"):
             mask_nodes(rag, bad, lv, 0.5)
+
+    @pytest.mark.parametrize("spacing, origin", [((3.0, 3.0, 3.0), (0.0, 0.0, 0.0)),
+                                                 ((1.5, 2.0, 2.5), (0.0, 10.0, 0.0))],
+                             ids=["rescaled-spacing", "shifted-origin"])
+    def test_mask_on_another_grid_rejected(self, spacing, origin):
+        lv, wall = random_labeling(2)
+        rag = build_rag(lv, wall)
+        ones = Volume(np.ones(lv.dims, dtype=np.uint8), spacing, origin)
+        with pytest.raises(ValueError, match="different grids"):
+            mask_nodes(rag, ones, lv, 0.5)
 
     def test_phantom_gt_supervoxels_survive(self):
         spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)

@@ -119,15 +119,15 @@ class TestMeijeringResponse:
             resp_rot = meijering_response(make_volume(rotated), scales_mm=(1.5,)).data
             assert np.allclose(resp_rot, np.rot90(resp, k=1, axes=axes), atol=1e-9)
 
-    def test_black_ridges_flag_selects_polarity(self):
-        # Dark plane in bright volume: found with black_ridges, not without.
+    def test_polarity_selects_dark_sheets(self):
+        # Dark plane in bright volume: the response peaks on it.  The
+        # inverted volume's bright plane is no wall: its peak lies beside it.
         data = np.full((25, 16, 16), 100.0)
         data[12, :, :] = 0.0
-        dark = meijering_response(make_volume(data), scales_mm=(1.5,), black_ridges=True)
-        bright = meijering_response(make_volume(100.0 - data), scales_mm=(1.5,), black_ridges=False)
+        dark = meijering_response(make_volume(data), scales_mm=(1.5,))
+        bright = meijering_response(make_volume(100.0 - data), scales_mm=(1.5,))
         assert np.unravel_index(np.argmax(dark.data), dark.data.shape)[0] == 12
-        # Inverted problem with inverted flag gives the identical answer.
-        assert np.allclose(dark.data, bright.data, atol=1e-12)
+        assert np.unravel_index(np.argmax(bright.data), bright.data.shape)[0] != 12
 
     def test_empty_scales_rejected(self):
         vol = make_volume(np.zeros((8, 8, 8)))

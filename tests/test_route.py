@@ -18,7 +18,7 @@ from boweltrack.route import (
     shortest_path_baseline,
     solve_tsp,
 )
-from oracles import constrained_dijkstra_exact, path_cost
+from oracles import constrained_dijkstra_exact, dummy_node_path, path_cost
 
 
 def make_rag(n, edges, positions=None):
@@ -446,6 +446,33 @@ class TestSolveTsp:
     def test_deterministic(self):
         sg = random_simplified(33)
         assert solve_tsp(sg) == solve_tsp(sg)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_matches_dummy_node_construction(self, chunk, monkeypatch):
+        # 4 x 300 matrices with n in 3..24; every third one has costs in
+        # {0, 1, 2}, so ties between candidate pairs are common.
+        for seed in range(300 * chunk, 300 * (chunk + 1)):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, 25))
+            if seed % 3 == 0:
+                costs = rng.integers(0, 3, size=(n, n)).astype(float)
+            else:
+                costs = rng.uniform(0.0, 2.0, size=(n, n))
+            costs = np.triu(costs, 1)
+            sg = SimplifiedGraph(
+                members=np.arange(n, dtype=np.int64),
+                positions=np.zeros((n, 3)),
+                costs=costs + costs.T,
+                trees=np.full((n, n), -1),
+                near=np.zeros((n, n), dtype=bool),
+                normalizer=1.0,
+                delta=50.0,
+            )
+            reference = dummy_node_path(sg.costs)
+            assert solve_tsp(sg) == _two_opt(reference, sg.costs), seed
+            with monkeypatch.context() as patch:
+                patch.setattr(route_module, "_two_opt", lambda path, cost: list(path))
+                assert solve_tsp(sg) == reference, seed
 
 
 def crossing_rag():

@@ -144,6 +144,17 @@ class TestPeakSampling:
         with pytest.raises(InfeasibleError, match="theta_v"):
             sample_must_pass(dist, lv, node_map, 3.0, 6.0)
 
+    @pytest.mark.parametrize("spacing, origin", [((3.0, 3.0, 3.0), (0.0, 0.0, 0.0)),
+                                                 ((1.0, 1.0, 1.0), (10.0, 0.0, 0.0))],
+                             ids=["rescaled-spacing", "shifted-origin"])
+    def test_labels_on_another_grid_rejected(self, spacing, origin):
+        dims = (15, 11, 11)
+        data = cone(np.array([7.5, 5.5, 5.5]), 5.0, unit_grid(dims))
+        dist = Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        lv = LabelVolume(np.zeros(dims, dtype=np.int32), spacing, origin, 1)
+        with pytest.raises(ValueError, match="different grids"):
+            sample_must_pass(dist, lv, {0: 0}, 3.0, 6.0)
+
     def test_pruned_supervoxel_warns_and_drops(self):
         dims = (20, 9, 9)
         coords = unit_grid(dims)
