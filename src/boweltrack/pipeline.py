@@ -141,17 +141,23 @@ def load_must_pass(path) -> MustPassSet:
     head = lines[1].split()
     if len(head) != 4 or head[0] != "count" or head[2] != "pruned":
         raise FormatError(f"{path}: bad count line {lines[1]!r}")
-    count, pruned = int(head[1]), int(head[3])
+    try:
+        count, pruned = int(head[1]), int(head[3])
+    except ValueError as exc:
+        raise FormatError(f"{path}:2: bad count line {lines[1]!r}: {exc}") from exc
     ids, pos, val = [], [], []
-    for line in lines[2:]:
+    for lineno, line in enumerate(lines[2:], start=3):
         parts = line.split()
         if not parts:
             continue
         if parts[0] != "peak" or len(parts) != 6:
             raise FormatError(f"{path}: bad peak line {line!r}")
-        ids.append(int(parts[1]))
-        pos.append([float(p) for p in parts[2:5]])
-        val.append(float(parts[5]))
+        try:
+            ids.append(int(parts[1]))
+            pos.append([float(p) for p in parts[2:5]])
+            val.append(float(parts[5]))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad peak line {line!r}: {exc}") from exc
     if len(ids) != count:
         raise FormatError(f"{path}: expected {count} peaks, found {len(ids)}")
     try:

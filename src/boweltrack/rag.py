@@ -41,6 +41,8 @@ class Rag:
             raise InvariantError("edges must be stored with i < j")
         if len(self.edge_i) and (self.edge_i.min() < 0 or self.edge_j.max() >= n):
             raise InvariantError("edge endpoint outside node range")
+        if len(np.unique(self.edge_i * n + self.edge_j)) != len(self.edge_i):
+            raise InvariantError("duplicate edge")
         if np.any(~np.isfinite(self.edge_cost)) or np.any(self.edge_cost < 0):
             raise InvariantError("edge costs must be finite and non-negative")
 
@@ -197,16 +199,20 @@ def load_rag(path) -> Rag:
             tokens = line.split()
             if not tokens:
                 continue
-            if tokens[0] == "node" and len(tokens) == 6:
-                node_ids.append(int(tokens[1]))
-                centroids.append([float(t) for t in tokens[2:5]])
-                counts.append(int(tokens[5]))
-            elif tokens[0] == "edge" and len(tokens) == 5:
-                raw_edges.append(
-                    (int(tokens[1]), int(tokens[2]), float(tokens[3]), int(tokens[4]))
-                )
-            else:
-                raise FormatError(f"{path}:{lineno}: unrecognized line {line.strip()!r}")
+            try:
+                if tokens[0] == "node" and len(tokens) == 6:
+                    node_ids.append(int(tokens[1]))
+                    centroids.append([float(t) for t in tokens[2:5]])
+                    counts.append(int(tokens[5]))
+                elif tokens[0] == "edge" and len(tokens) == 5:
+                    raw_edges.append(
+                        (int(tokens[1]), int(tokens[2]), float(tokens[3]), int(tokens[4]))
+                    )
+                else:
+                    raise FormatError(f"{path}:{lineno}: unrecognized line {line.strip()!r}")
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path}:{lineno}: bad number in {line.strip()!r}: {exc}") from exc
     if not node_ids:
         raise FormatError(f"{path}: no node lines")
     index_of = {nid: k for k, nid in enumerate(node_ids)}

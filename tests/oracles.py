@@ -1,9 +1,11 @@
 """Test-only oracles: an exact must-pass solver, the cost of a visiting
 order over a simplified-graph cost matrix and the dummy-node construction
-of the start-to-end tour (routing), and the per-cluster SLIC assignment
-loop and seed-grid loop (supervoxels)."""
+of the start-to-end tour (routing); the per-cluster SLIC assignment loop
+and seed-grid loop (supervoxels); the whole-ball peak search (sampling);
+and the sampled Gaussian derivative kernel (wall filter)."""
 
 import heapq
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -224,3 +226,23 @@ def peaks_full_ball(data: np.ndarray, spacing, theta_v: float, theta_d: float) -
     ball = sum((g * s) ** 2 for g, s in zip(grids, sp)) <= theta_d**2
     local_max = data >= ndimage.maximum_filter(data, footprint=ball, mode="constant")
     return np.argwhere(local_max & (data >= theta_v))
+
+
+def _gaussian_kernel1d(sigma_vox: float, order: int) -> np.ndarray:
+    """Sampled Gaussian (derivative) kernel for correlate1d.
+
+    The smoothing kernel is normalised to unit sum, derivative kernels carry
+    the polynomial factors so that correlation computes d^order/dx^order in
+    voxel units (signs arranged for correlation, not convolution).
+    """
+    radius = max(1, int(math.ceil(4.0 * sigma_vox)))
+    x = np.arange(-radius, radius + 1, dtype=np.float64)
+    g = np.exp(-0.5 * (x / sigma_vox) ** 2)
+    g /= g.sum()
+    if order == 0:
+        return g
+    if order == 1:
+        return g * (x / sigma_vox**2)
+    if order == 2:
+        return g * ((x * x - sigma_vox**2) / sigma_vox**4)
+    raise ValueError(f"unsupported derivative order {order}")

@@ -264,6 +264,25 @@ class TestStageCommands:
         assert read_bytes(out) == read_bytes(artifact(workspace, "must_pass"))
         assert read_bytes(dist_out) == read_bytes(artifact(workspace, "distance"))
 
+    @pytest.mark.parametrize("corrupt", ["duplicate-edge", "non-numeric"])
+    def test_sample_bad_masked_rag_exits_io(self, workspace, tmp_path, capsys, corrupt):
+        with open(artifact(workspace, "masked_rag")) as fh:
+            lines = fh.read().splitlines()
+        if corrupt == "duplicate-edge":
+            lines.append(next(line for line in lines if line.startswith("edge")))
+            message = "duplicate edge"
+        else:
+            lines[0] = "node x 1 0 0 1"
+            message = "bad number"
+        bad = tmp_path / "masked.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli.main(["sample", str(workspace["data"] / "segmentation.vol"),
+                         artifact(workspace, "wall_map"),
+                         artifact(workspace, "labels"), str(bad),
+                         str(tmp_path / "mp.txt")]) == cli.EXIT_IO
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "mp.txt").exists()
+
 
 def regridded_segmentation(workspace, tmp_path, regrid):
     """The phantom segmentation re-saved at 3 mm spacing, or with its

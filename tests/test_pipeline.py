@@ -240,11 +240,13 @@ class TestMustPassSerialization:
         ("mustpass 1\ncount 2 pruned 0\npeak 1 0 0 0 3\n", "expected 2 peaks"),
         ("mustpass 1\ncount 2 pruned 0\npeak 1 0 0 0 3\npeak 1 1 1 1 3\n",
          "invalid must-pass set"),
+        ("mustpass 1\ncount 1 pruned zero\npeak 1 0 0 0 3\n", r"bad\.txt:2: bad count line"),
+        ("mustpass 1\ncount 1 pruned 0\npeak 1 0 x 0 3\n", r"bad\.txt:3: bad peak line"),
     ])
     def test_malformed_rejected(self, tmp_path, text, match):
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        with pytest.raises((FormatError, ValueError), match=match):
+        with pytest.raises(FormatError, match=match):
             load_must_pass(str(path))
 
 

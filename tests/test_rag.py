@@ -268,6 +268,26 @@ class TestSerialization:
         with pytest.raises(FormatError, match="unrecognized"):
             load_rag(bad)
 
+    @pytest.mark.parametrize("text,lineno", [
+        ("node x 1 0 0 1\n", 1),
+        ("node 0 1 0 0 1\nnode 1 2 0 0 1\nedge 0 1 cheap 1\n", 3),
+    ], ids=["node", "edge"])
+    def test_non_numeric_token_rejected(self, tmp_path, text, lineno):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        with pytest.raises(FormatError, match=rf"bad\.txt:{lineno}: bad number"):
+            load_rag(bad)
+
+    def test_duplicate_edge_rejected(self, tmp_path):
+        # Both orientations name the same pair.  Kept, the adjacency matrix
+        # would sum them: a walk over 0-1-2 (Dijkstra cost 2) cost 3.
+        for dup in ("edge 0 1 1.0 1", "edge 1 0 1.0 1"):
+            bad = tmp_path / "bad.txt"
+            bad.write_text("node 0 0 0 0 1\nnode 1 1 0 0 1\nnode 2 2 0 0 1\n"
+                           f"edge 0 1 1.0 1\nedge 1 2 1.0 1\n{dup}\n")
+            with pytest.raises(FormatError, match="duplicate edge"):
+                load_rag(bad)
+
     def test_unknown_edge_endpoint_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("node 0 1.0 2.0 3.0 5\nedge 0 7 0.5 3\n")

@@ -6,8 +6,23 @@ import pytest
 from scipy.ndimage import binary_erosion, correlate
 
 from boweltrack.phantom import PhantomSpec, generate_phantom
-from boweltrack.ridge import _gaussian_kernel1d, gaussian_hessian, meijering_response
+from boweltrack.ridge import gaussian_hessian, meijering_response
 from boweltrack.volume_io import Volume
+
+from oracles import _gaussian_kernel1d
+
+HESSIAN_ORDERS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+
+
+def oracle_hessian(data, sigma_mm, spacing):
+    """Each Hessian component as one 3D correlation with the product of the
+    oracle's 1D kernels, scaled as gaussian_hessian scales it."""
+    shifted = data - data.min()
+    for orders in HESSIAN_ORDERS:
+        k1, k2, k3 = (_gaussian_kernel1d(sigma_mm / spacing, o) for o in orders)
+        kernel3d = k1[:, None, None] * k2[None, :, None] * k3[None, None, :]
+        scale = sigma_mm**2 / spacing ** sum(orders)
+        yield correlate(shifted, kernel3d, mode="reflect") * scale
 
 
 def make_volume(data, spacing=(1.0, 1.0, 1.0)):
@@ -43,15 +58,20 @@ class TestGaussianHessian:
         vol = make_volume(data)
         sigma = 1.2
         components = gaussian_hessian(vol, sigma)
-        orders = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-        shifted = data - data.min()
-        for comp, order_triplet in zip(components, orders):
-            k1 = _gaussian_kernel1d(sigma, order_triplet[0])
-            k2 = _gaussian_kernel1d(sigma, order_triplet[1])
-            k3 = _gaussian_kernel1d(sigma, order_triplet[2])
-            kernel3d = k1[:, None, None] * k2[None, :, None] * k3[None, None, :]
-            direct = correlate(shifted, kernel3d, mode="reflect") * sigma**2
+        for comp, direct in zip(components, oracle_hessian(data, sigma, 1.0)):
             assert np.max(np.abs(comp.data - direct)) <= 1e-5
+
+    def test_kernel_support_is_ceil_four_sigma(self):
+        # sigma 2 mm at 1.5 mm spacing is 4/3 voxel: the oracle's support
+        # ceil(16/3) = 6 is one voxel wider than scipy's default
+        # int(16/3 + 0.5) = 5; the narrower kernel is off by ~3e-4 here.
+        rng = np.random.default_rng(7)
+        data = rng.random((15, 14, 13))
+        sp = 1.5
+        sigma = 2.0
+        components = gaussian_hessian(make_volume(data, (sp, sp, sp)), sigma)
+        for comp, direct in zip(components, oracle_hessian(data, sigma, sp)):
+            assert np.max(np.abs(comp.data - direct)) <= 1e-12
 
     def test_sigma_below_spacing_rejected(self):
         vol = make_volume(np.zeros((8, 8, 8)), spacing=(2.0, 2.0, 2.0))
