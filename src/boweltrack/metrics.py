@@ -16,6 +16,9 @@ from .volume_io import Polyline
 # Conventions the numbers depend on; repeated in every emitted report.
 DEFAULT_RESAMPLE_STEP_MM = 1.0
 REVERSAL_SLACK_MM = 2.0
+# Point-segment pairs per distance chunk: bounds the (chunk, segments, 3)
+# float64 temporaries to a few tens of MB.
+_CHUNK_PAIRS = 1 << 20
 
 
 @dataclass
@@ -103,7 +106,7 @@ def _point_segment_distances(points: np.ndarray, curve: Polyline) -> tuple[np.nd
     best = np.full(n, np.inf)
     best_arc = np.zeros(n)
     # Chunk over points to bound the (chunk, segments) temporaries.
-    chunk = max(1, int(4e6) // max(1, a.shape[0]))
+    chunk = max(1, _CHUNK_PAIRS // max(1, a.shape[0]))
     for start in range(0, n, chunk):
         p = points[start:start + chunk]                       # (c, 3)
         diff = p[:, None, :] - a[None, :, :]                  # (c, s, 3)
@@ -129,21 +132,27 @@ def match_paths(pred: Polyline, gt: Polyline, tol: float) -> tuple[int, int, int
     within ``tol`` of the GT curve count as TP; GT samples farther than
     ``tol`` from the predicted curve count as FN.
     """
-    pred_d = point_to_curve_distance(pred.points, gt)
-    gt_d = point_to_curve_distance(gt.points, pred)
+    return _match_counts(point_to_curve_distance(pred.points, gt),
+                         point_to_curve_distance(gt.points, pred), tol)
+
+
+def _match_counts(pred_d: np.ndarray, gt_d: np.ndarray, tol: float):
     tp = int(np.count_nonzero(pred_d <= tol))
-    fp = pred.points.shape[0] - tp
+    fp = len(pred_d) - tp
     covered = int(np.count_nonzero(gt_d <= tol))
-    fn = gt.points.shape[0] - covered
+    fn = len(gt_d) - covered
     precision = 100.0 * tp / max(1, tp + fp)
-    recall = 100.0 * covered / gt.points.shape[0]
+    recall = 100.0 * covered / len(gt_d)
     return tp, fp, fn, precision, recall
 
 
 def curve_to_curve_distance(pred: Polyline, gt: Polyline) -> float:
     """Symmetric mean closest-point distance between two sampled curves."""
-    d_pg = point_to_curve_distance(pred.points, gt)
-    d_gp = point_to_curve_distance(gt.points, pred)
+    return _mean_of_means(point_to_curve_distance(pred.points, gt),
+                          point_to_curve_distance(gt.points, pred))
+
+
+def _mean_of_means(d_pg: np.ndarray, d_gp: np.ndarray) -> float:
     return float((d_pg.mean() + d_gp.mean()) / 2.0)
 
 
@@ -157,9 +166,12 @@ def max_error_free_length(pred: Polyline, gt: Polyline, tol: float) -> float:
     shortcut that jumps the prediction's arc backwards breaks the run).
     """
     dist, arc_on_pred = _point_segment_distances(gt.points, pred)
-    gt_arc = gt.cumulative_arc()
-    within = dist <= tol
+    return _error_free_length(dist, arc_on_pred, gt.cumulative_arc(), tol)
 
+
+def _error_free_length(dist: np.ndarray, arc_on_pred: np.ndarray,
+                       gt_arc: np.ndarray, tol: float) -> float:
+    within = dist <= tol
     best = 0.0
     n = len(within)
     i = 0
@@ -199,12 +211,15 @@ def evaluate(pred: Polyline, gt: Polyline, tol: float,
     """Resample both curves and compute the full metric suite."""
     pred_r = resample_polyline(pred, step)
     gt_r = resample_polyline(gt, step)
-    tp, fp, fn, precision, recall = match_paths(pred_r, gt_r, tol)
+    # Each direction's distances once, shared by every metric.
+    d_pg, _ = _point_segment_distances(pred_r.points, gt_r)
+    d_gp, arc_on_pred = _point_segment_distances(gt_r.points, pred_r)
+    tp, fp, fn, precision, recall = _match_counts(d_pg, d_gp, tol)
     return MetricsReport(
         precision=precision,
         recall=recall,
-        curve_to_curve=curve_to_curve_distance(pred_r, gt_r),
-        max_len_no_error=max_error_free_length(pred_r, gt_r, tol),
+        curve_to_curve=_mean_of_means(d_pg, d_gp),
+        max_len_no_error=_error_free_length(d_gp, arc_on_pred, gt_r.cumulative_arc(), tol),
         tp=tp,
         fp=fp,
         fn=fn,

@@ -135,7 +135,11 @@ def save_must_pass(mp: MustPassSet, path) -> None:
 
 def load_must_pass(path) -> MustPassSet:
     with open(path, "rb") as fh:
-        lines = fh.read().decode("ascii").splitlines()
+        raw = fh.read()
+    try:
+        lines = raw.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text must-pass file: {exc}") from exc
     if len(lines) < 2 or lines[0].strip() != "mustpass 1":
         raise FormatError(f"{path}: not a must-pass file")
     head = lines[1].split()

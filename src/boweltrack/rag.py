@@ -35,6 +35,10 @@ class Rag:
         n = len(self.node_ids)
         if self.centroids.shape != (n, 3) or len(self.counts) != n:
             raise InvariantError("node arrays disagree on node count")
+        if not np.all(np.isfinite(self.centroids)):
+            raise InvariantError("node centroids must be finite")
+        if np.any(self.counts < 1):
+            raise InvariantError("every node must hold at least one voxel")
         if np.any(self.edge_i == self.edge_j):
             raise InvariantError("self-edge")
         if np.any(self.edge_i > self.edge_j):
@@ -194,25 +198,30 @@ def save_rag(rag: Rag, path) -> None:
 def load_rag(path) -> Rag:
     node_ids, centroids, counts = [], [], []
     raw_edges = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            try:
-                if tokens[0] == "node" and len(tokens) == 6:
-                    node_ids.append(int(tokens[1]))
-                    centroids.append([float(t) for t in tokens[2:5]])
-                    counts.append(int(tokens[5]))
-                elif tokens[0] == "edge" and len(tokens) == 5:
-                    raw_edges.append(
-                        (int(tokens[1]), int(tokens[2]), float(tokens[3]), int(tokens[4]))
-                    )
-                else:
-                    raise FormatError(f"{path}:{lineno}: unrecognized line {line.strip()!r}")
-            except ValueError as exc:
-                raise FormatError(
-                    f"{path}:{lineno}: bad number in {line.strip()!r}: {exc}") from exc
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not a text graph file: {exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            if tokens[0] == "node" and len(tokens) == 6:
+                node_ids.append(int(tokens[1]))
+                centroids.append([float(t) for t in tokens[2:5]])
+                counts.append(int(tokens[5]))
+            elif tokens[0] == "edge" and len(tokens) == 5:
+                raw_edges.append(
+                    (int(tokens[1]), int(tokens[2]), float(tokens[3]), int(tokens[4]))
+                )
+            else:
+                raise FormatError(f"{path}:{lineno}: unrecognized line {line.strip()!r}")
+        except ValueError as exc:
+            raise FormatError(
+                f"{path}:{lineno}: bad number in {line.strip()!r}: {exc}") from exc
     if not node_ids:
         raise FormatError(f"{path}: no node lines")
     index_of = {nid: k for k, nid in enumerate(node_ids)}

@@ -15,6 +15,9 @@ smaller D.  The step computes the pair for batches of clusters whose windows
 have the same shape, and keeps a running minimum over the batches: a voxel
 whose D drops takes the batch's lowest winning id, and on an equal D the
 lower id stays.  The minimum does not depend on the order of the batches.
+Each worker thread runs the step on one axis-0 slab of the volume, with
+every window clipped to the slab; slabs share no voxel, so the labels do not
+depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+from . import parallel
 from .errors import FormatError, InvariantError
 from .volume_io import Volume, load_volume, save_volume
 
@@ -252,47 +256,58 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
     hi = np.stack(
         [np.searchsorted(axis_pos[a], centers[:, a] + window, side="right") for a in range(3)], 1
     )
-    extent = hi - lo
-    live = np.flatnonzero(np.all(extent > 0, axis=1))
-    # Clusters whose windows have the same shape share a batch.
-    live = live[np.lexsort(extent[live].T[::-1])]
-    cuts = np.flatnonzero(np.any(np.diff(extent[live], axis=0) != 0, axis=1)) + 1
 
-    for group in np.split(live, cuts):
-        shape = extent[group[0]]
-        # Flat index of each window voxel relative to the window's corner.
-        offsets = np.ravel_multi_index(np.indices(shape).reshape(3, -1), dims)
-        batch = max(1, _BATCH_VOXELS // len(offsets))
-        for start in range(0, len(group), batch):
-            ids = group[start : start + batch]
-            vox = (np.ravel_multi_index(lo[ids].T, dims)[:, None] + offsets).ravel()
-            sq = []
-            for a in range(3):
-                pos = lo[ids, a, None] + np.arange(shape[a])
-                sq.append(((axis_pos[a][pos] - centers[ids, a, None]) ** 2)[expand[a]])
-            # In place, in the per-cluster loop's order of operations:
-            # dist = |f - f_i| + (m_i / step) * sqrt((dx^2 + dy^2) + dz^2).
-            ds = sq[0] + sq[1] + sq[2]
-            np.sqrt(ds, out=ds)
-            df = flat_feat.take(vox).reshape(ds.shape)
-            df -= cluster_feat[ids, None, None, None]
-            np.abs(df, out=df)
-            ds *= (cluster_m[ids] / step)[:, None, None, None]
-            ds += df
-            dist = ds.ravel()
+    def slab(row0, row1):
+        """The step for axis-0 rows row0..row1: every window is clipped to
+        them, so no two slabs write the same voxel."""
+        lo_s, hi_s = lo.copy(), hi.copy()
+        lo_s[:, 0] = np.clip(lo[:, 0], row0, row1)
+        hi_s[:, 0] = np.clip(hi[:, 0], row0, row1)
+        extent = hi_s - lo_s
+        live = np.flatnonzero(np.all(extent > 0, axis=1))
+        # Clusters whose windows have the same shape share a batch.
+        live = live[np.lexsort(extent[live].T[::-1])]
+        cuts = np.flatnonzero(np.any(np.diff(extent[live], axis=0) != 0, axis=1)) + 1
 
-            # Running minimum of (dist, id): a voxel whose distance drops is
-            # reset to n_clusters, above every id, and takes the batch's
-            # lowest winning id; on an equal distance the lower id stays.
-            # Neither depends on the order of the batches.
-            prev = flat_dist.take(vox)
-            sel = np.flatnonzero(dist <= prev)
-            vox, dist, prev = vox.take(sel), dist.take(sel), prev.take(sel)
-            np.minimum.at(flat_dist, vox, dist)
-            win = np.flatnonzero(dist == flat_dist.take(vox))
-            sel, vox = sel.take(win), vox.take(win)
-            flat_label[vox[dist.take(win) < prev.take(win)]] = n_clusters
-            np.minimum.at(flat_label, vox, ids[sel // len(offsets)])
+        for group in np.split(live, cuts):
+            shape = extent[group[0]]
+            # Flat index of each window voxel relative to the window's corner.
+            offsets = np.ravel_multi_index(np.indices(shape).reshape(3, -1), dims)
+            batch = max(1, _BATCH_VOXELS // len(offsets))
+            for start in range(0, len(group), batch):
+                ids = group[start : start + batch]
+                vox = (np.ravel_multi_index(lo_s[ids].T, dims)[:, None] + offsets).ravel()
+                sq = []
+                for a in range(3):
+                    pos = lo_s[ids, a, None] + np.arange(shape[a])
+                    sq.append(((axis_pos[a][pos] - centers[ids, a, None]) ** 2)[expand[a]])
+                # In place, in the per-cluster loop's order of operations:
+                # dist = |f - f_i| + (m_i / step) * sqrt((dx^2 + dy^2) + dz^2).
+                ds = sq[0] + sq[1] + sq[2]
+                np.sqrt(ds, out=ds)
+                df = flat_feat.take(vox).reshape(ds.shape)
+                df -= cluster_feat[ids, None, None, None]
+                np.abs(df, out=df)
+                ds *= (cluster_m[ids] / step)[:, None, None, None]
+                ds += df
+                dist = ds.ravel()
+
+                # Running minimum of (dist, id): a voxel whose distance drops
+                # is reset to n_clusters, above every id, and takes the
+                # batch's lowest winning id; on an equal distance the lower
+                # id stays.  Neither depends on the order of the batches.
+                prev = flat_dist.take(vox)
+                sel = np.flatnonzero(dist <= prev)
+                vox, dist, prev = vox.take(sel), dist.take(sel), prev.take(sel)
+                np.minimum.at(flat_dist, vox, dist)
+                win = np.flatnonzero(dist == flat_dist.take(vox))
+                sel, vox = sel.take(win), vox.take(win)
+                flat_label[vox[dist.take(win) < prev.take(win)]] = n_clusters
+                np.minimum.at(flat_label, vox, ids[sel // len(offsets)])
+
+    # One slab per worker.  More slabs measured slower: the windows cut at
+    # slab borders form more, smaller batches.
+    parallel.map_ranges(slab, dims[0], -(-dims[0] // parallel.workers()))
     return best_label
 
 

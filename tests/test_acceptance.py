@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from boweltrack import parallel
 from boweltrack.config import TrackingConfig
 from boweltrack.metrics import curve_to_curve_distance, evaluate, resample_polyline
 from boweltrack.phantom import PhantomSpec, generate_phantom
@@ -376,18 +377,24 @@ def test_criterion_08_simplified_cost_suite():
     report(8, "cost-branch examples exact (0.5 / 1.5 / all-1.0); near <= 1 < far on 20 instances")
 
 
-def test_criterion_09_track_determinism(phantom_cache):
+def test_criterion_09_track_determinism(phantom_cache, monkeypatch):
+    # Every artifact but the timed diagnostics; the second run spreads the
+    # per-voxel kernels over three threads.
+    names = [ARTIFACTS[key] for key in ("wall_map", "labels", "rag", "masked_rag",
+                                        "distance", "must_pass", "route", "metrics")]
     specs = [STRAIGHT_SPEC, BENT_SPEC, SMALL_FOLDED_SPEC]
     for k, spec in enumerate(specs):
         paths, gt = phantom_cache["get"](spec)
         blobs = []
-        for run in range(2):
+        for run, workers in enumerate((1, 3)):
+            monkeypatch.setattr(parallel, "workers", lambda n=workers: n)
             out = phantom_cache["root"] / f"det{k}_{run}"
             run_track(phantom_config(paths, gt, out))
-            with open(out / ARTIFACTS["route"], "rb") as fh:
-                blobs.append(fh.read())
-        assert blobs[0] == blobs[1], f"config {k} routes differ between runs"
-    report(9, "3 phantom configs, bitwise-identical route polylines across reruns")
+            blobs.append({name: (out / name).read_bytes() for name in names})
+        for name in names:
+            assert blobs[0][name] == blobs[1][name], (
+                f"config {k}: {name} differs between 1 and 3 workers")
+    report(9, "3 phantom configs, bitwise-identical artifacts across reruns on 1 and 3 workers")
 
 
 def test_criterion_10_invariant_property_suites():

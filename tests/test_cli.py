@@ -264,18 +264,30 @@ class TestStageCommands:
         assert read_bytes(out) == read_bytes(artifact(workspace, "must_pass"))
         assert read_bytes(dist_out) == read_bytes(artifact(workspace, "distance"))
 
-    @pytest.mark.parametrize("corrupt", ["duplicate-edge", "non-numeric"])
+    @pytest.mark.parametrize("corrupt", ["duplicate-edge", "non-numeric", "undecodable-byte",
+                                         "nan-centroid", "negative-count"])
     def test_sample_bad_masked_rag_exits_io(self, workspace, tmp_path, capsys, corrupt):
         with open(artifact(workspace, "masked_rag")) as fh:
             lines = fh.read().splitlines()
+        node_id = lines[0].split()[1]
+        tail = b""
         if corrupt == "duplicate-edge":
             lines.append(next(line for line in lines if line.startswith("edge")))
             message = "duplicate edge"
-        else:
+        elif corrupt == "non-numeric":
             lines[0] = "node x 1 0 0 1"
             message = "bad number"
+        elif corrupt == "undecodable-byte":
+            tail = b"\xff"
+            message = "not a text graph file"
+        elif corrupt == "nan-centroid":
+            lines[0] = f"node {node_id} nan 0 0 1"
+            message = "centroids must be finite"
+        else:
+            lines[0] = f"node {node_id} 1 0 0 -3"
+            message = "at least one voxel"
         bad = tmp_path / "masked.txt"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(("\n".join(lines) + "\n").encode("ascii") + tail)
         assert cli.main(["sample", str(workspace["data"] / "segmentation.vol"),
                          artifact(workspace, "wall_map"),
                          artifact(workspace, "labels"), str(bad),

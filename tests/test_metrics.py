@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boweltrack import Polyline
+from boweltrack import Polyline, metrics
 from boweltrack.metrics import (
     curve_to_curve_distance,
     evaluate,
@@ -220,3 +220,29 @@ def test_report_serialization():
     assert "recall_pct: 100" in text
     row = report.line_protocol()
     assert "precision=100" in row and "max_len_no_error=50" in row
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_evaluate_matches_separate_metrics(seed):
+    pred = wiggly_polyline(seed, scale=8.0)
+    gt = wiggly_polyline(seed + 30)
+    tol = 4.0
+    report = evaluate(pred, gt, tol)
+    pred_r, gt_r = resample_polyline(pred, 1.0), resample_polyline(gt, 1.0)
+    tp, fp, fn, precision, recall = match_paths(pred_r, gt_r, tol)
+    assert (report.tp, report.fp, report.fn) == (tp, fp, fn)
+    assert (report.precision, report.recall) == (precision, recall)
+    assert report.curve_to_curve == curve_to_curve_distance(pred_r, gt_r)
+    assert report.max_len_no_error == max_error_free_length(pred_r, gt_r, tol)
+
+
+@pytest.mark.parametrize("pairs", [1, 150, 1000])
+def test_distances_independent_of_chunk_size(monkeypatch, pairs):
+    points = resample_polyline(wiggly_polyline(3), 1.0).points
+    curve = resample_polyline(wiggly_polyline(4), 1.0)
+    expected = metrics._point_segment_distances(points, curve)
+    # At most a few points per chunk, down to one.
+    monkeypatch.setattr(metrics, "_CHUNK_PAIRS", pairs)
+    got = metrics._point_segment_distances(points, curve)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()

@@ -242,6 +242,7 @@ class TestMustPassSerialization:
          "invalid must-pass set"),
         ("mustpass 1\ncount 1 pruned zero\npeak 1 0 0 0 3\n", r"bad\.txt:2: bad count line"),
         ("mustpass 1\ncount 1 pruned 0\npeak 1 0 x 0 3\n", r"bad\.txt:3: bad peak line"),
+        ("mustpass 1\ncount 0 pruned 0\n\xff\n", r"bad\.txt: not a text must-pass file"),
     ])
     def test_malformed_rejected(self, tmp_path, text, match):
         path = tmp_path / "bad.txt"

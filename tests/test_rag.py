@@ -278,6 +278,24 @@ class TestSerialization:
         with pytest.raises(FormatError, match=rf"bad\.txt:{lineno}: bad number"):
             load_rag(bad)
 
+    @pytest.mark.parametrize("node,message", [
+        ("node 0 nan 0 0 1", "centroids must be finite"),
+        ("node 0 0 -inf 0 1", "centroids must be finite"),
+        ("node 0 0 0 0 -3", "at least one voxel"),
+        ("node 0 0 0 0 0", "at least one voxel"),
+    ])
+    def test_bad_node_rejected(self, tmp_path, node, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{node}\nnode 1 1 0 0 1\nedge 0 1 0.5 1\n")
+        with pytest.raises(FormatError, match=message):
+            load_rag(bad)
+
+    def test_undecodable_byte_rejected(self, tmp_path):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"node 0 0 0 0 1\nnode 1 1 0 0 1\n\xff")
+        with pytest.raises(FormatError, match=r"bad\.txt: not a text graph file"):
+            load_rag(bad)
+
     def test_duplicate_edge_rejected(self, tmp_path):
         # Both orientations name the same pair.  Kept, the adjacency matrix
         # would sum them: a walk over 0-1-2 (Dijkstra cost 2) cost 3.

@@ -1,10 +1,13 @@
 """Hessian wall-detection filter: analytic values, brute-force convolution
 oracle, and the published invariants (shift, range, rotation)."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.ndimage import binary_erosion, correlate
 
+from boweltrack import parallel, ridge
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.ridge import gaussian_hessian, meijering_response
 from boweltrack.volume_io import Volume
@@ -153,3 +156,45 @@ class TestMeijeringResponse:
         vol = make_volume(np.zeros((8, 8, 8)))
         with pytest.raises(ValueError, match="scales"):
             meijering_response(vol, scales_mm=())
+
+
+def whole_volume_response(hessian):
+    """max(0, -min_i l'_i) from one (X, Y, Z, 3, 3) eigvalsh call."""
+    hxx, hxy, hxz, hyy, hyz, hzz = hessian
+    hmat = np.stack([np.stack([hxx, hxy, hxz], -1),
+                     np.stack([hxy, hyy, hyz], -1),
+                     np.stack([hxz, hyz, hzz], -1)], -2)
+    eigs = np.linalg.eigvalsh(hmat)
+    return np.maximum(0.0, -(eigs[..., 0] - (eigs[..., 1] + eigs[..., 2]) / 3.0))
+
+
+class TestSlabs:
+    """The wall map does not depend on the worker count or the slab size."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_slab_eigenvalues_match_whole_volume(self, monkeypatch, workers):
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        rng = np.random.default_rng(workers)
+        hessian = tuple(rng.normal(size=(11, 5, 4)) for _ in range(6))
+        out = np.full((11, 5, 4), np.nan)
+        # 64-voxel slabs: the 220 voxels end in a 28-voxel slab.
+        parallel.map_ranges(
+            functools.partial(ridge._sheet_response, tuple(h.reshape(-1) for h in hessian),
+                              out.reshape(-1)),
+            out.size, 64)
+        assert np.array_equal(out, whole_volume_response(hessian))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("source", ["random", "phantom"])
+    def test_response_independent_of_workers_and_slabs(self, monkeypatch, workers, source):
+        if source == "random":
+            vol = make_volume(np.random.default_rng(4).random((13, 9, 7)) * 50.0)
+        else:
+            vol, _, _ = generate_phantom(
+                PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7))
+        expected = meijering_response(vol).data
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        # Many slabs, split inside axis-0 rows, and a short last one.
+        monkeypatch.setattr(ridge, "_SLAB_VOXELS", 100 if source == "random" else 1000)
+        got = meijering_response(vol).data
+        assert got.tobytes() == expected.tobytes()

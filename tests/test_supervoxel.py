@@ -1,13 +1,14 @@
 """Supervoxel clustering: partition/connectivity audits, boundary adherence,
 equivalence with the per-cluster loop and a memory bound."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from boweltrack import supervoxel
+from boweltrack import parallel, supervoxel
 from boweltrack.errors import FormatError, InvariantError
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.ridge import meijering_response
@@ -178,6 +179,29 @@ class TestOracleEquivalence:
         expected = seed_grid_loop(feature, step)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+@pytest.mark.parametrize("source", ["random", "phantom"])
+def test_labels_independent_of_workers(monkeypatch, workers, source):
+    """Each worker assigns one axis-0 slab; 17 rows on 3 or 7 workers end in
+    a shorter slab.  A short switch interval interleaves the threads often,
+    so a voxel two slabs both wrote would show."""
+    if source == "random":
+        feature = random_feature(5, dims=(17, 13, 11), spacing=(2.0, 2.0, 2.0))
+    else:
+        feature = phantom_wall_map()
+    monkeypatch.setattr(parallel, "workers", lambda: 1)
+    expected = slic_supervoxels(feature, 216.0, 0.01)
+    monkeypatch.setattr(parallel, "workers", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        got = slic_supervoxels(feature, 216.0, 0.01)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.data.tobytes() == expected.data.tobytes()
+    assert got.label_count == expected.label_count
 
 
 def test_memory_bounded_by_volume_size(monkeypatch):
