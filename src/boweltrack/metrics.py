@@ -17,8 +17,8 @@ from .volume_io import Polyline
 DEFAULT_RESAMPLE_STEP_MM = 1.0
 REVERSAL_SLACK_MM = 2.0
 # Point-segment pairs per distance chunk: bounds the (chunk, segments, 3)
-# float64 temporaries to a few tens of MB.
-_CHUNK_PAIRS = 1 << 20
+# float64 temporaries to about 6 MB each.
+_CHUNK_PAIRS = 1 << 18
 
 
 @dataclass

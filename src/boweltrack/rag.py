@@ -184,14 +184,15 @@ def mask_nodes(
 
 
 def save_rag(rag: Rag, path) -> None:
-    lines = []
-    for idx in range(rag.n_nodes):
-        c = rag.centroids[idx]
-        lines.append(
-            f"node {rag.node_ids[idx]} {c[0]:.17g} {c[1]:.17g} {c[2]:.17g} {rag.counts[idx]}"
-        )
-    for i, j, cost, faces in zip(rag.edge_i, rag.edge_j, rag.edge_cost, rag.edge_faces):
-        lines.append(f"edge {rag.node_ids[i]} {rag.node_ids[j]} {cost:.17g} {faces}")
+    """One `node` line per node, then one `edge` line per edge, written with
+    `%`-formats over Python numbers (17 significant digits for floats)."""
+    c = rag.centroids
+    lines = list(map("node %d %.17g %.17g %.17g %d".__mod__, zip(
+        rag.node_ids.tolist(), c[:, 0].tolist(), c[:, 1].tolist(), c[:, 2].tolist(),
+        rag.counts.tolist())))
+    lines += map("edge %d %d %.17g %d".__mod__, zip(
+        rag.node_ids[rag.edge_i].tolist(), rag.node_ids[rag.edge_j].tolist(),
+        rag.edge_cost.tolist(), rag.edge_faces.tolist()))
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 

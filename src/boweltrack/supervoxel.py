@@ -149,23 +149,35 @@ def _seed_grid(feature: Volume, step: float):
     return seeds, centers
 
 
+def _box(off, step, shape):
+    """Slices selecting, for every voxel whose `off` neighbour lies inside
+    `shape`, the voxel `step` away from it."""
+    return tuple(slice(max(0, -o) + s, n - max(0, o) + s) for o, s, n in zip(off, step, shape))
+
+
 def _same_label_components(labels: np.ndarray):
     """26-connected components of the labeling (two voxels join a component
-    iff adjacent and equally labeled).  Returns (comp map, comp count)."""
+    iff adjacent and equally labeled).  Returns (comp map, comp count).
+
+    Equal face neighbours always link.  A diagonal pair v, v + off links only
+    when no other corner of the box spanned by v and v + off holds their
+    label: such a corner is 26-adjacent to both and already joins them, so
+    the components stay the same with far fewer edges.  connected_components
+    numbers components by their lowest voxel, so the map stays the same too.
+    """
     n_vox = labels.size
     index = np.int32 if n_vox <= np.iinfo(np.int32).max else np.int64
     lin = np.arange(n_vox, dtype=index).reshape(labels.shape)
     rows, cols = [], []
     for off in _HALF_OFFSETS:
-        src = tuple(
-            slice(max(0, -o), n - max(0, o)) for o, n in zip(off, labels.shape)
-        )
-        dst = tuple(
-            slice(max(0, o), n - max(0, -o)) for o, n in zip(off, labels.shape)
-        )
-        same = labels[src] == labels[dst]
-        rows.append(lin[src][same])
-        cols.append(lin[dst][same])
+        here, there = _box(off, (0, 0, 0), labels.shape), _box(off, off, labels.shape)
+        src = labels[here]
+        link = src == labels[there]
+        for corner in itertools.product(*((0, o) if o else (0,) for o in off)):
+            if any(corner) and corner != off:
+                link &= labels[_box(off, corner, labels.shape)] != src
+        rows.append(lin[here][link])
+        cols.append(lin[there][link])
     del lin
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
@@ -193,49 +205,57 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     sorted_labels = comp_label[order]
     first = np.ones(n_comp, dtype=bool)
     first[1:] = sorted_labels[1:] != sorted_labels[:-1]
-    is_main = np.zeros(n_comp, dtype=bool)
-    is_main[order[first]] = True
+    main = order[first]
+    is_fragment = np.ones(n_comp, dtype=bool)
+    is_fragment[main] = False
+    label_sizes = np.zeros(int(labels.max()) + 1, dtype=np.int64)
+    label_sizes[comp_label[main]] = comp_size[main]
 
-    final = np.where(is_main[comp], labels, -1).astype(np.int64)
-    n_labels = int(labels.max()) + 1
-    flat_final = final.ravel()
-    label_sizes = np.bincount(flat_final[flat_final >= 0], minlength=n_labels)
+    # Sorted, unique (fragment, adjacent component) pairs, from the fragment
+    # voxels' 26 neighbours.
+    vox = np.flatnonzero(is_fragment[flat_comp])
+    coords = np.unravel_index(vox, labels.shape)
+    own = flat_comp[vox].astype(np.int64)
+    keys = []
+    for off in _OFFSETS_26:
+        pos = [c + o for c, o in zip(coords, off)]
+        inside = np.all([(p >= 0) & (p < n) for p, n in zip(pos, labels.shape)], axis=0)
+        nbr = comp[tuple(p[inside] for p in pos)]
+        other = nbr != own[inside]
+        keys.append(own[inside][other] * n_comp + nbr[other])
+    keys = np.sort(np.concatenate(keys))
+    frag, adj = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_comp)
 
-    voxel_order = np.argsort(flat_comp, kind="stable")
-    starts = np.searchsorted(flat_comp[voxel_order], np.arange(n_comp + 1))
-    fragments = []
-    for c in np.flatnonzero(~is_main):
-        lin_idx = voxel_order[starts[c] : starts[c + 1]]
-        fragments.append(np.stack(np.unravel_index(lin_idx, labels.shape), axis=1))
-
-    # Orphans attach to the largest adjacent assigned cluster (ties to the
-    # lower label id); loop until all are placed.  Progress is guaranteed
-    # because every fragment chain ends at some label's kept main component.
-    # Sizes are frozen at the pre-merge main-component sizes: re-measuring
-    # after each merge lets early winners soak up every later fragment and
-    # chains distant fragments into one sprawling label.
-    pending = fragments
-    dims = np.asarray(labels.shape)
+    # Orphans attach to the largest adjacent placed label (ties to the lower
+    # label id), fragments in component order; those with no placed
+    # neighbour wait for the next pass.  Progress is guaranteed because
+    # every fragment chain ends at some label's kept main component.  Sizes
+    # are frozen at the pre-merge main-component sizes: re-measuring after
+    # each merge lets early winners soak up every later fragment and chains
+    # distant fragments into one sprawling label.  A component holds the
+    # rank of its placed label in (size, lower label first) order, -1 until
+    # placed, so the winner is the highest rank around a fragment.
+    by_rank = np.lexsort((-np.arange(len(label_sizes)), label_sizes))
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(len(by_rank))
+    fragments = np.flatnonzero(is_fragment)
+    placed = np.where(is_fragment, -1, rank[comp_label]).tolist()
+    adj = adj.tolist()
+    pending = list(zip(fragments.tolist(),
+                       np.searchsorted(frag, fragments).tolist(),
+                       np.searchsorted(frag, fragments, side="right").tolist()))
     while pending:
         deferred = []
-        progressed = False
-        for coords in pending:
-            shifted = coords[:, None, :] + _OFFSETS_26[None, :, :]
-            ok = np.all((shifted >= 0) & (shifted < dims), axis=2)
-            pts = shifted[ok]
-            vals = final[pts[:, 0], pts[:, 1], pts[:, 2]]
-            vals = vals[vals >= 0]
-            if vals.size == 0:
-                deferred.append(coords)
-                continue
-            cand = np.unique(vals)
-            best = int(cand[np.lexsort((cand, -label_sizes[cand]))[0]])
-            final[coords[:, 0], coords[:, 1], coords[:, 2]] = best
-            progressed = True
-        if not progressed and deferred:
+        for f, lo, hi in pending:
+            best = max(map(placed.__getitem__, adj[lo:hi]), default=-1)
+            if best >= 0:
+                placed[f] = best
+            else:
+                deferred.append((f, lo, hi))
+        if len(deferred) == len(pending):
             raise InvariantError("connectivity enforcement failed to converge")
         pending = deferred
-    return final
+    return by_rank[np.asarray(placed)][comp]
 
 
 def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
@@ -373,7 +393,7 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
         cluster_m[occupied] = np.maximum(float(compactness), max_df[occupied])
 
     final = _enforce_connectivity(best_label)
-    old = np.unique(final)
+    old = np.flatnonzero(np.bincount(final.ravel()))
     remap = np.zeros(old.max() + 1, dtype=np.int64)
     remap[old] = np.arange(len(old))
     relabeled = remap[final]

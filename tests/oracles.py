@@ -1,14 +1,18 @@
 """Test-only oracles: an exact must-pass solver, the cost of a visiting
 order over a simplified-graph cost matrix and the dummy-node construction
-of the start-to-end tour (routing); the per-cluster SLIC assignment loop
-and seed-grid loop (supervoxels); the whole-ball peak search (sampling);
-and the sampled Gaussian derivative kernel (wall filter)."""
+of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
+the seed-grid loop, the all-pairs same-label components and the
+per-fragment connectivity loop (supervoxels); the f-string graph writer;
+the whole-ball peak search (sampling); and the sampled Gaussian derivative
+kernel (wall filter)."""
 
 import heapq
+import itertools
 import math
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
+from scipy.sparse.csgraph import connected_components
 
 from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.rag import Rag
@@ -215,6 +219,97 @@ def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, w
             best_dist[region][better] = dist[better]
             best_label[region][better] = i
     return best_label
+
+
+_OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
+_OFFSETS_26 = np.delete(_OFFSETS_27, 13, axis=0)
+
+
+def same_label_components_all_pairs(labels: np.ndarray):
+    """Components of `supervoxel._same_label_components` from an edge for
+    every equally labeled pair along the 13 lexicographically positive
+    offsets.  Returns (comp map, comp count)."""
+    n_vox = labels.size
+    lin = np.arange(n_vox, dtype=np.int64).reshape(labels.shape)
+    rows, cols = [], []
+    for off in _OFFSETS_27[14:]:
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, labels.shape))
+        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, labels.shape))
+        same = labels[src] == labels[dst]
+        rows.append(lin[src][same])
+        cols.append(lin[dst][same])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    graph = sparse.coo_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(n_vox, n_vox)
+    ).tocsr()
+    n_comp, comp = connected_components(graph, directed=False)
+    return comp.reshape(labels.shape), n_comp
+
+
+def enforce_connectivity_per_fragment(labels: np.ndarray) -> np.ndarray:
+    """Labels of `supervoxel._enforce_connectivity`, placing one fragment at
+    a time from the labels around its voxels' 26 neighbours."""
+    comp, n_comp = same_label_components_all_pairs(labels)
+    flat_comp = comp.ravel()
+    comp_size = np.bincount(flat_comp, minlength=n_comp)
+    comp_label = np.zeros(n_comp, dtype=np.int64)
+    comp_label[flat_comp] = labels.ravel()
+
+    order = np.lexsort((np.arange(n_comp), -comp_size, comp_label))
+    sorted_labels = comp_label[order]
+    first = np.ones(n_comp, dtype=bool)
+    first[1:] = sorted_labels[1:] != sorted_labels[:-1]
+    is_main = np.zeros(n_comp, dtype=bool)
+    is_main[order[first]] = True
+
+    final = np.where(is_main[comp], labels, -1).astype(np.int64)
+    n_labels = int(labels.max()) + 1
+    flat_final = final.ravel()
+    label_sizes = np.bincount(flat_final[flat_final >= 0], minlength=n_labels)
+
+    voxel_order = np.argsort(flat_comp, kind="stable")
+    starts = np.searchsorted(flat_comp[voxel_order], np.arange(n_comp + 1))
+    pending = []
+    for c in np.flatnonzero(~is_main):
+        lin_idx = voxel_order[starts[c] : starts[c + 1]]
+        pending.append(np.stack(np.unravel_index(lin_idx, labels.shape), axis=1))
+
+    dims = np.asarray(labels.shape)
+    while pending:
+        deferred = []
+        progressed = False
+        for coords in pending:
+            shifted = coords[:, None, :] + _OFFSETS_26[None, :, :]
+            ok = np.all((shifted >= 0) & (shifted < dims), axis=2)
+            pts = shifted[ok]
+            vals = final[pts[:, 0], pts[:, 1], pts[:, 2]]
+            vals = vals[vals >= 0]
+            if vals.size == 0:
+                deferred.append(coords)
+                continue
+            cand = np.unique(vals)
+            best = int(cand[np.lexsort((cand, -label_sizes[cand]))[0]])
+            final[coords[:, 0], coords[:, 1], coords[:, 2]] = best
+            progressed = True
+        if not progressed and deferred:
+            raise InvariantError("connectivity enforcement failed to converge")
+        pending = deferred
+    return final
+
+
+def save_rag_fstrings(rag: Rag, path) -> None:
+    """`rag.save_rag`, one f-string per line over numpy scalars."""
+    lines = []
+    for idx in range(rag.n_nodes):
+        c = rag.centroids[idx]
+        lines.append(
+            f"node {rag.node_ids[idx]} {c[0]:.17g} {c[1]:.17g} {c[2]:.17g} {rag.counts[idx]}"
+        )
+    for i, j, cost, faces in zip(rag.edge_i, rag.edge_j, rag.edge_cost, rag.edge_faces):
+        lines.append(f"edge {rag.node_ids[i]} {rag.node_ids[j]} {cost:.17g} {faces}")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def peaks_full_ball(data: np.ndarray, spacing, theta_v: float, theta_d: float) -> np.ndarray:

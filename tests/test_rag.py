@@ -9,6 +9,7 @@ from boweltrack.rag import Rag, build_rag, load_rag, mask_nodes, save_rag
 from boweltrack.ridge import meijering_response
 from boweltrack.supervoxel import LabelVolume, slic_supervoxels
 from boweltrack.volume_io import Volume
+from oracles import save_rag_fstrings
 
 AXIS_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -261,6 +262,39 @@ class TestSerialization:
         back = load_rag(out)
         assert np.array_equal(back.node_ids, kept.node_ids)
         assert 0 not in back.node_ids
+
+    @staticmethod
+    def assert_writer_matches_oracle(rag, tmp_path):
+        save_rag(rag, tmp_path / "got.txt")
+        save_rag_fstrings(rag, tmp_path / "expected.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
+
+    def test_writer_matches_fstring_oracle_on_phantom(self, tmp_path):
+        spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
+        intensity, seg, _ = generate_phantom(spec)
+        wall = meijering_response(intensity)
+        labels = slic_supervoxels(wall, 216.0, 0.01)
+        rag = build_rag(labels, wall)
+        self.assert_writer_matches_oracle(rag, tmp_path)
+        bowel = Volume((seg.data != 0).astype(np.uint8), seg.spacing, seg.origin)
+        self.assert_writer_matches_oracle(mask_nodes(rag, bowel, labels, 0.5), tmp_path)
+
+    def test_writer_matches_fstring_oracle_on_extreme_values(self, tmp_path):
+        rag = Rag(
+            node_ids=np.array([0, 2**31, 2**40 + 3, 7], dtype=np.int64),
+            centroids=np.array([[-0.0, -1.5, -1e-300], [-123.456, 1 / 3, 2.0**60],
+                                [5e-324, -2.5e-310, 1e308], [0.1, -0.2, 0.3]]),
+            counts=np.array([1, 2**31 + 1, 5, 12], dtype=np.int64),
+            edge_i=np.array([0, 0, 1, 2], dtype=np.int64),
+            edge_j=np.array([1, 2, 3, 3], dtype=np.int64),
+            edge_cost=np.array([0.0, 5e-324, 1e308, 2.2250738585072014e-308]),
+            edge_faces=np.array([1, 3, 2**33, 4], dtype=np.int64),
+        )
+        self.assert_writer_matches_oracle(rag, tmp_path)
+        back = load_rag(tmp_path / "got.txt")
+        assert back.node_ids.tolist() == rag.node_ids.tolist()
+        assert back.centroids.tobytes() == rag.centroids.tobytes()
+        assert back.edge_cost.tobytes() == rag.edge_cost.tobytes()
 
     def test_malformed_line_rejected(self, tmp_path):
         bad = tmp_path / "bad.txt"

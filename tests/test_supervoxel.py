@@ -1,5 +1,6 @@
 """Supervoxel clustering: partition/connectivity audits, boundary adherence,
-equivalence with the per-cluster loop and a memory bound."""
+equivalence with the per-cluster loop and the per-fragment connectivity
+loop, and a memory bound."""
 
 import sys
 import tracemalloc
@@ -19,7 +20,12 @@ from boweltrack.supervoxel import (
     slic_supervoxels,
 )
 from boweltrack.volume_io import Volume, save_volume
-from oracles import assign_per_cluster, seed_grid_loop
+from oracles import (
+    assign_per_cluster,
+    enforce_connectivity_per_fragment,
+    same_label_components_all_pairs,
+    seed_grid_loop,
+)
 
 
 def constant_volume(dims=(60, 60, 60), spacing=(2.0, 2.0, 2.0)):
@@ -204,6 +210,83 @@ def test_labels_independent_of_workers(monkeypatch, workers, source):
     assert got.label_count == expected.label_count
 
 
+def deferred_fragment_labels():
+    """A fragment at the first voxel whose 26 neighbours all lie in another
+    fragment: it has the lowest component id, so it waits for a second
+    pass."""
+    lab = np.zeros((6, 6, 6), dtype=np.int64)
+    lab[:2, :2, :2] = 2     # 7-voxel fragment of label 2 ...
+    lab[0, 0, 0] = 1        # ... around a 1-voxel fragment of label 1
+    lab[4:, 4:, 4:] = 1     # main components, larger than the fragments
+    lab[5, :4, :3] = 2
+    return lab
+
+
+def pre_connectivity_labels(monkeypatch, feature):
+    """The labels `slic_supervoxels` hands to `_enforce_connectivity`."""
+    seen = []
+    enforce = supervoxel._enforce_connectivity
+
+    def spy(labels):
+        seen.append(labels.copy())
+        return enforce(labels)
+
+    monkeypatch.setattr(supervoxel, "_enforce_connectivity", spy)
+    slic_supervoxels(feature, 216.0, 0.01)
+    return seen[0]
+
+
+class TestConnectivityOracle:
+    """Components from face links and corner-free diagonal links, and the
+    fragment placement over the fragment-component adjacency list, against
+    all 13 offset pairs and the per-fragment loop: identical arrays."""
+
+    @staticmethod
+    def assert_matches_oracle(labels):
+        comp, n_comp = supervoxel._same_label_components(labels)
+        expected_comp, expected_n = same_label_components_all_pairs(labels)
+        assert n_comp == expected_n
+        assert np.array_equal(comp, expected_comp)
+        assert np.array_equal(
+            supervoxel._enforce_connectivity(labels), enforce_connectivity_per_fragment(labels)
+        )
+
+    # Thin volumes keep the 4 values from percolating: many fragments, and
+    # on (2, 30, 3) and (1, 12, 10) some seeds need deferred passes.
+    @pytest.mark.parametrize("dims", [(2, 30, 3), (1, 12, 10), (2, 9, 13), (5, 7, 11)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_labelings(self, dims, seed):
+        labels = np.random.default_rng(seed).integers(0, 4, size=dims)
+        self.assert_matches_oracle(labels)
+
+    def test_deferred_fragment(self):
+        labels = deferred_fragment_labels()
+        self.assert_matches_oracle(labels)
+        final = supervoxel._enforce_connectivity(labels)
+        assert final[0, 0, 0] == final[0, 0, 1] == 0
+
+    @pytest.mark.parametrize("dims", [(5, 4, 3), (1, 1, 1)])
+    def test_constant_labeling_has_no_fragments(self, dims):
+        labels = np.full(dims, 3, dtype=np.int64)
+        self.assert_matches_oracle(labels)
+        comp, n_comp = supervoxel._same_label_components(labels)
+        assert n_comp == 1 and not comp.any()
+
+    @pytest.mark.parametrize("dims", [(1, 17, 9), (13, 1, 6), (8, 11, 1)])
+    def test_one_voxel_axis(self, dims):
+        labels = np.random.default_rng(sum(dims)).integers(0, 4, size=dims)
+        self.assert_matches_oracle(labels)
+
+    @pytest.mark.parametrize("dims", [(48, 6, 4), (3, 40, 7), (5, 4, 64)])
+    def test_anisotropic_dims(self, dims):
+        noise = ndimage.gaussian_filter(np.random.default_rng(1).normal(size=dims), 0.7)
+        labels = np.digitize(noise, np.quantile(noise, [0.25, 0.5, 0.75]))
+        self.assert_matches_oracle(labels)
+
+    def test_phantom_pre_connectivity_labels(self, monkeypatch):
+        self.assert_matches_oracle(pre_connectivity_labels(monkeypatch, phantom_wall_map()))
+
+
 def test_memory_bounded_by_volume_size(monkeypatch):
     """The allocation peak stays a fixed multiple of the volume's float64
     size: assignment temporaries are batched, never (clusters, window)."""
@@ -217,9 +300,10 @@ def test_memory_bounded_by_volume_size(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # About 25x today, set by connectivity enforcement; one (clusters,
-    # window) float64 array alone is 27x.
-    assert peak <= 40 * data.size * 8
+    # About 12x today.  Linking every equally labeled 26-neighbour pair in
+    # the connectivity step takes it to 25x, and one (clusters, window)
+    # float64 array alone is 27x.
+    assert peak <= 16 * data.size * 8
 
 
 class TestValidation:
