@@ -17,6 +17,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.spatial import cKDTree
 
+from . import parallel
 from .errors import ConfigError, InfeasibleError
 from .kvfile import parse_floats, read_kv_file
 from .metrics import resample_polyline
@@ -34,6 +35,9 @@ FAR_PAIR_ARC_FACTOR = 10.0
 # Spline control-point spacing along lanes (mm); also sizes the ramp window
 # that pulls touching lanes together.
 CONTROL_STEP_MM = 12.0
+
+# Voxels per range of the centerline distance pass.
+_RANGE_VOXELS = 1 << 14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,12 +249,16 @@ def _spline_centerline(control: np.ndarray, step: float) -> Polyline:
 
 
 def _distance_to_centerline(spec: PhantomSpec, path: Polyline):
-    """Exact distance from every voxel center to the centerline polyline.
+    """Distance from every voxel center near the tube to the centerline
+    polyline, and the arc position of the nearest point on it.
 
-    Returns (distance, arc) float64 arrays of shape dims.  Candidate segments
-    come from a KD-tree over path vertices; with vertices spaced
-    ~0.5*min(spacing) apart and k=8 neighbours the true nearest segment is
-    always among the candidates at tube-scale distances.
+    Returns (distance, arc) float64 arrays of shape dims.  Distances are
+    exact for voxels whose nearest path vertex lies within tube_radius plus
+    two of the longest path segments, which includes every voxel within
+    tube_radius of the curve; every other voxel gets distance inf and arc
+    nan.  Candidate segments come from a KD-tree over path vertices; with
+    vertices spaced ~0.5*min(spacing) apart and k=8 neighbours the true
+    nearest segment is always among the candidates at tube-scale distances.
     """
     nx, ny, nz = spec.dims
     sp = np.asarray(spec.spacing)
@@ -261,18 +269,30 @@ def _distance_to_centerline(spec: PhantomSpec, path: Polyline):
     arc0 = np.concatenate(([0.0], np.cumsum(np.sqrt(seg_len2))))[:-1]
     tree = cKDTree(pts)
     k = min(8, len(pts))
-
-    xc = (np.arange(nx) + 0.5) * sp[0]
-    yc = (np.arange(ny) + 0.5) * sp[1]
-    zc = (np.arange(nz) + 0.5) * sp[2]
-    grid = np.stack(np.meshgrid(xc, yc, zc, indexing="ij"), axis=-1).reshape(-1, 3)
-
-    dist = np.empty(grid.shape[0], dtype=np.float64)
-    arc = np.empty(grid.shape[0], dtype=np.float64)
-    chunk = 65536
     n_seg = len(segs_a)
-    for lo in range(0, grid.shape[0], chunk):
-        g = grid[lo : lo + chunk]
+    # A voxel whose candidate distance is <= tube_radius is within
+    # tube_radius of a point on its winning segment, so within tube_radius
+    # plus one segment length of both endpoints: the k=1 query below finds a
+    # vertex for it (the factor 2 leaves room for rounding).  It then gets
+    # the same k=8 candidates and the same row-wise arithmetic as a
+    # full-grid pass.  A voxel the query drops had a distance above
+    # tube_radius, so it is background either way.
+    bound = spec.tube_radius + 2.0 * float(np.sqrt(seg_len2.max()))
+
+    n = nx * ny * nz
+    dist = np.full(n, np.inf)
+    arc = np.full(n, np.nan)
+
+    def fill(lo, hi):
+        i, rest = np.divmod(np.arange(lo, hi), ny * nz)
+        j, l = np.divmod(rest, nz)
+        g = np.empty((hi - lo, 3))
+        g[:, 0] = (i + 0.5) * sp[0]
+        g[:, 1] = (j + 0.5) * sp[1]
+        g[:, 2] = (l + 0.5) * sp[2]
+        near_d, _ = tree.query(g, k=1, distance_upper_bound=bound)
+        near = np.flatnonzero(np.isfinite(near_d))
+        g = g[near]
         _, idx = tree.query(g, k=k)
         if k == 1:
             idx = idx[:, None]
@@ -287,9 +307,12 @@ def _distance_to_centerline(spec: PhantomSpec, path: Polyline):
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         best = np.argmin(d2, axis=1)
         rows = np.arange(g.shape[0])
-        dist[lo : lo + chunk] = np.sqrt(d2[rows, best])
+        out = lo + near
+        dist[out] = np.sqrt(d2[rows, best])
         seg_idx = cand[rows, best]
-        arc[lo : lo + chunk] = arc0[seg_idx] + tpar[rows, best] * np.sqrt(seg_len2[seg_idx])
+        arc[out] = arc0[seg_idx] + tpar[rows, best] * np.sqrt(seg_len2[seg_idx])
+
+    parallel.map_ranges(fill, n, _RANGE_VOXELS)
     shape = (nx, ny, nz)
     return dist.reshape(shape), arc.reshape(shape)
 
@@ -310,23 +333,24 @@ def _verify_geometry(spec: PhantomSpec, path: Polyline, arc, seg, touch_points):
         )
 
     # Strand clearance: any two curve points far apart along the arc must be
-    # at least two inner radii apart in space, else lumens would merge.
+    # at least two inner radii apart in space, else lumens would merge.  Only
+    # pairs closer than that can fail the check, so the KD-tree lists the
+    # pairs within it (with slack for its own rounding) and the distance of
+    # the closest far pair among them is recomputed exactly.
     arcs = path.cumulative_arc()
     far = FAR_PAIR_ARC_FACTOR * spec.inner_radius
-    n = len(pts)
-    min_clear = np.inf
-    chunk = 512
-    for lo in range(0, n, chunk):
-        block = pts[lo : lo + chunk]
-        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        far_mask = np.abs(arcs[lo : lo + chunk, None] - arcs[None, :]) > far
-        if np.any(far_mask):
-            min_clear = min(min_clear, float(np.sqrt(d2[far_mask].min())))
-    if min_clear < 2.0 * spec.inner_radius:
-        raise InfeasibleError(
-            f"strand clearance {min_clear:.2f}mm < lumen diameter "
-            f"{2.0 * spec.inner_radius:.2f}mm; lumens would merge"
-        )
+    lumen_d = 2.0 * spec.inner_radius
+    pairs = cKDTree(pts).query_pairs(lumen_d * (1.0 + 1e-9), output_type="ndarray")
+    i, j = pairs.T
+    keep = np.abs(arcs[i] - arcs[j]) > far
+    i, j = i[keep], j[keep]
+    if len(i):
+        min_clear = float(np.sqrt(np.sum((pts[i] - pts[j]) ** 2, axis=-1).min()))
+        if min_clear < lumen_d:
+            raise InfeasibleError(
+                f"strand clearance {min_clear:.2f}mm < lumen diameter "
+                f"{lumen_d:.2f}mm; lumens would merge"
+            )
 
     sp = np.asarray(spec.spacing)
     dims = np.asarray(spec.dims)

@@ -3,8 +3,9 @@ order over a simplified-graph cost matrix and the dummy-node construction
 of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
 the seed-grid loop, the all-pairs same-label components and the
 per-fragment connectivity loop (supervoxels); the f-string graph writer;
-the whole-ball peak search (sampling); and the sampled Gaussian derivative
-kernel (wall filter)."""
+the whole-ball peak search (sampling); the sampled Gaussian derivative
+kernel (wall filter); and the full-grid centerline distance and the
+all-pairs strand clearance (phantom)."""
 
 import heapq
 import itertools
@@ -13,8 +14,10 @@ import math
 import numpy as np
 from scipy import ndimage, sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from boweltrack.errors import InfeasibleError, InvariantError
+from boweltrack.phantom import FAR_PAIR_ARC_FACTOR
 from boweltrack.rag import Rag
 from boweltrack.route import Route, _must_pass_ids, _route_from_nodes
 
@@ -341,3 +344,67 @@ def _gaussian_kernel1d(sigma_vox: float, order: int) -> np.ndarray:
     if order == 2:
         return g * ((x * x - sigma_vox**2) / sigma_vox**4)
     raise ValueError(f"unsupported derivative order {order}")
+
+
+def distance_to_centerline_full_grid(spec, path):
+    """Distance and nearest-point arc of `phantom._distance_to_centerline`
+    for every voxel of the grid, with the candidate search run on the whole
+    (N, 3) voxel-center grid in chunks."""
+    nx, ny, nz = spec.dims
+    sp = np.asarray(spec.spacing)
+    pts = path.points
+    segs_a = pts[:-1]
+    segs_d = pts[1:] - pts[:-1]
+    seg_len2 = np.einsum("ij,ij->i", segs_d, segs_d)
+    arc0 = np.concatenate(([0.0], np.cumsum(np.sqrt(seg_len2))))[:-1]
+    tree = cKDTree(pts)
+    k = min(8, len(pts))
+
+    xc = (np.arange(nx) + 0.5) * sp[0]
+    yc = (np.arange(ny) + 0.5) * sp[1]
+    zc = (np.arange(nz) + 0.5) * sp[2]
+    grid = np.stack(np.meshgrid(xc, yc, zc, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    dist = np.empty(grid.shape[0], dtype=np.float64)
+    arc = np.empty(grid.shape[0], dtype=np.float64)
+    chunk = 65536
+    n_seg = len(segs_a)
+    for lo in range(0, grid.shape[0], chunk):
+        g = grid[lo : lo + chunk]
+        _, idx = tree.query(g, k=k)
+        if k == 1:
+            idx = idx[:, None]
+        cand = np.concatenate([np.clip(idx - 1, 0, n_seg - 1), np.clip(idx, 0, n_seg - 1)], axis=1)
+        a = segs_a[cand]
+        d = segs_d[cand]
+        l2 = seg_len2[cand]
+        rel = g[:, None, :] - a
+        tpar = np.clip(np.einsum("ijk,ijk->ij", rel, d) / np.maximum(l2, 1e-300), 0.0, 1.0)
+        diff = rel - tpar[..., None] * d
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(g.shape[0])
+        dist[lo : lo + chunk] = np.sqrt(d2[rows, best])
+        seg_idx = cand[rows, best]
+        arc[lo : lo + chunk] = arc0[seg_idx] + tpar[rows, best] * np.sqrt(seg_len2[seg_idx])
+    shape = (nx, ny, nz)
+    return dist.reshape(shape), arc.reshape(shape)
+
+
+def strand_clearance_all_pairs(spec, path) -> float:
+    """Smallest distance between two path points more than
+    FAR_PAIR_ARC_FACTOR inner radii apart along the arc (inf if none),
+    over every pair of points."""
+    pts = path.points
+    arcs = path.cumulative_arc()
+    far = FAR_PAIR_ARC_FACTOR * spec.inner_radius
+    n = len(pts)
+    min_clear = np.inf
+    chunk = 512
+    for lo in range(0, n, chunk):
+        block = pts[lo : lo + chunk]
+        d2 = np.sum((block[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        far_mask = np.abs(arcs[lo : lo + chunk, None] - arcs[None, :]) > far
+        if np.any(far_mask):
+            min_clear = min(min_clear, float(np.sqrt(d2[far_mask].min())))
+    return min_clear

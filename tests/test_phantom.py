@@ -1,9 +1,14 @@
 """Phantom generator: geometry promises checked by brute force on the grid."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+import oracles
+from boweltrack import parallel, phantom
 from boweltrack.errors import ConfigError, InfeasibleError
 from boweltrack.phantom import (
     SEG_BACKGROUND,
@@ -13,6 +18,7 @@ from boweltrack.phantom import (
     generate_phantom,
     load_phantom_spec,
 )
+from boweltrack.volume_io import Polyline
 
 FOLDED = PhantomSpec(seed=1)
 STRAIGHT = PhantomSpec(dims=(64, 20, 20), bends=0, touch_pairs=0, seed=3)
@@ -296,3 +302,185 @@ class TestSpecFile:
         spec = load_phantom_spec(p)
         assert spec.bends == 2
         assert spec.seed == 9
+
+
+# Small versions of the bench and CT-scale cases: folded at 2 mm, a straight
+# tube, a folded tube at 1 mm, and anisotropic 2x2x3 mm voxels with noise.
+ORACLE_SPECS = {
+    "folded": FOLDED,
+    "straight": STRAIGHT,
+    "fine": PhantomSpec(
+        dims=(80, 80, 24), spacing=(1.0, 1.0, 1.0), inner_radius=4.0, wall_thickness=2.0,
+        bends=3, touch_pairs=1, seed=4,
+    ),
+    "anisotropic": PhantomSpec(
+        dims=(80, 80, 16), spacing=(2.0, 2.0, 3.0), inner_radius=7.0, noise_sigma=20.0,
+        bends=3, touch_pairs=1, seed=2,
+    ),
+}
+
+
+def generate_capturing(spec, distance):
+    """generate_phantom with `distance` as the centerline distance pass;
+    returns its output and the (dist, arc) that pass produced."""
+    captured = []
+
+    def capture(spec, path):
+        captured.append(distance(spec, path))
+        return captured[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phantom, "_distance_to_centerline", capture)
+        out = generate_phantom(spec)
+    return out, captured[0]
+
+
+@pytest.fixture(scope="module")
+def full_grid():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = generate_capturing(
+                ORACLE_SPECS[name], oracles.distance_to_centerline_full_grid
+            )
+        return cache[name]
+
+    return get
+
+
+def arrays(phantom_out):
+    intensity, seg, path = phantom_out
+    return intensity.data, seg.data, path.points
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestDistanceOracle:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_matches_full_grid(self, monkeypatch, full_grid, name, workers):
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        spec = ORACLE_SPECS[name]
+        ref_out, (ref_dist, ref_arc) = full_grid(name)
+        out, (dist, arc) = generate_capturing(spec, phantom._distance_to_centerline)
+        for got, want in zip(arrays(out), arrays(ref_out)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        inside = ref_dist <= spec.tube_radius
+        assert np.array_equal(bits(dist[inside]), bits(ref_dist[inside]))
+        dropped = np.isinf(dist)
+        assert np.all(ref_dist[dropped] > spec.tube_radius)
+        assert np.all(np.isnan(arc[dropped]))
+        assert np.array_equal(bits(arc[~dropped]), bits(ref_arc[~dropped]))
+
+    def test_more_workers_than_cores(self, monkeypatch, full_grid):
+        # Seven threads, switching as often as the interpreter allows, write
+        # their disjoint ranges of the shared output arrays.
+        monkeypatch.setattr(parallel, "workers", lambda: 7)
+        (_, _, path), (ref_dist, ref_arc) = full_grid("fine")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            dist, arc = phantom._distance_to_centerline(ORACLE_SPECS["fine"], path)
+        finally:
+            sys.setswitchinterval(interval)
+        kept = np.isfinite(dist)
+        assert np.array_equal(bits(dist[kept]), bits(ref_dist[kept]))
+        assert np.array_equal(bits(arc[kept]), bits(ref_arc[kept]))
+        assert np.all(ref_dist[~kept] > ORACLE_SPECS["fine"].tube_radius)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_nearest_segment_among_candidates(self, full_grid, name):
+        # Inside the tube the k=8 vertex candidates always hold the nearest
+        # segment: the distance is the minimum over every segment.  At most
+        # 12k evenly strided tube voxels keep the all-segment sweep short.
+        spec = ORACLE_SPECS[name]
+        (_, _, path), _ = full_grid(name)
+        dist, _ = phantom._distance_to_centerline(spec, path)
+        inside = np.argwhere(dist <= spec.tube_radius)
+        inside = inside[:: -(-len(inside) // 12000)]
+        centers = (inside + 0.5) * np.asarray(spec.spacing)
+        a = path.points[:-1]
+        d = np.diff(path.points, axis=0)
+        l2 = np.sum(d * d, axis=1)
+        brute = np.empty(len(centers))
+        for lo in range(0, len(centers), 256):
+            rel = centers[lo : lo + 256, None, :] - a[None]
+            t = np.clip(np.sum(rel * d, axis=-1) / l2, 0.0, 1.0)
+            diff = rel - t[..., None] * d
+            brute[lo : lo + 256] = np.sqrt(np.sum(diff * diff, axis=-1).min(axis=1))
+        got = dist[inside[:, 0], inside[:, 1], inside[:, 2]]
+        assert np.max(np.abs(got - brute)) <= 1e-12
+
+    def test_memory_peak_bounded(self, monkeypatch):
+        # Only voxels near the tube hold candidate arrays, one range of 2^14
+        # voxels per worker; the full-grid pass peaked at about 210 MB.
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        tracemalloc.start()
+        try:
+            generate_phantom(PhantomSpec(seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20
+
+
+def two_strand_path(spec, sep, lane_len=140.0):
+    """Hairpin: a lane of lane_len mm along x, a half-turn of radius sep/2
+    and a lane back, sep mm apart, in the z mid-plane of the spec's grid."""
+    x0, y0, z = 40.0, 40.0, spec.extent[2] / 2.0
+    x1 = x0 + lane_len
+    xs = np.arange(x0, x1, 0.5)
+    ang = np.linspace(-np.pi / 2, np.pi / 2, 64)[1:-1]
+    turn = np.stack([x1 + sep / 2 * np.cos(ang), y0 + sep / 2 + sep / 2 * np.sin(ang)], axis=1)
+    xy = np.concatenate(
+        [np.stack([xs, np.full_like(xs, y0)], 1), turn, np.stack([xs[::-1], np.full_like(xs, y0 + sep)], 1)]
+    )
+    return Polyline(np.column_stack([xy, np.full(len(xy), z)]))
+
+
+class TestStrandClearance:
+    def test_merging_strands_rejected_with_exact_clearance(self):
+        spec = PhantomSpec()
+        path = two_strand_path(spec, 2.0 * spec.inner_radius - 3.0)
+        min_clear = oracles.strand_clearance_all_pairs(spec, path)
+        assert min_clear < 2.0 * spec.inner_radius
+        with pytest.raises(InfeasibleError, match="lumens would merge") as err:
+            phantom._verify_geometry(spec, path, None, None, [])
+        assert f"strand clearance {min_clear:.2f}mm" in str(err.value)
+
+    @pytest.mark.parametrize("delta", [-0.5, -1e-6, 0.0, 1e-6, 0.5, 5.0])
+    def test_rejects_exactly_when_oracle_below_lumen_diameter(self, delta):
+        spec = PhantomSpec()
+        path = two_strand_path(spec, 2.0 * spec.inner_radius + delta)
+        min_clear = oracles.strand_clearance_all_pairs(spec, path)
+        if min_clear < 2.0 * spec.inner_radius:
+            with pytest.raises(InfeasibleError, match=f"strand clearance {min_clear:.2f}mm"):
+                phantom._verify_geometry(spec, path, None, None, [])
+        else:
+            phantom._verify_geometry(spec, path, None, None, [])
+
+    @pytest.mark.parametrize("lane_len", [40.0, 50.0, 70.0, 100.0])
+    def test_only_pairs_far_along_the_arc_count(self, lane_len):
+        # The lanes are 2 mm closer than a lumen diameter, but the two ends
+        # of the hairpin are about 2 lane_len + 35 mm apart along it:
+        # below FAR_PAIR_ARC_FACTOR inner radii (120 mm) for short lanes,
+        # above it for the others.
+        spec = PhantomSpec()
+        path = two_strand_path(spec, 2.0 * spec.inner_radius - 2.0, lane_len)
+        min_clear = oracles.strand_clearance_all_pairs(spec, path)
+        assert np.isinf(min_clear) == (lane_len < 50.0)
+        if np.isinf(min_clear):
+            phantom._verify_geometry(spec, path, None, None, [])
+        else:
+            with pytest.raises(InfeasibleError, match=f"strand clearance {min_clear:.2f}mm"):
+                phantom._verify_geometry(spec, path, None, None, [])
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+    def test_generated_phantoms_clear(self, full_grid, name):
+        spec = ORACLE_SPECS[name]
+        (_, _, path), _ = full_grid(name)
+        assert oracles.strand_clearance_all_pairs(spec, path) >= 2.0 * spec.inner_radius
