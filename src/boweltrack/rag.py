@@ -15,7 +15,12 @@ from scipy.sparse import csr_array
 
 from .errors import FormatError, InfeasibleError, InvariantError
 from .supervoxel import LabelVolume
-from .volume_io import Volume, _atomic_write_bytes, check_same_grid
+from .volume_io import Volume, _atomic_write_chunks, check_same_grid
+
+
+# Lines `save_rag` formats at once: the Python numbers and strings of one
+# block are all it holds besides the graph.
+SAVE_ROWS = 16384
 
 
 @dataclasses.dataclass
@@ -45,7 +50,8 @@ class Rag:
             raise InvariantError("edges must be stored with i < j")
         if len(self.edge_i) and (self.edge_i.min() < 0 or self.edge_j.max() >= n):
             raise InvariantError("edge endpoint outside node range")
-        if len(np.unique(self.edge_i * n + self.edge_j)) != len(self.edge_i):
+        keys = np.sort(self.edge_i * n + self.edge_j)
+        if np.any(keys[1:] == keys[:-1]):
             raise InvariantError("duplicate edge")
         if np.any(~np.isfinite(self.edge_cost)) or np.any(self.edge_cost < 0):
             raise InvariantError("edge costs must be finite and non-negative")
@@ -78,47 +84,64 @@ class Rag:
         return adj.indices[sl], adj.data[sl]
 
 
+def _axis_faces(lab: np.ndarray, axis: int, n: int):
+    """Faces between differently-labeled neighbours along `axis`: the edge
+    key lo * n + hi of each face in C order, and the index tuples and mask
+    that pick its two voxels out of a volume on the same grid."""
+    src = [slice(None)] * 3
+    dst = [slice(None)] * 3
+    src[axis] = slice(None, -1)
+    dst[axis] = slice(1, None)
+    src, dst = tuple(src), tuple(dst)
+    a = lab[src]
+    b = lab[dst]
+    diff = a != b
+    a = a[diff]
+    b = b[diff]
+    keys = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
+    return keys, src, dst, diff
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of `keys`, which it sorts in place: one sort,
+    where `np.unique` takes tens of times longer on these keys."""
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
+
 def build_rag(labels: LabelVolume, wall_map: Volume) -> Rag:
-    """Accumulate boundary faces between 6-adjacent differently-labeled voxels."""
+    """Accumulate boundary faces between 6-adjacent differently-labeled voxels.
+
+    One axis at a time, twice: the first pass collects each axis's distinct
+    edge keys, the second adds each face's value to its edge, so only one
+    axis's faces are held at a time.  `np.add.at` adds an edge's face
+    values in axis order and in C order within an axis, the order of one
+    weighted `bincount` over all faces, so the costs keep its bits."""
     check_same_grid(labels, wall_map, "labels and wall map")
 
     lab = labels.data
-    wall = wall_map.data.astype(np.float64)
+    wall = wall_map.data
     n = labels.label_count
 
-    keys = []
-    vals = []
+    uniq = _distinct(np.concatenate(
+        [_distinct(_axis_faces(lab, axis, n)[0]) for axis in range(3)]))
+    faces = np.zeros(len(uniq), dtype=np.int64)
+    sums = np.zeros(len(uniq))
     for axis in range(3):
-        src = [slice(None)] * 3
-        dst = [slice(None)] * 3
-        src[axis] = slice(None, -1)
-        dst[axis] = slice(1, None)
-        a = lab[tuple(src)]
-        b = lab[tuple(dst)]
-        diff = a != b
-        if not diff.any():
-            continue
-        lo = np.minimum(a[diff], b[diff]).astype(np.int64)
-        hi = np.maximum(a[diff], b[diff]).astype(np.int64)
-        face_val = 0.5 * (wall[tuple(src)][diff] + wall[tuple(dst)][diff])
-        keys.append(lo * n + hi)
-        vals.append(face_val)
-
-    if keys:
-        keys = np.concatenate(keys)
-        vals = np.concatenate(vals)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        faces = np.bincount(inverse, minlength=len(uniq))
-        sums = np.bincount(inverse, weights=vals, minlength=len(uniq))
-        edge_i = (uniq // n).astype(np.int64)
-        edge_j = (uniq % n).astype(np.int64)
-        edge_cost = sums / faces
-        edge_faces = faces.astype(np.int64)
-    else:
-        edge_i = np.zeros(0, dtype=np.int64)
-        edge_j = np.zeros(0, dtype=np.int64)
-        edge_cost = np.zeros(0, dtype=np.float64)
-        edge_faces = np.zeros(0, dtype=np.int64)
+        keys, src, dst, diff = _axis_faces(lab, axis, n)
+        edge = np.searchsorted(uniq, keys)
+        del keys
+        faces += np.bincount(edge, minlength=len(uniq))
+        face_val = 0.5 * (wall[src][diff].astype(np.float64)
+                          + wall[dst][diff].astype(np.float64))
+        np.add.at(sums, edge, face_val)
+    edge_i = uniq // n
+    edge_j = uniq % n
+    edge_cost = sums / faces
+    edge_faces = faces
 
     flat = lab.ravel()
     counts = np.bincount(flat, minlength=n).astype(np.int64)
@@ -157,9 +180,8 @@ def mask_nodes(
         raise ValueError(f"min_inside_fraction must be in (0, 1], got {min_inside_fraction}")
 
     flat = labels.data.ravel()
-    inside = np.bincount(flat, weights=(seg != 0).ravel().astype(np.float64),
-                         minlength=labels.label_count)
-    total = np.bincount(flat, minlength=labels.label_count).astype(np.float64)
+    inside = np.bincount(flat[seg.ravel() != 0], minlength=labels.label_count)
+    total = np.bincount(flat, minlength=labels.label_count)
     fraction = inside / total
 
     keep_label = fraction >= min_inside_fraction
@@ -185,15 +207,26 @@ def mask_nodes(
 
 def save_rag(rag: Rag, path) -> None:
     """One `node` line per node, then one `edge` line per edge, written with
-    `%`-formats over Python numbers (17 significant digits for floats)."""
+    `%`-formats over Python numbers (17 significant digits for floats), a
+    block of `SAVE_ROWS` lines at a time."""
     c = rag.centroids
-    lines = list(map("node %d %.17g %.17g %.17g %d".__mod__, zip(
-        rag.node_ids.tolist(), c[:, 0].tolist(), c[:, 1].tolist(), c[:, 2].tolist(),
-        rag.counts.tolist())))
-    lines += map("edge %d %d %.17g %d".__mod__, zip(
-        rag.node_ids[rag.edge_i].tolist(), rag.node_ids[rag.edge_j].tolist(),
-        rag.edge_cost.tolist(), rag.edge_faces.tolist()))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
+    ids = rag.node_ids
+
+    def blocks():
+        for lo in range(0, rag.n_nodes, SAVE_ROWS):
+            sl = slice(lo, lo + SAVE_ROWS)
+            yield _lines("node %d %.17g %.17g %.17g %d\n", ids[sl], c[sl, 0], c[sl, 1],
+                         c[sl, 2], rag.counts[sl])
+        for lo in range(0, rag.n_edges, SAVE_ROWS):
+            sl = slice(lo, lo + SAVE_ROWS)
+            yield _lines("edge %d %d %.17g %d\n", ids[rag.edge_i[sl]], ids[rag.edge_j[sl]],
+                         rag.edge_cost[sl], rag.edge_faces[sl])
+
+    _atomic_write_chunks(path, blocks())
+
+
+def _lines(fmt: str, *columns) -> bytes:
+    return "".join(map(fmt.__mod__, zip(*(col.tolist() for col in columns)))).encode("ascii")
 
 
 def load_rag(path) -> Rag:

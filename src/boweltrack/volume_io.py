@@ -202,7 +202,14 @@ def save_polyline(line: Polyline, path) -> None:
 
 
 def _atomic_write_bytes(path, blob: bytes) -> None:
+    _atomic_write_chunks(path, (blob,))
+
+
+def _atomic_write_chunks(path, chunks) -> None:
+    """Write the byte strings of `chunks` one after another to a temporary
+    file, then move it over `path`; a generator keeps one chunk alive."""
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        for chunk in chunks:
+            fh.write(chunk)
     os.replace(tmp, path)

@@ -2,7 +2,8 @@
 order over a simplified-graph cost matrix and the dummy-node construction
 of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
 the seed-grid loop, the all-pairs same-label components and the
-per-fragment connectivity loop (supervoxels); the f-string graph writer;
+per-fragment connectivity loop (supervoxels); the all-faces graph build
+and the f-string graph writer;
 the whole-ball peak search (sampling); the sampled Gaussian derivative
 kernel (wall filter); and the full-grid centerline distance and the
 all-pairs strand clearance (phantom)."""
@@ -299,6 +300,29 @@ def enforce_connectivity_per_fragment(labels: np.ndarray) -> np.ndarray:
             raise InvariantError("connectivity enforcement failed to converge")
         pending = deferred
     return final
+
+
+def build_rag_all_faces(lab: np.ndarray, wall: np.ndarray, n: int):
+    """Edge arrays of `rag.build_rag` from the faces of all three axes at
+    once: one `np.unique` over every face key and one weighted `bincount`.
+    Returns edge_i, edge_j, edge_cost and edge_faces."""
+    wall = wall.astype(np.float64)
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for axis in range(3):
+        src = [slice(None)] * 3
+        dst = [slice(None)] * 3
+        src[axis] = slice(None, -1)
+        dst[axis] = slice(1, None)
+        a, b = lab[tuple(src)], lab[tuple(dst)]
+        diff = a != b
+        lo = np.minimum(a[diff], b[diff]).astype(np.int64)
+        hi = np.maximum(a[diff], b[diff]).astype(np.int64)
+        keys.append(lo * n + hi)
+        vals.append(0.5 * (wall[tuple(src)][diff] + wall[tuple(dst)][diff]))
+    uniq, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    faces = np.bincount(inverse, minlength=len(uniq))
+    sums = np.bincount(inverse, weights=np.concatenate(vals), minlength=len(uniq))
+    return uniq // n, uniq % n, sums / faces, faces
 
 
 def save_rag_fstrings(rag: Rag, path) -> None:

@@ -1,7 +1,11 @@
 """RAG construction against a brute-force per-face boundary scan."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from boweltrack import rag as rag_module
 
 from boweltrack.errors import FormatError, InfeasibleError
 from boweltrack.phantom import PhantomSpec, generate_phantom
@@ -9,7 +13,7 @@ from boweltrack.rag import Rag, build_rag, load_rag, mask_nodes, save_rag
 from boweltrack.ridge import meijering_response
 from boweltrack.supervoxel import LabelVolume, slic_supervoxels
 from boweltrack.volume_io import Volume
-from oracles import save_rag_fstrings
+from oracles import build_rag_all_faces, save_rag_fstrings
 
 AXIS_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -55,6 +59,19 @@ def random_labeling(seed, dims=(8, 8, 8), n_labels=4):
     return lv, vol
 
 
+def blocky_labeling(dims, block=3, seed=0):
+    """Supervoxel-like labels: blocks of about block^3 voxels with jittered
+    borders, numbered 0..n-1, and a random float32 wall map."""
+    rng = np.random.default_rng(seed)
+    grid = np.indices(dims) + rng.integers(0, 2, size=(3, *dims))
+    lab = np.ravel_multi_index(tuple(grid // block), tuple(d // block + 1 for d in dims))
+    lab = np.unique(lab, return_inverse=True)[1].reshape(dims).astype(np.int32)
+    n = int(lab.max()) + 1
+    wall = rng.random(dims).astype(np.float32)
+    return (LabelVolume(lab, (2.0, 2.0, 2.0), (0.0, 0.0, 0.0), n),
+            Volume(wall, (2.0, 2.0, 2.0), (0.0, 0.0, 0.0)))
+
+
 def plane_split(wall_value):
     lab = np.zeros((6, 5, 4), dtype=np.int32)
     lab[3:] = 1
@@ -87,6 +104,44 @@ class TestBuild:
         for key, (cost, faces) in expected.items():
             assert got[key][0] == pytest.approx(cost, abs=1e-9)
             assert got[key][1] == faces
+
+    @pytest.mark.parametrize("dims, n_labels", [
+        ((8, 8, 8), 4), ((7, 6, 5), 40), ((1, 9, 7), 5), ((6, 1, 1), 3), ((5, 4, 3), 1),
+    ])
+    def test_edges_match_all_faces_oracle_bitwise(self, dims, n_labels):
+        rng = np.random.default_rng(n_labels)
+        lab = rng.integers(0, n_labels, size=dims).astype(np.int32)
+        lab.flat[:n_labels] = np.arange(n_labels)
+        lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), n_labels)
+        wall = Volume(rng.random(dims).astype(np.float32), lv.spacing, lv.origin)
+        self.assert_matches_oracle(build_rag(lv, wall), lv, wall)
+
+    def test_edges_match_all_faces_oracle_on_phantom(self):
+        spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
+        wall = meijering_response(generate_phantom(spec)[0])
+        labels = slic_supervoxels(wall, 216.0, 0.01)
+        self.assert_matches_oracle(build_rag(labels, wall), labels, wall)
+
+    @staticmethod
+    def assert_matches_oracle(rag, labels, wall):
+        expected = build_rag_all_faces(labels.data, wall.data, labels.label_count)
+        got = (rag.edge_i, rag.edge_j, rag.edge_cost, rag.edge_faces)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype
+            assert g.tobytes() == e.tobytes()
+
+    def test_memory_peak_bounded(self):
+        # One axis's faces at a time: on 96 x 96 x 48 voxels in blocks of
+        # about 27 this build peaks at 41 bytes per voxel, the all-faces
+        # build (one np.unique over every face) at 114.
+        lv, wall = blocky_labeling((96, 96, 48))
+        tracemalloc.start()
+        try:
+            build_rag(lv, wall)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * lv.data.size
 
     def test_centroids_are_mean_physical_positions(self):
         lv, wall = random_labeling(11)
@@ -278,6 +333,13 @@ class TestSerialization:
         self.assert_writer_matches_oracle(rag, tmp_path)
         bowel = Volume((seg.data != 0).astype(np.uint8), seg.spacing, seg.origin)
         self.assert_writer_matches_oracle(mask_nodes(rag, bowel, labels, 0.5), tmp_path)
+
+    def test_writer_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        lv, wall = random_labeling(5, dims=(7, 6, 5), n_labels=12)
+        rag = build_rag(lv, wall)
+        for rows in (1, 5, rag.n_nodes, rag.n_edges + 1):
+            monkeypatch.setattr(rag_module, "SAVE_ROWS", rows)
+            self.assert_writer_matches_oracle(rag, tmp_path)
 
     def test_writer_matches_fstring_oracle_on_extreme_values(self, tmp_path):
         rag = Rag(
