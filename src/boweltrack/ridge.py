@@ -7,7 +7,6 @@ response below turns into a wall likelihood in [0, 1].
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -17,68 +16,151 @@ from . import parallel
 from .volume_io import Volume
 
 DEFAULT_SCALES_MM = (2.0, 3.0)
-# Voxels per eigenvalue slab, whatever the worker count.  2^16 measured
-# about 12 MB more resident memory after the wall filter on the 1 mm bench
-# phantom: malloc keeps what the worker threads free in their own arenas.
-_SLAB_VOXELS = 1 << 14
+# Output rows (axis 0) per Hessian sub-slab, whatever the worker count.
+_SLAB_ROWS = 16
+
+# Derivative orders per axis of Hxx, Hxy, Hxz, Hyy, Hyz, Hzz.
+_ORDERS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 
-def gaussian_hessian(vol: Volume, sigma_mm: float):
-    """Scale-normalised Hessian of a volume at physical scale sigma_mm.
+def _check_scales(scales_mm, spacing) -> tuple:
+    """The scales as floats, each one checked before any filtering."""
+    scales = tuple(float(s) for s in scales_mm)
+    if len(scales) == 0:
+        raise ValueError("scales_mm must not be empty")
+    for sigma_mm in scales:
+        if not (sigma_mm > 0) or not math.isfinite(sigma_mm):
+            raise ValueError(f"sigma_mm must be positive and finite, got {sigma_mm}")
+        if sigma_mm < min(spacing):
+            raise ValueError(
+                f"sigma_mm {sigma_mm} below voxel spacing {min(spacing)}; "
+                "the kernel would be undersampled"
+            )
+    return scales
 
-    Returns six Volumes (Hxx, Hxy, Hxz, Hyy, Hyz, Hzz) holding second
-    derivatives in 1/mm^2 units multiplied by sigma_mm^2.  The input mean
-    level is removed first so constant volumes produce exact zeros and the
-    result is invariant under adding a constant.
+
+def _hessian_slabs(data: np.ndarray, spacing, sigma_mm: float, consume) -> None:
+    """Scale-normalised Hessian of `data` at physical scale sigma_mm, one
+    sub-slab of axis-0 rows at a time.
+
+    Calls consume(a, b, h, tmp) once for each of the disjoint row ranges
+    [a, b) that cover axis 0, from up to parallel.workers() threads.  h[k]
+    holds component k (Hxx, Hxy, Hxz, Hyy, Hyz, Hzz) of rows a..b: second
+    derivatives in 1/mm^2 multiplied by sigma_mm^2.  tmp holds three scratch
+    arrays of the same shape.  consume may overwrite both.
+
+    The bytes equal those of ndimage.gaussian_filter(data, order=...) on the
+    whole volume.  It makes the same one-axis passes, axis 0 first, and an
+    output row of the axis-0 pass reads only input rows within its radius
+    R0; so rows [a - R0, b + R0), clipped to the volume, give rows a..b, and
+    a clipped end is the volume's own border.  The three axis-0 orders are
+    filtered once each and shared by the components that need them.
     """
-    if not (sigma_mm > 0) or not math.isfinite(sigma_mm):
-        raise ValueError(f"sigma_mm must be positive and finite, got {sigma_mm}")
-    if sigma_mm < min(vol.spacing):
-        raise ValueError(
-            f"sigma_mm {sigma_mm} below voxel spacing {min(vol.spacing)}; "
-            "the kernel would be undersampled"
-        )
-    data = vol.data.astype(np.float64, copy=False)
-    data = data - data.min()
-    sigma_vox = [sigma_mm / s for s in vol.spacing]
+    n = data.shape[0]
+    sigma_vox = [sigma_mm / s for s in spacing]
     # Support ceil(4 sigma) per axis; scipy's default int(4 sigma + 0.5) is
     # one voxel shorter when 4 sigma has a fraction below one half.
     radius = [max(1, math.ceil(4.0 * s)) for s in sigma_vox]
-
-    orders = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-    # Allocated in this thread: glibc keeps what it frees in a worker
-    # thread's arena, which measured ~100 MB more peak RSS on the 1 mm bench
-    # phantom when the workers allocated the outputs.
-    outputs = [np.empty(vol.dims) for _ in orders]
-
-    def component(k, _stop):
+    scales = []
+    for orders in _ORDERS:
         scale = sigma_mm**2
-        for s, order in zip(vol.spacing, orders[k]):
+        for s, order in zip(spacing, orders):
             scale /= s**order
-        ndimage.gaussian_filter(data, sigma_vox, order=orders[k], output=outputs[k],
-                                mode="reflect", radius=radius)
-        outputs[k] *= scale
+        scales.append(scale)
 
-    parallel.map_ranges(component, len(orders), 1)
-    return tuple(vol.like(d) for d in outputs)
+    size = -(-n // parallel.workers())
+    rows = min(_SLAB_ROWS, size)
+    # Allocated in this thread: glibc keeps what a worker thread frees in
+    # that thread's arena.  With buffers allocated by the workers, resident
+    # memory after the filter measured 24 MB more on the 1 mm bench phantom.
+    buffers = [(np.empty((min(rows + 2 * radius[0], n),) + data.shape[1:]),
+                np.empty((9, rows) + data.shape[1:]))
+               for _ in range(0, n, size)]
+
+    def filt(src, axis, order, out):
+        ndimage.gaussian_filter1d(src, sigma_vox[axis], axis=axis, order=order, output=out,
+                                  mode="reflect", radius=radius[axis])
+
+    def slab(lo, hi):
+        first, h = buffers[lo // size]
+        for a in range(lo, hi, rows):
+            b = min(a + rows, hi)
+            s0, s1 = max(0, a - radius[0]), min(n, b + radius[0])
+            for order0 in (2, 1, 0):
+                filt(data[s0:s1], 0, order0, first[:s1 - s0])
+                for k, orders in enumerate(_ORDERS):
+                    if orders[0] == order0:
+                        filt(first[a - s0:b - s0], 1, orders[1], h[k, :b - a])
+                        filt(h[k, :b - a], 2, orders[2], h[k, :b - a])
+                        h[k, :b - a] *= scales[k]
+            consume(a, b, h[:6, :b - a], h[6:, :b - a])
+
+    parallel.map_ranges(slab, n, size)
 
 
-def _sheet_response(hessian, out, lo, hi) -> None:
-    """max(0, -min_i l'_i) of the flat Hessian components' voxels lo..hi,
-    written to the same voxels of out."""
-    hxx, hxy, hxz, hyy, hyz, hzz = (h[lo:hi] for h in hessian)
-    hmat = np.empty((hi - lo, 3, 3), dtype=np.float64)
-    hmat[..., 0, 0] = hxx
-    hmat[..., 0, 1] = hmat[..., 1, 0] = hxy
-    hmat[..., 0, 2] = hmat[..., 2, 0] = hxz
-    hmat[..., 1, 1] = hyy
-    hmat[..., 1, 2] = hmat[..., 2, 1] = hyz
-    hmat[..., 2, 2] = hzz
-    eigs = np.linalg.eigvalsh(hmat)
-    # l'_i = l_i - (S - l_i)/3 is increasing in l_i, so its minimum belongs
-    # to the smallest eigenvalue.
-    lp_min = eigs[..., 0] - (eigs[..., 1] + eigs[..., 2]) / 3.0
-    np.maximum(0.0, -lp_min, out=out[lo:hi])
+def _sheet_response(h, tmp, out) -> None:
+    """max(0, -l'_1) of the Hessians h, written to out; h and tmp are
+    overwritten.
+
+    l'_1 = l1 - (tr - l1)/3 belongs to the smallest eigenvalue l1, which
+    comes from the trigonometric solution of the characteristic polynomial
+    (Smith, CACM 1961): with q = tr/3, p = |H - qI|_F / sqrt(6) and
+    r = det(H - qI) / (2 p^3), l1 = q + 2p cos(acos(r)/3 + 2 pi/3), so
+    l'_1 = q/3 + 4(l1 - q)/3.  A zero Hessian gives exactly 0.
+    """
+    hxx, hxy, hxz, hyy, hyz, hzz = h
+    q, t, u = tmp
+    np.add(hxx, hyy, out=q)
+    q += hzz
+    q /= 3.0
+    hxx -= q
+    hyy -= q
+    hzz -= q
+    # det(H - qI) by cofactors of the first row.
+    np.multiply(hyy, hzz, out=out)
+    np.multiply(hyz, hyz, out=t)
+    out -= t
+    out *= hxx
+    np.multiply(hxy, hzz, out=t)
+    np.multiply(hyz, hxz, out=u)
+    t -= u
+    t *= hxy
+    out -= t
+    np.multiply(hxy, hyz, out=t)
+    np.multiply(hyy, hxz, out=u)
+    t -= u
+    t *= hxz
+    out += t
+    # p^2 = (|diagonal|^2 + 2 |off-diagonal|^2) / 6
+    for c in h:
+        c *= c
+    hxy += hxz
+    hxy += hyz
+    hxy *= 2.0
+    hxx += hyy
+    hxx += hzz
+    hxx += hxy
+    hxx /= 6.0
+    p = np.sqrt(hxx, out=hxx)
+    np.multiply(p, p, out=t)
+    t *= p
+    t *= 2.0
+    # p = 0 only where every entry of H - qI squares to 0, so det is 0 too:
+    # r = 0 and l1 = q.
+    np.maximum(t, np.finfo(np.float64).tiny, out=t)
+    out /= t
+    np.clip(out, -1.0, 1.0, out=out)
+    np.arccos(out, out=out)
+    out /= 3.0
+    out += 2.0 * math.pi / 3.0
+    np.cos(out, out=out)
+    out *= p
+    # -l'_1 = -(q + 4 (l1 - q)) / 3.  As in the eigvalsh form, a zero
+    # Hessian gives l'_1 = +0 and a response of np.maximum(0.0, -0.0) = -0.0.
+    out *= 8.0
+    out += q
+    out /= -3.0
+    np.maximum(0.0, out, out=out)
 
 
 def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
@@ -86,24 +168,32 @@ def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
 
     Per scale: eigenvalues l1 <= l2 <= l3 of the Hessian are shifted to
     l'_i = l_i - (sum of the other two) / 3 and the response is
-    max(0, -min_i l'_i), normalised by its volume-wide maximum.  The final
-    map is the voxelwise maximum over scales.  The input is negated first so
-    dark sheets (walls between bright lumens) light up.
-    """
-    scales = tuple(float(s) for s in scales_mm)
-    if len(scales) == 0:
-        raise ValueError("scales_mm must not be empty")
-    src = Volume(-vol.data.astype(np.float64), vol.spacing, vol.origin)
+    max(0, -min_i l'_i) = max(0, -l'_1), normalised by its volume-wide
+    maximum.  The final map is the voxelwise maximum over scales.  The input
+    is negated first so dark sheets (walls between bright lumens) light up,
+    and its minimum is subtracted so constant volumes give exact zeros.
 
-    # Eigenvalues in slabs of _SLAB_VOXELS consecutive voxels in C order
-    # (axis 0 slowest): the (slab, 3, 3) matrices take about 1 MB instead of
-    # 72 B per voxel.
+    The Hessian is built one slab of axis-0 rows at a time with the bytes
+    of whole-volume Gaussian derivative filters, and l1 comes in closed form.
+    Against LAPACK eigvalsh on 200k randomly rotated matrices, the per-scale
+    response was off by at most 3.5e-12 max|l| on random spectra and 3e-13
+    max|l| where the two smallest eigenvalues are at least 1e-3 max|l|
+    apart, but by up to 2e-8 max|l| where they nearly coincide (acos near
+    its argument +1); the tests hold it to 4e-12, 5e-13 and 3e-8.  Even the
+    last is below float32 spacing (1.2e-7 relative), though it can still
+    move a value across a float32 rounding boundary; the stored float32 map
+    matched the eigvalsh one byte for byte on every bench phantom.
+    """
+    scales = _check_scales(scales_mm, vol.spacing)
+    data = vol.data.astype(np.float64)
+    np.negative(data, out=data)
+    data -= data.min()
+
     response = np.zeros(vol.dims, dtype=np.float64)
     r = np.empty(vol.dims, dtype=np.float64)
     for sigma in scales:
-        hessian = tuple(h.data.reshape(-1) for h in gaussian_hessian(src, sigma))
-        parallel.map_ranges(functools.partial(_sheet_response, hessian, r.reshape(-1)),
-                            r.size, _SLAB_VOXELS)
+        _hessian_slabs(data, vol.spacing, sigma,
+                       lambda a, b, h, tmp: _sheet_response(h, tmp, r[a:b]))
         peak = r.max()
         if peak > 0:
             r /= peak

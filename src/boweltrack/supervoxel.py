@@ -331,6 +331,17 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
     return best_label
 
 
+def _max_feature_distance(flat_label, flat_feat, cluster_feat) -> np.ndarray:
+    """Largest |f - c| over each cluster's voxels, c the cluster feature
+    they were assigned by; -inf for an empty cluster.  Rounding is
+    monotone, so the maximum is reached at the cluster's feature extremes."""
+    fmax = np.full(len(cluster_feat), -np.inf)
+    np.maximum.at(fmax, flat_label, flat_feat)
+    fmin = np.full(len(cluster_feat), np.inf)
+    np.minimum.at(fmin, flat_label, flat_feat)
+    return np.maximum(fmax - cluster_feat, cluster_feat - fmin)
+
+
 def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) -> LabelVolume:
     """Partition a feature volume into compact supervoxels of roughly
     target_volume mm^3 each.  Deterministic: ties go to the lower label id."""
@@ -368,10 +379,9 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
                 df = np.abs(fval[sl, None] - cluster_feat[None, :])
                 dist = df + (cluster_m[None, :] / step) * ds
                 best_label[tuple(coords[sl].T)] = np.argmin(dist, axis=1)
-        # Feature distance of each voxel to its cluster, as assigned.
-        win_dfeat = np.abs(feat - cluster_feat[best_label])
-
         flat = best_label.ravel()
+        max_df = _max_feature_distance(flat, feat.ravel(), cluster_feat)
+
         counts = np.bincount(flat, minlength=n_clusters).astype(np.float64)
         occupied = counts > 0
         sums = np.empty((3, n_clusters))
@@ -388,8 +398,6 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
         fsums = np.bincount(flat, weights=feat.ravel(), minlength=n_clusters)
         centers[occupied] = (sums[:, occupied] / counts[occupied]).T
         cluster_feat[occupied] = fsums[occupied] / counts[occupied]
-        max_df = np.zeros(n_clusters)
-        np.maximum.at(max_df, flat, win_dfeat.ravel())
         cluster_m[occupied] = np.maximum(float(compactness), max_df[occupied])
 
     final = _enforce_connectivity(best_label)

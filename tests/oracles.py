@@ -5,7 +5,8 @@ the seed-grid loop, the all-pairs same-label components and the
 per-fragment connectivity loop (supervoxels); the all-faces graph build
 and the f-string graph writer;
 the whole-ball peak search (sampling); the sampled Gaussian derivative
-kernel (wall filter); and the full-grid centerline distance and the
+kernel, the whole-volume Hessian and the eigvalsh sheet response (wall
+filter); and the full-grid centerline distance and the
 all-pairs strand clearance (phantom)."""
 
 import heapq
@@ -21,6 +22,7 @@ from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.phantom import FAR_PAIR_ARC_FACTOR
 from boweltrack.rag import Rag
 from boweltrack.route import Route, _must_pass_ids, _route_from_nodes
+from boweltrack.volume_io import Volume
 
 MAX_EXACT_MUST_PASS = 20
 
@@ -368,6 +370,61 @@ def _gaussian_kernel1d(sigma_vox: float, order: int) -> np.ndarray:
     if order == 2:
         return g * ((x * x - sigma_vox**2) / sigma_vox**4)
     raise ValueError(f"unsupported derivative order {order}")
+
+
+def gaussian_hessian(vol: Volume, sigma_mm: float):
+    """Scale-normalised Hessian of `ridge._hessian_slabs`, from six
+    whole-volume ndimage.gaussian_filter calls.
+
+    Returns six Volumes (Hxx, Hxy, Hxz, Hyy, Hyz, Hzz) holding second
+    derivatives in 1/mm^2 units multiplied by sigma_mm^2, of the volume with
+    its minimum subtracted.
+    """
+    if not (sigma_mm > 0) or not math.isfinite(sigma_mm):
+        raise ValueError(f"sigma_mm must be positive and finite, got {sigma_mm}")
+    if sigma_mm < min(vol.spacing):
+        raise ValueError(
+            f"sigma_mm {sigma_mm} below voxel spacing {min(vol.spacing)}; "
+            "the kernel would be undersampled"
+        )
+    data = vol.data.astype(np.float64, copy=False)
+    data = data - data.min()
+    sigma_vox = [sigma_mm / s for s in vol.spacing]
+    radius = [max(1, math.ceil(4.0 * s)) for s in sigma_vox]
+    components = []
+    for orders in ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)):
+        scale = sigma_mm**2
+        for s, order in zip(vol.spacing, orders):
+            scale /= s**order
+        out = ndimage.gaussian_filter(data, sigma_vox, order=orders, mode="reflect",
+                                      radius=radius)
+        out *= scale
+        components.append(vol.like(out))
+    return tuple(components)
+
+
+def sheet_response_eigvalsh(hessian) -> np.ndarray:
+    """max(0, -min_i l'_i) of the six Hessian component arrays, from one
+    (..., 3, 3) eigvalsh call."""
+    hxx, hxy, hxz, hyy, hyz, hzz = hessian
+    hmat = np.stack([np.stack([hxx, hxy, hxz], -1),
+                     np.stack([hxy, hyy, hyz], -1),
+                     np.stack([hxz, hyz, hzz], -1)], -2)
+    eigs = np.linalg.eigvalsh(hmat)
+    return np.maximum(0.0, -(eigs[..., 0] - (eigs[..., 1] + eigs[..., 2]) / 3.0))
+
+
+def meijering_response_whole_volume(vol: Volume, scales_mm) -> Volume:
+    """`ridge.meijering_response` from the whole-volume Hessian and eigvalsh."""
+    src = Volume(-vol.data.astype(np.float64), vol.spacing, vol.origin)
+    response = np.zeros(vol.dims)
+    for sigma in scales_mm:
+        r = sheet_response_eigvalsh(tuple(h.data for h in gaussian_hessian(src, float(sigma))))
+        peak = r.max()
+        if peak > 0:
+            r /= peak
+        np.maximum(response, r, out=response)
+    return vol.like(response)
 
 
 def distance_to_centerline_full_grid(spec, path):

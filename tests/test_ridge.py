@@ -1,25 +1,34 @@
 """Hessian wall-detection filter: analytic values, brute-force convolution
-oracle, and the published invariants (shift, range, rotation)."""
+and whole-volume oracles, the closed-form eigenvalue's accuracy, and the
+published invariants (shift, range, rotation)."""
 
-import functools
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.ndimage import binary_erosion, correlate
 
 from boweltrack import parallel, ridge
 from boweltrack.phantom import PhantomSpec, generate_phantom
-from boweltrack.ridge import gaussian_hessian, meijering_response
+from boweltrack.pipeline import as_float32
+from boweltrack.ridge import meijering_response
 from boweltrack.volume_io import Volume
 
-from oracles import _gaussian_kernel1d
+from oracles import (
+    _gaussian_kernel1d,
+    gaussian_hessian,
+    meijering_response_whole_volume,
+    sheet_response_eigvalsh,
+)
 
 HESSIAN_ORDERS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 
 
 def oracle_hessian(data, sigma_mm, spacing):
     """Each Hessian component as one 3D correlation with the product of the
-    oracle's 1D kernels, scaled as gaussian_hessian scales it."""
+    oracle's 1D kernels, scaled as the wall filter scales it."""
     shifted = data - data.min()
     for orders in HESSIAN_ORDERS:
         k1, k2, k3 = (_gaussian_kernel1d(sigma_mm / spacing, o) for o in orders)
@@ -32,11 +41,34 @@ def make_volume(data, spacing=(1.0, 1.0, 1.0)):
     return Volume(np.asarray(data, dtype=np.float64), spacing, (0.0, 0.0, 0.0))
 
 
+def slab_hessian(vol, sigma_mm):
+    """The six components of ridge._hessian_slabs over the whole row range,
+    after checking that its sub-slabs tile axis 0 exactly once."""
+    data = vol.data.astype(np.float64)
+    data = data - data.min()
+    out = np.full((6,) + vol.dims, np.nan)
+    ranges = []
+
+    def keep(a, b, h, tmp):
+        assert h.shape == (6, b - a) + vol.dims[1:]
+        assert tmp.shape == (3, b - a) + vol.dims[1:]
+        out[:, a:b] = h
+        ranges.append((a, b))
+
+    ridge._hessian_slabs(data, vol.spacing, sigma_mm, keep)
+    ranges.sort()
+    assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
+    assert ranges[-1][1] == vol.dims[0]
+    return out
+
+
 class TestGaussianHessian:
+    """Properties of the slab Hessian over the whole row range."""
+
     def test_constant_volume_all_zero(self):
         vol = make_volume(np.full((12, 10, 8), 37.0))
-        for comp in gaussian_hessian(vol, 1.5):
-            assert np.all(comp.data == 0.0)
+        for comp in slab_hessian(vol, 1.5):
+            assert np.all(comp == 0.0)
 
     def test_x_squared_ramp(self):
         # Gaussian smoothing leaves the second derivative of x^2 at exactly
@@ -47,22 +79,22 @@ class TestGaussianHessian:
         x_mm = (np.arange(nx) + 0.5) * sp[0]
         vol = make_volume(np.broadcast_to((x_mm**2)[:, None, None], (nx, ny, nz)).copy(), sp)
         sigma = 4.0
-        hxx, hxy, hxz, hyy, hyz, hzz = gaussian_hessian(vol, sigma)
+        hxx, hxy, hxz, hyy, hyz, hzz = slab_hessian(vol, sigma)
         interior = (slice(10, -10), slice(4, -4), slice(4, -4))
-        dxx = hxx.data[interior] / sigma**2
+        dxx = hxx[interior] / sigma**2
         assert np.all(np.abs(dxx - 2.0) <= 0.1)
         # Cross terms vanish; the axis-aligned ramp has no mixed curvature.
-        assert np.all(np.abs(hxy.data[interior]) <= 1e-9)
-        assert np.all(np.abs(hxz.data[interior]) <= 1e-9)
+        assert np.all(np.abs(hxy[interior]) <= 1e-9)
+        assert np.all(np.abs(hxz[interior]) <= 1e-9)
 
     def test_separable_equals_direct_3d_convolution(self):
         rng = np.random.default_rng(42)
         data = rng.random((11, 11, 11))
         vol = make_volume(data)
         sigma = 1.2
-        components = gaussian_hessian(vol, sigma)
+        components = slab_hessian(vol, sigma)
         for comp, direct in zip(components, oracle_hessian(data, sigma, 1.0)):
-            assert np.max(np.abs(comp.data - direct)) <= 1e-5
+            assert np.max(np.abs(comp - direct)) <= 1e-5
 
     def test_kernel_support_is_ceil_four_sigma(self):
         # sigma 2 mm at 1.5 mm spacing is 4/3 voxel: the oracle's support
@@ -72,20 +104,40 @@ class TestGaussianHessian:
         data = rng.random((15, 14, 13))
         sp = 1.5
         sigma = 2.0
-        components = gaussian_hessian(make_volume(data, (sp, sp, sp)), sigma)
+        components = slab_hessian(make_volume(data, (sp, sp, sp)), sigma)
         for comp, direct in zip(components, oracle_hessian(data, sigma, sp)):
-            assert np.max(np.abs(comp.data - direct)) <= 1e-12
+            assert np.max(np.abs(comp - direct)) <= 1e-12
 
     def test_sigma_below_spacing_rejected(self):
         vol = make_volume(np.zeros((8, 8, 8)), spacing=(2.0, 2.0, 2.0))
         with pytest.raises(ValueError, match="spacing"):
-            gaussian_hessian(vol, 1.0)
+            meijering_response(vol, scales_mm=(1.0,))
 
     def test_bad_sigma_rejected(self):
         vol = make_volume(np.zeros((8, 8, 8)))
-        for sigma in (0.0, -1.0, float("nan")):
-            with pytest.raises(ValueError):
-                gaussian_hessian(vol, sigma)
+        for sigma in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                meijering_response(vol, scales_mm=(sigma,))
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0, float("nan"), float("inf")])
+    def test_every_scale_checked_before_filtering(self, monkeypatch, bad):
+        # A bad second scale raises before the first scale filters anything.
+        calls = []
+        real = ndimage.gaussian_filter1d
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, "gaussian_filter1d", spy)
+        vol = make_volume(np.random.default_rng(0).random((10, 9, 8)))
+        with pytest.raises(ValueError, match="spacing" if bad == 0.5 else "positive"):
+            meijering_response(vol, scales_mm=(2.0, bad))
+        assert calls == []
+        # One worker, one sub-slab: a valid scale makes 15 one-axis passes.
+        monkeypatch.setattr(parallel, "workers", lambda: 1)
+        meijering_response(vol, scales_mm=(2.0,))
+        assert len(calls) == 15
 
 
 class TestMeijeringResponse:
@@ -158,43 +210,163 @@ class TestMeijeringResponse:
             meijering_response(vol, scales_mm=())
 
 
-def whole_volume_response(hessian):
-    """max(0, -min_i l'_i) from one (X, Y, Z, 3, 3) eigvalsh call."""
-    hxx, hxy, hxz, hyy, hyz, hzz = hessian
-    hmat = np.stack([np.stack([hxx, hxy, hxz], -1),
-                     np.stack([hxy, hyy, hyz], -1),
-                     np.stack([hxz, hyz, hzz], -1)], -2)
-    eigs = np.linalg.eigvalsh(hmat)
-    return np.maximum(0.0, -(eigs[..., 0] - (eigs[..., 1] + eigs[..., 2]) / 3.0))
+# The phantom that the supervoxel tests also build.
+PHANTOM_SPEC = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
+
+
+def assert_hessian_bytes(vol, sigma_mm):
+    for got, want in zip(slab_hessian(vol, sigma_mm), gaussian_hessian(vol, sigma_mm)):
+        assert got.tobytes() == want.data.tobytes()
 
 
 class TestSlabs:
-    """The wall map does not depend on the worker count or the slab size."""
+    """The slab Hessian has the whole-volume filters' bytes, and the wall map
+    does not depend on the worker count or the sub-slab height."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_slab_eigenvalues_match_whole_volume(self, monkeypatch, workers):
+    @pytest.mark.parametrize("rows", [1, 4, 1000])
+    def test_hessian_matches_whole_volume(self, monkeypatch, workers, rows):
         monkeypatch.setattr(parallel, "workers", lambda: workers)
-        rng = np.random.default_rng(workers)
-        hessian = tuple(rng.normal(size=(11, 5, 4)) for _ in range(6))
-        out = np.full((11, 5, 4), np.nan)
-        # 64-voxel slabs: the 220 voxels end in a 28-voxel slab.
-        parallel.map_ranges(
-            functools.partial(ridge._sheet_response, tuple(h.reshape(-1) for h in hessian),
-                              out.reshape(-1)),
-            out.size, 64)
-        assert np.array_equal(out, whole_volume_response(hessian))
+        monkeypatch.setattr(ridge, "_SLAB_ROWS", rows)
+        vol = make_volume(np.random.default_rng(workers).random((23, 9, 7)) * 50.0)
+        # Radius 6 rows: inner sub-slabs read past neither border.
+        assert_hessian_bytes(vol, 1.5)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_hessian_axis0_shorter_than_radius(self, monkeypatch, workers):
+        # sigma 8 voxels: every row reads the whole 5-row axis, reflected
+        # more than once.
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        monkeypatch.setattr(ridge, "_SLAB_ROWS", 1)
+        vol = make_volume(np.random.default_rng(8).random((5, 9, 7)))
+        assert_hessian_bytes(vol, 8.0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_hessian_anisotropic_spacing(self, monkeypatch, workers, rows):
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        monkeypatch.setattr(ridge, "_SLAB_ROWS", rows)
+        vol = make_volume(np.random.default_rng(9).random((17, 12, 9)), (2.0, 1.0, 1.5))
+        assert_hessian_bytes(vol, 2.5)
+
+    @pytest.mark.parametrize("scales", [ridge.DEFAULT_SCALES_MM, (2.0,)])
+    def test_float32_map_matches_whole_volume_pipeline(self, scales):
+        vol, _, _ = generate_phantom(PHANTOM_SPEC)
+        got = meijering_response(vol, scales)
+        want = meijering_response_whole_volume(vol, scales)
+        assert np.max(np.abs(got.data - want.data)) <= 1e-10
+        assert as_float32(got).data.tobytes() == as_float32(want).data.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("source", ["random", "phantom"])
     def test_response_independent_of_workers_and_slabs(self, monkeypatch, workers, source):
         if source == "random":
             vol = make_volume(np.random.default_rng(4).random((13, 9, 7)) * 50.0)
         else:
-            vol, _, _ = generate_phantom(
-                PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7))
+            vol, _, _ = generate_phantom(PHANTOM_SPEC)
         expected = meijering_response(vol).data
         monkeypatch.setattr(parallel, "workers", lambda: workers)
-        # Many slabs, split inside axis-0 rows, and a short last one.
-        monkeypatch.setattr(ridge, "_SLAB_VOXELS", 100 if source == "random" else 1000)
-        got = meijering_response(vol).data
+        # Many sub-slabs, and a short last one.  A short switch interval
+        # interleaves the threads often, so a shared buffer would show.
+        monkeypatch.setattr(ridge, "_SLAB_ROWS", 1 if source == "random" else 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            got = meijering_response(vol).data
+        finally:
+            sys.setswitchinterval(interval)
         assert got.tobytes() == expected.tobytes()
+
+    def test_memory_peak_bounded(self, monkeypatch):
+        # folded-hard's grid.  Besides the shifted input, the response and
+        # one scale's map, the filter holds only sub-slab buffers; the
+        # whole-volume Hessian and eigvalsh slabs peaked at 16.1 volumes.
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        vol, _, _ = generate_phantom(PhantomSpec(
+            dims=(128, 128, 56), spacing=(2.0, 2.0, 2.0), bends=5, touch_pairs=3, seed=1))
+        tracemalloc.start()
+        try:
+            meijering_response(vol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * vol.data.size * 8
+
+
+# Documented error of the closed-form response, in units of max|l|.
+RANDOM_BOUND = 4e-12
+SEPARATED_BOUND = 5e-13     # two smallest eigenvalues >= 1e-3 max|l| apart
+COINCIDENT_BOUND = 3e-8     # two smallest eigenvalues nearly equal
+
+
+def rotated_hessians(spectra, seed):
+    """The six upper-triangle components of Q diag(l) Q^T, one random
+    rotation Q per spectrum l."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(spectra), 3, 3)))
+    h = np.einsum("nij,nj,nkj->nik", q, spectra, q)
+    return np.stack([h[:, 0, 0], h[:, 0, 1], h[:, 0, 2], h[:, 1, 1], h[:, 1, 2], h[:, 2, 2]])
+
+
+def closed_form(h):
+    out = np.empty(h.shape[1:])
+    ridge._sheet_response(h.copy(), np.empty((3,) + h.shape[1:]), out)
+    return out
+
+
+def relative_error(h):
+    """|closed form - eigvalsh response| / max|l| per matrix."""
+    hxx, hxy, hxz, hyy, hyz, hzz = h
+    hmat = np.stack([np.stack([hxx, hxy, hxz], -1),
+                     np.stack([hxy, hyy, hyz], -1),
+                     np.stack([hxz, hyz, hzz], -1)], -2)
+    scale = np.abs(np.linalg.eigvalsh(hmat)).max(axis=-1)
+    return np.abs(closed_form(h) - sheet_response_eigvalsh(h)) / scale
+
+
+class TestClosedForm:
+    """The closed-form smallest eigenvalue against LAPACK eigvalsh."""
+
+    def test_random_spectra(self):
+        spectra = np.random.default_rng(0).normal(size=(50_000, 3))
+        assert relative_error(rotated_hessians(spectra, 1)).max() <= RANDOM_BOUND
+
+    def test_separated_spectra(self):
+        spectra = np.sort(np.random.default_rng(2).normal(size=(50_000, 3)), axis=1)
+        gap = spectra[:, 1] - spectra[:, 0]
+        spectra = spectra[gap >= 1e-3 * np.abs(spectra).max(axis=1)]
+        assert relative_error(rotated_hessians(spectra, 3)).max() <= SEPARATED_BOUND
+
+    @pytest.mark.parametrize("gap", [10.0**-k for k in range(1, 14)])
+    def test_near_repeated_smallest(self, gap):
+        rng = np.random.default_rng(4)
+        spectra = rng.normal(size=(5_000, 3))
+        spectra[:, 1] = spectra[:, 0] + gap * np.abs(spectra).max(axis=1)
+        spectra[:, 2] = np.maximum(spectra[:, 2], spectra[:, 1] + 0.1)
+        bound = SEPARATED_BOUND if gap >= 1e-3 else COINCIDENT_BOUND
+        assert relative_error(rotated_hessians(spectra, 5)).max() <= bound
+
+    @pytest.mark.parametrize("pattern, bound", [
+        ((0, 0, 1), COINCIDENT_BOUND), ((0, 1, 1), SEPARATED_BOUND), ((0, 0, 0), COINCIDENT_BOUND)])
+    def test_exactly_repeated(self, pattern, bound):
+        rng = np.random.default_rng(6)
+        mu = rng.normal(size=5_000)
+        lam = mu + np.abs(rng.normal(size=5_000)) + 0.01
+        spectra = np.stack([(mu, lam)[i] for i in pattern], axis=1)
+        assert relative_error(rotated_hessians(spectra, 7)).max() <= bound
+
+    def test_zero_hessian(self):
+        # Exactly 0, with the eigvalsh form's sign bit.
+        h = np.zeros((6, 4))
+        out = closed_form(h)
+        assert np.all(out == 0.0)
+        assert out.tobytes() == sheet_response_eigvalsh(h).tobytes()
+
+    def test_ideal_sheet(self):
+        # Spectrum (l, 0, 0), l < 0: l'_1 = l, so the response is -l.
+        lam = -np.abs(np.random.default_rng(8).normal(size=5_000)) - 0.01
+        spectra = np.stack([lam, 0 * lam, 0 * lam], axis=1)
+        axis_aligned = np.zeros((6, len(lam)))
+        axis_aligned[0] = lam
+        for h in (axis_aligned, rotated_hessians(spectra, 9)):
+            assert np.max(np.abs(closed_form(h) + lam) / -lam) <= SEPARATED_BOUND
+            assert relative_error(h).max() <= SEPARATED_BOUND

@@ -210,6 +210,34 @@ def test_labels_independent_of_workers(monkeypatch, workers, source):
     assert got.label_count == expected.label_count
 
 
+def max_feature_distance_gather(flat_label, flat_feat, cluster_feat):
+    """The update step's former expression: each voxel's |f - c| from a
+    gather of its cluster's feature, then np.maximum.at per cluster."""
+    max_df = np.zeros(len(cluster_feat))
+    np.maximum.at(max_df, flat_label, np.abs(flat_feat - cluster_feat[flat_label]))
+    return max_df
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_max_feature_distance_matches_gather(seed):
+    # Features far from 0 make the differences round; voxels equal to
+    # their cluster's feature and empty clusters are included.
+    rng = np.random.default_rng(seed)
+    n_clusters = int(rng.integers(1, 80))
+    n_vox = int(rng.integers(1, 4000))
+    offset = (0.0, 1e8, -3.7e5)[seed % 3]
+    spread = (1e-6, 1.0, 1e3)[seed // 3]
+    flat_label = rng.integers(0, n_clusters, n_vox)
+    flat_feat = offset + spread * rng.normal(size=n_vox)
+    cluster_feat = offset + spread * rng.normal(size=n_clusters)
+    flat_feat[::7] = cluster_feat[flat_label[::7]]
+    got = supervoxel._max_feature_distance(flat_label, flat_feat, cluster_feat)
+    want = max_feature_distance_gather(flat_label, flat_feat, cluster_feat)
+    occupied = np.bincount(flat_label, minlength=n_clusters) > 0
+    assert got[occupied].tobytes() == want[occupied].tobytes()
+    assert np.all(got[~occupied] == -np.inf)
+
+
 def deferred_fragment_labels():
     """A fragment at the first voxel whose 26 neighbours all lie in another
     fragment: it has the lowest component id, so it waits for a second
