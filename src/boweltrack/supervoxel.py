@@ -40,6 +40,10 @@ WINDOW_FACTOR = 1.5
 # Window voxels per assignment batch: bounds the batch temporaries to about
 # 0.5 MB each, whatever the volume size or cluster count.
 _BATCH_VOXELS = 1 << 16
+# Axis-0 rows per slab of the seed grid's gradient and of the connectivity
+# components: bounds their temporaries to a few slabs, whatever the volume.
+_GRAD_ROWS = 16
+_COMP_ROWS = 16
 
 # The 3^3 block in raster order; (0, 0, 0) sits in the middle, at index 13.
 _OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
@@ -131,20 +135,33 @@ def _seed_grid(feature: Volume, step: float):
     counts = [max(1, int(round(extent[a] / step))) for a in range(3)]
     axes = [(np.arange(n) + 0.5) * (extent[a] / n) for a, n in enumerate(counts)]
 
-    grads = np.gradient(feature.data.astype(np.float64), *sp)
-    grad_mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
-
     # Each grid point moves to the lowest-gradient voxel of the 3^3 block
     # around it: the first minimum in block raster order, never a voxel
     # outside the volume.
     idx = [np.minimum((axes[a] / sp[a]).astype(int), dims[a] - 1) for a in range(3)]
     grid = np.stack(np.meshgrid(*idx, indexing="ij"), axis=-1).reshape(-1, 3)
-    block = np.full((len(grid), len(_OFFSETS_27)), np.inf)
-    for j, off in enumerate(_OFFSETS_27):
-        nbr = grid + off
-        inside = np.all((nbr >= 0) & (nbr < dims), axis=1)
-        block[inside, j] = grad_mag[tuple(nbr[inside].T)]
-    seeds = grid + _OFFSETS_27[np.argmin(block, axis=1)]
+    # block[i, j, l, d0, d1, d2]: |grad f|^2 at voxel idx + d - 1, inf outside
+    # the volume.  Per block row, the voxels of axes 1 and 2 form one
+    # sub-grid of that row's plane.
+    near = [i[:, None] + np.arange(-1, 2) for i in idx]
+    cols = np.ix_(*(np.clip(c, 0, n - 1).ravel() for c, n in zip(near[1:], dims[1:])))
+    outside = np.logical_or.outer(*((c.ravel() < 0) | (c.ravel() >= n)
+                                    for c, n in zip(near[1:], dims[1:])))
+    block = np.full([len(i) for i in idx] + [3, 3, 3], np.inf)
+    # |grad f|^2 of np.gradient on the whole volume, one slab of rows at a
+    # time: central differences inside, one-sided at the volume's borders.
+    # With one halo row on either side, clipped to the volume, a slab's
+    # rows get exactly those differences.
+    for a in range(0, dims[0], _GRAD_ROWS):
+        b = min(a + _GRAD_ROWS, dims[0])
+        lo, hi = max(a - 1, 0), min(b + 1, dims[0])
+        grads = np.gradient(feature.data[lo:hi].astype(np.float64), *sp)
+        grad_mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
+        for i, d in np.argwhere((near[0] >= a) & (near[0] < b)):
+            vals = grad_mag[near[0][i, d] - lo][cols]
+            vals[outside] = np.inf
+            block[i, :, :, d] = vals.reshape(len(idx[1]), 3, len(idx[2]), 3).transpose(0, 2, 1, 3)
+    seeds = grid + _OFFSETS_27[np.argmin(block.reshape(len(grid), -1), axis=1)]
     centers = (seeds + 0.5) * sp
     return seeds, centers
 
@@ -155,40 +172,81 @@ def _box(off, step, shape):
     return tuple(slice(max(0, -o) + s, n - max(0, o) + s) for o, s, n in zip(off, step, shape))
 
 
-def _same_label_components(labels: np.ndarray):
-    """26-connected components of the labeling (two voxels join a component
-    iff adjacent and equally labeled).  Returns (comp map, comp count).
+def _components(rows, cols, n: int):
+    """Connected components of the undirected graph on n nodes with edges
+    rows[k]-cols[k], numbered by their lowest node: (count, int32 ids)."""
+    # float64 weights: connected_components copies the graph to float64
+    # otherwise.
+    graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    return connected_components(graph, directed=False)
+
+
+def _slab_components(slab: np.ndarray, out: np.ndarray) -> int:
+    """26-connected components of `slab` alone, written to `out` numbered
+    from 0 by their lowest voxel; returns their count.
 
     Equal face neighbours always link.  A diagonal pair v, v + off links only
     when no other corner of the box spanned by v and v + off holds their
     label: such a corner is 26-adjacent to both and already joins them, so
-    the components stay the same with far fewer edges.  connected_components
-    numbers components by their lowest voxel, so the map stays the same too.
+    the components stay the same with far fewer edges.
     """
-    n_vox = labels.size
+    n_vox = slab.size
     index = np.int32 if n_vox <= np.iinfo(np.int32).max else np.int64
-    lin = np.arange(n_vox, dtype=index).reshape(labels.shape)
+    lin = np.arange(n_vox, dtype=index).reshape(slab.shape)
     rows, cols = [], []
     for off in _HALF_OFFSETS:
-        here, there = _box(off, (0, 0, 0), labels.shape), _box(off, off, labels.shape)
-        src = labels[here]
-        link = src == labels[there]
+        here, there = _box(off, (0, 0, 0), slab.shape), _box(off, off, slab.shape)
+        src = slab[here]
+        link = src == slab[there]
         for corner in itertools.product(*((0, o) if o else (0,) for o in off)):
             if any(corner) and corner != off:
-                link &= labels[_box(off, corner, labels.shape)] != src
+                link &= slab[_box(off, corner, slab.shape)] != src
         rows.append(lin[here][link])
         cols.append(lin[there][link])
     del lin
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    # float64 weights: connected_components copies the graph to float64
-    # otherwise.
-    graph = sparse.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_vox, n_vox)
-    ).tocsr()
-    del rows, cols
-    n_comp, comp = connected_components(graph, directed=False)
-    return comp.reshape(labels.shape), n_comp
+    n_comp, comp = _components(np.concatenate(rows), np.concatenate(cols), n_vox)
+    out[...] = comp.reshape(slab.shape)
+    return n_comp
+
+
+def _same_label_components(labels: np.ndarray):
+    """26-connected components of the labeling (two voxels join a component
+    iff adjacent and equally labeled), numbered by their lowest voxel.
+    Returns (int32 comp map, comp count).
+
+    Each slab of _COMP_ROWS axis-0 rows gets its own components, numbered
+    by lowest voxel after those of the slabs above it.  One small graph over
+    these ids then joins the equally labeled 26-neighbours across each slab
+    face.  Its components, numbered by lowest id, are numbered by lowest
+    voxel too: ids follow their component's lowest voxel in raster order.
+    """
+    n0, rows = labels.shape[0], _COMP_ROWS
+    comp = np.empty(labels.shape, dtype=np.int32)
+    counts = parallel.map_ranges(
+        lambda lo, hi: _slab_components(labels[lo:hi], comp[lo:hi]), n0, rows)
+    first = np.concatenate(([0], np.cumsum(counts)))
+    above, below = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for k, face in enumerate(range(rows, n0, rows)):
+        pair, ids = labels[face - 1 : face + 1], comp[face - 1 : face + 1]
+        for off in itertools.product((1,), (-1, 0, 1), (-1, 0, 1)):
+            here, there = _box(off, (0, 0, 0), pair.shape), _box(off, off, pair.shape)
+            link = pair[here] == pair[there]
+            above.append(ids[here][link] + first[k])
+            below.append(ids[there][link] + first[k + 1])
+    n_comp, group = _components(np.concatenate(above), np.concatenate(below), first[-1])
+
+    def renumber(lo, hi):
+        k = lo // rows
+        comp[lo:hi] = group[first[k] : first[k + 1]][comp[lo:hi]]
+
+    parallel.map_ranges(renumber, n0, rows)
+    return comp, n_comp
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of non-negative keys, sorted."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
 
 
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
@@ -212,19 +270,23 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     label_sizes[comp_label[main]] = comp_size[main]
 
     # Sorted, unique (fragment, adjacent component) pairs, from the fragment
-    # voxels' 26 neighbours.
+    # voxels' 26 neighbours; made unique per offset first, so only distinct
+    # pairs are ever held together.
     vox = np.flatnonzero(is_fragment[flat_comp])
     coords = np.unravel_index(vox, labels.shape)
     own = flat_comp[vox].astype(np.int64)
+    del vox
     keys = []
     for off in _OFFSETS_26:
         pos = [c + o for c, o in zip(coords, off)]
         inside = np.all([(p >= 0) & (p < n) for p, n in zip(pos, labels.shape)], axis=0)
         nbr = comp[tuple(p[inside] for p in pos)]
-        other = nbr != own[inside]
-        keys.append(own[inside][other] * n_comp + nbr[other])
-    keys = np.sort(np.concatenate(keys))
-    frag, adj = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n_comp)
+        mine = own[inside]
+        other = nbr != mine
+        keys.append(_distinct(mine[other] * n_comp + nbr[other]))
+    # Free the per-voxel arrays before the pairs are merged.
+    del coords, own, pos, inside, nbr, mine, other
+    frag, adj = np.divmod(_distinct(np.concatenate(keys)), n_comp)
 
     # Orphans attach to the largest adjacent placed label (ties to the lower
     # label id), fragments in component order; those with no placed
@@ -255,7 +317,7 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
         if len(deferred) == len(pending):
             raise InvariantError("connectivity enforcement failed to converge")
         pending = deferred
-    return by_rank[np.asarray(placed)][comp]
+    return by_rank[np.asarray(placed)].astype(np.int32)[comp]
 
 
 def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
@@ -325,9 +387,11 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
                 flat_label[vox[dist.take(win) < prev.take(win)]] = n_clusters
                 np.minimum.at(flat_label, vox, ids[sel // len(offsets)])
 
-    # One slab per worker.  More slabs measured slower: the windows cut at
-    # slab borders form more, smaller batches.
-    parallel.map_ranges(slab, dims[0], -(-dims[0] // parallel.workers()))
+    # One slab per worker, of at least one window's rows.  More slabs
+    # measured slower: the windows cut at slab borders form more, smaller
+    # batches.
+    rows = parallel.rows_per_worker(dims[0], int((hi[:, 0] - lo[:, 0]).max()))
+    parallel.map_ranges(slab, dims[0], rows)
     return best_label
 
 
@@ -352,6 +416,12 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
         )
     if not (compactness > 0):
         raise ValueError(f"compactness must be positive, got {compactness}")
+    if min(feature.dims) < 2:
+        axis = int(np.argmin(feature.dims))
+        raise ValueError(
+            f"axis {axis} has {feature.dims[axis]} voxel; the seed grid's gradient "
+            "needs at least 2 per axis"
+        )
 
     step = target_volume ** (1.0 / 3.0)
     dims = feature.dims
@@ -400,11 +470,10 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
         cluster_feat[occupied] = fsums[occupied] / counts[occupied]
         cluster_m[occupied] = np.maximum(float(compactness), max_df[occupied])
 
+    del feat, flat, stray
     final = _enforce_connectivity(best_label)
+    del best_label
     old = np.flatnonzero(np.bincount(final.ravel()))
-    remap = np.zeros(old.max() + 1, dtype=np.int64)
+    remap = np.zeros(old.max() + 1, dtype=np.int32)
     remap[old] = np.arange(len(old))
-    relabeled = remap[final]
-    return LabelVolume(
-        relabeled.astype(np.int32), feature.spacing, feature.origin, int(len(old))
-    )
+    return LabelVolume(remap[final], feature.spacing, feature.origin, int(len(old)))

@@ -1,9 +1,9 @@
 """Test-only oracles: an exact must-pass solver, the cost of a visiting
 order over a simplified-graph cost matrix and the dummy-node construction
 of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
-the seed-grid loop, the all-pairs same-label components and the
-per-fragment connectivity loop (supervoxels); the all-faces graph build
-and the f-string graph writer;
+the seed-grid loop, the all-pairs and the whole-volume same-label
+components and the per-fragment connectivity loop (supervoxels); the
+all-faces graph build and the f-string graph writer;
 the whole-ball peak search (sampling); the sampled Gaussian derivative
 kernel, the whole-volume Hessian and the eigvalsh sheet response (wall
 filter); and the full-grid centerline distance and the
@@ -244,6 +244,33 @@ def same_label_components_all_pairs(labels: np.ndarray):
         same = labels[src] == labels[dst]
         rows.append(lin[src][same])
         cols.append(lin[dst][same])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    graph = sparse.coo_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(n_vox, n_vox)
+    ).tocsr()
+    n_comp, comp = connected_components(graph, directed=False)
+    return comp.reshape(labels.shape), n_comp
+
+
+def same_label_components_whole_volume(labels: np.ndarray):
+    """Components of `supervoxel._same_label_components` from one graph over
+    the whole volume: equal face neighbours, and diagonal pairs whose spanned
+    box holds their label at no other corner.  Returns (comp map, count)."""
+    n_vox = labels.size
+    lin = np.arange(n_vox, dtype=np.int64).reshape(labels.shape)
+    rows, cols = [], []
+    for off in _OFFSETS_27[14:]:
+        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, labels.shape))
+        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, labels.shape))
+        link = labels[src] == labels[dst]
+        for corner in itertools.product(*((0, o) if o else (0,) for o in off)):
+            if any(corner) and tuple(corner) != tuple(off):
+                at = tuple(slice(max(0, -o) + c, n - max(0, o) + c)
+                           for o, c, n in zip(off, corner, labels.shape))
+                link &= labels[at] != labels[src]
+        rows.append(lin[src][link])
+        cols.append(lin[dst][link])
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     graph = sparse.coo_matrix(

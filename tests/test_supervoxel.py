@@ -24,6 +24,7 @@ from oracles import (
     assign_per_cluster,
     enforce_connectivity_per_fragment,
     same_label_components_all_pairs,
+    same_label_components_whole_volume,
     seed_grid_loop,
 )
 
@@ -178,21 +179,25 @@ class TestOracleEquivalence:
         assert np.array_equal(got.data, expected.data)
 
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-    def test_seed_grid_matches_loop(self, case):
+    def test_seed_grid_matches_loop(self, monkeypatch, case):
         feature, target_volume, _ = EQUIVALENCE_CASES[case]
         step = target_volume ** (1.0 / 3.0)
-        got = supervoxel._seed_grid(feature, step)
         expected = seed_grid_loop(feature, step)
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b)
+        # Gradient slabs of 1 and 2 rows: every slab's halo rows matter.
+        for rows in (1, 2, 16):
+            monkeypatch.setattr(supervoxel, "_GRAD_ROWS", rows)
+            got = supervoxel._seed_grid(feature, step)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("workers", [2, 3, 7])
+@pytest.mark.parametrize("workers", [2, 3, 7, 16])
 @pytest.mark.parametrize("source", ["random", "phantom"])
 def test_labels_independent_of_workers(monkeypatch, workers, source):
-    """Each worker assigns one axis-0 slab; 17 rows on 3 or 7 workers end in
-    a shorter slab.  A short switch interval interleaves the threads often,
-    so a voxel two slabs both wrote would show."""
+    """Each worker assigns one axis-0 slab of at least one window's rows;
+    17 rows on 3 or 7 workers end in a shorter slab.  A short switch
+    interval interleaves the threads often, so a voxel two slabs both wrote
+    would show."""
     if source == "random":
         feature = random_feature(5, dims=(17, 13, 11), spacing=(2.0, 2.0, 2.0))
     else:
@@ -264,55 +269,106 @@ def pre_connectivity_labels(monkeypatch, feature):
     return seen[0]
 
 
+def corner_contact_labels():
+    """Distinct labels everywhere but one pair: (1, 0, 0) and (2, 1, 1),
+    whose only contact is a cube-corner diagonal across the face between
+    rows 1 and 2."""
+    labels = np.arange(4 * 3 * 3).reshape(4, 3, 3)
+    labels[2, 1, 1] = labels[1, 0, 0]
+    return labels
+
+
+def u_shape_labels():
+    """Label 1 is a U whose arms, at z = 0 and z = 4, meet only in row 5;
+    a label-2 voxel between them in row 0 takes the id after the
+    background's, and the right arm's voxels come after both."""
+    labels = np.zeros((6, 4, 5), dtype=np.int64)
+    labels[:, 0, 0] = labels[:, 0, 4] = 1
+    labels[5, 0, :] = 1
+    labels[0, 0, 2] = 2
+    return labels
+
+
 class TestConnectivityOracle:
-    """Components from face links and corner-free diagonal links, and the
-    fragment placement over the fragment-component adjacency list, against
-    all 13 offset pairs and the per-fragment loop: identical arrays."""
+    """Components from slabs of face links and corner-free diagonal links,
+    joined across slab faces, and the fragment placement over the
+    fragment-component adjacency list, against all 13 offset pairs, one
+    whole-volume graph and the per-fragment loop: identical arrays for
+    every slab height and worker count."""
 
     @staticmethod
-    def assert_matches_oracle(labels):
-        comp, n_comp = supervoxel._same_label_components(labels)
+    def assert_matches_oracle(monkeypatch, labels):
         expected_comp, expected_n = same_label_components_all_pairs(labels)
-        assert n_comp == expected_n
-        assert np.array_equal(comp, expected_comp)
-        assert np.array_equal(
-            supervoxel._enforce_connectivity(labels), enforce_connectivity_per_fragment(labels)
-        )
+        whole_comp, whole_n = same_label_components_whole_volume(labels)
+        assert whole_n == expected_n
+        assert np.array_equal(whole_comp, expected_comp)
+        expected_final = enforce_connectivity_per_fragment(labels)
+        # Slabs of 1, 2 and 3 rows, and one slab holding every row.
+        for rows in (1, 2, 3, labels.shape[0] + 1):
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(supervoxel, "_COMP_ROWS", rows)
+                monkeypatch.setattr(parallel, "workers", lambda: workers)
+                comp, n_comp = supervoxel._same_label_components(labels)
+                assert n_comp == expected_n
+                assert comp.dtype == np.int32
+                assert np.array_equal(comp, expected_comp)
+                final = supervoxel._enforce_connectivity(labels)
+                assert final.dtype == np.int32
+                assert np.array_equal(final, expected_final)
 
     # Thin volumes keep the 4 values from percolating: many fragments, and
     # on (2, 30, 3) and (1, 12, 10) some seeds need deferred passes.
     @pytest.mark.parametrize("dims", [(2, 30, 3), (1, 12, 10), (2, 9, 13), (5, 7, 11)])
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_labelings(self, dims, seed):
+    def test_random_labelings(self, monkeypatch, dims, seed):
         labels = np.random.default_rng(seed).integers(0, 4, size=dims)
-        self.assert_matches_oracle(labels)
+        self.assert_matches_oracle(monkeypatch, labels)
 
-    def test_deferred_fragment(self):
+    def test_deferred_fragment(self, monkeypatch):
         labels = deferred_fragment_labels()
-        self.assert_matches_oracle(labels)
+        self.assert_matches_oracle(monkeypatch, labels)
         final = supervoxel._enforce_connectivity(labels)
         assert final[0, 0, 0] == final[0, 0, 1] == 0
 
     @pytest.mark.parametrize("dims", [(5, 4, 3), (1, 1, 1)])
-    def test_constant_labeling_has_no_fragments(self, dims):
+    def test_constant_labeling_has_no_fragments(self, monkeypatch, dims):
         labels = np.full(dims, 3, dtype=np.int64)
-        self.assert_matches_oracle(labels)
+        self.assert_matches_oracle(monkeypatch, labels)
         comp, n_comp = supervoxel._same_label_components(labels)
         assert n_comp == 1 and not comp.any()
 
     @pytest.mark.parametrize("dims", [(1, 17, 9), (13, 1, 6), (8, 11, 1)])
-    def test_one_voxel_axis(self, dims):
+    def test_one_voxel_axis(self, monkeypatch, dims):
         labels = np.random.default_rng(sum(dims)).integers(0, 4, size=dims)
-        self.assert_matches_oracle(labels)
+        self.assert_matches_oracle(monkeypatch, labels)
 
     @pytest.mark.parametrize("dims", [(48, 6, 4), (3, 40, 7), (5, 4, 64)])
-    def test_anisotropic_dims(self, dims):
+    def test_anisotropic_dims(self, monkeypatch, dims):
         noise = ndimage.gaussian_filter(np.random.default_rng(1).normal(size=dims), 0.7)
         labels = np.digitize(noise, np.quantile(noise, [0.25, 0.5, 0.75]))
-        self.assert_matches_oracle(labels)
+        self.assert_matches_oracle(monkeypatch, labels)
 
     def test_phantom_pre_connectivity_labels(self, monkeypatch):
-        self.assert_matches_oracle(pre_connectivity_labels(monkeypatch, phantom_wall_map()))
+        labels = pre_connectivity_labels(monkeypatch, phantom_wall_map())
+        self.assert_matches_oracle(monkeypatch, labels)
+
+    def test_corner_contact_across_slab_face(self, monkeypatch):
+        labels = corner_contact_labels()
+        self.assert_matches_oracle(monkeypatch, labels)
+        monkeypatch.setattr(supervoxel, "_COMP_ROWS", 2)
+        comp, n_comp = supervoxel._same_label_components(labels)
+        assert n_comp == labels.size - 1
+        assert comp[1, 0, 0] == comp[2, 1, 1]
+
+    def test_u_shape_merges_in_later_slab(self, monkeypatch):
+        labels = u_shape_labels()
+        self.assert_matches_oracle(monkeypatch, labels)
+        monkeypatch.setattr(supervoxel, "_COMP_ROWS", 2)
+        comp, n_comp = supervoxel._same_label_components(labels)
+        # Arms, background and the label-2 voxel, by lowest voxel.
+        assert n_comp == 3
+        assert comp[0, 0, 0] == comp[0, 0, 4] == 0
+        assert comp[0, 0, 1] == 1 and comp[0, 0, 2] == 2
 
 
 def test_memory_bounded_by_volume_size(monkeypatch):
@@ -328,13 +384,35 @@ def test_memory_bounded_by_volume_size(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # About 12x today.  Linking every equally labeled 26-neighbour pair in
-    # the connectivity step takes it to 25x, and one (clusters, window)
-    # float64 array alone is 27x.
-    assert peak <= 16 * data.size * 8
+    # About 7.4x today.  The whole-volume connectivity graph took it to
+    # 10.6x, linking every equally labeled 26-neighbour pair to 25x, and
+    # one (clusters, window) float64 array alone is 27x.
+    assert peak <= 10 * data.size * 8
+
+
+def test_enforce_connectivity_memory_bounded():
+    """Many fragments: the fragment-component pairs are made unique per
+    offset, and the components come from slabs."""
+    noise = ndimage.gaussian_filter(np.random.default_rng(2).normal(size=(96, 96, 96)), 1.0)
+    labels = np.digitize(noise, np.quantile(noise, np.linspace(0, 1, 9)[1:-1]))
+    tracemalloc.start()
+    try:
+        supervoxel._enforce_connectivity(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 5.3x today; the parent's 26 concatenated offsets of int64 keys took
+    # 10.7x.
+    assert peak <= 7 * labels.size * 8
 
 
 class TestValidation:
+    def test_one_voxel_axis_rejected(self):
+        # The extent checks pass; the seed grid's gradient needs 2 voxels.
+        flat = Volume(np.zeros((1, 20, 20), dtype=np.float32), (10.0, 1.0, 1.0), (0, 0, 0))
+        with pytest.raises(ValueError, match="axis 0 has 1 voxel"):
+            slic_supervoxels(flat, 80.0, 0.01)
+
     def test_degenerate_grid_rejected(self):
         thin = Volume(np.zeros((40, 40, 2), dtype=np.float32), (2.0, 2.0, 2.0), (0, 0, 0))
         with pytest.raises(ValueError, match="axis 2"):
