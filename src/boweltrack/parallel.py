@@ -22,13 +22,6 @@ def workers() -> int:
         return os.cpu_count() or 1
 
 
-def rows_per_worker(n: int, floor: int) -> int:
-    """Range size that spreads n rows over workers() threads, but never below
-    `floor` rows: thin ranges repeat per-range work (halos, window cuts,
-    buffers) for little output, and the floor also caps the thread count."""
-    return max(floor, -(-n // workers()))
-
-
 def map_ranges(fn, n: int, size: int) -> list:
     """Call fn(lo, hi) for the consecutive ranges [0, size), [size, 2 size),
     ... that cover 0..n, on up to workers() threads, and return the results

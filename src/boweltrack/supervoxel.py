@@ -40,9 +40,8 @@ WINDOW_FACTOR = 1.5
 # Window voxels per assignment batch: bounds the batch temporaries to about
 # 0.5 MB each, whatever the volume size or cluster count.
 _BATCH_VOXELS = 1 << 16
-# Axis-0 rows per slab of the seed grid's gradient and of the connectivity
-# components: bounds their temporaries to a few slabs, whatever the volume.
-_GRAD_ROWS = 16
+# Axis-0 rows per slab of the connectivity components: bounds their
+# temporaries to a few slabs, whatever the volume.
 _COMP_ROWS = 16
 
 # The 3^3 block in raster order; (0, 0, 0) sits in the middle, at index 13.
@@ -135,33 +134,20 @@ def _seed_grid(feature: Volume, step: float):
     counts = [max(1, int(round(extent[a] / step))) for a in range(3)]
     axes = [(np.arange(n) + 0.5) * (extent[a] / n) for a, n in enumerate(counts)]
 
+    grads = np.gradient(feature.data.astype(np.float64), *sp)
+    grad_mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
+
     # Each grid point moves to the lowest-gradient voxel of the 3^3 block
     # around it: the first minimum in block raster order, never a voxel
     # outside the volume.
     idx = [np.minimum((axes[a] / sp[a]).astype(int), dims[a] - 1) for a in range(3)]
     grid = np.stack(np.meshgrid(*idx, indexing="ij"), axis=-1).reshape(-1, 3)
-    # block[i, j, l, d0, d1, d2]: |grad f|^2 at voxel idx + d - 1, inf outside
-    # the volume.  Per block row, the voxels of axes 1 and 2 form one
-    # sub-grid of that row's plane.
-    near = [i[:, None] + np.arange(-1, 2) for i in idx]
-    cols = np.ix_(*(np.clip(c, 0, n - 1).ravel() for c, n in zip(near[1:], dims[1:])))
-    outside = np.logical_or.outer(*((c.ravel() < 0) | (c.ravel() >= n)
-                                    for c, n in zip(near[1:], dims[1:])))
-    block = np.full([len(i) for i in idx] + [3, 3, 3], np.inf)
-    # |grad f|^2 of np.gradient on the whole volume, one slab of rows at a
-    # time: central differences inside, one-sided at the volume's borders.
-    # With one halo row on either side, clipped to the volume, a slab's
-    # rows get exactly those differences.
-    for a in range(0, dims[0], _GRAD_ROWS):
-        b = min(a + _GRAD_ROWS, dims[0])
-        lo, hi = max(a - 1, 0), min(b + 1, dims[0])
-        grads = np.gradient(feature.data[lo:hi].astype(np.float64), *sp)
-        grad_mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
-        for i, d in np.argwhere((near[0] >= a) & (near[0] < b)):
-            vals = grad_mag[near[0][i, d] - lo][cols]
-            vals[outside] = np.inf
-            block[i, :, :, d] = vals.reshape(len(idx[1]), 3, len(idx[2]), 3).transpose(0, 2, 1, 3)
-    seeds = grid + _OFFSETS_27[np.argmin(block.reshape(len(grid), -1), axis=1)]
+    block = np.full((len(grid), len(_OFFSETS_27)), np.inf)
+    for j, off in enumerate(_OFFSETS_27):
+        nbr = grid + off
+        inside = np.all((nbr >= 0) & (nbr < dims), axis=1)
+        block[inside, j] = grad_mag[tuple(nbr[inside].T)]
+    seeds = grid + _OFFSETS_27[np.argmin(block, axis=1)]
     centers = (seeds + 0.5) * sp
     return seeds, centers
 
@@ -387,11 +373,9 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
                 flat_label[vox[dist.take(win) < prev.take(win)]] = n_clusters
                 np.minimum.at(flat_label, vox, ids[sel // len(offsets)])
 
-    # One slab per worker, of at least one window's rows.  More slabs
-    # measured slower: the windows cut at slab borders form more, smaller
-    # batches.
-    rows = parallel.rows_per_worker(dims[0], int((hi[:, 0] - lo[:, 0]).max()))
-    parallel.map_ranges(slab, dims[0], rows)
+    # One slab per worker.  More slabs measured slower: the windows cut at
+    # slab borders form more, smaller batches.
+    parallel.map_ranges(slab, dims[0], -(-dims[0] // parallel.workers()))
     return best_label
 
 
@@ -449,6 +433,7 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
                 df = np.abs(fval[sl, None] - cluster_feat[None, :])
                 dist = df + (cluster_m[None, :] / step) * ds
                 best_label[tuple(coords[sl].T)] = np.argmin(dist, axis=1)
+            del coords, pos, fval, ds, df, dist
         flat = best_label.ravel()
         max_df = _max_feature_distance(flat, feat.ravel(), cluster_feat)
 
@@ -465,6 +450,7 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
                 dims,
             ).ravel()
             sums[a] = np.bincount(flat, weights=coord, minlength=n_clusters)
+            del coord
         fsums = np.bincount(flat, weights=feat.ravel(), minlength=n_clusters)
         centers[occupied] = (sums[:, occupied] / counts[occupied]).T
         cluster_feat[occupied] = fsums[occupied] / counts[occupied]

@@ -1,18 +1,8 @@
-"""Range sizing and range order of the thread pool helper."""
+"""Range order of the thread pool helper."""
 
 import pytest
 
 from boweltrack import parallel
-
-
-@pytest.mark.parametrize(
-    "workers, n, floor, expected",
-    [(1, 100, 16, 100), (2, 100, 16, 50), (16, 100, 16, 16), (16, 5, 16, 16),
-     (3, 10, 1, 4), (4, 0, 1, 1)],
-)
-def test_rows_per_worker(monkeypatch, workers, n, floor, expected):
-    monkeypatch.setattr(parallel, "workers", lambda: workers)
-    assert parallel.rows_per_worker(n, floor) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2, 5])

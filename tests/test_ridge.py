@@ -292,23 +292,6 @@ class TestSlabs:
             tracemalloc.stop()
         assert peak <= 8 * vol.data.size * 8
 
-    def test_memory_peak_many_workers(self, monkeypatch):
-        # 32 rows: two ranges of 16 rows at 2 workers, and at 16 workers
-        # too.  Without the floor, 16 ranges of 2 rows each held a buffer
-        # for a sub-slab and its 2 ceil(4 sigma) halo rows.
-        vol = make_volume(np.random.default_rng(6).random((32, 40, 36)) * 50.0)
-        peaks, maps = {}, {}
-        for workers in (2, 16):
-            monkeypatch.setattr(parallel, "workers", lambda: workers)
-            tracemalloc.start()
-            try:
-                maps[workers] = meijering_response(vol).data.tobytes()
-                peaks[workers] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert maps[16] == maps[2]
-        assert peaks[16] <= peaks[2] + vol.data.nbytes // 8
-
 
 # Documented error of the closed-form response, in units of max|l|.
 RANDOM_BOUND = 4e-12

@@ -179,25 +179,21 @@ class TestOracleEquivalence:
         assert np.array_equal(got.data, expected.data)
 
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-    def test_seed_grid_matches_loop(self, monkeypatch, case):
+    def test_seed_grid_matches_loop(self, case):
         feature, target_volume, _ = EQUIVALENCE_CASES[case]
         step = target_volume ** (1.0 / 3.0)
+        got = supervoxel._seed_grid(feature, step)
         expected = seed_grid_loop(feature, step)
-        # Gradient slabs of 1 and 2 rows: every slab's halo rows matter.
-        for rows in (1, 2, 16):
-            monkeypatch.setattr(supervoxel, "_GRAD_ROWS", rows)
-            got = supervoxel._seed_grid(feature, step)
-            for a, b in zip(got, expected):
-                assert np.array_equal(a, b)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7, 16])
 @pytest.mark.parametrize("source", ["random", "phantom"])
 def test_labels_independent_of_workers(monkeypatch, workers, source):
-    """Each worker assigns one axis-0 slab of at least one window's rows;
-    17 rows on 3 or 7 workers end in a shorter slab.  A short switch
-    interval interleaves the threads often, so a voxel two slabs both wrote
-    would show."""
+    """Each worker assigns one axis-0 slab; 17 rows on 3, 7 or 16 workers
+    end in a shorter slab.  A short switch interval interleaves the threads
+    often, so a voxel two slabs both wrote would show."""
     if source == "random":
         feature = random_feature(5, dims=(17, 13, 11), spacing=(2.0, 2.0, 2.0))
     else:
@@ -384,7 +380,7 @@ def test_memory_bounded_by_volume_size(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # About 7.4x today.  The whole-volume connectivity graph took it to
+    # About 6.6x today.  The whole-volume connectivity graph took it to
     # 10.6x, linking every equally labeled 26-neighbour pair to 25x, and
     # one (clusters, window) float64 array alone is 27x.
     assert peak <= 10 * data.size * 8
