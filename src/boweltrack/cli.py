@@ -2,7 +2,12 @@
 
 Subcommands cover the full pipeline (`track`, `baseline`), evaluation
 (`eval`), the synthetic phantom (`phantom`), and the individual stages
-(`ridge`, `slic`, `rag`, `sample`) for debugging.
+for debugging, each writing the bytes of the pipeline's artifact:
+
+    ridge intensity out
+    slic wall_map out
+    rag segmentation wall_map labels out [--min-inside-fraction F]
+    sample segmentation wall_map labels masked_rag out [--distance-out VOL]
 
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 algorithmic infeasibility,
 5 internal invariant breach.
@@ -28,11 +33,11 @@ from .pipeline import (
     run_track,
     save_must_pass,
 )
-from .rag import build_rag, load_rag, mask_nodes, save_rag
+from .rag import build_rag, load_rag, save_rag
 from .ridge import DEFAULT_SCALES_MM, meijering_response
-from .sampling import distance_transform, node_map_of, sample_must_pass
+from .sampling import distance_transform, interior_mask, node_map_of, sample_must_pass
 from .supervoxel import load_label_volume, save_label_volume, slic_supervoxels
-from .volume_io import check_same_grid, load_volume, save_volume
+from .volume_io import load_volume, save_volume
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,13 +161,10 @@ def _cmd_slic(args) -> int:
 
 
 def _cmd_rag(args) -> int:
+    seg = load_volume(args.segmentation)
     wall = load_volume(args.wall_map)
     labels = load_label_volume(args.labels)
-    rag = build_rag(labels, wall)
-    if args.segmentation is not None:
-        seg = load_volume(args.segmentation)
-        bowel = seg.like((seg.data != 0).astype("uint8"))
-        rag = mask_nodes(rag, bowel, labels, args.min_inside_fraction)
+    rag = build_rag(labels, wall, seg, args.min_inside_fraction)
     save_rag(rag, args.out)
     print(f"{args.out} ({rag.n_nodes} nodes, {len(rag.edge_i)} edges)")
     return EXIT_OK
@@ -173,11 +175,7 @@ def _cmd_sample(args) -> int:
     wall = load_volume(args.wall_map)
     labels = load_label_volume(args.labels)
     masked = load_rag(args.masked_rag)
-    check_same_grid(seg, wall, "segmentation and wall map")
-    interior = seg.like(
-        ((seg.data != 0) & (wall.data < args.wall_threshold)).astype("uint8")
-    )
-    dist = as_float32(distance_transform(interior))
+    dist = as_float32(distance_transform(interior_mask(seg, wall, args.wall_threshold)))
     if args.distance_out is not None:
         save_volume(dist, args.distance_out)
     must_pass = sample_must_pass(dist, labels, node_map_of(masked),
@@ -235,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compactness floor (default: 0.01)")
     p.set_defaults(func=_cmd_slic)
 
-    p = sub.add_parser("rag", help="stage: labels + wall map -> adjacency graph")
+    p = sub.add_parser("rag", help="stage: segmentation + wall map + labels -> masked "
+                                   "adjacency graph")
+    p.add_argument("segmentation")
     p.add_argument("wall_map")
     p.add_argument("labels")
     p.add_argument("out")
-    p.add_argument("--segmentation", metavar="VOL",
-                   help="if given, also mask nodes by this segmentation")
     p.add_argument("--min-inside-fraction", type=float, default=0.5, metavar="F",
                    help="node keep fraction (default: 0.5; decision)")
     p.set_defaults(func=_cmd_rag)

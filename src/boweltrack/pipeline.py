@@ -17,7 +17,7 @@ from .config import TrackingConfig
 from .errors import ConfigError, FormatError, InfeasibleError, InvariantError
 from .metrics import DEFAULT_RESAMPLE_STEP_MM, MetricsReport, evaluate
 from .phantom import generate_phantom, load_phantom_spec
-from .rag import build_rag, load_rag, mask_nodes, save_rag
+from .rag import build_rag, load_rag, save_rag
 from .ridge import meijering_response
 from .route import (
     Route,
@@ -26,7 +26,13 @@ from .route import (
     shortest_path_baseline,
     solve_tsp,
 )
-from .sampling import MustPassSet, distance_transform, node_map_of, sample_must_pass
+from .sampling import (
+    MustPassSet,
+    distance_transform,
+    interior_mask,
+    node_map_of,
+    sample_must_pass,
+)
 from .supervoxel import load_label_volume, save_label_volume, slic_supervoxels
 from .volume_io import (
     _atomic_write_bytes,
@@ -40,7 +46,6 @@ from .volume_io import (
 ARTIFACTS = {
     "wall_map": "wall_map.vol",
     "labels": "labels.vol",
-    "rag": "rag.txt",
     "masked_rag": "masked_rag.txt",
     "distance": "distance.vol",
     "must_pass": "must_pass.txt",
@@ -195,15 +200,9 @@ def _graph_stages(config: TrackingConfig, runner: _Runner, intensity, seg):
         compute=lambda: slic_supervoxels(wall, config.target_volume, config.compactness),
         save=save_label_volume, load=load_label_volume,
     )
-    rag = runner.stage(
-        "rag", "rag",
-        compute=lambda: build_rag(labels, wall),
-        save=save_rag, load=load_rag,
-    )
-    bowel = seg.like((seg.data != 0).astype(np.uint8))
     masked = runner.stage(
-        "mask", "masked_rag",
-        compute=lambda: mask_nodes(rag, bowel, labels, config.min_inside_fraction),
+        "rag", "masked_rag",
+        compute=lambda: build_rag(labels, wall, seg, config.min_inside_fraction),
         save=save_rag, load=load_rag,
     )
     return wall, labels, masked
@@ -278,12 +277,10 @@ def run_track(config: TrackingConfig, log=None) -> TrackResult:
     wall, labels, masked = _graph_stages(config, runner, intensity, seg)
     node_map, v_st, v_ed = _terminals(config, seg, labels, masked)
 
-    interior = seg.like(
-        ((seg.data != 0) & (wall.data < config.wall_threshold)).astype(np.uint8)
-    )
     dist = runner.stage(
         "distance", "distance",
-        compute=lambda: as_float32(distance_transform(interior)),
+        compute=lambda: as_float32(
+            distance_transform(interior_mask(seg, wall, config.wall_threshold))),
         save=save_volume, load=load_volume,
     )
     must_pass = runner.stage(

@@ -1,9 +1,9 @@
 """Region adjacency graph over supervoxels with wall-crossing edge costs.
 
-Nodes are supervoxels (centroid + voxel count); an edge exists iff two
-supervoxels share at least one voxel face (6-connectivity), and its cost is
-the mean wall-map value over that shared boundary, each face valued by the
-average of its two incident voxels.
+Nodes are the supervoxels mostly inside the segmentation (centroid + voxel
+count); an edge exists iff two nodes share at least one voxel face
+(6-connectivity), and its cost is the mean wall-map value over that shared
+boundary, each face valued by the average of its two incident voxels.
 """
 
 from __future__ import annotations
@@ -84,10 +84,11 @@ class Rag:
         return adj.indices[sl], adj.data[sl]
 
 
-def _axis_faces(lab: np.ndarray, axis: int, n: int):
-    """Faces between differently-labeled neighbours along `axis`: the edge
-    key lo * n + hi of each face in C order, and the index tuples and mask
-    that pick its two voxels out of a volume on the same grid."""
+def _axis_faces(lab: np.ndarray, kept: np.ndarray, axis: int, n: int):
+    """Faces between differently-labeled neighbours along `axis` whose two
+    voxels are both in `kept`: the edge key lo * n + hi of each face in C
+    order, and the index tuples and mask that pick its two voxels out of a
+    volume on the same grid."""
     src = [slice(None)] * 3
     dst = [slice(None)] * 3
     src[axis] = slice(None, -1)
@@ -96,6 +97,8 @@ def _axis_faces(lab: np.ndarray, axis: int, n: int):
     a = lab[src]
     b = lab[dst]
     diff = a != b
+    diff &= kept[src]
+    diff &= kept[dst]
     a = a[diff]
     b = b[diff]
     keys = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
@@ -112,39 +115,55 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def build_rag(labels: LabelVolume, wall_map: Volume) -> Rag:
-    """Accumulate boundary faces between 6-adjacent differently-labeled voxels.
+def build_rag(labels: LabelVolume, wall_map: Volume, segmentation: Volume,
+              min_inside_fraction: float) -> Rag:
+    """Graph of the supervoxels inside the segmentation.
 
-    One axis at a time, twice: the first pass collects each axis's distinct
-    edge keys, the second adds each face's value to its edge, so only one
-    axis's faces are held at a time.  `np.add.at` adds an edge's face
-    values in axis order and in C order within an axis, the order of one
-    weighted `bincount` over all faces, so the costs keep its bits."""
+    A supervoxel is a node when at least `min_inside_fraction` of its
+    voxels are inside (nonzero in `segmentation`).  Nodes are numbered in
+    supervoxel order and keep their supervoxel ids in `node_ids`; an edge
+    joins two nodes that share a voxel face.
+
+    Faces are accumulated one axis at a time, twice: the first pass collects
+    each axis's distinct edge keys, the second adds each face's value to its
+    edge, so only one axis's faces are held at a time.  `np.add.at` adds an
+    edge's face values in axis order and in C order within an axis, the
+    order of one weighted `bincount` over all faces, so the costs keep its
+    bits."""
     check_same_grid(labels, wall_map, "labels and wall map")
+    check_same_grid(segmentation, labels, "segmentation and labels")
+    if not (0.0 < min_inside_fraction <= 1.0):
+        raise ValueError(f"min_inside_fraction must be in (0, 1], got {min_inside_fraction}")
 
     lab = labels.data
     wall = wall_map.data
     n = labels.label_count
 
+    flat = lab.ravel()
+    counts = np.bincount(flat, minlength=n).astype(np.int64)
+    inside = np.bincount(flat[segmentation.data.ravel() != 0], minlength=n)
+    keep = inside / counts >= min_inside_fraction
+    if not keep.any():
+        raise InfeasibleError(
+            "no graph nodes survive masking; segmentation and labels likely disagree"
+        )
+    kept = keep[lab]
+
     uniq = _distinct(np.concatenate(
-        [_distinct(_axis_faces(lab, axis, n)[0]) for axis in range(3)]))
+        [_distinct(_axis_faces(lab, kept, axis, n)[0]) for axis in range(3)]))
     faces = np.zeros(len(uniq), dtype=np.int64)
     sums = np.zeros(len(uniq))
     for axis in range(3):
-        keys, src, dst, diff = _axis_faces(lab, axis, n)
+        keys, src, dst, diff = _axis_faces(lab, kept, axis, n)
         edge = np.searchsorted(uniq, keys)
         del keys
         faces += np.bincount(edge, minlength=len(uniq))
         face_val = 0.5 * (wall[src][diff].astype(np.float64)
                           + wall[dst][diff].astype(np.float64))
         np.add.at(sums, edge, face_val)
-    edge_i = uniq // n
-    edge_j = uniq % n
-    edge_cost = sums / faces
-    edge_faces = faces
+    del kept
+    node = np.cumsum(keep) - 1
 
-    flat = lab.ravel()
-    counts = np.bincount(flat, minlength=n).astype(np.int64)
     sp = np.asarray(labels.spacing)
     orig = np.asarray(labels.origin)
     centroids = np.empty((n, 3))
@@ -156,52 +175,13 @@ def build_rag(labels: LabelVolume, wall_map: Volume) -> Rag:
         centroids[:, axis] = np.bincount(flat, weights=coord, minlength=n) / counts
 
     return Rag(
-        node_ids=np.arange(n, dtype=np.int64),
-        centroids=centroids,
-        counts=counts,
-        edge_i=edge_i,
-        edge_j=edge_j,
-        edge_cost=edge_cost,
-        edge_faces=edge_faces,
-    )
-
-
-def mask_nodes(
-    rag: Rag, segmentation: Volume, labels: LabelVolume, min_inside_fraction: float = 0.5
-) -> Rag:
-    """Drop nodes mostly outside the mask; surviving nodes are re-indexed and
-    keep their original supervoxel ids in node_ids."""
-    check_same_grid(segmentation, labels, "segmentation and labels")
-    seg = segmentation.data
-    values = np.unique(seg)
-    if not np.all(np.isin(values, (0, 1))):
-        raise ValueError(f"segmentation must be binary, found values {values[:5]}")
-    if not (0.0 < min_inside_fraction <= 1.0):
-        raise ValueError(f"min_inside_fraction must be in (0, 1], got {min_inside_fraction}")
-
-    flat = labels.data.ravel()
-    inside = np.bincount(flat[seg.ravel() != 0], minlength=labels.label_count)
-    total = np.bincount(flat, minlength=labels.label_count)
-    fraction = inside / total
-
-    keep_label = fraction >= min_inside_fraction
-    keep_node = keep_label[rag.node_ids]
-    if not keep_node.any():
-        raise InfeasibleError(
-            "no graph nodes survive masking; segmentation and labels likely disagree"
-        )
-
-    remap = np.full(rag.n_nodes, -1, dtype=np.int64)
-    remap[np.flatnonzero(keep_node)] = np.arange(int(keep_node.sum()))
-    keep_edge = keep_node[rag.edge_i] & keep_node[rag.edge_j]
-    return Rag(
-        node_ids=rag.node_ids[keep_node].copy(),
-        centroids=rag.centroids[keep_node].copy(),
-        counts=rag.counts[keep_node].copy(),
-        edge_i=remap[rag.edge_i[keep_edge]],
-        edge_j=remap[rag.edge_j[keep_edge]],
-        edge_cost=rag.edge_cost[keep_edge].copy(),
-        edge_faces=rag.edge_faces[keep_edge].copy(),
+        node_ids=np.flatnonzero(keep),
+        centroids=centroids[keep],
+        counts=counts[keep],
+        edge_i=node[uniq // n],
+        edge_j=node[uniq % n],
+        edge_cost=sums / faces,
+        edge_faces=faces,
     )
 
 

@@ -21,6 +21,14 @@ from .supervoxel import LabelVolume
 from .volume_io import Volume, check_same_grid
 
 
+def interior_mask(segmentation: Volume, wall_map: Volume, wall_threshold: float) -> Volume:
+    """The bowel interior as a 0/1 volume: voxels inside the segmentation
+    (nonzero) whose wall-map value is below `wall_threshold`."""
+    check_same_grid(segmentation, wall_map, "segmentation and wall map")
+    return segmentation.like(
+        ((segmentation.data != 0) & (wall_map.data < wall_threshold)).astype(np.uint8))
+
+
 def distance_transform(interior: Volume) -> Volume:
     """Exact Euclidean distance (mm) to the nearest background voxel center,
     with everything outside the volume treated as background."""

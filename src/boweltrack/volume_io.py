@@ -154,7 +154,10 @@ def load_volume(path) -> Volume:
         )
     data = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
     data = data.reshape(dims, order="F")
-    return Volume(data, np.array(spacing), np.array(origin))
+    try:
+        return Volume(data, np.array(spacing), np.array(origin))
+    except InvariantError as exc:
+        raise FormatError(f"{path}: invalid volume: {exc}") from exc
 
 
 def save_volume(vol: Volume, path) -> None:
@@ -192,7 +195,10 @@ def load_polyline(path) -> Polyline:
                 raise FormatError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
     if len(points) < 2:
         raise FormatError(f"{path}: polyline needs at least 2 points, found {len(points)}")
-    return Polyline(np.array(points))
+    try:
+        return Polyline(np.array(points))
+    except InvariantError as exc:
+        raise FormatError(f"{path}: invalid polyline: {exc}") from exc
 
 
 def save_polyline(line: Polyline, path) -> None:

@@ -3,7 +3,8 @@ order over a simplified-graph cost matrix and the dummy-node construction
 of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
 the seed-grid loop, the all-pairs and the whole-volume same-label
 components and the per-fragment connectivity loop (supervoxels); the
-all-faces graph build and the f-string graph writer;
+all-faces graph build, the node mask applied to a whole-volume graph and
+the f-string graph writer;
 the whole-ball peak search (sampling); the sampled Gaussian derivative
 kernel, the whole-volume Hessian and the eigvalsh sheet response (wall
 filter); and the full-grid centerline distance and the
@@ -22,7 +23,7 @@ from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.phantom import FAR_PAIR_ARC_FACTOR
 from boweltrack.rag import Rag
 from boweltrack.route import Route, _must_pass_ids, _route_from_nodes
-from boweltrack.volume_io import Volume
+from boweltrack.volume_io import Volume, check_same_grid
 
 MAX_EXACT_MUST_PASS = 20
 
@@ -352,6 +353,44 @@ def build_rag_all_faces(lab: np.ndarray, wall: np.ndarray, n: int):
     faces = np.bincount(inverse, minlength=len(uniq))
     sums = np.bincount(inverse, weights=np.concatenate(vals), minlength=len(uniq))
     return uniq // n, uniq % n, sums / faces, faces
+
+
+def mask_nodes(rag: Rag, segmentation: Volume, labels, min_inside_fraction: float = 0.5) -> Rag:
+    """`rag.build_rag` in two steps: a graph over every supervoxel, then this
+    drops the nodes mostly outside the binary `segmentation`; surviving
+    nodes are re-indexed and keep their supervoxel ids in node_ids."""
+    check_same_grid(segmentation, labels, "segmentation and labels")
+    seg = segmentation.data
+    values = np.unique(seg)
+    if not np.all(np.isin(values, (0, 1))):
+        raise ValueError(f"segmentation must be binary, found values {values[:5]}")
+    if not (0.0 < min_inside_fraction <= 1.0):
+        raise ValueError(f"min_inside_fraction must be in (0, 1], got {min_inside_fraction}")
+
+    flat = labels.data.ravel()
+    inside = np.bincount(flat[seg.ravel() != 0], minlength=labels.label_count)
+    total = np.bincount(flat, minlength=labels.label_count)
+    fraction = inside / total
+
+    keep_label = fraction >= min_inside_fraction
+    keep_node = keep_label[rag.node_ids]
+    if not keep_node.any():
+        raise InfeasibleError(
+            "no graph nodes survive masking; segmentation and labels likely disagree"
+        )
+
+    remap = np.full(rag.n_nodes, -1, dtype=np.int64)
+    remap[np.flatnonzero(keep_node)] = np.arange(int(keep_node.sum()))
+    keep_edge = keep_node[rag.edge_i] & keep_node[rag.edge_j]
+    return Rag(
+        node_ids=rag.node_ids[keep_node].copy(),
+        centroids=rag.centroids[keep_node].copy(),
+        counts=rag.counts[keep_node].copy(),
+        edge_i=remap[rag.edge_i[keep_edge]],
+        edge_j=remap[rag.edge_j[keep_edge]],
+        edge_cost=rag.edge_cost[keep_edge].copy(),
+        edge_faces=rag.edge_faces[keep_edge].copy(),
+    )
 
 
 def save_rag_fstrings(rag: Rag, path) -> None:

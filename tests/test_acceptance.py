@@ -380,7 +380,7 @@ def test_criterion_08_simplified_cost_suite():
 def test_criterion_09_track_determinism(phantom_cache, monkeypatch):
     # Every artifact but the timed diagnostics; the second run spreads the
     # per-voxel kernels over three threads.
-    names = [ARTIFACTS[key] for key in ("wall_map", "labels", "rag", "masked_rag",
+    names = [ARTIFACTS[key] for key in ("wall_map", "labels", "masked_rag",
                                         "distance", "must_pass", "route", "metrics")]
     specs = [STRAIGHT_SPEC, BENT_SPEC, SMALL_FOLDED_SPEC]
     for k, spec in enumerate(specs):
@@ -414,7 +414,7 @@ def test_criterion_10_invariant_property_suites():
             assert n_comp == 1, f"seed {seed}: label {lab} split into {n_comp}"
 
         # RAG on the same labeling: symmetric adjacency, boundary conservation.
-        rag = build_rag(labels, feature)
+        rag = build_rag(labels, feature, feature.like(np.ones(labels.dims, np.uint8)), 0.5)
         for i, j in zip(rag.edge_i[:50], rag.edge_j[:50]):
             nbr_i, _ = rag.neighbors(int(i))
             nbr_j, _ = rag.neighbors(int(j))

@@ -57,8 +57,9 @@ class TestTrackCommand:
     def test_stage_log_on_stderr(self, workspace, capsys):
         assert cli.main(["track", str(workspace["config"])]) == 0
         err = capsys.readouterr().err
-        for stage in ("ridge", "slic", "rag", "mask", "distance", "sample", "route"):
+        for stage in ("ridge", "slic", "rag", "distance", "sample", "route"):
             assert f"[{stage}]" in err
+        assert "[mask]" not in err
 
     def test_quiet_suppresses_log(self, workspace, capsys):
         assert cli.main(["track", str(workspace["config"]), "--quiet"]) == 0
@@ -157,9 +158,30 @@ class TestExitCodes:
         data[0, 0, 0] = 2**31 + 5       # negative after an int32 cast
         labels = tmp_path / "labels.vol"
         save_volume(Volume(data, wall.spacing, wall.origin), labels)
-        assert cli.main(["rag", artifact(workspace, "wall_map"), str(labels),
+        assert cli.main(["rag", str(workspace["data"] / "segmentation.vol"),
+                         artifact(workspace, "wall_map"), str(labels),
                          str(tmp_path / "rag.txt")]) == 3
         assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["0 0 0\n1 1 1\n1 1 1\n", "0 0 0\n1 nan 1\n"],
+                             ids=["coincident-points", "nan-coordinate"])
+    def test_invalid_polyline_is_io(self, workspace, tmp_path, capsys, text):
+        bad = tmp_path / "bad.poly"
+        bad.write_text(text)
+        assert cli.main(["eval", str(bad), str(workspace["data"] / "gt.poly")]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "bad.poly" in err
+
+    @pytest.mark.parametrize("spacing, voxel", [("0 1 1", 0.0), ("1 1 1", float("nan"))],
+                             ids=["zero-spacing", "nan-voxel"])
+    def test_invalid_volume_is_io(self, tmp_path, capsys, spacing, voxel):
+        bad = tmp_path / "bad.vol"
+        header = f"dims: 2 2 2\nspacing: {spacing}\norigin: 0 0 0\ndtype: f32\n\n"
+        bad.write_bytes(header.encode("ascii") + np.full(8, voxel, "<f4").tobytes())
+        assert cli.main(["ridge", str(bad), str(tmp_path / "wall.vol")]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error" in err and "bad.vol" in err
+        assert not (tmp_path / "wall.vol").exists()
 
     def test_pruned_start_is_infeasible(self, workspace, capsys):
         assert cli.main(["track", str(workspace["config"]), "--quiet",
@@ -239,18 +261,22 @@ class TestStageCommands:
         n_fine = int(fine_labels.data.max()) + 1
         assert n_coarse < n_fine
 
-    def test_rag_unmasked_and_masked(self, workspace, tmp_path, capsys):
-        out = tmp_path / "rag.txt"
-        assert cli.main(["rag", artifact(workspace, "wall_map"),
+    def test_rag_reproduces_pipeline_artifact(self, workspace, tmp_path, capsys):
+        out = tmp_path / "masked.txt"
+        assert cli.main(["rag", str(workspace["data"] / "segmentation.vol"),
+                         artifact(workspace, "wall_map"),
                          artifact(workspace, "labels"), str(out)]) == 0
-        assert read_bytes(out) == read_bytes(artifact(workspace, "rag"))
-        masked = tmp_path / "masked.txt"
-        assert cli.main(["rag", artifact(workspace, "wall_map"),
-                         artifact(workspace, "labels"), str(masked),
-                         "--segmentation",
-                         str(workspace["data"] / "segmentation.vol")]) == 0
         capsys.readouterr()
-        assert read_bytes(masked) == read_bytes(artifact(workspace, "masked_rag"))
+        assert read_bytes(out) == read_bytes(artifact(workspace, "masked_rag"))
+
+    def test_rag_without_segmentation_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "rag.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["rag", artifact(workspace, "wall_map"),
+                      artifact(workspace, "labels"), str(out)])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sample_reproduces_pipeline_artifact(self, workspace, tmp_path, capsys):
         out = tmp_path / "mp.txt"
@@ -322,8 +348,8 @@ class TestGridMismatch:
 
     def test_masked_rag_exits_config(self, workspace, tmp_path, capsys, regrid):
         seg = regridded_segmentation(workspace, tmp_path, regrid)
-        assert cli.main(["rag", artifact(workspace, "wall_map"),
-                         artifact(workspace, "labels"), str(tmp_path / "rag.txt"),
-                         "--segmentation", seg]) == cli.EXIT_CONFIG
+        assert cli.main(["rag", seg, artifact(workspace, "wall_map"),
+                         artifact(workspace, "labels"),
+                         str(tmp_path / "rag.txt")]) == cli.EXIT_CONFIG
         assert "different grids" in capsys.readouterr().err
         assert not (tmp_path / "rag.txt").exists()

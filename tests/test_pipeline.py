@@ -69,10 +69,12 @@ def straight(tmp_path_factory):
 class TestTrackArtifacts:
     def test_all_artifacts_written(self, straight):
         out = straight["config"].output_dir
-        for key in ("wall_map", "labels", "rag", "masked_rag", "distance",
+        for key in ("wall_map", "labels", "masked_rag", "distance",
                     "must_pass", "route", "diagnostics", "metrics"):
             assert os.path.exists(os.path.join(out, ARTIFACTS[key])), key
             assert key in straight["result"].artifacts
+        # The graph is built over the bowel only; no whole-volume graph is kept.
+        assert not os.path.exists(os.path.join(out, "rag.txt"))
 
     def test_route_matches_saved_polyline(self, straight):
         saved = load_polyline(straight["result"].artifacts["route"])
@@ -95,14 +97,14 @@ class TestTrackArtifacts:
             text = fh.read()
         # Noiseless straight tube: every leg is realizable in the graph.
         assert "0 straight-line" in text
-        for stage in ("ridge", "slic", "rag", "mask", "distance", "sample", "route"):
+        for stage in ("ridge", "slic", "rag", "distance", "sample", "route"):
             assert f"{stage}:" in text
         assert "must-pass nodes:" in text
         assert "source=cached" in text
 
     def test_stage_records(self, straight):
         names = [rec.name for rec in straight["result"].stages]
-        assert names == ["ridge", "slic", "rag", "mask", "distance", "sample", "route"]
+        assert names == ["ridge", "slic", "rag", "distance", "sample", "route"]
         assert all(rec.seconds >= 0 for rec in straight["result"].stages)
 
     def test_must_pass_nonempty(self, straight):
@@ -124,7 +126,7 @@ class TestBaselineStraight:
 
 
 class TestResumeAndDeterminism:
-    BITWISE_KEYS = ("wall_map", "labels", "rag", "masked_rag", "distance",
+    BITWISE_KEYS = ("wall_map", "labels", "masked_rag", "distance",
                     "must_pass", "route", "metrics")
 
     def read(self, out_dir, key):
@@ -145,9 +147,28 @@ class TestResumeAndDeterminism:
         logged = []
         result = run_track(straight["config"], log=logged.append)
         cached = [rec.name for rec in result.stages if rec.cached]
-        assert cached == ["ridge", "slic", "rag", "mask", "distance", "sample"]
+        assert cached == ["ridge", "slic", "rag", "distance", "sample"]
         assert any("(cached)" in line for line in logged)
         assert self.read(straight["config"].output_dir, "route") == before
+
+    def test_resume_ignores_stray_whole_volume_graph(self, straight, tmp_path):
+        # An output directory written when the whole-volume graph was its own
+        # artifact still holds rag.txt; it is never read, so not even an
+        # unreadable one stops the resume.
+        src = straight["config"].output_dir
+        out = str(tmp_path / "older")
+        shutil.copytree(src, out)
+        stray = os.path.join(out, "rag.txt")
+        with open(stray, "wb") as fh:
+            fh.write(b"node x\n")
+        config = make_config(straight["paths"], straight["gt"], out)
+        result = run_track(config)
+        assert [rec.name for rec in result.stages if rec.cached] == [
+            "ridge", "slic", "rag", "distance", "sample"]
+        for key in self.BITWISE_KEYS:
+            assert self.read(out, key) == self.read(src, key), key
+        with open(stray, "rb") as fh:
+            assert fh.read() == b"node x\n"
 
     def test_partial_resume_same_result(self, straight, tmp_path):
         src = straight["config"].output_dir

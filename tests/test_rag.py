@@ -9,11 +9,11 @@ from boweltrack import rag as rag_module
 
 from boweltrack.errors import FormatError, InfeasibleError
 from boweltrack.phantom import PhantomSpec, generate_phantom
-from boweltrack.rag import Rag, build_rag, load_rag, mask_nodes, save_rag
+from boweltrack.rag import Rag, build_rag, load_rag, save_rag
 from boweltrack.ridge import meijering_response
 from boweltrack.supervoxel import LabelVolume, slic_supervoxels
 from boweltrack.volume_io import Volume
-from oracles import build_rag_all_faces, save_rag_fstrings
+from oracles import build_rag_all_faces, mask_nodes, save_rag_fstrings
 
 AXIS_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -72,6 +72,26 @@ def blocky_labeling(dims, block=3, seed=0):
             Volume(wall, (2.0, 2.0, 2.0), (0.0, 0.0, 0.0)))
 
 
+def inside_all(lv):
+    """All-ones segmentation on the grid of `lv`."""
+    return Volume(np.ones(lv.dims, dtype=np.uint8), lv.spacing, lv.origin)
+
+
+def full_graph(lv, wall):
+    """The graph over every supervoxel: every voxel counts as inside."""
+    return build_rag(lv, wall, inside_all(lv), 0.5)
+
+
+@pytest.fixture(scope="module")
+def phantom_graph_inputs():
+    """Labels, wall map and 0/1/2-coded segmentation of a small bent phantom."""
+    spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
+    intensity, seg, path = generate_phantom(spec)
+    wall = meijering_response(intensity)
+    labels = slic_supervoxels(wall, 216.0, 0.01)
+    return labels, wall, seg, path
+
+
 def plane_split(wall_value):
     lab = np.zeros((6, 5, 4), dtype=np.int32)
     lab[3:] = 1
@@ -84,20 +104,20 @@ def plane_split(wall_value):
 
 class TestBuild:
     def test_plane_split_zero_map_single_zero_edge(self):
-        rag = build_rag(*plane_split(0.0))
+        rag = full_graph(*plane_split(0.0))
         assert rag.n_edges == 1
         assert rag.edge_cost[0] == 0.0
         assert rag.edge_faces[0] == 5 * 4
 
     def test_plane_split_constant_map(self):
-        rag = build_rag(*plane_split(0.8))
+        rag = full_graph(*plane_split(0.8))
         assert rag.n_edges == 1
         assert rag.edge_cost[0] == pytest.approx(0.8, abs=1e-7)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         lv, wall = random_labeling(seed)
-        rag = build_rag(lv, wall)
+        rag = full_graph(lv, wall)
         expected = brute_force_edges(lv.data, wall.data.astype(np.float64))
         got = edge_table(rag)
         assert set(got) == set(expected)
@@ -114,13 +134,11 @@ class TestBuild:
         lab.flat[:n_labels] = np.arange(n_labels)
         lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), n_labels)
         wall = Volume(rng.random(dims).astype(np.float32), lv.spacing, lv.origin)
-        self.assert_matches_oracle(build_rag(lv, wall), lv, wall)
+        self.assert_matches_oracle(full_graph(lv, wall), lv, wall)
 
-    def test_edges_match_all_faces_oracle_on_phantom(self):
-        spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
-        wall = meijering_response(generate_phantom(spec)[0])
-        labels = slic_supervoxels(wall, 216.0, 0.01)
-        self.assert_matches_oracle(build_rag(labels, wall), labels, wall)
+    def test_edges_match_all_faces_oracle_on_phantom(self, phantom_graph_inputs):
+        labels, wall, _, _ = phantom_graph_inputs
+        self.assert_matches_oracle(full_graph(labels, wall), labels, wall)
 
     @staticmethod
     def assert_matches_oracle(rag, labels, wall):
@@ -132,12 +150,13 @@ class TestBuild:
 
     def test_memory_peak_bounded(self):
         # One axis's faces at a time: on 96 x 96 x 48 voxels in blocks of
-        # about 27 this build peaks at 41 bytes per voxel, the all-faces
-        # build (one np.unique over every face) at 114.
+        # about 27, all inside, this build peaks at 40 bytes per voxel, the
+        # all-faces build (one np.unique over every face) at 114.
         lv, wall = blocky_labeling((96, 96, 48))
+        seg = inside_all(lv)
         tracemalloc.start()
         try:
-            build_rag(lv, wall)
+            build_rag(lv, wall, seg, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -145,7 +164,7 @@ class TestBuild:
 
     def test_centroids_are_mean_physical_positions(self):
         lv, wall = random_labeling(11)
-        rag = build_rag(lv, wall)
+        rag = full_graph(lv, wall)
         sp = np.asarray(lv.spacing)
         for lab in range(lv.label_count):
             pos = (np.argwhere(lv.data == lab) + 0.5) * sp
@@ -156,26 +175,32 @@ class TestBuild:
         lv, _ = random_labeling(0)
         wall = Volume(np.zeros((4, 4, 4), dtype=np.float32), (1.5, 2.0, 2.5), (0, 0, 0))
         with pytest.raises(ValueError, match="dims"):
-            build_rag(lv, wall)
+            full_graph(lv, wall)
 
     def test_spacing_mismatch_rejected(self):
         lv, _ = random_labeling(0)
         wall = Volume(np.zeros((8, 8, 8), dtype=np.float32), (1.0, 1.0, 1.0), (0, 0, 0))
         with pytest.raises(ValueError, match="spacing"):
-            build_rag(lv, wall)
+            full_graph(lv, wall)
 
     def test_origin_mismatch_rejected(self):
         lv, _ = random_labeling(0)
         wall = Volume(np.zeros((8, 8, 8), dtype=np.float32), lv.spacing, (10.0, 0, 0))
         with pytest.raises(ValueError, match="origin"):
-            build_rag(lv, wall)
+            full_graph(lv, wall)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        lv, wall = random_labeling(0)
+        with pytest.raises(ValueError, match="min_inside_fraction"):
+            build_rag(lv, wall, inside_all(lv), fraction)
 
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(20))
     def test_symmetry_and_face_conservation(self, seed):
         lv, wall = random_labeling(seed, dims=(7, 6, 5), n_labels=5)
-        rag = build_rag(lv, wall)
+        rag = full_graph(lv, wall)
         # symmetric adjacency view
         for i, j, cost in zip(rag.edge_i, rag.edge_j, rag.edge_cost):
             nbr_i, cost_i = rag.neighbors(int(i))
@@ -191,11 +216,11 @@ class TestInvariants:
         assert rag.edge_faces.sum() == total
 
     def test_adjacency_is_built_once(self):
-        rag = build_rag(*random_labeling(4))
+        rag = full_graph(*random_labeling(4))
         assert rag.adjacency() is rag.adjacency()
 
     def test_zero_cost_edges_stay_stored(self):
-        rag = build_rag(*plane_split(0.0))
+        rag = full_graph(*plane_split(0.0))
         adj = rag.adjacency()
         assert adj.nnz == 2
         assert np.array_equal(adj.data, [0.0, 0.0])
@@ -204,7 +229,7 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_neighbors_ascend(self, seed):
         lv, wall = random_labeling(seed, dims=(7, 6, 5), n_labels=6)
-        rag = build_rag(lv, wall)
+        rag = full_graph(lv, wall)
         table = edge_table(rag)
         for node in range(rag.n_nodes):
             nbr, cost = rag.neighbors(node)
@@ -214,41 +239,78 @@ class TestInvariants:
 
     def test_costs_nonnegative_finite(self):
         lv, wall = random_labeling(3)
-        rag = build_rag(lv, wall)
+        rag = full_graph(lv, wall)
         assert np.all(np.isfinite(rag.edge_cost))
         assert np.all(rag.edge_cost >= 0)
 
 
+def random_mask(lv, seed):
+    """0/1 segmentation: about 60 % of the voxels at random, plus every
+    voxel of half the labels, so those labels lie wholly inside."""
+    rng = np.random.default_rng(seed + 100)
+    whole = rng.choice(lv.label_count, lv.label_count // 2, replace=False)
+    mask = (rng.random(lv.dims) < 0.6) | np.isin(lv.data, whole)
+    return Volume(mask.astype(np.uint8), lv.spacing, lv.origin)
+
+
 class TestMasking:
+    def assert_matches_two_step_oracle(self, labels, wall, seg, fraction, tmp_path):
+        """Same bytes as the whole-volume graph masked afterwards, or the
+        same refusal when no node survives."""
+        binary = seg.like((seg.data != 0).astype(np.uint8))
+        try:
+            expected = mask_nodes(full_graph(labels, wall), binary, labels, fraction)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError, match="masking"):
+                build_rag(labels, wall, seg, fraction)
+            return None
+        got = build_rag(labels, wall, seg, fraction)
+        save_rag(got, tmp_path / "got.txt")
+        save_rag(expected, tmp_path / "expected.txt")
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
+        for name in ("node_ids", "counts", "edge_i", "edge_j", "edge_faces"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+        return got
+
+    @pytest.mark.parametrize("fraction", [1e-6, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_two_step_oracle_bytes(self, seed, fraction, tmp_path):
+        lv, wall = random_labeling(seed, dims=(9, 8, 7), n_labels=6)
+        got = self.assert_matches_two_step_oracle(
+            lv, wall, random_mask(lv, seed), fraction, tmp_path)
+        assert got is not None and got.n_edges > 0
+
+    @pytest.mark.parametrize("fraction", [1e-6, 0.5, 1.0])
+    def test_matches_two_step_oracle_bytes_on_phantom(self, phantom_graph_inputs, fraction,
+                                                      tmp_path):
+        labels, wall, seg, _ = phantom_graph_inputs
+        got = self.assert_matches_two_step_oracle(labels, wall, seg, fraction, tmp_path)
+        assert 0 < got.n_nodes < labels.label_count
+
     def test_full_mask_keeps_everything(self):
         lv, wall = random_labeling(2)
-        rag = build_rag(lv, wall)
-        ones = Volume(np.ones(lv.dims, dtype=np.uint8), lv.spacing, lv.origin)
-        kept = mask_nodes(rag, ones, lv, 0.5)
-        assert np.array_equal(kept.node_ids, rag.node_ids)
-        assert np.array_equal(kept.edge_i, rag.edge_i)
-        assert np.array_equal(kept.edge_cost, rag.edge_cost)
+        kept = build_rag(lv, wall, inside_all(lv), 1.0)
+        assert np.array_equal(kept.node_ids, np.arange(lv.label_count))
+        TestBuild.assert_matches_oracle(kept, lv, wall)
 
     def test_empty_mask_raises(self):
         lv, wall = random_labeling(2)
-        rag = build_rag(lv, wall)
         zeros = Volume(np.zeros(lv.dims, dtype=np.uint8), lv.spacing, lv.origin)
         with pytest.raises(InfeasibleError, match="masking"):
-            mask_nodes(rag, zeros, lv, 0.5)
+            build_rag(lv, wall, zeros, 0.5)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_masking_is_a_subgraph(self, seed):
         lv, wall = random_labeling(seed, dims=(9, 8, 7), n_labels=6)
-        rag = build_rag(lv, wall)
         rng = np.random.default_rng(seed + 100)
         mask = Volume(
             (rng.random(lv.dims) < 0.6).astype(np.uint8), lv.spacing, lv.origin
         )
         try:
-            kept = mask_nodes(rag, mask, lv, 0.5)
+            kept = build_rag(lv, wall, mask, 0.5)
         except InfeasibleError:
             return
-        orig = edge_table(rag)
+        orig = edge_table(full_graph(lv, wall))
         for i, j, cost, faces in zip(
             kept.edge_i, kept.edge_j, kept.edge_cost, kept.edge_faces
         ):
@@ -257,31 +319,30 @@ class TestMasking:
             assert orig[key][0] == pytest.approx(cost)
             assert orig[key][1] == faces
 
-    def test_nonbinary_mask_rejected(self):
-        lv, wall = random_labeling(2)
-        rag = build_rag(lv, wall)
-        bad = Volume(np.full(lv.dims, 2, dtype=np.uint8), lv.spacing, lv.origin)
-        with pytest.raises(ValueError, match="binary"):
-            mask_nodes(rag, bad, lv, 0.5)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonzero_codes_count_as_inside(self, seed, tmp_path):
+        # The phantom codes wall 2 and lumen 1; both are inside.
+        lv, wall = random_labeling(seed, dims=(9, 8, 7), n_labels=6)
+        binary = random_mask(lv, seed)
+        coded = binary.data * np.random.default_rng(seed).integers(1, 3, lv.dims)
+        coded = binary.like(coded.astype(np.uint8))
+        assert set(np.unique(coded.data)) == {0, 1, 2}
+        save_rag(build_rag(lv, wall, binary, 0.5), tmp_path / "binary.txt")
+        save_rag(build_rag(lv, wall, coded, 0.5), tmp_path / "coded.txt")
+        assert (tmp_path / "binary.txt").read_bytes() == (tmp_path / "coded.txt").read_bytes()
 
     @pytest.mark.parametrize("spacing, origin", [((3.0, 3.0, 3.0), (0.0, 0.0, 0.0)),
                                                  ((1.5, 2.0, 2.5), (0.0, 10.0, 0.0))],
                              ids=["rescaled-spacing", "shifted-origin"])
     def test_mask_on_another_grid_rejected(self, spacing, origin):
         lv, wall = random_labeling(2)
-        rag = build_rag(lv, wall)
         ones = Volume(np.ones(lv.dims, dtype=np.uint8), spacing, origin)
         with pytest.raises(ValueError, match="different grids"):
-            mask_nodes(rag, ones, lv, 0.5)
+            build_rag(lv, wall, ones, 0.5)
 
-    def test_phantom_gt_supervoxels_survive(self):
-        spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
-        intensity, seg, path = generate_phantom(spec)
-        wall = meijering_response(intensity)
-        labels = slic_supervoxels(wall, 216.0, 0.01)
-        rag = build_rag(labels, wall)
-        bowel = Volume((seg.data != 0).astype(np.uint8), seg.spacing, seg.origin)
-        kept = mask_nodes(rag, bowel, labels, 0.5)
+    def test_phantom_gt_supervoxels_survive(self, phantom_graph_inputs):
+        labels, wall, seg, path = phantom_graph_inputs
+        kept = build_rag(labels, wall, seg, 0.5)
         surviving = set(kept.node_ids.tolist())
         sp = np.asarray(labels.spacing)
         for point in path.points:
@@ -294,7 +355,7 @@ class TestMasking:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         lv, wall = random_labeling(4)
-        rag = build_rag(lv, wall)
+        rag = full_graph(lv, wall)
         out = tmp_path / "graph.txt"
         save_rag(rag, out)
         back = load_rag(out)
@@ -308,10 +369,9 @@ class TestSerialization:
 
     def test_round_trip_preserves_original_ids_after_masking(self, tmp_path):
         lv, wall = random_labeling(6)
-        rag = build_rag(lv, wall)
         mask = np.zeros(lv.dims, dtype=np.uint8)
         mask[lv.data != 0] = 1
-        kept = mask_nodes(rag, Volume(mask, lv.spacing, lv.origin), lv, 0.5)
+        kept = build_rag(lv, wall, Volume(mask, lv.spacing, lv.origin), 0.5)
         out = tmp_path / "masked.txt"
         save_rag(kept, out)
         back = load_rag(out)
@@ -324,19 +384,14 @@ class TestSerialization:
         save_rag_fstrings(rag, tmp_path / "expected.txt")
         assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
 
-    def test_writer_matches_fstring_oracle_on_phantom(self, tmp_path):
-        spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
-        intensity, seg, _ = generate_phantom(spec)
-        wall = meijering_response(intensity)
-        labels = slic_supervoxels(wall, 216.0, 0.01)
-        rag = build_rag(labels, wall)
-        self.assert_writer_matches_oracle(rag, tmp_path)
-        bowel = Volume((seg.data != 0).astype(np.uint8), seg.spacing, seg.origin)
-        self.assert_writer_matches_oracle(mask_nodes(rag, bowel, labels, 0.5), tmp_path)
+    def test_writer_matches_fstring_oracle_on_phantom(self, phantom_graph_inputs, tmp_path):
+        labels, wall, seg, _ = phantom_graph_inputs
+        self.assert_writer_matches_oracle(full_graph(labels, wall), tmp_path)
+        self.assert_writer_matches_oracle(build_rag(labels, wall, seg, 0.5), tmp_path)
 
     def test_writer_blocks_join_seamlessly(self, tmp_path, monkeypatch):
         lv, wall = random_labeling(5, dims=(7, 6, 5), n_labels=12)
-        rag = build_rag(lv, wall)
+        rag = full_graph(lv, wall)
         for rows in (1, 5, rag.n_nodes, rag.n_edges + 1):
             monkeypatch.setattr(rag_module, "SAVE_ROWS", rows)
             self.assert_writer_matches_oracle(rag, tmp_path)
