@@ -22,11 +22,12 @@ import argparse
 import os
 import sys
 
-from .config import load_tracking_config
+from .config import CONFIG_KEYS, DEFAULTS, TUNABLES, load_tracking_config, value_count
 from .errors import ConfigError, FormatError, InfeasibleError, InvariantError
 from .metrics import DEFAULT_RESAMPLE_STEP_MM
 from .pipeline import (
-    as_float32,
+    compute_distance_map,
+    compute_wall_map,
     run_baseline,
     run_eval,
     run_phantom,
@@ -34,8 +35,7 @@ from .pipeline import (
     save_must_pass,
 )
 from .rag import build_rag, load_rag, save_rag
-from .ridge import DEFAULT_SCALES_MM, meijering_response
-from .sampling import distance_transform, interior_mask, node_map_of, sample_must_pass
+from .sampling import node_map_of, sample_must_pass
 from .supervoxel import load_label_volume, save_label_volume, slic_supervoxels
 from .volume_io import load_volume, save_volume
 
@@ -45,65 +45,70 @@ EXIT_IO = 3
 EXIT_INFEASIBLE = 4
 EXIT_INVARIANT = 5
 
+# Every config key as a flag: key -> (metavar, help phrase, decision).  The
+# flag is the key's name ("--gt" for gt_path).  A tunable's help ends with
+# its TrackingConfig default, marked "; decision" where no published value
+# backs it.
+_FLAGS = {
+    "intensity": ("VOL", "intensity volume", False),
+    "segmentation": ("VOL", "segmentation volume", False),
+    "start": (("X", "Y", "Z"), "start coordinate, mm", False),
+    "end": (("X", "Y", "Z"), "end coordinate, mm", False),
+    "output_dir": ("DIR", "artifact directory", False),
+    "gt_path": ("POLY", "ground-truth polyline", False),
+    "scales": ("MM", "wall-filter scales in mm", True),
+    "target_volume": ("MM3", "supervoxel target volume in mm^3", False),
+    "compactness": ("M", "supervoxel compactness floor", False),
+    "theta_v": ("MM", "minimum peak distance value in mm", False),
+    "theta_d": ("MM", "minimum peak separation in mm", False),
+    "delta": ("MM", "near/far pair split distance in mm", False),
+    "tolerance": ("MM", "metric match tolerance in mm", False),
+    "wall_threshold": ("T", "wall-map cutoff for the interior distance map", True),
+    "min_inside_fraction": ("F", "fraction of a supervoxel inside the mask to keep its node",
+                            True),
+}
+
+
+def _add_flag(p: argparse.ArgumentParser, key: str, stage: bool = False) -> None:
+    """Add config key `key` as a flag.  Under `track` and `baseline` a given
+    flag overrides the config file; a stage subcommand (`stage`) takes the
+    field's default when the flag is left out."""
+    metavar, phrase, decision = _FLAGS[key]
+    name = CONFIG_KEYS[key]
+    count = value_count(name)
+    if name in TUNABLES:
+        default = DEFAULTS[name]
+        shown = " ".join("%g" % v for v in default) if count == "+" else "%g" % default
+        phrase += f" (default: {shown}{'; decision' if decision else ''})"
+    else:
+        phrase += " (overrides config)"
+    p.add_argument("--" + ("gt" if key == "gt_path" else key).replace("_", "-"),
+                   dest=key, metavar=metavar, help=phrase,
+                   type=None if count is None else float,
+                   nargs=None if count in (None, 1) else count,
+                   default=DEFAULTS[name] if stage else None)
+
 
 def _add_config_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", help="tracking config file (key: value lines)")
-    p.add_argument("--intensity", metavar="VOL", help="intensity volume (overrides config)")
-    p.add_argument("--segmentation", metavar="VOL", help="segmentation volume (overrides config)")
-    p.add_argument("--gt", metavar="POLY", help="ground-truth polyline (overrides config)")
-    p.add_argument("--start", nargs=3, type=float, metavar=("X", "Y", "Z"),
-                   help="start coordinate, mm (overrides config)")
-    p.add_argument("--end", nargs=3, type=float, metavar=("X", "Y", "Z"),
-                   help="end coordinate, mm (overrides config)")
-    p.add_argument("--output-dir", metavar="DIR", help="artifact directory (overrides config)")
-    p.add_argument("--scales", nargs="+", type=float, metavar="MM",
-                   help="wall-filter scales in mm (default: 2 3; decision)")
-    p.add_argument("--target-volume", type=float, metavar="MM3",
-                   help="supervoxel target volume in mm^3 (default: 216)")
-    p.add_argument("--compactness", type=float, metavar="M",
-                   help="supervoxel compactness floor (default: 0.01)")
-    p.add_argument("--theta-v", type=float, metavar="MM",
-                   help="minimum peak distance value in mm (default: 3)")
-    p.add_argument("--theta-d", type=float, metavar="MM",
-                   help="minimum peak separation in mm (default: 6)")
-    p.add_argument("--delta", type=float, metavar="MM",
-                   help="near/far pair split distance in mm (default: 50)")
-    p.add_argument("--tolerance", type=float, metavar="MM",
-                   help="metric match tolerance in mm (default: 10)")
-    p.add_argument("--wall-threshold", type=float, metavar="T",
-                   help="wall-map cutoff for the interior distance map (default: 0.2; decision)")
-    p.add_argument("--min-inside-fraction", type=float, metavar="F",
-                   help="fraction of a supervoxel inside the mask to keep its node "
-                        "(default: 0.5; decision)")
+    for key in _FLAGS:
+        _add_flag(p, key)
     p.add_argument("--quiet", action="store_true", help="suppress stage logging")
 
 
 def _config_overrides(args) -> dict:
-    fmt = "%.17g"
-
-    def triple(values):
-        return " ".join(fmt % v for v in values)
-
+    """The flags given, as config-file values: absolute paths and %.17g
+    numbers."""
     out = {}
-    if args.intensity is not None:
-        out["intensity"] = os.path.abspath(args.intensity)
-    if args.segmentation is not None:
-        out["segmentation"] = os.path.abspath(args.segmentation)
-    if args.gt is not None:
-        out["gt_path"] = os.path.abspath(args.gt)
-    if args.start is not None:
-        out["start"] = triple(args.start)
-    if args.end is not None:
-        out["end"] = triple(args.end)
-    if args.output_dir is not None:
-        out["output_dir"] = os.path.abspath(args.output_dir)
-    if args.scales is not None:
-        out["scales"] = " ".join(fmt % s for s in args.scales)
-    for key in ("target_volume", "compactness", "theta_v", "theta_d", "delta",
-                "tolerance", "wall_threshold", "min_inside_fraction"):
+    for key in _FLAGS:
         value = getattr(args, key)
-        if value is not None:
-            out[key] = fmt % value
+        if value is None:
+            continue
+        if value_count(CONFIG_KEYS[key]) is None:
+            out[key] = os.path.abspath(value)
+        else:
+            out[key] = " ".join("%.17g" % v for v in (value if isinstance(value, list)
+                                                       else [value]))
     return out
 
 
@@ -113,19 +118,14 @@ def _logger(args):
     return lambda msg: print(msg, file=sys.stderr)
 
 
-def _cmd_track(args) -> int:
+def _cmd_run(args) -> int:
+    """`track` or `baseline`: run the pipeline on the config with the flags
+    applied, print the route's path and, with ground truth, its metrics."""
+    run, key = (run_track, "route") if args.command == "track" else (run_baseline,
+                                                                    "baseline_route")
     config = load_tracking_config(args.config, _config_overrides(args))
-    result = run_track(config, log=_logger(args))
-    print(result.artifacts["route"])
-    if result.report is not None:
-        print(result.report.table_row())
-    return EXIT_OK
-
-
-def _cmd_baseline(args) -> int:
-    config = load_tracking_config(args.config, _config_overrides(args))
-    result = run_baseline(config, log=_logger(args))
-    print(result.artifacts["baseline_route"])
+    result = run(config, log=_logger(args))
+    print(result.artifacts[key])
     if result.report is not None:
         print(result.report.table_row())
     return EXIT_OK
@@ -147,7 +147,7 @@ def _cmd_phantom(args) -> int:
 
 def _cmd_ridge(args) -> int:
     vol = load_volume(args.intensity)
-    save_volume(as_float32(meijering_response(vol, tuple(args.scales))), args.out)
+    save_volume(compute_wall_map(vol, tuple(args.scales)), args.out)
     print(args.out)
     return EXIT_OK
 
@@ -175,7 +175,7 @@ def _cmd_sample(args) -> int:
     wall = load_volume(args.wall_map)
     labels = load_label_volume(args.labels)
     masked = load_rag(args.masked_rag)
-    dist = as_float32(distance_transform(interior_mask(seg, wall, args.wall_threshold)))
+    dist = compute_distance_map(seg, wall, args.wall_threshold)
     if args.distance_out is not None:
         save_volume(dist, args.distance_out)
     must_pass = sample_must_pass(dist, labels, node_map_of(masked),
@@ -195,17 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("track", help="run the full must-pass tracking pipeline")
     _add_config_arguments(p)
-    p.set_defaults(func=_cmd_track)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("baseline", help="run the plain shortest-path baseline")
     _add_config_arguments(p)
-    p.set_defaults(func=_cmd_baseline)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("eval", help="compare a tracked polyline against ground truth")
     p.add_argument("pred", help="predicted polyline")
     p.add_argument("gt", help="ground-truth polyline")
-    p.add_argument("--tolerance", type=float, default=10.0, metavar="MM",
-                   help="match tolerance in mm (default: 10)")
+    _add_flag(p, "tolerance", stage=True)
     p.add_argument("--step", type=float, default=DEFAULT_RESAMPLE_STEP_MM, metavar="MM",
                    help="resample step in mm (default: 1; decision)")
     p.add_argument("--out", metavar="FILE", help="also write the metrics report here")
@@ -220,17 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ridge", help="stage: intensity volume -> wall map")
     p.add_argument("intensity")
     p.add_argument("out")
-    p.add_argument("--scales", nargs="+", type=float, default=list(DEFAULT_SCALES_MM),
-                   metavar="MM", help="filter scales in mm (default: 2 3; decision)")
+    _add_flag(p, "scales", stage=True)
     p.set_defaults(func=_cmd_ridge)
 
     p = sub.add_parser("slic", help="stage: wall map -> supervoxel labels")
     p.add_argument("wall_map")
     p.add_argument("out")
-    p.add_argument("--target-volume", type=float, default=216.0, metavar="MM3",
-                   help="target supervoxel volume in mm^3 (default: 216)")
-    p.add_argument("--compactness", type=float, default=0.01, metavar="M",
-                   help="compactness floor (default: 0.01)")
+    _add_flag(p, "target_volume", stage=True)
+    _add_flag(p, "compactness", stage=True)
     p.set_defaults(func=_cmd_slic)
 
     p = sub.add_parser("rag", help="stage: segmentation + wall map + labels -> masked "
@@ -239,8 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("wall_map")
     p.add_argument("labels")
     p.add_argument("out")
-    p.add_argument("--min-inside-fraction", type=float, default=0.5, metavar="F",
-                   help="node keep fraction (default: 0.5; decision)")
+    _add_flag(p, "min_inside_fraction", stage=True)
     p.set_defaults(func=_cmd_rag)
 
     p = sub.add_parser("sample", help="stage: distance map peaks -> must-pass nodes")
@@ -249,12 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("labels")
     p.add_argument("masked_rag")
     p.add_argument("out")
-    p.add_argument("--theta-v", type=float, default=3.0, metavar="MM",
-                   help="minimum peak value in mm (default: 3)")
-    p.add_argument("--theta-d", type=float, default=6.0, metavar="MM",
-                   help="minimum peak separation in mm (default: 6)")
-    p.add_argument("--wall-threshold", type=float, default=0.2, metavar="T",
-                   help="interior wall-map cutoff (default: 0.2; decision)")
+    for key in ("theta_v", "theta_d", "wall_threshold"):
+        _add_flag(p, key, stage=True)
     p.add_argument("--distance-out", metavar="VOL",
                    help="also write the interior distance map here")
     p.set_defaults(func=_cmd_sample)

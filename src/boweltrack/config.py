@@ -1,9 +1,16 @@
-"""Tracking configuration: plain key: value files mapped onto a dataclass."""
+"""Tracking configuration: plain key: value files mapped onto a dataclass.
+
+`TrackingConfig` is the one place where each parameter's name, type and
+default are written; the file keys, the CLI flags and the stage subcommands'
+defaults all derive from its fields.
+"""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
+import typing
 
 from .errors import ConfigError
 from .kvfile import parse_floats, read_kv_file
@@ -14,11 +21,11 @@ from .ridge import DEFAULT_SCALES_MM
 class TrackingConfig:
     intensity_path: str
     segmentation_path: str
-    start: tuple            # physical mm
-    end: tuple
+    start: tuple[float, float, float]       # physical mm
+    end: tuple[float, float, float]
     output_dir: str
     gt_path: str | None = None
-    scales: tuple = DEFAULT_SCALES_MM
+    scales: tuple[float, ...] = DEFAULT_SCALES_MM
     target_volume: float = 216.0
     compactness: float = 0.01
     theta_v: float = 3.0
@@ -29,17 +36,9 @@ class TrackingConfig:
     min_inside_fraction: float = 0.5
 
     def __post_init__(self):
-        for name in (
-            "target_volume",
-            "compactness",
-            "theta_v",
-            "theta_d",
-            "delta",
-            "tolerance",
-            "wall_threshold",
-        ):
+        for name, kind in FIELD_TYPES.items():
             value = getattr(self, name)
-            if not (value > 0):
+            if kind is float and name != "min_inside_fraction" and not (value > 0):
                 raise ConfigError(f"{name} must be positive, got {value}")
         if not self.scales or any(s <= 0 for s in self.scales):
             raise ConfigError(f"scales must be positive, got {self.scales}")
@@ -54,6 +53,10 @@ class TrackingConfig:
             )
         if len(self.start) != 3 or len(self.end) != 3:
             raise ConfigError("start and end must be 3D coordinates (mm)")
+        for name in ("start", "end"):
+            point = getattr(self, name)
+            if not all(math.isfinite(c) for c in point):
+                raise ConfigError(f"{name} must be finite, got {tuple(point)}")
         for label, path in (
             ("intensity", self.intensity_path),
             ("segmentation", self.segmentation_path),
@@ -64,63 +67,50 @@ class TrackingConfig:
             raise ConfigError(f"gt polyline not found: {self.gt_path}")
 
 
-_FLOAT_FIELDS = {
-    "target_volume",
-    "compactness",
-    "theta_v",
-    "theta_d",
-    "delta",
-    "tolerance",
-    "wall_threshold",
-    "min_inside_fraction",
-}
-_KNOWN_KEYS = _FLOAT_FIELDS | {
-    "intensity",
-    "segmentation",
-    "gt_path",
-    "start",
-    "end",
-    "output_dir",
-    "scales",
-}
+FIELD_TYPES = typing.get_type_hints(TrackingConfig)
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrackingConfig)
+            if f.default is not dataclasses.MISSING}
+# The parameters of the method: every field whose default is not None.
+TUNABLES = tuple(name for name, default in DEFAULTS.items() if default is not None)
+# Config-file keys that differ from their field's name.
+_RENAMED = {"intensity_path": "intensity", "segmentation_path": "segmentation"}
+# Config-file key -> field, in field order.
+CONFIG_KEYS = {_RENAMED.get(name, name): name for name in FIELD_TYPES}
+
+
+def value_count(name):
+    """How many numbers field `name` holds: 1 for a float, the tuple length,
+    "+" for a tuple of any length, or None for a path."""
+    kind = FIELD_TYPES[name]
+    if kind is float:
+        return 1
+    if typing.get_origin(kind) is tuple:
+        args = typing.get_args(kind)
+        return "+" if args[-1] is Ellipsis else len(args)
+    return None
 
 
 def load_tracking_config(path, overrides: dict | None = None) -> TrackingConfig:
     """Parse a config file; `overrides` (same key names, string values) win.
     Relative paths are taken relative to the config file's directory."""
     pairs = read_kv_file(path)
-    unknown = sorted(set(pairs) - _KNOWN_KEYS)
+    unknown = sorted(set(pairs) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"{path}: unknown key(s): {', '.join(unknown)}")
     if overrides:
         pairs.update({k: v for k, v in overrides.items() if v is not None})
 
     base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    def require(key):
+    kwargs = {}
+    for key, name in CONFIG_KEYS.items():
         if key not in pairs:
-            raise ConfigError(f"{path}: missing required key '{key}'")
-        return pairs[key]
-
-    kwargs = {
-        "intensity_path": resolve(require("intensity")),
-        "segmentation_path": resolve(require("segmentation")),
-        "start": tuple(parse_floats(require("start"), 3, "start")),
-        "end": tuple(parse_floats(require("end"), 3, "end")),
-        "output_dir": resolve(require("output_dir")),
-    }
-    if "gt_path" in pairs:
-        kwargs["gt_path"] = resolve(pairs["gt_path"])
-    if "scales" in pairs:
-        tokens = pairs["scales"].split()
-        try:
-            kwargs["scales"] = tuple(float(t) for t in tokens)
-        except ValueError as exc:
-            raise ConfigError(f"scales: expected numbers, got {pairs['scales']!r}") from exc
-    for key in _FLOAT_FIELDS:
-        if key in pairs:
-            kwargs[key] = parse_floats(pairs[key], 1, key)[0]
+            if name not in DEFAULTS:
+                raise ConfigError(f"{path}: missing required key '{key}'")
+            continue
+        value, count = pairs[key], value_count(name)
+        if count is None:
+            kwargs[name] = os.path.join(base, value)     # an absolute value wins
+        else:
+            numbers = parse_floats(value, None if count == "+" else count, key)
+            kwargs[name] = numbers[0] if FIELD_TYPES[name] is float else numbers
     return TrackingConfig(**kwargs)

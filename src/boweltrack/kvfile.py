@@ -25,9 +25,10 @@ def read_kv_file(path) -> dict[str, str]:
     return out
 
 
-def parse_floats(value: str, count: int, key: str) -> tuple[float, ...]:
+def parse_floats(value: str, count: int | None, key: str) -> tuple[float, ...]:
+    """The numbers of `value`; exactly `count` of them unless it is None."""
     tokens = value.split()
-    if len(tokens) != count:
+    if count is not None and len(tokens) != count:
         raise ConfigError(f"{key!r} needs {count} numbers, got {len(tokens)}")
     try:
         return tuple(float(t) for t in tokens)

@@ -63,12 +63,13 @@ class PhantomSpec:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
+        if (len(self.dims) != 3
+                or any(not (math.isfinite(d) and d == int(d) and d > 0) for d in self.dims)):
+            raise ConfigError(f"dims must be three positive integers, got {self.dims}")
         dims = tuple(int(d) for d in self.dims)
         spacing = tuple(float(s) for s in self.spacing)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
-        if len(dims) != 3 or any(d <= 0 for d in dims):
-            raise ConfigError(f"dims must be three positive integers, got {self.dims}")
         if len(spacing) != 3 or any(not math.isfinite(s) or s <= 0 for s in spacing):
             raise ConfigError(f"spacing must be three positive numbers, got {self.spacing}")
         if self.inner_radius < 2.0 * max(spacing):
@@ -99,33 +100,23 @@ class PhantomSpec:
 
 
 def load_phantom_spec(path) -> PhantomSpec:
-    """Read a PhantomSpec from a `key: value` file; unknown keys are errors."""
-    raw = read_kv_file(path)
+    """Read a PhantomSpec from a `key: value` file; unknown keys are errors.
+    Each value is parsed as its field's default is typed: a tuple of
+    numbers, an integer or a number."""
+    defaults = {f.name: f.default for f in dataclasses.fields(PhantomSpec)}
     kwargs = {}
-    for key, value in raw.items():
-        if key == "dims":
-            kwargs["dims"] = tuple(int(v) for v in parse_floats(value, 3, key))
-        elif key == "spacing":
-            kwargs["spacing"] = parse_floats(value, 3, key)
-        elif key in ("seed", "bends", "touch_pairs"):
-            try:
-                kwargs[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key!r} must be an integer, got {value!r}") from exc
-        elif key in (
-            "inner_radius",
-            "wall_thickness",
-            "lumen_intensity",
-            "wall_intensity",
-            "background_intensity",
-            "noise_sigma",
-        ):
-            try:
-                kwargs[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{key!r} must be a number, got {value!r}") from exc
-        else:
+    for key, value in read_kv_file(path).items():
+        if key not in defaults:
             raise ConfigError(f"unknown phantom spec key {key!r}")
+        default = defaults[key]
+        if isinstance(default, tuple):
+            kwargs[key] = parse_floats(value, len(default), key)
+            continue
+        try:
+            kwargs[key] = type(default)(value)
+        except ValueError as exc:
+            kind = "an integer" if isinstance(default, int) else "a number"
+            raise ConfigError(f"{key!r} must be {kind}, got {value!r}") from exc
     return PhantomSpec(**kwargs)
 
 

@@ -128,6 +128,17 @@ def as_float32(vol):
     return vol.like(vol.data.astype(np.float32))
 
 
+def compute_wall_map(intensity, scales):
+    """The ridge stage's artifact: the wall filter response."""
+    return as_float32(meijering_response(intensity, scales))
+
+
+def compute_distance_map(seg, wall, wall_threshold):
+    """The distance stage's artifact: each interior voxel's distance (mm) to
+    the nearest voxel outside the interior."""
+    return as_float32(distance_transform(interior_mask(seg, wall, wall_threshold)))
+
+
 def save_must_pass(mp: MustPassSet, path) -> None:
     lines = [
         "mustpass 1",
@@ -192,7 +203,7 @@ def _load_grids(config: TrackingConfig):
 def _graph_stages(config: TrackingConfig, runner: _Runner, intensity, seg):
     wall = runner.stage(
         "ridge", "wall_map",
-        compute=lambda: as_float32(meijering_response(intensity, config.scales)),
+        compute=lambda: compute_wall_map(intensity, config.scales),
         save=save_volume, load=load_volume,
     )
     labels = runner.stage(
@@ -279,8 +290,7 @@ def run_track(config: TrackingConfig, log=None) -> TrackResult:
 
     dist = runner.stage(
         "distance", "distance",
-        compute=lambda: as_float32(
-            distance_transform(interior_mask(seg, wall, config.wall_threshold))),
+        compute=lambda: compute_distance_map(seg, wall, config.wall_threshold),
         save=save_volume, load=load_volume,
     )
     must_pass = runner.stage(

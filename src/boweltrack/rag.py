@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import FormatError, InfeasibleError, InvariantError
-from .supervoxel import LabelVolume
+from .supervoxel import LabelVolume, _distinct
 from .volume_io import Volume, _atomic_write_chunks, check_same_grid
 
 
@@ -103,16 +103,6 @@ def _axis_faces(lab: np.ndarray, kept: np.ndarray, axis: int, n: int):
     b = b[diff]
     keys = np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b)
     return keys, src, dst, diff
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of `keys`, which it sorts in place: one sort,
-    where `np.unique` takes tens of times longer on these keys."""
-    keys.sort()
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
 
 
 def build_rag(labels: LabelVolume, wall_map: Volume, segmentation: Volume,

@@ -101,16 +101,6 @@ def _shortest_paths(rag: Rag, sources):
     return dist, pred
 
 
-def dijkstra(rag: Rag, source: int):
-    """Single-source shortest paths; ties resolved to the smallest
-    predecessor id, making the returned tree canonical."""
-    n = rag.n_nodes
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} outside 0..{n - 1}")
-    dist, pred = _shortest_paths(rag, [source])
-    return dist[0], pred[0]
-
-
 def path_from_predecessors(pred: np.ndarray, source: int, target: int) -> list:
     path = [int(target)]
     while path[-1] != source:
@@ -148,7 +138,7 @@ def shortest_path_baseline(rag: Rag, v_st: int, v_ed: int) -> Route:
     for node in (v_st, v_ed):
         if not (0 <= node < rag.n_nodes):
             raise ValueError(f"node {node} outside graph")
-    dist, pred = dijkstra(rag, v_st)
+    (dist,), (pred,) = _shortest_paths(rag, [v_st])
     if not np.isfinite(dist[v_ed]):
         raise InfeasibleError(f"end node {v_ed} unreachable from start {v_st}")
     nodes = path_from_predecessors(pred, v_st, v_ed)

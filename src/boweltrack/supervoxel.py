@@ -230,9 +230,13 @@ def _same_label_components(labels: np.ndarray):
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of non-negative keys, sorted."""
-    keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]
+    """Sorted distinct values of `keys`, which it sorts in place: one sort,
+    where `np.unique` takes tens of times longer on these keys."""
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:

@@ -132,6 +132,15 @@ def _parse_header_line(line: bytes, key: str, count: int, conv) -> tuple:
 
 def load_volume(path) -> Volume:
     """Read a Volume from the header+raw format. See module docstring."""
+    try:
+        return _read_volume(path)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    except InvariantError as exc:
+        raise FormatError(f"{path}: invalid volume: {exc}") from exc
+
+
+def _read_volume(path) -> Volume:
     with open(path, "rb") as fh:
         dims = _parse_header_line(fh.readline(), "dims", 3, int)
         spacing = _parse_header_line(fh.readline(), "spacing", 3, float)
@@ -153,11 +162,7 @@ def load_volume(path) -> Volume:
             f"({int(np.prod(dims))} values of {tag}), file holds {len(raw)}"
         )
     data = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
-    data = data.reshape(dims, order="F")
-    try:
-        return Volume(data, np.array(spacing), np.array(origin))
-    except InvariantError as exc:
-        raise FormatError(f"{path}: invalid volume: {exc}") from exc
+    return Volume(data.reshape(dims, order="F"), np.array(spacing), np.array(origin))
 
 
 def save_volume(vol: Volume, path) -> None:

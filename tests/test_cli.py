@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, exit codes, flag overrides, and
 stage-level commands reproducing the pipeline's own artifacts."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 import boweltrack.cli as cli
+from boweltrack.config import TrackingConfig, load_tracking_config
 from boweltrack.errors import InvariantError
 from boweltrack.pipeline import ARTIFACTS
 from boweltrack.volume_io import Volume, load_polyline, load_volume, save_volume
@@ -183,6 +185,25 @@ class TestExitCodes:
         assert "i/o error" in err and "bad.vol" in err
         assert not (tmp_path / "wall.vol").exists()
 
+    def test_non_finite_start_exits_config_before_any_stage(self, workspace, tmp_path,
+                                                             capsys):
+        out = tmp_path / "o"
+        assert cli.main(["track", str(workspace["config"]), "--quiet",
+                         "--start", "nan", "24", "24", "--output-dir", str(out)]) == 2
+        assert "start must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truncated_volume_is_named(self, workspace, tmp_path, capsys):
+        wall = tmp_path / "short_wall.vol"
+        wall.write_bytes(read_bytes(artifact(workspace, "wall_map"))[:-4])
+        assert cli.main(["sample", str(workspace["data"] / "segmentation.vol"),
+                         str(wall), artifact(workspace, "labels"),
+                         artifact(workspace, "masked_rag"),
+                         str(tmp_path / "mp.txt")]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert f"{wall}: data length mismatch" in err
+        assert "segmentation.vol" not in err and "labels.vol" not in err
+
     def test_pruned_start_is_infeasible(self, workspace, capsys):
         assert cli.main(["track", str(workspace["config"]), "--quiet",
                          "--start", "3", "3", "3"]) == 4
@@ -233,6 +254,76 @@ class TestHelpDefaults:
         text = " ".join(capsys.readouterr().out.split())
         assert "(default: 10)" in text
         assert "(default: 1; decision)" in text
+
+
+TUNABLES = [f for f in dataclasses.fields(TrackingConfig)
+            if f.default not in (dataclasses.MISSING, None)]
+DECISIONS = {"scales", "wall_threshold", "min_inside_fraction"}
+# Subcommands other than track and baseline that take a tunable, with their
+# positional arguments.
+STAGE_ARGS = {
+    "ridge": ["in.vol", "out.vol"],
+    "slic": ["wall.vol", "out.vol"],
+    "rag": ["seg.vol", "wall.vol", "labels.vol", "out.txt"],
+    "sample": ["seg.vol", "wall.vol", "labels.vol", "rag.txt", "out.txt"],
+    "eval": ["pred.poly", "gt.poly"],
+}
+STAGE_FLAGS = {
+    "scales": ["ridge"],
+    "target_volume": ["slic"],
+    "compactness": ["slic"],
+    "min_inside_fraction": ["rag"],
+    "theta_v": ["sample"],
+    "theta_d": ["sample"],
+    "wall_threshold": ["sample"],
+    "tolerance": ["eval"],
+    "delta": [],
+}
+
+
+def flag_of(field):
+    return "--" + field.name.replace("_", "-")
+
+
+def scaled(field, factor):
+    """The field's default times `factor`, as flag tokens."""
+    values = field.default if isinstance(field.default, tuple) else (field.default,)
+    return ["%.17g" % (v * factor) for v in values]
+
+
+@pytest.mark.parametrize("field", TUNABLES, ids=lambda f: f.name)
+class TestTunablesFollowTheConfig:
+    def test_help_shows_field_default(self, field, capsys):
+        values = field.default if isinstance(field.default, tuple) else (field.default,)
+        shown = " ".join("%g" % v for v in values)
+        suffix = "; decision" if field.name in DECISIONS else ""
+        for command in ("track", "baseline"):
+            with pytest.raises(SystemExit):
+                cli.main([command, "--help"])
+            options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+            own = options.split(f"{flag_of(field)} ")[1].split(" --")[0]
+            assert own.endswith(f"(default: {shown}{suffix})"), (command, own)
+
+    def test_flag_overrides_config_file(self, field, tmp_path):
+        for name in ("ct.vol", "seg.vol"):
+            (tmp_path / name).write_bytes(b"x")
+        config = tmp_path / "track.cfg"
+        config.write_text(
+            "intensity: ct.vol\nsegmentation: seg.vol\nstart: 0 0 0\nend: 1 1 1\n"
+            f"output_dir: out\n{field.name}: {' '.join(scaled(field, 0.8))}\n"
+        )
+        args = cli.build_parser().parse_args(
+            ["track", str(config), flag_of(field), *scaled(field, 0.9)])
+        loaded = load_tracking_config(str(config), cli._config_overrides(args))
+        want = [float(v) for v in scaled(field, 0.9)]
+        got = getattr(loaded, field.name)
+        assert list(got if isinstance(got, tuple) else [got]) == want
+
+    def test_stage_default_is_field_default(self, field):
+        assert STAGE_FLAGS[field.name] is not None
+        for command in STAGE_FLAGS[field.name]:
+            args = cli.build_parser().parse_args([command, *STAGE_ARGS[command]])
+            assert getattr(args, field.name) == field.default, command
 
 
 class TestStageCommands:

@@ -148,6 +148,13 @@ class TestErrors:
             load_tracking_config(write_config(workspace, drop=("start",),
                                               extra="start: 1 2\n"))
 
+    @pytest.mark.parametrize("key", ["start", "end"])
+    @pytest.mark.parametrize("value", ["nan 24 24", "24 inf 24"])
+    def test_non_finite_coordinate(self, workspace, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_tracking_config(write_config(workspace, drop=(key,),
+                                              extra=f"{key}: {value}\n"))
+
     def test_missing_intensity_file(self, workspace):
         os.remove(workspace / "ct.vol")
         with pytest.raises(ConfigError, match="intensity volume not found"):

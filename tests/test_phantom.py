@@ -263,6 +263,7 @@ class TestSpecValidation:
             dict(touch_pairs=-1),
             dict(noise_sigma=-1.0),
             dict(dims=(0, 96, 48)),
+            dict(dims=(40.7, 24, 24)),
             dict(spacing=(2.0, -1.0, 2.0)),
         ],
     )
@@ -294,6 +295,12 @@ class TestSpecFile:
         p = tmp_path / "spec.txt"
         p.write_text("dims: 64 48 24\nwiggle: 3\n")
         with pytest.raises(ConfigError, match="wiggle"):
+            load_phantom_spec(p)
+
+    def test_non_integral_dims_rejected(self, tmp_path):
+        p = tmp_path / "spec.txt"
+        p.write_text("dims: 40.7 24 24\n")
+        with pytest.raises(ConfigError, match="dims"):
             load_phantom_spec(p)
 
     def test_comments_and_blank_lines(self, tmp_path):

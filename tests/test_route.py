@@ -10,9 +10,9 @@ from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.rag import Rag
 from boweltrack.route import (
     SimplifiedGraph,
+    _shortest_paths,
     _two_opt,
     build_simplified_graph,
-    dijkstra,
     expand_tour,
     path_from_predecessors,
     shortest_path_baseline,
@@ -132,27 +132,27 @@ def brute_tsp(sg):
 class TestDijkstra:
     def test_triangle(self):
         rag = make_rag(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
-        dist, pred = dijkstra(rag, 0)
+        (dist,), (pred,) = _shortest_paths(rag, [0])
         assert dist[2] == pytest.approx(2.0)
         assert path_from_predecessors(pred, 0, 2) == [0, 1, 2]
 
     def test_single_node(self):
         rag = make_rag(1, [])
-        dist, _ = dijkstra(rag, 0)
+        (dist,), _ = _shortest_paths(rag, [0])
         assert dist[0] == 0.0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_enumeration(self, seed):
         rag = random_rag(seed)
         source = seed % rag.n_nodes
-        dist, _ = dijkstra(rag, source)
+        (dist,), _ = _shortest_paths(rag, [source])
         ref = enumerate_shortest(rag, source)
         assert np.allclose(dist, ref, equal_nan=True)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_triangle_property(self, seed):
         rag = random_rag(seed + 50)
-        dist, _ = dijkstra(rag, 0)
+        (dist,), _ = _shortest_paths(rag, [0])
         for i, j, c in zip(rag.edge_i, rag.edge_j, rag.edge_cost):
             if np.isfinite(dist[j]):
                 assert dist[i] <= dist[j] + c + 1e-12
@@ -161,20 +161,15 @@ class TestDijkstra:
 
     def test_equal_cost_tie_prefers_smaller_predecessor(self):
         rag = make_rag(4, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
-        _, pred = dijkstra(rag, 0)
+        _, (pred,) = _shortest_paths(rag, [0])
         assert pred[3] == 1
-
-    def test_invalid_source(self):
-        rag = make_rag(2, [(0, 1, 1.0)])
-        with pytest.raises(ValueError, match="source"):
-            dijkstra(rag, 5)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_predecessor_is_smallest_tight_neighbor(self, seed):
         rag = random_rag(seed + 900, tie_free=False)
         source = seed % rag.n_nodes
         ref = enumerate_shortest(rag, source)
-        _, pred = dijkstra(rag, source)
+        _, (pred,) = _shortest_paths(rag, [source])
         for v in range(rag.n_nodes):
             nbr, cost = rag.neighbors(v)
             tight = [int(u) for u, c in zip(nbr, cost) if ref[u] + c == ref[v]]
@@ -189,7 +184,7 @@ class TestDijkstra:
         edges = [(i, j, float(rng.integers(0, 3)))
                  for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
         rag = make_rag(n, edges or [(0, 1, 0.0)])
-        dist, _ = dijkstra(rag, 0)
+        (dist,), _ = _shortest_paths(rag, [0])
         assert np.array_equal(dist, enumerate_shortest(rag, 0))
         for v in np.flatnonzero(np.isfinite(dist))[1:]:
             route = shortest_path_baseline(rag, 0, int(v))
@@ -209,6 +204,11 @@ class TestBaseline:
         assert route.total_cost == pytest.approx(2.0)
         assert np.allclose(route.polyline.points, rag.centroids[[0, 1, 2]])
 
+    def test_invalid_source(self):
+        rag = make_rag(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="node 5 outside graph"):
+            shortest_path_baseline(rag, 5, 0)
+
     def test_unreachable_end_raises(self):
         rag = make_rag(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(InfeasibleError, match="unreachable"):
@@ -224,7 +224,7 @@ class TestBaseline:
     @pytest.mark.parametrize("seed", range(10))
     def test_cost_scaling_preserves_argmin(self, seed):
         rag = random_rag(seed + 200, tie_free=True)
-        dist, _ = dijkstra(rag, 0)
+        (dist,), _ = _shortest_paths(rag, [0])
         target = int(np.argmax(np.where(np.isfinite(dist), dist, -1)))
         if target == 0:
             return
@@ -246,7 +246,7 @@ class TestBaseline:
 class TestConstrainedExact:
     def test_empty_must_pass_reduces_to_baseline(self):
         rag = random_rag(7)
-        dist, _ = dijkstra(rag, 0)
+        (dist,), _ = _shortest_paths(rag, [0])
         target = int(np.argmax(np.where(np.isfinite(dist), dist, -1)))
         base = shortest_path_baseline(rag, 0, target)
         exact = constrained_dijkstra_exact(rag, 0, target, [])
@@ -363,7 +363,7 @@ class TestSimplifiedGraph:
         sg = build_simplified_graph(rag, 0, n - 1, list(range(1, n - 1)), delta=1e6)
         assert np.array_equal(sg.costs, sg.costs.T)
         for m in range(n):
-            dist, _ = dijkstra(rag, int(sg.members[m]))
+            (dist,), _ = _shortest_paths(rag, [int(sg.members[m])])
             for k in range(m + 1, n):
                 if np.isfinite(dist[sg.members[k]]):
                     assert sg.costs[m, k] == dist[sg.members[k]] / sg.normalizer
@@ -504,7 +504,7 @@ class TestExpandTour:
         assert [leg["source"] for leg in route.legs] == ["dijkstra"] * 3
         for leg, seq in zip(route.legs, leg_nodes(route)):
             a, b = leg["pair"]
-            assert seq == path_from_predecessors(dijkstra(rag, a)[1], a, b)
+            assert seq == path_from_predecessors(_shortest_paths(rag, [a])[1][0], a, b)
         assert leg_nodes(route)[1] == [5, 4, 1, 0]
 
     def test_near_leg_toured_downward_is_reversed(self):
@@ -573,7 +573,7 @@ class TestExactnessDominance:
     def test_exact_no_worse_than_tsp_pipeline(self, seed):
         rag = random_rag(seed + 300, n_lo=5, n_hi=9, p=0.7)
         n = rag.n_nodes
-        dist, _ = dijkstra(rag, 0)
+        (dist,), _ = _shortest_paths(rag, [0])
         if not np.isfinite(dist[n - 1]):
             return
         rng = np.random.default_rng(seed)

@@ -44,6 +44,20 @@ def test_truncated_payload_is_length_mismatch(tmp_path):
         load_volume(p)
 
 
+@pytest.mark.parametrize("header, payload", [
+    (b"dims: 2 2\nspacing: 1 1 1\norigin: 0 0 0\ndtype: f32\n\n", b""),
+    (b"dims: 2 2 2\nspacing: 1 1 1\norigin: 0 0 0\ndtype: f32\nx\n", b""),
+    (b"dims: 2 2 2\nspacing: 1 1 1\norigin: 0 0 0\ndtype: f64\n\n", b""),
+    (b"dims: 0 2 2\nspacing: 1 1 1\norigin: 0 0 0\ndtype: f32\n\n", b""),
+    (b"dims: 2 2 2\nspacing: 1 1 1\norigin: 0 0 0\ndtype: f32\n\n", bytes(28)),
+], ids=["header-line", "no-blank-line", "dtype-tag", "non-positive-dims", "data-length"])
+def test_format_errors_name_the_file(tmp_path, header, payload):
+    p = tmp_path / "named.vol"
+    p.write_bytes(header + payload)
+    with pytest.raises(FormatError, match="named.vol"):
+        load_volume(p)
+
+
 def test_missing_file_reported_distinctly(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_volume(tmp_path / "nope.vol")
