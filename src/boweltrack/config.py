@@ -40,6 +40,8 @@ class TrackingConfig:
             value = getattr(self, name)
             if kind is float and name != "min_inside_fraction" and not (value > 0):
                 raise ConfigError(f"{name} must be positive, got {value}")
+        if not math.isfinite(self.compactness):
+            raise ConfigError(f"compactness must be finite, got {self.compactness}")
         if not self.scales or any(s <= 0 for s in self.scales):
             raise ConfigError(f"scales must be positive, got {self.scales}")
         if not (0.0 < self.min_inside_fraction <= 1.0):

@@ -30,8 +30,10 @@ from .sampling import (
     MustPassSet,
     distance_transform,
     interior_mask,
+    load_must_pass,
     node_map_of,
     sample_must_pass,
+    save_must_pass,
 )
 from .supervoxel import load_label_volume, save_label_volume, slic_supervoxels
 from .volume_io import (
@@ -139,65 +141,15 @@ def compute_distance_map(seg, wall, wall_threshold):
     return as_float32(distance_transform(interior_mask(seg, wall, wall_threshold)))
 
 
-def save_must_pass(mp: MustPassSet, path) -> None:
-    lines = [
-        "mustpass 1",
-        f"count {len(mp.node_ids)} pruned {mp.pruned_count}",
-    ]
-    for nid, pos, val in zip(mp.node_ids, mp.positions, mp.values):
-        lines.append("peak %d %.17g %.17g %.17g %.17g" % (nid, pos[0], pos[1], pos[2], val))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
-
-
-def load_must_pass(path) -> MustPassSet:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        lines = raw.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not a text must-pass file: {exc}") from exc
-    if len(lines) < 2 or lines[0].strip() != "mustpass 1":
-        raise FormatError(f"{path}: not a must-pass file")
-    head = lines[1].split()
-    if len(head) != 4 or head[0] != "count" or head[2] != "pruned":
-        raise FormatError(f"{path}: bad count line {lines[1]!r}")
-    try:
-        count, pruned = int(head[1]), int(head[3])
-    except ValueError as exc:
-        raise FormatError(f"{path}:2: bad count line {lines[1]!r}: {exc}") from exc
-    ids, pos, val = [], [], []
-    for lineno, line in enumerate(lines[2:], start=3):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] != "peak" or len(parts) != 6:
-            raise FormatError(f"{path}: bad peak line {line!r}")
-        try:
-            ids.append(int(parts[1]))
-            pos.append([float(p) for p in parts[2:5]])
-            val.append(float(parts[5]))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad peak line {line!r}: {exc}") from exc
-    if len(ids) != count:
-        raise FormatError(f"{path}: expected {count} peaks, found {len(ids)}")
-    try:
-        return MustPassSet(
-            node_ids=np.asarray(ids, dtype=np.int64),
-            positions=np.asarray(pos, dtype=np.float64),
-            values=np.asarray(val, dtype=np.float64),
-            pruned_count=pruned,
-        )
-    except InvariantError as exc:
-        raise FormatError(f"{path}: invalid must-pass set: {exc}") from exc
-
-
-def _load_grids(config: TrackingConfig):
+def _load_inputs(config: TrackingConfig):
+    """Intensity, segmentation and ground truth (or None), before any stage."""
     intensity = load_volume(config.intensity_path)
     seg = load_volume(config.segmentation_path)
     check_same_grid(intensity, seg, "intensity and segmentation", ConfigError)
     if not np.issubdtype(seg.data.dtype, np.integer):
         raise ConfigError(f"segmentation must be integer-coded, got {seg.data.dtype}")
-    return intensity, seg
+    gt = None if config.gt_path is None else load_polyline(config.gt_path)
+    return intensity, seg, gt
 
 
 def _graph_stages(config: TrackingConfig, runner: _Runner, intensity, seg):
@@ -270,21 +222,26 @@ def _write_diagnostics(path, stages, route, header_lines=()) -> None:
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def _maybe_evaluate(config, route, runner, metrics_key):
-    if config.gt_path is None:
-        return None
-    gt = load_polyline(config.gt_path)
-    report = evaluate(route.polyline, gt, config.tolerance)
-    _atomic_write_bytes(runner.path(metrics_key), report.to_text().encode("ascii"))
-    runner.artifacts[metrics_key] = runner.path(metrics_key)
-    runner.log(f"[metrics] {report.line_protocol()}")
+def _write_results(runner, route, header_lines, gt, tolerance, prefix=""):
+    """Write the route, the diagnostics and, given a ground truth, the
+    metrics (artifact keys `prefix` + "route", ...); return the report."""
+    keys = [prefix + "route", prefix + "diagnostics"]
+    save_polyline(route.polyline, runner.path(keys[0]))
+    _write_diagnostics(runner.path(keys[1]), runner.records, route, header_lines)
+    report = None
+    if gt is not None:
+        report = evaluate(route.polyline, gt, tolerance)
+        keys.append(prefix + "metrics")
+        _atomic_write_bytes(runner.path(keys[2]), report.to_text().encode("ascii"))
+        runner.log(f"[metrics] {report.line_protocol()}")
+    runner.artifacts.update((key, runner.path(key)) for key in keys)
     return report
 
 
 def run_track(config: TrackingConfig, log=None) -> TrackResult:
     """Full must-pass tracking: ridge, supervoxels, graph, sampling, routing."""
     runner = _Runner(config.output_dir, log)
-    intensity, seg = _load_grids(config)
+    intensity, seg, gt = _load_inputs(config)
     wall, labels, masked = _graph_stages(config, runner, intensity, seg)
     node_map, v_st, v_ed = _terminals(config, seg, labels, masked)
 
@@ -307,39 +264,22 @@ def run_track(config: TrackingConfig, log=None) -> TrackResult:
         return expand_tour(masked, order, simplified)
 
     route = runner.timed("route", build_route)
-    save_polyline(route.polyline, runner.path("route"))
-    runner.artifacts["route"] = runner.path("route")
-
-    _write_diagnostics(
-        runner.path("diagnostics"), runner.records, route,
-        header_lines=[
-            f"must-pass nodes: {len(must_pass)} (pruned {must_pass.pruned_count})",
-            f"terminals: start node {v_st}, end node {v_ed}",
-            "",
-        ],
-    )
-    runner.artifacts["diagnostics"] = runner.path("diagnostics")
-    report = _maybe_evaluate(config, route, runner, "metrics")
+    header = [f"must-pass nodes: {len(must_pass)} (pruned {must_pass.pruned_count})",
+              f"terminals: start node {v_st}, end node {v_ed}", ""]
+    report = _write_results(runner, route, header, gt, config.tolerance)
     return TrackResult(route, must_pass, runner.records, runner.artifacts, report)
 
 
 def run_baseline(config: TrackingConfig, log=None) -> TrackResult:
     """Plain shortest path between the terminals; no must-pass machinery."""
     runner = _Runner(config.output_dir, log)
-    intensity, seg = _load_grids(config)
+    intensity, seg, gt = _load_inputs(config)
     wall, labels, masked = _graph_stages(config, runner, intensity, seg)
     _, v_st, v_ed = _terminals(config, seg, labels, masked)
 
     route = runner.timed("route", lambda: shortest_path_baseline(masked, v_st, v_ed))
-    save_polyline(route.polyline, runner.path("baseline_route"))
-    runner.artifacts["baseline_route"] = runner.path("baseline_route")
-
-    _write_diagnostics(
-        runner.path("baseline_diagnostics"), runner.records, route,
-        header_lines=[f"terminals: start node {v_st}, end node {v_ed}", ""],
-    )
-    runner.artifacts["baseline_diagnostics"] = runner.path("baseline_diagnostics")
-    report = _maybe_evaluate(config, route, runner, "baseline_metrics")
+    header = [f"terminals: start node {v_st}, end node {v_ed}", ""]
+    report = _write_results(runner, route, header, gt, config.tolerance, "baseline_")
     return TrackResult(route, None, runner.records, runner.artifacts, report)
 
 

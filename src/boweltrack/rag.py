@@ -15,7 +15,7 @@ from scipy.sparse import csr_array
 
 from .errors import FormatError, InfeasibleError, InvariantError
 from .supervoxel import LabelVolume, _distinct
-from .volume_io import Volume, _atomic_write_chunks, check_same_grid
+from .volume_io import Volume, _atomic_write_chunks, check_same_grid, format_lines, read_records
 
 
 # Lines `save_rag` formats at once: the Python numbers and strings of one
@@ -179,74 +179,48 @@ def save_rag(rag: Rag, path) -> None:
     """One `node` line per node, then one `edge` line per edge, written with
     `%`-formats over Python numbers (17 significant digits for floats), a
     block of `SAVE_ROWS` lines at a time."""
-    c = rag.centroids
     ids = rag.node_ids
 
     def blocks():
         for lo in range(0, rag.n_nodes, SAVE_ROWS):
             sl = slice(lo, lo + SAVE_ROWS)
-            yield _lines("node %d %.17g %.17g %.17g %d\n", ids[sl], c[sl, 0], c[sl, 1],
-                         c[sl, 2], rag.counts[sl])
+            yield format_lines("node %d %.17g %.17g %.17g %d\n",
+                               ids[sl], *rag.centroids[sl].T, rag.counts[sl])
         for lo in range(0, rag.n_edges, SAVE_ROWS):
             sl = slice(lo, lo + SAVE_ROWS)
-            yield _lines("edge %d %d %.17g %d\n", ids[rag.edge_i[sl]], ids[rag.edge_j[sl]],
-                         rag.edge_cost[sl], rag.edge_faces[sl])
+            yield format_lines("edge %d %d %.17g %d\n", ids[rag.edge_i[sl]],
+                               ids[rag.edge_j[sl]], rag.edge_cost[sl], rag.edge_faces[sl])
 
     _atomic_write_chunks(path, blocks())
 
 
-def _lines(fmt: str, *columns) -> bytes:
-    return "".join(map(fmt.__mod__, zip(*(col.tolist() for col in columns)))).encode("ascii")
+# node: id, centroid x y z, voxel count; edge: node ids, cost, face count.
+_SCHEMA = {"node": (int, float, float, float, int), "edge": (int, int, float, int)}
 
 
 def load_rag(path) -> Rag:
-    node_ids, centroids, counts = [], [], []
-    raw_edges = []
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not a text graph file: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            if tokens[0] == "node" and len(tokens) == 6:
-                node_ids.append(int(tokens[1]))
-                centroids.append([float(t) for t in tokens[2:5]])
-                counts.append(int(tokens[5]))
-            elif tokens[0] == "edge" and len(tokens) == 5:
-                raw_edges.append(
-                    (int(tokens[1]), int(tokens[2]), float(tokens[3]), int(tokens[4]))
-                )
-            else:
-                raise FormatError(f"{path}:{lineno}: unrecognized line {line.strip()!r}")
-        except ValueError as exc:
-            raise FormatError(
-                f"{path}:{lineno}: bad number in {line.strip()!r}: {exc}") from exc
-    if not node_ids:
+    records = read_records(path, "graph", _SCHEMA)
+    _, (ids, x, y, z, counts) = records["node"]
+    _, (ends_a, ends_b, cost, faces) = records["edge"]
+    if not ids:
         raise FormatError(f"{path}: no node lines")
-    index_of = {nid: k for k, nid in enumerate(node_ids)}
-    if len(index_of) != len(node_ids):
+    index_of = dict(zip(ids, range(len(ids))))
+    if len(index_of) != len(ids):
         raise FormatError(f"{path}: duplicate node id")
     try:
-        edge_i = np.array([index_of[e[0]] for e in raw_edges], dtype=np.int64)
-        edge_j = np.array([index_of[e[1]] for e in raw_edges], dtype=np.int64)
+        edge_a = np.array([index_of[node] for node in ends_a], dtype=np.int64)
+        edge_b = np.array([index_of[node] for node in ends_b], dtype=np.int64)
     except KeyError as exc:
         raise FormatError(f"{path}: edge references unknown node {exc}") from exc
-    lo = np.minimum(edge_i, edge_j)
-    hi = np.maximum(edge_i, edge_j)
     try:
         return Rag(
-            node_ids=np.asarray(node_ids, dtype=np.int64),
-            centroids=np.asarray(centroids, dtype=np.float64).reshape(-1, 3),
-            counts=np.asarray(counts, dtype=np.int64),
-            edge_i=lo,
-            edge_j=hi,
-            edge_cost=np.array([e[2] for e in raw_edges], dtype=np.float64),
-            edge_faces=np.array([e[3] for e in raw_edges], dtype=np.int64),
+            node_ids=np.array(ids, dtype=np.int64),
+            centroids=np.column_stack((x, y, z)),
+            counts=np.array(counts, dtype=np.int64),
+            edge_i=np.minimum(edge_a, edge_b),
+            edge_j=np.maximum(edge_a, edge_b),
+            edge_cost=np.array(cost, dtype=np.float64),
+            edge_faces=np.array(faces, dtype=np.int64),
         )
-    except InvariantError as exc:
+    except (InvariantError, OverflowError) as exc:     # OverflowError: beyond int64
         raise FormatError(f"{path}: invalid graph: {exc}") from exc

@@ -1,4 +1,5 @@
-"""Must-pass node sampling: exact EDT of the bowel interior, then peaks.
+"""Must-pass node sampling: exact EDT of the bowel interior, then peaks,
+and the must-pass file that stores them.
 
 The distance transform is scipy's exact Euclidean distance transform in
 physical units (mm).  The mask is zero-padded by one layer, so the volume
@@ -16,9 +17,9 @@ import warnings
 import numpy as np
 from scipy import ndimage
 
-from .errors import InfeasibleError, InvariantError
+from .errors import FormatError, InfeasibleError, InvariantError
 from .supervoxel import LabelVolume
-from .volume_io import Volume, check_same_grid
+from .volume_io import Volume, _atomic_write_bytes, check_same_grid, format_lines, read_records
 
 
 def interior_mask(segmentation: Volume, wall_map: Volume, wall_threshold: float) -> Volume:
@@ -80,9 +81,44 @@ class MustPassSet:
             raise InvariantError("duplicate must-pass node id")
         if self.positions.shape != (len(self.node_ids), 3):
             raise InvariantError("positions shape mismatch")
+        if self.pruned_count < 0:
+            raise InvariantError(f"pruned count must be non-negative, got {self.pruned_count}")
 
     def __len__(self):
         return len(self.node_ids)
+
+
+# mustpass: version; count: peaks, "pruned", pruned; peak: node, x y z, distance.
+_SCHEMA = {"mustpass": (str,), "count": (int, str, int), "peak": (int,) + (float,) * 4}
+
+
+def save_must_pass(mp: MustPassSet, path) -> None:
+    header = f"mustpass 1\ncount {len(mp.node_ids)} pruned {mp.pruned_count}\n"
+    peaks = format_lines("peak %d %.17g %.17g %.17g %.17g\n",
+                         mp.node_ids, *mp.positions.T, mp.values)
+    _atomic_write_bytes(path, header.encode("ascii") + peaks)
+
+
+def load_must_pass(path) -> MustPassSet:
+    records = read_records(path, "must-pass", _SCHEMA)
+    if records["mustpass"] != ([1], [["1"]]):
+        raise FormatError(f"{path}: not a must-pass file")
+    lines, (count, word, pruned) = records["count"]
+    if lines != [2] or word != ["pruned"]:
+        raise FormatError(f"{path}: expected one 'count N pruned P' line, as line 2; "
+                          f"found count lines at {lines}")
+    _, (ids, x, y, z, values) = records["peak"]
+    if len(ids) != count[0]:
+        raise FormatError(f"{path}: expected {count[0]} peaks, found {len(ids)}")
+    try:
+        return MustPassSet(
+            node_ids=np.array(ids, dtype=np.int64),
+            positions=np.column_stack((x, y, z)),
+            values=np.array(values, dtype=np.float64),
+            pruned_count=pruned[0],
+        )
+    except (InvariantError, OverflowError) as exc:     # OverflowError: beyond int64
+        raise FormatError(f"{path}: invalid must-pass set: {exc}") from exc
 
 
 def _peak_candidates(data: np.ndarray, sp: np.ndarray, theta_v: float, theta_d: float):

@@ -402,8 +402,8 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
             f"target_volume {target_volume} must be at least 8 voxels "
             f"({8.0 * feature.voxel_volume():.1f} mm^3)"
         )
-    if not (compactness > 0):
-        raise ValueError(f"compactness must be positive, got {compactness}")
+    if not (0 < compactness < np.inf):
+        raise ValueError(f"compactness must be positive and finite, got {compactness}")
     if min(feature.dims) < 2:
         axis = int(np.argmin(feature.dims))
         raise ValueError(

@@ -1,11 +1,17 @@
-"""Dense 3D scalar volumes and 3D polylines with physical coordinates.
+"""Dense 3D scalar volumes, 3D polylines with physical coordinates, and the
+line-record text format.
 
 File formats (shared by every pipeline stage):
 
 * Volume: four ASCII header lines (``dims:``, ``spacing:``, ``origin:``,
   ``dtype:``), one blank line, then the raw little-endian voxel block in
   x-fastest order.
-* Polyline: one ``x y z`` triple per line, decimal text, millimetres.
+* Line records (graph, must-pass and polyline files): printable ASCII, tab
+  and line breaks only.  Each non-blank line is one record: a tag, then the
+  fixed number of whitespace-separated decimal fields of that tag (floats as
+  ``%.17g``, which reads back to the same bits).  `read_records` reads them
+  and `format_lines` writes them.
+* Polyline: untagged records, one ``x y z`` triple per line, millimetres.
 
 The single coordinate convention used everywhere: the physical position of
 voxel index ``i`` along an axis is ``origin + (i + 0.5) * spacing``.
@@ -13,6 +19,7 @@ voxel index ``i`` along an axis is ``origin + (i + 0.5) * spacing``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -154,12 +161,12 @@ def _read_volume(path) -> Volume:
         if min(dims) < 1:
             raise FormatError(f"malformed header: non-positive dims {dims}")
         dtype = DTYPE_TAGS[tag]
-        expected = int(np.prod(dims)) * dtype.itemsize
+        count = math.prod(dims)     # exact: np.prod wraps at 2**63
         raw = fh.read()
-    if len(raw) != expected:
+    if len(raw) != count * dtype.itemsize:
         raise FormatError(
-            f"data length mismatch: expected {expected} bytes "
-            f"({int(np.prod(dims))} values of {tag}), file holds {len(raw)}"
+            f"data length mismatch: expected {count * dtype.itemsize} bytes "
+            f"({count} values of {tag}), file holds {len(raw)}"
         )
     data = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
     return Volume(data.reshape(dims, order="F"), np.array(spacing), np.array(origin))
@@ -185,31 +192,65 @@ def save_volume(vol: Volume, path) -> None:
 
 def load_polyline(path) -> Polyline:
     """Read a Polyline from decimal 'x y z' lines."""
-    points = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            tokens = text.split()
-            if len(tokens) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 coordinates, got {len(tokens)}")
-            try:
-                points.append([float(t) for t in tokens])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric token ({exc})") from exc
-    if len(points) < 2:
-        raise FormatError(f"{path}: polyline needs at least 2 points, found {len(points)}")
+    _, xyz = read_records(path, "polyline", {None: (float,) * 3})[None]
+    if len(xyz[0]) < 2:
+        raise FormatError(f"{path}: polyline needs at least 2 points, found {len(xyz[0])}")
     try:
-        return Polyline(np.array(points))
+        return Polyline(np.column_stack(xyz))
     except InvariantError as exc:
         raise FormatError(f"{path}: invalid polyline: {exc}") from exc
 
 
 def save_polyline(line: Polyline, path) -> None:
-    # %.17g round-trips float64 exactly, so reloading gives the same curve.
-    text = "".join("%.17g %.17g %.17g\n" % tuple(p) for p in line.points)
-    _atomic_write_bytes(path, text.encode("ascii"))
+    _atomic_write_bytes(path, format_lines("%.17g %.17g %.17g\n", *line.points.T))
+
+
+# The bytes a line-record file may hold: printable ASCII, tab, line breaks.
+_TEXT_BYTES = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+
+
+def read_records(path, what: str, schema: dict) -> dict:
+    """Read a line-record file.  `schema` maps each tag (None: untagged
+    lines) to the converters of its fields; the result maps each tag to the
+    line numbers of its records and one converted list per field.  Errors
+    name `what`, the file, and the line number and text."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    bad = raw.translate(None, _TEXT_BYTES)
+    if bad:
+        raise FormatError(f"{path}: not a text {what} file: byte {bad[:1]!r} "
+                          f"at offset {raw.index(bad[0])}")
+    lines = raw.decode("ascii").splitlines()
+    rows = {tag: ([], []) for tag in schema}
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        tag = None if None in schema else fields.pop(0)
+        if tag not in schema or len(fields) != len(schema[tag]):
+            raise FormatError(f"{path}:{lineno}: unrecognized {what} line {line.strip()!r}")
+        rows[tag][0].append(lineno)
+        rows[tag][1].append(fields)
+    out = {}
+    for tag, (linenos, fields) in rows.items():
+        convs = schema[tag]
+        try:
+            columns = zip(*fields) if fields else [()] * len(convs)
+            out[tag] = linenos, [list(map(conv, col)) for conv, col in zip(convs, columns)]
+        except ValueError:
+            for lineno, row in zip(linenos, fields):     # the first bad line of this tag
+                try:
+                    [conv(f) for conv, f in zip(convs, row)]
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: bad number in "
+                                      f"{lines[lineno - 1].strip()!r}: {exc}") from exc
+            raise
+    return out
+
+
+def format_lines(fmt: str, *columns) -> bytes:
+    """One `fmt` line per row of the array `columns`, as ASCII bytes."""
+    return "".join(map(fmt.__mod__, zip(*(col.tolist() for col in columns)))).encode("ascii")
 
 
 def _atomic_write_bytes(path, blob: bytes) -> None:

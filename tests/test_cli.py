@@ -217,6 +217,34 @@ class TestExitCodes:
         assert cli.main(["track", str(workspace["config"]), "--quiet"]) == 5
         assert "invariant breach" in capsys.readouterr().err
 
+    def test_eval_non_ascii_polyline_is_io(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.poly"
+        bad.write_bytes(b"0 0 0\n1 1 1\n\xff\n")
+        assert cli.main(["eval", str(bad), str(workspace["data"] / "gt.poly")]) == 3
+        assert f"i/o error: {bad}: not a text polyline file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["track", "phantom"])
+    def test_non_utf8_config_is_named(self, workspace, tmp_path, capsys, command):
+        source = workspace["config" if command == "track" else "spec"]
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(read_bytes(source) + b"# \xff\n")
+        out = tmp_path / "o"
+        args = [str(bad), "--output-dir", str(out)] if command == "track" else [str(bad), str(out)]
+        assert cli.main([command, *args, "--quiet"]) == 2
+        assert f"config error: {bad}: not a UTF-8 text file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "slic"])
+    def test_infinite_compactness_exits_config(self, workspace, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        if command == "track":
+            args = [str(workspace["config"]), "--quiet", "--output-dir", str(out)]
+        else:
+            args = [artifact(workspace, "wall_map"), str(out)]
+        assert cli.main([command, *args, "--compactness", "inf"]) == 2
+        assert "compactness must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_missing_file_is_io(self, workspace, capsys):
         assert cli.main(["eval", "/nonexistent.poly",
                          str(workspace["data"] / "gt.poly")]) == 3

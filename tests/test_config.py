@@ -126,6 +126,17 @@ class TestErrors:
         with pytest.raises(ConfigError, match="positive"):
             load_tracking_config(write_config(workspace, extra=extra))
 
+    def test_infinite_compactness_rejected(self, workspace):
+        with pytest.raises(ConfigError, match="compactness must be finite, got inf"):
+            load_tracking_config(write_config(workspace, extra="compactness: inf\n"))
+
+    def test_non_utf8_config_names_the_file(self, workspace):
+        path = write_config(workspace)
+        with open(path, "ab") as fh:
+            fh.write(b"# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"track\.cfg: not a UTF-8 text file"):
+            load_tracking_config(path)
+
     def test_delta_must_exceed_theta_d(self, workspace):
         with pytest.raises(ConfigError, match="delta"):
             load_tracking_config(write_config(workspace, extra="delta: 6\ntheta_d: 6\n"))

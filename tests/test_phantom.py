@@ -303,6 +303,12 @@ class TestSpecFile:
         with pytest.raises(ConfigError, match="dims"):
             load_phantom_spec(p)
 
+    def test_non_utf8_spec_names_the_file(self, tmp_path):
+        p = tmp_path / "spec.txt"
+        p.write_bytes(b"dims: 64 48 24\nseed: \xff\n")
+        with pytest.raises(ConfigError, match=r"spec\.txt: not a UTF-8 text file"):
+            load_phantom_spec(p)
+
     def test_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "spec.txt"
         p.write_text("# phantom\n\nbends: 2  # two turns\nseed: 9\n")

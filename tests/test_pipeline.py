@@ -224,6 +224,18 @@ class TestTerminalResolution:
             run_track(config)
 
 
+class TestGroundTruthReadFirst:
+    @pytest.mark.parametrize("run", [run_track, run_baseline])
+    def test_bad_ground_truth_rejected_before_any_stage(self, straight, tmp_path, run):
+        gt = tmp_path / "gt.poly"
+        gt.write_text("1.0 2.0 3.0\n")
+        paths = dict(straight["paths"], gt=str(gt))
+        config = make_config(paths, straight["gt"], str(tmp_path / "out"))
+        with pytest.raises(FormatError, match=r"gt\.poly: polyline needs at least 2 points"):
+            run(config)
+        assert not (tmp_path / "out" / ARTIFACTS["wall_map"]).exists()
+
+
 class TestMustPassSerialization:
     def roundtrip(self, tmp_path, mp):
         path = str(tmp_path / "mp.txt")
@@ -253,17 +265,53 @@ class TestMustPassSerialization:
         assert np.array_equal(back.positions, mp.positions)
         assert np.array_equal(back.values, mp.values)
 
+    def test_writer_format(self, tmp_path):
+        mp = MustPassSet(
+            node_ids=np.array([4, 9]),
+            positions=np.array([[1.5, 1 / 3, -0.0], [4.0, 5e-324, 6.0]]),
+            values=np.array([5.0, 0.1]),
+            pruned_count=3,
+        )
+        path = tmp_path / "mp.txt"
+        save_must_pass(mp, path)
+        assert path.read_text() == (
+            "mustpass 1\ncount 2 pruned 3\n"
+            "peak 4 1.5 0.33333333333333331 -0 5\n"
+            "peak 9 4 4.9406564584124654e-324 6 0.10000000000000001\n"
+        )
+
     @pytest.mark.parametrize("text,match", [
-        ("wrong 1\ncount 0 pruned 0\n", "not a must-pass file"),
+        ("wrong 1\ncount 0 pruned 0\n", r"bad\.txt:1: unrecognized must-pass line 'wrong 1'"),
         ("mustpass 1\ncount x pruned 0\n", "invalid literal|bad count"),
-        ("mustpass 1\ncounts 1 pruned 0\npeak 1 0 0 0 3\n", "bad count line"),
-        ("mustpass 1\ncount 1 pruned 0\npeak 1 0 0\n", "bad peak line"),
+        ("mustpass 1\ncounts 1 pruned 0\npeak 1 0 0 0 3\n",
+         r"bad\.txt:2: unrecognized must-pass line 'counts 1 pruned 0'"),
+        ("mustpass 1\ncount 1 pruned 0\npeak 1 0 0\n",
+         r"bad\.txt:3: unrecognized must-pass line 'peak 1 0 0'"),
         ("mustpass 1\ncount 2 pruned 0\npeak 1 0 0 0 3\n", "expected 2 peaks"),
         ("mustpass 1\ncount 2 pruned 0\npeak 1 0 0 0 3\npeak 1 1 1 1 3\n",
          "invalid must-pass set"),
-        ("mustpass 1\ncount 1 pruned zero\npeak 1 0 0 0 3\n", r"bad\.txt:2: bad count line"),
-        ("mustpass 1\ncount 1 pruned 0\npeak 1 0 x 0 3\n", r"bad\.txt:3: bad peak line"),
+        ("mustpass 1\ncount 1 pruned zero\npeak 1 0 0 0 3\n",
+         r"bad\.txt:2: bad number in 'count 1 pruned zero'"),
+        ("mustpass 1\ncount 1 pruned 0\npeak 1 0 x 0 3\n",
+         r"bad\.txt:3: bad number in 'peak 1 0 x 0 3'"),
         ("mustpass 1\ncount 0 pruned 0\n\xff\n", r"bad\.txt: not a text must-pass file"),
+        # The header is line 1, then line 2, in that order.
+        ("count 1 pruned 0\nmustpass 1\npeak 1 0 0 0 3\n", r"bad\.txt: not a must-pass file"),
+        ("mustpass 1\npeak 1 0 0 0 3\ncount 1 pruned 0\n",
+         r"bad\.txt: expected one 'count N pruned P' line, as line 2; found count lines at \[3\]"),
+        ("\nmustpass 1\ncount 1 pruned 0\npeak 1 0 0 0 3\n", r"bad\.txt: not a must-pass file"),
+        ("mustpass 1\n\ncount 1 pruned 0\npeak 1 0 0 0 3\n", r"count lines at \[3\]"),
+        ("mustpass 1\ncount 1 pruned 0\npeak 1 0 0 0 3\ncount 1 pruned 0\n",
+         r"count lines at \[2, 4\]"),
+        ("mustpass 1\nmustpass 1\ncount 1 pruned 0\npeak 1 0 0 0 3\n",
+         r"bad\.txt: not a must-pass file"),
+        ("mustpass 01\ncount 1 pruned 0\npeak 1 0 0 0 3\n", r"bad\.txt: not a must-pass file"),
+        ("mustpass 2\ncount 1 pruned 0\npeak 1 0 0 0 3\n", r"bad\.txt: not a must-pass file"),
+        ("mustpass 1\ncount 1 pruning 0\npeak 1 0 0 0 3\n", r"count lines at \[2\]"),
+        ("mustpass 1\n", r"count lines at \[\]"),
+        ("peak 1 0 0 0 3\n", r"bad\.txt: not a must-pass file"),
+        ("mustpass 1\ncount 1 pruned -3\npeak 1 0 0 0 3\n",
+         r"bad\.txt: invalid must-pass set: pruned count must be non-negative, got -3"),
     ])
     def test_malformed_rejected(self, tmp_path, text, match):
         path = tmp_path / "bad.txt"

@@ -424,6 +424,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="compactness"):
             slic_supervoxels(vol, 216.0, 0.0)
 
+    @pytest.mark.parametrize("compactness", [np.inf, np.nan])
+    def test_non_finite_compactness_rejected(self, compactness):
+        vol = constant_volume((20, 20, 20))
+        with pytest.raises(ValueError, match="compactness must be positive and finite"):
+            slic_supervoxels(vol, 216.0, compactness)
+
     def test_label_volume_rejects_gaps(self):
         data = np.zeros((4, 4, 4), dtype=np.int32)
         data[0, 0, 0] = 2

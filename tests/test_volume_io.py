@@ -13,6 +13,9 @@ from boweltrack import (
     save_polyline,
     save_volume,
 )
+from boweltrack.rag import load_rag
+from boweltrack.sampling import load_must_pass
+from boweltrack.volume_io import format_lines, read_records
 
 
 def write_volume_file(path, dims, spacing, origin, tag, payload: bytes):
@@ -41,6 +44,14 @@ def test_truncated_payload_is_length_mismatch(tmp_path):
     payload = np.arange(7, dtype="<f4").tobytes()
     write_volume_file(p, (2, 2, 2), (1, 1, 1), (0, 0, 0), "f32", payload)
     with pytest.raises(FormatError, match="length mismatch"):
+        load_volume(p)
+
+
+def test_length_of_huge_dims_is_exact(tmp_path):
+    # 3037000500**2 * 2 voxels exceed 2**63; an int64 product wraps around.
+    p = tmp_path / "v.vol"
+    write_volume_file(p, (3037000500, 3037000500, 2), (1, 1, 1), (0, 0, 0), "u8", b"")
+    with pytest.raises(FormatError, match=r"expected 18446744074000500000 bytes"):
         load_volume(p)
 
 
@@ -130,7 +141,22 @@ def test_polyline_single_point_rejected(tmp_path):
 def test_polyline_non_numeric_rejected(tmp_path):
     path = tmp_path / "line.txt"
     path.write_text("1.0 2.0 3.0\n4.0 x 6.0\n")
-    with pytest.raises(FormatError, match="non-numeric"):
+    with pytest.raises(FormatError, match=r"line\.txt:2: bad number in '4\.0 x 6\.0'"):
+        load_polyline(path)
+
+
+def test_polyline_wrong_coordinate_count_rejected(tmp_path):
+    path = tmp_path / "line.txt"
+    path.write_text("1.0 2.0 3.0\n\n4.0 5.0\n")
+    with pytest.raises(FormatError, match=r"line\.txt:3: unrecognized polyline line '4\.0 5\.0'"):
+        load_polyline(path)
+
+
+def test_polyline_must_be_ascii(tmp_path):
+    # Non-ASCII whitespace between numbers used to split like a space.
+    path = tmp_path / "line.txt"
+    path.write_text("1.0\u00a02.0 3.0\n4.0 5.0 6.0\n")
+    with pytest.raises(FormatError, match=r"line\.txt: not a text polyline file"):
         load_polyline(path)
 
 
@@ -167,3 +193,92 @@ def test_polyline_invariants():
     line = Polyline(np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [3.0, 4.0, 5.0]]))
     assert line.arc_length() == pytest.approx(10.0)
     assert np.allclose(line.cumulative_arc(), [0.0, 5.0, 10.0])
+
+
+# A valid file of each line-record kind, with the loader that reads it.
+RECORD_FILES = {
+    "graph": (load_rag, b"node 0 0 0 0 1\nnode 1 1 0 0 1\nedge 0 1 0.5 1\n"),
+    "must-pass": (load_must_pass, b"mustpass 1\ncount 1 pruned 0\npeak 0 1 2 3 4\n"),
+    "polyline": (load_polyline, b"0 0 0\n1 1 1\n"),
+}
+
+
+@pytest.mark.parametrize("what", RECORD_FILES)
+def test_loaders_read_their_valid_file(tmp_path, what):
+    load, text = RECORD_FILES[what]
+    path = tmp_path / "file.txt"
+    path.write_bytes(text)
+    load(path)
+
+
+@pytest.mark.parametrize("what", RECORD_FILES)
+@pytest.mark.parametrize("where", ["end", "start"])
+def test_undecodable_byte_names_the_file(tmp_path, what, where):
+    load, text = RECORD_FILES[what]
+    path = tmp_path / "file.txt"
+    path.write_bytes(text + b"\xff" if where == "end" else b"\xff" + text)
+    with pytest.raises(FormatError, match=rf"file\.txt: not a text {what} file"):
+        load(path)
+
+
+@pytest.mark.parametrize("what,text", [
+    ("graph", b"node 0 0 0 0 1\nnode 1 1 0 0 99999999999999999999\nedge 0 1 0.5 1\n"),
+    ("graph", b"node 0 0 0 0 1\nnode 1 1 0 0 1\nedge 0 1 0.5 -99999999999999999999\n"),
+    ("must-pass", b"mustpass 1\ncount 1 pruned 0\npeak 99999999999999999999 0 0 0 3\n"),
+])
+def test_integer_beyond_int64_is_format_error(tmp_path, what, text):
+    load, _ = RECORD_FILES[what]
+    path = tmp_path / "file.txt"
+    path.write_bytes(text)
+    with pytest.raises(FormatError, match=r"file\.txt: invalid .*too large"):
+        load(path)
+
+
+SCHEMA = {"a": (int, float), "b": (str,)}
+
+
+def test_records_by_tag_with_line_numbers(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_bytes(b"\n  a 1 2.5  \r\nb x\r\n\t\na  -3\t1e3\n")
+    assert read_records(path, "test", SCHEMA) == {
+        "a": ([2, 5], [[1, -3], [2.5, 1000.0]]),
+        "b": ([3], [["x"]]),
+    }
+    path.write_bytes(b"b y\n")
+    assert read_records(path, "test", SCHEMA)["a"] == ([], [[], []])
+
+
+@pytest.mark.parametrize("text,match", [
+    (b"a 1 2\nc 1\n", r"r\.txt:2: unrecognized test line 'c 1'"),
+    (b"a 1 2\n\na 1\n", r"r\.txt:3: unrecognized test line 'a 1'"),
+    (b"b x y\n", r"r\.txt:1: unrecognized test line 'b x y'"),
+    (b"a 1.0 2\n", r"r\.txt:1: bad number in 'a 1\.0 2': invalid literal for int"),
+    (b"a 1 two\n", r"r\.txt:1: bad number in 'a 1 two': could not convert"),
+    (b"a 1 2\nb x\na 1 -\na z 2\na 1 +\n", r"r\.txt:3: bad number in 'a 1 -'"),
+    (b"a 1 2\na 1 2 \na 1.5 2\n", r"r\.txt:3: bad number in 'a 1\.5 2'"),
+    (b"a 1 2\x0ba 1 2\n", r"r\.txt: not a text test file: byte b'\\x0b' at offset 5"),
+    (b"a 1 2\x00\n", r"r\.txt: not a text test file"),
+    (b"a 1 \xc3\xa9\n", r"r\.txt: not a text test file: byte b'\\xc3' at offset 4"),
+])
+def test_bad_records_name_file_line_and_cause(tmp_path, text, match):
+    path = tmp_path / "r.txt"
+    path.write_bytes(text)
+    with pytest.raises(FormatError, match=match):
+        read_records(path, "test", SCHEMA)
+
+
+def test_untagged_records(tmp_path):
+    path = tmp_path / "r.txt"
+    path.write_bytes(b"1 2\n3 4\n")
+    assert read_records(path, "pairs", {None: (int, int)}) == {None: ([1, 2], [[1, 3], [2, 4]])}
+    path.write_bytes(b"1 2\npair 4\n")
+    with pytest.raises(FormatError, match=r"r\.txt:2: bad number in 'pair 4'"):
+        read_records(path, "pairs", {None: (int, int)})
+
+
+def test_format_lines_matches_percent_formatting():
+    ids = np.array([0, 2**40 + 3, -7])
+    vals = np.array([1 / 3, -0.0, 5e-324])
+    got = format_lines("x %d %.17g\n", ids, vals)
+    assert got == b"".join(b"x %d %.17g\n" % (int(i), float(v)) for i, v in zip(ids, vals))
+    assert format_lines("x %d\n", ids[:0]) == b""
