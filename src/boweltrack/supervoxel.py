@@ -40,9 +40,11 @@ WINDOW_FACTOR = 1.5
 # Window voxels per assignment batch: bounds the batch temporaries to about
 # 0.5 MB each, whatever the volume size or cluster count.
 _BATCH_VOXELS = 1 << 16
-# Axis-0 rows per slab of the connectivity components: bounds their
-# temporaries to a few slabs, whatever the volume.
-_COMP_ROWS = 16
+# Axis-0 rows per slab of the seed grid's gradient and of the
+# connectivity components: bounds their temporaries to a few slabs,
+# whatever the volume.
+_SEED_ROWS = 16
+_COMP_ROWS = 4
 
 # The 3^3 block in raster order; (0, 0, 0) sits in the middle, at index 13.
 _OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
@@ -119,6 +121,17 @@ def load_label_volume(path) -> LabelVolume:
         raise FormatError(f"{path}: invalid label volume: {exc}") from exc
 
 
+def _squared_gradient(data: np.ndarray, sp, lo: int, hi: int) -> np.ndarray:
+    """|grad f|^2 (float64) at axis-0 rows lo..hi, with the bits of
+    `np.gradient` over the whole volume: one halo row on each side keeps
+    the central differences, and at the volume's first and last row the
+    one-sided difference reads the same rows."""
+    a, b = max(lo - 1, 0), min(hi + 1, data.shape[0])
+    grads = np.gradient(data[a:b].astype(np.float64), *sp)
+    mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
+    return mag[lo - a : hi - a]
+
+
 def _seed_grid(feature: Volume, step: float):
     """Regular seed grid (mm centers), perturbed to the 3^3 lowest-gradient
     voxel; returns (voxel indices (k,3), spatial centers (k,3) mm)."""
@@ -134,19 +147,23 @@ def _seed_grid(feature: Volume, step: float):
     counts = [max(1, int(round(extent[a] / step))) for a in range(3)]
     axes = [(np.arange(n) + 0.5) * (extent[a] / n) for a, n in enumerate(counts)]
 
-    grads = np.gradient(feature.data.astype(np.float64), *sp)
-    grad_mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
-
     # Each grid point moves to the lowest-gradient voxel of the 3^3 block
     # around it: the first minimum in block raster order, never a voxel
-    # outside the volume.
+    # outside the volume.  The gradient is taken one slab of _SEED_ROWS
+    # axis-0 rows at a time, and each slab fills the block entries in its
+    # rows; the grid is in raster order, so the points near a slab are one
+    # range of it.
     idx = [np.minimum((axes[a] / sp[a]).astype(int), dims[a] - 1) for a in range(3)]
     grid = np.stack(np.meshgrid(*idx, indexing="ij"), axis=-1).reshape(-1, 3)
     block = np.full((len(grid), len(_OFFSETS_27)), np.inf)
-    for j, off in enumerate(_OFFSETS_27):
-        nbr = grid + off
-        inside = np.all((nbr >= 0) & (nbr < dims), axis=1)
-        block[inside, j] = grad_mag[tuple(nbr[inside].T)]
+    for lo in range(0, dims[0], _SEED_ROWS):
+        hi = min(lo + _SEED_ROWS, dims[0])
+        mag = _squared_gradient(feature.data, sp, lo, hi)
+        near = slice(*np.searchsorted(grid[:, 0], (lo - 1, hi + 1)))
+        for j, off in enumerate(_OFFSETS_27):
+            nbr = grid[near] + off - (lo, 0, 0)
+            inside = np.all((nbr >= 0) & (nbr < mag.shape), axis=1)
+            block[near][inside, j] = mag[tuple(nbr[inside].T)]
     seeds = grid + _OFFSETS_27[np.argmin(block, axis=1)]
     centers = (seeds + 0.5) * sp
     return seeds, centers
@@ -203,23 +220,26 @@ def _same_label_components(labels: np.ndarray):
     Each slab of _COMP_ROWS axis-0 rows gets its own components, numbered
     by lowest voxel after those of the slabs above it.  One small graph over
     these ids then joins the equally labeled 26-neighbours across each slab
-    face.  Its components, numbered by lowest id, are numbered by lowest
-    voxel too: ids follow their component's lowest voxel in raster order.
+    face, one edge per distinct (component above, component below) pair.
+    Its components, numbered by lowest id, are numbered by lowest voxel
+    too: ids follow their component's lowest voxel in raster order.
     """
     n0, rows = labels.shape[0], _COMP_ROWS
     comp = np.empty(labels.shape, dtype=np.int32)
     counts = parallel.map_ranges(
         lambda lo, hi: _slab_components(labels[lo:hi], comp[lo:hi]), n0, rows)
     first = np.concatenate(([0], np.cumsum(counts)))
-    above, below = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    n_ids = int(first[-1])
+    pairs = [np.empty(0, dtype=np.int64)]
     for k, face in enumerate(range(rows, n0, rows)):
         pair, ids = labels[face - 1 : face + 1], comp[face - 1 : face + 1]
+        keys = []
         for off in itertools.product((1,), (-1, 0, 1), (-1, 0, 1)):
             here, there = _box(off, (0, 0, 0), pair.shape), _box(off, off, pair.shape)
             link = pair[here] == pair[there]
-            above.append(ids[here][link] + first[k])
-            below.append(ids[there][link] + first[k + 1])
-    n_comp, group = _components(np.concatenate(above), np.concatenate(below), first[-1])
+            keys.append((ids[here][link] + first[k]) * n_ids + ids[there][link] + first[k + 1])
+        pairs.append(_distinct(np.concatenate(keys)))
+    n_comp, group = _components(*np.divmod(np.concatenate(pairs), n_ids), n_ids)
 
     def renumber(lo, hi):
         k = lo // rows
@@ -357,8 +377,8 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
                 # dist = |f - f_i| + (m_i / step) * sqrt((dx^2 + dy^2) + dz^2).
                 ds = sq[0] + sq[1] + sq[2]
                 np.sqrt(ds, out=ds)
-                df = flat_feat.take(vox).reshape(ds.shape)
-                df -= cluster_feat[ids, None, None, None]
+                df = np.subtract(flat_feat.take(vox).reshape(ds.shape),
+                                 cluster_feat[ids, None, None, None], dtype=np.float64)
                 np.abs(df, out=df)
                 ds *= (cluster_m[ids] / step)[:, None, None, None]
                 ds += df
@@ -386,10 +406,12 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
 def _max_feature_distance(flat_label, flat_feat, cluster_feat) -> np.ndarray:
     """Largest |f - c| over each cluster's voxels, c the cluster feature
     they were assigned by; -inf for an empty cluster.  Rounding is
-    monotone, so the maximum is reached at the cluster's feature extremes."""
-    fmax = np.full(len(cluster_feat), -np.inf)
+    monotone, so the maximum is reached at the cluster's feature extremes.
+    They are found in the feature's own float type, which is exact and
+    keeps `ufunc.at` on its fast path (mixed types leave it)."""
+    fmax = np.full(len(cluster_feat), -np.inf, dtype=flat_feat.dtype)
     np.maximum.at(fmax, flat_label, flat_feat)
-    fmin = np.full(len(cluster_feat), np.inf)
+    fmin = np.full(len(cluster_feat), np.inf, dtype=flat_feat.dtype)
     np.minimum.at(fmin, flat_label, flat_feat)
     return np.maximum(fmax - cluster_feat, cluster_feat - fmin)
 
@@ -414,12 +436,16 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
     step = target_volume ** (1.0 / 3.0)
     dims = feature.dims
     sp = np.asarray(feature.spacing)
-    feat = feature.data.astype(np.float64)
+    # The feature in the smallest float type that holds it exactly (a
+    # float32 wall map as it is), widened to float64 per batch: the same
+    # distances as a float64 copy, without the copy.
+    feat = np.ascontiguousarray(
+        feature.data, dtype=np.result_type(feature.data.dtype, np.float32))
     axis_pos = [(np.arange(dims[a]) + 0.5) * sp[a] for a in range(3)]
 
     seeds, centers = _seed_grid(feature, step)
     n_clusters = len(seeds)
-    cluster_feat = feat[seeds[:, 0], seeds[:, 1], seeds[:, 2]].copy()
+    cluster_feat = feat[seeds[:, 0], seeds[:, 1], seeds[:, 2]].astype(np.float64)
     cluster_m = np.full(n_clusters, float(compactness))
 
     window = WINDOW_FACTOR * step

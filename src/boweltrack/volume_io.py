@@ -34,6 +34,8 @@ DTYPE_TAGS = {
     "u32": np.dtype("<u4"),
 }
 _TAG_BY_KIND = {np.dtype(d.str.lstrip("<|")).name: tag for tag, d in DTYPE_TAGS.items()}
+# Voxels per block that `save_volume` converts and writes at a time.
+_SAVE_VOXELS = 1 << 18
 
 
 @dataclass
@@ -186,8 +188,19 @@ def save_volume(vol: Volume, path) -> None:
         + "origin: {:.17g} {:.17g} {:.17g}\n".format(*vol.origin)
         + f"dtype: {tag}\n\n"
     )
-    payload = np.ascontiguousarray(vol.data.astype(DTYPE_TAGS[tag])).tobytes(order="F")
-    _atomic_write_bytes(path, header.encode("ascii") + payload)
+    dtype, (nx, ny, nz) = DTYPE_TAGS[tag], vol.dims
+    planes = max(1, _SAVE_VOXELS // (nx * ny))
+
+    def chunks():
+        # x-fastest order is F order, and a block of whole axis-2 planes is
+        # one stretch of it.  The transpose of an F-ordered block is
+        # C-contiguous, so its buffer holds that stretch: a block is copied
+        # at most once, and not at all if the volume is F-ordered already.
+        yield header.encode("ascii")
+        for z in range(0, nz, planes):
+            yield np.asfortranarray(vol.data[:, :, z : z + planes], dtype=dtype).T
+
+    _atomic_write_chunks(path, chunks())
 
 
 def load_polyline(path) -> Polyline:
@@ -258,10 +271,11 @@ def _atomic_write_bytes(path, blob: bytes) -> None:
 
 
 def _atomic_write_chunks(path, chunks) -> None:
-    """Write the byte strings of `chunks` one after another to a temporary
-    file, then move it over `path`; a generator keeps one chunk alive."""
+    """Write the byte strings (or C-contiguous buffers) of `chunks` one
+    after another to a temporary file, then move it over `path`; a
+    generator keeps one chunk alive, since `writelines` drops each chunk
+    before it asks for the next."""
     tmp = f"{path}.tmp{os.getpid()}"
     with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+        fh.writelines(chunks)
     os.replace(tmp, path)

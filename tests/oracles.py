@@ -7,8 +7,9 @@ all-faces graph build, the node mask applied to a whole-volume graph and
 the f-string graph writer;
 the whole-ball peak search (sampling); the sampled Gaussian derivative
 kernel, the whole-volume Hessian and the eigvalsh sheet response (wall
-filter); and the full-grid centerline distance and the
-all-pairs strand clearance (phantom)."""
+filter); the full-grid centerline distance and the
+all-pairs strand clearance (phantom); and the one-blob volume writer
+(volume files)."""
 
 import heapq
 import itertools
@@ -23,7 +24,7 @@ from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.phantom import FAR_PAIR_ARC_FACTOR
 from boweltrack.rag import Rag
 from boweltrack.route import Route, _must_pass_ids, _route_from_nodes
-from boweltrack.volume_io import Volume, check_same_grid
+from boweltrack.volume_io import DTYPE_TAGS, Volume, _atomic_write_bytes, check_same_grid
 
 MAX_EXACT_MUST_PASS = 20
 
@@ -555,3 +556,16 @@ def strand_clearance_all_pairs(spec, path) -> float:
         if np.any(far_mask):
             min_clear = min(min_clear, float(np.sqrt(d2[far_mask].min())))
     return min_clear
+
+
+def save_volume_one_blob(vol: Volume, tag: str, path) -> None:
+    """`volume_io.save_volume` with the whole payload converted, flattened
+    and joined to the header in memory before one write."""
+    header = (
+        "dims: {} {} {}\n".format(*vol.dims)
+        + "spacing: {:.17g} {:.17g} {:.17g}\n".format(*vol.spacing)
+        + "origin: {:.17g} {:.17g} {:.17g}\n".format(*vol.origin)
+        + f"dtype: {tag}\n\n"
+    )
+    payload = np.ascontiguousarray(vol.data.astype(DTYPE_TAGS[tag])).tobytes(order="F")
+    _atomic_write_bytes(path, header.encode("ascii") + payload)

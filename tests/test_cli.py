@@ -3,6 +3,7 @@ stage-level commands reproducing the pipeline's own artifacts."""
 
 import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import boweltrack.cli as cli
 from boweltrack.config import TrackingConfig, load_tracking_config
 from boweltrack.errors import InvariantError
 from boweltrack.pipeline import ARTIFACTS
+from boweltrack.rag import load_rag
+from boweltrack.sampling import load_must_pass, save_must_pass
 from boweltrack.volume_io import Volume, load_polyline, load_volume, save_volume
 
 
@@ -216,6 +219,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_track", boom)
         assert cli.main(["track", str(workspace["config"]), "--quiet"]) == 5
         assert "invariant breach" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["past-last-node", "negative"])
+    def test_stale_cached_must_pass_is_io(self, workspace, tmp_path, capsys, where):
+        out = tmp_path / "o"
+        shutil.copytree(workspace["out"], out)
+        path = str(out / ARTIFACTS["must_pass"])
+        n_nodes = load_rag(artifact(workspace, "masked_rag")).n_nodes
+        must_pass = load_must_pass(path)
+        node = n_nodes if where == "past-last-node" else -1
+        must_pass.node_ids[0] = node
+        save_must_pass(must_pass, path)
+        assert cli.main(["track", str(workspace["config"]), "--quiet",
+                         "--output-dir", str(out)]) == 3
+        assert (f"i/o error: stage sample: {path}: peak node {node} is outside the "
+                f"masked graph's {n_nodes} nodes") in capsys.readouterr().err
 
     def test_eval_non_ascii_polyline_is_io(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.poly"

@@ -9,6 +9,7 @@ import pytest
 
 from boweltrack.config import TrackingConfig
 from boweltrack.errors import ConfigError, FormatError, InfeasibleError
+from boweltrack import pipeline
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.pipeline import (
     ARTIFACTS,
@@ -107,6 +108,15 @@ class TestTrackArtifacts:
         assert names == ["ridge", "slic", "rag", "distance", "sample", "route"]
         assert all(rec.seconds >= 0 for rec in straight["result"].stages)
 
+    def test_stage_peak_rss(self, straight):
+        # A high-water mark: positive and never falling from stage to stage.
+        peaks = [rec.peak_rss_mb for rec in straight["result"].stages]
+        assert peaks[0] > 0 and peaks == sorted(peaks)
+        with open(straight["result"].artifacts["diagnostics"]) as fh:
+            lines = fh.read().splitlines()
+        for rec in straight["result"].stages:
+            assert f"  {rec.name}: {rec.seconds:.3f} s, peak RSS {rec.peak_rss_mb:.1f} MB" in lines
+
     def test_must_pass_nonempty(self, straight):
         assert len(straight["result"].must_pass) >= 3
         assert straight["result"].must_pass.pruned_count == 0
@@ -150,6 +160,23 @@ class TestResumeAndDeterminism:
         assert cached == ["ridge", "slic", "rag", "distance", "sample"]
         assert any("(cached)" in line for line in logged)
         assert self.read(straight["config"].output_dir, "route") == before
+
+    def test_peak_rss_without_resource_module(self, straight, monkeypatch):
+        monkeypatch.setattr(pipeline, "resource", None)
+        logged = []
+        result = run_track(straight["config"], log=logged.append)
+        assert all(rec.peak_rss_mb is None for rec in result.stages)
+        stage_lines = [line for line in logged if not line.startswith("[metrics]")]
+        assert len(stage_lines) == 6
+        assert all("peak RSS n/a" in line for line in stage_lines)
+        with open(result.artifacts["diagnostics"]) as fh:
+            assert "peak RSS n/a (cached)" in fh.read()
+
+    def test_freed_heap_returned_after_every_stage(self, straight, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "_MALLOC_TRIM", calls.append)
+        run_track(straight["config"])
+        assert calls == [0] * 6
 
     def test_resume_ignores_stray_whole_volume_graph(self, straight, tmp_path):
         # An output directory written when the whole-volume graph was its own

@@ -178,14 +178,66 @@ class TestOracleEquivalence:
         expected = oracle_slic(monkeypatch, wall, 216.0, 0.01)
         assert np.array_equal(got.data, expected.data)
 
-    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
-    def test_seed_grid_matches_loop(self, case):
-        feature, target_volume, _ = EQUIVALENCE_CASES[case]
+    @staticmethod
+    def assert_seed_grid_matches_loop(feature, target_volume):
         step = target_volume ** (1.0 / 3.0)
         got = supervoxel._seed_grid(feature, step)
         expected = seed_grid_loop(feature, step)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_seed_grid_matches_loop(self, case):
+        feature, target_volume, _ = EQUIVALENCE_CASES[case]
+        self.assert_seed_grid_matches_loop(feature, target_volume)
+
+    # Gradient slabs of 1 and 2 rows, and one slab holding every row; the
+    # 2-row volume has no row with a central difference.
+    @pytest.mark.parametrize("rows", [1, 2, "all"])
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES) + ["two-rows"])
+    def test_seed_grid_any_slab_height(self, monkeypatch, case, rows):
+        if case == "two-rows":
+            feature, target_volume = random_feature(15, dims=(2, 12, 10),
+                                                    spacing=(4.0, 1.0, 1.0)), 27.0
+        else:
+            feature, target_volume, _ = EQUIVALENCE_CASES[case]
+        monkeypatch.setattr(supervoxel, "_SEED_ROWS",
+                            feature.dims[0] + 1 if rows == "all" else rows)
+        self.assert_seed_grid_matches_loop(feature, target_volume)
+
+
+class TestFeatureDtype:
+    """The loop reads the feature in the smallest float type that holds it
+    exactly and widens it to float64 per batch, so the labels are those of
+    the feature's float64 conversion, bit for bit."""
+
+    @staticmethod
+    def assert_same_labels(feature, target_volume, compactness):
+        wide = feature.like(feature.data.astype(np.float64))
+        got = slic_supervoxels(feature, target_volume, compactness)
+        expected = slic_supervoxels(wide, target_volume, compactness)
+        assert got.data.tobytes() == expected.data.tobytes()
+        assert got.label_count == expected.label_count
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES) + ["phantom"])
+    def test_float32_matches_float64_widening(self, case):
+        if case == "phantom":
+            wall = phantom_wall_map()
+            feature, target_volume, compactness = (
+                wall.like(wall.data.astype(np.float32)), 216.0, 0.01)
+        else:
+            feature, target_volume, compactness = EQUIVALENCE_CASES[case]
+        assert feature.data.dtype == np.float32
+        self.assert_same_labels(feature, target_volume, compactness)
+
+    # The feature extremes are found in a float type: an integer one could
+    # not start from -inf and +inf.
+    @pytest.mark.parametrize("dtype,high", [(np.uint8, 255), (np.uint16, 4000),
+                                            (np.uint32, 2**31), (np.int64, 2**40)])
+    def test_integer_feature_matches_float64(self, dtype, high):
+        rng = np.random.default_rng(int(high) % 97)
+        data = rng.integers(0, high, (14, 12, 10)).astype(dtype)
+        self.assert_same_labels(Volume(data, (1.0, 1.0, 1.0), (0, 0, 0)), 27.0, 0.3 * high)
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7, 16])
@@ -380,10 +432,12 @@ def test_memory_bounded_by_volume_size(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # About 6.6x today.  The whole-volume connectivity graph took it to
-    # 10.6x, linking every equally labeled 26-neighbour pair to 25x, and
-    # one (clusters, window) float64 array alone is 27x.
-    assert peak <= 10 * data.size * 8
+    # About 5.5x today on 2 workers (each worker adds its batch
+    # temporaries), 6.6x with a float64 copy of the feature.  The
+    # whole-volume connectivity graph took it to 10.6x, linking every
+    # equally labeled 26-neighbour pair to 25x, and one (clusters, window)
+    # float64 array alone is 27x.
+    assert peak <= 7 * data.size * 8
 
 
 def test_enforce_connectivity_memory_bounded():
@@ -397,9 +451,26 @@ def test_enforce_connectivity_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 5.3x today; the parent's 26 concatenated offsets of int64 keys took
-    # 10.7x.
-    assert peak <= 7 * labels.size * 8
+    # 3.7x today; 26 concatenated offsets of int64 keys took 10.7x.
+    assert peak <= 4.5 * labels.size * 8
+
+
+def test_components_memory_bounded(monkeypatch):
+    """Many slab faces: each face's links are reduced to distinct component
+    pairs before the join, so the slabs can be thin."""
+    noise = ndimage.gaussian_filter(np.random.default_rng(2).normal(size=(96, 96, 96)), 1.0)
+    labels = np.digitize(noise, np.quantile(noise, np.linspace(0, 1, 9)[1:-1]))
+    # Each worker holds one slab's graph.
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    tracemalloc.start()
+    try:
+        supervoxel._same_label_components(labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 1.2x today, 0.5x of it the int32 map; every link of 16-row slabs
+    # took 2.3-3.1x.
+    assert peak <= 1.5 * labels.size * 8
 
 
 class TestValidation:

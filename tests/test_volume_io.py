@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,12 @@ from boweltrack import (
     load_volume,
     save_polyline,
     save_volume,
+    volume_io,
 )
 from boweltrack.rag import load_rag
 from boweltrack.sampling import load_must_pass
-from boweltrack.volume_io import format_lines, read_records
+from boweltrack.volume_io import DTYPE_TAGS, format_lines, read_records
+from oracles import save_volume_one_blob
 
 
 def write_volume_file(path, dims, spacing, origin, tag, payload: bytes):
@@ -110,6 +114,38 @@ def test_round_trip_integer_dtypes(tmp_path, dtype):
     back = load_volume(path)
     assert back.data.dtype == dtype
     assert np.array_equal(back.data, data)
+
+
+# C, F and strided layouts and a byte-swapped copy; blocks of one plane, of
+# a few planes (the last one shorter) and one block of every plane.
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "swapped"])
+@pytest.mark.parametrize("tag", sorted(DTYPE_TAGS))
+@pytest.mark.parametrize("block_voxels", [1, 150, 1 << 18])
+def test_save_matches_one_blob_writer(tmp_path, monkeypatch, layout, tag, block_voxels):
+    monkeypatch.setattr(volume_io, "_SAVE_VOXELS", block_voxels)
+    dtype = DTYPE_TAGS[tag]
+    rng = np.random.default_rng(len(tag))
+    data = (rng.random((9, 8, 14)) * 200).astype(dtype)
+    data = {"C": data, "F": np.asfortranarray(data), "strided": data[::2, 1:, ::2],
+            "swapped": data.astype(dtype.newbyteorder(">"))}[layout]
+    vol = Volume(data, (0.5, 1.25, 3.0), (-7.0, 0.1, 2.5))
+    save_volume(vol, tmp_path / "new.vol")
+    save_volume_one_blob(vol, tag, tmp_path / "old.vol")
+    assert (tmp_path / "new.vol").read_bytes() == (tmp_path / "old.vol").read_bytes()
+
+
+def test_save_makes_no_whole_volume_copy(tmp_path):
+    # A C-ordered volume is transposed on the way out, in 8 blocks of 1 MB.
+    # Converting, flattening and joining the whole payload held 2 copies.
+    data = np.random.default_rng(0).random((128, 128, 128), dtype=np.float32)
+    vol = Volume(data)
+    tracemalloc.start()
+    try:
+        save_volume(vol, tmp_path / "v.vol")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * data.nbytes
 
 
 def test_zero_dim_volume_rejected():
