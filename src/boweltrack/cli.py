@@ -2,12 +2,15 @@
 
 Subcommands cover the full pipeline (`track`, `baseline`), evaluation
 (`eval`), the synthetic phantom (`phantom`), and the individual stages
-for debugging, each writing the bytes of the pipeline's artifact:
+for debugging, each writing the bytes of the pipeline's artifact.  The
+stage subcommands come from `pipeline.STAGES`: the stage's inputs, then
+the output path, and one flag per parameter the stage reads:
 
-    ridge intensity out
-    slic wall_map out
+    ridge intensity out [--scales MM ...]
+    slic wall_map out [--target-volume MM3] [--compactness M]
     rag segmentation wall_map labels out [--min-inside-fraction F]
-    sample segmentation wall_map labels masked_rag out [--distance-out VOL]
+    distance segmentation wall_map out [--wall-threshold T]
+    sample distance labels masked_rag out [--theta-v MM] [--theta-d MM]
 
 Exit codes: 0 ok, 2 config error, 3 I/O error, 4 algorithmic infeasibility,
 5 internal invariant breach.
@@ -24,20 +27,7 @@ import sys
 
 from .config import CONFIG_KEYS, DEFAULTS, TUNABLES, load_tracking_config, value_count
 from .errors import ConfigError, FormatError, InfeasibleError, InvariantError
-from .metrics import DEFAULT_RESAMPLE_STEP_MM
-from .pipeline import (
-    compute_distance_map,
-    compute_wall_map,
-    run_baseline,
-    run_eval,
-    run_phantom,
-    run_track,
-    save_must_pass,
-)
-from .rag import build_rag, load_rag, save_rag
-from .sampling import node_map_of, sample_must_pass
-from .supervoxel import load_label_volume, save_label_volume, slic_supervoxels
-from .volume_io import load_volume, save_volume
+from .pipeline import STAGES, run_baseline, run_eval, run_phantom, run_stage, run_track
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,7 +122,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    report = run_eval(args.pred, args.gt, args.tolerance, args.out, args.step)
+    report = run_eval(args.pred, args.gt, args.tolerance, args.out)
     print("precision   recall   curve-to-curve   max-length-no-error")
     print(report.table_row())
     return EXIT_OK
@@ -145,43 +135,12 @@ def _cmd_phantom(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ridge(args) -> int:
-    vol = load_volume(args.intensity)
-    save_volume(compute_wall_map(vol, tuple(args.scales)), args.out)
+def _cmd_stage(args) -> int:
+    """One stage of `pipeline.STAGES` on the named files."""
+    stage = args.stage
+    run_stage(stage, [getattr(args, key) for key in stage.inputs],
+              [getattr(args, name) for name in stage.params], args.out)
     print(args.out)
-    return EXIT_OK
-
-
-def _cmd_slic(args) -> int:
-    wall = load_volume(args.wall_map)
-    labels = slic_supervoxels(wall, args.target_volume, args.compactness)
-    save_label_volume(labels, args.out)
-    print(f"{args.out} ({labels.label_count} supervoxels)")
-    return EXIT_OK
-
-
-def _cmd_rag(args) -> int:
-    seg = load_volume(args.segmentation)
-    wall = load_volume(args.wall_map)
-    labels = load_label_volume(args.labels)
-    rag = build_rag(labels, wall, seg, args.min_inside_fraction)
-    save_rag(rag, args.out)
-    print(f"{args.out} ({rag.n_nodes} nodes, {len(rag.edge_i)} edges)")
-    return EXIT_OK
-
-
-def _cmd_sample(args) -> int:
-    seg = load_volume(args.segmentation)
-    wall = load_volume(args.wall_map)
-    labels = load_label_volume(args.labels)
-    masked = load_rag(args.masked_rag)
-    dist = compute_distance_map(seg, wall, args.wall_threshold)
-    if args.distance_out is not None:
-        save_volume(dist, args.distance_out)
-    must_pass = sample_must_pass(dist, labels, node_map_of(masked),
-                                 args.theta_v, args.theta_d)
-    save_must_pass(must_pass, args.out)
-    print(f"{args.out} ({len(must_pass)} peaks, {must_pass.pruned_count} pruned)")
     return EXIT_OK
 
 
@@ -205,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred", help="predicted polyline")
     p.add_argument("gt", help="ground-truth polyline")
     _add_flag(p, "tolerance", stage=True)
-    p.add_argument("--step", type=float, default=DEFAULT_RESAMPLE_STEP_MM, metavar="MM",
-                   help="resample step in mm (default: 1; decision)")
     p.add_argument("--out", metavar="FILE", help="also write the metrics report here")
     p.set_defaults(func=_cmd_eval)
 
@@ -216,39 +173,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true", help="suppress logging")
     p.set_defaults(func=_cmd_phantom)
 
-    p = sub.add_parser("ridge", help="stage: intensity volume -> wall map")
-    p.add_argument("intensity")
-    p.add_argument("out")
-    _add_flag(p, "scales", stage=True)
-    p.set_defaults(func=_cmd_ridge)
-
-    p = sub.add_parser("slic", help="stage: wall map -> supervoxel labels")
-    p.add_argument("wall_map")
-    p.add_argument("out")
-    _add_flag(p, "target_volume", stage=True)
-    _add_flag(p, "compactness", stage=True)
-    p.set_defaults(func=_cmd_slic)
-
-    p = sub.add_parser("rag", help="stage: segmentation + wall map + labels -> masked "
-                                   "adjacency graph")
-    p.add_argument("segmentation")
-    p.add_argument("wall_map")
-    p.add_argument("labels")
-    p.add_argument("out")
-    _add_flag(p, "min_inside_fraction", stage=True)
-    p.set_defaults(func=_cmd_rag)
-
-    p = sub.add_parser("sample", help="stage: distance map peaks -> must-pass nodes")
-    p.add_argument("segmentation")
-    p.add_argument("wall_map")
-    p.add_argument("labels")
-    p.add_argument("masked_rag")
-    p.add_argument("out")
-    for key in ("theta_v", "theta_d", "wall_threshold"):
-        _add_flag(p, key, stage=True)
-    p.add_argument("--distance-out", metavar="VOL",
-                   help="also write the interior distance map here")
-    p.set_defaults(func=_cmd_sample)
+    for stage in STAGES:
+        p = sub.add_parser(stage.name, help=f"stage: {' + '.join(stage.inputs)} -> {stage.key}")
+        for key in stage.inputs:
+            p.add_argument(key)
+        p.add_argument("out")
+        for name in stage.params:
+            _add_flag(p, name, stage=True)
+        p.set_defaults(func=_cmd_stage, stage=stage)
 
     return parser
 

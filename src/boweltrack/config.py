@@ -42,8 +42,8 @@ class TrackingConfig:
                 raise ConfigError(f"{name} must be positive, got {value}")
         if not math.isfinite(self.compactness):
             raise ConfigError(f"compactness must be finite, got {self.compactness}")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ConfigError(f"scales must be positive, got {self.scales}")
+        if not self.scales or not all(math.isfinite(s) and s > 0 for s in self.scales):
+            raise ConfigError(f"scales must be positive and finite, got {self.scales}")
         if not (0.0 < self.min_inside_fraction <= 1.0):
             raise ConfigError(
                 f"min_inside_fraction must be in (0, 1], got {self.min_inside_fraction}"

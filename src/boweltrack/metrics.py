@@ -14,7 +14,7 @@ import numpy as np
 from .volume_io import Polyline
 
 # Conventions the numbers depend on; repeated in every emitted report.
-DEFAULT_RESAMPLE_STEP_MM = 1.0
+RESAMPLE_STEP_MM = 1.0
 REVERSAL_SLACK_MM = 2.0
 # Point-segment pairs per distance chunk: bounds the (chunk, segments, 3)
 # float64 temporaries to about 6 MB each.
@@ -31,7 +31,6 @@ class MetricsReport:
     fp: int
     fn: int
     tolerance: float            # mm
-    resample_step: float        # mm
 
     def table_row(self) -> str:
         return (
@@ -49,7 +48,7 @@ class MetricsReport:
             f"fp: {self.fp}",
             f"fn: {self.fn}",
             f"tolerance_mm: {self.tolerance:.6g}",
-            f"resample_step_mm: {self.resample_step:.6g}",
+            f"resample_step_mm: {RESAMPLE_STEP_MM:.6g}",
             "# point_to_curve: exact point-to-segment distance",
             f"# max_len monotonicity slack: {REVERSAL_SLACK_MM:g} mm local reversals allowed",
         ]
@@ -61,7 +60,7 @@ class MetricsReport:
             f"curve_to_curve={self.curve_to_curve:.6g} "
             f"max_len_no_error={self.max_len_no_error:.6g} "
             f"tp={self.tp} fp={self.fp} fn={self.fn} "
-            f"tolerance={self.tolerance:.6g} step={self.resample_step:.6g}"
+            f"tolerance={self.tolerance:.6g} step={RESAMPLE_STEP_MM:.6g}"
         )
 
 
@@ -206,11 +205,10 @@ def _longest_monotone_window(arc: np.ndarray, gt_arc: np.ndarray) -> float:
     return best
 
 
-def evaluate(pred: Polyline, gt: Polyline, tol: float,
-             step: float = DEFAULT_RESAMPLE_STEP_MM) -> MetricsReport:
+def evaluate(pred: Polyline, gt: Polyline, tol: float) -> MetricsReport:
     """Resample both curves and compute the full metric suite."""
-    pred_r = resample_polyline(pred, step)
-    gt_r = resample_polyline(gt, step)
+    pred_r = resample_polyline(pred, RESAMPLE_STEP_MM)
+    gt_r = resample_polyline(gt, RESAMPLE_STEP_MM)
     # Each direction's distances once, shared by every metric.
     d_pg, _ = _point_segment_distances(pred_r.points, gt_r)
     d_gp, arc_on_pred = _point_segment_distances(gt_r.points, pred_r)
@@ -224,5 +222,4 @@ def evaluate(pred: Polyline, gt: Polyline, tol: float,
         fp=fp,
         fn=fn,
         tolerance=tol,
-        resample_step=step,
     )

@@ -1,8 +1,11 @@
 """End-to-end staged tracking.
 
-Every stage writes its artifact to the output directory; a rerun reloads
-whatever artifacts already exist, so the pipeline can resume from any cached
-stage without changing the result.  All writes are atomic (write-then-rename).
+`STAGES` declares the stages once: each one's inputs, parameters, artifact
+and functions.  `run_track`, `run_baseline` and the CLI stage subcommands
+all run them from that table.  Every stage writes its artifact to the output
+directory; a rerun reloads whatever artifacts already exist, so the pipeline
+can resume from any cached stage without changing the result.  All writes
+are atomic (write-then-rename).
 """
 
 from __future__ import annotations
@@ -12,12 +15,13 @@ import dataclasses
 import os
 import sys
 import time
+from collections.abc import Callable
 
 import numpy as np
 
 from .config import TrackingConfig
 from .errors import ConfigError, FormatError, InfeasibleError, InvariantError
-from .metrics import DEFAULT_RESAMPLE_STEP_MM, MetricsReport, evaluate
+from .metrics import MetricsReport, evaluate
 from .phantom import generate_phantom, load_phantom_spec
 from .rag import build_rag, load_rag, save_rag
 from .ridge import meijering_response
@@ -128,17 +132,21 @@ class _Runner:
     def path(self, key) -> str:
         return os.path.join(self.out_dir, ARTIFACTS[key])
 
-    def stage(self, name, key, compute, save, load):
-        path = self.path(key)
+    def stage(self, stage, values, config):
+        """Run `stage` on `values` (input volumes and earlier artifacts by
+        key), or reload its artifact, and return the artifact."""
+        path = self.path(stage.key)
+        inputs = [values[key] for key in stage.inputs]
         start = time.perf_counter()
         cached = os.path.exists(path)
         if cached:
-            value = _in_stage(name, lambda: load(path))
+            value = _in_stage(stage.name, lambda: stage.reload(path, inputs))
         else:
-            value = _in_stage(name, compute)
-            save(value, path)
-        self._record(name, time.perf_counter() - start, cached, f" {path}")
-        self.artifacts[key] = path
+            params = [getattr(config, name) for name in stage.params]
+            value = _in_stage(stage.name, lambda: stage.call("compute", *inputs, *params))
+            stage.call("save", value, path)
+        self._record(stage.name, time.perf_counter() - start, cached, f" {path}")
+        self.artifacts[stage.key] = path
         return value
 
     def timed(self, name, fn):
@@ -184,34 +192,103 @@ def compute_distance_map(seg, wall, wall_threshold):
     return as_float32(distance_transform(interior_mask(seg, wall, wall_threshold)))
 
 
+def _check_must_pass(path, must_pass, _dist, _labels, masked) -> None:
+    """A cached must-pass set, against the sample stage's inputs: its peaks
+    must be nodes of the masked graph; one naming another node is stale or
+    edited."""
+    ids = must_pass.node_ids
+    outside = ids[(ids < 0) | (ids >= masked.n_nodes)]
+    if len(outside):
+        raise FormatError(
+            f"{path}: peak node {outside[0]} is outside the masked graph's "
+            f"{masked.n_nodes} nodes; the file is stale, delete it to resample"
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class Stage:
+    """One stage of the chain.  `compute(*inputs, *params)` returns the
+    artifact, `save(value, path)` writes it, `load(path)` reads it back and
+    `check(path, value, *inputs)`, where given, rejects a cached artifact
+    that contradicts the inputs.  Each function is named by a string, looked
+    up in this module at each call, or is a lambda calling such names, so a
+    wrapper set on the module's attribute sees every call."""
+
+    name: str                   # log, stage record and CLI subcommand
+    key: str                    # ARTIFACTS key of the output
+    inputs: tuple[str, ...]     # "intensity", "segmentation" or earlier stages' keys
+    params: tuple[str, ...]     # the TrackingConfig fields it reads
+    compute: str | Callable
+    save: str
+    load: str
+    check: str | None = None
+
+    def call(self, role, *args):
+        fn = getattr(self, role)
+        return (globals()[fn] if isinstance(fn, str) else fn)(*args)
+
+    def reload(self, path, inputs):
+        value = self.call("load", path)
+        if self.check is not None:
+            self.call("check", path, value, *inputs)
+        return value
+
+
+# The chain in run order; `inputs` is also the order of the stage
+# subcommand's positional arguments.
+STAGES = (
+    Stage("ridge", "wall_map", ("intensity",), ("scales",),
+          "compute_wall_map", "save_volume", "load_volume"),
+    Stage("slic", "labels", ("wall_map",), ("target_volume", "compactness"),
+          "slic_supervoxels", "save_label_volume", "load_label_volume"),
+    Stage("rag", "masked_rag", ("segmentation", "wall_map", "labels"), ("min_inside_fraction",),
+          lambda seg, wall, labels, fraction: build_rag(labels, wall, seg, fraction),
+          "save_rag", "load_rag"),
+    Stage("distance", "distance", ("segmentation", "wall_map"), ("wall_threshold",),
+          "compute_distance_map", "save_volume", "load_volume"),
+    Stage("sample", "must_pass", ("distance", "labels", "masked_rag"), ("theta_v", "theta_d"),
+          lambda dist, labels, masked, *thetas: sample_must_pass(
+              dist, labels, node_map_of(masked), *thetas),
+          "save_must_pass", "load_must_pass", "_check_must_pass"),
+)
+
+
+def load_input(key, path):
+    """Input volume or artifact `key`, read from `path` as its stage reads it."""
+    for stage in STAGES:
+        if stage.key == key:
+            return stage.call("load", path)
+    return load_volume(path)
+
+
+def run_stage(stage: Stage, input_paths, params, out_path) -> None:
+    """One stage on explicit files, writing the bytes the pipeline writes."""
+    inputs = [load_input(key, path) for key, path in zip(stage.inputs, input_paths)]
+    stage.call("save", stage.call("compute", *inputs, *params), out_path)
+
+
 def _load_inputs(config: TrackingConfig):
-    """Intensity, segmentation and ground truth (or None), before any stage."""
+    """The input volumes by key and the ground truth (or None), before any
+    stage."""
     intensity = load_volume(config.intensity_path)
     seg = load_volume(config.segmentation_path)
     check_same_grid(intensity, seg, "intensity and segmentation", ConfigError)
     if not np.issubdtype(seg.data.dtype, np.integer):
         raise ConfigError(f"segmentation must be integer-coded, got {seg.data.dtype}")
     gt = None if config.gt_path is None else load_polyline(config.gt_path)
-    return intensity, seg, gt
+    return {"intensity": intensity, "segmentation": seg}, gt
 
 
-def _graph_stages(config: TrackingConfig, runner: _Runner, intensity, seg):
-    wall = runner.stage(
-        "ridge", "wall_map",
-        compute=lambda: compute_wall_map(intensity, config.scales),
-        save=save_volume, load=load_volume,
-    )
-    labels = runner.stage(
-        "slic", "labels",
-        compute=lambda: slic_supervoxels(wall, config.target_volume, config.compactness),
-        save=save_label_volume, load=load_label_volume,
-    )
-    masked = runner.stage(
-        "rag", "masked_rag",
-        compute=lambda: build_rag(labels, wall, seg, config.min_inside_fraction),
-        save=save_rag, load=load_rag,
-    )
-    return wall, labels, masked
+def _run_stages(config: TrackingConfig, runner: _Runner, values, key) -> None:
+    """Add artifact `key` to `values`, with every artifact it is made from:
+    run (or reload) the stages that `values` lacks, in table order."""
+    needed = {key}
+    for stage in reversed(STAGES):
+        if stage.key in needed:
+            needed.update(stage.inputs)
+    for stage in STAGES:
+        if stage.key in needed and stage.key not in values:
+            values[stage.key] = runner.stage(stage, values, config)
 
 
 def _terminal_node(point, which, seg, labels, node_map) -> int:
@@ -232,31 +309,21 @@ def _terminal_node(point, which, seg, labels, node_map) -> int:
     return node
 
 
-def _terminals(config: TrackingConfig, seg, labels, masked):
-    """Node map of the masked graph and the start and end nodes under the
-    configured coordinates, which must be distinct."""
-    node_map = node_map_of(masked)
+def _graph(config: TrackingConfig, runner: _Runner):
+    """The volumes and artifacts up to the masked graph, by key, the ground
+    truth, and the start and end nodes under the configured coordinates,
+    which must be distinct."""
+    values, gt = _load_inputs(config)
+    _run_stages(config, runner, values, "masked_rag")
+    seg, labels = values["segmentation"], values["labels"]
+    node_map = node_map_of(values["masked_rag"])
     v_st = _terminal_node(config.start, "start", seg, labels, node_map)
     v_ed = _terminal_node(config.end, "end", seg, labels, node_map)
     if v_st == v_ed:
         raise InfeasibleError(
             "start and end fall in the same supervoxel; nothing to track"
         )
-    return node_map, v_st, v_ed
-
-
-def _load_must_pass_of(path, masked) -> MustPassSet:
-    """A cached must-pass file, whose peaks must be nodes of the masked
-    graph: one naming another node is stale or edited."""
-    must_pass = load_must_pass(path)
-    ids = must_pass.node_ids
-    outside = ids[(ids < 0) | (ids >= masked.n_nodes)]
-    if len(outside):
-        raise FormatError(
-            f"{path}: peak node {outside[0]} is outside the masked graph's "
-            f"{masked.n_nodes} nodes; the file is stale, delete it to resample"
-        )
-    return must_pass
+    return values, gt, v_st, v_ed
 
 
 def _write_diagnostics(path, stages, route, header_lines=()) -> None:
@@ -268,14 +335,12 @@ def _write_diagnostics(path, stages, route, header_lines=()) -> None:
     lines.append("")
     lines.append(f"route nodes: {len(route.nodes)}")
     lines.append(f"route total cost: {route.total_cost:.17g}")
-    straight = sum(1 for leg in route.legs if leg.get("source") == "straight")
+    straight = sum(1 for leg in route.legs if leg["source"] == "straight")
     lines.append(f"legs: {len(route.legs)} total, {straight} straight-line")
     for leg in route.legs:
         a, b = leg["pair"]
-        lines.append(
-            f"  leg {a} -> {b}: source={leg.get('source', '?')} cost={leg['cost']:.17g}"
-            + (f" nodes={leg['n_nodes']}" if "n_nodes" in leg else "")
-        )
+        lines.append(f"  leg {a} -> {b}: source={leg['source']} cost={leg['cost']:.17g}"
+                     f" nodes={leg['n_nodes']}")
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -298,22 +363,9 @@ def _write_results(runner, route, header_lines, gt, tolerance, prefix=""):
 def run_track(config: TrackingConfig, log=None) -> TrackResult:
     """Full must-pass tracking: ridge, supervoxels, graph, sampling, routing."""
     runner = _Runner(config.output_dir, log)
-    intensity, seg, gt = _load_inputs(config)
-    wall, labels, masked = _graph_stages(config, runner, intensity, seg)
-    node_map, v_st, v_ed = _terminals(config, seg, labels, masked)
-
-    dist = runner.stage(
-        "distance", "distance",
-        compute=lambda: compute_distance_map(seg, wall, config.wall_threshold),
-        save=save_volume, load=load_volume,
-    )
-    must_pass = runner.stage(
-        "sample", "must_pass",
-        compute=lambda: sample_must_pass(
-            dist, labels, node_map, config.theta_v, config.theta_d
-        ),
-        save=save_must_pass, load=lambda path: _load_must_pass_of(path, masked),
-    )
+    values, gt, v_st, v_ed = _graph(config, runner)
+    _run_stages(config, runner, values, "must_pass")
+    masked, must_pass = values["masked_rag"], values["must_pass"]
 
     def build_route():
         simplified = build_simplified_graph(masked, v_st, v_ed, must_pass, config.delta)
@@ -330,9 +382,8 @@ def run_track(config: TrackingConfig, log=None) -> TrackResult:
 def run_baseline(config: TrackingConfig, log=None) -> TrackResult:
     """Plain shortest path between the terminals; no must-pass machinery."""
     runner = _Runner(config.output_dir, log)
-    intensity, seg, gt = _load_inputs(config)
-    wall, labels, masked = _graph_stages(config, runner, intensity, seg)
-    _, v_st, v_ed = _terminals(config, seg, labels, masked)
+    values, gt, v_st, v_ed = _graph(config, runner)
+    masked = values["masked_rag"]
 
     route = runner.timed("route", lambda: shortest_path_baseline(masked, v_st, v_ed))
     header = [f"terminals: start node {v_st}, end node {v_ed}", ""]
@@ -340,13 +391,12 @@ def run_baseline(config: TrackingConfig, log=None) -> TrackResult:
     return TrackResult(route, None, runner.records, runner.artifacts, report)
 
 
-def run_eval(pred_path, gt_path, tol, out_path=None,
-             step: float = DEFAULT_RESAMPLE_STEP_MM) -> MetricsReport:
+def run_eval(pred_path, gt_path, tol, out_path=None) -> MetricsReport:
     pred = load_polyline(pred_path)
     gt = load_polyline(gt_path)
     if not (tol >= 0):
         raise ConfigError(f"tolerance must be non-negative, got {tol}")
-    report = evaluate(pred, gt, tol, step)
+    report = evaluate(pred, gt, tol)
     if out_path is not None:
         _atomic_write_bytes(out_path, report.to_text().encode("ascii"))
     return report

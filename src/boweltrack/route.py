@@ -33,7 +33,7 @@ class Route:
     nodes: list
     polyline: Polyline
     total_cost: float
-    legs: list = dataclasses.field(default_factory=list)   # {pair, source, cost[, n_nodes]}
+    legs: list = dataclasses.field(default_factory=list)   # {pair, source, n_nodes, cost}
 
     def __post_init__(self):
         if not self.nodes:
@@ -142,7 +142,8 @@ def shortest_path_baseline(rag: Rag, v_st: int, v_ed: int) -> Route:
     if not np.isfinite(dist[v_ed]):
         raise InfeasibleError(f"end node {v_ed} unreachable from start {v_st}")
     nodes = path_from_predecessors(pred, v_st, v_ed)
-    leg = {"pair": (v_st, v_ed), "source": "dijkstra", "cost": _walk_cost(rag, nodes)}
+    leg = {"pair": (v_st, v_ed), "source": "dijkstra", "n_nodes": len(nodes),
+           "cost": _walk_cost(rag, nodes)}
     return _route_from_nodes(rag, nodes, legs=[leg])
 
 

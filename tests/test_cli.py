@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, flag overrides, and
 stage-level commands reproducing the pipeline's own artifacts."""
 
+import collections
 import dataclasses
 import os
 import shutil
@@ -11,7 +12,7 @@ import pytest
 import boweltrack.cli as cli
 from boweltrack.config import TrackingConfig, load_tracking_config
 from boweltrack.errors import InvariantError
-from boweltrack.pipeline import ARTIFACTS
+from boweltrack.pipeline import ARTIFACTS, STAGES
 from boweltrack.rag import load_rag
 from boweltrack.sampling import load_must_pass, save_must_pass
 from boweltrack.volume_io import Volume, load_polyline, load_volume, save_volume
@@ -196,16 +197,23 @@ class TestExitCodes:
         assert "start must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scales_exit_config_before_any_stage(self, workspace, tmp_path,
+                                                            capsys, scale):
+        out = tmp_path / "o"
+        assert cli.main(["track", str(workspace["config"]), "--quiet",
+                         "--scales", "2", scale, "--output-dir", str(out)]) == 2
+        assert "scales must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncated_volume_is_named(self, workspace, tmp_path, capsys):
         wall = tmp_path / "short_wall.vol"
         wall.write_bytes(read_bytes(artifact(workspace, "wall_map"))[:-4])
-        assert cli.main(["sample", str(workspace["data"] / "segmentation.vol"),
-                         str(wall), artifact(workspace, "labels"),
-                         artifact(workspace, "masked_rag"),
-                         str(tmp_path / "mp.txt")]) == cli.EXIT_IO
+        assert cli.main(["distance", str(workspace["data"] / "segmentation.vol"),
+                         str(wall), str(tmp_path / "dist.vol")]) == cli.EXIT_IO
         err = capsys.readouterr().err
         assert f"{wall}: data length mismatch" in err
-        assert "segmentation.vol" not in err and "labels.vol" not in err
+        assert "segmentation.vol" not in err
 
     def test_pruned_start_is_infeasible(self, workspace, capsys):
         assert cli.main(["track", str(workspace["config"]), "--quiet",
@@ -299,7 +307,6 @@ class TestHelpDefaults:
             cli.main(["eval", "--help"])
         text = " ".join(capsys.readouterr().out.split())
         assert "(default: 10)" in text
-        assert "(default: 1; decision)" in text
 
 
 TUNABLES = [f for f in dataclasses.fields(TrackingConfig)
@@ -307,24 +314,18 @@ TUNABLES = [f for f in dataclasses.fields(TrackingConfig)
 DECISIONS = {"scales", "wall_threshold", "min_inside_fraction"}
 # Subcommands other than track and baseline that take a tunable, with their
 # positional arguments.
-STAGE_ARGS = {
-    "ridge": ["in.vol", "out.vol"],
-    "slic": ["wall.vol", "out.vol"],
-    "rag": ["seg.vol", "wall.vol", "labels.vol", "out.txt"],
-    "sample": ["seg.vol", "wall.vol", "labels.vol", "rag.txt", "out.txt"],
-    "eval": ["pred.poly", "gt.poly"],
-}
-STAGE_FLAGS = {
-    "scales": ["ridge"],
-    "target_volume": ["slic"],
-    "compactness": ["slic"],
-    "min_inside_fraction": ["rag"],
-    "theta_v": ["sample"],
-    "theta_d": ["sample"],
-    "wall_threshold": ["sample"],
-    "tolerance": ["eval"],
-    "delta": [],
-}
+STAGE_ARGS = {stage.name: [*stage.inputs, "out"] for stage in STAGES}
+STAGE_ARGS["eval"] = ["pred.poly", "gt.poly"]
+STAGE_FLAGS = {f.name: [stage.name for stage in STAGES if f.name in stage.params]
+               for f in TUNABLES}
+STAGE_FLAGS["tolerance"] = ["eval"]
+
+
+def test_each_tunable_read_by_one_stage():
+    # delta is read by the route, which is not a table stage, and
+    # tolerance by eval.
+    readers = collections.Counter(name for stage in STAGES for name in stage.params)
+    assert readers == {f.name: 1 for f in TUNABLES if f.name not in ("delta", "tolerance")}
 
 
 def flag_of(field):
@@ -373,38 +374,25 @@ class TestTunablesFollowTheConfig:
 
 
 class TestStageCommands:
-    def test_ridge_reproduces_pipeline_artifact(self, workspace, tmp_path, capsys):
-        out = tmp_path / "wall.vol"
-        assert cli.main(["ridge", str(workspace["data"] / "intensity.vol"),
-                         str(out)]) == 0
-        capsys.readouterr()
-        assert read_bytes(out) == read_bytes(artifact(workspace, "wall_map"))
-        wall = load_volume(str(out))
-        assert wall.data.min() >= 0.0 and wall.data.max() <= 1.0
-
-    def test_slic_reproduces_pipeline_artifact(self, workspace, tmp_path, capsys):
-        out = tmp_path / "labels.vol"
-        assert cli.main(["slic", artifact(workspace, "wall_map"), str(out)]) == 0
-        capsys.readouterr()
-        assert read_bytes(out) == read_bytes(artifact(workspace, "labels"))
+    @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.name)
+    def test_writes_pipeline_bytes(self, workspace, tmp_path, capsys, stage):
+        inputs = [str(workspace["data"] / ARTIFACTS[f"phantom_{key}"])
+                  if key in ("intensity", "segmentation") else artifact(workspace, key)
+                  for key in stage.inputs]
+        out = tmp_path / ARTIFACTS[stage.key]
+        assert cli.main([stage.name, *inputs, str(out)]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
+        assert read_bytes(out) == read_bytes(artifact(workspace, stage.key))
 
     def test_slic_target_volume_changes_count(self, workspace, tmp_path, capsys):
         coarse = tmp_path / "coarse.vol"
         assert cli.main(["slic", artifact(workspace, "wall_map"), str(coarse),
                          "--target-volume", "1000"]) == 0
-        printed = capsys.readouterr().out
-        n_coarse = int(printed.split("(")[1].split()[0])
+        assert capsys.readouterr().out == f"{coarse}\n"
+        n_coarse = int(load_volume(str(coarse)).data.max()) + 1
         fine_labels = load_volume(artifact(workspace, "labels"))
         n_fine = int(fine_labels.data.max()) + 1
         assert n_coarse < n_fine
-
-    def test_rag_reproduces_pipeline_artifact(self, workspace, tmp_path, capsys):
-        out = tmp_path / "masked.txt"
-        assert cli.main(["rag", str(workspace["data"] / "segmentation.vol"),
-                         artifact(workspace, "wall_map"),
-                         artifact(workspace, "labels"), str(out)]) == 0
-        capsys.readouterr()
-        assert read_bytes(out) == read_bytes(artifact(workspace, "masked_rag"))
 
     def test_rag_without_segmentation_is_usage_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "rag.txt"
@@ -414,18 +402,6 @@ class TestStageCommands:
         assert exc.value.code == 2
         assert "required" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_sample_reproduces_pipeline_artifact(self, workspace, tmp_path, capsys):
-        out = tmp_path / "mp.txt"
-        dist_out = tmp_path / "dist.vol"
-        assert cli.main(["sample", str(workspace["data"] / "segmentation.vol"),
-                         artifact(workspace, "wall_map"),
-                         artifact(workspace, "labels"),
-                         artifact(workspace, "masked_rag"), str(out),
-                         "--distance-out", str(dist_out)]) == 0
-        capsys.readouterr()
-        assert read_bytes(out) == read_bytes(artifact(workspace, "must_pass"))
-        assert read_bytes(dist_out) == read_bytes(artifact(workspace, "distance"))
 
     @pytest.mark.parametrize("corrupt", ["duplicate-edge", "non-numeric", "undecodable-byte",
                                          "nan-centroid", "negative-count"])
@@ -451,40 +427,45 @@ class TestStageCommands:
             message = "at least one voxel"
         bad = tmp_path / "masked.txt"
         bad.write_bytes(("\n".join(lines) + "\n").encode("ascii") + tail)
-        assert cli.main(["sample", str(workspace["data"] / "segmentation.vol"),
-                         artifact(workspace, "wall_map"),
+        assert cli.main(["sample", artifact(workspace, "distance"),
                          artifact(workspace, "labels"), str(bad),
                          str(tmp_path / "mp.txt")]) == cli.EXIT_IO
         assert message in capsys.readouterr().err
         assert not (tmp_path / "mp.txt").exists()
 
 
-def regridded_segmentation(workspace, tmp_path, regrid):
-    """The phantom segmentation re-saved at 3 mm spacing, or with its
-    origin moved by +10 mm along x."""
-    seg = load_volume(str(workspace["data"] / "segmentation.vol"))
+def regridded(path, tmp_path, regrid):
+    """The volume at `path` re-saved at 3 mm spacing, or with its origin
+    moved by +10 mm along x."""
+    vol = load_volume(path)
     if regrid == "rescaled-spacing":
-        seg = Volume(seg.data, np.full(3, 3.0), seg.origin)
+        vol = Volume(vol.data, np.full(3, 3.0), vol.origin)
     else:
-        seg = Volume(seg.data, seg.spacing, seg.origin + [10.0, 0.0, 0.0])
-    path = str(tmp_path / "seg.vol")
-    save_volume(seg, path)
-    return path
+        vol = Volume(vol.data, vol.spacing, vol.origin + [10.0, 0.0, 0.0])
+    out = str(tmp_path / os.path.basename(path))
+    save_volume(vol, out)
+    return out
 
 
 @pytest.mark.parametrize("regrid", ["rescaled-spacing", "shifted-origin"])
 class TestGridMismatch:
+    def test_distance_exits_config(self, workspace, tmp_path, capsys, regrid):
+        seg = regridded(str(workspace["data"] / "segmentation.vol"), tmp_path, regrid)
+        assert cli.main(["distance", seg, artifact(workspace, "wall_map"),
+                         str(tmp_path / "dist.vol")]) == cli.EXIT_CONFIG
+        assert "different grids" in capsys.readouterr().err
+        assert not (tmp_path / "dist.vol").exists()
+
     def test_sample_exits_config(self, workspace, tmp_path, capsys, regrid):
-        seg = regridded_segmentation(workspace, tmp_path, regrid)
-        assert cli.main(["sample", seg, artifact(workspace, "wall_map"),
-                         artifact(workspace, "labels"),
+        dist = regridded(artifact(workspace, "distance"), tmp_path, regrid)
+        assert cli.main(["sample", dist, artifact(workspace, "labels"),
                          artifact(workspace, "masked_rag"),
                          str(tmp_path / "mp.txt")]) == cli.EXIT_CONFIG
         assert "different grids" in capsys.readouterr().err
         assert not (tmp_path / "mp.txt").exists()
 
     def test_masked_rag_exits_config(self, workspace, tmp_path, capsys, regrid):
-        seg = regridded_segmentation(workspace, tmp_path, regrid)
+        seg = regridded(str(workspace["data"] / "segmentation.vol"), tmp_path, regrid)
         assert cli.main(["rag", seg, artifact(workspace, "wall_map"),
                          artifact(workspace, "labels"),
                          str(tmp_path / "rag.txt")]) == cli.EXIT_CONFIG

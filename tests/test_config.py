@@ -153,6 +153,9 @@ class TestErrors:
             load_tracking_config(write_config(workspace, extra="scales: 2 abc\n"))
         with pytest.raises(ConfigError, match="scales"):
             load_tracking_config(write_config(workspace, extra="scales: 2 -3\n"))
+        for value in ("nan", "inf"):
+            with pytest.raises(ConfigError, match="scales must be positive and finite"):
+                load_tracking_config(write_config(workspace, extra=f"scales: 2 {value}\n"))
 
     def test_bad_coordinate_count(self, workspace):
         with pytest.raises(ConfigError, match="start"):

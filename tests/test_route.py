@@ -221,6 +221,11 @@ class TestBaseline:
         assert route.total_cost == 1.0
         assert route.legs[0]["cost"] == 1.0
 
+    def test_leg_counts_its_nodes(self):
+        route = shortest_path_baseline(make_rag(3, [(0, 1, 1.0), (1, 2, 1.0)]), 0, 2)
+        assert route.legs == [{"pair": (0, 2), "source": "dijkstra", "n_nodes": 3,
+                               "cost": 2.0}]
+
     @pytest.mark.parametrize("seed", range(10))
     def test_cost_scaling_preserves_argmin(self, seed):
         rag = random_rag(seed + 200, tie_free=True)
