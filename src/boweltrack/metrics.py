@@ -17,8 +17,8 @@ from .volume_io import Polyline
 RESAMPLE_STEP_MM = 1.0
 REVERSAL_SLACK_MM = 2.0
 # Point-segment pairs per distance chunk: bounds the (chunk, segments, 3)
-# float64 temporaries to about 6 MB each.
-_CHUNK_PAIRS = 1 << 18
+# float64 temporaries to about 1.5 MB each.
+_CHUNK_PAIRS = 1 << 16
 
 
 @dataclass

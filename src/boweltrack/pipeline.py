@@ -254,11 +254,15 @@ STAGES = (
 
 
 def load_input(key, path):
-    """Input volume or artifact `key`, read from `path` as its stage reads it."""
+    """Input volume or artifact `key`, read from `path` as its stage reads it.
+    The segmentation must be integer-coded."""
     for stage in STAGES:
         if stage.key == key:
             return stage.call("load", path)
-    return load_volume(path)
+    vol = load_volume(path)
+    if key == "segmentation" and not np.issubdtype(vol.data.dtype, np.integer):
+        raise ConfigError(f"segmentation must be integer-coded, got {vol.data.dtype}")
+    return vol
 
 
 def run_stage(stage: Stage, input_paths, params, out_path) -> None:
@@ -270,11 +274,9 @@ def run_stage(stage: Stage, input_paths, params, out_path) -> None:
 def _load_inputs(config: TrackingConfig):
     """The input volumes by key and the ground truth (or None), before any
     stage."""
-    intensity = load_volume(config.intensity_path)
-    seg = load_volume(config.segmentation_path)
+    intensity = load_input("intensity", config.intensity_path)
+    seg = load_input("segmentation", config.segmentation_path)
     check_same_grid(intensity, seg, "intensity and segmentation", ConfigError)
-    if not np.issubdtype(seg.data.dtype, np.integer):
-        raise ConfigError(f"segmentation must be integer-coded, got {seg.data.dtype}")
     gt = None if config.gt_path is None else load_polyline(config.gt_path)
     return {"intensity": intensity, "segmentation": seg}, gt
 

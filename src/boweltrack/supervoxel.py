@@ -40,10 +40,11 @@ WINDOW_FACTOR = 1.5
 # Window voxels per assignment batch: bounds the batch temporaries to about
 # 0.5 MB each, whatever the volume size or cluster count.
 _BATCH_VOXELS = 1 << 16
-# Axis-0 rows per slab of the seed grid's gradient and of the
-# connectivity components: bounds their temporaries to a few slabs,
-# whatever the volume.
-_SEED_ROWS = 16
+# Axis-0 rows per slab of the seed grid's gradient, the update step's sums,
+# the label counts and the relabelling (_SLAB_ROWS), and of the
+# connectivity components (_COMP_ROWS): bounds their temporaries to a few
+# slabs, whatever the volume.
+_SLAB_ROWS = 16
 _COMP_ROWS = 4
 
 # The 3^3 block in raster order; (0, 0, 0) sits in the middle, at index 13.
@@ -83,7 +84,7 @@ class LabelVolume:
             raise InvariantError(
                 f"label {int(self.data.max())} outside 0..{self.label_count - 1}"
             )
-        counts = np.bincount(self.data.ravel(), minlength=self.label_count)
+        counts = _label_counts(self.data, self.label_count)
         if np.any(counts == 0):
             missing = int(np.flatnonzero(counts == 0)[0])
             raise InvariantError(f"label {missing} has no voxels; labels must be contiguous")
@@ -93,7 +94,17 @@ class LabelVolume:
         return self.data.shape
 
     def member_counts(self) -> np.ndarray:
-        return np.bincount(self.data.ravel(), minlength=self.label_count)
+        return _label_counts(self.data, self.label_count)
+
+
+def _label_counts(labels: np.ndarray, n: int) -> np.ndarray:
+    """Voxels per value 0..n-1 of `labels`, which holds no other value.
+    Counted one slab of _SLAB_ROWS axis-0 rows at a time: `np.bincount`
+    copies non-intp labels to intp, so only one slab is copied at once."""
+    counts = np.zeros(n, dtype=np.int64)
+    for lo in range(0, labels.shape[0], _SLAB_ROWS):
+        counts += np.bincount(labels[lo : lo + _SLAB_ROWS].ravel(), minlength=n)
+    return counts
 
 
 def save_label_volume(lv: LabelVolume, path) -> None:
@@ -149,15 +160,15 @@ def _seed_grid(feature: Volume, step: float):
 
     # Each grid point moves to the lowest-gradient voxel of the 3^3 block
     # around it: the first minimum in block raster order, never a voxel
-    # outside the volume.  The gradient is taken one slab of _SEED_ROWS
+    # outside the volume.  The gradient is taken one slab of _SLAB_ROWS
     # axis-0 rows at a time, and each slab fills the block entries in its
     # rows; the grid is in raster order, so the points near a slab are one
     # range of it.
     idx = [np.minimum((axes[a] / sp[a]).astype(int), dims[a] - 1) for a in range(3)]
     grid = np.stack(np.meshgrid(*idx, indexing="ij"), axis=-1).reshape(-1, 3)
     block = np.full((len(grid), len(_OFFSETS_27)), np.inf)
-    for lo in range(0, dims[0], _SEED_ROWS):
-        hi = min(lo + _SEED_ROWS, dims[0])
+    for lo in range(0, dims[0], _SLAB_ROWS):
+        hi = min(lo + _SLAB_ROWS, dims[0])
         mag = _squared_gradient(feature.data, sp, lo, hi)
         near = slice(*np.searchsorted(grid[:, 0], (lo - 1, hi + 1)))
         for j, off in enumerate(_OFFSETS_27):
@@ -249,10 +260,11 @@ def _same_label_components(labels: np.ndarray):
     return comp, n_comp
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
+def _distinct(keys: np.ndarray, kind=None) -> np.ndarray:
     """Sorted distinct values of `keys`, which it sorts in place: one sort,
-    where `np.unique` takes tens of times longer on these keys."""
-    keys.sort()
+    where `np.unique` takes tens of times longer on these keys.  `kind` is
+    the sort's; "stable" merges a few sorted runs in linear time."""
+    keys.sort(kind=kind)
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -264,8 +276,8 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     joins the largest 26-adjacent already-kept region (ties to lower label)."""
     comp, n_comp = _same_label_components(labels)
     flat_comp = comp.ravel()
-    comp_size = np.bincount(flat_comp, minlength=n_comp)
-    comp_label = np.zeros(n_comp, dtype=np.int64)
+    comp_size = _label_counts(comp, n_comp)
+    comp_label = np.zeros(n_comp, dtype=labels.dtype)
     comp_label[flat_comp] = labels.ravel()
 
     # Main component per label: largest, ties to the lowest component id.
@@ -280,23 +292,26 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     label_sizes[comp_label[main]] = comp_size[main]
 
     # Sorted, unique (fragment, adjacent component) pairs, from the fragment
-    # voxels' 26 neighbours; made unique per offset first, so only distinct
-    # pairs are ever held together.
+    # voxels' 26 neighbours: each offset's distinct pairs are merged into
+    # one running set, so only distinct pairs are ever held together.
     vox = np.flatnonzero(is_fragment[flat_comp])
     coords = np.unravel_index(vox, labels.shape)
     own = flat_comp[vox].astype(np.int64)
-    del vox
-    keys = []
-    for off in _OFFSETS_26:
-        pos = [c + o for c, o in zip(coords, off)]
-        inside = np.all([(p >= 0) & (p < n) for p, n in zip(pos, labels.shape)], axis=0)
-        nbr = comp[tuple(p[inside] for p in pos)]
+    _, n1, n2 = labels.shape
+    keys = np.empty(0, dtype=np.int64)
+    for off in _OFFSETS_26.tolist():
+        inside = np.ones(len(vox), dtype=bool)
+        for c, o, n in zip(coords, off, labels.shape):
+            if o:
+                inside &= c > 0 if o < 0 else c < n - 1
+        nbr = flat_comp[vox[inside] + (off[0] * n1 + off[1]) * n2 + off[2]]
         mine = own[inside]
         other = nbr != mine
-        keys.append(_distinct(mine[other] * n_comp + nbr[other]))
-    # Free the per-voxel arrays before the pairs are merged.
-    del coords, own, pos, inside, nbr, mine, other
-    frag, adj = np.divmod(_distinct(np.concatenate(keys)), n_comp)
+        new = _distinct(mine[other] * n_comp + nbr[other])
+        keys = _distinct(np.concatenate((keys, new)), kind="stable")
+    del vox, coords, own, inside, nbr, mine, other, new
+    frag = keys // n_comp
+    adj = np.remainder(keys, n_comp, out=keys)
 
     # Orphans attach to the largest adjacent placed label (ties to the lower
     # label id), fragments in component order; those with no placed
@@ -306,39 +321,52 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     # each merge lets early winners soak up every later fragment and chains
     # distant fragments into one sprawling label.  A component holds the
     # rank of its placed label in (size, lower label first) order, -1 until
-    # placed, so the winner is the highest rank around a fragment.
+    # placed, so the winner is the highest rank around a fragment.  The loop
+    # reads the arrays through memoryviews, which yield Python ints without
+    # a list of them.
     by_rank = np.lexsort((-np.arange(len(label_sizes)), label_sizes))
     rank = np.empty_like(by_rank)
     rank[by_rank] = np.arange(len(by_rank))
-    fragments = np.flatnonzero(is_fragment)
-    placed = np.where(is_fragment, -1, rank[comp_label]).tolist()
-    adj = adj.tolist()
-    pending = list(zip(fragments.tolist(),
-                       np.searchsorted(frag, fragments).tolist(),
-                       np.searchsorted(frag, fragments, side="right").tolist()))
-    while pending:
-        deferred = []
-        for f, lo, hi in pending:
-            best = max(map(placed.__getitem__, adj[lo:hi]), default=-1)
+    placed = np.where(is_fragment, -1, rank[comp_label])
+    pending = np.flatnonzero(is_fragment)
+    bounds = np.searchsorted(frag, pending), np.searchsorted(frag, pending, side="right")
+    del frag
+    ranks, nbrs = memoryview(placed), memoryview(adj)
+    while len(pending):
+        wait = np.zeros(len(pending), dtype=bool)
+        waits = memoryview(wait)
+        for i, (f, lo, hi) in enumerate(zip(*map(memoryview, (pending, *bounds)))):
+            best = max(map(ranks.__getitem__, nbrs[lo:hi]), default=-1)
             if best >= 0:
-                placed[f] = best
+                ranks[f] = best
             else:
-                deferred.append((f, lo, hi))
-        if len(deferred) == len(pending):
+                waits[i] = True
+        if wait.all():
             raise InvariantError("connectivity enforcement failed to converge")
-        pending = deferred
-    return by_rank[np.asarray(placed)].astype(np.int32)[comp]
+        pending, bounds = pending[wait], (bounds[0][wait], bounds[1][wait])
+
+    _relabel(comp, by_rank[placed].astype(np.int32))
+    return comp
 
 
-def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
+def _relabel(labels: np.ndarray, table: np.ndarray) -> None:
+    """labels[...] = table[labels], in place, one slab of _SLAB_ROWS axis-0
+    rows at a time: no second label volume."""
+    for lo in range(0, labels.shape[0], _SLAB_ROWS):
+        labels[lo : lo + _SLAB_ROWS] = table[labels[lo : lo + _SLAB_ROWS]]
+
+
+def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
+            best_label, best_dist):
     """One SLIC assignment step.  Every voxel gets the smallest (distance,
-    cluster id) pair among the clusters whose window covers it; returns the
-    winning cluster id per voxel, -1 where no window covers the voxel."""
+    cluster id) pair among the clusters whose window covers it: fills the
+    C-contiguous `best_label` with the winning cluster id per voxel, -1
+    where no window covers the voxel, and `best_dist` with its distance."""
     dims = feat.shape
     n_clusters = len(centers)
-    best_label = np.full(dims, -1, dtype=np.int64)
-    flat_label, flat_feat = best_label.ravel(), feat.ravel()
-    flat_dist = np.full(feat.size, np.inf)
+    best_label.fill(-1)
+    best_dist.fill(np.inf)
+    flat_label, flat_feat, flat_dist = best_label.ravel(), feat.ravel(), best_dist.ravel()
     # Broadcast per-axis (batch, n_a) terms to (batch, n_x, n_y, n_z).
     expand = [(slice(None), slice(None), None, None),
               (slice(None), None, slice(None), None),
@@ -357,8 +385,9 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
         hi_s[:, 0] = np.clip(hi[:, 0], row0, row1)
         extent = hi_s - lo_s
         live = np.flatnonzero(np.all(extent > 0, axis=1))
-        # Clusters whose windows have the same shape share a batch.
-        live = live[np.lexsort(extent[live].T[::-1])]
+        # Clusters whose windows have the same shape share a batch.  Ids of
+        # the labels' type keep `np.minimum.at` on its fast path.
+        live = live[np.lexsort(extent[live].T[::-1])].astype(best_label.dtype)
         cuts = np.flatnonzero(np.any(np.diff(extent[live], axis=0) != 0, axis=1)) + 1
 
         for group in np.split(live, cuts):
@@ -400,7 +429,6 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
     # One slab per worker.  More slabs measured slower: the windows cut at
     # slab borders form more, smaller batches.
     parallel.map_ranges(slab, dims[0], -(-dims[0] // parallel.workers()))
-    return best_label
 
 
 def _max_feature_distance(flat_label, flat_feat, cluster_feat) -> np.ndarray:
@@ -414,6 +442,28 @@ def _max_feature_distance(flat_label, flat_feat, cluster_feat) -> np.ndarray:
     fmin = np.full(len(cluster_feat), np.inf, dtype=flat_feat.dtype)
     np.minimum.at(fmin, flat_label, flat_feat)
     return np.maximum(fmax - cluster_feat, cluster_feat - fmin)
+
+
+def _cluster_sums(labels, feat, axis_pos, n_clusters):
+    """Each cluster's voxel count, coordinate sums (3, n_clusters) and
+    feature sum, for the update step.  Summed one slab of _SLAB_ROWS axis-0
+    rows at a time, in raster order: `np.add.at` adds the voxels in that
+    order, from 0.0, as `np.bincount(weights=...)` over the whole volume
+    does, so the sums have its bits without a float64 coordinate or
+    feature volume or an intp copy of the labels."""
+    n0, n1, n2 = labels.shape
+    counts = np.zeros(n_clusters, dtype=np.int64)
+    sums = np.zeros((3, n_clusters))
+    fsums = np.zeros(n_clusters)
+    for lo in range(0, n0, _SLAB_ROWS):
+        hi = min(lo + _SLAB_ROWS, n0)
+        flat = labels[lo:hi].ravel()
+        counts += np.bincount(flat, minlength=n_clusters)
+        coords = (axis_pos[0][lo:hi, None, None], axis_pos[1][:, None], axis_pos[2])
+        for a, coord in enumerate(coords):
+            np.add.at(sums[a], flat, np.broadcast_to(coord, (hi - lo, n1, n2)).ravel())
+        np.add.at(fsums, flat, feat[lo:hi].astype(np.float64).ravel())
+    return counts, sums, fsums
 
 
 def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) -> LabelVolume:
@@ -450,8 +500,13 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
 
     window = WINDOW_FACTOR * step
 
+    # One label and one distance buffer for every step: the update step
+    # has read the previous labels before the next step overwrites them.
+    best_label = np.empty(dims, dtype=np.int32)
+    best_dist = np.empty(dims)
     for _ in range(SLIC_ITERATIONS):
-        best_label = _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window)
+        _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
+                best_label, best_dist)
         stray = best_label < 0
         if stray.any():
             coords = np.argwhere(stray)
@@ -464,32 +519,21 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
                 dist = df + (cluster_m[None, :] / step) * ds
                 best_label[tuple(coords[sl].T)] = np.argmin(dist, axis=1)
             del coords, pos, fval, ds, df, dist
-        flat = best_label.ravel()
-        max_df = _max_feature_distance(flat, feat.ravel(), cluster_feat)
-
-        counts = np.bincount(flat, minlength=n_clusters).astype(np.float64)
+        max_df = _max_feature_distance(best_label.ravel(), feat.ravel(), cluster_feat)
+        counts, sums, fsums = _cluster_sums(best_label, feat, axis_pos, n_clusters)
         occupied = counts > 0
-        sums = np.empty((3, n_clusters))
-        for a in range(3):
-            coord = np.broadcast_to(
-                axis_pos[a][
-                    (slice(None), None, None) if a == 0 else
-                    (None, slice(None), None) if a == 1 else
-                    (None, None, slice(None))
-                ],
-                dims,
-            ).ravel()
-            sums[a] = np.bincount(flat, weights=coord, minlength=n_clusters)
-            del coord
-        fsums = np.bincount(flat, weights=feat.ravel(), minlength=n_clusters)
         centers[occupied] = (sums[:, occupied] / counts[occupied]).T
         cluster_feat[occupied] = fsums[occupied] / counts[occupied]
         cluster_m[occupied] = np.maximum(float(compactness), max_df[occupied])
 
-    del feat, flat, stray
+    del feat, best_dist, stray
     final = _enforce_connectivity(best_label)
     del best_label
-    old = np.flatnonzero(np.bincount(final.ravel()))
-    remap = np.zeros(old.max() + 1, dtype=np.int32)
+    # Connectivity keeps every label the last step left (each keeps its
+    # main component) and no other, so those labels, in order, become
+    # 0..N-1.
+    old = np.flatnonzero(occupied)
+    remap = np.zeros(n_clusters, dtype=np.int32)
     remap[old] = np.arange(len(old))
-    return LabelVolume(remap[final], feature.spacing, feature.origin, int(len(old)))
+    _relabel(final, remap)
+    return LabelVolume(final, feature.spacing, feature.origin, int(len(old)))

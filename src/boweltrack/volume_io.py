@@ -62,7 +62,10 @@ class Volume:
             raise InvariantError(f"spacing must be positive and finite, got {self.spacing}")
         if not np.all(np.isfinite(self.origin)):
             raise InvariantError(f"origin must be finite, got {self.origin}")
-        if self.data.dtype.kind == "f" and not np.all(np.isfinite(self.data)):
+        # A NaN is the minimum and the maximum, an infinity one of them: no
+        # volume-sized mask.
+        if self.data.dtype.kind == "f" and not (
+                np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise InvariantError("volume data contains non-finite values")
 
     @property
@@ -164,13 +167,21 @@ def _read_volume(path) -> Volume:
             raise FormatError(f"malformed header: non-positive dims {dims}")
         dtype = DTYPE_TAGS[tag]
         count = math.prod(dims)     # exact: np.prod wraps at 2**63
-        raw = fh.read()
-    if len(raw) != count * dtype.itemsize:
-        raise FormatError(
-            f"data length mismatch: expected {count * dtype.itemsize} bytes "
-            f"({count} values of {tag}), file holds {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="))
+        start = fh.tell()
+        held = fh.seek(0, os.SEEK_END) - start
+        if held != count * dtype.itemsize:
+            raise FormatError(
+                f"data length mismatch: expected {count * dtype.itemsize} bytes "
+                f"({count} values of {tag}), file holds {held}"
+            )
+        # The payload goes straight into the array, which is byteswapped in
+        # place where the file's byte order is not the machine's.
+        fh.seek(start)
+        data = np.empty(count, dtype=dtype)
+        if fh.readinto(memoryview(data).cast("B")) != held:
+            raise FormatError(f"data length mismatch: file ended before {held} bytes")
+    if not dtype.isnative:
+        data = data.byteswap(inplace=True).view(dtype.newbyteorder("="))
     return Volume(data.reshape(dims, order="F"), np.array(spacing), np.array(origin))
 
 

@@ -1,15 +1,14 @@
 """Test-only oracles: an exact must-pass solver, the cost of a visiting
 order over a simplified-graph cost matrix and the dummy-node construction
 of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
-the seed-grid loop, the all-pairs and the whole-volume same-label
-components and the per-fragment connectivity loop (supervoxels); the
-all-faces graph build, the node mask applied to a whole-volume graph and
-the f-string graph writer;
-the whole-ball peak search (sampling); the sampled Gaussian derivative
-kernel, the whole-volume Hessian and the eigvalsh sheet response (wall
-filter); the full-grid centerline distance and the
-all-pairs strand clearance (phantom); and the one-blob volume writer
-(volume files)."""
+the whole-volume update sums, the seed-grid loop, the all-pairs and the
+whole-volume same-label components and the per-fragment connectivity loop
+(supervoxels); the all-faces graph build, the node mask applied to a
+whole-volume graph and the f-string graph writer; the whole-ball peak
+search (sampling); the sampled Gaussian derivative kernel, the
+whole-volume Hessian and the eigvalsh sheet response (wall filter); the
+full-grid centerline distance and the all-pairs strand clearance
+(phantom); and the one-blob volume writer (volume files)."""
 
 import heapq
 import itertools
@@ -201,14 +200,15 @@ def seed_grid_loop(feature, step: float):
     return seeds, centers
 
 
-def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, window):
+def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
+                       best_label, best_dist):
     """SLIC assignment step of `supervoxel._assign`, one cluster window at a
     time in id order; a cluster takes a voxel only on a strictly smaller
-    distance.  Returns the winning cluster id per voxel, -1 if none."""
-    dims = feat.shape
+    distance.  Fills `best_label` with the winning cluster id per voxel, -1
+    if none, and `best_dist` with its distance."""
     n_clusters = len(centers)
-    best_label = np.full(dims, -1, dtype=np.int64)
-    best_dist = np.full(dims, np.inf)
+    best_label.fill(-1)
+    best_dist.fill(np.inf)
     for i in range(n_clusters):
         c = centers[i]
         lo = [int(np.searchsorted(axis_pos[a], c[a] - window)) for a in range(3)]
@@ -226,7 +226,21 @@ def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, w
         if better.any():
             best_dist[region][better] = dist[better]
             best_label[region][better] = i
-    return best_label
+
+
+def cluster_sums_bincount(labels, feat, axis_pos, n_clusters):
+    """Counts, coordinate sums and feature sums of
+    `supervoxel._cluster_sums`, from whole-volume `np.bincount`s over a
+    float64 coordinate volume per axis."""
+    flat = labels.ravel()
+    counts = np.bincount(flat, minlength=n_clusters)
+    sums = np.empty((3, n_clusters))
+    for a in range(3):
+        axis = tuple(slice(None) if b == a else None for b in range(3))
+        coord = np.broadcast_to(axis_pos[a][axis], labels.shape).ravel()
+        sums[a] = np.bincount(flat, weights=coord, minlength=n_clusters)
+    fsums = np.bincount(flat, weights=feat.ravel(), minlength=n_clusters)
+    return counts, sums, fsums
 
 
 _OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)

@@ -471,3 +471,35 @@ class TestGridMismatch:
                          str(tmp_path / "rag.txt")]) == cli.EXIT_CONFIG
         assert "different grids" in capsys.readouterr().err
         assert not (tmp_path / "rag.txt").exists()
+
+
+class TestFloatSegmentation:
+    """Every command that reads the segmentation rejects a float-coded one,
+    with one message, before writing anything."""
+
+    MESSAGE = "config error: segmentation must be integer-coded, got float32\n"
+
+    @pytest.fixture
+    def float_seg(self, workspace, tmp_path):
+        seg = load_volume(str(workspace["data"] / "segmentation.vol"))
+        path = str(tmp_path / "seg_float.vol")
+        save_volume(seg.like(seg.data.astype(np.float32)), path)
+        return path
+
+    @pytest.mark.parametrize("name", ["rag", "distance"])
+    def test_stage_exits_config(self, workspace, tmp_path, capsys, float_seg, name):
+        stage = next(stage for stage in STAGES if stage.name == name)
+        inputs = [float_seg if key == "segmentation" else artifact(workspace, key)
+                  for key in stage.inputs]
+        out = tmp_path / ARTIFACTS[stage.key]
+        assert cli.main([name, *inputs, str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not out.exists()
+
+    def test_track_message_unchanged(self, workspace, tmp_path, capsys, float_seg):
+        out = tmp_path / "o"
+        assert cli.main(["track", str(workspace["config"]), "--quiet",
+                         "--segmentation", float_seg,
+                         "--output-dir", str(out)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not (out / ARTIFACTS["wall_map"]).exists()

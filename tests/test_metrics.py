@@ -12,6 +12,7 @@ from boweltrack.metrics import (
     point_to_curve_distance,
     resample_polyline,
 )
+from memory import traced_peak
 
 
 def straight(length, n=2, offset=(0.0, 0.0, 0.0)):
@@ -246,3 +247,13 @@ def test_distances_independent_of_chunk_size(monkeypatch, pairs):
     got = metrics._point_segment_distances(points, curve)
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+def test_evaluate_memory_bounded():
+    # Curves of about 1,400 mm, folded-hard's: the point-segment chunks
+    # hold about 1.5 MB each.  Chunks of 2^18 pairs peaked at 28 MiB.
+    pred = Polyline(wiggly_polyline(4, n=400).points * 13.0)
+    gt = Polyline(wiggly_polyline(3, n=400).points * 13.0)
+    assert 1400 < pred.arc_length() < gt.arc_length() < 1450
+    # 7.1 MiB today.
+    assert traced_peak(evaluate, pred, gt, 10.0) <= 8 * 2**20

@@ -1,7 +1,6 @@
 """Phantom generator: geometry promises checked by brute force on the grid."""
 
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from boweltrack.phantom import (
     load_phantom_spec,
 )
 from boweltrack.volume_io import Polyline
+from memory import traced_peak
 
 FOLDED = PhantomSpec(seed=1)
 STRAIGHT = PhantomSpec(dims=(64, 20, 20), bends=0, touch_pairs=0, seed=3)
@@ -432,12 +432,7 @@ class TestDistanceOracle:
         # Only voxels near the tube hold candidate arrays, one range of 2^14
         # voxels per worker; the full-grid pass peaked at about 210 MB.
         monkeypatch.setattr(parallel, "workers", lambda: 2)
-        tracemalloc.start()
-        try:
-            generate_phantom(PhantomSpec(seed=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(generate_phantom, PhantomSpec(seed=1))
         assert peak <= 100 * 2**20
 
 

@@ -1,6 +1,5 @@
 """RAG construction against a brute-force per-face boundary scan."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from boweltrack.rag import Rag, build_rag, load_rag, save_rag
 from boweltrack.ridge import meijering_response
 from boweltrack.supervoxel import LabelVolume, slic_supervoxels
 from boweltrack.volume_io import Volume
+from memory import traced_peak
 from oracles import build_rag_all_faces, mask_nodes, save_rag_fstrings
 
 AXIS_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -154,12 +154,7 @@ class TestBuild:
         # all-faces build (one np.unique over every face) at 114.
         lv, wall = blocky_labeling((96, 96, 48))
         seg = inside_all(lv)
-        tracemalloc.start()
-        try:
-            build_rag(lv, wall, seg, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(build_rag, lv, wall, seg, 0.5)
         assert peak <= 48 * lv.data.size
 
     def test_centroids_are_mean_physical_positions(self):

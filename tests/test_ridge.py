@@ -3,7 +3,6 @@ and whole-volume oracles, the closed-form eigenvalue's accuracy, and the
 published invariants (shift, range, rotation)."""
 
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from boweltrack.pipeline import as_float32
 from boweltrack.ridge import meijering_response
 from boweltrack.volume_io import Volume
 
+from memory import traced_peak
 from oracles import (
     _gaussian_kernel1d,
     gaussian_hessian,
@@ -284,12 +284,7 @@ class TestSlabs:
         monkeypatch.setattr(parallel, "workers", lambda: 2)
         vol, _, _ = generate_phantom(PhantomSpec(
             dims=(128, 128, 56), spacing=(2.0, 2.0, 2.0), bends=5, touch_pairs=3, seed=1))
-        tracemalloc.start()
-        try:
-            meijering_response(vol)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(meijering_response, vol)
         assert peak <= 8 * vol.data.size * 8
 
 

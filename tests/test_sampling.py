@@ -1,6 +1,5 @@
 """Distance transform against brute force; peak sampling rules."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from boweltrack.sampling import (
 )
 from boweltrack.supervoxel import LabelVolume
 from boweltrack.volume_io import Volume
+from memory import traced_peak
 from oracles import peaks_full_ball
 
 
@@ -104,12 +104,7 @@ class TestDistanceTransform:
         _, seg, _ = generate_phantom(
             PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7))
         interior = seg.like((seg.data == SEG_LUMEN).astype(np.uint8))
-        tracemalloc.start()
-        try:
-            distance_transform(interior)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(distance_transform, interior)
         assert peak <= 3 * interior.data.size * 8
 
     def test_all_zero_mask_gives_zeros(self):

@@ -3,7 +3,6 @@ equivalence with the per-cluster loop and the per-fragment connectivity
 loop, and a memory bound."""
 
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +19,10 @@ from boweltrack.supervoxel import (
     slic_supervoxels,
 )
 from boweltrack.volume_io import Volume, save_volume
+from memory import traced_peak
 from oracles import (
     assign_per_cluster,
+    cluster_sums_bincount,
     enforce_connectivity_per_fragment,
     same_label_components_all_pairs,
     same_label_components_whole_volume,
@@ -201,7 +202,7 @@ class TestOracleEquivalence:
                                                     spacing=(4.0, 1.0, 1.0)), 27.0
         else:
             feature, target_volume, _ = EQUIVALENCE_CASES[case]
-        monkeypatch.setattr(supervoxel, "_SEED_ROWS",
+        monkeypatch.setattr(supervoxel, "_SLAB_ROWS",
                             feature.dims[0] + 1 if rows == "all" else rows)
         self.assert_seed_grid_matches_loop(feature, target_volume)
 
@@ -289,6 +290,31 @@ def test_max_feature_distance_matches_gather(seed):
     occupied = np.bincount(flat_label, minlength=n_clusters) > 0
     assert got[occupied].tobytes() == want[occupied].tobytes()
     assert np.all(got[~occupied] == -np.inf)
+
+
+@pytest.mark.parametrize("rows", [1, 3, "all"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(6))
+def test_cluster_sums_match_whole_volume_bincount(monkeypatch, seed, dtype, rows):
+    """The update step's slab-wise sums have the bits of whole-volume
+    `np.bincount`s.  Features from 1e-8 to 1e8 in both signs make every
+    sum depend on the order of its terms, so a `np.add.at` that stopped
+    adding in voxel order would show."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(n) for n in rng.integers(2, 14, 3))
+    spacing = rng.uniform(0.3, 3.0, 3)
+    n_clusters = int(rng.integers(2, 60))
+    # Half the clusters hold no voxel.
+    ids = rng.choice(n_clusters, size=n_clusters // 2 or 1, replace=False)
+    labels = ids[rng.integers(0, len(ids), dims)].astype(np.int32)
+    feat = (rng.choice((-1.0, 1.0), dims) * 10.0 ** rng.uniform(-8, 8, dims)).astype(dtype)
+    axis_pos = [(np.arange(n) + 0.5) * s for n, s in zip(dims, spacing)]
+    monkeypatch.setattr(supervoxel, "_SLAB_ROWS", dims[0] + 1 if rows == "all" else rows)
+    got = supervoxel._cluster_sums(labels, feat, axis_pos, n_clusters)
+    want = cluster_sums_bincount(labels, feat, axis_pos, n_clusters)
+    assert np.array_equal(got[0], want[0])
+    for a, b in zip(got[1:], want[1:]):
+        assert a.tobytes() == b.tobytes()
 
 
 def deferred_fragment_labels():
@@ -424,35 +450,32 @@ def test_memory_bounded_by_volume_size(monkeypatch):
     size: assignment temporaries are batched, never (clusters, window)."""
     data = ndimage.gaussian_filter(np.random.default_rng(0).normal(size=(96, 96, 96)), 2.0)
     feature = Volume(data.astype(np.float32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    # Each iteration allocates the same; two keep the test short.
+    # Each iteration allocates the same; two keep the test short.  Each
+    # worker adds its batch temporaries, 0.6-0.8x each here.
     monkeypatch.setattr(supervoxel, "SLIC_ITERATIONS", 2)
-    tracemalloc.start()
-    try:
-        slic_supervoxels(feature, 27.0, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # About 5.5x today on 2 workers (each worker adds its batch
-    # temporaries), 6.6x with a float64 copy of the feature.  The
-    # whole-volume connectivity graph took it to 10.6x, linking every
-    # equally labeled 26-neighbour pair to 25x, and one (clusters, window)
-    # float64 array alone is 27x.
-    assert peak <= 7 * data.size * 8
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    peak = traced_peak(slic_supervoxels, feature, 27.0, 1.0)
+    # 4.0x today.  A new int64 label volume per step, a float64
+    # coordinate volume per axis and whole-volume bincounts took it to
+    # 5.5x, a float64 copy of the feature to 6.6x, the whole-volume
+    # connectivity graph to 10.6x, linking every equally labeled
+    # 26-neighbour pair to 25x, and one (clusters, window) float64 array
+    # alone is 27x.
+    assert peak <= 4.5 * data.size * 8
 
 
 def test_enforce_connectivity_memory_bounded():
-    """Many fragments: the fragment-component pairs are made unique per
-    offset, and the components come from slabs."""
+    """Many fragments: each offset's distinct fragment-component pairs are
+    merged into one running set, the components come from slabs and the
+    labels are written over the component map."""
     noise = ndimage.gaussian_filter(np.random.default_rng(2).normal(size=(96, 96, 96)), 1.0)
     labels = np.digitize(noise, np.quantile(noise, np.linspace(0, 1, 9)[1:-1]))
-    tracemalloc.start()
-    try:
-        supervoxel._enforce_connectivity(labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # 3.7x today; 26 concatenated offsets of int64 keys took 10.7x.
-    assert peak <= 4.5 * labels.size * 8
+    peak = traced_peak(supervoxel._enforce_connectivity, labels)
+    # 2.4x today.  Three int64 neighbour positions per fragment voxel, the
+    # 26 offsets' distinct keys held until one concatenation, a
+    # whole-volume bincount and a second label map took 3.7x, and 26
+    # concatenated offsets of all int64 keys 10.7x.
+    assert peak <= 2.7 * labels.size * 8
 
 
 def test_components_memory_bounded(monkeypatch):
@@ -462,12 +485,7 @@ def test_components_memory_bounded(monkeypatch):
     labels = np.digitize(noise, np.quantile(noise, np.linspace(0, 1, 9)[1:-1]))
     # Each worker holds one slab's graph.
     monkeypatch.setattr(parallel, "workers", lambda: 2)
-    tracemalloc.start()
-    try:
-        supervoxel._same_label_components(labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(supervoxel._same_label_components, labels)
     # 1.2x today, 0.5x of it the int32 map; every link of 16-row slabs
     # took 2.3-3.1x.
     assert peak <= 1.5 * labels.size * 8

@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from boweltrack import (
 from boweltrack.rag import load_rag
 from boweltrack.sampling import load_must_pass
 from boweltrack.volume_io import DTYPE_TAGS, format_lines, read_records
+from memory import traced_peak
 from oracles import save_volume_one_blob
 
 
@@ -49,6 +49,31 @@ def test_truncated_payload_is_length_mismatch(tmp_path):
     write_volume_file(p, (2, 2, 2), (1, 1, 1), (0, 0, 0), "f32", payload)
     with pytest.raises(FormatError, match="length mismatch"):
         load_volume(p)
+
+
+def test_trailing_bytes_are_length_mismatch(tmp_path):
+    p = tmp_path / "v.vol"
+    payload = np.arange(9, dtype="<f4").tobytes()
+    write_volume_file(p, (2, 2, 2), (1, 1, 1), (0, 0, 0), "f32", payload)
+    with pytest.raises(FormatError, match="expected 32 bytes .* file holds 36"):
+        load_volume(p)
+
+
+@pytest.mark.parametrize("order", ["native", "swapped"])
+def test_load_holds_one_payload(tmp_path, monkeypatch, order):
+    # The payload is read straight into the array and, in a byte order
+    # other than the machine's, swapped in place: the bytes read and
+    # their converted copy held 2.25 payloads together.
+    data = np.random.default_rng(0).random((128, 96, 40), dtype=np.float32)
+    file_dtype = np.dtype("<f4" if order == "native" else ">f4")
+    monkeypatch.setitem(volume_io.DTYPE_TAGS, "f32", file_dtype)
+    p = tmp_path / "v.vol"
+    write_volume_file(p, data.shape, (1, 1, 1), (0, 0, 0), "f32",
+                      data.astype(file_dtype).tobytes(order="F"))
+    assert traced_peak(load_volume, p) <= 1.1 * data.nbytes
+    vol = load_volume(p)
+    assert vol.data.dtype == np.float32 and vol.data.dtype.isnative
+    assert vol.data.tobytes() == data.tobytes()
 
 
 def test_length_of_huge_dims_is_exact(tmp_path):
@@ -139,12 +164,7 @@ def test_save_makes_no_whole_volume_copy(tmp_path):
     # Converting, flattening and joining the whole payload held 2 copies.
     data = np.random.default_rng(0).random((128, 128, 128), dtype=np.float32)
     vol = Volume(data)
-    tracemalloc.start()
-    try:
-        save_volume(vol, tmp_path / "v.vol")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(save_volume, vol, tmp_path / "v.vol")
     assert peak <= 0.25 * data.nbytes
 
 
