@@ -37,11 +37,13 @@ class TrackingConfig:
 
     def __post_init__(self):
         for name, kind in FIELD_TYPES.items():
+            if kind is not float:
+                continue
             value = getattr(self, name)
-            if kind is float and name != "min_inside_fraction" and not (value > 0):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if name != "min_inside_fraction" and not (value > 0):
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if not math.isfinite(self.compactness):
-            raise ConfigError(f"compactness must be finite, got {self.compactness}")
         if not self.scales or not all(math.isfinite(s) and s > 0 for s in self.scales):
             raise ConfigError(f"scales must be positive and finite, got {self.scales}")
         if not (0.0 < self.min_inside_fraction <= 1.0):

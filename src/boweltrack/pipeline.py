@@ -22,7 +22,6 @@ import numpy as np
 from .config import TrackingConfig
 from .errors import ConfigError, FormatError, InfeasibleError, InvariantError
 from .metrics import MetricsReport, evaluate
-from .phantom import generate_phantom, load_phantom_spec
 from .rag import build_rag, load_rag, save_rag
 from .ridge import meijering_response
 from .route import (
@@ -283,7 +282,8 @@ def _load_inputs(config: TrackingConfig):
 
 def _run_stages(config: TrackingConfig, runner: _Runner, values, key) -> None:
     """Add artifact `key` to `values`, with every artifact it is made from:
-    run (or reload) the stages that `values` lacks, in table order."""
+    run (or reload) the stages that `values` lacks, in table order.  The
+    intensity volume leaves `values` once `ridge` has made the wall map."""
     needed = {key}
     for stage in reversed(STAGES):
         if stage.key in needed:
@@ -291,6 +291,10 @@ def _run_stages(config: TrackingConfig, runner: _Runner, values, key) -> None:
     for stage in STAGES:
         if stage.key in needed and stage.key not in values:
             values[stage.key] = runner.stage(stage, values, config)
+            if stage.name == "ridge":
+                # Nothing after ridge reads it; kept, it would add to every
+                # later stage's peak.
+                del values["intensity"]
 
 
 def _terminal_node(point, which, seg, labels, node_map) -> int:
@@ -406,6 +410,11 @@ def run_eval(pred_path, gt_path, tol, out_path=None) -> MetricsReport:
 
 def run_phantom(spec_path, out_dir, log=None) -> dict:
     """Generate a synthetic phantom: intensity, segmentation, GT centerline."""
+    # Imported here: the phantom's scipy chain (interpolate, optimize,
+    # spatial) adds ~17 MB to every process that imports it, and no stage
+    # uses it.
+    from .phantom import generate_phantom, load_phantom_spec
+
     spec = load_phantom_spec(spec_path)
     log = log or (lambda msg: None)
     start = time.perf_counter()

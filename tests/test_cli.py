@@ -5,12 +5,15 @@ import collections
 import dataclasses
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import boweltrack
 import boweltrack.cli as cli
-from boweltrack.config import TrackingConfig, load_tracking_config
+from boweltrack.config import FIELD_TYPES, TrackingConfig, load_tracking_config
 from boweltrack.errors import InvariantError
 from boweltrack.pipeline import ARTIFACTS, STAGES
 from boweltrack.rag import load_rag
@@ -133,6 +136,18 @@ class TestPhantomCommand:
         assert cli.main(["phantom", str(spec), str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_tracking_does_not_import_the_generator(self):
+        # A fresh interpreter: this test process has imported the phantom.
+        code = ("import sys, boweltrack.cli, boweltrack.pipeline; print(*sorted(m for m in "
+                "('boweltrack.phantom', 'scipy.interpolate', 'scipy.optimize', "
+                "'scipy.spatial') if m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(boweltrack.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == ""
+
 
 class TestExitCodes:
     def test_missing_config_key(self, tmp_path, capsys):
@@ -204,6 +219,17 @@ class TestExitCodes:
         assert cli.main(["track", str(workspace["config"]), "--quiet",
                          "--scales", "2", scale, "--output-dir", str(out)]) == 2
         assert "scales must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("name", [name for name, kind in FIELD_TYPES.items()
+                                      if kind is float])
+    def test_non_finite_float_exits_config_before_any_stage(self, workspace, tmp_path,
+                                                            capsys, name, value):
+        out = tmp_path / "o"
+        assert cli.main(["track", str(workspace["config"]), "--quiet",
+                         "--" + name.replace("_", "-"), value, "--output-dir", str(out)]) == 2
+        assert f"config error: {name} must be finite, got {value}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_truncated_volume_is_named(self, workspace, tmp_path, capsys):

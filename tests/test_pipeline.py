@@ -3,6 +3,7 @@ determinism, and the end-to-end phantom examples."""
 
 import os
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -209,6 +210,38 @@ class TestResumeAndDeterminism:
         assert [rec.name for rec in result.stages if rec.cached] == ["ridge", "slic"]
         for key in self.BITWISE_KEYS:
             assert self.read(out, key) == self.read(src, key), key
+
+
+class TestIntensityReleased:
+    """No stage after ridge reads the intensity volume, so the runner drops
+    it: slic and the stages after it do not carry it at their peaks."""
+
+    @pytest.mark.parametrize("cached_wall_map", [False, True], ids=["fresh", "cached-wall-map"])
+    @pytest.mark.parametrize("run", [run_track, run_baseline])
+    def test_dead_when_slic_starts(self, straight, tmp_path, monkeypatch, run, cached_wall_map):
+        out = tmp_path / "out"
+        os.makedirs(out)
+        if cached_wall_map:
+            shutil.copy(os.path.join(straight["config"].output_dir, ARTIFACTS["wall_map"]), out)
+        load_input, slic = pipeline.load_input, pipeline.slic_supervoxels
+        loaded, alive_at_slic = [], []
+
+        def loading(key, path):
+            value = load_input(key, path)
+            if key == "intensity":
+                loaded.append(weakref.ref(value))
+            return value
+
+        def checking(*args):
+            alive_at_slic.append(loaded[0]() is not None)
+            return slic(*args)
+
+        monkeypatch.setattr(pipeline, "load_input", loading)
+        monkeypatch.setattr(pipeline, "slic_supervoxels", checking)
+        result = run(make_config(straight["paths"], straight["gt"], str(out)))
+        assert [(rec.name, rec.cached) for rec in result.stages[:2]] == [
+            ("ridge", cached_wall_map), ("slic", False)]
+        assert len(loaded) == 1 and alive_at_slic == [False]
 
 
 class TestTerminalResolution:
