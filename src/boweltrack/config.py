@@ -2,7 +2,8 @@
 
 `TrackingConfig` is the one place where each parameter's name, type and
 default are written; the file keys, the CLI flags and the stage subcommands'
-defaults all derive from its fields.
+defaults all derive from its fields.  `check_tunable` holds each one's valid
+range; every entry point applies it before reading any input.
 """
 
 from __future__ import annotations
@@ -36,20 +37,8 @@ class TrackingConfig:
     min_inside_fraction: float = 0.5
 
     def __post_init__(self):
-        for name, kind in FIELD_TYPES.items():
-            if kind is not float:
-                continue
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-            if name != "min_inside_fraction" and not (value > 0):
-                raise ConfigError(f"{name} must be positive, got {value}")
-        if not self.scales or not all(math.isfinite(s) and s > 0 for s in self.scales):
-            raise ConfigError(f"scales must be positive and finite, got {self.scales}")
-        if not (0.0 < self.min_inside_fraction <= 1.0):
-            raise ConfigError(
-                f"min_inside_fraction must be in (0, 1], got {self.min_inside_fraction}"
-            )
+        for name in TUNABLES:
+            check_tunable(name, getattr(self, name))
         if self.delta <= self.theta_d:
             raise ConfigError(
                 f"delta ({self.delta}) must exceed theta_d ({self.theta_d}); "
@@ -80,6 +69,22 @@ TUNABLES = tuple(name for name, default in DEFAULTS.items() if default is not No
 _RENAMED = {"intensity_path": "intensity", "segmentation_path": "segmentation"}
 # Config-file key -> field, in field order.
 CONFIG_KEYS = {_RENAMED.get(name, name): name for name in FIELD_TYPES}
+
+
+def check_tunable(name, value) -> None:
+    """The one rule for tunable `name`, raising ConfigError naming it: every
+    number finite and positive, except `min_inside_fraction` in (0, 1] and
+    `tolerance` >= 0; `scales` non-empty."""
+    if FIELD_TYPES[name] is not float:
+        if not value or not all(math.isfinite(s) and s > 0 for s in value):
+            raise ConfigError(f"{name} must be positive and finite, got {tuple(value)}")
+        return
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    rule, ok = {"min_inside_fraction": ("in (0, 1]", 0.0 < value <= 1.0),
+                "tolerance": ("non-negative", value >= 0)}.get(name, ("positive", value > 0))
+    if not ok:
+        raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
 def value_count(name):

@@ -19,7 +19,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .config import TrackingConfig
+from .config import TrackingConfig, check_tunable
 from .errors import ConfigError, FormatError, InfeasibleError, InvariantError
 from .metrics import MetricsReport, evaluate
 from .rag import build_rag, load_rag, save_rag
@@ -95,8 +95,16 @@ class StageRecord:
 
 
 def _peak_rss_mb() -> float | None:
-    """The process's peak resident set size so far, in MB; None where the
-    platform does not report it."""
+    """The process's peak resident set size so far, in MB: `VmHWM`, which
+    `exec` resets, else `ru_maxrss`, which Linux carries across `exec` from
+    the launching process; None where the platform reports neither."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024 / 1e6     # kB
+    except OSError:
+        pass
     if resource is None:
         return None
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -265,7 +273,10 @@ def load_input(key, path):
 
 
 def run_stage(stage: Stage, input_paths, params, out_path) -> None:
-    """One stage on explicit files, writing the bytes the pipeline writes."""
+    """One stage on explicit files, writing the bytes the pipeline writes.
+    The parameters are checked before any input is read."""
+    for name, value in zip(stage.params, params):
+        check_tunable(name, value)
     inputs = [load_input(key, path) for key, path in zip(stage.inputs, input_paths)]
     stage.call("save", stage.call("compute", *inputs, *params), out_path)
 
@@ -398,10 +409,9 @@ def run_baseline(config: TrackingConfig, log=None) -> TrackResult:
 
 
 def run_eval(pred_path, gt_path, tol, out_path=None) -> MetricsReport:
+    check_tunable("tolerance", tol)
     pred = load_polyline(pred_path)
     gt = load_polyline(gt_path)
-    if not (tol >= 0):
-        raise ConfigError(f"tolerance must be non-negative, got {tol}")
     report = evaluate(pred, gt, tol)
     if out_path is not None:
         _atomic_write_bytes(out_path, report.to_text().encode("ascii"))

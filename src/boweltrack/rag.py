@@ -122,8 +122,6 @@ def build_rag(labels: LabelVolume, wall_map: Volume, segmentation: Volume,
     bits."""
     check_same_grid(labels, wall_map, "labels and wall map")
     check_same_grid(segmentation, labels, "segmentation and labels")
-    if not (0.0 < min_inside_fraction <= 1.0):
-        raise ValueError(f"min_inside_fraction must be in (0, 1], got {min_inside_fraction}")
 
     lab = labels.data
     wall = wall_map.data

@@ -26,11 +26,7 @@ _ORDERS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 def _check_scales(scales_mm, spacing) -> tuple:
     """The scales as floats, each one checked before any filtering."""
     scales = tuple(float(s) for s in scales_mm)
-    if len(scales) == 0:
-        raise ValueError("scales_mm must not be empty")
     for sigma_mm in scales:
-        if not (sigma_mm > 0) or not math.isfinite(sigma_mm):
-            raise ValueError(f"sigma_mm must be positive and finite, got {sigma_mm}")
         if sigma_mm < min(spacing):
             raise ValueError(
                 f"sigma_mm {sigma_mm} below voxel spacing {min(spacing)}; "

@@ -161,8 +161,6 @@ def build_simplified_graph(
     """Metric-closure-style graph over start/must-pass/end nodes: near pairs
     carry normalized shortest-path cost, far pairs carry distance / delta.
     Each member's shortest-path tree is kept for `expand_tour`."""
-    if not (delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
     mp_nodes = [n for n in dict.fromkeys(_must_pass_ids(must_pass)) if n not in (v_st, v_ed)]
     members = np.asarray([v_st] + mp_nodes + [v_ed], dtype=np.int64)
     if len(members) < 2 or v_st == v_ed:

@@ -156,8 +156,6 @@ def sample_must_pass(
     """Greedy peak extraction: candidates are ball-radius-theta_d local maxima
     with value >= theta_v, accepted in descending value order (lexicographic
     voxel ties) while keeping every pair >= theta_d apart."""
-    if not (theta_v > 0) or not (theta_d > 0):
-        raise ValueError(f"theta_v and theta_d must be positive, got {theta_v}, {theta_d}")
     check_same_grid(dist, labels, "distance map and labels")
 
     sp = np.asarray(dist.spacing)

@@ -469,13 +469,11 @@ def _cluster_sums(labels, feat, axis_pos, n_clusters):
 def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) -> LabelVolume:
     """Partition a feature volume into compact supervoxels of roughly
     target_volume mm^3 each.  Deterministic: ties go to the lower label id."""
-    if not (target_volume > 0) or target_volume < 8.0 * feature.voxel_volume():
+    if target_volume < 8.0 * feature.voxel_volume():
         raise ValueError(
             f"target_volume {target_volume} must be at least 8 voxels "
             f"({8.0 * feature.voxel_volume():.1f} mm^3)"
         )
-    if not (0 < compactness < np.inf):
-        raise ValueError(f"compactness must be positive and finite, got {compactness}")
     if min(feature.dims) < 2:
         axis = int(np.argmin(feature.dims))
         raise ValueError(

@@ -399,6 +399,38 @@ class TestTunablesFollowTheConfig:
             assert getattr(args, field.name) == field.default, command
 
 
+def out_of_range(name):
+    """Values that break tunable `name`'s rule, as flag tokens: not finite,
+    zero where a positive value is needed, negative, above one for the
+    fraction."""
+    values = ["inf", "nan", "-1"]
+    if name != "tolerance":
+        values.append("0")
+    if name == "min_inside_fraction":
+        values.append("1.5")
+    return values
+
+
+@pytest.mark.parametrize("command, name, value", [
+    (command, name, value) for name, commands in STAGE_FLAGS.items()
+    for command in commands for value in out_of_range(name)])
+def test_stage_flag_rule_matches_track(workspace, tmp_path, capsys, command, name, value):
+    # The inputs do not exist: exit 2 rather than 3 shows that the rule runs
+    # before any read.
+    flag = "--" + name.replace("_", "-")
+    out = tmp_path / "out"
+    args = [str(tmp_path / key) for key in STAGE_ARGS[command]]     # a stage's ends in out
+    if command == "eval":
+        args += ["--out", str(out)]
+    assert cli.main([command, *args, flag, value]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name} must be ")
+    assert not out.exists()
+    assert cli.main(["track", str(workspace["config"]), "--quiet", flag, value,
+                     "--output-dir", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == err
+
+
 class TestStageCommands:
     @pytest.mark.parametrize("stage", STAGES, ids=lambda stage: stage.name)
     def test_writes_pipeline_bytes(self, workspace, tmp_path, capsys, stage):

@@ -4,7 +4,13 @@ import os
 
 import pytest
 
-from boweltrack.config import TrackingConfig, load_tracking_config
+from boweltrack.config import (
+    DEFAULTS,
+    TUNABLES,
+    TrackingConfig,
+    check_tunable,
+    load_tracking_config,
+)
 from boweltrack.errors import ConfigError
 
 
@@ -116,15 +122,21 @@ class TestErrors:
     @pytest.mark.parametrize("extra", [
         "target_volume: 0\n",
         "compactness: -1\n",
+        "compactness: 0\n",
         "theta_v: 0\n",
         "theta_d: -2\n",
+        "theta_d: -1\n",
         "delta: 0\n",
         "tolerance: -1\n",
         "wall_threshold: 0\n",
     ])
     def test_nonpositive_thresholds(self, workspace, extra):
-        with pytest.raises(ConfigError, match="positive"):
+        with pytest.raises(ConfigError, match="must be (positive|non-negative)"):
             load_tracking_config(write_config(workspace, extra=extra))
+
+    def test_zero_tolerance_accepted(self, workspace):
+        cfg = load_tracking_config(write_config(workspace, extra="tolerance: 0\n"))
+        assert cfg.tolerance == 0.0
 
     def test_infinite_compactness_rejected(self, workspace):
         with pytest.raises(ConfigError, match="compactness must be finite, got inf"):
@@ -141,7 +153,7 @@ class TestErrors:
         with pytest.raises(ConfigError, match="delta"):
             load_tracking_config(write_config(workspace, extra="delta: 6\ntheta_d: 6\n"))
 
-    @pytest.mark.parametrize("value", ["0", "1.5", "-0.2"])
+    @pytest.mark.parametrize("value", ["0", "1.5", "-0.2", "-0.5", "nan"])
     def test_min_inside_fraction_range(self, workspace, value):
         with pytest.raises(ConfigError, match="min_inside_fraction"):
             load_tracking_config(
@@ -153,9 +165,9 @@ class TestErrors:
             load_tracking_config(write_config(workspace, extra="scales: 2 abc\n"))
         with pytest.raises(ConfigError, match="scales"):
             load_tracking_config(write_config(workspace, extra="scales: 2 -3\n"))
-        for value in ("nan", "inf"):
+        for value in ("2 nan", "2 inf", "0", ""):
             with pytest.raises(ConfigError, match="scales must be positive and finite"):
-                load_tracking_config(write_config(workspace, extra=f"scales: 2 {value}\n"))
+                load_tracking_config(write_config(workspace, extra=f"scales: {value}\n"))
 
     def test_bad_coordinate_count(self, workspace):
         with pytest.raises(ConfigError, match="start"):
@@ -188,3 +200,13 @@ class TestErrors:
                 output_dir=str(workspace / "out"),
                 delta=5.0,
             )
+
+
+@pytest.mark.parametrize("name", TUNABLES)
+def test_tunable_default_passes_and_nan_names_the_field(name):
+    # check_tunable is the rule that the config, the stage subcommands and
+    # eval all apply.
+    check_tunable(name, DEFAULTS[name])
+    nan = (float("nan"),) if name == "scales" else float("nan")
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        check_tunable(name, nan)

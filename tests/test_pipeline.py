@@ -3,6 +3,8 @@ determinism, and the end-to-end phantom examples."""
 
 import os
 import shutil
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -44,6 +46,11 @@ def write_phantom(spec, out_dir):
 
     save_polyline(gt, paths["gt"])
     return paths, gt
+
+
+def no_proc_status(path, *args):
+    """`open` on a platform without /proc/self/status."""
+    raise FileNotFoundError(path)
 
 
 def make_config(paths, gt, out_dir, **kw):
@@ -163,6 +170,8 @@ class TestResumeAndDeterminism:
         assert self.read(straight["config"].output_dir, "route") == before
 
     def test_peak_rss_without_resource_module(self, straight, monkeypatch):
+        # Nor /proc/self/status: a platform that reports no peak.
+        monkeypatch.setattr(pipeline, "open", no_proc_status, raising=False)
         monkeypatch.setattr(pipeline, "resource", None)
         logged = []
         result = run_track(straight["config"], log=logged.append)
@@ -461,3 +470,29 @@ class TestDisconnectedGraph:
         )
         with pytest.raises(InfeasibleError, match="unreachable"):
             run_baseline(config)
+
+
+class TestPeakRss:
+    """The stage records' peak RSS is this process's own."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="no /proc/self/status")
+    def test_peak_after_exec_excludes_the_launcher(self, tmp_path):
+        # Linux carries ru_maxrss across exec; a process that held 300 MB
+        # before it exec'd Python must not see that in its stage records.
+        child = (f"from boweltrack.pipeline import _Runner; r = _Runner({str(tmp_path)!r}); "
+                 "r.timed('noop', lambda: None); print(r.records[0].peak_rss_mb)")
+        launcher = ("import os, sys; held = b'x' * (300 * 10**6); "
+                    f"os.execv(sys.executable, [sys.executable, '-c', {child!r}])")
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", launcher], env=env,
+                              capture_output=True, text=True, check=True)
+        assert 0 < float(done.stdout) < 300
+
+    def test_falls_back_to_getrusage(self, monkeypatch):
+        resource = pytest.importorskip("resource")
+        monkeypatch.setattr(pipeline, "open", no_proc_status, raising=False)
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert pipeline._peak_rss_mb() >= kib * (1 if sys.platform == "darwin" else 1024) / 1e6

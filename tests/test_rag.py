@@ -14,6 +14,7 @@ from boweltrack.supervoxel import LabelVolume, slic_supervoxels
 from boweltrack.volume_io import Volume
 from memory import traced_peak
 from oracles import build_rag_all_faces, mask_nodes, save_rag_fstrings
+from stage_rule import stage_rejects
 
 AXIS_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -185,10 +186,9 @@ class TestBuild:
             full_graph(lv, wall)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
-    def test_fraction_outside_unit_interval_rejected(self, fraction):
-        lv, wall = random_labeling(0)
-        with pytest.raises(ValueError, match="min_inside_fraction"):
-            build_rag(lv, wall, inside_all(lv), fraction)
+    def test_fraction_outside_unit_interval_rejected(self, fraction, tmp_path):
+        message = stage_rejects("rag", [fraction], tmp_path)
+        assert message.startswith("min_inside_fraction must be ")
 
 
 class TestInvariants:

@@ -22,6 +22,7 @@ from oracles import (
     meijering_response_whole_volume,
     sheet_response_eigvalsh,
 )
+from stage_rule import stage_rejects
 
 HESSIAN_ORDERS = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
 
@@ -113,15 +114,16 @@ class TestGaussianHessian:
         with pytest.raises(ValueError, match="spacing"):
             meijering_response(vol, scales_mm=(1.0,))
 
-    def test_bad_sigma_rejected(self):
-        vol = make_volume(np.zeros((8, 8, 8)))
+    def test_bad_sigma_rejected(self, tmp_path):
         for sigma in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="positive and finite"):
-                meijering_response(vol, scales_mm=(sigma,))
+            message = stage_rejects("ridge", [(sigma,)], tmp_path)
+            assert message.startswith("scales must be positive and finite")
 
     @pytest.mark.parametrize("bad", [0.5, 0.0, -2.0, float("nan"), float("inf")])
-    def test_every_scale_checked_before_filtering(self, monkeypatch, bad):
-        # A bad second scale raises before the first scale filters anything.
+    def test_every_scale_checked_before_filtering(self, monkeypatch, tmp_path, bad):
+        # A bad second scale raises before the first scale filters anything:
+        # one below the spacing in the filter, one outside the scales' rule
+        # where the stage reads its parameters.
         calls = []
         real = ndimage.gaussian_filter1d
 
@@ -131,8 +133,11 @@ class TestGaussianHessian:
 
         monkeypatch.setattr(ndimage, "gaussian_filter1d", spy)
         vol = make_volume(np.random.default_rng(0).random((10, 9, 8)))
-        with pytest.raises(ValueError, match="spacing" if bad == 0.5 else "positive"):
-            meijering_response(vol, scales_mm=(2.0, bad))
+        if bad == 0.5:
+            with pytest.raises(ValueError, match="spacing"):
+                meijering_response(vol, scales_mm=(2.0, bad))
+        else:
+            assert "positive and finite" in stage_rejects("ridge", [(2.0, bad)], tmp_path)
         assert calls == []
         # One worker, one sub-slab: a valid scale makes 15 one-axis passes.
         monkeypatch.setattr(parallel, "workers", lambda: 1)
@@ -204,10 +209,9 @@ class TestMeijeringResponse:
         assert np.unravel_index(np.argmax(dark.data), dark.data.shape)[0] == 12
         assert np.unravel_index(np.argmax(bright.data), bright.data.shape)[0] != 12
 
-    def test_empty_scales_rejected(self):
-        vol = make_volume(np.zeros((8, 8, 8)))
-        with pytest.raises(ValueError, match="scales"):
-            meijering_response(vol, scales_mm=())
+    def test_empty_scales_rejected(self, tmp_path):
+        assert stage_rejects("ridge", [()], tmp_path) == (
+            "scales must be positive and finite, got ()")
 
 
 # The phantom that the supervoxel tests also build.

@@ -389,8 +389,6 @@ class TestSimplifiedGraph:
         rag = make_rag(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError, match="distinct"):
             build_simplified_graph(rag, 1, 1, [], delta=50.0)
-        with pytest.raises(ValueError, match="delta"):
-            build_simplified_graph(rag, 0, 2, [], delta=0.0)
 
     def test_symmetry_enforced_by_type(self):
         with pytest.raises(InvariantError, match="symmetric"):

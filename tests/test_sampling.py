@@ -18,6 +18,7 @@ from boweltrack.supervoxel import LabelVolume
 from boweltrack.volume_io import Volume
 from memory import traced_peak
 from oracles import peaks_full_ball
+from stage_rule import stage_rejects
 
 
 def brute_force_sq_dist(mask: np.ndarray, spacing) -> np.ndarray:
@@ -280,14 +281,11 @@ class TestPeakInvariants:
         assert np.array_equal(mp.node_ids, again.node_ids)
         assert np.array_equal(mp.positions, again.positions)
 
-    def test_invalid_thetas_rejected(self):
-        dims = (8, 8, 8)
-        dist = Volume(np.ones(dims), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-        lv, node_map = voxelwise_labels(dims, (1.0, 1.0, 1.0))
-        with pytest.raises(ValueError, match="positive"):
-            sample_must_pass(dist, lv, node_map, 0.0, 6.0)
-        with pytest.raises(ValueError, match="positive"):
-            sample_must_pass(dist, lv, node_map, 3.0, -1.0)
+    def test_invalid_thetas_rejected(self, tmp_path):
+        assert stage_rejects("sample", [0.0, 6.0], tmp_path) == (
+            "theta_v must be positive, got 0.0")
+        assert stage_rejects("sample", [3.0, -1.0], tmp_path) == (
+            "theta_d must be positive, got -1.0")
 
     def test_must_pass_set_rejects_duplicates(self):
         with pytest.raises(InvariantError, match="duplicate"):

@@ -28,6 +28,7 @@ from oracles import (
     same_label_components_whole_volume,
     seed_grid_loop,
 )
+from stage_rule import stage_rejects
 
 
 def constant_volume(dims=(60, 60, 60), spacing=(2.0, 2.0, 2.0)):
@@ -508,16 +509,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="8 voxels"):
             slic_supervoxels(vol, 7.9 * 8.0, 0.01)
 
-    def test_nonpositive_compactness_rejected(self):
-        vol = constant_volume((20, 20, 20))
-        with pytest.raises(ValueError, match="compactness"):
-            slic_supervoxels(vol, 216.0, 0.0)
+    def test_nonpositive_compactness_rejected(self, tmp_path):
+        assert stage_rejects("slic", [216.0, 0.0], tmp_path) == (
+            "compactness must be positive, got 0.0")
 
     @pytest.mark.parametrize("compactness", [np.inf, np.nan])
-    def test_non_finite_compactness_rejected(self, compactness):
-        vol = constant_volume((20, 20, 20))
-        with pytest.raises(ValueError, match="compactness must be positive and finite"):
-            slic_supervoxels(vol, 216.0, compactness)
+    def test_non_finite_compactness_rejected(self, compactness, tmp_path):
+        assert stage_rejects("slic", [216.0, compactness], tmp_path) == (
+            f"compactness must be finite, got {compactness}")
 
     def test_label_volume_rejects_gaps(self):
         data = np.zeros((4, 4, 4), dtype=np.int32)
