@@ -56,17 +56,27 @@ except ImportError:     # not on every platform (Windows)
     resource = None
 
 
-def _malloc_trim():
-    """glibc's `malloc_trim`, None where the C library has none."""
+def _libc(name, *argtypes):
+    """glibc's function `name` returning an int, None where the C library
+    has none."""
     try:
-        trim = ctypes.CDLL(None).malloc_trim
+        fn = getattr(ctypes.CDLL(None), name)
     except (AttributeError, OSError, TypeError):
         return None
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
+    fn.argtypes, fn.restype = list(argtypes), ctypes.c_int
+    return fn
 
 
-_MALLOC_TRIM = _malloc_trim()
+_MALLOC_TRIM = _libc("malloc_trim", ctypes.c_size_t)
+_MALLOPT = _libc("mallopt", ctypes.c_int, ctypes.c_int)
+_M_ARENA_MAX = -8     # malloc.h
+# One malloc arena for every thread, set before any stage starts one: a
+# worker thread's own arena keeps what it frees, where no other thread
+# reuses it.  Run alone on the folded-hard bench wall map (2 vCPUs, 6 runs
+# each), slic peaked at 106.0-107.3 MB VmHWM against 110.5-112.1 MB and
+# held 74.5-74.7 MB after a trim against 81.6-83.9 MB, in the same time.
+if _MALLOPT is not None:
+    _MALLOPT(_M_ARENA_MAX, 1)
 
 ARTIFACTS = {
     "wall_map": "wall_map.vol",
@@ -163,7 +173,12 @@ class _Runner:
         return value
 
     def _record(self, name, seconds, cached, suffix=""):
-        rec = StageRecord(name, seconds, cached, _peak_rss_mb())
+        # The kernel's RSS counters are approximate, so VmHWM can read about
+        # 0.1 MB below an earlier reading; a peak never falls.
+        peak = _peak_rss_mb()
+        if peak is not None and self.records and self.records[-1].peak_rss_mb is not None:
+            peak = max(peak, self.records[-1].peak_rss_mb)
+        rec = StageRecord(name, seconds, cached, peak)
         self.records.append(rec)
         self.log(f"[{name}] {_stage_text(rec)}{suffix}")
         # glibc keeps the heap memory a stage freed between the blocks still
@@ -186,11 +201,6 @@ def as_float32(vol):
     """Serialized-volume precision; stages return exactly what their artifact
     stores so cached and fresh runs are bitwise identical."""
     return vol.like(vol.data.astype(np.float32))
-
-
-def compute_wall_map(intensity, scales):
-    """The ridge stage's artifact: the wall filter response."""
-    return as_float32(meijering_response(intensity, scales))
 
 
 def compute_distance_map(seg, wall, wall_threshold):
@@ -245,7 +255,7 @@ class Stage:
 # subcommand's positional arguments.
 STAGES = (
     Stage("ridge", "wall_map", ("intensity",), ("scales",),
-          "compute_wall_map", "save_volume", "load_volume"),
+          "meijering_response", "save_volume", "load_volume"),
     Stage("slic", "labels", ("wall_map",), ("target_volume", "compactness"),
           "slic_supervoxels", "save_label_volume", "load_label_volume"),
     Stage("rag", "masked_rag", ("segmentation", "wall_map", "labels"), ("min_inside_fraction",),

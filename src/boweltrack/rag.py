@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import FormatError, InfeasibleError, InvariantError
-from .supervoxel import LabelVolume, _distinct
+from .supervoxel import LabelVolume, _cluster_sums, _distinct, _label_counts
 from .volume_io import Volume, _atomic_write_chunks, check_same_grid, format_lines, read_records
 
 
@@ -127,9 +127,12 @@ def build_rag(labels: LabelVolume, wall_map: Volume, segmentation: Volume,
     wall = wall_map.data
     n = labels.label_count
 
-    flat = lab.ravel()
-    counts = np.bincount(flat, minlength=n).astype(np.int64)
-    inside = np.bincount(flat[segmentation.data.ravel() != 0], minlength=n)
+    # Node sums one slab at a time, with whole-volume `bincount` bits (see
+    # `_cluster_sums`).
+    axis_pos = [o + (np.arange(d) + 0.5) * s
+                for o, d, s in zip(labels.origin, labels.dims, labels.spacing)]
+    counts, coord_sums, _ = _cluster_sums(lab, axis_pos, n)
+    inside = _label_counts(lab, n, segmentation.data)
     keep = inside / counts >= min_inside_fraction
     if not keep.any():
         raise InfeasibleError(
@@ -152,19 +155,9 @@ def build_rag(labels: LabelVolume, wall_map: Volume, segmentation: Volume,
     del kept
     node = np.cumsum(keep) - 1
 
-    sp = np.asarray(labels.spacing)
-    orig = np.asarray(labels.origin)
-    centroids = np.empty((n, 3))
-    for axis in range(3):
-        pos = orig[axis] + (np.arange(labels.dims[axis]) + 0.5) * sp[axis]
-        shape = [1, 1, 1]
-        shape[axis] = labels.dims[axis]
-        coord = np.broadcast_to(pos.reshape(shape), labels.dims).ravel()
-        centroids[:, axis] = np.bincount(flat, weights=coord, minlength=n) / counts
-
     return Rag(
         node_ids=np.flatnonzero(keep),
-        centroids=centroids[keep],
+        centroids=(coord_sums[:, keep] / counts[keep]).T,
         counts=counts[keep],
         edge_i=node[uniq // n],
         edge_j=node[uniq % n],

@@ -17,7 +17,7 @@ from .volume_io import Volume
 
 DEFAULT_SCALES_MM = (2.0, 3.0)
 # Output rows (axis 0) per Hessian sub-slab, whatever the worker count.
-_SLAB_ROWS = 16
+_SLAB_ROWS = 8
 
 # Derivative orders per axis of Hxx, Hxy, Hxz, Hyy, Hyz, Hzz.
 _ORDERS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
@@ -35,24 +35,26 @@ def _check_scales(scales_mm, spacing) -> tuple:
     return scales
 
 
-def _hessian_slabs(data: np.ndarray, spacing, sigma_mm: float, consume) -> None:
-    """Scale-normalised Hessian of `data` at physical scale sigma_mm, one
-    sub-slab of axis-0 rows at a time.
+def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
+    """Scale-normalised Hessian at physical scale sigma_mm of a float64
+    volume of `shape`, one sub-slab of axis-0 rows at a time.
 
-    Calls consume(a, b, h, tmp) once for each of the disjoint row ranges
-    [a, b) that cover axis 0, from up to parallel.workers() threads.  h[k]
-    holds component k (Hxx, Hxy, Hxz, Hyy, Hyz, Hzz) of rows a..b: second
-    derivatives in 1/mm^2 multiplied by sigma_mm^2.  tmp holds three scratch
-    arrays of the same shape.  consume may overwrite both.
+    fill(s0, s1, out) writes rows [s0, s1) of the volume to `out`, so no
+    whole-volume copy of it is made.  Calls consume(a, b, h, tmp) once for
+    each of the disjoint row ranges [a, b) that cover axis 0, from up to
+    parallel.workers() threads.  h[k] holds component k (Hxx, Hxy, Hxz, Hyy,
+    Hyz, Hzz) of rows a..b: second derivatives in 1/mm^2 multiplied by
+    sigma_mm^2.  tmp holds three scratch arrays of the same shape.  consume
+    may overwrite both.
 
-    The bytes equal those of ndimage.gaussian_filter(data, order=...) on the
-    whole volume.  It makes the same one-axis passes, axis 0 first, and an
-    output row of the axis-0 pass reads only input rows within its radius
+    The bytes equal those of ndimage.gaussian_filter(volume, order=...) on
+    the whole volume.  It makes the same one-axis passes, axis 0 first, and
+    an output row of the axis-0 pass reads only input rows within its radius
     R0; so rows [a - R0, b + R0), clipped to the volume, give rows a..b, and
     a clipped end is the volume's own border.  The three axis-0 orders are
     filtered once each and shared by the components that need them.
     """
-    n = data.shape[0]
+    n = shape[0]
     sigma_vox = [sigma_mm / s for s in spacing]
     # Support ceil(4 sigma) per axis; scipy's default int(4 sigma + 0.5) is
     # one voxel shorter when 4 sigma has a fraction below one half.
@@ -64,26 +66,34 @@ def _hessian_slabs(data: np.ndarray, spacing, sigma_mm: float, consume) -> None:
             scale /= s**order
         scales.append(scale)
 
-    size = -(-n // parallel.workers())
-    rows = min(_SLAB_ROWS, size)
-    # Allocated in this thread: glibc keeps what a worker thread frees in
-    # that thread's arena.  With buffers allocated by the workers, resident
-    # memory after the filter measured 24 MB more on the 1 mm bench phantom.
-    buffers = [(np.empty((min(rows + 2 * radius[0], n),) + data.shape[1:]),
-                np.empty((9, rows) + data.shape[1:]))
-               for _ in range(0, n, size)]
+    rows = _SLAB_ROWS
+    read = rows + 2 * radius[0]     # input rows of one sub-slab, unclipped
+    # Each worker writes at least `read` rows, so the workers' buffers (two
+    # of `read` rows and nine of `rows` each) hold about 2 + 9 rows / read
+    # volumes at most, whatever the CPU count.
+    size = max(-(-n // parallel.workers()), read)
+    span = min(read, n)
+    # Allocated in this thread: a worker thread's own glibc arena would keep
+    # what it frees.  `pipeline` caps glibc at one arena, but the filter
+    # does not rely on that: with buffers allocated by the workers and one
+    # arena per thread, resident memory after the filter measured 24 MB more
+    # on the 1 mm bench phantom.
+    buffers = [(np.empty((span,) + shape[1:]), np.empty((span,) + shape[1:]),
+                np.empty((9, min(rows, n - lo)) + shape[1:]))
+               for lo in range(0, n, size)]
 
     def filt(src, axis, order, out):
         ndimage.gaussian_filter1d(src, sigma_vox[axis], axis=axis, order=order, output=out,
                                   mode="reflect", radius=radius[axis])
 
     def slab(lo, hi):
-        first, h = buffers[lo // size]
+        data, first, h = buffers[lo // size]
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             s0, s1 = max(0, a - radius[0]), min(n, b + radius[0])
+            fill(s0, s1, data[:s1 - s0])
             for order0 in (2, 1, 0):
-                filt(data[s0:s1], 0, order0, first[:s1 - s0])
+                filt(data[:s1 - s0], 0, order0, first[:s1 - s0])
                 for k, orders in enumerate(_ORDERS):
                     if orders[0] == order0:
                         filt(first[a - s0:b - s0], 1, orders[1], h[k, :b - a])
@@ -160,7 +170,7 @@ def _sheet_response(h, tmp, out) -> None:
 
 
 def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
-    """Multi-scale sheet/line response in [0, 1].
+    """Multi-scale sheet/line response in [0, 1], as float32: the wall map.
 
     Per scale: eigenvalues l1 <= l2 <= l3 of the Hessian are shifted to
     l'_i = l_i - (sum of the other two) / 3 and the response is
@@ -168,6 +178,10 @@ def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
     maximum.  The final map is the voxelwise maximum over scales.  The input
     is negated first so dark sheets (walls between bright lumens) light up,
     and its minimum is subtracted so constant volumes give exact zeros.
+
+    Each sub-slab casts, negates and shifts its own input rows, and the
+    maximum over scales is kept in float32.  Rounding is monotone, so it
+    holds the float32 rounding of the float64 maximum, byte for byte.
 
     The Hessian is built one slab of axis-0 rows at a time with the bytes
     of whole-volume Gaussian derivative filters, and l1 comes in closed form.
@@ -177,21 +191,29 @@ def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
     apart, but by up to 2e-8 max|l| where they nearly coincide (acos near
     its argument +1); the tests hold it to 4e-12, 5e-13 and 3e-8.  Even the
     last is below float32 spacing (1.2e-7 relative), though it can still
-    move a value across a float32 rounding boundary; the stored float32 map
+    move a value across a float32 rounding boundary; the float32 map
     matched the eigvalsh one byte for byte on every bench phantom.
     """
     scales = _check_scales(scales_mm, vol.spacing)
-    data = vol.data.astype(np.float64)
-    np.negative(data, out=data)
-    data -= data.min()
+    intensity = vol.data
+    # The negated input's minimum, so the filtered volume is
+    # -intensity - shift >= 0.
+    shift = -np.float64(intensity.max())
 
-    response = np.zeros(vol.dims, dtype=np.float64)
+    def fill(s0, s1, out):
+        out[...] = intensity[s0:s1]
+        np.negative(out, out=out)
+        out -= shift
+
+    response = np.zeros(vol.dims, dtype=np.float32)
     r = np.empty(vol.dims, dtype=np.float64)
     for sigma in scales:
-        _hessian_slabs(data, vol.spacing, sigma,
+        _hessian_slabs(fill, vol.dims, vol.spacing, sigma,
                        lambda a, b, h, tmp: _sheet_response(h, tmp, r[a:b]))
         peak = r.max()
         if peak > 0:
             r /= peak
+        # The maximum in float64, rounded to float32 in numpy's small
+        # buffered chunks: no float64 or float32 copy of r.
         np.maximum(response, r, out=response)
     return vol.like(response)

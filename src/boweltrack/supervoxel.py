@@ -97,13 +97,18 @@ class LabelVolume:
         return _label_counts(self.data, self.label_count)
 
 
-def _label_counts(labels: np.ndarray, n: int) -> np.ndarray:
-    """Voxels per value 0..n-1 of `labels`, which holds no other value.
-    Counted one slab of _SLAB_ROWS axis-0 rows at a time: `np.bincount`
-    copies non-intp labels to intp, so only one slab is copied at once."""
+def _label_counts(labels: np.ndarray, n: int, inside=None) -> np.ndarray:
+    """Voxels per value 0..n-1 of `labels`, which holds no other value;
+    given `inside`, an array of the same shape, only those where it is
+    nonzero.  Counted one slab of _SLAB_ROWS axis-0 rows at a time:
+    `np.bincount` copies non-intp labels to intp, so only one slab is copied
+    at once."""
     counts = np.zeros(n, dtype=np.int64)
     for lo in range(0, labels.shape[0], _SLAB_ROWS):
-        counts += np.bincount(labels[lo : lo + _SLAB_ROWS].ravel(), minlength=n)
+        slab = labels[lo : lo + _SLAB_ROWS]
+        if inside is not None:
+            slab = slab[inside[lo : lo + _SLAB_ROWS] != 0]
+        counts += np.bincount(slab.ravel(), minlength=n)
     return counts
 
 
@@ -444,17 +449,18 @@ def _max_feature_distance(flat_label, flat_feat, cluster_feat) -> np.ndarray:
     return np.maximum(fmax - cluster_feat, cluster_feat - fmin)
 
 
-def _cluster_sums(labels, feat, axis_pos, n_clusters):
-    """Each cluster's voxel count, coordinate sums (3, n_clusters) and
-    feature sum, for the update step.  Summed one slab of _SLAB_ROWS axis-0
-    rows at a time, in raster order: `np.add.at` adds the voxels in that
-    order, from 0.0, as `np.bincount(weights=...)` over the whole volume
-    does, so the sums have its bits without a float64 coordinate or
-    feature volume or an intp copy of the labels."""
+def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
+    """Each label's voxel count, sums (3, n_clusters) of the voxel
+    coordinates axis_pos[a] along each axis a and, given `feat`, feature
+    sum (else None).  Summed one slab of _SLAB_ROWS axis-0 rows at a time,
+    in raster order: `np.add.at` adds the voxels in that order, from 0.0, as
+    `np.bincount(weights=...)` over the whole volume does, so the sums have
+    its bits without a float64 coordinate or feature volume or an intp copy
+    of the labels."""
     n0, n1, n2 = labels.shape
     counts = np.zeros(n_clusters, dtype=np.int64)
     sums = np.zeros((3, n_clusters))
-    fsums = np.zeros(n_clusters)
+    fsums = None if feat is None else np.zeros(n_clusters)
     for lo in range(0, n0, _SLAB_ROWS):
         hi = min(lo + _SLAB_ROWS, n0)
         flat = labels[lo:hi].ravel()
@@ -462,7 +468,8 @@ def _cluster_sums(labels, feat, axis_pos, n_clusters):
         coords = (axis_pos[0][lo:hi, None, None], axis_pos[1][:, None], axis_pos[2])
         for a, coord in enumerate(coords):
             np.add.at(sums[a], flat, np.broadcast_to(coord, (hi - lo, n1, n2)).ravel())
-        np.add.at(fsums, flat, feat[lo:hi].astype(np.float64).ravel())
+        if feat is not None:
+            np.add.at(fsums, flat, feat[lo:hi].astype(np.float64).ravel())
     return counts, sums, fsums
 
 
@@ -518,7 +525,7 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
                 best_label[tuple(coords[sl].T)] = np.argmin(dist, axis=1)
             del coords, pos, fval, ds, df, dist
         max_df = _max_feature_distance(best_label.ravel(), feat.ravel(), cluster_feat)
-        counts, sums, fsums = _cluster_sums(best_label, feat, axis_pos, n_clusters)
+        counts, sums, fsums = _cluster_sums(best_label, axis_pos, n_clusters, feat)
         occupied = counts > 0
         centers[occupied] = (sums[:, occupied] / counts[occupied]).T
         cluster_feat[occupied] = fsums[occupied] / counts[occupied]

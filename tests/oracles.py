@@ -3,12 +3,13 @@ order over a simplified-graph cost matrix and the dummy-node construction
 of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
 the whole-volume update sums, the seed-grid loop, the all-pairs and the
 whole-volume same-label components and the per-fragment connectivity loop
-(supervoxels); the all-faces graph build, the node mask applied to a
-whole-volume graph and the f-string graph writer; the whole-ball peak
-search (sampling); the sampled Gaussian derivative kernel, the
-whole-volume Hessian and the eigvalsh sheet response (wall filter); the
-full-grid centerline distance and the all-pairs strand clearance
-(phantom); and the one-blob volume writer (volume files)."""
+(supervoxels); the all-faces graph build, the whole-volume node sums,
+the node mask applied to a whole-volume graph and the f-string graph
+writer; the whole-ball peak search (sampling); the sampled Gaussian
+derivative kernel, the whole-volume Hessian and the eigvalsh sheet
+response (wall filter); the full-grid centerline distance and the
+all-pairs strand clearance (phantom); and the one-blob volume writer
+(volume files)."""
 
 import heapq
 import itertools
@@ -368,6 +369,27 @@ def build_rag_all_faces(lab: np.ndarray, wall: np.ndarray, n: int):
     faces = np.bincount(inverse, minlength=len(uniq))
     sums = np.bincount(inverse, weights=np.concatenate(vals), minlength=len(uniq))
     return uniq // n, uniq % n, sums / faces, faces
+
+
+def rag_nodes_bincount(labels, segmentation: Volume, min_inside_fraction: float):
+    """Node ids, voxel counts and centroids of `rag.build_rag`, from
+    whole-volume `np.bincount`s over an intp copy of the labels and a
+    float64 coordinate volume per axis."""
+    n = labels.label_count
+    flat = labels.data.ravel()
+    counts = np.bincount(flat, minlength=n).astype(np.int64)
+    inside = np.bincount(flat[segmentation.data.ravel() != 0], minlength=n)
+    keep = inside / counts >= min_inside_fraction
+    sp = np.asarray(labels.spacing)
+    orig = np.asarray(labels.origin)
+    centroids = np.empty((n, 3))
+    for axis in range(3):
+        pos = orig[axis] + (np.arange(labels.dims[axis]) + 0.5) * sp[axis]
+        shape = [1, 1, 1]
+        shape[axis] = labels.dims[axis]
+        coord = np.broadcast_to(pos.reshape(shape), labels.dims).ravel()
+        centroids[:, axis] = np.bincount(flat, weights=coord, minlength=n) / counts
+    return np.flatnonzero(keep), counts[keep], centroids[keep]
 
 
 def mask_nodes(rag: Rag, segmentation: Volume, labels, min_inside_fraction: float = 0.5) -> Rag:

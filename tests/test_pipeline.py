@@ -491,6 +491,26 @@ class TestPeakRss:
                               capture_output=True, text=True, check=True)
         assert 0 < float(done.stdout) < 300
 
+    def test_recorded_peak_never_falls(self, straight, monkeypatch, tmp_path):
+        # The kernel's RSS counters are approximate: VmHWM read 283.455 MB
+        # after one stage and 283.316 MB after the next.
+        readings = iter([283.455, 283.316, 290.0, 289.9, 289.8, 295.0])
+        monkeypatch.setattr(pipeline, "_peak_rss_mb", lambda: next(readings))
+        out = str(tmp_path / "out")
+        shutil.copytree(straight["config"].output_dir, out)
+        result = run_track(make_config(straight["paths"], straight["gt"], out))
+        peaks = [rec.peak_rss_mb for rec in result.stages]
+        assert peaks == [283.455, 283.455, 290.0, 290.0, 290.0, 295.0]
+        with open(result.artifacts["diagnostics"]) as fh:
+            text = fh.read()
+        for rec in result.stages:
+            assert f"  {rec.name}: {rec.seconds:.3f} s, peak RSS {rec.peak_rss_mb:.1f} MB" in text
+
+    def test_missing_libc_function_is_skipped(self):
+        # mallopt and malloc_trim are glibc's; elsewhere they resolve to None
+        # and the pipeline calls neither.
+        assert pipeline._libc("boweltrack_no_such_function") is None
+
     def test_falls_back_to_getrusage(self, monkeypatch):
         resource = pytest.importorskip("resource")
         monkeypatch.setattr(pipeline, "open", no_proc_status, raising=False)

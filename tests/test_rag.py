@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from boweltrack import rag as rag_module
+from boweltrack import supervoxel
 
 from boweltrack.errors import FormatError, InfeasibleError
 from boweltrack.phantom import PhantomSpec, generate_phantom
@@ -13,7 +14,7 @@ from boweltrack.ridge import meijering_response
 from boweltrack.supervoxel import LabelVolume, slic_supervoxels
 from boweltrack.volume_io import Volume
 from memory import traced_peak
-from oracles import build_rag_all_faces, mask_nodes, save_rag_fstrings
+from oracles import build_rag_all_faces, mask_nodes, rag_nodes_bincount, save_rag_fstrings
 from stage_rule import stage_rejects
 
 AXIS_STEPS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -150,13 +151,15 @@ class TestBuild:
             assert g.tobytes() == e.tobytes()
 
     def test_memory_peak_bounded(self):
-        # One axis's faces at a time: on 96 x 96 x 48 voxels in blocks of
-        # about 27, all inside, this build peaks at 40 bytes per voxel, the
+        # One axis's faces and one slab's node sums at a time: on 96 x 96 x
+        # 48 voxels in blocks of about 27, all inside, this build peaks at
+        # 32 bytes per voxel; with whole-volume node sums (a float64
+        # coordinate volume and an intp copy of the labels) at 40, and the
         # all-faces build (one np.unique over every face) at 114.
         lv, wall = blocky_labeling((96, 96, 48))
         seg = inside_all(lv)
         peak = traced_peak(build_rag, lv, wall, seg, 0.5)
-        assert peak <= 48 * lv.data.size
+        assert peak <= 36 * lv.data.size
 
     def test_centroids_are_mean_physical_positions(self):
         lv, wall = random_labeling(11)
@@ -281,6 +284,28 @@ class TestMasking:
         labels, wall, seg, _ = phantom_graph_inputs
         got = self.assert_matches_two_step_oracle(labels, wall, seg, fraction, tmp_path)
         assert 0 < got.n_nodes < labels.label_count
+
+    @staticmethod
+    def assert_nodes_match_bincount_oracle(labels, seg, fraction):
+        got = build_rag(labels, Volume(np.zeros(labels.dims, dtype=np.float32),
+                                       labels.spacing, labels.origin), seg, fraction)
+        for name, want in zip(("node_ids", "counts", "centroids"),
+                              rag_nodes_bincount(labels, seg, fraction)):
+            assert getattr(got, name).dtype == want.dtype, name
+            assert getattr(got, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-31.7, 4.25, 1e3 / 3)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nodes_match_bincount_oracle_bytes(self, seed, origin, monkeypatch):
+        # Slabs of 3 rows: the last one is short.
+        monkeypatch.setattr(supervoxel, "_SLAB_ROWS", 3)
+        lv, _ = random_labeling(seed, dims=(11, 8, 7), n_labels=9)
+        lv = LabelVolume(lv.data, lv.spacing, origin, lv.label_count)
+        self.assert_nodes_match_bincount_oracle(lv, random_mask(lv, seed), 0.5)
+
+    def test_nodes_match_bincount_oracle_bytes_on_phantom(self, phantom_graph_inputs):
+        labels, _, seg, _ = phantom_graph_inputs
+        self.assert_nodes_match_bincount_oracle(labels, seg, 0.5)
 
     def test_full_mask_keeps_everything(self):
         lv, wall = random_labeling(2)

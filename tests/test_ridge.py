@@ -56,7 +56,10 @@ def slab_hessian(vol, sigma_mm):
         out[:, a:b] = h
         ranges.append((a, b))
 
-    ridge._hessian_slabs(data, vol.spacing, sigma_mm, keep)
+    def fill(s0, s1, buf):
+        buf[...] = data[s0:s1]
+
+    ridge._hessian_slabs(fill, vol.dims, vol.spacing, sigma_mm, keep)
     ranges.sort()
     assert [a for a, _ in ranges] == [0] + [b for _, b in ranges[:-1]]
     assert ranges[-1][1] == vol.dims[0]
@@ -141,6 +144,7 @@ class TestGaussianHessian:
         assert calls == []
         # One worker, one sub-slab: a valid scale makes 15 one-axis passes.
         monkeypatch.setattr(parallel, "workers", lambda: 1)
+        monkeypatch.setattr(ridge, "_SLAB_ROWS", vol.dims[0])
         meijering_response(vol, scales_mm=(2.0,))
         assert len(calls) == 15
 
@@ -189,6 +193,17 @@ class TestMeijeringResponse:
         for c in (50.0, -120.0, 1000.0):
             shifted = meijering_response(make_volume(data + c), scales_mm=(1.5,))
             assert np.array_equal(base.data, shifted.data)
+
+    def test_integer_input_widened_before_negation(self):
+        # int16 -32768 has no int16 negation; each sub-slab widens its rows
+        # to float64 first, so the map equals that of a float64 copy.
+        rng = np.random.default_rng(12)
+        data = rng.integers(-32768, 32768, size=(14, 12, 10)).astype(np.int16)
+        data[3, 4, 5] = -32768
+        vol = Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        got = meijering_response(vol, scales_mm=(1.5,))
+        want = meijering_response(make_volume(data), scales_mm=(1.5,))
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -255,11 +270,22 @@ class TestSlabs:
 
     @pytest.mark.parametrize("scales", [ridge.DEFAULT_SCALES_MM, (2.0,)])
     def test_float32_map_matches_whole_volume_pipeline(self, scales):
+        # The artifact contract: the float32 rounding of the whole-volume
+        # float64 map, byte for byte.
         vol, _, _ = generate_phantom(PHANTOM_SPEC)
         got = meijering_response(vol, scales)
-        want = meijering_response_whole_volume(vol, scales)
-        assert np.max(np.abs(got.data - want.data)) <= 1e-10
-        assert as_float32(got).data.tobytes() == as_float32(want).data.tobytes()
+        want = as_float32(meijering_response_whole_volume(vol, scales))
+        assert got.data.dtype == np.float32
+        assert got.data.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_float32_map_matches_whole_volume_on_any_slabs(
+            self, monkeypatch, phantom_map, workers, rows):
+        vol, want = phantom_map
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        monkeypatch.setattr(ridge, "_SLAB_ROWS", rows)
+        assert meijering_response(vol).data.tobytes() == want.data.tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("source", ["random", "phantom"])
@@ -281,15 +307,30 @@ class TestSlabs:
             sys.setswitchinterval(interval)
         assert got.tobytes() == expected.tobytes()
 
-    def test_memory_peak_bounded(self, monkeypatch):
-        # folded-hard's grid.  Besides the shifted input, the response and
-        # one scale's map, the filter holds only sub-slab buffers; the
-        # whole-volume Hessian and eigvalsh slabs peaked at 16.1 volumes.
-        monkeypatch.setattr(parallel, "workers", lambda: 2)
+    @pytest.mark.parametrize("workers, volumes", [(2, 4), (8, 9), (16, 9)])
+    def test_memory_peak_bounded(self, monkeypatch, workers, volumes):
+        # folded-hard's grid, in float64 volumes.  Besides one scale's
+        # float64 map and the float32 response (1.5 volumes), the filter
+        # holds only sub-slab buffers: 3.25 volumes in all at 2 workers.  A
+        # worker writes at least one sub-slab's input rows, so the buffers
+        # stop growing with the worker count: 8.0 at 8 and at 16 workers,
+        # where rows of ceil(n / workers) each gave 8.5 and 15.5.  A
+        # whole-volume float64 copy of the input, a float64 response and
+        # 16-row sub-slabs gave 5.7 at 2 workers; the whole-volume Hessian
+        # and eigvalsh slabs 16.1.
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
         vol, _, _ = generate_phantom(PhantomSpec(
             dims=(128, 128, 56), spacing=(2.0, 2.0, 2.0), bends=5, touch_pairs=3, seed=1))
         peak = traced_peak(meijering_response, vol)
-        assert peak <= 8 * vol.data.size * 8
+        assert peak <= volumes * vol.data.size * 8
+
+
+@pytest.fixture(scope="module")
+def phantom_map():
+    """PHANTOM_SPEC's intensity and the float32 rounding of its whole-volume
+    wall map."""
+    vol, _, _ = generate_phantom(PHANTOM_SPEC)
+    return vol, as_float32(meijering_response_whole_volume(vol, ridge.DEFAULT_SCALES_MM))
 
 
 # Documented error of the closed-form response, in units of max|l|.

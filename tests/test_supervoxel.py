@@ -311,7 +311,7 @@ def test_cluster_sums_match_whole_volume_bincount(monkeypatch, seed, dtype, rows
     feat = (rng.choice((-1.0, 1.0), dims) * 10.0 ** rng.uniform(-8, 8, dims)).astype(dtype)
     axis_pos = [(np.arange(n) + 0.5) * s for n, s in zip(dims, spacing)]
     monkeypatch.setattr(supervoxel, "_SLAB_ROWS", dims[0] + 1 if rows == "all" else rows)
-    got = supervoxel._cluster_sums(labels, feat, axis_pos, n_clusters)
+    got = supervoxel._cluster_sums(labels, axis_pos, n_clusters, feat)
     want = cluster_sums_bincount(labels, feat, axis_pos, n_clusters)
     assert np.array_equal(got[0], want[0])
     for a, b in zip(got[1:], want[1:]):
