@@ -22,6 +22,7 @@ import numpy as np
 from .config import TrackingConfig, check_tunable
 from .errors import ConfigError, FormatError, InfeasibleError, InvariantError
 from .metrics import MetricsReport, evaluate
+from .parallel import libc
 from .rag import build_rag, load_rag, save_rag
 from .ridge import meijering_response
 from .route import (
@@ -56,19 +57,8 @@ except ImportError:     # not on every platform (Windows)
     resource = None
 
 
-def _libc(name, *argtypes):
-    """glibc's function `name` returning an int, None where the C library
-    has none."""
-    try:
-        fn = getattr(ctypes.CDLL(None), name)
-    except (AttributeError, OSError, TypeError):
-        return None
-    fn.argtypes, fn.restype = list(argtypes), ctypes.c_int
-    return fn
-
-
-_MALLOC_TRIM = _libc("malloc_trim", ctypes.c_size_t)
-_MALLOPT = _libc("mallopt", ctypes.c_int, ctypes.c_int)
+_MALLOC_TRIM = libc("malloc_trim", ctypes.c_size_t)
+_MALLOPT = libc("mallopt", ctypes.c_int, ctypes.c_int)
 _M_ARENA_MAX = -8     # malloc.h
 # One malloc arena for every thread, set before any stage starts one: a
 # worker thread's own arena keeps what it frees, where no other thread
@@ -105,20 +95,27 @@ class StageRecord:
 
 
 def _peak_rss_mb() -> float | None:
-    """The process's peak resident set size so far, in MB: `VmHWM`, which
-    `exec` resets, else `ru_maxrss`, which Linux carries across `exec` from
-    the launching process; None where the platform reports neither."""
+    """The peak resident set size so far, in MB, of this process or of any
+    worker process it has reaped, whichever is larger: `VmHWM`, which `exec`
+    resets, else `ru_maxrss`, which Linux carries across `exec` from the
+    launching process; and the children's `ru_maxrss`.  A forked worker's
+    own peak counts the pages it shares with this process.  None where the
+    platform reports neither."""
+    own = None
     try:
         with open("/proc/self/status", "rb") as fh:
             for line in fh:
                 if line.startswith(b"VmHWM:"):
-                    return int(line.split()[1]) * 1024 / 1e6     # kB
+                    own = int(line.split()[1]) * 1024 / 1e6     # kB
+                    break
     except OSError:
         pass
     if resource is None:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak * (1 if sys.platform == "darwin" else 1024) / 1e6     # bytes on macOS, else KiB
+        return own
+    unit = 1 if sys.platform == "darwin" else 1024     # bytes on macOS, else KiB
+    if own is None:
+        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit / 1e6
+    return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * unit / 1e6)
 
 
 def _stage_text(rec: StageRecord) -> str:

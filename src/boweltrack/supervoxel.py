@@ -15,9 +15,11 @@ smaller D.  The step computes the pair for batches of clusters whose windows
 have the same shape, and keeps a running minimum over the batches: a voxel
 whose D drops takes the batch's lowest winning id, and on an equal D the
 lower id stays.  The minimum does not depend on the order of the batches.
-Each worker thread runs the step on one axis-0 slab of the volume, with
-every window clipped to the slab; slabs share no voxel, so the labels do not
-depend on the number of workers.
+Each worker runs the step on one axis-0 slab of the volume, with every
+window clipped to the slab, and writes the slab's rows of the label and
+distance buffers; slabs share no voxel, so the labels do not depend on the
+number of workers.  The workers are forked processes (`parallel.fork_ranges`)
+and the buffers are shared memory.
 """
 
 from __future__ import annotations
@@ -364,13 +366,12 @@ def _relabel(labels: np.ndarray, table: np.ndarray) -> None:
 def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
             best_label, best_dist):
     """One SLIC assignment step.  Every voxel gets the smallest (distance,
-    cluster id) pair among the clusters whose window covers it: fills the
-    C-contiguous `best_label` with the winning cluster id per voxel, -1
-    where no window covers the voxel, and `best_dist` with its distance."""
+    cluster id) pair among the clusters whose window covers it: fills
+    `best_label` with the winning cluster id per voxel, -1 where no window
+    covers the voxel, and `best_dist` with its distance.  Both are
+    `parallel.shared_array` buffers, which the worker processes write."""
     dims = feat.shape
     n_clusters = len(centers)
-    best_label.fill(-1)
-    best_dist.fill(np.inf)
     flat_label, flat_feat, flat_dist = best_label.ravel(), feat.ravel(), best_dist.ravel()
     # Broadcast per-axis (batch, n_a) terms to (batch, n_x, n_y, n_z).
     expand = [(slice(None), slice(None), None, None),
@@ -385,6 +386,8 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
     def slab(row0, row1):
         """The step for axis-0 rows row0..row1: every window is clipped to
         them, so no two slabs write the same voxel."""
+        best_label[row0:row1] = -1
+        best_dist[row0:row1] = np.inf
         lo_s, hi_s = lo.copy(), hi.copy()
         lo_s[:, 0] = np.clip(lo[:, 0], row0, row1)
         hi_s[:, 0] = np.clip(hi[:, 0], row0, row1)
@@ -431,9 +434,10 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
                 flat_label[vox[dist.take(win) < prev.take(win)]] = n_clusters
                 np.minimum.at(flat_label, vox, ids[sel // len(offsets)])
 
-    # One slab per worker.  More slabs measured slower: the windows cut at
-    # slab borders form more, smaller batches.
-    parallel.map_ranges(slab, dims[0], -(-dims[0] // parallel.workers()))
+    # One slab per worker process; the first runs in this one.  More slabs
+    # measured slower: the windows cut at slab borders form more, smaller
+    # batches.
+    parallel.fork_ranges(slab, dims[0], -(-dims[0] // parallel.workers()))
 
 
 def _max_feature_distance(flat_label, flat_feat, cluster_feat) -> np.ndarray:
@@ -505,10 +509,11 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
 
     window = WINDOW_FACTOR * step
 
-    # One label and one distance buffer for every step: the update step
-    # has read the previous labels before the next step overwrites them.
-    best_label = np.empty(dims, dtype=np.int32)
-    best_dist = np.empty(dims)
+    # One label and one distance buffer for every step, shared with the
+    # assignment's worker processes: the update step has read the previous
+    # labels before the next step overwrites them.
+    best_label = parallel.shared_array(dims, np.int32)
+    best_dist = parallel.shared_array(dims, np.float64)
     for _ in range(SLIC_ITERATIONS):
         _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
                 best_label, best_dist)

@@ -85,6 +85,33 @@ class TestTrackCommand:
         )
 
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    def test_warnings_as_errors_on_two_cpus(self, workspace, tmp_path):
+        # -X dev shows the warnings Python hides by default (an unclosed
+        # resource's ResourceWarning; Python 3.12's DeprecationWarning at a
+        # fork from a multi-threaded process) and -W error makes each one
+        # fatal.  On 2 CPUs the SLIC assignment forks a worker per step.
+        cpus = sorted(os.sched_getaffinity(0))
+        src = os.path.dirname(os.path.dirname(boweltrack.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        names = [ARTIFACTS[key] for key in ("wall_map", "labels", "masked_rag",
+                                            "distance", "must_pass", "route", "metrics")]
+        blobs = []
+        for count in (1, 2):
+            out = tmp_path / f"cpus{count}"
+            argv = ["track", str(workspace["config"]), "--quiet", "--output-dir", str(out)]
+            code = (f"import os, sys; os.sched_setaffinity(0, {cpus[:count]}); "
+                    f"from boweltrack.cli import main; sys.exit(main({argv!r}))")
+            done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                                  env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == ""
+            blobs.append({name: read_bytes(out / name) for name in names})
+        assert blobs[0] == blobs[1]
+
+
 class TestBaselineCommand:
     def test_baseline_runs(self, workspace, capsys):
         assert cli.main(["baseline", str(workspace["config"]), "--quiet"]) == 0

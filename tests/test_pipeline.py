@@ -12,7 +12,7 @@ import pytest
 
 from boweltrack.config import TrackingConfig
 from boweltrack.errors import ConfigError, FormatError, InfeasibleError
-from boweltrack import pipeline
+from boweltrack import parallel, pipeline
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.pipeline import (
     ARTIFACTS,
@@ -473,7 +473,8 @@ class TestDisconnectedGraph:
 
 
 class TestPeakRss:
-    """The stage records' peak RSS is this process's own."""
+    """The stage records' peak RSS is this process's own, or that of a
+    worker process it forked, whichever is larger."""
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="no /proc/self/status")
@@ -491,6 +492,33 @@ class TestPeakRss:
                               capture_output=True, text=True, check=True)
         assert 0 < float(done.stdout) < 300
 
+    @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.exists("/proc/self/status"),
+                        reason="no os.fork or no /proc/self/status")
+    def test_peak_counts_forked_workers(self, tmp_path):
+        # A fresh interpreter, whose own peak stays below what its worker
+        # touches: the SLIC assignment's batch temporaries live in workers.
+        code = (
+            "import numpy as np\n"
+            "from boweltrack import parallel\n"
+            "from boweltrack.pipeline import _Runner, _peak_rss_mb\n"
+            "parallel.workers = lambda: 2\n"
+            "mb = _peak_rss_mb() + 64\n"
+            "def touch(lo, hi):\n"
+            "    if lo:\n"
+            "        np.ones(int(mb * 1e6) // 8)\n"
+            f"r = _Runner({str(tmp_path)!r})\n"
+            "r.timed('fork', lambda: parallel.fork_ranges(touch, 2, 1))\n"
+            "own = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "           if line.startswith('VmHWM:')) * 1024 / 1e6\n"
+            "print(mb, own, r.records[0].peak_rss_mb)\n")
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        mb, own, recorded = map(float, done.stdout.split())
+        assert own < mb <= recorded
+
     def test_recorded_peak_never_falls(self, straight, monkeypatch, tmp_path):
         # The kernel's RSS counters are approximate: VmHWM read 283.455 MB
         # after one stage and 283.316 MB after the next.
@@ -507,9 +535,9 @@ class TestPeakRss:
             assert f"  {rec.name}: {rec.seconds:.3f} s, peak RSS {rec.peak_rss_mb:.1f} MB" in text
 
     def test_missing_libc_function_is_skipped(self):
-        # mallopt and malloc_trim are glibc's; elsewhere they resolve to None
-        # and the pipeline calls neither.
-        assert pipeline._libc("boweltrack_no_such_function") is None
+        # mallopt, malloc_trim and prctl are glibc's; elsewhere they resolve
+        # to None and neither the pipeline nor the fork runner calls them.
+        assert parallel.libc("boweltrack_no_such_function") is None
 
     def test_falls_back_to_getrusage(self, monkeypatch):
         resource = pytest.importorskip("resource")

@@ -2,7 +2,12 @@
 equivalence with the per-cluster loop and the per-fragment connectivity
 loop, and a memory bound."""
 
+import os
+import signal
+import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -265,6 +270,74 @@ def test_labels_independent_of_workers(monkeypatch, workers, source):
     assert got.label_count == expected.label_count
 
 
+# A 2-worker slic whose forked worker sleeps after its slab, so the tracker
+# can be killed while the worker is still running.
+SLOW_WORKER_SLIC = """
+import time
+import numpy as np
+from boweltrack import parallel
+from boweltrack.supervoxel import slic_supervoxels
+from boweltrack.volume_io import Volume
+
+fork_ranges = parallel.fork_ranges
+
+def slow_fork_ranges(fn, n, size):
+    def slow(lo, hi):
+        fn(lo, hi)
+        if lo:
+            time.sleep(60)
+    fork_ranges(slow, n, size)
+
+parallel.workers = lambda: 2
+parallel.fork_ranges = slow_fork_ranges
+data = np.random.default_rng(0).random((24, 24, 24), dtype=np.float32)
+slic_supervoxels(Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), 27.0, 1.0)
+"""
+
+
+def proc_stat(pid):
+    """(state, parent pid) of a live or zombie process, None once gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rpartition(")")[2].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def running(pid) -> bool:
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal and /proc are Linux's")
+def test_workers_die_with_the_tracker():
+    src = os.path.dirname(os.path.dirname(supervoxel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    tracker = subprocess.Popen([sys.executable, "-c", SLOW_WORKER_SLIC], env=env)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while not workers and tracker.poll() is None and time.monotonic() < deadline:
+            workers = [int(p) for p in os.listdir("/proc")
+                       if p.isdigit() and (proc_stat(p) or ("", 0))[1] == tracker.pid]
+            time.sleep(0.01)
+        assert workers, "the tracker forked no worker"
+        tracker.kill()
+        tracker.wait()
+        deadline = time.monotonic() + 2
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(running, workers))
+    finally:
+        tracker.kill()
+        tracker.wait()
+        for pid in filter(running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
 def max_feature_distance_gather(flat_label, flat_feat, cluster_feat):
     """The update step's former expression: each voxel's |f - c| from a
     gather of its cluster's feature, then np.maximum.at per cluster."""
@@ -446,23 +519,63 @@ class TestConnectivityOracle:
         assert comp[0, 0, 1] == 1 and comp[0, 0, 2] == 2
 
 
+def memory_feature():
+    data = ndimage.gaussian_filter(np.random.default_rng(0).normal(size=(96, 96, 96)), 2.0)
+    return Volume(data.astype(np.float32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+
+
 def test_memory_bounded_by_volume_size(monkeypatch):
     """The allocation peak stays a fixed multiple of the volume's float64
     size: assignment temporaries are batched, never (clusters, window)."""
-    data = ndimage.gaussian_filter(np.random.default_rng(0).normal(size=(96, 96, 96)), 2.0)
-    feature = Volume(data.astype(np.float32), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-    # Each iteration allocates the same; two keep the test short.  Each
-    # worker adds its batch temporaries, 0.6-0.8x each here.
+    feature = memory_feature()
+    # Each iteration allocates the same; two keep the test short.  One
+    # worker runs every slab in this process, where tracemalloc sees its
+    # temporaries, and the label and distance buffers become ordinary
+    # arrays, which it sees too.
     monkeypatch.setattr(supervoxel, "SLIC_ITERATIONS", 2)
-    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    monkeypatch.setattr(parallel, "workers", lambda: 1)
+    monkeypatch.setattr(parallel, "shared_array", np.zeros)
     peak = traced_peak(slic_supervoxels, feature, 27.0, 1.0)
-    # 4.0x today.  A new int64 label volume per step, a float64
+    # 3.3x today.  A new int64 label volume per step, a float64
     # coordinate volume per axis and whole-volume bincounts took it to
     # 5.5x, a float64 copy of the feature to 6.6x, the whole-volume
     # connectivity graph to 10.6x, linking every equally labeled
     # 26-neighbour pair to 25x, and one (clusters, window) float64 array
     # alone is 27x.
-    assert peak <= 4.5 * data.size * 8
+    assert peak <= 4.0 * feature.data.size * 8
+
+
+def test_assignment_workers_memory_bounded(monkeypatch):
+    """Each assignment slab, in this process or a forked worker, allocates
+    at most a fixed share of the volume's float64 size on top of what the
+    process held when it started."""
+    feature = memory_feature()
+    monkeypatch.setattr(supervoxel, "SLIC_ITERATIONS", 2)
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    fork_ranges, peaks = parallel.fork_ranges, []
+
+    def measured_fork_ranges(fn, n, size):
+        slab_peaks = parallel.shared_array(n, np.int64)
+
+        def measured(lo, hi):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            fn(lo, hi)
+            slab_peaks[lo] = tracemalloc.get_traced_memory()[1] - held
+
+        fork_ranges(measured, n, size)
+        peaks.extend(slab_peaks[slab_peaks > 0].tolist())
+
+    monkeypatch.setattr(parallel, "fork_ranges", measured_fork_ranges)
+    tracemalloc.start()
+    try:
+        slic_supervoxels(feature, 27.0, 1.0)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 2 * 2
+    # 0.90-0.94x each today: per-cluster window bounds and the batch
+    # temporaries.  One slab-sized float64 temporary would add 0.5x.
+    assert max(peaks) <= 1.2 * feature.data.size * 8
 
 
 def test_enforce_connectivity_memory_bounded():
