@@ -2,12 +2,12 @@
 
 Each range writes a disjoint part of an output with the arithmetic one call
 over all of them would use, so the bytes do not depend on the CPU count.
-`map_ranges` runs the ranges on threads: the wall filter's Gaussian
-derivatives and eigenvalues and the connectivity components spend their
-time in numpy and scipy code that releases the interpreter lock.
-`fork_ranges` runs them in forked processes that write `shared_array`
-buffers: the SLIC assignment's batch loop makes many small numpy calls
-that hold the lock, and ran only 1.3-1.5x faster on 2 threads than on 1.
+`fork_ranges` runs the ranges in forked processes that write `shared_array`
+buffers.  It is the one runner for the wall filter's Gaussian derivatives
+and eigenvalues, the SLIC assignment, the connectivity components and the
+phantom's centerline distances: a worker process holds no interpreter lock
+that another one waits for, and its allocations go back to the system when
+it exits.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import os
 import signal
 import traceback
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,24 +46,6 @@ def workers() -> int:
         return os.cpu_count() or 1
 
 
-def _bounds(n: int, size: int) -> list:
-    """The consecutive ranges [0, size), [size, 2 size), ... that cover 0..n."""
-    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def map_ranges(fn, n: int, size: int) -> list:
-    """Call fn(lo, hi) for the consecutive ranges [0, size), [size, 2 size),
-    ... that cover 0..n, on up to workers() threads, and return the results
-    in range order.  The calls must write disjoint data."""
-    bounds = _bounds(n, size)
-    count = min(workers(), len(bounds))
-    if count <= 1:
-        return [fn(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(count) as pool:
-        futures = [pool.submit(fn, lo, hi) for lo, hi in bounds]
-        return [future.result() for future in futures]
-
-
 def shared_array(shape, dtype) -> np.ndarray:
     """A zero-filled array that the processes `fork_ranges` starts after it
     is made write into, and the caller reads: anonymous shared memory, or
@@ -87,7 +68,7 @@ def fork_ranges(fn, n: int, size: int) -> None:
     raises, the others are killed first.  A process that fails raises
     RuntimeError naming its range once all are reaped.  On one worker, or
     where the platform cannot fork, every range runs in this process."""
-    bounds = _bounds(n, size)
+    bounds = [(lo, min(lo + size, n)) for lo in range(0, n, size)]
     count = min(workers(), len(bounds))
     if count <= 1 or not hasattr(os, "fork"):
         for lo, hi in bounds:
@@ -120,8 +101,8 @@ def fork_ranges(fn, n: int, size: int) -> None:
 
 def _fork() -> int:
     # Python 3.12 warns at a fork from a process with more than one thread.
-    # Here the others are BLAS's idle pool threads (map_ranges joins its
-    # own before it returns), and the workers call no BLAS routine.
+    # boweltrack starts none; the others are BLAS's idle pool threads, and
+    # the workers call no BLAS routine.
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                 DeprecationWarning)

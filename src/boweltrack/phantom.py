@@ -271,8 +271,10 @@ def _distance_to_centerline(spec: PhantomSpec, path: Polyline):
     bound = spec.tube_radius + 2.0 * float(np.sqrt(seg_len2.max()))
 
     n = nx * ny * nz
-    dist = np.full(n, np.inf)
-    arc = np.full(n, np.nan)
+    dist = parallel.shared_array(n, np.float64)
+    dist.fill(np.inf)
+    arc = parallel.shared_array(n, np.float64)
+    arc.fill(np.nan)
 
     def fill(lo, hi):
         i, rest = np.divmod(np.arange(lo, hi), ny * nz)
@@ -303,7 +305,7 @@ def _distance_to_centerline(spec: PhantomSpec, path: Polyline):
         seg_idx = cand[rows, best]
         arc[out] = arc0[seg_idx] + tpar[rows, best] * np.sqrt(seg_len2[seg_idx])
 
-    parallel.map_ranges(fill, n, _RANGE_VOXELS)
+    parallel.fork_ranges(fill, n, _RANGE_VOXELS)
     shape = (nx, ny, nz)
     return dist.reshape(shape), arc.reshape(shape)
 

@@ -58,15 +58,6 @@ except ImportError:     # not on every platform (Windows)
 
 
 _MALLOC_TRIM = libc("malloc_trim", ctypes.c_size_t)
-_MALLOPT = libc("mallopt", ctypes.c_int, ctypes.c_int)
-_M_ARENA_MAX = -8     # malloc.h
-# One malloc arena for every thread, set before any stage starts one: a
-# worker thread's own arena keeps what it frees, where no other thread
-# reuses it.  Run alone on the folded-hard bench wall map (2 vCPUs, 6 runs
-# each), slic peaked at 106.0-107.3 MB VmHWM against 110.5-112.1 MB and
-# held 74.5-74.7 MB after a trim against 81.6-83.9 MB, in the same time.
-if _MALLOPT is not None:
-    _MALLOPT(_M_ARENA_MAX, 1)
 
 ARTIFACTS = {
     "wall_map": "wall_map.vol",

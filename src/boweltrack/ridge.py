@@ -41,9 +41,11 @@ def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
 
     fill(s0, s1, out) writes rows [s0, s1) of the volume to `out`, so no
     whole-volume copy of it is made.  Calls consume(a, b, h, tmp) once for
-    each of the disjoint row ranges [a, b) that cover axis 0, from up to
-    parallel.workers() threads.  h[k] holds component k (Hxx, Hxy, Hxz, Hyy,
-    Hyz, Hzz) of rows a..b: second derivatives in 1/mm^2 multiplied by
+    each of the disjoint row ranges [a, b) that cover axis 0, in up to
+    parallel.workers() forked processes (`parallel.fork_ranges`), so what
+    consume writes for the caller must go to `parallel.shared_array`
+    buffers made before the call.  h[k] holds component k (Hxx, Hxy, Hxz,
+    Hyy, Hyz, Hzz) of rows a..b: second derivatives in 1/mm^2 multiplied by
     sigma_mm^2.  tmp holds three scratch arrays of the same shape.  consume
     may overwrite both.
 
@@ -73,21 +75,14 @@ def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
     # volumes at most, whatever the CPU count.
     size = max(-(-n // parallel.workers()), read)
     span = min(read, n)
-    # Allocated in this thread: a worker thread's own glibc arena would keep
-    # what it frees.  `pipeline` caps glibc at one arena, but the filter
-    # does not rely on that: with buffers allocated by the workers and one
-    # arena per thread, resident memory after the filter measured 24 MB more
-    # on the 1 mm bench phantom.
-    buffers = [(np.empty((span,) + shape[1:]), np.empty((span,) + shape[1:]),
-                np.empty((9, min(rows, n - lo)) + shape[1:]))
-               for lo in range(0, n, size)]
 
     def filt(src, axis, order, out):
         ndimage.gaussian_filter1d(src, sigma_vox[axis], axis=axis, order=order, output=out,
                                   mode="reflect", radius=radius[axis])
 
     def slab(lo, hi):
-        data, first, h = buffers[lo // size]
+        data, first = np.empty((span,) + shape[1:]), np.empty((span,) + shape[1:])
+        h = np.empty((9, min(rows, hi - lo)) + shape[1:])
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             s0, s1 = max(0, a - radius[0]), min(n, b + radius[0])
@@ -101,7 +96,7 @@ def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
                         h[k, :b - a] *= scales[k]
             consume(a, b, h[:6, :b - a], h[6:, :b - a])
 
-    parallel.map_ranges(slab, n, size)
+    parallel.fork_ranges(slab, n, size)
 
 
 def _sheet_response(h, tmp, out) -> None:
@@ -206,7 +201,7 @@ def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
         out -= shift
 
     response = np.zeros(vol.dims, dtype=np.float32)
-    r = np.empty(vol.dims, dtype=np.float64)
+    r = parallel.shared_array(vol.dims, np.float64)
     for sigma in scales:
         _hessian_slabs(fill, vol.dims, vol.spacing, sigma,
                        lambda a, b, h, tmp: _sheet_response(h, tmp, r[a:b]))

@@ -18,8 +18,9 @@ lower id stays.  The minimum does not depend on the order of the batches.
 Each worker runs the step on one axis-0 slab of the volume, with every
 window clipped to the slab, and writes the slab's rows of the label and
 distance buffers; slabs share no voxel, so the labels do not depend on the
-number of workers.  The workers are forked processes (`parallel.fork_ranges`)
-and the buffers are shared memory.
+number of workers.  The connectivity step's components are found and
+renumbered slab by slab in the same way.  The workers are forked processes
+(`parallel.fork_ranges`) and the buffers they write are shared memory.
 """
 
 from __future__ import annotations
@@ -243,9 +244,13 @@ def _same_label_components(labels: np.ndarray):
     too: ids follow their component's lowest voxel in raster order.
     """
     n0, rows = labels.shape[0], _COMP_ROWS
-    comp = np.empty(labels.shape, dtype=np.int32)
-    counts = parallel.map_ranges(
-        lambda lo, hi: _slab_components(labels[lo:hi], comp[lo:hi]), n0, rows)
+    comp = parallel.shared_array(labels.shape, np.int32)
+    counts = parallel.shared_array(-(-n0 // rows), np.int64)
+
+    def components(lo, hi):
+        counts[lo // rows] = _slab_components(labels[lo:hi], comp[lo:hi])
+
+    parallel.fork_ranges(components, n0, rows)
     first = np.concatenate(([0], np.cumsum(counts)))
     n_ids = int(first[-1])
     pairs = [np.empty(0, dtype=np.int64)]
@@ -263,7 +268,7 @@ def _same_label_components(labels: np.ndarray):
         k = lo // rows
         comp[lo:hi] = group[first[k] : first[k + 1]][comp[lo:hi]]
 
-    parallel.map_ranges(renumber, n0, rows)
+    parallel.fork_ranges(renumber, n0, rows)
     return comp, n_comp
 
 

@@ -379,7 +379,7 @@ def test_criterion_08_simplified_cost_suite():
 
 def test_criterion_09_track_determinism(phantom_cache, monkeypatch):
     # Every artifact but the timed diagnostics; the second run spreads the
-    # per-voxel kernels over three threads.
+    # per-voxel kernels over three processes.
     names = [ARTIFACTS[key] for key in ("wall_map", "labels", "masked_rag",
                                         "distance", "must_pass", "route", "metrics")]
     specs = [STRAIGHT_SPEC, BENT_SPEC, SMALL_FOLDED_SPEC]

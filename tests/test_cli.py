@@ -21,6 +21,10 @@ from boweltrack.sampling import load_must_pass, save_must_pass
 from boweltrack.volume_io import Volume, load_polyline, load_volume, save_volume
 
 
+needs_two_cpus = pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                                    or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Phantom data, a config file, and one completed track run."""
@@ -85,31 +89,34 @@ class TestTrackCommand:
         )
 
 
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                        or len(os.sched_getaffinity(0)) < 2, reason="needs 2 CPUs")
+    @needs_two_cpus
     def test_warnings_as_errors_on_two_cpus(self, workspace, tmp_path):
-        # -X dev shows the warnings Python hides by default (an unclosed
-        # resource's ResourceWarning; Python 3.12's DeprecationWarning at a
-        # fork from a multi-threaded process) and -W error makes each one
-        # fatal.  On 2 CPUs the SLIC assignment forks a worker per step.
-        cpus = sorted(os.sched_getaffinity(0))
-        src = os.path.dirname(os.path.dirname(boweltrack.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         names = [ARTIFACTS[key] for key in ("wall_map", "labels", "masked_rag",
                                             "distance", "must_pass", "route", "metrics")]
-        blobs = []
-        for count in (1, 2):
-            out = tmp_path / f"cpus{count}"
-            argv = ["track", str(workspace["config"]), "--quiet", "--output-dir", str(out)]
-            code = (f"import os, sys; os.sched_setaffinity(0, {cpus[:count]}); "
-                    f"from boweltrack.cli import main; sys.exit(main({argv!r}))")
-            done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
-                                  env=env, capture_output=True, text=True)
-            assert done.returncode == 0, done.stderr
-            assert done.stderr == ""
-            blobs.append({name: read_bytes(out / name) for name in names})
+        blobs = [run_on_cpus(count, ["track", str(workspace["config"]), "--quiet",
+                                     "--output-dir", str(out)], out, names)
+                 for count, out in ((1, tmp_path / "cpus1"), (2, tmp_path / "cpus2"))]
         assert blobs[0] == blobs[1]
+
+
+def run_on_cpus(count, argv, out, names):
+    """The bytes of the files `names` in `out` after the CLI ran argv on the
+    first `count` CPUs of this process's affinity mask.  -X dev shows the
+    warnings Python hides by default (an unclosed resource's
+    ResourceWarning; Python 3.12's DeprecationWarning at a fork from a
+    multi-threaded process) and -W error makes each one fatal.  On 2 CPUs
+    every parallel step forks a worker process."""
+    cpus = sorted(os.sched_getaffinity(0))
+    src = os.path.dirname(os.path.dirname(boweltrack.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (f"import os, sys; os.sched_setaffinity(0, {cpus[:count]}); "
+            f"from boweltrack.cli import main; sys.exit(main({argv!r}))")
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    return {name: read_bytes(out / name) for name in names}
 
 
 class TestBaselineCommand:
@@ -156,6 +163,15 @@ class TestPhantomCommand:
         assert len(lines) == 3
         for line in lines:
             assert os.path.exists(line)
+
+    @needs_two_cpus
+    def test_warnings_as_errors_on_two_cpus(self, workspace, tmp_path):
+        names = [ARTIFACTS[key] for key in ("phantom_intensity", "phantom_segmentation",
+                                            "phantom_gt")]
+        blobs = [run_on_cpus(count, ["phantom", str(workspace["spec"]), str(out), "--quiet"],
+                             out, names)
+                 for count, out in ((1, tmp_path / "cpus1"), (2, tmp_path / "cpus2"))]
+        assert blobs[0] == blobs[1]
 
     def test_bad_spec_exits_config(self, tmp_path, capsys):
         spec = tmp_path / "bad.spec"

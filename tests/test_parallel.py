@@ -1,5 +1,4 @@
-"""Range order of the thread pool helper, and the fork runner's ranges,
-failures and reaping."""
+"""The fork runner's ranges, failures and reaping."""
 
 import os
 import signal
@@ -16,13 +15,6 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def assert_all_reaped():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 5])
-def test_map_ranges_covers_in_order(monkeypatch, workers):
-    monkeypatch.setattr(parallel, "workers", lambda: workers)
-    assert parallel.map_ranges(lambda lo, hi: (lo, hi), 10, 4) == [(0, 4), (4, 8), (8, 10)]
-    assert parallel.map_ranges(lambda lo, hi: (lo, hi), 0, 4) == []
 
 
 @needs_fork

@@ -1,10 +1,12 @@
 """Staged pipeline: artifact writing, resume-from-cache, terminal resolution,
 determinism, and the end-to-end phantom examples."""
 
+import ast
 import os
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -251,6 +253,38 @@ class TestIntensityReleased:
         assert [(rec.name, rec.cached) for rec in result.stages[:2]] == [
             ("ridge", cached_wall_map), ("slic", False)]
         assert len(loaded) == 1 and alive_at_slic == [False]
+
+
+class TestNoThreads:
+    """Every parallel step runs on forked processes (`parallel.fork_ranges`),
+    so the tracker needs no malloc tuning for threads."""
+
+    def test_track_starts_no_thread(self, straight, tmp_path, monkeypatch):
+        def no_thread(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        out = str(tmp_path / "out")
+        run_track(make_config(straight["paths"], straight["gt"], out))
+        for key in ("wall_map", "labels", "route"):
+            with open(os.path.join(out, ARTIFACTS[key]), "rb") as fh:
+                got = fh.read()
+            with open(straight["result"].artifacts[key], "rb") as fh:
+                assert got == fh.read()
+
+    def test_no_module_imports_threads(self):
+        src = os.path.dirname(pipeline.__file__)
+        for name in sorted(os.listdir(src)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names}
+            imported |= {node.module for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module}
+            assert not {m.split(".")[0] for m in imported} & {"concurrent", "threading"}, name
 
 
 class TestTerminalResolution:
@@ -535,7 +569,7 @@ class TestPeakRss:
             assert f"  {rec.name}: {rec.seconds:.3f} s, peak RSS {rec.peak_rss_mb:.1f} MB" in text
 
     def test_missing_libc_function_is_skipped(self):
-        # mallopt, malloc_trim and prctl are glibc's; elsewhere they resolve
+        # malloc_trim and prctl are glibc's; elsewhere they resolve
         # to None and neither the pipeline nor the fork runner calls them.
         assert parallel.libc("boweltrack_no_such_function") is None
 

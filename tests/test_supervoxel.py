@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from boweltrack.supervoxel import (
     slic_supervoxels,
 )
 from boweltrack.volume_io import Volume, save_volume
-from memory import traced_peak
+from memory import range_peaks, traced_peak
 from oracles import (
     assign_per_cluster,
     cluster_sums_bincount,
@@ -251,8 +250,8 @@ class TestFeatureDtype:
 @pytest.mark.parametrize("source", ["random", "phantom"])
 def test_labels_independent_of_workers(monkeypatch, workers, source):
     """Each worker assigns one axis-0 slab; 17 rows on 3, 7 or 16 workers
-    end in a shorter slab.  A short switch interval interleaves the threads
-    often, so a voxel two slabs both wrote would show."""
+    end in a shorter slab.  The connectivity step's slabs of _COMP_ROWS
+    rows are spread over the same workers."""
     if source == "random":
         feature = random_feature(5, dims=(17, 13, 11), spacing=(2.0, 2.0, 2.0))
     else:
@@ -260,12 +259,7 @@ def test_labels_independent_of_workers(monkeypatch, workers, source):
     monkeypatch.setattr(parallel, "workers", lambda: 1)
     expected = slic_supervoxels(feature, 216.0, 0.01)
     monkeypatch.setattr(parallel, "workers", lambda: workers)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        got = slic_supervoxels(feature, 216.0, 0.01)
-    finally:
-        sys.setswitchinterval(interval)
+    got = slic_supervoxels(feature, 216.0, 0.01)
     assert got.data.tobytes() == expected.data.tobytes()
     assert got.label_count == expected.label_count
 
@@ -552,38 +546,26 @@ def test_assignment_workers_memory_bounded(monkeypatch):
     feature = memory_feature()
     monkeypatch.setattr(supervoxel, "SLIC_ITERATIONS", 2)
     monkeypatch.setattr(parallel, "workers", lambda: 2)
-    fork_ranges, peaks = parallel.fork_ranges, []
-
-    def measured_fork_ranges(fn, n, size):
-        slab_peaks = parallel.shared_array(n, np.int64)
-
-        def measured(lo, hi):
-            tracemalloc.reset_peak()
-            held = tracemalloc.get_traced_memory()[0]
-            fn(lo, hi)
-            slab_peaks[lo] = tracemalloc.get_traced_memory()[1] - held
-
-        fork_ranges(measured, n, size)
-        peaks.extend(slab_peaks[slab_peaks > 0].tolist())
-
-    monkeypatch.setattr(parallel, "fork_ranges", measured_fork_ranges)
-    tracemalloc.start()
-    try:
-        slic_supervoxels(feature, 27.0, 1.0)
-    finally:
-        tracemalloc.stop()
-    assert len(peaks) == 2 * 2
+    # The connectivity step forks too; only the assignment is measured.
+    peaks = range_peaks(monkeypatch, slic_supervoxels, feature, 27.0, 1.0,
+                        measured=lambda fn: fn.__qualname__ == "_assign.<locals>.slab")
+    assert len(peaks) == 2 * 2 and min(peaks) > 0
     # 0.90-0.94x each today: per-cluster window bounds and the batch
     # temporaries.  One slab-sized float64 temporary would add 0.5x.
     assert max(peaks) <= 1.2 * feature.data.size * 8
 
 
-def test_enforce_connectivity_memory_bounded():
+def test_enforce_connectivity_memory_bounded(monkeypatch):
     """Many fragments: each offset's distinct fragment-component pairs are
     merged into one running set, the components come from slabs and the
     labels are written over the component map."""
     noise = ndimage.gaussian_filter(np.random.default_rng(2).normal(size=(96, 96, 96)), 1.0)
     labels = np.digitize(noise, np.quantile(noise, np.linspace(0, 1, 9)[1:-1]))
+    # One worker finds every slab's components in this process, where
+    # tracemalloc sees them, and the component map becomes an ordinary
+    # array, which it sees too.
+    monkeypatch.setattr(parallel, "workers", lambda: 1)
+    monkeypatch.setattr(parallel, "shared_array", np.zeros)
     peak = traced_peak(supervoxel._enforce_connectivity, labels)
     # 2.4x today.  Three int64 neighbour positions per fragment voxel, the
     # 26 offsets' distinct keys held until one concatenation, a
@@ -597,10 +579,11 @@ def test_components_memory_bounded(monkeypatch):
     pairs before the join, so the slabs can be thin."""
     noise = ndimage.gaussian_filter(np.random.default_rng(2).normal(size=(96, 96, 96)), 1.0)
     labels = np.digitize(noise, np.quantile(noise, np.linspace(0, 1, 9)[1:-1]))
-    # Each worker holds one slab's graph.
-    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    # As above: one slab's graph at a time, and the map, all traced.
+    monkeypatch.setattr(parallel, "workers", lambda: 1)
+    monkeypatch.setattr(parallel, "shared_array", np.zeros)
     peak = traced_peak(supervoxel._same_label_components, labels)
-    # 1.2x today, 0.5x of it the int32 map; every link of 16-row slabs
+    # 0.94x today, 0.5x of it the int32 map; every link of 16-row slabs
     # took 2.3-3.1x.
     assert peak <= 1.5 * labels.size * 8
 
