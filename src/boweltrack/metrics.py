@@ -120,56 +120,17 @@ def _point_segment_distances(points: np.ndarray, curve: Polyline) -> tuple[np.nd
     return best, best_arc
 
 
-def point_to_curve_distance(points: np.ndarray, curve: Polyline) -> np.ndarray:
-    return _point_segment_distances(np.asarray(points, dtype=np.float64), curve)[0]
-
-
-def match_paths(pred: Polyline, gt: Polyline, tol: float) -> tuple[int, int, int, float, float]:
-    """Tolerance-based overlap counts between resampled curves.
-
-    Returns (tp, fp, fn, precision_pct, recall_pct). Predicted samples
-    within ``tol`` of the GT curve count as TP; GT samples farther than
-    ``tol`` from the predicted curve count as FN.
-    """
-    return _match_counts(point_to_curve_distance(pred.points, gt),
-                         point_to_curve_distance(gt.points, pred), tol)
-
-
-def _match_counts(pred_d: np.ndarray, gt_d: np.ndarray, tol: float):
-    tp = int(np.count_nonzero(pred_d <= tol))
-    fp = len(pred_d) - tp
-    covered = int(np.count_nonzero(gt_d <= tol))
-    fn = len(gt_d) - covered
-    precision = 100.0 * tp / max(1, tp + fp)
-    recall = 100.0 * covered / len(gt_d)
-    return tp, fp, fn, precision, recall
-
-
-def curve_to_curve_distance(pred: Polyline, gt: Polyline) -> float:
-    """Symmetric mean closest-point distance between two sampled curves."""
-    return _mean_of_means(point_to_curve_distance(pred.points, gt),
-                          point_to_curve_distance(gt.points, pred))
-
-
-def _mean_of_means(d_pg: np.ndarray, d_gp: np.ndarray) -> float:
-    return float((d_pg.mean() + d_gp.mean()) / 2.0)
-
-
-def max_error_free_length(pred: Polyline, gt: Polyline, tol: float) -> float:
-    """Longest GT arc stretch tracked without error.
-
-    A GT sample is tracked when it lies within ``tol`` of the predicted
-    curve. A contiguous run of tracked samples is error-free when the arc
-    positions of their closest points on the prediction are monotonic in
-    one direction, allowing local reversals up to REVERSAL_SLACK_MM (so a
-    shortcut that jumps the prediction's arc backwards breaks the run).
-    """
-    dist, arc_on_pred = _point_segment_distances(gt.points, pred)
-    return _error_free_length(dist, arc_on_pred, gt.cumulative_arc(), tol)
-
-
 def _error_free_length(dist: np.ndarray, arc_on_pred: np.ndarray,
                        gt_arc: np.ndarray, tol: float) -> float:
+    """Longest GT arc stretch tracked without error.
+
+    A GT sample is tracked when its distance `dist` to the predicted curve
+    is at most ``tol``. A contiguous run of tracked samples is error-free
+    when `arc_on_pred`, the arc positions of their closest points on the
+    prediction, is monotonic in one direction, allowing local reversals up
+    to REVERSAL_SLACK_MM (so a shortcut that jumps the prediction's arc
+    backwards breaks the run).
+    """
     within = dist <= tol
     best = 0.0
     n = len(within)
@@ -212,14 +173,17 @@ def evaluate(pred: Polyline, gt: Polyline, tol: float) -> MetricsReport:
     # Each direction's distances once, shared by every metric.
     d_pg, _ = _point_segment_distances(pred_r.points, gt_r)
     d_gp, arc_on_pred = _point_segment_distances(gt_r.points, pred_r)
-    tp, fp, fn, precision, recall = _match_counts(d_pg, d_gp, tol)
+    # A predicted sample within `tol` of the GT curve is a TP, a GT sample
+    # farther than `tol` from the prediction an FN.
+    tp = int(np.count_nonzero(d_pg <= tol))
+    covered = int(np.count_nonzero(d_gp <= tol))
     return MetricsReport(
-        precision=precision,
-        recall=recall,
-        curve_to_curve=_mean_of_means(d_pg, d_gp),
+        precision=100.0 * tp / max(1, len(d_pg)),
+        recall=100.0 * covered / len(d_gp),
+        curve_to_curve=float((d_pg.mean() + d_gp.mean()) / 2.0),
         max_len_no_error=_error_free_length(d_gp, arc_on_pred, gt_r.cumulative_arc(), tol),
         tp=tp,
-        fp=fp,
-        fn=fn,
+        fp=len(d_pg) - tp,
+        fn=len(d_gp) - covered,
         tolerance=tol,
     )

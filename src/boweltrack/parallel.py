@@ -49,11 +49,12 @@ def workers() -> int:
 def shared_array(shape, dtype) -> np.ndarray:
     """A zero-filled array that the processes `fork_ranges` starts after it
     is made write into, and the caller reads: anonymous shared memory, or
-    ordinary memory where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return np.zeros(shape, dtype)
+    ordinary memory where the platform cannot fork or the array is empty
+    (an anonymous map of length 0 is refused)."""
     dtype = np.dtype(dtype)
     count = int(np.prod(shape))
+    if count == 0 or not hasattr(os, "fork"):
+        return np.zeros(shape, dtype)
     buf = mmap.mmap(-1, count * dtype.itemsize, flags=mmap.MAP_SHARED)
     return np.frombuffer(buf, dtype, count).reshape(shape)
 

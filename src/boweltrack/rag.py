@@ -78,11 +78,6 @@ class Rag:
                                   shape=(self.n_nodes, self.n_nodes))
         return self._adj
 
-    def neighbors(self, node: int):
-        adj = self.adjacency()
-        sl = slice(adj.indptr[node], adj.indptr[node + 1])
-        return adj.indices[sl], adj.data[sl]
-
 
 def _axis_faces(lab: np.ndarray, kept: np.ndarray, axis: int, n: int):
     """Faces between differently-labeled neighbours along `axis` whose two

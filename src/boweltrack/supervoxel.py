@@ -25,7 +25,6 @@ renumbered slab by slab in the same way.  The workers are forked processes
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -57,47 +56,32 @@ _OFFSETS_26 = np.delete(_OFFSETS_27, 13, axis=0)
 _HALF_OFFSETS = [tuple(int(o) for o in off) for off in _OFFSETS_27[14:]]
 
 
-@dataclasses.dataclass
-class LabelVolume:
-    """Dense supervoxel labeling: every voxel holds a label in 0..N-1."""
+class LabelVolume(Volume):
+    """Dense supervoxel labeling: a Volume whose data holds the labels
+    0..label_count-1, each on at least one voxel.  It takes integer data
+    whose values fit 0..voxels-1 and holds it as int32, in the memory order
+    it came in; `label_count`, the largest label + 1, comes from the data,
+    and the grid checks are the Volume's."""
 
-    data: np.ndarray
-    spacing: tuple
-    origin: tuple
     label_count: int
 
     def __post_init__(self):
-        self.spacing = tuple(float(s) for s in self.spacing)
-        self.origin = tuple(float(o) for o in self.origin)
-        if self.data.ndim != 3:
-            raise InvariantError(f"labels must be 3D, got shape {self.data.shape}")
+        super().__post_init__()
         if not np.issubdtype(self.data.dtype, np.integer):
             raise InvariantError(f"labels must be integer, got {self.data.dtype}")
-        if self.label_count <= 0:
-            raise InvariantError("label_count must be positive")
-        # Range checks first: bincount allocates one slot per label value.
-        if self.label_count > self.data.size:
+        # Checked before the count, which allocates one slot per value, and
+        # before the cast, which would wrap labels >= 2^31 negative.
+        lo, hi = int(self.data.min()), int(self.data.max())
+        if lo < 0 or hi >= self.data.size:
             raise InvariantError(
-                f"label_count {self.label_count} exceeds the {self.data.size} voxels; "
-                "labels must be contiguous"
+                f"labels {lo}..{hi} do not fit 0..{self.data.size - 1}, one per voxel at most"
             )
-        if self.data.min() < 0:
-            raise InvariantError("negative label")
-        if self.data.max() >= self.label_count:
-            raise InvariantError(
-                f"label {int(self.data.max())} outside 0..{self.label_count - 1}"
-            )
+        self.data = self.data.astype(np.int32, copy=False)
+        self.label_count = hi + 1
         counts = _label_counts(self.data, self.label_count)
         if np.any(counts == 0):
             missing = int(np.flatnonzero(counts == 0)[0])
             raise InvariantError(f"label {missing} has no voxels; labels must be contiguous")
-
-    @property
-    def dims(self):
-        return self.data.shape
-
-    def member_counts(self) -> np.ndarray:
-        return _label_counts(self.data, self.label_count)
 
 
 def _label_counts(labels: np.ndarray, n: int, inside=None) -> np.ndarray:
@@ -122,20 +106,11 @@ def save_label_volume(lv: LabelVolume, path) -> None:
 
 
 def load_label_volume(path) -> LabelVolume:
+    """Read a label volume written by `save_label_volume` (or any integer
+    volume whose labels are contiguous from 0) as int32 labels."""
     vol = load_volume(path)
-    if not np.issubdtype(vol.data.dtype, np.integer):
-        raise FormatError(f"{path}: label volume must hold integers, got {vol.data.dtype}")
-    # Contiguous labels lie in 0..voxels-1; checked before the int32 cast,
-    # which would wrap labels >= 2^31 negative.
-    lo, hi = int(vol.data.min()), int(vol.data.max())
-    if lo < 0 or hi >= vol.data.size:
-        raise FormatError(
-            f"{path}: invalid label volume: labels {lo}..{hi} do not fit "
-            f"0..{vol.data.size - 1}, one per voxel at most"
-        )
-    data = vol.data.astype(np.int32)
     try:
-        return LabelVolume(data, vol.spacing, vol.origin, hi + 1)
+        return LabelVolume(vol.data, vol.spacing, vol.origin)
     except InvariantError as exc:
         raise FormatError(f"{path}: invalid label volume: {exc}") from exc
 
@@ -551,4 +526,4 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
     remap = np.zeros(n_clusters, dtype=np.int32)
     remap[old] = np.arange(len(old))
     _relabel(final, remap)
-    return LabelVolume(final, feature.spacing, feature.origin, int(len(old)))
+    return LabelVolume(final, feature.spacing, feature.origin)

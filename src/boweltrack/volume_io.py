@@ -88,8 +88,8 @@ class Volume:
 
 
 def check_same_grid(a, b, names: str, error=ValueError) -> None:
-    """Raise `error` unless `a` and `b` (volumes or label volumes) have the
-    same dims, spacing and origin: stages combine them voxel by voxel."""
+    """Raise `error` unless volumes `a` and `b` have the same dims, spacing
+    and origin: stages combine them voxel by voxel."""
     for attr in ("dims", "spacing", "origin"):
         va, vb = (tuple(np.asarray(getattr(v, attr)).tolist()) for v in (a, b))
         if va != vb:

@@ -8,8 +8,10 @@ the node mask applied to a whole-volume graph and the f-string graph
 writer; the whole-ball peak search (sampling); the sampled Gaussian
 derivative kernel, the whole-volume Hessian and the eigvalsh sheet
 response (wall filter); the full-grid centerline distance and the
-all-pairs strand clearance (phantom); and the one-blob volume writer
-(volume files)."""
+all-pairs strand clearance (phantom); the one-blob volume writer
+(volume files); the per-metric point-to-curve distance, match counts,
+curve-to-curve distance and error-free length (metrics); and a node's
+neighbours sliced from the adjacency matrix (graph)."""
 
 import heapq
 import itertools
@@ -20,11 +22,13 @@ from scipy import ndimage, sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from boweltrack import metrics
 from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.phantom import FAR_PAIR_ARC_FACTOR
 from boweltrack.rag import Rag
 from boweltrack.route import Route, _must_pass_ids, _route_from_nodes
-from boweltrack.volume_io import DTYPE_TAGS, Volume, _atomic_write_bytes, check_same_grid
+from boweltrack.volume_io import (DTYPE_TAGS, Polyline, Volume, _atomic_write_bytes,
+                                  check_same_grid)
 
 MAX_EXACT_MUST_PASS = 20
 
@@ -605,3 +609,43 @@ def save_volume_one_blob(vol: Volume, tag: str, path) -> None:
     )
     payload = np.ascontiguousarray(vol.data.astype(DTYPE_TAGS[tag])).tobytes(order="F")
     _atomic_write_bytes(path, header.encode("ascii") + payload)
+
+
+def neighbors(rag: Rag, node: int):
+    """The neighbours of `node`, ascending, and the costs of its edges to
+    them: one row of the adjacency matrix."""
+    adj = rag.adjacency()
+    sl = slice(adj.indptr[node], adj.indptr[node + 1])
+    return adj.indices[sl], adj.data[sl]
+
+
+def point_to_curve_distance(points: np.ndarray, curve: Polyline) -> np.ndarray:
+    return metrics._point_segment_distances(np.asarray(points, dtype=np.float64), curve)[0]
+
+
+def match_paths(pred: Polyline, gt: Polyline, tol: float) -> tuple[int, int, int, float, float]:
+    """Tolerance-based overlap counts between resampled curves.
+
+    Returns (tp, fp, fn, precision_pct, recall_pct). Predicted samples
+    within ``tol`` of the GT curve count as TP; GT samples farther than
+    ``tol`` from the predicted curve count as FN.
+    """
+    pred_d = point_to_curve_distance(pred.points, gt)
+    gt_d = point_to_curve_distance(gt.points, pred)
+    tp = int(np.count_nonzero(pred_d <= tol))
+    covered = int(np.count_nonzero(gt_d <= tol))
+    return (tp, len(pred_d) - tp, len(gt_d) - covered,
+            100.0 * tp / max(1, len(pred_d)), 100.0 * covered / len(gt_d))
+
+
+def curve_to_curve_distance(pred: Polyline, gt: Polyline) -> float:
+    """Symmetric mean closest-point distance between two sampled curves."""
+    return float((point_to_curve_distance(pred.points, gt).mean()
+                  + point_to_curve_distance(gt.points, pred).mean()) / 2.0)
+
+
+def max_error_free_length(pred: Polyline, gt: Polyline, tol: float) -> float:
+    """Longest GT arc stretch tracked without error (see
+    `metrics._error_free_length`)."""
+    dist, arc_on_pred = metrics._point_segment_distances(gt.points, pred)
+    return metrics._error_free_length(dist, arc_on_pred, gt.cumulative_arc(), tol)

@@ -4,15 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boweltrack import Polyline, metrics
-from boweltrack.metrics import (
-    curve_to_curve_distance,
-    evaluate,
-    match_paths,
-    max_error_free_length,
-    point_to_curve_distance,
-    resample_polyline,
-)
+from boweltrack.metrics import evaluate, resample_polyline
 from memory import traced_peak
+from oracles import (curve_to_curve_distance, match_paths, max_error_free_length,
+                     point_to_curve_distance)
 
 
 def straight(length, n=2, offset=(0.0, 0.0, 0.0)):

@@ -118,3 +118,16 @@ def test_in_process_without_fork(monkeypatch, workers, n, platform_forks):
     parallel.fork_ranges(fill, n, 4)
     assert ran == [(lo, min(lo + 4, n)) for lo in range(0, n, 4)]
     assert (buf == os.getpid()).all()
+
+
+@pytest.mark.parametrize("shape", [0, (0, 3, 4)])
+@pytest.mark.parametrize("platform_forks", [True, False])
+def test_empty_shared_array(monkeypatch, shape, platform_forks):
+    # An anonymous map of length 0 is refused: an empty buffer is an
+    # ordinary empty array, and no range runs over it.
+    monkeypatch.setattr(parallel, "workers", lambda: 3)
+    if not platform_forks:
+        monkeypatch.delattr(os, "fork", raising=False)
+    buf = parallel.shared_array(shape, np.int32)
+    assert buf.shape == np.zeros(shape).shape and buf.dtype == np.int32
+    parallel.fork_ranges(no_fork, len(buf), 4)

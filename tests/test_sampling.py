@@ -46,7 +46,7 @@ def unit_grid(dims, spacing=1.0):
 
 def voxelwise_labels(dims, spacing):
     lab = np.arange(int(np.prod(dims)), dtype=np.int32).reshape(dims)
-    lv = LabelVolume(lab, spacing, (0.0, 0.0, 0.0), lab.size)
+    lv = LabelVolume(lab, spacing, (0.0, 0.0, 0.0))
     return lv, {i: i for i in range(lab.size)}
 
 
@@ -175,7 +175,7 @@ class TestPeakSampling:
         dims = (15, 11, 11)
         data = cone(np.array([7.5, 5.5, 5.5]), 5.0, unit_grid(dims))
         dist = Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-        lv = LabelVolume(np.zeros(dims, dtype=np.int32), spacing, origin, 1)
+        lv = LabelVolume(np.zeros(dims, dtype=np.int32), spacing, origin)
         with pytest.raises(ValueError, match="different grids"):
             sample_must_pass(dist, lv, {0: 0}, 3.0, 6.0)
 
@@ -188,7 +188,7 @@ class TestPeakSampling:
         )
         dist = Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         lab = (coords[..., 0] > 9.0).astype(np.int32)
-        lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 2)
+        lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         with pytest.warns(UserWarning, match="masked-out"):
             mp = sample_must_pass(dist, lv, {1: 0}, 3.0, 6.0)
         assert mp.pruned_count == 1
@@ -201,7 +201,7 @@ class TestPeakSampling:
         data = cone(np.array([7.5, 5.5, 5.5]), 5.0, coords)
         dist = Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         lab = np.zeros(dims, dtype=np.int32)
-        lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 1)
+        lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         with pytest.warns(UserWarning):
             with pytest.raises(InfeasibleError, match="masked-out"):
                 sample_must_pass(dist, lv, {}, 3.0, 6.0)
@@ -215,7 +215,7 @@ class TestPeakSampling:
         )
         dist = Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         lab = np.zeros(dims, dtype=np.int32)
-        lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), 1)
+        lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         mp = sample_must_pass(dist, lv, {0: 0}, 3.0, 6.0)
         assert len(mp) == 1
         assert mp.values[0] == pytest.approx(5.0)

@@ -51,6 +51,10 @@ def phantom_wall_map():
     return meijering_response(intensity)
 
 
+def member_counts(lv: LabelVolume) -> np.ndarray:
+    return np.bincount(lv.data.ravel(), minlength=lv.label_count)
+
+
 def assert_each_label_connected(lv: LabelVolume):
     """Flood-fill audit: every label is a single 26-connected component."""
     structure = np.ones((3, 3, 3), dtype=bool)
@@ -76,8 +80,8 @@ class TestConstantFeature:
 
     def test_partition_and_connectivity(self):
         lv = slic_supervoxels(constant_volume((30, 30, 30)), 216.0, 0.01)
-        assert lv.member_counts().sum() == 30**3
-        assert lv.member_counts().min() >= 1
+        assert member_counts(lv).sum() == 30**3
+        assert member_counts(lv).min() >= 1
         assert_each_label_connected(lv)
 
 
@@ -100,7 +104,7 @@ class TestBoundaryAdherence:
         wall = meijering_response(intensity)
         lv = slic_supervoxels(wall, 216.0, 0.01)
         wall_side = wall.data >= 0.5
-        counts = lv.member_counts().astype(float)
+        counts = member_counts(lv).astype(float)
         on_wall = np.bincount(
             lv.data.ravel(), weights=wall_side.ravel(), minlength=lv.label_count
         )
@@ -113,7 +117,7 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", range(20))
     def test_partition_connectivity_randomized(self, seed):
         lv = slic_supervoxels(random_feature(seed), 125.0, 0.01)
-        counts = lv.member_counts()
+        counts = member_counts(lv)
         assert counts.sum() == lv.data.size
         assert counts.min() >= 1
         assert lv.data.min() == 0
@@ -618,29 +622,44 @@ class TestValidation:
         data = np.zeros((4, 4, 4), dtype=np.int32)
         data[0, 0, 0] = 2
         with pytest.raises(InvariantError, match="contiguous"):
-            LabelVolume(data, (1, 1, 1), (0, 0, 0), 3)
+            LabelVolume(data, (1, 1, 1), (0, 0, 0))
 
     def test_label_volume_rejects_out_of_range(self):
-        data = np.full((4, 4, 4), 5, dtype=np.int32)
+        data = np.full((4, 4, 4), 64, dtype=np.int32)
         with pytest.raises(InvariantError):
-            LabelVolume(data, (1, 1, 1), (0, 0, 0), 3)
+            LabelVolume(data, (1, 1, 1), (0, 0, 0))
 
     def test_label_volume_range_checked_before_counting(self):
         # One slot per label value would be allocated by the count; a label
         # of 10^6 in 64 voxels must fail on the range, not on the count.
         data = np.zeros((4, 4, 4), dtype=np.int64)
         data[0, 0, 0] = 10**6
-        with pytest.raises(InvariantError, match="exceeds the 64 voxels"):
-            LabelVolume(data, (1, 1, 1), (0, 0, 0), 10**6 + 1)
-        with pytest.raises(InvariantError, match="outside"):
-            LabelVolume(data, (1, 1, 1), (0, 0, 0), 64)
+        with pytest.raises(InvariantError, match="0..1000000 do not fit 0..63"):
+            LabelVolume(data, (1, 1, 1), (0, 0, 0))
         data[0, 0, 0] = -1
-        with pytest.raises(InvariantError, match="negative"):
-            LabelVolume(data, (1, 1, 1), (0, 0, 0), 1)
+        with pytest.raises(InvariantError, match="-1..0 do not fit 0..63"):
+            LabelVolume(data, (1, 1, 1), (0, 0, 0))
 
     def test_label_volume_rejects_float_labels(self):
         with pytest.raises(InvariantError, match="integer"):
-            LabelVolume(np.zeros((4, 4, 4)), (1, 1, 1), (0, 0, 0), 1)
+            LabelVolume(np.zeros((4, 4, 4)), (1, 1, 1), (0, 0, 0))
+
+    @pytest.mark.parametrize("spacing, origin", [
+        ((1, 0, 1), (0, 0, 0)),
+        ((1, np.nan, 1), (0, 0, 0)),
+        ((1, 1, 1), (0, np.inf, 0)),
+        ((1, 1, 1), (np.nan, 0, 0)),
+    ])
+    def test_label_volume_checks_its_grid(self, spacing, origin):
+        # The grid checks are the Volume's.
+        with pytest.raises(InvariantError, match="spacing|origin"):
+            LabelVolume(np.zeros((4, 4, 4), dtype=np.int32), spacing, origin)
+
+    def test_label_volume_casts_to_int32_keeping_f_order(self):
+        data = np.asfortranarray(np.arange(64, dtype=np.uint32).reshape(4, 4, 4))
+        lv = LabelVolume(data, (1, 1, 1), (0, 0, 0))
+        assert lv.data.dtype == np.int32 and lv.data.flags.f_contiguous
+        assert np.array_equal(lv.data, data) and lv.label_count == 64
 
 
 class TestSerialization:
@@ -653,12 +672,24 @@ class TestSerialization:
         back = load_label_volume(out)
         assert np.array_equal(back.data, lv.data)
         assert back.label_count == lv.label_count
-        assert back.spacing == lv.spacing
+        assert np.array_equal(back.spacing, lv.spacing)
+
+    def test_fresh_and_loaded_labels_agree(self, tmp_path):
+        fresh = slic_supervoxels(phantom_wall_map(), 216.0, 0.01)
+        save_label_volume(fresh, tmp_path / "labels.vol")
+        back = load_label_volume(tmp_path / "labels.vol")
+        for lv in (fresh, back):
+            assert lv.data.dtype == np.int32
+            assert lv.spacing.dtype == lv.origin.dtype == np.float64
+        assert np.array_equal(back.data, fresh.data)
+        assert back.label_count == fresh.label_count
+        assert np.array_equal(back.spacing, fresh.spacing)
+        assert np.array_equal(back.origin, fresh.origin)
 
     def test_round_trip_large_label_count_uses_u32(self, tmp_path):
         n = 41 * 41 * 40
         data = np.arange(n, dtype=np.int64).reshape(41, 41, 40)
-        lv = LabelVolume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), n)
+        lv = LabelVolume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         out = tmp_path / "labels.vol"
         save_label_volume(lv, out)
         header = out.read_bytes().split(b"\n\n", 1)[0].decode()
