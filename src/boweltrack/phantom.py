@@ -259,7 +259,6 @@ def _distance_to_centerline(spec: PhantomSpec, path: Polyline):
     seg_len2 = np.einsum("ij,ij->i", segs_d, segs_d)
     arc0 = np.concatenate(([0.0], np.cumsum(np.sqrt(seg_len2))))[:-1]
     tree = cKDTree(pts)
-    k = min(8, len(pts))
     n_seg = len(segs_a)
     # A voxel whose candidate distance is <= tube_radius is within
     # tube_radius of a point on its winning segment, so within tube_radius
@@ -286,9 +285,7 @@ def _distance_to_centerline(spec: PhantomSpec, path: Polyline):
         near_d, _ = tree.query(g, k=1, distance_upper_bound=bound)
         near = np.flatnonzero(np.isfinite(near_d))
         g = g[near]
-        _, idx = tree.query(g, k=k)
-        if k == 1:
-            idx = idx[:, None]
+        _, idx = tree.query(g, k=8)
         # Each vertex index contributes its two incident segments.
         cand = np.concatenate([np.clip(idx - 1, 0, n_seg - 1), np.clip(idx, 0, n_seg - 1)], axis=1)
         a = segs_a[cand]

@@ -1,8 +1,9 @@
 """End-to-end staged tracking.
 
 `STAGES` declares the stages once: each one's inputs, parameters, artifact
-and functions.  `run_track`, `run_baseline` and the CLI stage subcommands
-all run them from that table.  Every stage writes its artifact to the output
+and functions; a compute function takes the inputs in table order, then the
+parameters.  `run_track`, `run_baseline` and the CLI stage subcommands all
+run them from that table.  Every stage writes its artifact to the output
 directory; a rerun reloads whatever artifacts already exist, so the pipeline
 can resume from any cached stage without changing the result.  All writes
 are atomic (write-then-rename).
@@ -15,7 +16,6 @@ import dataclasses
 import os
 import sys
 import time
-from collections.abc import Callable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .route import (
 from .sampling import (
     MustPassSet,
     distance_transform,
-    interior_mask,
     load_must_pass,
     node_map_of,
     sample_must_pass,
@@ -185,18 +184,6 @@ def _in_stage(name, fn):
         raise type(exc)(f"stage {name}: {exc}") from exc
 
 
-def as_float32(vol):
-    """Serialized-volume precision; stages return exactly what their artifact
-    stores so cached and fresh runs are bitwise identical."""
-    return vol.like(vol.data.astype(np.float32))
-
-
-def compute_distance_map(seg, wall, wall_threshold):
-    """The distance stage's artifact: each interior voxel's distance (mm) to
-    the nearest voxel outside the interior."""
-    return as_float32(distance_transform(interior_mask(seg, wall, wall_threshold)))
-
-
 def _check_must_pass(path, must_pass, _dist, _labels, masked) -> None:
     """A cached must-pass set, against the sample stage's inputs: its peaks
     must be nodes of the masked graph; one naming another node is stale or
@@ -212,25 +199,24 @@ def _check_must_pass(path, must_pass, _dist, _labels, masked) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class Stage:
-    """One stage of the chain.  `compute(*inputs, *params)` returns the
-    artifact, `save(value, path)` writes it, `load(path)` reads it back and
-    `check(path, value, *inputs)`, where given, rejects a cached artifact
-    that contradicts the inputs.  Each function is named by a string, looked
-    up in this module at each call, or is a lambda calling such names, so a
-    wrapper set on the module's attribute sees every call."""
+    """One stage of the chain.  `compute(*inputs, *params)` returns exactly
+    what the artifact stores, `save(value, path)` writes it, `load(path)`
+    reads it back and `check(path, value, *inputs)`, where given, rejects a
+    cached artifact that contradicts the inputs.  Each role names a function
+    of this module, looked up at each call, so a wrapper set on the module's
+    attribute sees every call."""
 
     name: str                   # log, stage record and CLI subcommand
     key: str                    # ARTIFACTS key of the output
     inputs: tuple[str, ...]     # "intensity", "segmentation" or earlier stages' keys
     params: tuple[str, ...]     # the TrackingConfig fields it reads
-    compute: str | Callable
+    compute: str
     save: str
     load: str
     check: str | None = None
 
     def call(self, role, *args):
-        fn = getattr(self, role)
-        return (globals()[fn] if isinstance(fn, str) else fn)(*args)
+        return globals()[getattr(self, role)](*args)
 
     def reload(self, path, inputs):
         value = self.call("load", path)
@@ -247,14 +233,11 @@ STAGES = (
     Stage("slic", "labels", ("wall_map",), ("target_volume", "compactness"),
           "slic_supervoxels", "save_label_volume", "load_label_volume"),
     Stage("rag", "masked_rag", ("segmentation", "wall_map", "labels"), ("min_inside_fraction",),
-          lambda seg, wall, labels, fraction: build_rag(labels, wall, seg, fraction),
-          "save_rag", "load_rag"),
+          "build_rag", "save_rag", "load_rag"),
     Stage("distance", "distance", ("segmentation", "wall_map"), ("wall_threshold",),
-          "compute_distance_map", "save_volume", "load_volume"),
+          "distance_transform", "save_volume", "load_volume"),
     Stage("sample", "must_pass", ("distance", "labels", "masked_rag"), ("theta_v", "theta_d"),
-          lambda dist, labels, masked, *thetas: sample_must_pass(
-              dist, labels, node_map_of(masked), *thetas),
-          "save_must_pass", "load_must_pass", "_check_must_pass"),
+          "sample_must_pass", "save_must_pass", "load_must_pass", "_check_must_pass"),
 )
 
 
@@ -383,7 +366,7 @@ def run_track(config: TrackingConfig, log=None) -> TrackResult:
     masked, must_pass = values["masked_rag"], values["must_pass"]
 
     def build_route():
-        simplified = build_simplified_graph(masked, v_st, v_ed, must_pass, config.delta)
+        simplified = build_simplified_graph(masked, v_st, v_ed, must_pass.node_ids, config.delta)
         order = solve_tsp(simplified)
         return expand_tour(masked, order, simplified)
 

@@ -100,7 +100,7 @@ def _axis_faces(lab: np.ndarray, kept: np.ndarray, axis: int, n: int):
     return keys, src, dst, diff
 
 
-def build_rag(labels: LabelVolume, wall_map: Volume, segmentation: Volume,
+def build_rag(segmentation: Volume, wall_map: Volume, labels: LabelVolume,
               min_inside_fraction: float) -> Rag:
     """Graph of the supervoxels inside the segmentation.
 

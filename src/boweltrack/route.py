@@ -22,7 +22,6 @@ from scipy.sparse import csgraph
 
 from .errors import InfeasibleError, InvariantError
 from .rag import Rag
-from .sampling import MustPassSet
 from .volume_io import Polyline
 
 
@@ -147,21 +146,13 @@ def shortest_path_baseline(rag: Rag, v_st: int, v_ed: int) -> Route:
     return _route_from_nodes(rag, nodes, legs=[leg])
 
 
-def _must_pass_ids(must_pass):
-    if must_pass is None:
-        return []
-    if isinstance(must_pass, MustPassSet):
-        return [int(v) for v in must_pass.node_ids]
-    return [int(v) for v in must_pass]
-
-
 def build_simplified_graph(
-    rag: Rag, v_st: int, v_ed: int, must_pass, delta: float
+    rag: Rag, v_st: int, v_ed: int, must_pass_ids, delta: float
 ) -> SimplifiedGraph:
     """Metric-closure-style graph over start/must-pass/end nodes: near pairs
     carry normalized shortest-path cost, far pairs carry distance / delta.
     Each member's shortest-path tree is kept for `expand_tour`."""
-    mp_nodes = [n for n in dict.fromkeys(_must_pass_ids(must_pass)) if n not in (v_st, v_ed)]
+    mp_nodes = [n for n in dict.fromkeys(map(int, must_pass_ids)) if n not in (v_st, v_ed)]
     members = np.asarray([v_st] + mp_nodes + [v_ed], dtype=np.int64)
     if len(members) < 2 or v_st == v_ed:
         raise ValueError("simplified graph needs at least distinct start and end")

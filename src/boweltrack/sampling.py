@@ -6,7 +6,7 @@ physical units (mm).  The mask is zero-padded by one layer, so the volume
 border counts as background and distances never exceed the distance to the
 bounding box.  Only the feature transform (each voxel's nearest background
 voxel) is taken from scipy; the distances are computed at interior voxels
-alone, with scipy's arithmetic, so the bytes are those of its distances.
+alone, with scipy's arithmetic, and rounded once to float32.
 """
 
 from __future__ import annotations
@@ -18,33 +18,26 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import FormatError, InfeasibleError, InvariantError
+from .rag import Rag
 from .supervoxel import LabelVolume
 from .volume_io import Volume, _atomic_write_bytes, check_same_grid, format_lines, read_records
 
 
-def interior_mask(segmentation: Volume, wall_map: Volume, wall_threshold: float) -> Volume:
-    """The bowel interior as a 0/1 volume: voxels inside the segmentation
-    (nonzero) whose wall-map value is below `wall_threshold`."""
+def distance_transform(segmentation: Volume, wall_map: Volume, wall_threshold: float) -> Volume:
+    """Exact Euclidean distance (mm) from each interior voxel center to the
+    nearest voxel center outside the interior, and 0 outside it.  The
+    interior is the voxels inside the segmentation (any nonzero code) whose
+    wall-map value is below `wall_threshold`; everything outside the volume
+    counts as outside.  The float64 distances are rounded once to float32,
+    the distance artifact's type."""
     check_same_grid(segmentation, wall_map, "segmentation and wall map")
-    return segmentation.like(
-        ((segmentation.data != 0) & (wall_map.data < wall_threshold)).astype(np.uint8))
-
-
-def distance_transform(interior: Volume) -> Volume:
-    """Exact Euclidean distance (mm) to the nearest background voxel center,
-    with everything outside the volume treated as background."""
-    mask = interior.data
-    values = np.unique(mask)
-    if not np.all(np.isin(values, (0, 1))):
-        raise ValueError(f"interior mask must be binary, found values {values[:5]}")
-    mask = mask.astype(bool)
-    if not mask.any():
-        return interior.like(np.zeros(interior.dims, dtype=np.float64))
+    mask = segmentation.data != 0
+    mask &= wall_map.data < wall_threshold
 
     # One layer of padding makes the volume border count as background.
     padded = np.pad(mask, 1)
     nearest = ndimage.distance_transform_edt(
-        padded, sampling=interior.spacing, return_distances=False, return_indices=True)
+        padded, sampling=segmentation.spacing, return_distances=False, return_indices=True)
     inside = np.flatnonzero(padded)
     del padded
     # The distance at interior voxels only, in scipy's own arithmetic: the
@@ -53,16 +46,16 @@ def distance_transform(interior: Volume) -> Volume:
     # these squares), square-rooted.
     shape = nearest.shape[1:]
     sq = np.zeros(len(inside))
-    for axis, sp in enumerate(interior.spacing):
+    for axis, sp in enumerate(segmentation.spacing):
         own = inside // int(np.prod(shape[axis + 1 :])) % shape[axis]
         step = (nearest[axis].ravel().take(inside) - own).astype(np.float64)
         step *= sp
         step *= step
         sq += step
     del nearest, inside, own, step
-    out = np.zeros(interior.dims, dtype=np.float64)
+    out = np.zeros(segmentation.dims, dtype=np.float32)
     out[mask] = np.sqrt(sq, out=sq)
-    return interior.like(out)
+    return segmentation.like(out)
 
 
 @dataclasses.dataclass
@@ -149,7 +142,7 @@ def _peak_candidates(data: np.ndarray, sp: np.ndarray, theta_v: float, theta_d: 
 def sample_must_pass(
     dist: Volume,
     labels: LabelVolume,
-    node_map: dict,
+    masked_rag: Rag,
     theta_v: float,
     theta_d: float,
 ) -> MustPassSet:
@@ -157,6 +150,7 @@ def sample_must_pass(
     with value >= theta_v, accepted in descending value order (lexicographic
     voxel ties) while keeping every pair >= theta_d apart."""
     check_same_grid(dist, labels, "distance map and labels")
+    node_map = node_map_of(masked_rag)
 
     sp = np.asarray(dist.spacing)
     data = dist.data

@@ -26,17 +26,18 @@ from boweltrack import metrics
 from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.phantom import FAR_PAIR_ARC_FACTOR
 from boweltrack.rag import Rag
-from boweltrack.route import Route, _must_pass_ids, _route_from_nodes
+from boweltrack.route import Route, _route_from_nodes
 from boweltrack.volume_io import (DTYPE_TAGS, Polyline, Volume, _atomic_write_bytes,
                                   check_same_grid)
 
 MAX_EXACT_MUST_PASS = 20
 
 
-def constrained_dijkstra_exact(rag: Rag, v_st: int, v_ed: int, must_pass) -> Route:
-    """Globally minimal walk from v_st to v_ed visiting every must-pass node,
-    via Dijkstra over (node, visited-subset) states; revisits allowed."""
-    mp_nodes = list(dict.fromkeys(int(v) for v in _must_pass_ids(must_pass)))
+def constrained_dijkstra_exact(rag: Rag, v_st: int, v_ed: int, must_pass_ids) -> Route:
+    """Globally minimal walk from v_st to v_ed visiting every must-pass node
+    (rag node ids), via Dijkstra over (node, visited-subset) states;
+    revisits allowed."""
+    mp_nodes = list(dict.fromkeys(map(int, must_pass_ids)))
     if len(mp_nodes) > MAX_EXACT_MUST_PASS:
         raise ValueError(
             f"{len(mp_nodes)} must-pass nodes exceed the exact-solver limit "

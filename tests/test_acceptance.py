@@ -156,7 +156,8 @@ def test_criterion_03_edt_oracle_equivalence():
         rng = np.random.default_rng(3000 + seed)
         mask = (rng.random((12, 12, 12)) < 0.55).astype(np.uint8)
         vol = Volume(mask, (1.0, 1.0, 1.0))
-        squared = np.rint(distance_transform(vol).data ** 2).astype(np.int64)
+        dist = distance_transform(vol, vol.like(np.zeros(mask.shape)), 1.0)
+        squared = np.rint(dist.data ** 2).astype(np.int64)
 
         # O(n^2) oracle: nearest background voxel, volume border counts as
         # background one voxel out (same geometry the transform defines).
@@ -168,6 +169,7 @@ def test_criterion_03_edt_oracle_equivalence():
             d = vox - bg
             brute[tuple(vox - 1)] = int(np.min(np.einsum("ij,ij->i", d, d)))
         assert np.array_equal(squared, brute), f"seed {seed}"
+        assert np.array_equal(dist.data, np.sqrt(brute).astype(np.float32)), f"seed {seed}"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
     report(3, f"20 random 12^3 masks, exact squared distances, {elapsed:.2f}s")
@@ -281,7 +283,7 @@ def test_criterion_05_exactness_dominance(phantom_cache):
         assert all(leg["source"] != "straight" for leg in result.route.legs)
         masked = load_rag(os.path.join(config.output_dir, ARTIFACTS["masked_rag"]))
         v_st, v_ed = result.route.nodes[0], result.route.nodes[-1]
-        exact = constrained_dijkstra_exact(masked, v_st, v_ed, must_pass)
+        exact = constrained_dijkstra_exact(masked, v_st, v_ed, must_pass.node_ids)
         assert exact.total_cost <= result.route.total_cost + 1e-9, (
             f"{spec.bends} bends: exact {exact.total_cost} > "
             f"pipeline {result.route.total_cost}"
@@ -414,7 +416,7 @@ def test_criterion_10_invariant_property_suites():
             assert n_comp == 1, f"seed {seed}: label {lab} split into {n_comp}"
 
         # RAG on the same labeling: symmetric adjacency, boundary conservation.
-        rag = build_rag(labels, feature, feature.like(np.ones(labels.dims, np.uint8)), 0.5)
+        rag = build_rag(feature.like(np.ones(labels.dims, np.uint8)), feature, labels, 0.5)
         for i, j in zip(rag.edge_i[:50], rag.edge_j[:50]):
             nbr_i, _ = neighbors(rag, int(i))
             nbr_j, _ = neighbors(rag, int(j))
@@ -433,16 +435,16 @@ def test_criterion_10_invariant_property_suites():
         rng = np.random.default_rng(11_000 + seed)
         mask = (rng.random((14, 12, 10)) < 0.6).astype(np.uint8)
         vol = Volume(mask, (1.0, 1.0, 1.0))
-        dist = distance_transform(vol)
+        wall = vol.like(np.zeros(mask.shape))
+        dist = distance_transform(vol, wall, 1.0)
         if dist.data.max() < theta_v:
             mask[4:9, 4:9, 4:8] = 1
-            dist = distance_transform(Volume(mask, (1.0, 1.0, 1.0)))
+            dist = distance_transform(Volume(mask, (1.0, 1.0, 1.0)), wall, 1.0)
         flat = LabelVolume(
             np.arange(mask.size, dtype=np.int64).reshape(mask.shape),
             (1.0, 1.0, 1.0), (0.0, 0.0, 0.0),
         )
-        node_map = {k: k for k in range(mask.size)}
-        peaks = sample_must_pass(dist, flat, node_map, theta_v, theta_d)
+        peaks = sample_must_pass(dist, flat, make_rag(mask.size, []), theta_v, theta_d)
         assert np.all(peaks.values >= theta_v)
         diff = peaks.positions[:, None] - peaks.positions[None, :]
         gaps = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

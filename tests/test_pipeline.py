@@ -2,6 +2,7 @@
 determinism, and the end-to-end phantom examples."""
 
 import ast
+import inspect
 import os
 import shutil
 import subprocess
@@ -130,6 +131,26 @@ class TestTrackArtifacts:
     def test_must_pass_nonempty(self, straight):
         assert len(straight["result"].must_pass) >= 3
         assert straight["result"].must_pass.pruned_count == 0
+
+
+class TestStageTable:
+    """Each role of a `STAGES` row names a function of `pipeline`, so a
+    wrapper set on the module's attribute, as the bench's tracer sets them,
+    sees every stage call; and a compute function takes exactly the row's
+    inputs, then its parameters."""
+
+    @pytest.mark.parametrize("stage", pipeline.STAGES, ids=lambda stage: stage.name)
+    def test_roles_name_pipeline_functions(self, stage):
+        for role in ("compute", "save", "load", "check"):
+            name = getattr(stage, role)
+            if role == "check" and name is None:
+                continue
+            assert isinstance(name, str), f"{stage.name} {role} is {name!r}, not a name"
+            assert callable(getattr(pipeline, name, None)), f"pipeline has no {name}"
+        kinds = [p.kind for p in
+                 inspect.signature(getattr(pipeline, stage.compute)).parameters.values()]
+        assert kinds == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * (
+            len(stage.inputs) + len(stage.params))
 
 
 class TestBaselineStraight:

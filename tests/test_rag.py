@@ -81,7 +81,7 @@ def inside_all(lv):
 
 def full_graph(lv, wall):
     """The graph over every supervoxel: every voxel counts as inside."""
-    return build_rag(lv, wall, inside_all(lv), 0.5)
+    return build_rag(inside_all(lv), wall, lv, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -158,7 +158,7 @@ class TestBuild:
         # all-faces build (one np.unique over every face) at 114.
         lv, wall = blocky_labeling((96, 96, 48))
         seg = inside_all(lv)
-        peak = traced_peak(build_rag, lv, wall, seg, 0.5)
+        peak = traced_peak(build_rag, seg, wall, lv, 0.5)
         assert peak <= 36 * lv.data.size
 
     def test_centroids_are_mean_physical_positions(self):
@@ -260,9 +260,9 @@ class TestMasking:
             expected = mask_nodes(full_graph(labels, wall), binary, labels, fraction)
         except InfeasibleError:
             with pytest.raises(InfeasibleError, match="masking"):
-                build_rag(labels, wall, seg, fraction)
+                build_rag(seg, wall, labels, fraction)
             return None
-        got = build_rag(labels, wall, seg, fraction)
+        got = build_rag(seg, wall, labels, fraction)
         save_rag(got, tmp_path / "got.txt")
         save_rag(expected, tmp_path / "expected.txt")
         assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "expected.txt").read_bytes()
@@ -287,8 +287,8 @@ class TestMasking:
 
     @staticmethod
     def assert_nodes_match_bincount_oracle(labels, seg, fraction):
-        got = build_rag(labels, Volume(np.zeros(labels.dims, dtype=np.float32),
-                                       labels.spacing, labels.origin), seg, fraction)
+        got = build_rag(seg, Volume(np.zeros(labels.dims, dtype=np.float32),
+                                    labels.spacing, labels.origin), labels, fraction)
         for name, want in zip(("node_ids", "counts", "centroids"),
                               rag_nodes_bincount(labels, seg, fraction)):
             assert getattr(got, name).dtype == want.dtype, name
@@ -309,7 +309,7 @@ class TestMasking:
 
     def test_full_mask_keeps_everything(self):
         lv, wall = random_labeling(2)
-        kept = build_rag(lv, wall, inside_all(lv), 1.0)
+        kept = build_rag(inside_all(lv), wall, lv, 1.0)
         assert np.array_equal(kept.node_ids, np.arange(lv.label_count))
         TestBuild.assert_matches_oracle(kept, lv, wall)
 
@@ -317,7 +317,7 @@ class TestMasking:
         lv, wall = random_labeling(2)
         zeros = Volume(np.zeros(lv.dims, dtype=np.uint8), lv.spacing, lv.origin)
         with pytest.raises(InfeasibleError, match="masking"):
-            build_rag(lv, wall, zeros, 0.5)
+            build_rag(zeros, wall, lv, 0.5)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_masking_is_a_subgraph(self, seed):
@@ -327,7 +327,7 @@ class TestMasking:
             (rng.random(lv.dims) < 0.6).astype(np.uint8), lv.spacing, lv.origin
         )
         try:
-            kept = build_rag(lv, wall, mask, 0.5)
+            kept = build_rag(mask, wall, lv, 0.5)
         except InfeasibleError:
             return
         orig = edge_table(full_graph(lv, wall))
@@ -347,8 +347,8 @@ class TestMasking:
         coded = binary.data * np.random.default_rng(seed).integers(1, 3, lv.dims)
         coded = binary.like(coded.astype(np.uint8))
         assert set(np.unique(coded.data)) == {0, 1, 2}
-        save_rag(build_rag(lv, wall, binary, 0.5), tmp_path / "binary.txt")
-        save_rag(build_rag(lv, wall, coded, 0.5), tmp_path / "coded.txt")
+        save_rag(build_rag(binary, wall, lv, 0.5), tmp_path / "binary.txt")
+        save_rag(build_rag(coded, wall, lv, 0.5), tmp_path / "coded.txt")
         assert (tmp_path / "binary.txt").read_bytes() == (tmp_path / "coded.txt").read_bytes()
 
     @pytest.mark.parametrize("spacing, origin", [((3.0, 3.0, 3.0), (0.0, 0.0, 0.0)),
@@ -358,11 +358,11 @@ class TestMasking:
         lv, wall = random_labeling(2)
         ones = Volume(np.ones(lv.dims, dtype=np.uint8), spacing, origin)
         with pytest.raises(ValueError, match="different grids"):
-            build_rag(lv, wall, ones, 0.5)
+            build_rag(ones, wall, lv, 0.5)
 
     def test_phantom_gt_supervoxels_survive(self, phantom_graph_inputs):
         labels, wall, seg, path = phantom_graph_inputs
-        kept = build_rag(labels, wall, seg, 0.5)
+        kept = build_rag(seg, wall, labels, 0.5)
         surviving = set(kept.node_ids.tolist())
         sp = np.asarray(labels.spacing)
         for point in path.points:
@@ -391,7 +391,7 @@ class TestSerialization:
         lv, wall = random_labeling(6)
         mask = np.zeros(lv.dims, dtype=np.uint8)
         mask[lv.data != 0] = 1
-        kept = build_rag(lv, wall, Volume(mask, lv.spacing, lv.origin), 0.5)
+        kept = build_rag(Volume(mask, lv.spacing, lv.origin), wall, lv, 0.5)
         out = tmp_path / "masked.txt"
         save_rag(kept, out)
         back = load_rag(out)
@@ -407,7 +407,7 @@ class TestSerialization:
     def test_writer_matches_fstring_oracle_on_phantom(self, phantom_graph_inputs, tmp_path):
         labels, wall, seg, _ = phantom_graph_inputs
         self.assert_writer_matches_oracle(full_graph(labels, wall), tmp_path)
-        self.assert_writer_matches_oracle(build_rag(labels, wall, seg, 0.5), tmp_path)
+        self.assert_writer_matches_oracle(build_rag(seg, wall, labels, 0.5), tmp_path)
 
     def test_writer_blocks_join_seamlessly(self, tmp_path, monkeypatch):
         lv, wall = random_labeling(5, dims=(7, 6, 5), n_labels=12)

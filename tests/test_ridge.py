@@ -9,7 +9,6 @@ from scipy.ndimage import binary_erosion, correlate
 
 from boweltrack import parallel, ridge
 from boweltrack.phantom import PhantomSpec, generate_phantom
-from boweltrack.pipeline import as_float32
 from boweltrack.ridge import meijering_response
 from boweltrack.volume_io import Volume
 
@@ -273,7 +272,8 @@ class TestSlabs:
         # float64 map, byte for byte.
         vol, _, _ = generate_phantom(PHANTOM_SPEC)
         got = meijering_response(vol, scales)
-        want = as_float32(meijering_response_whole_volume(vol, scales))
+        want = meijering_response_whole_volume(vol, scales)
+        want = want.like(want.data.astype(np.float32))
         assert got.data.dtype == np.float32
         assert got.data.tobytes() == want.data.tobytes()
 
@@ -340,7 +340,8 @@ def phantom_map():
     """PHANTOM_SPEC's intensity and the float32 rounding of its whole-volume
     wall map."""
     vol, _, _ = generate_phantom(PHANTOM_SPEC)
-    return vol, as_float32(meijering_response_whole_volume(vol, ridge.DEFAULT_SCALES_MM))
+    wall = meijering_response_whole_volume(vol, ridge.DEFAULT_SCALES_MM)
+    return vol, wall.like(wall.data.astype(np.float32))
 
 
 # Documented error of the closed-form response, in units of max|l|.

@@ -8,6 +8,7 @@ from scipy.spatial import cKDTree
 
 from boweltrack.errors import InfeasibleError, InvariantError
 from boweltrack.phantom import SEG_LUMEN, PhantomSpec, generate_phantom
+from boweltrack.rag import Rag
 from boweltrack.sampling import (
     MustPassSet,
     _peak_candidates,
@@ -44,26 +45,39 @@ def unit_grid(dims, spacing=1.0):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
+def interior(mask, spacing):
+    """`distance_transform`'s arguments whose interior is the nonzero voxels
+    of `mask`: an all-zero wall map under threshold 1.0."""
+    seg = Volume(mask, spacing, (0, 0, 0))
+    return seg, seg.like(np.zeros(mask.shape, dtype=np.float32)), 1.0
+
+
+def graph_of(node_ids):
+    """A masked graph without edges whose nodes are supervoxels `node_ids`."""
+    n = len(node_ids)
+    none = np.zeros(0, dtype=np.int64)
+    return Rag(np.asarray(node_ids, dtype=np.int64), np.zeros((n, 3)),
+               np.ones(n, dtype=np.int64), none, none, np.zeros(0), none)
+
+
 def voxelwise_labels(dims, spacing):
     lab = np.arange(int(np.prod(dims)), dtype=np.int32).reshape(dims)
     lv = LabelVolume(lab, spacing, (0.0, 0.0, 0.0))
-    return lv, {i: i for i in range(lab.size)}
+    return lv, graph_of(range(lab.size))
 
 
 class TestDistanceTransform:
     def test_single_interior_voxel_anisotropic(self):
         mask = np.zeros((7, 7, 7), dtype=np.uint8)
         mask[3, 3, 3] = 1
-        d = distance_transform(Volume(mask, (2.0, 3.0, 4.0), (0, 0, 0)))
+        d = distance_transform(*interior(mask, (2.0, 3.0, 4.0)))
         assert d.data[3, 3, 3] == pytest.approx(2.0)
         off = d.data.copy()
         off[3, 3, 3] = 0
         assert np.all(off == 0)
 
     def test_all_interior_cube_center_reaches_padding(self):
-        d = distance_transform(
-            Volume(np.ones((5, 5, 5), dtype=np.uint8), (2.0, 2.0, 2.0), (0, 0, 0))
-        )
+        d = distance_transform(*interior(np.ones((5, 5, 5), dtype=np.uint8), (2.0, 2.0, 2.0)))
         assert d.data[2, 2, 2] == pytest.approx(6.0)
         assert d.data[0, 0, 0] == pytest.approx(2.0)
 
@@ -71,31 +85,31 @@ class TestDistanceTransform:
     def test_matches_brute_force_exactly(self, seed):
         rng = np.random.default_rng(seed)
         mask = (rng.random((12, 12, 12)) < 0.7).astype(np.uint8)
-        mine = distance_transform(Volume(mask, (1.0, 1.0, 1.0), (0, 0, 0))).data ** 2
+        mine = distance_transform(*interior(mask, (1.0, 1.0, 1.0))).data
         ref = brute_force_sq_dist(mask, (1.0, 1.0, 1.0))
-        assert np.array_equal(np.round(mine).astype(int), ref.astype(int))
-        assert np.allclose(mine, ref, atol=1e-9)
+        assert np.array_equal(np.round(mine ** 2).astype(int), ref.astype(int))
+        assert np.array_equal(mine, np.sqrt(ref).astype(np.float32))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_scipy_on_anisotropic_masks(self, seed):
         rng = np.random.default_rng(100 + seed)
         mask = (rng.random((10, 9, 8)) < 0.75).astype(np.uint8)
         sp = (1.5, 2.0, 0.7)
-        mine = distance_transform(Volume(mask, sp, (0, 0, 0))).data
+        mine = distance_transform(*interior(mask, sp)).data
         ref = ndimage.distance_transform_edt(np.pad(mask, 1), sampling=sp)
         ref = ref[1:-1, 1:-1, 1:-1]
         ref[mask == 0] = 0
-        assert np.array_equal(mine, ref)
+        assert np.array_equal(mine, ref.astype(np.float32))
 
     def test_matches_scipy_on_phantom_lumen(self):
         _, seg, _ = generate_phantom(
             PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7))
         mask = (seg.data == SEG_LUMEN).astype(np.uint8)
         sp = (2.0, 1.5, 2.5)
-        mine = distance_transform(Volume(mask, sp, (0, 0, 0))).data
+        mine = distance_transform(*interior(mask, sp)).data
         ref = ndimage.distance_transform_edt(np.pad(mask, 1), sampling=sp)[1:-1, 1:-1, 1:-1]
         ref[mask == 0] = 0
-        assert mine.tobytes() == ref.tobytes()
+        assert mine.tobytes() == ref.astype(np.float32).tobytes()
 
     def test_memory_bounded_by_volume_size(self):
         # The lumen of the phantom the supervoxel tests build: 12 % of the
@@ -104,20 +118,27 @@ class TestDistanceTransform:
         # distances.
         _, seg, _ = generate_phantom(
             PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7))
-        interior = seg.like((seg.data == SEG_LUMEN).astype(np.uint8))
-        peak = traced_peak(distance_transform, interior)
-        assert peak <= 3 * interior.data.size * 8
+        lumen = (seg.data == SEG_LUMEN).astype(np.uint8)
+        peak = traced_peak(distance_transform, *interior(lumen, seg.spacing))
+        assert peak <= 3 * lumen.size * 8
 
     def test_all_zero_mask_gives_zeros(self):
-        d = distance_transform(
-            Volume(np.zeros((6, 6, 6), dtype=np.uint8), (1.0, 1.0, 1.0), (0, 0, 0))
-        )
+        d = distance_transform(*interior(np.zeros((6, 6, 6), dtype=np.uint8), (1.0, 1.0, 1.0)))
+        assert d.data.dtype == np.float32
         assert np.all(d.data == 0)
 
-    def test_nonbinary_mask_rejected(self):
-        bad = Volume(np.full((4, 4, 4), 3, dtype=np.uint8), (1, 1, 1), (0, 0, 0))
-        with pytest.raises(ValueError, match="binary"):
-            distance_transform(bad)
+    def test_any_nonzero_code_counts_as_inside(self):
+        # Codes 1, 2 and 255 are all inside; the wall map cuts the interior
+        # where it reaches the threshold.
+        rng = np.random.default_rng(5)
+        codes = rng.choice(np.array([0, 1, 2, 255], dtype=np.uint8), (9, 8, 7))
+        wall = rng.random(codes.shape).astype(np.float32)
+        seg = Volume(codes, (1.0, 1.5, 2.0), (0, 0, 0))
+        got = distance_transform(seg, seg.like(wall), 0.7)
+        inside = ((codes != 0) & (wall < 0.7)).astype(np.uint8)
+        want = distance_transform(*interior(inside, seg.spacing))
+        assert 0 < inside.sum() < (codes != 0).sum()
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestPeakSampling:
@@ -127,8 +148,8 @@ class TestPeakSampling:
         center = np.array([7.5, 5.5, 5.5])
         data = cone(center, 5.0, coords)
         dist = Volume(data.astype(np.float64), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-        lv, node_map = voxelwise_labels(dims, (1.0, 1.0, 1.0))
-        mp = sample_must_pass(dist, lv, node_map, 3.0, 6.0)
+        lv, graph = voxelwise_labels(dims, (1.0, 1.0, 1.0))
+        mp = sample_must_pass(dist, lv, graph, 3.0, 6.0)
         assert len(mp) == 1
         assert np.allclose(mp.positions[0], center)
         assert mp.values[0] == pytest.approx(5.0)
@@ -140,8 +161,8 @@ class TestPeakSampling:
         c_high = np.array([10.5, 4.5, 4.5])
         data = np.maximum(cone(c_low, 5.0, coords), cone(c_high, 5.0, coords))
         dist = Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-        lv, node_map = voxelwise_labels(dims, (1.0, 1.0, 1.0))
-        mp = sample_must_pass(dist, lv, node_map, 3.0, 6.0)
+        lv, graph = voxelwise_labels(dims, (1.0, 1.0, 1.0))
+        mp = sample_must_pass(dist, lv, graph, 3.0, 6.0)
         assert len(mp) == 1
         assert np.allclose(mp.positions[0], c_low)
 
@@ -150,10 +171,9 @@ class TestPeakSampling:
             dims=(64, 22, 22), inner_radius=6.0, bends=0, touch_pairs=0, seed=3
         )
         _, seg, path = generate_phantom(spec)
-        interior = Volume((seg.data == SEG_LUMEN).astype(np.uint8), seg.spacing, seg.origin)
-        dist = distance_transform(interior)
-        lv, node_map = voxelwise_labels(seg.dims, seg.spacing)
-        mp = sample_must_pass(dist, lv, node_map, 3.0, 6.0)
+        dist = distance_transform(*interior((seg.data == SEG_LUMEN).astype(np.uint8), seg.spacing))
+        lv, graph = voxelwise_labels(seg.dims, seg.spacing)
+        mp = sample_must_pass(dist, lv, graph, 3.0, 6.0)
         assert len(mp) >= 5
         gap_to_gt, _ = cKDTree(path.points).query(mp.positions)
         assert gap_to_gt.max() <= np.sqrt(2) * max(spec.spacing) + 1e-9
@@ -164,9 +184,9 @@ class TestPeakSampling:
     def test_no_peaks_is_explicit_error(self):
         dims = (8, 8, 8)
         dist = Volume(np.full(dims, 0.5), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-        lv, node_map = voxelwise_labels(dims, (1.0, 1.0, 1.0))
+        lv, graph = voxelwise_labels(dims, (1.0, 1.0, 1.0))
         with pytest.raises(InfeasibleError, match="theta_v"):
-            sample_must_pass(dist, lv, node_map, 3.0, 6.0)
+            sample_must_pass(dist, lv, graph, 3.0, 6.0)
 
     @pytest.mark.parametrize("spacing, origin", [((3.0, 3.0, 3.0), (0.0, 0.0, 0.0)),
                                                  ((1.0, 1.0, 1.0), (10.0, 0.0, 0.0))],
@@ -177,7 +197,7 @@ class TestPeakSampling:
         dist = Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         lv = LabelVolume(np.zeros(dims, dtype=np.int32), spacing, origin)
         with pytest.raises(ValueError, match="different grids"):
-            sample_must_pass(dist, lv, {0: 0}, 3.0, 6.0)
+            sample_must_pass(dist, lv, graph_of([0]), 3.0, 6.0)
 
     def test_pruned_supervoxel_warns_and_drops(self):
         dims = (20, 9, 9)
@@ -190,7 +210,7 @@ class TestPeakSampling:
         lab = (coords[..., 0] > 9.0).astype(np.int32)
         lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         with pytest.warns(UserWarning, match="masked-out"):
-            mp = sample_must_pass(dist, lv, {1: 0}, 3.0, 6.0)
+            mp = sample_must_pass(dist, lv, graph_of([1]), 3.0, 6.0)
         assert mp.pruned_count == 1
         assert len(mp) == 1
         assert mp.positions[0][0] == pytest.approx(14.5)
@@ -204,7 +224,7 @@ class TestPeakSampling:
         lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         with pytest.warns(UserWarning):
             with pytest.raises(InfeasibleError, match="masked-out"):
-                sample_must_pass(dist, lv, {}, 3.0, 6.0)
+                sample_must_pass(dist, lv, graph_of([]), 3.0, 6.0)
 
     def test_same_supervoxel_peaks_collapse_keeping_highest(self):
         dims = (24, 9, 9)
@@ -216,7 +236,7 @@ class TestPeakSampling:
         dist = Volume(data, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
         lab = np.zeros(dims, dtype=np.int32)
         lv = LabelVolume(lab, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
-        mp = sample_must_pass(dist, lv, {0: 0}, 3.0, 6.0)
+        mp = sample_must_pass(dist, lv, graph_of([0]), 3.0, 6.0)
         assert len(mp) == 1
         assert mp.values[0] == pytest.approx(5.0)
         assert mp.positions[0][0] == pytest.approx(16.5)
@@ -242,7 +262,7 @@ class TestPeakCandidates:
     def test_distance_maps(self, seed, spacing, theta_d):
         rng = np.random.default_rng(seed)
         mask = (rng.random((20, 17, 14)) < 0.85).astype(np.uint8)
-        dist = distance_transform(Volume(mask, spacing, (0, 0, 0)))
+        dist = distance_transform(*interior(mask, spacing))
         self.assert_matches_full_ball(dist.data.astype(np.float32), spacing, 1.0, theta_d)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -267,17 +287,17 @@ class TestPeakInvariants:
     def test_separation_value_floor_determinism(self, seed):
         rng = np.random.default_rng(seed)
         mask = (rng.random((18, 18, 18)) < 0.8).astype(np.uint8)
-        dist = distance_transform(Volume(mask, (1.5, 1.5, 1.5), (0, 0, 0)))
-        lv, node_map = voxelwise_labels((18, 18, 18), (1.5, 1.5, 1.5))
+        dist = distance_transform(*interior(mask, (1.5, 1.5, 1.5)))
+        lv, graph = voxelwise_labels((18, 18, 18), (1.5, 1.5, 1.5))
         theta_v, theta_d = 1.6, 4.5
-        mp = sample_must_pass(dist, lv, node_map, theta_v, theta_d)
+        mp = sample_must_pass(dist, lv, graph, theta_v, theta_d)
         assert np.all(mp.values >= theta_v)
         if len(mp) > 1:
             gaps = mp.positions[:, None, :] - mp.positions[None, :, :]
             sq = np.einsum("ijk,ijk->ij", gaps, gaps)
             sq[np.diag_indices(len(mp))] = np.inf
             assert np.sqrt(sq.min()) >= theta_d - 1e-9
-        again = sample_must_pass(dist, lv, node_map, theta_v, theta_d)
+        again = sample_must_pass(dist, lv, graph, theta_v, theta_d)
         assert np.array_equal(mp.node_ids, again.node_ids)
         assert np.array_equal(mp.positions, again.positions)
 

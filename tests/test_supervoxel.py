@@ -167,6 +167,8 @@ EQUIVALENCE_CASES = {
     # Windows reach past every border of these small volumes.
     "tiny": (random_feature(13, dims=(5, 5, 5), spacing=(1.0, 1.0, 1.0)), 8.0, 0.1),
     "tiny-flat": (random_feature(14, dims=(7, 4, 5), spacing=(1.0, 1.0, 1.0)), 9.0, 0.05),
+    # Thick slices: the first step's windows leave 24 voxels uncovered.
+    "thick-slice": (random_feature(0, dims=(16, 16, 8), spacing=(3.0, 3.0, 0.5)), 44.0, 0.01),
 }
 
 
@@ -334,6 +336,41 @@ def test_workers_die_with_the_tracker():
         tracker.wait()
         for pid in filter(running, workers):
             os.kill(pid, signal.SIGKILL)
+
+
+def test_uncovered_voxels_take_the_nearest_cluster(monkeypatch):
+    """A voxel that no window covers takes, of all clusters, the lowest id
+    minimising |f - f_i| + (m_i / step) * |x - c_i|."""
+    feature, target_volume, compactness = EQUIVALENCE_CASES["thick-slice"]
+    assign, max_feature_distance = supervoxel._assign, supervoxel._max_feature_distance
+    seen = {}
+
+    def first_assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
+                     best_label, best_dist):
+        assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
+               best_label, best_dist)
+        if not seen:
+            seen.update(stray=np.argwhere(best_label < 0), centers=centers.copy(),
+                        cluster_feat=cluster_feat.copy(), cluster_m=cluster_m.copy())
+
+    def fallback_labels(flat_label, *args):
+        # Runs right after the fallback has written the uncovered voxels.
+        seen.setdefault("labels", flat_label.reshape(feature.dims).copy())
+        return max_feature_distance(flat_label, *args)
+
+    monkeypatch.setattr(supervoxel, "_assign", first_assign)
+    monkeypatch.setattr(supervoxel, "_max_feature_distance", fallback_labels)
+    slic_supervoxels(feature, target_volume, compactness)
+
+    stray = seen["stray"]
+    assert len(stray) > 0
+    step = target_volume ** (1.0 / 3.0)
+    positions = (stray + 0.5) * np.asarray(feature.spacing)
+    for vox, pos in zip(stray, positions):
+        f = float(feature.data[tuple(vox)])
+        ds = np.sqrt(((pos - seen["centers"]) ** 2).sum(axis=1))
+        dist = np.abs(f - seen["cluster_feat"]) + (seen["cluster_m"] / step) * ds
+        assert seen["labels"][tuple(vox)] == np.flatnonzero(dist == dist.min())[0]
 
 
 def max_feature_distance_gather(flat_label, flat_feat, cluster_feat):
