@@ -129,22 +129,13 @@ def _error_free_length(dist: np.ndarray, arc_on_pred: np.ndarray,
     when `arc_on_pred`, the arc positions of their closest points on the
     prediction, is monotonic in one direction, allowing local reversals up
     to REVERSAL_SLACK_MM (so a shortcut that jumps the prediction's arc
-    backwards breaks the run).
+    backwards breaks the run).  The runs are the [start, stop) pairs where
+    the 0/1 tracked flags, padded with an untracked sample at each end,
+    change value.
     """
-    within = dist <= tol
-    best = 0.0
-    n = len(within)
-    i = 0
-    while i < n:
-        if not within[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and within[j + 1]:
-            j += 1
-        best = max(best, _longest_monotone_window(arc_on_pred[i:j + 1], gt_arc[i:j + 1]))
-        i = j + 1
-    return best
+    runs = np.flatnonzero(np.diff(np.concatenate(([0], dist <= tol, [0])))).reshape(-1, 2)
+    return max((_longest_monotone_window(arc_on_pred[i:j], gt_arc[i:j]) for i, j in runs),
+               default=0.0)
 
 
 def _longest_monotone_window(arc: np.ndarray, gt_arc: np.ndarray) -> float:

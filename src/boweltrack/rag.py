@@ -15,12 +15,7 @@ from scipy.sparse import csr_array
 
 from .errors import FormatError, InfeasibleError, InvariantError
 from .supervoxel import LabelVolume, _cluster_sums, _distinct, _label_counts
-from .volume_io import Volume, _atomic_write_chunks, check_same_grid, format_lines, read_records
-
-
-# Lines `save_rag` formats at once: the Python numbers and strings of one
-# block are all it holds besides the graph.
-SAVE_ROWS = 16384
+from .volume_io import Volume, _atomic_write_bytes, check_same_grid, format_lines, read_records
 
 
 @dataclasses.dataclass
@@ -126,7 +121,7 @@ def build_rag(segmentation: Volume, wall_map: Volume, labels: LabelVolume,
     # `_cluster_sums`).
     axis_pos = [o + (np.arange(d) + 0.5) * s
                 for o, d, s in zip(labels.origin, labels.dims, labels.spacing)]
-    counts, coord_sums, _ = _cluster_sums(lab, axis_pos, n)
+    counts, coord_sums, *_ = _cluster_sums(lab, axis_pos, n)
     inside = _label_counts(lab, n, segmentation.data)
     keep = inside / counts >= min_inside_fraction
     if not keep.any():
@@ -163,21 +158,13 @@ def build_rag(segmentation: Volume, wall_map: Volume, labels: LabelVolume,
 
 def save_rag(rag: Rag, path) -> None:
     """One `node` line per node, then one `edge` line per edge, written with
-    `%`-formats over Python numbers (17 significant digits for floats), a
-    block of `SAVE_ROWS` lines at a time."""
+    `%`-formats over Python numbers (17 significant digits for floats) and
+    moved into place at once."""
     ids = rag.node_ids
-
-    def blocks():
-        for lo in range(0, rag.n_nodes, SAVE_ROWS):
-            sl = slice(lo, lo + SAVE_ROWS)
-            yield format_lines("node %d %.17g %.17g %.17g %d\n",
-                               ids[sl], *rag.centroids[sl].T, rag.counts[sl])
-        for lo in range(0, rag.n_edges, SAVE_ROWS):
-            sl = slice(lo, lo + SAVE_ROWS)
-            yield format_lines("edge %d %d %.17g %d\n", ids[rag.edge_i[sl]],
-                               ids[rag.edge_j[sl]], rag.edge_cost[sl], rag.edge_faces[sl])
-
-    _atomic_write_chunks(path, blocks())
+    nodes = format_lines("node %d %.17g %.17g %.17g %d\n", ids, *rag.centroids.T, rag.counts)
+    edges = format_lines("edge %d %d %.17g %d\n", ids[rag.edge_i], ids[rag.edge_j],
+                         rag.edge_cost, rag.edge_faces)
+    _atomic_write_bytes(path, nodes + edges)
 
 
 # node: id, centroid x y z, voxel count; edge: node ids, cost, face count.

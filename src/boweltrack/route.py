@@ -49,12 +49,9 @@ class SimplifiedGraph:
     shortest-path tree from members[m] over the whole rag."""
 
     members: np.ndarray      # rag node index per V' position; [0]=start, [-1]=end
-    positions: np.ndarray    # (n, 3) mm
     costs: np.ndarray        # (n, n) symmetric, zero diagonal
     trees: np.ndarray        # (n, rag nodes) predecessors, -1 at the root and unreachable nodes
     near: np.ndarray         # (n, n) bool, centroid distance <= delta
-    normalizer: float
-    delta: float
 
     def __post_init__(self):
         n = len(self.members)
@@ -68,10 +65,6 @@ class SimplifiedGraph:
             raise InvariantError("cost matrix diagonal must be zero")
         if np.any(~np.isfinite(self.costs)) or np.any(self.costs < 0):
             raise InvariantError("costs must be finite and non-negative")
-
-    @property
-    def n_nodes(self):
-        return len(self.members)
 
 
 def _shortest_paths(rag: Rag, sources):
@@ -161,7 +154,7 @@ def build_simplified_graph(
             raise ValueError(f"node {node} outside graph")
 
     n = len(members)
-    positions = rag.centroids[members].copy()
+    positions = rag.centroids[members]
     diff = positions[:, None, :] - positions[None, :, :]
     eucl = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
@@ -180,12 +173,9 @@ def build_simplified_graph(
 
     return SimplifiedGraph(
         members=members,
-        positions=positions,
         costs=costs,
         trees=trees,
         near=near,
-        normalizer=normalizer,
-        delta=delta,
     )
 
 

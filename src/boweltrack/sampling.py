@@ -177,35 +177,28 @@ def sample_must_pass(
         accepted_pos.append(pos)
         accepted_vox.append(vox)
 
-    node_ids, out_pos, out_val = [], [], []
-    seen = set()
-    pruned = 0
-    for vox, pos in zip(accepted_vox, accepted_pos):
-        sv = int(labels.data[tuple(vox)])
-        node = node_map.get(sv)
-        if node is None:
-            pruned += 1
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        node_ids.append(node)
-        out_pos.append(pos)
-        out_val.append(float(data[tuple(vox)]))
+    # Each peak maps to its supervoxel's node: one in a masked-out supervoxel
+    # is pruned, and of several in one node the first accepted stays.
+    peaks = tuple(np.asarray(accepted_vox).T)
+    node = np.array([node_map.get(sv, -1) for sv in labels.data[peaks].tolist()],
+                    dtype=np.int64)
+    pruned = int(np.count_nonzero(node < 0))
+    valid = np.flatnonzero(node >= 0)
+    keep = np.sort(valid[np.unique(node[valid], return_index=True)[1]])
     if pruned:
         warnings.warn(
             f"{pruned} distance peak(s) fell in masked-out supervoxels and were dropped",
             stacklevel=2,
         )
-    if not node_ids:
+    if len(keep) == 0:
         raise InfeasibleError(
             "every distance peak fell in a masked-out supervoxel; "
             "the segmentation and wall map likely disagree"
         )
     return MustPassSet(
-        node_ids=np.asarray(node_ids, dtype=np.int64),
-        positions=np.asarray(out_pos),
-        values=np.asarray(out_val),
+        node_ids=node[keep],
+        positions=np.asarray(accepted_pos)[keep],
+        values=data[peaks][keep].astype(np.float64),
         pruned_count=pruned,
     )
 

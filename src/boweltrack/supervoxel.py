@@ -260,7 +260,9 @@ def _distinct(keys: np.ndarray, kind=None) -> np.ndarray:
 
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     """Keep each label's largest 26-connected component; every other fragment
-    joins the largest 26-adjacent already-kept region (ties to lower label)."""
+    joins the largest 26-adjacent already-kept region (ties to lower label).
+    Returns the labels that occur, renumbered in order to 0..N-1, in the
+    component map's buffer: one relabelling pass."""
     comp, n_comp = _same_label_components(labels)
     flat_comp = comp.ravel()
     comp_size = _label_counts(comp, n_comp)
@@ -332,7 +334,10 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
             raise InvariantError("connectivity enforcement failed to converge")
         pending, bounds = pending[wait], (bounds[0][wait], bounds[1][wait])
 
-    _relabel(comp, by_rank[placed].astype(np.int32))
+    # A label keeps its main component exactly when it is on some voxel;
+    # the kept labels, in order, become 0..N-1.
+    dense = np.cumsum(label_sizes > 0) - 1
+    _relabel(comp, dense[by_rank[placed]].astype(np.int32))
     return comp
 
 
@@ -420,31 +425,25 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
     parallel.fork_ranges(slab, dims[0], -(-dims[0] // parallel.workers()))
 
 
-def _max_feature_distance(flat_label, flat_feat, cluster_feat) -> np.ndarray:
-    """Largest |f - c| over each cluster's voxels, c the cluster feature
-    they were assigned by; -inf for an empty cluster.  Rounding is
-    monotone, so the maximum is reached at the cluster's feature extremes.
-    They are found in the feature's own float type, which is exact and
-    keeps `ufunc.at` on its fast path (mixed types leave it)."""
-    fmax = np.full(len(cluster_feat), -np.inf, dtype=flat_feat.dtype)
-    np.maximum.at(fmax, flat_label, flat_feat)
-    fmin = np.full(len(cluster_feat), np.inf, dtype=flat_feat.dtype)
-    np.minimum.at(fmin, flat_label, flat_feat)
-    return np.maximum(fmax - cluster_feat, cluster_feat - fmin)
-
-
 def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
     """Each label's voxel count, sums (3, n_clusters) of the voxel
-    coordinates axis_pos[a] along each axis a and, given `feat`, feature
-    sum (else None).  Summed one slab of _SLAB_ROWS axis-0 rows at a time,
-    in raster order: `np.add.at` adds the voxels in that order, from 0.0, as
-    `np.bincount(weights=...)` over the whole volume does, so the sums have
-    its bits without a float64 coordinate or feature volume or an intp copy
-    of the labels."""
+    coordinates axis_pos[a] along each axis a and, given `feat`, its
+    feature sum, minimum and maximum (else None each).  Summed one slab of
+    _SLAB_ROWS axis-0 rows at a time, in raster order: `np.add.at` adds the
+    voxels in that order, from 0.0, as `np.bincount(weights=...)` over the
+    whole volume does, so the sums have its bits without a float64
+    coordinate or feature volume or an intp copy of the labels.  The
+    extremes are taken in the feature's own float type, +inf and -inf for
+    an empty label: exact, whatever the slab order, and `ufunc.at` stays on
+    its fast path (mixed types leave it)."""
     n0, n1, n2 = labels.shape
     counts = np.zeros(n_clusters, dtype=np.int64)
     sums = np.zeros((3, n_clusters))
-    fsums = None if feat is None else np.zeros(n_clusters)
+    fsums = fmin = fmax = None
+    if feat is not None:
+        fsums = np.zeros(n_clusters)
+        fmin = np.full(n_clusters, np.inf, dtype=feat.dtype)
+        fmax = np.full(n_clusters, -np.inf, dtype=feat.dtype)
     for lo in range(0, n0, _SLAB_ROWS):
         hi = min(lo + _SLAB_ROWS, n0)
         flat = labels[lo:hi].ravel()
@@ -453,8 +452,11 @@ def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
         for a, coord in enumerate(coords):
             np.add.at(sums[a], flat, np.broadcast_to(coord, (hi - lo, n1, n2)).ravel())
         if feat is not None:
-            np.add.at(fsums, flat, feat[lo:hi].astype(np.float64).ravel())
-    return counts, sums, fsums
+            vals = feat[lo:hi].ravel()
+            np.add.at(fsums, flat, vals.astype(np.float64))
+            np.minimum.at(fmin, flat, vals)
+            np.maximum.at(fmax, flat, vals)
+    return counts, sums, fsums, fmin, fmax
 
 
 def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) -> LabelVolume:
@@ -509,21 +511,16 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
                 dist = df + (cluster_m[None, :] / step) * ds
                 best_label[tuple(coords[sl].T)] = np.argmin(dist, axis=1)
             del coords, pos, fval, ds, df, dist
-        max_df = _max_feature_distance(best_label.ravel(), feat.ravel(), cluster_feat)
-        counts, sums, fsums = _cluster_sums(best_label, axis_pos, n_clusters, feat)
+        counts, sums, fsums, fmin, fmax = _cluster_sums(best_label, axis_pos, n_clusters, feat)
+        # Largest |f - c| over each cluster's voxels, c the feature they were
+        # assigned by: rounding is monotone, so it is reached at an extreme.
+        spread = np.maximum(fmax - cluster_feat, cluster_feat - fmin)
         occupied = counts > 0
         centers[occupied] = (sums[:, occupied] / counts[occupied]).T
         cluster_feat[occupied] = fsums[occupied] / counts[occupied]
-        cluster_m[occupied] = np.maximum(float(compactness), max_df[occupied])
+        cluster_m[occupied] = np.maximum(float(compactness), spread[occupied])
 
     del feat, best_dist, stray
     final = _enforce_connectivity(best_label)
     del best_label
-    # Connectivity keeps every label the last step left (each keeps its
-    # main component) and no other, so those labels, in order, become
-    # 0..N-1.
-    old = np.flatnonzero(occupied)
-    remap = np.zeros(n_clusters, dtype=np.int32)
-    remap[old] = np.arange(len(old))
-    _relabel(final, remap)
     return LabelVolume(final, feature.spacing, feature.origin)

@@ -19,6 +19,7 @@ voxel index ``i`` along an axis is ``origin + (i + 0.5) * spacing``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -285,8 +286,14 @@ def _atomic_write_chunks(path, chunks) -> None:
     """Write the byte strings (or C-contiguous buffers) of `chunks` one
     after another to a temporary file, then move it over `path`; a
     generator keeps one chunk alive, since `writelines` drops each chunk
-    before it asks for the next."""
+    before it asks for the next.  If anything fails, the temporary file is
+    removed and `path` is left as it was."""
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

@@ -1,17 +1,18 @@
 """Test-only oracles: an exact must-pass solver, the cost of a visiting
 order over a simplified-graph cost matrix and the dummy-node construction
 of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
-the whole-volume update sums, the seed-grid loop, the all-pairs and the
-whole-volume same-label components and the per-fragment connectivity loop
-(supervoxels); the all-faces graph build, the whole-volume node sums,
-the node mask applied to a whole-volume graph and the f-string graph
-writer; the whole-ball peak search (sampling); the sampled Gaussian
-derivative kernel, the whole-volume Hessian and the eigvalsh sheet
-response (wall filter); the full-grid centerline distance and the
-all-pairs strand clearance (phantom); the one-blob volume writer
-(volume files); the per-metric point-to-curve distance, match counts,
-curve-to-curve distance and error-free length (metrics); and a node's
-neighbours sliced from the adjacency matrix (graph)."""
+the whole-volume update sums and extremes, the seed-grid loop, the
+all-pairs and the whole-volume same-label components and the per-fragment
+connectivity loop (supervoxels); the all-faces graph build, the
+whole-volume node sums, the node mask applied to a whole-volume graph and
+the f-string graph writer; the whole-ball peak search and the per-peak
+node mapping (sampling); the sampled Gaussian derivative kernel, the
+whole-volume Hessian and the eigvalsh sheet response (wall filter); the
+full-grid centerline distance and the all-pairs strand clearance
+(phantom); the one-blob volume writer (volume files); the per-metric
+point-to-curve distance, match counts, curve-to-curve distance, error-free
+length and its `while`-loop run finder (metrics); and a node's neighbours
+sliced from the adjacency matrix (graph)."""
 
 import heapq
 import itertools
@@ -235,9 +236,10 @@ def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, w
 
 
 def cluster_sums_bincount(labels, feat, axis_pos, n_clusters):
-    """Counts, coordinate sums and feature sums of
+    """Counts, coordinate sums, feature sums and feature extremes of
     `supervoxel._cluster_sums`, from whole-volume `np.bincount`s over a
-    float64 coordinate volume per axis."""
+    float64 coordinate volume per axis and whole-volume `np.minimum.at`
+    and `np.maximum.at`."""
     flat = labels.ravel()
     counts = np.bincount(flat, minlength=n_clusters)
     sums = np.empty((3, n_clusters))
@@ -246,7 +248,11 @@ def cluster_sums_bincount(labels, feat, axis_pos, n_clusters):
         coord = np.broadcast_to(axis_pos[a][axis], labels.shape).ravel()
         sums[a] = np.bincount(flat, weights=coord, minlength=n_clusters)
     fsums = np.bincount(flat, weights=feat.ravel(), minlength=n_clusters)
-    return counts, sums, fsums
+    fmin = np.full(n_clusters, np.inf, dtype=feat.dtype)
+    np.minimum.at(fmin, flat, feat.ravel())
+    fmax = np.full(n_clusters, -np.inf, dtype=feat.dtype)
+    np.maximum.at(fmax, flat, feat.ravel())
+    return counts, sums, fsums, fmin, fmax
 
 
 _OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
@@ -460,6 +466,29 @@ def peaks_full_ball(data: np.ndarray, spacing, theta_v: float, theta_d: float) -
     return np.argwhere(local_max & (data >= theta_v))
 
 
+def must_pass_per_peak(peak_vox, peak_pos, data: np.ndarray, labels, node_map: dict):
+    """`sampling.sample_must_pass`'s mapping of the accepted peaks (voxel
+    indices, positions, in acceptance order) to masked-graph nodes, one
+    peak at a time: a peak in a masked-out supervoxel is pruned, and a
+    node's first peak stays.  Returns (node ids, positions, values as
+    float64, pruned count)."""
+    node_ids, out_pos, out_val = [], [], []
+    seen = set()
+    pruned = 0
+    for vox, pos in zip(peak_vox, peak_pos):
+        node = node_map.get(int(labels.data[tuple(vox)]))
+        if node is None:
+            pruned += 1
+            continue
+        if node in seen:
+            continue
+        seen.add(node)
+        node_ids.append(node)
+        out_pos.append(pos)
+        out_val.append(float(data[tuple(vox)]))
+    return np.asarray(node_ids, dtype=np.int64), np.asarray(out_pos), np.asarray(out_val), pruned
+
+
 def _gaussian_kernel1d(sigma_vox: float, order: int) -> np.ndarray:
     """Sampled Gaussian (derivative) kernel for correlate1d.
 
@@ -650,3 +679,23 @@ def max_error_free_length(pred: Polyline, gt: Polyline, tol: float) -> float:
     `metrics._error_free_length`)."""
     dist, arc_on_pred = metrics._point_segment_distances(gt.points, pred)
     return metrics._error_free_length(dist, arc_on_pred, gt.cumulative_arc(), tol)
+
+
+def error_free_length_loop(dist: np.ndarray, arc_on_pred: np.ndarray,
+                           gt_arc: np.ndarray, tol: float) -> float:
+    """`metrics._error_free_length`, finding the runs of tracked samples
+    with a `while` loop."""
+    within = dist <= tol
+    best = 0.0
+    n = len(within)
+    i = 0
+    while i < n:
+        if not within[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and within[j + 1]:
+            j += 1
+        best = max(best, metrics._longest_monotone_window(arc_on_pred[i:j + 1], gt_arc[i:j + 1]))
+        i = j + 1
+    return best

@@ -196,12 +196,9 @@ def test_criterion_04_tsp_quality_band():
         costs += costs.T
         simplified = SimplifiedGraph(
             members=np.arange(n, dtype=np.int64),
-            positions=rng.uniform(0, 100, size=(n, 3)),
             costs=costs,
             trees=np.full((n, n), -1),
             near=np.zeros((n, n), dtype=bool),
-            normalizer=1.0,
-            delta=50.0,
         )
         order = solve_tsp(simplified)
         assert order[0] == 0 and order[-1] == n - 1
@@ -345,7 +342,8 @@ def test_criterion_08_simplified_cost_suite():
     simplified = build_simplified_graph(rag, 0, 2, [1], delta=50.0)
     assert simplified.costs[0, 1] == 0.5
     assert simplified.costs[0, 2] == 1.5
-    assert simplified.normalizer == 10.0
+    # M is the largest finite near cost: the (1, 2) path, 10 -> 10 / 10.
+    assert simplified.costs[1, 2] == 10.0 / 10.0
 
     # All pairs within delta and every path cost equal to M -> every near cost
     # is the normalization boundary 1.0, strictly below any far-pair cost.
@@ -367,9 +365,8 @@ def test_criterion_08_simplified_cost_suite():
         members = [0, *range(1, n - 1), n - 1]
         delta = 60.0
         simplified = build_simplified_graph(rag, 0, n - 1, members[1:-1], delta=delta)
-        eucl = np.linalg.norm(
-            simplified.positions[:, None] - simplified.positions[None, :], axis=2
-        )
+        centroids = rag.centroids[simplified.members]
+        eucl = np.linalg.norm(centroids[:, None] - centroids[None, :], axis=2)
         off = ~np.eye(n, dtype=bool)
         near = off & (eucl <= delta)
         far = off & (eucl > delta)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from boweltrack import Polyline, metrics
 from boweltrack.metrics import evaluate, resample_polyline
 from memory import traced_peak
-from oracles import (curve_to_curve_distance, match_paths, max_error_free_length,
-                     point_to_curve_distance)
+from oracles import (curve_to_curve_distance, error_free_length_loop, match_paths,
+                     max_error_free_length, point_to_curve_distance)
 
 
 def straight(length, n=2, offset=(0.0, 0.0, 0.0)):
@@ -175,6 +175,29 @@ class TestMaxErrorFree:
         tp, fp, fn, precision, recall = match_paths(pred_r, gt_r, 10.0)
         assert recall == 100.0
         assert got <= 0.75 * full
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_runs_match_while_loop(self, chunk):
+        """The run finder gives the `while` loop's length on 4 x 500 random
+        inputs: from 0 to 40 samples, tracked with probability 0.1 to 0.9,
+        so empty inputs, no runs, runs of one sample and runs at both ends
+        all occur; prediction arcs wander back and forth across the
+        reversal slack."""
+        seen = {"empty": 0, "no run": 0, "one-sample run": 0}
+        for seed in range(500 * chunk, 500 * (chunk + 1)):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(0, 41))
+            dist = rng.uniform(0.0, 20.0, n)
+            tol = float(np.quantile(dist, rng.uniform(0.1, 0.9))) if n else 10.0
+            arc = np.cumsum(rng.normal(1.0, 2.0, n))
+            gt_arc = np.cumsum(rng.uniform(0.5, 1.5, n))
+            got = metrics._error_free_length(dist, arc, gt_arc, tol)
+            assert got == error_free_length_loop(dist, arc, gt_arc, tol), seed
+            within = np.concatenate(([False], dist <= tol, [False]))
+            seen["empty"] += n == 0
+            seen["no run"] += not within.any()
+            seen["one-sample run"] += bool(np.any(within[1:-1] & ~within[:-2] & ~within[2:]))
+        assert all(seen.values()), seen
 
     def test_upper_bound_is_gt_length(self):
         for seed in range(10):

@@ -4,9 +4,7 @@
 import numpy as np
 import pytest
 
-from boweltrack import rag as rag_module
 from boweltrack import supervoxel
-
 from boweltrack.errors import FormatError, InfeasibleError
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.rag import Rag, build_rag, load_rag, save_rag
@@ -408,13 +406,6 @@ class TestSerialization:
         labels, wall, seg, _ = phantom_graph_inputs
         self.assert_writer_matches_oracle(full_graph(labels, wall), tmp_path)
         self.assert_writer_matches_oracle(build_rag(seg, wall, labels, 0.5), tmp_path)
-
-    def test_writer_blocks_join_seamlessly(self, tmp_path, monkeypatch):
-        lv, wall = random_labeling(5, dims=(7, 6, 5), n_labels=12)
-        rag = full_graph(lv, wall)
-        for rows in (1, 5, rag.n_nodes, rag.n_edges + 1):
-            monkeypatch.setattr(rag_module, "SAVE_ROWS", rows)
-            self.assert_writer_matches_oracle(rag, tmp_path)
 
     def test_writer_matches_fstring_oracle_on_extreme_values(self, tmp_path):
         rag = Rag(

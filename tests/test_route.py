@@ -106,23 +106,20 @@ def brute_constrained(rag, st, ed, must_pass):
 def random_simplified(seed, n_lo=3, n_hi=8):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(n_lo, n_hi + 1))
-    pos = rng.uniform(0, 100, size=(n, 3))
+    rng.uniform(0, 100, size=(n, 3))     # once the positions: keeps each seed's costs
     costs = rng.uniform(0.05, 2.0, size=(n, n))
     costs = 0.5 * (costs + costs.T)
     np.fill_diagonal(costs, 0.0)
     return SimplifiedGraph(
         members=np.arange(n, dtype=np.int64),
-        positions=pos,
         costs=costs,
         trees=np.full((n, n), -1),
         near=np.zeros((n, n), dtype=bool),
-        normalizer=1.0,
-        delta=50.0,
     )
 
 
 def brute_tsp(sg):
-    n = sg.n_nodes
+    n = len(sg.members)
     best = np.inf
     for perm in itertools.permutations(range(1, n - 1)):
         best = min(best, path_cost([0, *perm, n - 1], sg.costs))
@@ -300,15 +297,39 @@ class TestConstrainedExact:
             constrained_dijkstra_exact(rag, 0, 1, [2])
 
 
+def largest_near_cost(rag, sg):
+    """The largest finite shortest-path cost between two distinct near
+    members, 0 when there is none."""
+    dist, _ = _shortest_paths(rag, sg.members)
+    sp = dist[:, sg.members]
+    return sp[sg.near & np.isfinite(sp) & ~np.eye(len(sg.members), dtype=bool)].max(initial=0.0)
+
+
+def assert_near_costs_normalized(rag, sg):
+    """Each stored near, reachable pair costs its shortest-path cost from
+    its lower member divided by the largest finite near cost, or 0 when
+    that is 0."""
+    dist, _ = _shortest_paths(rag, sg.members)
+    sp = dist[:, sg.members]
+    store = np.triu(sg.near & np.isfinite(sp), 1)
+    largest = largest_near_cost(rag, sg)
+    want = sp[store] / largest if largest > 0 else np.zeros(np.count_nonzero(store))
+    assert sg.costs[store].tobytes() == want.tobytes()
+
+
 class TestSimplifiedGraph:
-    def three_node_instance(self):
+    def three_node_rag(self):
         positions = np.array([[0.0, 0, 0], [30.0, 0, 0], [75.0, 0, 0]])
-        rag = make_rag(3, [(0, 1, 5.0), (1, 2, 10.0)], positions)
-        return build_simplified_graph(rag, 0, 2, [1], delta=50.0)
+        return make_rag(3, [(0, 1, 5.0), (1, 2, 10.0)], positions)
+
+    def three_node_instance(self):
+        return build_simplified_graph(self.three_node_rag(), 0, 2, [1], delta=50.0)
 
     def test_near_pair_normalized_cost(self):
-        sg = self.three_node_instance()
-        assert sg.normalizer == pytest.approx(10.0)
+        rag = self.three_node_rag()
+        sg = build_simplified_graph(rag, 0, 2, [1], delta=50.0)
+        assert largest_near_cost(rag, sg) == 10.0
+        assert_near_costs_normalized(rag, sg)
         assert sg.costs[0, 1] == pytest.approx(0.5)
 
     def test_near_pair_at_normalizer_is_one(self):
@@ -336,7 +357,8 @@ class TestSimplifiedGraph:
         positions = np.array([[0.0, 0, 0], [10.0, 0, 0]])
         rag = make_rag(2, [(0, 1, 0.0)], positions)
         sg = build_simplified_graph(rag, 0, 1, [], delta=50.0)
-        assert sg.normalizer == 0.0
+        assert largest_near_cost(rag, sg) == 0.0
+        assert_near_costs_normalized(rag, sg)
         assert sg.costs[0, 1] == 0.0
 
     @pytest.mark.parametrize("seed", range(20))
@@ -348,8 +370,9 @@ class TestSimplifiedGraph:
         k = int(rng.integers(0, min(3, len(interior)) + 1))
         must = list(rng.choice(interior, size=k, replace=False)) if k else []
         sg = build_simplified_graph(rag, 0, n - 1, must, delta=60.0)
-        m = sg.n_nodes
-        diff = sg.positions[:, None] - sg.positions[None, :]
+        m = len(sg.members)
+        positions = rag.centroids[sg.members]
+        diff = positions[:, None] - positions[None, :]
         eucl = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         off = ~np.eye(m, dtype=bool)
         reachable = sg.trees[:, sg.members] >= 0
@@ -367,11 +390,13 @@ class TestSimplifiedGraph:
         n = rag.n_nodes
         sg = build_simplified_graph(rag, 0, n - 1, list(range(1, n - 1)), delta=1e6)
         assert np.array_equal(sg.costs, sg.costs.T)
+        assert_near_costs_normalized(rag, sg)
+        largest = largest_near_cost(rag, sg)
         for m in range(n):
             (dist,), _ = _shortest_paths(rag, [int(sg.members[m])])
             for k in range(m + 1, n):
                 if np.isfinite(dist[sg.members[k]]):
-                    assert sg.costs[m, k] == dist[sg.members[k]] / sg.normalizer
+                    assert sg.costs[m, k] == dist[sg.members[k]] / largest
 
     def test_cached_paths_cover_near_reachable_pairs_only(self):
         sg = self.three_node_instance()
@@ -394,12 +419,9 @@ class TestSimplifiedGraph:
         with pytest.raises(InvariantError, match="symmetric"):
             SimplifiedGraph(
                 members=np.arange(2),
-                positions=np.zeros((2, 3)),
                 costs=np.array([[0.0, 1.0], [2.0, 0.0]]),
                 trees=np.full((2, 2), -1),
                 near=np.zeros((2, 2), dtype=bool),
-                normalizer=1.0,
-                delta=50.0,
             )
 
 
@@ -411,17 +433,12 @@ class TestSolveTsp:
     def test_collinear_chain_orders_monotonically(self):
         n = 6
         x = np.linspace(0.0, 50.0, n)
-        pos = np.zeros((n, 3))
-        pos[:, 0] = x
         costs = np.abs(x[:, None] - x[None, :]) / 50.0
         sg = SimplifiedGraph(
             members=np.arange(n),
-            positions=pos,
             costs=costs,
             trees=np.full((n, n), -1),
             near=np.zeros((n, n), dtype=bool),
-            normalizer=1.0,
-            delta=50.0,
         )
         assert solve_tsp(sg) == list(range(n))
 
@@ -429,8 +446,8 @@ class TestSolveTsp:
     def test_tour_within_bounds_of_optimum(self, seed):
         sg = random_simplified(seed)
         order = solve_tsp(sg)
-        assert order[0] == 0 and order[-1] == sg.n_nodes - 1
-        assert sorted(order) == list(range(sg.n_nodes))
+        assert order[0] == 0 and order[-1] == len(sg.members) - 1
+        assert sorted(order) == list(range(len(sg.members)))
         got = path_cost(order, sg.costs)
         opt = brute_tsp(sg)
         assert got >= opt - 1e-9
@@ -464,12 +481,9 @@ class TestSolveTsp:
             costs = np.triu(costs, 1)
             sg = SimplifiedGraph(
                 members=np.arange(n, dtype=np.int64),
-                positions=np.zeros((n, 3)),
                 costs=costs + costs.T,
                 trees=np.full((n, n), -1),
                 near=np.zeros((n, n), dtype=bool),
-                normalizer=1.0,
-                delta=50.0,
             )
             reference = dummy_node_path(sg.costs)
             assert solve_tsp(sg) == _two_opt(reference, sg.costs), seed

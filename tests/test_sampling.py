@@ -1,5 +1,6 @@
 """Distance transform against brute force; peak sampling rules."""
 
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from boweltrack.sampling import (
     MustPassSet,
     _peak_candidates,
     distance_transform,
+    node_map_of,
     sample_must_pass,
 )
 from boweltrack.supervoxel import LabelVolume
 from boweltrack.volume_io import Volume
 from memory import traced_peak
-from oracles import peaks_full_ball
+from oracles import must_pass_per_peak, peaks_full_ball
 from stage_rule import stage_rejects
 
 
@@ -240,6 +242,48 @@ class TestPeakSampling:
         assert len(mp) == 1
         assert mp.values[0] == pytest.approx(5.0)
         assert mp.positions[0][0] == pytest.approx(16.5)
+
+    def test_node_mapping_matches_per_peak_loop(self):
+        """Random smooth distance maps over blocky labelings, a random part
+        of whose supervoxels are masked out: the node ids, positions,
+        values and pruned count are the per-peak loop's, on 12 seeds that
+        between them prune peaks and put two peaks in one node.  The
+        accepted peaks come from one-voxel supervoxels, where no peak is
+        pruned or shares a node."""
+        pruned_seen = shared_seen = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            dims = tuple(int(n) for n in rng.integers(10, 18, 3))
+            spacing = rng.uniform(0.6, 1.6, 3)
+            data = ndimage.gaussian_filter(rng.normal(size=dims), 1.5)
+            dist = Volume(np.maximum(data - data.mean(), 0).astype(np.float32), spacing, (0, 0, 0))
+            theta_v, theta_d = 0.0, float(rng.uniform(1.5, 3.0))
+            accepted = sample_must_pass(dist, *voxelwise_labels(dims, spacing), theta_v, theta_d)
+            vox = np.column_stack(np.unravel_index(accepted.node_ids, dims))
+
+            block = rng.integers(3, 7, 3)
+            cells = (np.indices(dims).T // block).T
+            lab = np.ravel_multi_index(tuple(cells), tuple(cells.max(axis=(1, 2, 3)) + 1))
+            lv = LabelVolume(np.unique(lab, return_inverse=True)[1].reshape(dims), spacing,
+                             (0, 0, 0))
+            graph = graph_of(np.flatnonzero(rng.random(lv.label_count) < 0.6))
+            want_ids, want_pos, want_val, pruned = must_pass_per_peak(
+                vox, accepted.positions, dist.data, lv, node_map_of(graph))
+            if len(want_ids) == 0:
+                with pytest.raises(InfeasibleError, match="masked-out"):
+                    sample_must_pass(dist, lv, graph, theta_v, theta_d)
+                continue
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                mp = sample_must_pass(dist, lv, graph, theta_v, theta_d)
+            assert len(caught) == (pruned > 0)
+            assert mp.node_ids.dtype == np.int64 and mp.node_ids.tolist() == want_ids.tolist()
+            assert mp.positions.tobytes() == want_pos.tobytes()
+            assert mp.values.dtype == np.float64 and mp.values.tobytes() == want_val.tobytes()
+            assert mp.pruned_count == pruned
+            pruned_seen += pruned > 0
+            shared_seen += len(want_ids) + pruned < len(vox)
+        assert pruned_seen and shared_seen
 
 
 class TestPeakCandidates:

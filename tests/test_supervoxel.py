@@ -342,7 +342,7 @@ def test_uncovered_voxels_take_the_nearest_cluster(monkeypatch):
     """A voxel that no window covers takes, of all clusters, the lowest id
     minimising |f - f_i| + (m_i / step) * |x - c_i|."""
     feature, target_volume, compactness = EQUIVALENCE_CASES["thick-slice"]
-    assign, max_feature_distance = supervoxel._assign, supervoxel._max_feature_distance
+    assign, cluster_sums = supervoxel._assign, supervoxel._cluster_sums
     seen = {}
 
     def first_assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
@@ -353,13 +353,13 @@ def test_uncovered_voxels_take_the_nearest_cluster(monkeypatch):
             seen.update(stray=np.argwhere(best_label < 0), centers=centers.copy(),
                         cluster_feat=cluster_feat.copy(), cluster_m=cluster_m.copy())
 
-    def fallback_labels(flat_label, *args):
+    def fallback_labels(labels, *args):
         # Runs right after the fallback has written the uncovered voxels.
-        seen.setdefault("labels", flat_label.reshape(feature.dims).copy())
-        return max_feature_distance(flat_label, *args)
+        seen.setdefault("labels", labels.copy())
+        return cluster_sums(labels, *args)
 
     monkeypatch.setattr(supervoxel, "_assign", first_assign)
-    monkeypatch.setattr(supervoxel, "_max_feature_distance", fallback_labels)
+    monkeypatch.setattr(supervoxel, "_cluster_sums", fallback_labels)
     slic_supervoxels(feature, target_volume, compactness)
 
     stray = seen["stray"]
@@ -382,9 +382,12 @@ def max_feature_distance_gather(flat_label, flat_feat, cluster_feat):
 
 
 @pytest.mark.parametrize("seed", range(9))
-def test_max_feature_distance_matches_gather(seed):
-    # Features far from 0 make the differences round; voxels equal to
-    # their cluster's feature and empty clusters are included.
+def test_cluster_extremes_spread_matches_gather(seed):
+    """The update step's spread, max(fmax - c, c - fmin) from the extremes
+    `_cluster_sums` returns, has the gather expression's bits; an empty
+    cluster reads -inf.  Features far from 0 make the differences round;
+    voxels equal to their cluster's feature and empty clusters are
+    included."""
     rng = np.random.default_rng(seed)
     n_clusters = int(rng.integers(1, 80))
     n_vox = int(rng.integers(1, 4000))
@@ -394,7 +397,10 @@ def test_max_feature_distance_matches_gather(seed):
     flat_feat = offset + spread * rng.normal(size=n_vox)
     cluster_feat = offset + spread * rng.normal(size=n_clusters)
     flat_feat[::7] = cluster_feat[flat_label[::7]]
-    got = supervoxel._max_feature_distance(flat_label, flat_feat, cluster_feat)
+    axis_pos = [np.arange(n_vox) + 0.5, np.array([0.5]), np.array([0.5])]
+    *_, fmin, fmax = supervoxel._cluster_sums(flat_label.reshape(-1, 1, 1).astype(np.int32),
+                                              axis_pos, n_clusters, flat_feat.reshape(-1, 1, 1))
+    got = np.maximum(fmax - cluster_feat, cluster_feat - fmin)
     want = max_feature_distance_gather(flat_label, flat_feat, cluster_feat)
     occupied = np.bincount(flat_label, minlength=n_clusters) > 0
     assert got[occupied].tobytes() == want[occupied].tobytes()
@@ -405,8 +411,8 @@ def test_max_feature_distance_matches_gather(seed):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("seed", range(6))
 def test_cluster_sums_match_whole_volume_bincount(monkeypatch, seed, dtype, rows):
-    """The update step's slab-wise sums have the bits of whole-volume
-    `np.bincount`s.  Features from 1e-8 to 1e8 in both signs make every
+    """The update step's slab-wise sums and feature extremes have the bits
+    of whole-volume `np.bincount`s, `np.minimum.at` and `np.maximum.at`.  Features from 1e-8 to 1e8 in both signs make every
     sum depend on the order of its terms, so a `np.add.at` that stopped
     adding in voxel order would show."""
     rng = np.random.default_rng(seed)
@@ -421,9 +427,10 @@ def test_cluster_sums_match_whole_volume_bincount(monkeypatch, seed, dtype, rows
     monkeypatch.setattr(supervoxel, "_SLAB_ROWS", dims[0] + 1 if rows == "all" else rows)
     got = supervoxel._cluster_sums(labels, axis_pos, n_clusters, feat)
     want = cluster_sums_bincount(labels, feat, axis_pos, n_clusters)
+    assert len(got) == len(want) == 5
     assert np.array_equal(got[0], want[0])
     for a, b in zip(got[1:], want[1:]):
-        assert a.tobytes() == b.tobytes()
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def deferred_fragment_labels():
@@ -485,7 +492,9 @@ class TestConnectivityOracle:
         whole_comp, whole_n = same_label_components_whole_volume(labels)
         assert whole_n == expected_n
         assert np.array_equal(whole_comp, expected_comp)
-        expected_final = enforce_connectivity_per_fragment(labels)
+        # The labels that occur, renumbered in order to 0..N-1.
+        expected_final = np.unique(enforce_connectivity_per_fragment(labels),
+                                   return_inverse=True)[1].reshape(labels.shape)
         # Slabs of 1, 2 and 3 rows, and one slab holding every row.
         for rows in (1, 2, 3, labels.shape[0] + 1):
             for workers in (1, 2, 3):

@@ -17,7 +17,7 @@ from boweltrack import (
 )
 from boweltrack.rag import load_rag
 from boweltrack.sampling import load_must_pass
-from boweltrack.volume_io import DTYPE_TAGS, format_lines, read_records
+from boweltrack.volume_io import DTYPE_TAGS, _atomic_write_chunks, format_lines, read_records
 from memory import traced_peak
 from oracles import save_volume_one_blob
 
@@ -166,6 +166,23 @@ def test_save_makes_no_whole_volume_copy(tmp_path):
     vol = Volume(data)
     peak = traced_peak(save_volume, vol, tmp_path / "v.vol")
     assert peak <= 0.25 * data.nbytes
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path):
+    """A chunk generator that raises after its first chunk: the error
+    passes through, the temporary file is gone and the file already at the
+    path keeps its bytes."""
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old contents\n")
+
+    def chunks():
+        yield b"new "
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write_chunks(path, chunks())
+    assert not list(tmp_path.glob("*.tmp*"))
+    assert path.read_bytes() == b"old contents\n"
 
 
 def test_zero_dim_volume_rejected():
