@@ -72,6 +72,10 @@ class PhantomSpec:
         object.__setattr__(self, "spacing", spacing)
         if len(spacing) != 3 or any(not math.isfinite(s) or s <= 0 for s in spacing):
             raise ConfigError(f"spacing must be three positive numbers, got {self.spacing}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(field.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.inner_radius < 2.0 * max(spacing):
             raise ConfigError(
                 f"inner_radius {self.inner_radius} must be >= 2 * max spacing "

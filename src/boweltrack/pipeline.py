@@ -140,12 +140,12 @@ class _Runner:
         """Run `stage` on `values` (input volumes and earlier artifacts by
         key), or reload its artifact, and return the artifact."""
         path = self.path(stage.key)
-        inputs = [values[key] for key in stage.inputs]
         start = time.perf_counter()
         cached = os.path.exists(path)
         if cached:
-            value = _in_stage(stage.name, lambda: stage.reload(path, inputs))
+            value = _in_stage(stage.name, lambda: stage.call("load", path))
         else:
+            inputs = [values[key] for key in stage.inputs]
             params = [getattr(config, name) for name in stage.params]
             value = _in_stage(stage.name, lambda: stage.call("compute", *inputs, *params))
             stage.call("save", value, path)
@@ -184,27 +184,12 @@ def _in_stage(name, fn):
         raise type(exc)(f"stage {name}: {exc}") from exc
 
 
-def _check_must_pass(path, must_pass, _dist, _labels, masked) -> None:
-    """A cached must-pass set, against the sample stage's inputs: its peaks
-    must be nodes of the masked graph; one naming another node is stale or
-    edited."""
-    ids = must_pass.node_ids
-    outside = ids[(ids < 0) | (ids >= masked.n_nodes)]
-    if len(outside):
-        raise FormatError(
-            f"{path}: peak node {outside[0]} is outside the masked graph's "
-            f"{masked.n_nodes} nodes; the file is stale, delete it to resample"
-        )
-
-
 @dataclasses.dataclass(frozen=True)
 class Stage:
     """One stage of the chain.  `compute(*inputs, *params)` returns exactly
-    what the artifact stores, `save(value, path)` writes it, `load(path)`
-    reads it back and `check(path, value, *inputs)`, where given, rejects a
-    cached artifact that contradicts the inputs.  Each role names a function
-    of this module, looked up at each call, so a wrapper set on the module's
-    attribute sees every call."""
+    what the artifact stores, `save(value, path)` writes it and `load(path)`
+    reads it back.  Each role names a function of this module, looked up at
+    each call, so a wrapper set on the module's attribute sees every call."""
 
     name: str                   # log, stage record and CLI subcommand
     key: str                    # ARTIFACTS key of the output
@@ -213,16 +198,9 @@ class Stage:
     compute: str
     save: str
     load: str
-    check: str | None = None
 
     def call(self, role, *args):
         return globals()[getattr(self, role)](*args)
-
-    def reload(self, path, inputs):
-        value = self.call("load", path)
-        if self.check is not None:
-            self.call("check", path, value, *inputs)
-        return value
 
 
 # The chain in run order; `inputs` is also the order of the stage
@@ -237,7 +215,7 @@ STAGES = (
     Stage("distance", "distance", ("segmentation", "wall_map"), ("wall_threshold",),
           "distance_transform", "save_volume", "load_volume"),
     Stage("sample", "must_pass", ("distance", "labels", "masked_rag"), ("theta_v", "theta_d"),
-          "sample_must_pass", "save_must_pass", "load_must_pass", "_check_must_pass"),
+          "sample_must_pass", "save_must_pass", "load_must_pass"),
 )
 
 
@@ -273,15 +251,13 @@ def _load_inputs(config: TrackingConfig):
 
 
 def _run_stages(config: TrackingConfig, runner: _Runner, values, key) -> None:
-    """Add artifact `key` to `values`, with every artifact it is made from:
-    run (or reload) the stages that `values` lacks, in table order.  The
+    """Add artifact `key` to `values`: run (or reload), in table order, each
+    stage whose artifact `values` lacks, until `key` is in `values`.  The
     intensity volume leaves `values` once `ridge` has made the wall map."""
-    needed = {key}
-    for stage in reversed(STAGES):
-        if stage.key in needed:
-            needed.update(stage.inputs)
     for stage in STAGES:
-        if stage.key in needed and stage.key not in values:
+        if key in values:
+            return
+        if stage.key not in values:
             values[stage.key] = runner.stage(stage, values, config)
             if stage.name == "ridge":
                 # Nothing after ridge reads it; kept, it would add to every
@@ -364,6 +340,15 @@ def run_track(config: TrackingConfig, log=None) -> TrackResult:
     values, gt, v_st, v_ed = _graph(config, runner)
     _run_stages(config, runner, values, "must_pass")
     masked, must_pass = values["masked_rag"], values["must_pass"]
+    # A cached must-pass set naming a node outside the masked graph is
+    # stale or edited.
+    ids = must_pass.node_ids
+    outside = ids[(ids < 0) | (ids >= masked.n_nodes)]
+    if len(outside):
+        raise FormatError(
+            f"stage sample: {runner.path('must_pass')}: peak node {outside[0]} is outside "
+            f"the masked graph's {masked.n_nodes} nodes; the file is stale, delete it to resample"
+        )
 
     def build_route():
         simplified = build_simplified_graph(masked, v_st, v_ed, must_pass.node_ids, config.delta)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import FormatError, InfeasibleError, InvariantError
-from .supervoxel import LabelVolume, _cluster_sums, _distinct, _label_counts
+from .supervoxel import LabelVolume, _cluster_sums, _distinct
 from .volume_io import Volume, _atomic_write_bytes, check_same_grid, format_lines, read_records
 
 
@@ -122,7 +122,7 @@ def build_rag(segmentation: Volume, wall_map: Volume, labels: LabelVolume,
     axis_pos = [o + (np.arange(d) + 0.5) * s
                 for o, d, s in zip(labels.origin, labels.dims, labels.spacing)]
     counts, coord_sums, *_ = _cluster_sums(lab, axis_pos, n)
-    inside = _label_counts(lab, n, segmentation.data)
+    inside = np.bincount(lab[segmentation.data != 0], minlength=n)
     keep = inside / counts >= min_inside_fraction
     if not keep.any():
         raise InfeasibleError(

@@ -40,14 +40,13 @@ def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
     volume of `shape`, one sub-slab of axis-0 rows at a time.
 
     fill(s0, s1, out) writes rows [s0, s1) of the volume to `out`, so no
-    whole-volume copy of it is made.  Calls consume(a, b, h, tmp) once for
-    each of the disjoint row ranges [a, b) that cover axis 0, in up to
+    whole-volume copy of it is made.  Calls consume(a, b, h) once for each
+    of the disjoint row ranges [a, b) that cover axis 0, in up to
     parallel.workers() forked processes (`parallel.fork_ranges`), so what
     consume writes for the caller must go to `parallel.shared_array`
     buffers made before the call.  h[k] holds component k (Hxx, Hxy, Hxz,
     Hyy, Hyz, Hzz) of rows a..b: second derivatives in 1/mm^2 multiplied by
-    sigma_mm^2.  tmp holds three scratch arrays of the same shape.  consume
-    may overwrite both.
+    sigma_mm^2.  consume may overwrite h.
 
     The bytes equal those of ndimage.gaussian_filter(volume, order=...) on
     the whole volume.  It makes the same one-axis passes, axis 0 first, and
@@ -61,18 +60,15 @@ def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
     # Support ceil(4 sigma) per axis; scipy's default int(4 sigma + 0.5) is
     # one voxel shorter when 4 sigma has a fraction below one half.
     radius = [max(1, math.ceil(4.0 * s)) for s in sigma_vox]
-    scales = []
-    for orders in _ORDERS:
-        scale = sigma_mm**2
-        for s, order in zip(spacing, orders):
-            scale /= s**order
-        scales.append(scale)
+    scales = [sigma_mm**2 / spacing[0]**o0 / spacing[1]**o1 / spacing[2]**o2
+              for o0, o1, o2 in _ORDERS]
 
     rows = _SLAB_ROWS
     read = rows + 2 * radius[0]     # input rows of one sub-slab, unclipped
     # Each worker writes at least `read` rows, so the workers' buffers (two
-    # of `read` rows and nine of `rows` each) hold about 2 + 9 rows / read
-    # volumes at most, whatever the CPU count.
+    # of `read` rows, six Hessian arrays and up to four sheet-response
+    # temporaries of `rows` rows each) hold about 2 + 10 rows / read volumes
+    # at most, whatever the CPU count.
     size = max(-(-n // parallel.workers()), read)
     span = min(read, n)
 
@@ -82,7 +78,7 @@ def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
 
     def slab(lo, hi):
         data, first = np.empty((span,) + shape[1:]), np.empty((span,) + shape[1:])
-        h = np.empty((9, min(rows, hi - lo)) + shape[1:])
+        h = np.empty((6, min(rows, hi - lo)) + shape[1:])
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             s0, s1 = max(0, a - radius[0]), min(n, b + radius[0])
@@ -94,14 +90,13 @@ def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
                         filt(first[a - s0:b - s0], 1, orders[1], h[k, :b - a])
                         filt(h[k, :b - a], 2, orders[2], h[k, :b - a])
                         h[k, :b - a] *= scales[k]
-            consume(a, b, h[:6, :b - a], h[6:, :b - a])
+            consume(a, b, h[:, :b - a])
 
     parallel.fork_ranges(slab, n, size)
 
 
-def _sheet_response(h, tmp, out) -> None:
-    """max(0, -l'_1) of the Hessians h, written to out; h and tmp are
-    overwritten.
+def _sheet_response(h, out) -> None:
+    """max(0, -l'_1) of the Hessians h, written to out; h is overwritten.
 
     l'_1 = l1 - (tr - l1)/3 belongs to the smallest eigenvalue l1, which
     comes from the trigonometric solution of the characteristic polynomial
@@ -109,59 +104,24 @@ def _sheet_response(h, tmp, out) -> None:
     r = det(H - qI) / (2 p^3), l1 = q + 2p cos(acos(r)/3 + 2 pi/3), so
     l'_1 = q/3 + 4(l1 - q)/3.  A zero Hessian gives exactly 0.
     """
-    hxx, hxy, hxz, hyy, hyz, hzz = h
-    q, t, u = tmp
-    np.add(hxx, hyy, out=q)
-    q += hzz
-    q /= 3.0
-    hxx -= q
-    hyy -= q
-    hzz -= q
+    xx, xy, xz, yy, yz, zz = h
+    q = (xx + yy + zz) / 3.0
+    xx -= q
+    yy -= q
+    zz -= q
     # det(H - qI) by cofactors of the first row.
-    np.multiply(hyy, hzz, out=out)
-    np.multiply(hyz, hyz, out=t)
-    out -= t
-    out *= hxx
-    np.multiply(hxy, hzz, out=t)
-    np.multiply(hyz, hxz, out=u)
-    t -= u
-    t *= hxy
-    out -= t
-    np.multiply(hxy, hyz, out=t)
-    np.multiply(hyy, hxz, out=u)
-    t -= u
-    t *= hxz
-    out += t
+    r = (yy * zz - yz * yz) * xx - (xy * zz - yz * xz) * xy + (xy * yz - yy * xz) * xz
     # p^2 = (|diagonal|^2 + 2 |off-diagonal|^2) / 6
-    for c in h:
-        c *= c
-    hxy += hxz
-    hxy += hyz
-    hxy *= 2.0
-    hxx += hyy
-    hxx += hzz
-    hxx += hxy
-    hxx /= 6.0
-    p = np.sqrt(hxx, out=hxx)
-    np.multiply(p, p, out=t)
-    t *= p
-    t *= 2.0
+    h *= h
+    p = np.sqrt((xx + yy + zz + (xy + xz + yz) * 2.0) / 6.0)
     # p = 0 only where every entry of H - qI squares to 0, so det is 0 too:
     # r = 0 and l1 = q.
-    np.maximum(t, np.finfo(np.float64).tiny, out=t)
-    out /= t
-    np.clip(out, -1.0, 1.0, out=out)
-    np.arccos(out, out=out)
-    out /= 3.0
-    out += 2.0 * math.pi / 3.0
-    np.cos(out, out=out)
-    out *= p
+    r /= np.maximum(p * p * p * 2.0, np.finfo(np.float64).tiny, out=xx)
+    np.clip(r, -1.0, 1.0, out=r)
+    np.cos(np.arccos(r, out=r) / 3.0 + 2.0 * math.pi / 3.0, out=r)
     # -l'_1 = -(q + 4 (l1 - q)) / 3.  As in the eigvalsh form, a zero
     # Hessian gives l'_1 = +0 and a response of np.maximum(0.0, -0.0) = -0.0.
-    out *= 8.0
-    out += q
-    out /= -3.0
-    np.maximum(0.0, out, out=out)
+    np.maximum(0.0, (r * p * 8.0 + q) / -3.0, out=out)
 
 
 def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
@@ -174,8 +134,8 @@ def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
     is negated first so dark sheets (walls between bright lumens) light up,
     and its minimum is subtracted so constant volumes give exact zeros.
 
-    Each sub-slab casts, negates and shifts its own input rows, and the
-    maximum over scales is kept in float32.  Rounding is monotone, so it
+    Each sub-slab writes max(I) - I of its own input rows I, in float64, and
+    the maximum over scales is kept in float32.  Rounding is monotone, so it
     holds the float32 rounding of the float64 maximum, byte for byte.
 
     The Hessian is built one slab of axis-0 rows at a time with the bytes
@@ -191,20 +151,16 @@ def meijering_response(vol: Volume, scales_mm=DEFAULT_SCALES_MM) -> Volume:
     """
     scales = _check_scales(scales_mm, vol.spacing)
     intensity = vol.data
-    # The negated input's minimum, so the filtered volume is
-    # -intensity - shift >= 0.
-    shift = -np.float64(intensity.max())
+    top = np.float64(intensity.max())
 
     def fill(s0, s1, out):
-        out[...] = intensity[s0:s1]
-        np.negative(out, out=out)
-        out -= shift
+        np.subtract(top, intensity[s0:s1], out=out, dtype=np.float64)
 
     response = np.zeros(vol.dims, dtype=np.float32)
     r = parallel.shared_array(vol.dims, np.float64)
     for sigma in scales:
         _hessian_slabs(fill, vol.dims, vol.spacing, sigma,
-                       lambda a, b, h, tmp: _sheet_response(h, tmp, r[a:b]))
+                       lambda a, b, h: _sheet_response(h, r[a:b]))
         peak = r.max()
         if peak > 0:
             r /= peak

@@ -84,18 +84,13 @@ class LabelVolume(Volume):
             raise InvariantError(f"label {missing} has no voxels; labels must be contiguous")
 
 
-def _label_counts(labels: np.ndarray, n: int, inside=None) -> np.ndarray:
-    """Voxels per value 0..n-1 of `labels`, which holds no other value;
-    given `inside`, an array of the same shape, only those where it is
-    nonzero.  Counted one slab of _SLAB_ROWS axis-0 rows at a time:
-    `np.bincount` copies non-intp labels to intp, so only one slab is copied
-    at once."""
+def _label_counts(labels: np.ndarray, n: int) -> np.ndarray:
+    """Voxels per value 0..n-1 of `labels`, which holds no other value.
+    Counted one slab of _SLAB_ROWS axis-0 rows at a time: `np.bincount`
+    copies non-intp labels to intp, so only one slab is copied at once."""
     counts = np.zeros(n, dtype=np.int64)
     for lo in range(0, labels.shape[0], _SLAB_ROWS):
-        slab = labels[lo : lo + _SLAB_ROWS]
-        if inside is not None:
-            slab = slab[inside[lo : lo + _SLAB_ROWS] != 0]
-        counts += np.bincount(slab.ravel(), minlength=n)
+        counts += np.bincount(labels[lo : lo + _SLAB_ROWS].ravel(), minlength=n)
     return counts
 
 

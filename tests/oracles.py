@@ -551,6 +551,59 @@ def sheet_response_eigvalsh(hessian) -> np.ndarray:
     return np.maximum(0.0, -(eigs[..., 0] - (eigs[..., 1] + eigs[..., 2]) / 3.0))
 
 
+def sheet_response_in_place(h, tmp, out) -> None:
+    """`ridge._sheet_response` as one in-place numpy step per line over the
+    three scratch arrays `tmp`; h and tmp are overwritten.  The wall filter
+    keeps this order of operations, so it must match bit for bit."""
+    hxx, hxy, hxz, hyy, hyz, hzz = h
+    q, t, u = tmp
+    np.add(hxx, hyy, out=q)
+    q += hzz
+    q /= 3.0
+    hxx -= q
+    hyy -= q
+    hzz -= q
+    np.multiply(hyy, hzz, out=out)
+    np.multiply(hyz, hyz, out=t)
+    out -= t
+    out *= hxx
+    np.multiply(hxy, hzz, out=t)
+    np.multiply(hyz, hxz, out=u)
+    t -= u
+    t *= hxy
+    out -= t
+    np.multiply(hxy, hyz, out=t)
+    np.multiply(hyy, hxz, out=u)
+    t -= u
+    t *= hxz
+    out += t
+    for c in h:
+        c *= c
+    hxy += hxz
+    hxy += hyz
+    hxy *= 2.0
+    hxx += hyy
+    hxx += hzz
+    hxx += hxy
+    hxx /= 6.0
+    p = np.sqrt(hxx, out=hxx)
+    np.multiply(p, p, out=t)
+    t *= p
+    t *= 2.0
+    np.maximum(t, np.finfo(np.float64).tiny, out=t)
+    out /= t
+    np.clip(out, -1.0, 1.0, out=out)
+    np.arccos(out, out=out)
+    out /= 3.0
+    out += 2.0 * math.pi / 3.0
+    np.cos(out, out=out)
+    out *= p
+    out *= 8.0
+    out += q
+    out /= -3.0
+    np.maximum(0.0, out, out=out)
+
+
 def meijering_response_whole_volume(vol: Volume, scales_mm) -> Volume:
     """`ridge.meijering_response` from the whole-volume Hessian and eigvalsh."""
     src = Volume(-vol.data.astype(np.float64), vol.spacing, vol.origin)

@@ -179,6 +179,14 @@ class TestPhantomCommand:
         assert cli.main(["phantom", str(spec), str(tmp_path / "o")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_nan_noise_exits_config(self, tmp_path, capsys):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("dims: 64 28 28\ninner_radius: 12\nbends: 0\ntouch_pairs: 0\n"
+                        "noise_sigma: nan\n")
+        assert cli.main(["phantom", str(spec), str(tmp_path / "o"), "--quiet"]) == 2
+        assert "config error: noise_sigma must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_tracking_does_not_import_the_generator(self):
         # A fresh interpreter: this test process has imported the phantom.
         code = ("import sys, boweltrack.cli, boweltrack.pipeline; print(*sorted(m for m in "

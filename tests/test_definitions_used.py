@@ -1,6 +1,7 @@
 """Every function, class and method the package defines is used by the
 package, the bench or the scripts: code that only the tests call is a test
-oracle, and lives in the tests."""
+oracle, and lives in the tests.  And every function reads each of its
+parameters: one it ignores is a leftover of an old signature."""
 
 import ast
 import re
@@ -39,3 +40,29 @@ def test_every_definition_is_used_outside_the_tests():
             if len(re.findall(rf"\b{name}\b", text)) <= defined:
                 unused.append(f"{path.stem}.{qualname}")
     assert unused == []
+
+
+def unread_parameters(tree):
+    """(function name, parameter) for each parameter of a `def` in `tree`
+    that its body, nested definitions included, never reads; lambdas are
+    not checked."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        read |= {node.target.id for stmt in fn.body for node in ast.walk(stmt)
+                 if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name)}
+        found += [(fn.name, p) for p in params if p not in read]
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.stem}.{name}({param})"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for name, param in unread_parameters(ast.parse(path.read_text()))]
+    assert unread == []

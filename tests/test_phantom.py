@@ -1,5 +1,7 @@
 """Phantom generator: geometry promises checked by brute force on the grid."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -268,6 +270,15 @@ class TestSpecValidation:
     def test_invalid_spec_fields(self, kwargs):
         with pytest.raises(ConfigError):
             PhantomSpec(**kwargs)
+
+    @pytest.mark.parametrize("field", ["inner_radius", "wall_thickness", "lumen_intensity",
+                                       "wall_intensity", "background_intensity", "noise_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_fields(self, field, value):
+        # nan noise once gave a silently noise-free phantom, a nan radius a
+        # bare ValueError naming no field.
+        with pytest.raises(ConfigError, match=f"^{field} must be finite, got {value}$"):
+            PhantomSpec(**{field: value})
 
 
 class TestSpecFile:

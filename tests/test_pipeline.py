@@ -141,10 +141,8 @@ class TestStageTable:
 
     @pytest.mark.parametrize("stage", pipeline.STAGES, ids=lambda stage: stage.name)
     def test_roles_name_pipeline_functions(self, stage):
-        for role in ("compute", "save", "load", "check"):
+        for role in ("compute", "save", "load"):
             name = getattr(stage, role)
-            if role == "check" and name is None:
-                continue
             assert isinstance(name, str), f"{stage.name} {role} is {name!r}, not a name"
             assert callable(getattr(pipeline, name, None)), f"pipeline has no {name}"
         kinds = [p.kind for p in
@@ -164,6 +162,21 @@ class TestBaselineStraight:
         # No folds to cut through, so the two methods trace the same tube.
         proposed_arc = straight["result"].route.polyline.arc_length()
         assert abs(result.route.polyline.arc_length() - proposed_arc) <= 0.1 * proposed_arc
+
+    def test_stale_must_pass_ignored(self, straight, tmp_path):
+        # The baseline reads no must-pass set, so a stale one in its output
+        # directory is neither checked nor rewritten.
+        out = tmp_path / "out"
+        shutil.copytree(straight["config"].output_dir, out)
+        path = out / ARTIFACTS["must_pass"]
+        must_pass = load_must_pass(str(path))
+        must_pass.node_ids[0] = 10**6     # past the masked graph's last node
+        save_must_pass(must_pass, str(path))
+        stale = path.read_bytes()
+        config = make_config(straight["paths"], straight["gt"], str(out))
+        result = run_baseline(config)
+        assert [rec.name for rec in result.stages] == ["ridge", "slic", "rag", "route"]
+        assert path.read_bytes() == stale
 
 
 class TestResumeAndDeterminism:

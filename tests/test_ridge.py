@@ -18,6 +18,7 @@ from oracles import (
     gaussian_hessian,
     meijering_response_whole_volume,
     sheet_response_eigvalsh,
+    sheet_response_in_place,
 )
 from stage_rule import stage_rejects
 
@@ -50,9 +51,8 @@ def slab_hessian(vol, sigma_mm):
     out.fill(np.nan)
     cover = parallel.shared_array(vol.dims[0], np.int64)
 
-    def keep(a, b, h, tmp):
+    def keep(a, b, h):
         assert h.shape == (6, b - a) + vol.dims[1:]
-        assert tmp.shape == (3, b - a) + vol.dims[1:]
         out[:, a:b] = h
         cover[a:b] += 1
 
@@ -318,10 +318,11 @@ class TestSlabs:
     @pytest.mark.parametrize("workers", [2, 8, 16])
     def test_worker_memory_bounded(self, monkeypatch, workers):
         # Each range, in this process or a forked worker, allocates only its
-        # sub-slab buffers on top of what the process held: 0.88 volumes
-        # today, two of `read` rows and nine of 8 rows.  A worker writes at
-        # least one sub-slab's input rows, so past 8 workers there are fewer
-        # ranges than workers.
+        # sub-slab buffers on top of what the process held: 0.94 volumes
+        # today, two of `read` rows, six Hessian arrays of 8 rows and the
+        # sheet response's temporaries.  A worker writes at least one
+        # sub-slab's input rows, so past 8 workers there are fewer ranges
+        # than workers.
         monkeypatch.setattr(parallel, "workers", lambda: workers)
         vol = memory_phantom()
         peaks = range_peaks(monkeypatch, meijering_response, vol)
@@ -360,7 +361,7 @@ def rotated_hessians(spectra, seed):
 
 def closed_form(h):
     out = np.empty(h.shape[1:])
-    ridge._sheet_response(h.copy(), np.empty((3,) + h.shape[1:]), out)
+    ridge._sheet_response(h.copy(), out)
     return out
 
 
@@ -421,3 +422,35 @@ class TestClosedForm:
         for h in (axis_aligned, rotated_hessians(spectra, 9)):
             assert np.max(np.abs(closed_form(h) + lam) / -lam) <= SEPARATED_BOUND
             assert relative_error(h).max() <= SEPARATED_BOUND
+
+
+def special_hessians(seed):
+    """Six-component Hessians over the cases where rounding and signs are
+    easiest to change: random entries, zeros with either sign, isotropic
+    matrices (p = 0), small integers and magnitudes near 1e+-150."""
+    rng = np.random.default_rng(seed)
+    n = 20_000
+    cases = [rng.normal(size=(6, n)),
+             np.zeros((6, 64)),
+             -np.zeros((6, 64)),
+             rng.choice([0.0, -0.0], size=(6, 64)),
+             rng.integers(-3, 4, size=(6, n)).astype(np.float64)]
+    iso = np.zeros((6, 1000))
+    iso[[0, 3, 5]] = rng.normal(size=1000)
+    cases.append(iso)
+    for exponent in (-150, 150):
+        cases.append(rng.normal(size=(6, n)) * 10.0**exponent)
+    mixed = rng.normal(size=(6, n))
+    mixed[rng.random((6, n)) < 0.3] = 0.0
+    cases.append(mixed)
+    return np.concatenate(cases, axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sheet_response_matches_in_place_oracle_bitwise(seed):
+    h = special_hessians(seed)
+    want = np.empty(h.shape[1:])
+    with np.errstate(all="ignore"):     # 1e+-150 entries overflow to NaN in both
+        sheet_response_in_place(h.copy(), np.empty((3,) + h.shape[1:]), want)
+        got = closed_form(h)
+    assert got.tobytes() == want.tobytes()
