@@ -16,9 +16,11 @@ from .volume_io import Polyline
 # Conventions the numbers depend on; repeated in every emitted report.
 RESAMPLE_STEP_MM = 1.0
 REVERSAL_SLACK_MM = 2.0
-# Point-segment pairs per distance chunk: bounds the (chunk, segments, 3)
+# Point-segment pairs per distance piece: bounds the (points, segments, 3)
 # float64 temporaries to about 1.5 MB each.
 _CHUNK_PAIRS = 1 << 16
+# Points per distance chunk, and segments per bounding-box block.
+_CHUNK_POINTS, _BLOCK_SEGMENTS = 64, 32
 
 
 @dataclass
@@ -89,34 +91,58 @@ def resample_polyline(line: Polyline, step: float) -> Polyline:
     return Polyline(pts)
 
 
+def _pair_distances(p, a, d, seg_len2):
+    """(squared distance, foot t) of each point p to each segment a + t d."""
+    diff = p[:, None, :] - a[None, :, :]                  # (c, s, 3)
+    t = np.einsum("csk,sk->cs", diff, d) / seg_len2
+    np.clip(t, 0.0, 1.0, out=t)
+    proj = diff - t[:, :, None] * d[None, :, :]
+    return np.einsum("csk,csk->cs", proj, proj), t
+
+
+def _box_gap2(lo, hi, box_lo, box_hi) -> np.ndarray:
+    """Squared distance from the box lo..hi to each box box_lo..box_hi."""
+    return np.sum(np.maximum(np.maximum(box_lo - hi, lo - box_hi), 0.0) ** 2, axis=1)
+
+
 def _point_segment_distances(points: np.ndarray, curve: Polyline) -> tuple[np.ndarray, np.ndarray]:
     """Distance of each point to the curve and the arc position of the foot.
 
     Returns (distances, arc_positions), both shape (n,). Exact per-segment
-    projection, minimized over all segments.
+    projection, minimized over all segments; ties go to the first segment.
+    Each chunk of _CHUNK_POINTS points scores, in index order, the blocks of
+    _BLOCK_SEGMENTS whose bounding box lies within its worst distance to the
+    block nearest its center, plus a rounding margin: no other block holds
+    a point's nearest segment.
     """
-    a = curve.points[:-1]                     # (s, 3)
-    d = curve.points[1:] - a                  # (s, 3)
+    a, b = curve.points[:-1], curve.points[1:]  # (s, 3)
+    d = b - a
     seg_len2 = np.einsum("ij,ij->i", d, d)
     arc0 = curve.cumulative_arc()[:-1]
     seg_len = np.sqrt(seg_len2)
+    firsts = np.arange(0, len(a), _BLOCK_SEGMENTS)
+    box_lo = np.minimum.reduceat(np.minimum(a, b), firsts)
+    box_hi = np.maximum.reduceat(np.maximum(a, b), firsts)
 
-    n = points.shape[0]
-    best = np.full(n, np.inf)
-    best_arc = np.zeros(n)
-    # Chunk over points to bound the (chunk, segments) temporaries.
-    chunk = max(1, _CHUNK_PAIRS // max(1, a.shape[0]))
-    for start in range(0, n, chunk):
-        p = points[start:start + chunk]                       # (c, 3)
-        diff = p[:, None, :] - a[None, :, :]                  # (c, s, 3)
-        t = np.einsum("csk,sk->cs", diff, d) / seg_len2
-        np.clip(t, 0.0, 1.0, out=t)
-        proj = diff - t[:, :, None] * d[None, :, :]
-        dist2 = np.einsum("csk,csk->cs", proj, proj)
-        idx = np.argmin(dist2, axis=1)
-        rows = np.arange(p.shape[0])
-        best[start:start + chunk] = np.sqrt(dist2[rows, idx])
-        best_arc[start:start + chunk] = arc0[idx] + t[rows, idx] * seg_len[idx]
+    best, best_arc = np.empty(len(points)), np.empty(len(points))
+    for start in range(0, len(points), _CHUNK_POINTS):
+        p = points[start:start + _CHUNK_POINTS]                # (c, 3)
+        lo, hi = p.min(axis=0), p.max(axis=0)
+        near = firsts[np.argmin(_box_gap2((lo + hi) / 2.0, (lo + hi) / 2.0, box_lo, box_hi))]
+        near = slice(near, near + _BLOCK_SEGMENTS)
+        worst = _pair_distances(p, a[near], d[near], seg_len2[near])[0].min(axis=1).max()
+        margin = 1e-9 * (worst + np.sum((np.maximum(hi, box_hi) - np.minimum(lo, box_lo)) ** 2, 1))
+        kept = firsts[_box_gap2(lo, hi, box_lo, box_hi) <= worst + margin]
+        segs = np.concatenate([np.arange(f, min(f + _BLOCK_SEGMENTS, len(a))) for f in kept])
+        # Points per piece: bounds the (points, segments) temporaries.
+        piece = max(1, _CHUNK_PAIRS // len(segs))
+        for i in range(start, start + len(p), piece):
+            dist2, t = _pair_distances(points[i:min(i + piece, start + len(p))], a[segs], d[segs],
+                                       seg_len2[segs])
+            idx = np.argmin(dist2, axis=1)
+            rows = np.arange(len(idx))
+            best[i:i + len(idx)] = np.sqrt(dist2[rows, idx])
+            best_arc[i:i + len(idx)] = arc0[segs[idx]] + t[rows, idx] * seg_len[segs[idx]]
     return best, best_arc
 
 

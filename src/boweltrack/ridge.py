@@ -7,7 +7,9 @@ response below turns into a wall likelihood in [0, 1].
 
 from __future__ import annotations
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 from scipy import ndimage
@@ -24,7 +26,8 @@ _ORDERS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 
 def _check_scales(scales_mm, spacing) -> tuple:
-    """The scales as floats, each one checked before any filtering."""
+    """The scales as floats, each one checked before any filtering: one below
+    the smallest spacing raises, one below another axis's spacing warns."""
     scales = tuple(float(s) for s in scales_mm)
     for sigma_mm in scales:
         if sigma_mm < min(spacing):
@@ -32,6 +35,10 @@ def _check_scales(scales_mm, spacing) -> tuple:
                 f"sigma_mm {sigma_mm} below voxel spacing {min(spacing)}; "
                 "the kernel would be undersampled"
             )
+    for sigma_mm, (axis, sp) in itertools.product(scales, enumerate(spacing)):
+        if sigma_mm < sp:
+            warnings.warn(f"sigma_mm {sigma_mm} below axis {axis}'s voxel spacing {float(sp)}; "
+                          "the kernel is undersampled along that axis", stacklevel=3)
     return scales
 
 

@@ -15,6 +15,8 @@ smaller D.  The step computes the pair for batches of clusters whose windows
 have the same shape, and keeps a running minimum over the batches: a voxel
 whose D drops takes the batch's lowest winning id, and on an equal D the
 lower id stays.  The minimum does not depend on the order of the batches.
+Each step after the first starts from the one before and skips only pairs
+that provably lose (see `_assign`): the labels are those of every pair.
 Each worker runs the step on one axis-0 slab of the volume, with every
 window clipped to the slab, and writes the slab's rows of the label and
 distance buffers; slabs share no voxel, so the labels do not depend on the
@@ -28,6 +30,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
@@ -343,49 +346,126 @@ def _relabel(labels: np.ndarray, table: np.ndarray) -> None:
         labels[lo : lo + _SLAB_ROWS] = table[labels[lo : lo + _SLAB_ROWS]]
 
 
+def _running_max(block: np.ndarray, width) -> np.ndarray:
+    """out[i, j, k] = max of block[i : i + w0, j : j + w1, k : k + w2], with
+    w_a = min(width[a], block.shape[a]), from runs that double in length."""
+    for a, w in enumerate(width):
+        cut, run, w = (slice(None),) * a, 1, min(w, block.shape[a])
+        while run < w:
+            step = min(run, w - run)
+            block = np.maximum(block[cut + (slice(0, -step),)], block[cut + (slice(step, None),)])
+            run += step
+    return block
+
+
+def _cut_windows(lo, hi, centers, reach, axis_pos) -> None:
+    """Cuts the windows lo..hi (one row per cluster) in place to `reach` mm."""
+    for a in range(3):
+        np.maximum(lo[:, a], np.searchsorted(axis_pos[a], centers[:, a] - reach), out=lo[:, a])
+        np.minimum(hi[:, a], np.searchsorted(axis_pos[a], centers[:, a] + reach, side="right"),
+                   out=hi[:, a])
+
+
 def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-            best_label, best_dist):
+            best_label, best_dist, prev=None):
     """One SLIC assignment step.  Every voxel gets the smallest (distance,
     cluster id) pair among the clusters whose window covers it: fills
     `best_label` with the winning cluster id per voxel, -1 where no window
     covers the voxel, and `best_dist` with its distance.  Both are
-    `parallel.shared_array` buffers, which the worker processes write."""
+    `parallel.shared_array` buffers, which the worker processes write.
+
+    After the first step, `prev` holds the previous step's (centers,
+    cluster_feat, cluster_m) and the buffers its labels and distances; a
+    cluster whose values keep their bits is unchanged.  (1) Each voxel is
+    seeded with its previous cluster's distance, in the batches' order of
+    operations, or (-1, inf) where that window no longer covers it: a real
+    candidate pair.  (2) An unchanged cluster is scored only if its window
+    holds a voxel whose cluster changed or that no window covered: it lost
+    every other voxel, at the same distances, to an unchanged cluster.
+    (3) A scored window is cut to R = M / (m_i / step) from the center along
+    each axis, M its largest seed: beyond R, D >= (m_i / step) |x - c_i| > M.
+    R is raised by 1e-9 relative and 1e-6 mm for the rounding of D, c_i +- R.
+    """
     dims = feat.shape
     n_clusters = len(centers)
-    flat_label, flat_feat, flat_dist = best_label.ravel(), feat.ravel(), best_dist.ravel()
+    flat_label, flat_dist = best_label.ravel(), best_dist.ravel()
     # Broadcast per-axis (batch, n_a) terms to (batch, n_x, n_y, n_z).
     expand = [(slice(None), slice(None), None, None),
               (slice(None), None, slice(None), None),
               (slice(None), None, None, slice(None))]
 
-    lo = np.stack([np.searchsorted(axis_pos[a], centers[:, a] - window) for a in range(3)], 1)
-    hi = np.stack(
-        [np.searchsorted(axis_pos[a], centers[:, a] + window, side="right") for a in range(3)], 1
-    )
+    lo, hi = np.zeros((n_clusters, 3), dtype=np.intp), np.tile(np.intp(dims), (n_clusters, 1))
+    _cut_windows(lo, hi, centers, window, axis_pos)
+    scale = cluster_m / step
+    # changed[-1], read for label -1, is True: a voxel no window covers.
+    changed = np.ones(n_clusters + 1, dtype=bool)
+    if prev is not None:
+        changed[:-1] = np.any(np.column_stack((centers, cluster_feat, cluster_m)).view(np.uint64)
+                              != np.column_stack(prev).view(np.uint64), axis=1)
+    width = (hi - lo).max(axis=0)
+    # Axis-0 rows per seeding and window-maximum block: _BATCH_VOXELS voxels.
+    rows = max(1, _BATCH_VOXELS // (dims[1] * dims[2]))
+
+    def seed(r0, r1):
+        """Seeds rows r0..r1 with each voxel's previous cluster."""
+        lab, dist = best_label[r0:r1], best_dist[r0:r1]
+        cover, d = np.ones(lab.shape, dtype=bool), np.zeros(lab.shape)
+        for a, pos in enumerate(np.ix_(axis_pos[0][r0:r1], axis_pos[1], axis_pos[2])):
+            c = centers[:, a].take(lab)
+            # The window's bounds, as `np.searchsorted` compares them.
+            cover &= (c - window <= pos) & (pos <= c + window)
+            d += (pos - c) ** 2
+        np.sqrt(d, out=d)
+        d *= scale.take(lab)
+        d += np.abs(np.subtract(feat[r0:r1], cluster_feat.take(lab), dtype=np.float64))
+        dist[...] = np.where(cover, d, np.inf)
+        lab[~cover] = -1
+
+    def window_max(values, row0, row1, corners):
+        """Per corner, the maximum of values(a, b) over a `width` box holding its window."""
+        out = np.zeros(len(corners), dtype=values(row0, row0).dtype)
+        for r in range(row0, row1, rows):
+            sel = np.flatnonzero((corners[:, 0] >= r) & (corners[:, 0] < r + rows))
+            if len(sel):
+                box = _running_max(values(r, min(r + rows + width[0] - 1, row1)), width)
+                at = np.minimum(corners[sel] - (r, 0, 0), np.array(box.shape) - 1)
+                out[sel] = box[tuple(at.T)]
+        return out
 
     def slab(row0, row1):
         """The step for axis-0 rows row0..row1: every window is clipped to
         them, so no two slabs write the same voxel."""
-        best_label[row0:row1] = -1
-        best_dist[row0:row1] = np.inf
         lo_s, hi_s = lo.copy(), hi.copy()
         lo_s[:, 0] = np.clip(lo[:, 0], row0, row1)
         hi_s[:, 0] = np.clip(hi[:, 0], row0, row1)
+        if prev is None:
+            best_label[row0:row1], best_dist[row0:row1] = -1, np.inf
+        else:
+            for r in range(row0, row1, rows):
+                seed(r, min(r + rows, row1))
+            flagged = window_max(lambda a, b: changed[best_label[a:b]], row0, row1, lo_s)
+            top = window_max(lambda a, b: best_dist[a:b], row0, row1, lo_s)
+            reach = np.divide(top, scale, out=np.full(n_clusters, np.inf), where=scale > 0)
+            reach = reach * (1 + 1e-9) + 1e-6
+            reach[~(changed[:-1] | flagged)] = -np.inf
+            _cut_windows(lo_s, hi_s, centers, reach, axis_pos)
+        live = np.flatnonzero(np.all(hi_s > lo_s, axis=1))
         extent = hi_s - lo_s
-        live = np.flatnonzero(np.all(extent > 0, axis=1))
         # Clusters whose windows have the same shape share a batch.  Ids of
         # the labels' type keep `np.minimum.at` on its fast path.
         live = live[np.lexsort(extent[live].T[::-1])].astype(best_label.dtype)
         cuts = np.flatnonzero(np.any(np.diff(extent[live], axis=0) != 0, axis=1)) + 1
 
-        for group in np.split(live, cuts):
-            shape = extent[group[0]]
+        for group in filter(len, np.split(live, cuts)):
+            shape = tuple(extent[group[0]])
             # Flat index of each window voxel relative to the window's corner.
             offsets = np.ravel_multi_index(np.indices(shape).reshape(3, -1), dims)
+            feat_win = sliding_window_view(feat, shape)
+            dist_win = sliding_window_view(best_dist, shape)
             batch = max(1, _BATCH_VOXELS // len(offsets))
             for start in range(0, len(group), batch):
                 ids = group[start : start + batch]
-                vox = (np.ravel_multi_index(lo_s[ids].T, dims)[:, None] + offsets).ravel()
+                corner = tuple(lo_s[ids].T)
                 sq = []
                 for a in range(3):
                     pos = lo_s[ids, a, None] + np.arange(shape[a])
@@ -394,25 +474,29 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
                 # dist = |f - f_i| + (m_i / step) * sqrt((dx^2 + dy^2) + dz^2).
                 ds = sq[0] + sq[1] + sq[2]
                 np.sqrt(ds, out=ds)
-                df = np.subtract(flat_feat.take(vox).reshape(ds.shape),
-                                 cluster_feat[ids, None, None, None], dtype=np.float64)
+                df = feat_win[corner].astype(np.float64)
+                df -= cluster_feat[ids, None, None, None]
                 np.abs(df, out=df)
-                ds *= (cluster_m[ids] / step)[:, None, None, None]
-                ds += df
-                dist = ds.ravel()
+                ds *= scale[ids, None, None, None]
+                df += ds
+                dist = df.ravel()
+                del ds
 
                 # Running minimum of (dist, id): a voxel whose distance drops
                 # is reset to n_clusters, above every id, and takes the
                 # batch's lowest winning id; on an equal distance the lower
                 # id stays.  Neither depends on the order of the batches.
-                prev = flat_dist.take(vox)
-                sel = np.flatnonzero(dist <= prev)
-                vox, dist, prev = vox.take(sel), dist.take(sel), prev.take(sel)
+                prev_dist = dist_win[corner].ravel()
+                sel = np.flatnonzero(dist <= prev_dist)
+                dist, prev_dist = dist.take(sel), prev_dist.take(sel)
+                which, sel = np.divmod(sel, len(offsets))
+                vox = np.ravel_multi_index(corner, dims).take(which)
+                vox += offsets.take(sel)
                 np.minimum.at(flat_dist, vox, dist)
                 win = np.flatnonzero(dist == flat_dist.take(vox))
-                sel, vox = sel.take(win), vox.take(win)
-                flat_label[vox[dist.take(win) < prev.take(win)]] = n_clusters
-                np.minimum.at(flat_label, vox, ids[sel // len(offsets)])
+                which, vox = which.take(win), vox.take(win)
+                flat_label[vox[dist.take(win) < prev_dist.take(win)]] = n_clusters
+                np.minimum.at(flat_label, vox, ids[which])
 
     # One slab per worker process; the first runs in this one.  More slabs
     # measured slower: the windows cut at slab borders form more, smaller
@@ -491,9 +575,10 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
     # labels before the next step overwrites them.
     best_label = parallel.shared_array(dims, np.int32)
     best_dist = parallel.shared_array(dims, np.float64)
+    prev = None
     for _ in range(SLIC_ITERATIONS):
         _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-                best_label, best_dist)
+                best_label, best_dist, prev)
         stray = best_label < 0
         if stray.any():
             coords = np.argwhere(stray)
@@ -511,6 +596,7 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
         # assigned by: rounding is monotone, so it is reached at an extreme.
         spread = np.maximum(fmax - cluster_feat, cluster_feat - fmin)
         occupied = counts > 0
+        prev = centers.copy(), cluster_feat.copy(), cluster_m.copy()
         centers[occupied] = (sums[:, occupied] / counts[occupied]).T
         cluster_feat[occupied] = fsums[occupied] / counts[occupied]
         cluster_m[occupied] = np.maximum(float(compactness), spread[occupied])

@@ -208,11 +208,12 @@ def seed_grid_loop(feature, step: float):
 
 
 def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-                       best_label, best_dist):
+                       best_label, best_dist, prev=None):
     """SLIC assignment step of `supervoxel._assign`, one cluster window at a
     time in id order; a cluster takes a voxel only on a strictly smaller
     distance.  Fills `best_label` with the winning cluster id per voxel, -1
-    if none, and `best_dist` with its distance."""
+    if none, and `best_dist` with its distance.  Every step starts from
+    scratch: the previous step's state `prev` is not read."""
     n_clusters = len(centers)
     best_label.fill(-1)
     best_dist.fill(np.inf)
@@ -702,8 +703,35 @@ def neighbors(rag: Rag, node: int):
     return adj.indices[sl], adj.data[sl]
 
 
+def point_segment_distances_all_pairs(points: np.ndarray, curve: Polyline):
+    """`metrics._point_segment_distances` scoring every point against every
+    segment, a chunk of points at a time: (distances, arc positions)."""
+    a = curve.points[:-1]                     # (s, 3)
+    d = curve.points[1:] - a                  # (s, 3)
+    seg_len2 = np.einsum("ij,ij->i", d, d)
+    arc0 = curve.cumulative_arc()[:-1]
+    seg_len = np.sqrt(seg_len2)
+
+    n = points.shape[0]
+    best = np.full(n, np.inf)
+    best_arc = np.zeros(n)
+    chunk = max(1, metrics._CHUNK_PAIRS // max(1, a.shape[0]))
+    for start in range(0, n, chunk):
+        p = points[start:start + chunk]                       # (c, 3)
+        diff = p[:, None, :] - a[None, :, :]                  # (c, s, 3)
+        t = np.einsum("csk,sk->cs", diff, d) / seg_len2
+        np.clip(t, 0.0, 1.0, out=t)
+        proj = diff - t[:, :, None] * d[None, :, :]
+        dist2 = np.einsum("csk,csk->cs", proj, proj)
+        idx = np.argmin(dist2, axis=1)
+        rows = np.arange(p.shape[0])
+        best[start:start + chunk] = np.sqrt(dist2[rows, idx])
+        best_arc[start:start + chunk] = arc0[idx] + t[rows, idx] * seg_len[idx]
+    return best, best_arc
+
+
 def point_to_curve_distance(points: np.ndarray, curve: Polyline) -> np.ndarray:
-    return metrics._point_segment_distances(np.asarray(points, dtype=np.float64), curve)[0]
+    return point_segment_distances_all_pairs(np.asarray(points, dtype=np.float64), curve)[0]
 
 
 def match_paths(pred: Polyline, gt: Polyline, tol: float) -> tuple[int, int, int, float, float]:
@@ -730,7 +758,7 @@ def curve_to_curve_distance(pred: Polyline, gt: Polyline) -> float:
 def max_error_free_length(pred: Polyline, gt: Polyline, tol: float) -> float:
     """Longest GT arc stretch tracked without error (see
     `metrics._error_free_length`)."""
-    dist, arc_on_pred = metrics._point_segment_distances(gt.points, pred)
+    dist, arc_on_pred = point_segment_distances_all_pairs(gt.points, pred)
     return metrics._error_free_length(dist, arc_on_pred, gt.cumulative_arc(), tol)
 
 

@@ -7,7 +7,8 @@ from boweltrack import Polyline, metrics
 from boweltrack.metrics import evaluate, resample_polyline
 from memory import traced_peak
 from oracles import (curve_to_curve_distance, error_free_length_loop, match_paths,
-                     max_error_free_length, point_to_curve_distance)
+                     max_error_free_length, point_segment_distances_all_pairs,
+                     point_to_curve_distance)
 
 
 def straight(length, n=2, offset=(0.0, 0.0, 0.0)):
@@ -265,6 +266,49 @@ def test_distances_independent_of_chunk_size(monkeypatch, pairs):
     got = metrics._point_segment_distances(points, curve)
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+def random_walk(rng, n, step=3.0):
+    return Polyline(np.cumsum(rng.normal(scale=step, size=(n, 3)), axis=0))
+
+
+def hairpin(gap):
+    """Out along x for 200 mm and back at `gap` mm: every point has a
+    near-tie between the two legs."""
+    t = np.linspace(0.0, 200.0, 81)
+    out = np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=1)
+    back = out[::-1] + (0.0, gap, 0.0)
+    return Polyline(np.concatenate([out, back]))
+
+
+def curve_pairs():
+    rng = np.random.default_rng(11)
+    pairs = [tuple(random_walk(rng, int(rng.integers(2, 400))) for _ in range(2))
+             for _ in range(30)]
+    for gap in (1e-9, 0.5, 4.0):
+        loop = resample_polyline(hairpin(gap), 1.0)
+        pairs += [(loop, loop), (resample_polyline(wiggly_polyline(int(gap)), 0.5), loop)]
+    # Near-parallel lines: distances differ in the last bits.
+    x = np.linspace(0.0, 300.0, 301)
+    line = Polyline(np.stack([x, np.zeros_like(x), np.zeros_like(x)], axis=1))
+    tilted = Polyline(np.stack([x, 1.0 + 1e-12 * x, np.zeros_like(x)], axis=1))
+    pairs += [(line, tilted), (tilted, line)]
+    # Two-point curves against long ones, both ways.
+    seg = straight(150.0, offset=(10.0, 3.0, -2.0))
+    pairs += [(seg, tilted), (tilted, seg), (seg, seg)]
+    return pairs
+
+
+@pytest.mark.parametrize("k", range(len(curve_pairs())))
+def test_distances_match_all_pairs_bitwise(k):
+    """Skipping the blocks of segments farther than a first block changes
+    no distance, arc position or tie."""
+    a, b = curve_pairs()[k]
+    for points, curve in ((a.points, b), (b.points, a)):
+        got = metrics._point_segment_distances(points, curve)
+        expected = point_segment_distances_all_pairs(points, curve)
+        for x, y in zip(got, expected):
+            assert x.tobytes() == y.tobytes()
 
 
 def test_evaluate_memory_bounded():

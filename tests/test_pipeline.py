@@ -15,7 +15,7 @@ import pytest
 
 from boweltrack.config import TrackingConfig
 from boweltrack.errors import ConfigError, FormatError, InfeasibleError
-from boweltrack import parallel, pipeline
+from boweltrack import metrics, parallel, pipeline
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.pipeline import (
     ARTIFACTS,
@@ -28,6 +28,7 @@ from boweltrack.pipeline import (
 )
 from boweltrack.sampling import MustPassSet
 from boweltrack.volume_io import Volume, load_polyline, load_volume, save_volume
+from oracles import point_segment_distances_all_pairs
 
 STRAIGHT = PhantomSpec(dims=(64, 28, 28), spacing=(2.0, 2.0, 2.0), inner_radius=12.0,
                        bends=0, touch_pairs=0, seed=3)
@@ -91,6 +92,17 @@ class TestTrackArtifacts:
     def test_route_matches_saved_polyline(self, straight):
         saved = load_polyline(straight["result"].artifacts["route"])
         assert np.array_equal(saved.points, straight["result"].route.polyline.points)
+
+    def test_route_distances_match_all_pairs_bitwise(self, straight):
+        """The evaluation's pruned distances of the route to its GT, and
+        back, are those of scoring every segment."""
+        route, gt = (metrics.resample_polyline(line, metrics.RESAMPLE_STEP_MM)
+                     for line in (straight["result"].route.polyline, straight["gt"]))
+        for points, curve in ((route.points, gt), (gt.points, route)):
+            got = metrics._point_segment_distances(points, curve)
+            expected = point_segment_distances_all_pairs(points, curve)
+            for x, y in zip(got, expected):
+                assert x.tobytes() == y.tobytes()
 
     def test_route_endpoints_near_gt(self, straight):
         gt = straight["gt"]

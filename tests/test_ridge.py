@@ -115,6 +115,16 @@ class TestGaussianHessian:
         with pytest.raises(ValueError, match="spacing"):
             meijering_response(vol, scales_mm=(1.0,))
 
+    def test_sigma_below_one_axis_spacing_warns(self):
+        # 2 x 2 x 4 mm: the default 2 and 3 mm scales are below the z
+        # spacing, half a voxel and 3/4 of one.
+        vol = make_volume(np.random.default_rng(1).random((12, 12, 8)), spacing=(2.0, 2.0, 4.0))
+        with pytest.warns(UserWarning) as caught:
+            meijering_response(vol, scales_mm=ridge.DEFAULT_SCALES_MM)
+        assert [str(w.message) for w in caught] == [
+            f"sigma_mm {s} below axis 2's voxel spacing 4.0; "
+            "the kernel is undersampled along that axis" for s in (2.0, 3.0)]
+
     def test_bad_sigma_rejected(self, tmp_path):
         for sigma in (0.0, -1.0, float("nan"), float("inf")):
             message = stage_rejects("ridge", [(sigma,)], tmp_path)

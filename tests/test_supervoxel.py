@@ -45,6 +45,16 @@ def random_feature(seed, dims=(18, 15, 12), spacing=(2.0, 2.0, 2.5)):
     return Volume(data.astype(np.float32), spacing, (0.0, 0.0, 0.0))
 
 
+def blocky_feature(seed, dims=(18, 15, 12), block=3, levels=4):
+    """Cubes of `block` voxels at random levels, at 1 mm: one cube per
+    seed-grid cell when the target volume is block^3."""
+    rng = np.random.default_rng(seed)
+    cubes = rng.integers(0, levels, tuple(-(-n // block) for n in dims)).astype(np.float32)
+    data = np.kron(cubes, np.ones((block,) * 3, dtype=np.float32))
+    return Volume(np.ascontiguousarray(data[: dims[0], : dims[1], : dims[2]]),
+                  (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+
+
 def phantom_wall_map():
     spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
     intensity, _, _ = generate_phantom(spec)
@@ -169,6 +179,10 @@ EQUIVALENCE_CASES = {
     "tiny-flat": (random_feature(14, dims=(7, 4, 5), spacing=(1.0, 1.0, 1.0)), 9.0, 0.05),
     # Thick slices: the first step's windows leave 24 voxels uncovered.
     "thick-slice": (random_feature(0, dims=(16, 16, 8), spacing=(3.0, 3.0, 0.5)), 44.0, 0.01),
+    # One cube per grid cell: most clusters stop moving after step 2.
+    "blocky": (blocky_feature(21), 27.0, 0.05),
+    # Loose clusters drift: some voxels leave their cluster's window.
+    "drifting": (random_feature(16), 125.0, 0.001),
 }
 
 
@@ -216,6 +230,214 @@ class TestOracleEquivalence:
         monkeypatch.setattr(supervoxel, "_SLAB_ROWS",
                             feature.dims[0] + 1 if rows == "all" else rows)
         self.assert_seed_grid_matches_loop(feature, target_volume)
+
+
+def step_states(monkeypatch, assign, feature, target_volume, compactness):
+    """(labels, distances) after each assignment step of slic_supervoxels
+    run with `assign`, before the fallback fills the uncovered voxels."""
+    states = []
+
+    def record(*args):
+        assign(*args)
+        states.append((args[7].copy(), args[8].copy()))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(supervoxel, "_assign", record)
+        patch.setattr(supervoxel, "_seed_grid", seed_grid_loop)
+        slic_supervoxels(feature, target_volume, compactness)
+    return states
+
+
+def mechanism_counts(monkeypatch, feature, target_volume, compactness):
+    """How often each skip of the assignment applies over the steps after
+    the first: voxels whose cluster is unchanged ("kept"), voxels whose
+    changed cluster's window no longer covers them ("uncovered") and voxels
+    no window covered ("strays"), from the state each step starts from;
+    clusters skipped ("skipped") and windows cut ("cut"), from the calls
+    to `_cut_windows`.  One worker runs every slab in this process."""
+    counts = dict.fromkeys(("kept", "uncovered", "strays", "skipped", "cut"), 0)
+    assign, cut_windows = supervoxel._assign, supervoxel._cut_windows
+
+    def spy_assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
+                   best_label, best_dist, prev):
+        if prev is not None:
+            changed = (np.any(centers.view(np.uint64) != prev[0].view(np.uint64), axis=1)
+                       | (cluster_feat.view(np.uint64) != prev[1].view(np.uint64))
+                       | (cluster_m.view(np.uint64) != prev[2].view(np.uint64)))[best_label]
+            lo, hi = np.zeros_like(centers, dtype=np.intp), np.tile(np.intp(feat.shape), (len(centers), 1))
+            cut_windows(lo, hi, centers, window, axis_pos)
+            x = np.indices(feat.shape)
+            covered = np.all([(lo[best_label, a] <= x[a]) & (x[a] < hi[best_label, a])
+                              for a in range(3)], axis=0)
+            counts["kept"] += np.count_nonzero(~changed & np.isfinite(best_dist))
+            counts["uncovered"] += np.count_nonzero(changed & ~covered)
+            counts["strays"] += np.count_nonzero(np.isinf(best_dist))
+        assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
+               best_label, best_dist, prev)
+
+    def spy_cut(lo, hi, centers, reach, axis_pos):
+        window = lo.copy(), hi.copy()
+        cut_windows(lo, hi, centers, reach, axis_pos)
+        if np.ndim(reach):
+            live = np.all(window[1] > window[0], axis=1)
+            counts["skipped"] += np.count_nonzero(live & (reach == -np.inf))
+            smaller = np.any((lo != window[0]) | (hi != window[1]), axis=1)
+            counts["cut"] += np.count_nonzero(smaller & np.all(hi > lo, axis=1))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parallel, "workers", lambda: 1)
+        patch.setattr(supervoxel, "_assign", spy_assign)
+        patch.setattr(supervoxel, "_cut_windows", spy_cut)
+        slic_supervoxels(feature, target_volume, compactness)
+    return counts
+
+
+class TestIncrementalAssignment:
+    """Each step after the first starts from the previous one: voxels of
+    unchanged clusters keep their winners, settled clusters are skipped and
+    scored windows are cut to a radius no winner lies beyond.  The labels
+    and distances of every step are the per-cluster loop's."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_every_step_matches_per_cluster_loop(self, monkeypatch, case):
+        feature, target_volume, compactness = EQUIVALENCE_CASES[case]
+        got = step_states(monkeypatch, supervoxel._assign, feature, target_volume, compactness)
+        expected = step_states(monkeypatch, assign_per_cluster, feature, target_volume,
+                               compactness)
+        assert len(got) == len(expected) == supervoxel.SLIC_ITERATIONS
+        for (labels, dist), (oracle_labels, oracle_dist) in zip(got, expected):
+            assert labels.tobytes() == oracle_labels.tobytes()
+            assert dist.tobytes() == oracle_dist.tobytes()
+
+    @staticmethod
+    def assign_step(assign, args, state=None, prev=None):
+        best_label = parallel.shared_array(args[0].shape, np.int32)
+        best_dist = parallel.shared_array(args[0].shape, np.float64)
+        if state is not None:
+            best_label[...], best_dist[...] = state
+        assign(*args, best_label, best_dist, prev)
+        return best_label, best_dist
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_step_after_moves_matches_per_cluster_loop(self, seed):
+        """One step from a previous step's state, after some clusters moved
+        by one ulp, some by whole voxels and some changed feature or
+        compactness, the rest not at all.  Centers on voxel centers and a
+        three-level feature make many distances tie, some at the edge of a
+        cut window."""
+        rng = np.random.default_rng(seed)
+        dims, step = (12, 11, 10), 3.0
+        feat = rng.integers(0, 3, dims).astype(np.float32)
+        axis_pos = [np.arange(n) + 0.5 for n in dims]
+        grid = np.meshgrid(*(np.arange(1.5, n, step) for n in dims), indexing="ij")
+        centers = np.stack(grid, axis=-1).reshape(-1, 3)
+        n = len(centers)
+        cluster_feat = rng.integers(0, 3, n).astype(np.float64)
+        cluster_m = rng.choice([0.3, 1.0, 3.0], n)
+        args = [feat, axis_pos, centers, cluster_feat, cluster_m, step, 1.5 * step]
+        state = self.assign_step(supervoxel._assign, args)
+        assert np.all(state[0] >= 0)
+
+        prev = centers.copy(), cluster_feat.copy(), cluster_m.copy()
+        kind = rng.integers(0, 5, n)
+        axis = rng.integers(0, 3, n)
+        ulp = kind == 1
+        centers[ulp, axis[ulp]] = np.nextafter(centers[ulp, axis[ulp]], np.inf)
+        moved = kind == 2
+        centers[moved, axis[moved]] += rng.choice([-1.0, 1.0], np.count_nonzero(moved))
+        cluster_feat[kind == 3] = np.nextafter(cluster_feat[kind == 3], -np.inf)
+        cluster_m[kind == 4] *= 2.0
+        got = self.assign_step(supervoxel._assign, args, state, prev)
+        expected = self.assign_step(assign_per_cluster, args)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    @classmethod
+    def line_step(cls, n, xs, m, window, state, prev_xs=None, prev_m=None):
+        """One step on a line of n voxels at 1 mm, of a constant feature,
+        with clusters at xs mm: (labels, distances) of `_assign` started
+        from `state` and of the per-cluster loop, flattened."""
+        feat = np.zeros((n, 1, 1), dtype=np.float32)
+        axis_pos = [np.arange(n) + 0.5, np.array([0.5]), np.array([0.5])]
+
+        def centers(x):
+            return np.stack([x, np.full(len(x), 0.5), np.full(len(x), 0.5)], axis=1)
+
+        args = [feat, axis_pos, centers(np.asarray(xs, dtype=np.float64)), np.zeros(len(xs)),
+                np.asarray(m, dtype=np.float64), 3.0, window]
+        prev = None
+        if prev_xs is not None:
+            prev = (centers(np.asarray(prev_xs, dtype=np.float64)), np.zeros(len(xs)),
+                    np.asarray(m if prev_m is None else prev_m, dtype=np.float64))
+        state = tuple(np.asarray(a).reshape(n, 1, 1) for a in state)
+        got = cls.assign_step(supervoxel._assign, args, state, prev)
+        expected = cls.assign_step(assign_per_cluster, args)
+        return [a.ravel() for a in got], [a.ravel() for a in expected]
+
+    def test_tie_at_the_cut_radius_is_kept(self):
+        """Voxel 7 (7.5 mm) ties between cluster 0 at 14.27 mm and cluster 1
+        at 0.73 mm and holds the largest seed in cluster 0's window, so it
+        lies exactly at the cut radius; M / (m / step) rounds below 6.77 mm
+        here, and only the margin keeps the voxel in the window."""
+        n = 19
+        labels = np.where(np.arange(n) <= 7, 1, 0)
+        got, expected = self.line_step(n, [14.27, 0.73], [1.479 * 3.0] * 2, float(n),
+                                       (labels, np.ones(n)), prev_xs=[14.52, 0.98])
+        assert expected[0][7] == 0
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    def test_one_ulp_move_is_a_change(self):
+        """Voxel 4 (4.5 mm) ties between clusters at 2 and 7 mm and goes to
+        cluster 0; cluster 1 then moves one ulp closer and takes it.  No
+        voxel's cluster changed but cluster 1's, so only a bitwise test of
+        the center scores it."""
+        n, xs = 9, [2.0, 7.0]
+        first = self.line_step(n, xs, [1.0, 1.0], 4.5, (np.zeros(n), np.zeros(n)))[0]
+        assert first[0][4] == 0
+        moved = [2.0, np.nextafter(7.0, 0.0)]
+        got, expected = self.line_step(n, moved, [1.0, 1.0], 4.5, first, prev_xs=xs)
+        assert expected[0][4] == 1
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    def test_stray_of_an_unchanged_cluster_stays_uncovered(self):
+        """Windows of 1 mm leave voxels 3-5 uncovered; the fallback gives
+        them a cluster, with an infinite distance.  Cluster 0 moves, and
+        the next step must leave them uncovered again, not in their
+        unchanged fallback cluster."""
+        n, xs = 9, [1.5, 7.5]
+        labels, dist = self.line_step(n, xs, [1.0, 1.0], 1.0, (np.zeros(n), np.zeros(n)))[0]
+        stray = labels < 0
+        assert stray[3:6].all()
+        centers = np.asarray(xs)
+        labels[stray] = np.argmin(np.abs((np.arange(n) + 0.5)[stray, None] - centers), axis=1)
+        got, expected = self.line_step(n, [1.0, 7.5], [1.0, 1.0], 1.0, (labels, dist),
+                                       prev_xs=xs)
+        assert np.all(expected[0][3:6] == -1)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_running_max_is_the_box_maximum(self, seed):
+        """Each entry is the maximum of the box of `width` entries from it,
+        or of the whole axis where that is shorter."""
+        rng = np.random.default_rng(seed)
+        block = rng.random(tuple(rng.integers(1, 10, 3)))
+        width = rng.integers(1, 12, 3)
+        box = [min(w, n) for w, n in zip(width, block.shape)]
+        expected = np.lib.stride_tricks.sliding_window_view(block, box).max(axis=(3, 4, 5))
+        assert np.array_equal(supervoxel._running_max(block, width), expected)
+
+    # The cases where each skip provably applies.
+    @pytest.mark.parametrize("case,skips", [
+        ("blocky", ("kept", "skipped", "cut")),
+        ("drifting", ("kept", "uncovered", "cut")),
+        ("thick-slice", ("uncovered", "strays", "cut")),
+    ])
+    def test_each_skip_applies(self, monkeypatch, case, skips):
+        counts = mechanism_counts(monkeypatch, *EQUIVALENCE_CASES[case])
+        assert all(counts[skip] > 0 for skip in skips), counts
 
 
 class TestFeatureDtype:
@@ -346,9 +568,9 @@ def test_uncovered_voxels_take_the_nearest_cluster(monkeypatch):
     seen = {}
 
     def first_assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-                     best_label, best_dist):
+                     best_label, best_dist, prev):
         assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-               best_label, best_dist)
+               best_label, best_dist, prev)
         if not seen:
             seen.update(stray=np.argwhere(best_label < 0), centers=centers.copy(),
                         cluster_feat=cluster_feat.copy(), cluster_m=cluster_m.copy())
