@@ -264,7 +264,8 @@ def mechanism_counts(monkeypatch, feature, target_volume, compactness):
             changed = (np.any(centers.view(np.uint64) != prev[0].view(np.uint64), axis=1)
                        | (cluster_feat.view(np.uint64) != prev[1].view(np.uint64))
                        | (cluster_m.view(np.uint64) != prev[2].view(np.uint64)))[best_label]
-            lo, hi = np.zeros_like(centers, dtype=np.intp), np.tile(np.intp(feat.shape), (len(centers), 1))
+            lo = np.zeros_like(centers, dtype=np.intp)
+            hi = np.tile(np.intp(feat.shape), (len(centers), 1))
             cut_windows(lo, hi, centers, window, axis_pos)
             x = np.indices(feat.shape)
             covered = np.all([(lo[best_label, a] <= x[a]) & (x[a] < hi[best_label, a])
