@@ -9,14 +9,9 @@ Distances are physical (mm) which keeps the target volume spacing-independent.
 Each assignment step gives every voxel the smallest (D, cluster id) pair
 among the clusters whose window (WINDOW_FACTOR grid steps around the
 center) covers it; a voxel no window covers goes to the nearest cluster
-overall.  This is what SLIC's per-cluster loop (Achanta et al., TPAMI 2012)
-computes when clusters run in id order and take a voxel only on a strictly
-smaller D.  The step computes the pair for batches of clusters whose windows
-have the same shape, and keeps a running minimum over the batches: a voxel
-whose D drops takes the batch's lowest winning id, and on an equal D the
-lower id stays.  The minimum does not depend on the order of the batches.
-Each step after the first starts from the one before and skips only pairs
-that provably lose (see `_assign`): the labels are those of every pair.
+overall.  The step is SLIC's per-cluster loop (Achanta et al., TPAMI 2012),
+compiled from slic_assign.c on first use: clusters run in id order and take
+a voxel only on a strictly smaller D, computed in double in a fixed order.
 Each worker runs the step on one axis-0 slab of the volume, with every
 window clipped to the slab, and writes the slab's rows of the label and
 distance buffers; slabs share no voxel, so the labels do not depend on the
@@ -27,10 +22,17 @@ renumbered slab by slab in the same way.  The workers are forked processes
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import itertools
+import os
+import shlex
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
@@ -42,9 +44,12 @@ SLIC_ITERATIONS = 10
 # Assignment windows extend this many grid steps from the cluster center;
 # 1.5 covers every voxel even when axis extents round the seed grid down.
 WINDOW_FACTOR = 1.5
-# Window voxels per assignment batch: bounds the batch temporaries to about
-# 0.5 MB each, whatever the volume size or cluster count.
-_BATCH_VOXELS = 1 << 16
+# The assignment step's source, and the command that compiles it: the
+# compiler Python was built with, with no FMA contraction and no fast-math,
+# so the kernel rounds as the per-cluster loop does on every platform.
+_KERNEL_SOURCE = Path(__file__).with_name("slic_assign.c")
+_COMPILE = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
+            "-O2", "-shared", "-fPIC", "-ffp-contract=off"]
 # Axis-0 rows per slab of the seed grid's gradient, the update step's sums,
 # the label counts and the relabelling (_SLAB_ROWS), and of the
 # connectivity components (_COMP_ROWS): bounds their temporaries to a few
@@ -346,162 +351,69 @@ def _relabel(labels: np.ndarray, table: np.ndarray) -> None:
         labels[lo : lo + _SLAB_ROWS] = table[labels[lo : lo + _SLAB_ROWS]]
 
 
-def _running_max(block: np.ndarray, width) -> np.ndarray:
-    """out[i, j, k] = max of block[i : i + w0, j : j + w1, k : k + w2], with
-    w_a = min(width[a], block.shape[a]), from runs that double in length."""
-    for a, w in enumerate(width):
-        cut, run, w = (slice(None),) * a, 1, min(w, block.shape[a])
-        while run < w:
-            step = min(run, w - run)
-            block = np.maximum(block[cut + (slice(0, -step),)], block[cut + (slice(step, None),)])
-            run += step
-    return block
-
-
-def _cut_windows(lo, hi, centers, reach, axis_pos) -> None:
-    """Cuts the windows lo..hi (one row per cluster) in place to `reach` mm."""
-    for a in range(3):
-        np.maximum(lo[:, a], np.searchsorted(axis_pos[a], centers[:, a] - reach), out=lo[:, a])
-        np.minimum(hi[:, a], np.searchsorted(axis_pos[a], centers[:, a] + reach, side="right"),
-                   out=hi[:, a])
+@functools.cache
+def _kernel():
+    """`slic_assign` of slic_assign.c, loaded with ctypes.  It is compiled
+    once by `_COMPILE` into the package's __pycache__, to a file named by
+    the SHA-256 of the source and the command and written atomically, so a
+    later process loads it without the compiler.  A failed compile raises
+    OSError naming the command and its error output."""
+    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + shlex.join(_COMPILE).encode())
+    lib = _KERNEL_SOURCE.parent / "__pycache__" / f"slic_assign-{key.hexdigest()}.so"
+    if not lib.exists():
+        lib.parent.mkdir(exist_ok=True)
+        tmp = lib.with_name(f"{lib.name}.tmp{os.getpid()}")
+        cmd = [*_COMPILE, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"]
+        try:
+            done = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise OSError(f"cannot compile the SLIC kernel: {shlex.join(cmd)}: {exc}") from None
+        if done.returncode:
+            tmp.unlink(missing_ok=True)
+            raise OSError(f"cannot compile the SLIC kernel: {shlex.join(cmd)} exited with "
+                          f"status {done.returncode}: {done.stderr.strip()}")
+        os.replace(tmp, lib)
+    fn = ctypes.CDLL(str(lib)).slic_assign
+    f64, i64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64))
+    out = [np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS,WRITEABLE") for t in (np.int32, np.float64)]
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_int64, f64, f64, f64,
+                   ctypes.c_int64, f64, f64, f64, i64, i64, ctypes.c_int64, ctypes.c_int64, *out]
+    fn.restype = None
+    return fn
 
 
 def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-            best_label, best_dist, prev=None):
+            best_label, best_dist):
     """One SLIC assignment step.  Every voxel gets the smallest (distance,
     cluster id) pair among the clusters whose window covers it: fills
     `best_label` with the winning cluster id per voxel, -1 where no window
     covers the voxel, and `best_dist` with its distance.  Both are
     `parallel.shared_array` buffers, which the worker processes write.
-
-    After the first step, `prev` holds the previous step's (centers,
-    cluster_feat, cluster_m) and the buffers its labels and distances; a
-    cluster whose values keep their bits is unchanged.  (1) Each voxel is
-    seeded with its previous cluster's distance, in the batches' order of
-    operations, or (-1, inf) where that window no longer covers it: a real
-    candidate pair.  (2) An unchanged cluster is scored only if its window
-    holds a voxel whose cluster changed or that no window covered: it lost
-    every other voxel, at the same distances, to an unchanged cluster.
-    (3) A scored window is cut to R = M / (m_i / step) from the center along
-    each axis, M its largest seed: beyond R, D >= (m_i / step) |x - c_i| > M.
-    R is raised by 1e-9 relative and 1e-6 mm for the rounding of D, c_i +- R.
-    """
-    dims = feat.shape
-    n_clusters = len(centers)
-    flat_label, flat_dist = best_label.ravel(), best_dist.ravel()
-    # Broadcast per-axis (batch, n_a) terms to (batch, n_x, n_y, n_z).
-    expand = [(slice(None), slice(None), None, None),
-              (slice(None), None, slice(None), None),
-              (slice(None), None, None, slice(None))]
-
-    lo, hi = np.zeros((n_clusters, 3), dtype=np.intp), np.tile(np.intp(dims), (n_clusters, 1))
-    _cut_windows(lo, hi, centers, window, axis_pos)
+    The loop is the compiled `_kernel`, which reads the C-ordered float32
+    or float64 feature as it is."""
+    # The kernel trusts every length and type, so they are checked here.
+    n = len(centers)
+    if (feat.dtype not in (np.float32, np.float64) or not feat.flags.c_contiguous
+            or not feat.shape == best_label.shape == best_dist.shape
+            or tuple(map(len, axis_pos)) != feat.shape
+            or not centers.shape == (n, 3) or not len(cluster_feat) == len(cluster_m) == n):
+        raise InvariantError(f"cannot assign a {feat.dtype} feature of shape {feat.shape} "
+                             f"to {n} clusters")
+    kernel = _kernel()
+    lo = np.column_stack([np.searchsorted(axis_pos[a], centers[:, a] - window) for a in range(3)])
+    hi = np.column_stack([np.searchsorted(axis_pos[a], centers[:, a] + window, side="right")
+                          for a in range(3)])
     scale = cluster_m / step
-    # changed[-1], read for label -1, is True: a voxel no window covers.
-    changed = np.ones(n_clusters + 1, dtype=bool)
-    if prev is not None:
-        changed[:-1] = np.any(np.column_stack((centers, cluster_feat, cluster_m)).view(np.uint64)
-                              != np.column_stack(prev).view(np.uint64), axis=1)
-    width = (hi - lo).max(axis=0)
-    # Axis-0 rows per seeding and window-maximum block: _BATCH_VOXELS voxels.
-    rows = max(1, _BATCH_VOXELS // (dims[1] * dims[2]))
-
-    def seed(r0, r1):
-        """Seeds rows r0..r1 with each voxel's previous cluster."""
-        lab, dist = best_label[r0:r1], best_dist[r0:r1]
-        cover, d = np.ones(lab.shape, dtype=bool), np.zeros(lab.shape)
-        for a, pos in enumerate(np.ix_(axis_pos[0][r0:r1], axis_pos[1], axis_pos[2])):
-            c = centers[:, a].take(lab)
-            # The window's bounds, as `np.searchsorted` compares them.
-            cover &= (c - window <= pos) & (pos <= c + window)
-            d += (pos - c) ** 2
-        np.sqrt(d, out=d)
-        d *= scale.take(lab)
-        d += np.abs(np.subtract(feat[r0:r1], cluster_feat.take(lab), dtype=np.float64))
-        dist[...] = np.where(cover, d, np.inf)
-        lab[~cover] = -1
-
-    def window_max(values, row0, row1, corners):
-        """Per corner, the maximum of values(a, b) over a `width` box holding its window."""
-        out = np.zeros(len(corners), dtype=values(row0, row0).dtype)
-        for r in range(row0, row1, rows):
-            sel = np.flatnonzero((corners[:, 0] >= r) & (corners[:, 0] < r + rows))
-            if len(sel):
-                box = _running_max(values(r, min(r + rows + width[0] - 1, row1)), width)
-                at = np.minimum(corners[sel] - (r, 0, 0), np.array(box.shape) - 1)
-                out[sel] = box[tuple(at.T)]
-        return out
+    n0, n1, n2 = feat.shape
 
     def slab(row0, row1):
         """The step for axis-0 rows row0..row1: every window is clipped to
         them, so no two slabs write the same voxel."""
-        lo_s, hi_s = lo.copy(), hi.copy()
-        lo_s[:, 0] = np.clip(lo[:, 0], row0, row1)
-        hi_s[:, 0] = np.clip(hi[:, 0], row0, row1)
-        if prev is None:
-            best_label[row0:row1], best_dist[row0:row1] = -1, np.inf
-        else:
-            for r in range(row0, row1, rows):
-                seed(r, min(r + rows, row1))
-            flagged = window_max(lambda a, b: changed[best_label[a:b]], row0, row1, lo_s)
-            top = window_max(lambda a, b: best_dist[a:b], row0, row1, lo_s)
-            reach = np.divide(top, scale, out=np.full(n_clusters, np.inf), where=scale > 0)
-            reach = reach * (1 + 1e-9) + 1e-6
-            reach[~(changed[:-1] | flagged)] = -np.inf
-            _cut_windows(lo_s, hi_s, centers, reach, axis_pos)
-        live = np.flatnonzero(np.all(hi_s > lo_s, axis=1))
-        extent = hi_s - lo_s
-        # Clusters whose windows have the same shape share a batch.  Ids of
-        # the labels' type keep `np.minimum.at` on its fast path.
-        live = live[np.lexsort(extent[live].T[::-1])].astype(best_label.dtype)
-        cuts = np.flatnonzero(np.any(np.diff(extent[live], axis=0) != 0, axis=1)) + 1
+        kernel(feat.ctypes.data, feat.dtype == np.float64, n1, n2, *axis_pos, n, centers,
+               cluster_feat, scale, lo, hi, row0, row1, best_label, best_dist)
 
-        for group in filter(len, np.split(live, cuts)):
-            shape = tuple(extent[group[0]])
-            # Flat index of each window voxel relative to the window's corner.
-            offsets = np.ravel_multi_index(np.indices(shape).reshape(3, -1), dims)
-            feat_win = sliding_window_view(feat, shape)
-            dist_win = sliding_window_view(best_dist, shape)
-            batch = max(1, _BATCH_VOXELS // len(offsets))
-            for start in range(0, len(group), batch):
-                ids = group[start : start + batch]
-                corner = tuple(lo_s[ids].T)
-                sq = []
-                for a in range(3):
-                    pos = lo_s[ids, a, None] + np.arange(shape[a])
-                    sq.append(((axis_pos[a][pos] - centers[ids, a, None]) ** 2)[expand[a]])
-                # In place, in the per-cluster loop's order of operations:
-                # dist = |f - f_i| + (m_i / step) * sqrt((dx^2 + dy^2) + dz^2).
-                ds = sq[0] + sq[1] + sq[2]
-                np.sqrt(ds, out=ds)
-                df = feat_win[corner].astype(np.float64)
-                df -= cluster_feat[ids, None, None, None]
-                np.abs(df, out=df)
-                ds *= scale[ids, None, None, None]
-                df += ds
-                dist = df.ravel()
-                del ds
-
-                # Running minimum of (dist, id): a voxel whose distance drops
-                # is reset to n_clusters, above every id, and takes the
-                # batch's lowest winning id; on an equal distance the lower
-                # id stays.  Neither depends on the order of the batches.
-                prev_dist = dist_win[corner].ravel()
-                sel = np.flatnonzero(dist <= prev_dist)
-                dist, prev_dist = dist.take(sel), prev_dist.take(sel)
-                which, sel = np.divmod(sel, len(offsets))
-                vox = np.ravel_multi_index(corner, dims).take(which)
-                vox += offsets.take(sel)
-                np.minimum.at(flat_dist, vox, dist)
-                win = np.flatnonzero(dist == flat_dist.take(vox))
-                which, vox = which.take(win), vox.take(win)
-                flat_label[vox[dist.take(win) < prev_dist.take(win)]] = n_clusters
-                np.minimum.at(flat_label, vox, ids[which])
-
-    # One slab per worker process; the first runs in this one.  More slabs
-    # measured slower: the windows cut at slab borders form more, smaller
-    # batches.
-    parallel.fork_ranges(slab, dims[0], -(-dims[0] // parallel.workers()))
+    # One slab per worker process; the first runs in this one.
+    parallel.fork_ranges(slab, n0, -(-n0 // parallel.workers()))
 
 
 def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
@@ -557,8 +469,8 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
     dims = feature.dims
     sp = np.asarray(feature.spacing)
     # The feature in the smallest float type that holds it exactly (a
-    # float32 wall map as it is), widened to float64 per batch: the same
-    # distances as a float64 copy, without the copy.
+    # float32 wall map as it is), which the assignment widens to float64
+    # voxel by voxel: the same distances as a float64 copy, without the copy.
     feat = np.ascontiguousarray(
         feature.data, dtype=np.result_type(feature.data.dtype, np.float32))
     axis_pos = [(np.arange(dims[a]) + 0.5) * sp[a] for a in range(3)]
@@ -575,10 +487,9 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
     # labels before the next step overwrites them.
     best_label = parallel.shared_array(dims, np.int32)
     best_dist = parallel.shared_array(dims, np.float64)
-    prev = None
-    for _ in range(SLIC_ITERATIONS):
+    for it in range(SLIC_ITERATIONS):
         _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-                best_label, best_dist, prev)
+                best_label, best_dist)
         stray = best_label < 0
         if stray.any():
             coords = np.argwhere(stray)
@@ -591,12 +502,14 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
                 dist = df + (cluster_m[None, :] / step) * ds
                 best_label[tuple(coords[sl].T)] = np.argmin(dist, axis=1)
             del coords, pos, fval, ds, df, dist
+        if it == SLIC_ITERATIONS - 1:
+            # The connectivity step reads only the labels.
+            break
         counts, sums, fsums, fmin, fmax = _cluster_sums(best_label, axis_pos, n_clusters, feat)
         # Largest |f - c| over each cluster's voxels, c the feature they were
         # assigned by: rounding is monotone, so it is reached at an extreme.
         spread = np.maximum(fmax - cluster_feat, cluster_feat - fmin)
         occupied = counts > 0
-        prev = centers.copy(), cluster_feat.copy(), cluster_m.copy()
         centers[occupied] = (sums[:, occupied] / counts[occupied]).T
         cluster_feat[occupied] = fsums[occupied] / counts[occupied]
         cluster_m[occupied] = np.maximum(float(compactness), spread[occupied])

@@ -208,12 +208,11 @@ def seed_grid_loop(feature, step: float):
 
 
 def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-                       best_label, best_dist, prev=None):
+                       best_label, best_dist):
     """SLIC assignment step of `supervoxel._assign`, one cluster window at a
     time in id order; a cluster takes a voxel only on a strictly smaller
     distance.  Fills `best_label` with the winning cluster id per voxel, -1
-    if none, and `best_dist` with its distance.  Every step starts from
-    scratch: the previous step's state `prev` is not read."""
+    if none, and `best_dist` with its distance."""
     n_clusters = len(centers)
     best_label.fill(-1)
     best_dist.fill(np.inf)

@@ -3,16 +3,18 @@ equivalence with the per-cluster loop and the per-fragment connectivity
 loop, and a memory bound."""
 
 import os
+import shlex
 import signal
 import subprocess
 import sys
+import sysconfig
 import time
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from boweltrack import parallel, supervoxel
+from boweltrack import cli, parallel, supervoxel
 from boweltrack.errors import FormatError, InvariantError
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.ridge import meijering_response
@@ -248,56 +250,9 @@ def step_states(monkeypatch, assign, feature, target_volume, compactness):
     return states
 
 
-def mechanism_counts(monkeypatch, feature, target_volume, compactness):
-    """How often each skip of the assignment applies over the steps after
-    the first: voxels whose cluster is unchanged ("kept"), voxels whose
-    changed cluster's window no longer covers them ("uncovered") and voxels
-    no window covered ("strays"), from the state each step starts from;
-    clusters skipped ("skipped") and windows cut ("cut"), from the calls
-    to `_cut_windows`.  One worker runs every slab in this process."""
-    counts = dict.fromkeys(("kept", "uncovered", "strays", "skipped", "cut"), 0)
-    assign, cut_windows = supervoxel._assign, supervoxel._cut_windows
-
-    def spy_assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-                   best_label, best_dist, prev):
-        if prev is not None:
-            changed = (np.any(centers.view(np.uint64) != prev[0].view(np.uint64), axis=1)
-                       | (cluster_feat.view(np.uint64) != prev[1].view(np.uint64))
-                       | (cluster_m.view(np.uint64) != prev[2].view(np.uint64)))[best_label]
-            lo = np.zeros_like(centers, dtype=np.intp)
-            hi = np.tile(np.intp(feat.shape), (len(centers), 1))
-            cut_windows(lo, hi, centers, window, axis_pos)
-            x = np.indices(feat.shape)
-            covered = np.all([(lo[best_label, a] <= x[a]) & (x[a] < hi[best_label, a])
-                              for a in range(3)], axis=0)
-            counts["kept"] += np.count_nonzero(~changed & np.isfinite(best_dist))
-            counts["uncovered"] += np.count_nonzero(changed & ~covered)
-            counts["strays"] += np.count_nonzero(np.isinf(best_dist))
-        assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-               best_label, best_dist, prev)
-
-    def spy_cut(lo, hi, centers, reach, axis_pos):
-        window = lo.copy(), hi.copy()
-        cut_windows(lo, hi, centers, reach, axis_pos)
-        if np.ndim(reach):
-            live = np.all(window[1] > window[0], axis=1)
-            counts["skipped"] += np.count_nonzero(live & (reach == -np.inf))
-            smaller = np.any((lo != window[0]) | (hi != window[1]), axis=1)
-            counts["cut"] += np.count_nonzero(smaller & np.all(hi > lo, axis=1))
-
-    with monkeypatch.context() as patch:
-        patch.setattr(parallel, "workers", lambda: 1)
-        patch.setattr(supervoxel, "_assign", spy_assign)
-        patch.setattr(supervoxel, "_cut_windows", spy_cut)
-        slic_supervoxels(feature, target_volume, compactness)
-    return counts
-
-
 class TestIncrementalAssignment:
-    """Each step after the first starts from the previous one: voxels of
-    unchanged clusters keep their winners, settled clusters are skipped and
-    scored windows are cut to a radius no winner lies beyond.  The labels
-    and distances of every step are the per-cluster loop's."""
+    """The labels and distances of every assignment step are the
+    per-cluster loop's, whatever the buffers held before the step."""
 
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
     def test_every_step_matches_per_cluster_loop(self, monkeypatch, case):
@@ -311,21 +266,20 @@ class TestIncrementalAssignment:
             assert dist.tobytes() == oracle_dist.tobytes()
 
     @staticmethod
-    def assign_step(assign, args, state=None, prev=None):
+    def assign_step(assign, args, state=None):
         best_label = parallel.shared_array(args[0].shape, np.int32)
         best_dist = parallel.shared_array(args[0].shape, np.float64)
         if state is not None:
             best_label[...], best_dist[...] = state
-        assign(*args, best_label, best_dist, prev)
+        assign(*args, best_label, best_dist)
         return best_label, best_dist
 
     @pytest.mark.parametrize("seed", range(12))
     def test_step_after_moves_matches_per_cluster_loop(self, seed):
-        """One step from a previous step's state, after some clusters moved
-        by one ulp, some by whole voxels and some changed feature or
-        compactness, the rest not at all.  Centers on voxel centers and a
-        three-level feature make many distances tie, some at the edge of a
-        cut window."""
+        """One step into buffers holding a previous step's state, after
+        some clusters moved by one ulp, some by whole voxels and some
+        changed feature or compactness, the rest not at all.  Centers on
+        voxel centers and a three-level feature make many distances tie."""
         rng = np.random.default_rng(seed)
         dims, step = (12, 11, 10), 3.0
         feat = rng.integers(0, 3, dims).astype(np.float32)
@@ -339,7 +293,6 @@ class TestIncrementalAssignment:
         state = self.assign_step(supervoxel._assign, args)
         assert np.all(state[0] >= 0)
 
-        prev = centers.copy(), cluster_feat.copy(), cluster_m.copy()
         kind = rng.integers(0, 5, n)
         axis = rng.integers(0, 3, n)
         ulp = kind == 1
@@ -348,103 +301,16 @@ class TestIncrementalAssignment:
         centers[moved, axis[moved]] += rng.choice([-1.0, 1.0], np.count_nonzero(moved))
         cluster_feat[kind == 3] = np.nextafter(cluster_feat[kind == 3], -np.inf)
         cluster_m[kind == 4] *= 2.0
-        got = self.assign_step(supervoxel._assign, args, state, prev)
+        got = self.assign_step(supervoxel._assign, args, state)
         expected = self.assign_step(assign_per_cluster, args)
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1].tobytes() == expected[1].tobytes()
 
-    @classmethod
-    def line_step(cls, n, xs, m, window, state, prev_xs=None, prev_m=None):
-        """One step on a line of n voxels at 1 mm, of a constant feature,
-        with clusters at xs mm: (labels, distances) of `_assign` started
-        from `state` and of the per-cluster loop, flattened."""
-        feat = np.zeros((n, 1, 1), dtype=np.float32)
-        axis_pos = [np.arange(n) + 0.5, np.array([0.5]), np.array([0.5])]
-
-        def centers(x):
-            return np.stack([x, np.full(len(x), 0.5), np.full(len(x), 0.5)], axis=1)
-
-        args = [feat, axis_pos, centers(np.asarray(xs, dtype=np.float64)), np.zeros(len(xs)),
-                np.asarray(m, dtype=np.float64), 3.0, window]
-        prev = None
-        if prev_xs is not None:
-            prev = (centers(np.asarray(prev_xs, dtype=np.float64)), np.zeros(len(xs)),
-                    np.asarray(m if prev_m is None else prev_m, dtype=np.float64))
-        state = tuple(np.asarray(a).reshape(n, 1, 1) for a in state)
-        got = cls.assign_step(supervoxel._assign, args, state, prev)
-        expected = cls.assign_step(assign_per_cluster, args)
-        return [a.ravel() for a in got], [a.ravel() for a in expected]
-
-    def test_tie_at_the_cut_radius_is_kept(self):
-        """Voxel 7 (7.5 mm) ties between cluster 0 at 14.27 mm and cluster 1
-        at 0.73 mm and holds the largest seed in cluster 0's window, so it
-        lies exactly at the cut radius; M / (m / step) rounds below 6.77 mm
-        here, and only the margin keeps the voxel in the window."""
-        n = 19
-        labels = np.where(np.arange(n) <= 7, 1, 0)
-        got, expected = self.line_step(n, [14.27, 0.73], [1.479 * 3.0] * 2, float(n),
-                                       (labels, np.ones(n)), prev_xs=[14.52, 0.98])
-        assert expected[0][7] == 0
-        assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1].tobytes() == expected[1].tobytes()
-
-    def test_one_ulp_move_is_a_change(self):
-        """Voxel 4 (4.5 mm) ties between clusters at 2 and 7 mm and goes to
-        cluster 0; cluster 1 then moves one ulp closer and takes it.  No
-        voxel's cluster changed but cluster 1's, so only a bitwise test of
-        the center scores it."""
-        n, xs = 9, [2.0, 7.0]
-        first = self.line_step(n, xs, [1.0, 1.0], 4.5, (np.zeros(n), np.zeros(n)))[0]
-        assert first[0][4] == 0
-        moved = [2.0, np.nextafter(7.0, 0.0)]
-        got, expected = self.line_step(n, moved, [1.0, 1.0], 4.5, first, prev_xs=xs)
-        assert expected[0][4] == 1
-        assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1].tobytes() == expected[1].tobytes()
-
-    def test_stray_of_an_unchanged_cluster_stays_uncovered(self):
-        """Windows of 1 mm leave voxels 3-5 uncovered; the fallback gives
-        them a cluster, with an infinite distance.  Cluster 0 moves, and
-        the next step must leave them uncovered again, not in their
-        unchanged fallback cluster."""
-        n, xs = 9, [1.5, 7.5]
-        labels, dist = self.line_step(n, xs, [1.0, 1.0], 1.0, (np.zeros(n), np.zeros(n)))[0]
-        stray = labels < 0
-        assert stray[3:6].all()
-        centers = np.asarray(xs)
-        labels[stray] = np.argmin(np.abs((np.arange(n) + 0.5)[stray, None] - centers), axis=1)
-        got, expected = self.line_step(n, [1.0, 7.5], [1.0, 1.0], 1.0, (labels, dist),
-                                       prev_xs=xs)
-        assert np.all(expected[0][3:6] == -1)
-        assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1].tobytes() == expected[1].tobytes()
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_running_max_is_the_box_maximum(self, seed):
-        """Each entry is the maximum of the box of `width` entries from it,
-        or of the whole axis where that is shorter."""
-        rng = np.random.default_rng(seed)
-        block = rng.random(tuple(rng.integers(1, 10, 3)))
-        width = rng.integers(1, 12, 3)
-        box = [min(w, n) for w, n in zip(width, block.shape)]
-        expected = np.lib.stride_tricks.sliding_window_view(block, box).max(axis=(3, 4, 5))
-        assert np.array_equal(supervoxel._running_max(block, width), expected)
-
-    # The cases where each skip provably applies.
-    @pytest.mark.parametrize("case,skips", [
-        ("blocky", ("kept", "skipped", "cut")),
-        ("drifting", ("kept", "uncovered", "cut")),
-        ("thick-slice", ("uncovered", "strays", "cut")),
-    ])
-    def test_each_skip_applies(self, monkeypatch, case, skips):
-        counts = mechanism_counts(monkeypatch, *EQUIVALENCE_CASES[case])
-        assert all(counts[skip] > 0 for skip in skips), counts
-
 
 class TestFeatureDtype:
     """The loop reads the feature in the smallest float type that holds it
-    exactly and widens it to float64 per batch, so the labels are those of
-    the feature's float64 conversion, bit for bit."""
+    exactly and widens it to float64 voxel by voxel, so the labels are those
+    of the feature's float64 conversion, bit for bit."""
 
     @staticmethod
     def assert_same_labels(feature, target_volume, compactness):
@@ -473,6 +339,128 @@ class TestFeatureDtype:
         rng = np.random.default_rng(int(high) % 97)
         data = rng.integers(0, high, (14, 12, 10)).astype(dtype)
         self.assert_same_labels(Volume(data, (1.0, 1.0, 1.0), (0, 0, 0)), 27.0, 0.3 * high)
+
+
+def anisotropic_feature(dtype, dims=(17, 13, 11)):
+    """(feature, compactness): a smooth random feature on a 0.7 x 0.9 x 1.3
+    mm grid, coded as `dtype`, with a compactness of a tenth of its range.
+    float32 and int16 reach the loop as float32, float64 and int32 as
+    float64."""
+    data = ndimage.gaussian_filter(np.random.default_rng(17).normal(size=dims), 1.5)
+    if np.issubdtype(dtype, np.integer):
+        data = np.round(data / np.abs(data).max() * (np.iinfo(dtype).max // 2))
+    data = data.astype(dtype)
+    return Volume(data, (0.7, 0.9, 1.3), (0.0, 0.0, 0.0)), 0.1 * float(np.ptp(data))
+
+
+def source_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(supervoxel.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestKernel:
+    """The compiled assignment loop: the per-cluster loop's labels and
+    distances bit for bit, built once and then loaded, and a failed build
+    that names the compiler command."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32])
+    def test_every_step_matches_per_cluster_loop(self, monkeypatch, dtype, workers):
+        feature, compactness = anisotropic_feature(dtype)
+        monkeypatch.setattr(parallel, "workers", lambda: workers)
+        got = step_states(monkeypatch, supervoxel._assign, feature, 12.0, compactness)
+        expected = step_states(monkeypatch, assign_per_cluster, feature, 12.0, compactness)
+        assert len(got) == len(expected) == supervoxel.SLIC_ITERATIONS
+        for (labels, dist), (oracle_labels, oracle_dist) in zip(got, expected):
+            assert labels.tobytes() == oracle_labels.tobytes()
+            assert dist.tobytes() == oracle_dist.tobytes()
+
+    def test_inconsistent_arguments_are_rejected(self):
+        """The loop reads and writes through raw pointers, so each length,
+        type and memory order is checked before it runs."""
+        feat = np.zeros((4, 5, 6), dtype=np.float32)
+        axis_pos = [np.arange(n) + 0.5 for n in feat.shape]
+        centers, cluster_feat, cluster_m = np.full((2, 3), 2.0), np.zeros(2), np.ones(2)
+        buffers = np.zeros(feat.shape, np.int32), np.zeros(feat.shape)
+        supervoxel._assign(feat, axis_pos, centers, cluster_feat, cluster_m, 3.0, 4.5, *buffers)
+        assert np.all(buffers[0] >= 0)
+        bad = [
+            (feat.astype(np.int32), axis_pos, centers, cluster_feat),
+            (np.asfortranarray(feat), axis_pos, centers, cluster_feat),
+            (feat[:3], axis_pos, centers, cluster_feat),
+            (feat, [axis_pos[0][:3], *axis_pos[1:]], centers, cluster_feat),
+            (feat, axis_pos, centers[:, :2], cluster_feat),
+            (feat, axis_pos, centers, cluster_feat[:1]),
+        ]
+        for f, pos, c, cf in bad:
+            with pytest.raises(InvariantError, match="cannot assign"):
+                supervoxel._assign(f, pos, c, cf, cluster_m, 3.0, 4.5, *buffers)
+
+    @pytest.fixture
+    def source_copy(self, monkeypatch, tmp_path):
+        """The kernel's source copied to tmp_path, so it builds into
+        tmp_path/__pycache__; the loaded kernel is forgotten before and
+        after the test."""
+        copy = tmp_path / supervoxel._KERNEL_SOURCE.name
+        copy.write_bytes(supervoxel._KERNEL_SOURCE.read_bytes())
+        monkeypatch.setattr(supervoxel, "_KERNEL_SOURCE", copy)
+        supervoxel._kernel.cache_clear()
+        yield copy
+        supervoxel._kernel.cache_clear()
+
+    def test_missing_compiler_is_named(self, monkeypatch, source_copy):
+        monkeypatch.setattr(supervoxel, "_COMPILE", ["/nonexistent/cc", "-O2"])
+        with pytest.raises(OSError, match="cannot compile the SLIC kernel: "
+                                          "/nonexistent/cc -O2 .*No such file"):
+            supervoxel._kernel()
+
+    def test_compiler_error_output_is_named(self, monkeypatch, source_copy):
+        monkeypatch.setattr(supervoxel, "_COMPILE", [*supervoxel._COMPILE, "-fno-such-option"])
+        with pytest.raises(OSError, match=r"-fno-such-option -o .* exited with status "
+                                          r"[1-9]\d*: .*no-such-option"):
+            supervoxel._kernel()
+        assert list((source_copy.parent / "__pycache__").iterdir()) == []
+
+    def test_cli_reports_a_failed_build(self, monkeypatch, source_copy, tmp_path, capsys):
+        wall, out = tmp_path / "wall.vol", tmp_path / "labels.vol"
+        save_volume(random_feature(0), wall)
+        monkeypatch.setattr(supervoxel, "_COMPILE", ["/nonexistent/cc"])
+        assert cli.main(["slic", str(wall), str(out)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: cannot compile the SLIC kernel: /nonexistent/cc -o ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_fresh_process_loads_without_compiling(self, source_copy):
+        supervoxel._kernel()
+        built = list((source_copy.parent / "__pycache__").iterdir())
+        assert [p.suffix for p in built] == [".so"]
+        stamp = built[0].stat().st_mtime_ns
+        script = "\n".join([
+            "import subprocess",
+            "from pathlib import Path",
+            "from boweltrack import supervoxel",
+            "def no_compiler(*args, **kwargs):",
+            "    raise AssertionError('the compiler ran')",
+            "subprocess.run = no_compiler",
+            f"supervoxel._KERNEL_SOURCE = Path({str(source_copy)!r})",
+            "supervoxel._kernel()",
+        ])
+        subprocess.run([sys.executable, "-c", script], env=source_env(), check=True)
+        assert list((source_copy.parent / "__pycache__").iterdir()) == built
+        assert built[0].stat().st_mtime_ns == stamp
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        """A tooling gate: the source is strict C99 that draws no warning.
+        The flags the kernel is built with stay the fixed ones."""
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        assert supervoxel._COMPILE == [*cc, "-O2", "-shared", "-fPIC", "-ffp-contract=off"]
+        done = subprocess.run([*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-c",
+                               "-o", str(tmp_path / "kernel.o"), str(supervoxel._KERNEL_SOURCE)],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("workers", [2, 3, 7, 16])
@@ -536,10 +524,7 @@ def running(pid) -> bool:
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="the parent-death signal and /proc are Linux's")
 def test_workers_die_with_the_tracker():
-    src = os.path.dirname(os.path.dirname(supervoxel.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    tracker = subprocess.Popen([sys.executable, "-c", SLOW_WORKER_SLIC], env=env)
+    tracker = subprocess.Popen([sys.executable, "-c", SLOW_WORKER_SLIC], env=source_env())
     workers = []
     try:
         deadline = time.monotonic() + 60
@@ -569,9 +554,9 @@ def test_uncovered_voxels_take_the_nearest_cluster(monkeypatch):
     seen = {}
 
     def first_assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-                     best_label, best_dist, prev):
+                     best_label, best_dist):
         assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-               best_label, best_dist, prev)
+               best_label, best_dist)
         if not seen:
             seen.update(stray=np.argwhere(best_label < 0), centers=centers.copy(),
                         cluster_feat=cluster_feat.copy(), cluster_m=cluster_m.copy())
@@ -594,6 +579,21 @@ def test_uncovered_voxels_take_the_nearest_cluster(monkeypatch):
         ds = np.sqrt(((pos - seen["centers"]) ** 2).sum(axis=1))
         dist = np.abs(f - seen["cluster_feat"]) + (seen["cluster_m"] / step) * ds
         assert seen["labels"][tuple(vox)] == np.flatnonzero(dist == dist.min())[0]
+
+
+def test_no_update_after_the_last_step(monkeypatch):
+    """The connectivity step reads only the labels, so the last assignment
+    step is followed by no update: one cluster sum per step but the last."""
+    calls = []
+    cluster_sums = supervoxel._cluster_sums
+
+    def counted(*args):
+        calls.append(args)
+        return cluster_sums(*args)
+
+    monkeypatch.setattr(supervoxel, "_cluster_sums", counted)
+    slic_supervoxels(random_feature(0), 125.0, 0.01)
+    assert len(calls) == supervoxel.SLIC_ITERATIONS - 1
 
 
 def max_feature_distance_gather(flat_label, flat_feat, cluster_feat):
@@ -793,7 +793,7 @@ def memory_feature():
 
 def test_memory_bounded_by_volume_size(monkeypatch):
     """The allocation peak stays a fixed multiple of the volume's float64
-    size: assignment temporaries are batched, never (clusters, window)."""
+    size: the assignment holds no (clusters, window) array."""
     feature = memory_feature()
     # Each iteration allocates the same; two keep the test short.  One
     # worker runs every slab in this process, where tracemalloc sees its
@@ -803,19 +803,19 @@ def test_memory_bounded_by_volume_size(monkeypatch):
     monkeypatch.setattr(parallel, "workers", lambda: 1)
     monkeypatch.setattr(parallel, "shared_array", np.zeros)
     peak = traced_peak(slic_supervoxels, feature, 27.0, 1.0)
-    # 3.3x today.  A new int64 label volume per step, a float64
-    # coordinate volume per axis and whole-volume bincounts took it to
-    # 5.5x, a float64 copy of the feature to 6.6x, the whole-volume
-    # connectivity graph to 10.6x, linking every equally labeled
-    # 26-neighbour pair to 25x, and one (clusters, window) float64 array
-    # alone is 27x.
+    # 2.5x today, 3.3x with the numpy assignment's batches.  A new int64
+    # label volume per step, a float64 coordinate volume per axis and
+    # whole-volume bincounts took it to 5.5x, a float64 copy of the
+    # feature to 6.6x, the whole-volume connectivity graph to 10.6x,
+    # linking every equally labeled 26-neighbour pair to 25x, and one
+    # (clusters, window) float64 array alone is 27x.
     assert peak <= 4.0 * feature.data.size * 8
 
 
 def test_assignment_workers_memory_bounded(monkeypatch):
     """Each assignment slab, in this process or a forked worker, allocates
-    at most a fixed share of the volume's float64 size on top of what the
-    process held when it started."""
+    at most a small fixed share of the volume's float64 size on top of what
+    the process held when it started."""
     feature = memory_feature()
     monkeypatch.setattr(supervoxel, "SLIC_ITERATIONS", 2)
     monkeypatch.setattr(parallel, "workers", lambda: 2)
@@ -823,9 +823,10 @@ def test_assignment_workers_memory_bounded(monkeypatch):
     peaks = range_peaks(monkeypatch, slic_supervoxels, feature, 27.0, 1.0,
                         measured=lambda fn: fn.__qualname__ == "_assign.<locals>.slab")
     assert len(peaks) == 2 * 2 and min(peaks) > 0
-    # 0.90-0.94x each today: per-cluster window bounds and the batch
-    # temporaries.  One slab-sized float64 temporary would add 0.5x.
-    assert max(peaks) <= 1.2 * feature.data.size * 8
+    # 0.0015x each today: the compiled loop allocates nothing, and the call
+    # converts its arguments.  The numpy loop's batch temporaries took
+    # 0.76-0.94x; one slab-sized float64 temporary would add 0.5x.
+    assert max(peaks) <= 0.01 * feature.data.size * 8
 
 
 def test_enforce_connectivity_memory_bounded(monkeypatch):
