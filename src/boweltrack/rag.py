@@ -117,8 +117,8 @@ def build_rag(segmentation: Volume, wall_map: Volume, labels: LabelVolume,
     wall = wall_map.data
     n = labels.label_count
 
-    # Node sums one slab at a time, with whole-volume `bincount` bits (see
-    # `_cluster_sums`).
+    # Node sums in one raster-order pass over the labels in any memory
+    # order, with whole-volume `bincount` bits (see `_cluster_sums`).
     axis_pos = [o + (np.arange(d) + 0.5) * s
                 for o, d, s in zip(labels.origin, labels.dims, labels.spacing)]
     counts, coord_sums, *_ = _cluster_sums(lab, axis_pos, n)

@@ -9,15 +9,20 @@ Distances are physical (mm) which keeps the target volume spacing-independent.
 Each assignment step gives every voxel the smallest (D, cluster id) pair
 among the clusters whose window (WINDOW_FACTOR grid steps around the
 center) covers it; a voxel no window covers goes to the nearest cluster
-overall.  The step is SLIC's per-cluster loop (Achanta et al., TPAMI 2012),
-compiled from slic_assign.c on first use: clusters run in id order and take
-a voxel only on a strictly smaller D, computed in double in a fixed order.
-Each worker runs the step on one axis-0 slab of the volume, with every
-window clipped to the slab, and writes the slab's rows of the label and
-distance buffers; slabs share no voxel, so the labels do not depend on the
-number of workers.  The connectivity step's components are found and
-renumbered slab by slab in the same way.  The workers are forked processes
-(`parallel.fork_ranges`) and the buffers they write are shared memory.
+overall.  The step is SLIC's per-cluster loop (Achanta et al., TPAMI 2012):
+clusters run in id order and take a voxel only on a strictly smaller D,
+computed in double in a fixed order.  Each worker runs the step on one
+axis-0 slab of the volume, with every window clipped to the slab, and
+writes the slab's rows of the label and distance buffers; slabs share no
+voxel, so the labels do not depend on the number of workers.  The workers
+are forked processes (`parallel.fork_ranges`) and the buffers they write
+are shared memory.
+
+Every per-voxel pass is compiled from slic_assign.c on first use: the seed
+search, the assignment step, the fallback for uncovered voxels, the update
+sums, the connectivity step's components and its scan for the components
+around each fragment.  Each has the bits of the numpy code it replaced,
+which the tests keep as oracles.
 """
 
 from __future__ import annotations
@@ -30,11 +35,10 @@ import os
 import shlex
 import subprocess
 import sysconfig
+import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from . import parallel
 from .errors import FormatError, InvariantError
@@ -44,24 +48,19 @@ SLIC_ITERATIONS = 10
 # Assignment windows extend this many grid steps from the cluster center;
 # 1.5 covers every voxel even when axis extents round the seed grid down.
 WINDOW_FACTOR = 1.5
-# The assignment step's source, and the command that compiles it: the
-# compiler Python was built with, with no FMA contraction and no fast-math,
-# so the kernel rounds as the per-cluster loop does on every platform.
+# The kernel's source, and the command that compiles it: the compiler
+# Python was built with, with no FMA contraction and no fast-math, so the
+# kernel rounds as the numpy code does on every platform; without errno
+# from sqrt, so that the assignment's sqrt vectorises.
 _KERNEL_SOURCE = Path(__file__).with_name("slic_assign.c")
 _COMPILE = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
-            "-O2", "-shared", "-fPIC", "-ffp-contract=off"]
-# Axis-0 rows per slab of the seed grid's gradient, the update step's sums,
-# the label counts and the relabelling (_SLAB_ROWS), and of the
-# connectivity components (_COMP_ROWS): bounds their temporaries to a few
-# slabs, whatever the volume.
+            "-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC"]
+# Axis-0 rows per slab of the label counts and the relabelling: bounds
+# their temporaries to a slab, whatever the volume.
 _SLAB_ROWS = 16
-_COMP_ROWS = 4
 
 # The 3^3 block in raster order; (0, 0, 0) sits in the middle, at index 13.
 _OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
-_OFFSETS_26 = np.delete(_OFFSETS_27, 13, axis=0)
-# Half of the 26-neighbourhood: lexicographically positive offsets.
-_HALF_OFFSETS = [tuple(int(o) for o in off) for off in _OFFSETS_27[14:]]
 
 
 class LabelVolume(Volume):
@@ -118,22 +117,116 @@ def load_label_volume(path) -> LabelVolume:
         raise FormatError(f"{path}: invalid label volume: {exc}") from exc
 
 
-def _squared_gradient(data: np.ndarray, sp, lo: int, hi: int) -> np.ndarray:
-    """|grad f|^2 (float64) at axis-0 rows lo..hi, with the bits of
-    `np.gradient` over the whole volume: one halo row on each side keeps
-    the central differences, and at the volume's first and last row the
-    one-sided difference reads the same rows."""
-    a, b = max(lo - 1, 0), min(hi + 1, data.shape[0])
-    grads = np.gradient(data[a:b].astype(np.float64), *sp)
-    mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
-    return mag[lo - a : hi - a]
+# The result and argument types of each function of slic_assign.c, in its
+# order.  A feature, which is float32 or float64, and an optional array are
+# passed by address.
+_IN = {t: np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
+       for t in (np.float64, np.int64, np.int32, np.bool_)}
+_OUT = {t: np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS,WRITEABLE")
+        for t in (np.float64, np.int64, np.int32)}
+_N, _ADDR, _FLAG, _REAL = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int, ctypes.c_double
+_POS = [_IN[np.float64]] * 3
+_CLUSTERS = [_N, *[_IN[np.float64]] * 3]
+_SIGNATURES = {
+    "slic_assign": (None, [_ADDR, _FLAG, _N, _N, *_POS, *_CLUSTERS, _IN[np.int64],
+                           _IN[np.int64], _N, _N, _OUT[np.int32], _OUT[np.float64]]),
+    "slic_nearest": (None, [_ADDR, _FLAG, _N, _N, _N, *_POS, *_CLUSTERS, _OUT[np.int32]]),
+    "slic_sums": (_N, [_ADDR, _N, _N, _N, _N, _N, _N, *_POS, _N, _ADDR, _FLAG,
+                       _OUT[np.int64], _OUT[np.float64], _ADDR, _ADDR, _ADDR]),
+    "slic_seeds": (None, [_ADDR, _FLAG, _N, _N, _N, _REAL, _REAL, _REAL, _N,
+                          _IN[np.int64], _OUT[np.int64]]),
+    "slic_components": (_N, [_IN[np.int32], _N, _N, _N, _OUT[np.int32]]),
+    "slic_fragment_pairs": (_N, [_IN[np.int32], _N, _N, _N, _IN[np.bool_], _N,
+                                 _OUT[np.int32], _N, _OUT[np.int64]]),
+}
+
+
+@functools.cache
+def _kernel():
+    """The functions of slic_assign.c, loaded with ctypes, each with the
+    types of `_SIGNATURES`.  The source is compiled once by `_COMPILE`, to a
+    file named by the SHA-256 of the source and the command, so a later
+    process loads it without the compiler: into the package's __pycache__,
+    or where that cannot be written into the user's cache,
+    $XDG_CACHE_HOME/boweltrack or else ~/.cache/boweltrack."""
+    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + shlex.join(_COMPILE).encode())
+    name = f"{_KERNEL_SOURCE.stem}-{key.hexdigest()}.so"
+    dirs = [_KERNEL_SOURCE.parent / "__pycache__"]
+    try:
+        dirs.append(Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+                    / "boweltrack")
+    except RuntimeError:
+        pass  # no home directory, so no user cache
+    lib = next((d / name for d in dirs if (d / name).exists()), None) or _build(dirs, name)
+    kernel = ctypes.CDLL(str(lib))
+    for fn, (restype, argtypes) in _SIGNATURES.items():
+        getattr(kernel, fn).restype = restype
+        getattr(kernel, fn).argtypes = argtypes
+    return kernel
+
+
+def _build(dirs, name: str) -> Path:
+    """Compile the kernel into `name` in the first of `dirs` where a file can
+    be made, written atomically, and remove that directory's builds of
+    other sources.  A failed compile raises OSError naming the command and
+    its error output."""
+    for directory in dirs:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=f"{name}.", dir=directory)
+        except OSError:
+            continue
+        os.close(fd)
+        tmp = Path(tmp)
+        break
+    else:
+        raise OSError(f"cannot compile the SLIC kernel: none of {', '.join(map(str, dirs))} "
+                      "can be written")
+    cmd = [*_COMPILE, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"]
+    try:
+        done = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:
+        tmp.unlink()
+        raise OSError(f"cannot compile the SLIC kernel: {shlex.join(cmd)}: {exc}") from None
+    if done.returncode:
+        tmp.unlink(missing_ok=True)
+        raise OSError(f"cannot compile the SLIC kernel: {shlex.join(cmd)} exited with "
+                      f"status {done.returncode}: {done.stderr.strip()}")
+    lib = tmp.replace(directory / name)
+    for old in directory.glob(f"{_KERNEL_SOURCE.stem}-*.so"):
+        if old != lib:
+            old.unlink(missing_ok=True)
+    return lib
+
+
+def _float_feature(data: np.ndarray) -> np.ndarray:
+    """The feature, C-ordered, in the smallest float type that holds it
+    exactly (a float32 wall map as it is), which the kernel widens to
+    float64 voxel by voxel: the bits of a float64 copy, without the copy."""
+    return np.ascontiguousarray(data, dtype=np.result_type(data.dtype, np.float32))
+
+
+def _is_feature(feat: np.ndarray, shape) -> bool:
+    return (feat.dtype in (np.float32, np.float64) and feat.flags.c_contiguous
+            and feat.shape == tuple(shape))
 
 
 def _seed_grid(feature: Volume, step: float):
     """Regular seed grid (mm centers), perturbed to the 3^3 lowest-gradient
-    voxel; returns (voxel indices (k,3), spatial centers (k,3) mm)."""
+    voxel; returns (voxel indices (k,3), spatial centers (k,3) mm).
+
+    Each grid point moves to the voxel of the 3^3 block around it with the
+    smallest |grad f|^2 of `np.gradient`: the first minimum in block raster
+    order, never a voxel outside the volume.  The kernel evaluates the
+    gradient only at those voxels."""
     dims = np.asarray(feature.dims)
     sp = np.asarray(feature.spacing)
+    if dims.min() < 2:
+        axis = int(np.argmin(dims))
+        raise ValueError(
+            f"axis {axis} has {dims[axis]} voxel; the seed grid's gradient "
+            "needs at least 2 per axis"
+        )
     extent = dims * sp
     if np.any(extent < step):
         bad = int(np.argmin(extent - step))
@@ -143,118 +236,53 @@ def _seed_grid(feature: Volume, step: float):
         )
     counts = [max(1, int(round(extent[a] / step))) for a in range(3)]
     axes = [(np.arange(n) + 0.5) * (extent[a] / n) for a, n in enumerate(counts)]
-
-    # Each grid point moves to the lowest-gradient voxel of the 3^3 block
-    # around it: the first minimum in block raster order, never a voxel
-    # outside the volume.  The gradient is taken one slab of _SLAB_ROWS
-    # axis-0 rows at a time, and each slab fills the block entries in its
-    # rows; the grid is in raster order, so the points near a slab are one
-    # range of it.
-    idx = [np.minimum((axes[a] / sp[a]).astype(int), dims[a] - 1) for a in range(3)]
+    idx = [np.minimum((axes[a] / sp[a]).astype(np.int64), dims[a] - 1) for a in range(3)]
     grid = np.stack(np.meshgrid(*idx, indexing="ij"), axis=-1).reshape(-1, 3)
-    block = np.full((len(grid), len(_OFFSETS_27)), np.inf)
-    for lo in range(0, dims[0], _SLAB_ROWS):
-        hi = min(lo + _SLAB_ROWS, dims[0])
-        mag = _squared_gradient(feature.data, sp, lo, hi)
-        near = slice(*np.searchsorted(grid[:, 0], (lo - 1, hi + 1)))
-        for j, off in enumerate(_OFFSETS_27):
-            nbr = grid[near] + off - (lo, 0, 0)
-            inside = np.all((nbr >= 0) & (nbr < mag.shape), axis=1)
-            block[near][inside, j] = mag[tuple(nbr[inside].T)]
-    seeds = grid + _OFFSETS_27[np.argmin(block, axis=1)]
+    feat = _float_feature(feature.data)
+    best = np.empty(len(grid), dtype=np.int64)
+    _kernel().slic_seeds(feat.ctypes.data, feat.dtype == np.float64, *map(int, dims), *sp,
+                         len(grid), grid, best)
+    seeds = grid + _OFFSETS_27[best]
     centers = (seeds + 0.5) * sp
     return seeds, centers
-
-
-def _box(off, step, shape):
-    """Slices selecting, for every voxel whose `off` neighbour lies inside
-    `shape`, the voxel `step` away from it."""
-    return tuple(slice(max(0, -o) + s, n - max(0, o) + s) for o, s, n in zip(off, step, shape))
-
-
-def _components(rows, cols, n: int):
-    """Connected components of the undirected graph on n nodes with edges
-    rows[k]-cols[k], numbered by their lowest node: (count, int32 ids)."""
-    # float64 weights: connected_components copies the graph to float64
-    # otherwise.
-    graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    return connected_components(graph, directed=False)
-
-
-def _slab_components(slab: np.ndarray, out: np.ndarray) -> int:
-    """26-connected components of `slab` alone, written to `out` numbered
-    from 0 by their lowest voxel; returns their count.
-
-    Equal face neighbours always link.  A diagonal pair v, v + off links only
-    when no other corner of the box spanned by v and v + off holds their
-    label: such a corner is 26-adjacent to both and already joins them, so
-    the components stay the same with far fewer edges.
-    """
-    n_vox = slab.size
-    index = np.int32 if n_vox <= np.iinfo(np.int32).max else np.int64
-    lin = np.arange(n_vox, dtype=index).reshape(slab.shape)
-    rows, cols = [], []
-    for off in _HALF_OFFSETS:
-        here, there = _box(off, (0, 0, 0), slab.shape), _box(off, off, slab.shape)
-        src = slab[here]
-        link = src == slab[there]
-        for corner in itertools.product(*((0, o) if o else (0,) for o in off)):
-            if any(corner) and corner != off:
-                link &= slab[_box(off, corner, slab.shape)] != src
-        rows.append(lin[here][link])
-        cols.append(lin[there][link])
-    del lin
-    n_comp, comp = _components(np.concatenate(rows), np.concatenate(cols), n_vox)
-    out[...] = comp.reshape(slab.shape)
-    return n_comp
 
 
 def _same_label_components(labels: np.ndarray):
     """26-connected components of the labeling (two voxels join a component
     iff adjacent and equally labeled), numbered by their lowest voxel.
-    Returns (int32 comp map, comp count).
-
-    Each slab of _COMP_ROWS axis-0 rows gets its own components, numbered
-    by lowest voxel after those of the slabs above it.  One small graph over
-    these ids then joins the equally labeled 26-neighbours across each slab
-    face, one edge per distinct (component above, component below) pair.
-    Its components, numbered by lowest id, are numbered by lowest voxel
-    too: ids follow their component's lowest voxel in raster order.
-    """
-    n0, rows = labels.shape[0], _COMP_ROWS
-    comp = parallel.shared_array(labels.shape, np.int32)
-    counts = parallel.shared_array(-(-n0 // rows), np.int64)
-
-    def components(lo, hi):
-        counts[lo // rows] = _slab_components(labels[lo:hi], comp[lo:hi])
-
-    parallel.fork_ranges(components, n0, rows)
-    first = np.concatenate(([0], np.cumsum(counts)))
-    n_ids = int(first[-1])
-    pairs = [np.empty(0, dtype=np.int64)]
-    for k, face in enumerate(range(rows, n0, rows)):
-        pair, ids = labels[face - 1 : face + 1], comp[face - 1 : face + 1]
-        keys = []
-        for off in itertools.product((1,), (-1, 0, 1), (-1, 0, 1)):
-            here, there = _box(off, (0, 0, 0), pair.shape), _box(off, off, pair.shape)
-            link = pair[here] == pair[there]
-            keys.append((ids[here][link] + first[k]) * n_ids + ids[there][link] + first[k + 1])
-        pairs.append(_distinct(np.concatenate(keys)))
-    n_comp, group = _components(*np.divmod(np.concatenate(pairs), n_ids), n_ids)
-
-    def renumber(lo, hi):
-        k = lo // rows
-        comp[lo:hi] = group[first[k] : first[k + 1]][comp[lo:hi]]
-
-    parallel.fork_ranges(renumber, n0, rows)
+    Returns (int32 comp map, comp count).  The kernel keeps its union-find
+    in the map, so nothing else the size of the volume is made."""
+    if (labels.dtype != np.int32 or not labels.flags.c_contiguous
+            or labels.size > np.iinfo(np.int32).max):
+        raise InvariantError(f"cannot find the components of a {labels.dtype} labeling of "
+                             f"shape {labels.shape}")
+    comp = np.empty(labels.shape, dtype=np.int32)
+    n_comp = _kernel().slic_components(labels, *labels.shape, comp)
     return comp, n_comp
 
 
-def _distinct(keys: np.ndarray, kind=None) -> np.ndarray:
+def _fragment_pairs(comp: np.ndarray, is_fragment: np.ndarray) -> np.ndarray:
+    """Sorted, distinct keys f * n + c, n = len(is_fragment), of each
+    fragment component f and each other component c 26-adjacent to one of
+    its voxels.  The kernel counts the keys, then writes them."""
+    n_comp = len(is_fragment)
+    if (comp.dtype != np.int32 or not comp.flags.c_contiguous
+            or is_fragment.dtype != np.bool_ or is_fragment.ndim != 1):
+        raise InvariantError(f"cannot scan a {comp.dtype} component map of shape {comp.shape} "
+                             f"for {n_comp} components")
+    scan = functools.partial(_kernel().slic_fragment_pairs, comp, *comp.shape, is_fragment,
+                             n_comp, np.empty(n_comp, dtype=np.int32))
+    count = scan(0, np.empty(0, dtype=np.int64))
+    keys = np.empty(max(count, 0), dtype=np.int64)
+    if count < 0 or scan(count, keys) != count:
+        raise InvariantError(f"component map holds ids outside 0..{n_comp - 1}")
+    return _distinct(keys)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct values of `keys`, which it sorts in place: one sort,
-    where `np.unique` takes tens of times longer on these keys.  `kind` is
-    the sort's; "stable" merges a few sorted runs in linear time."""
-    keys.sort(kind=kind)
+    where `np.unique` takes tens of times longer on these keys."""
+    keys.sort()
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -283,25 +311,7 @@ def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     label_sizes = np.zeros(int(labels.max()) + 1, dtype=np.int64)
     label_sizes[comp_label[main]] = comp_size[main]
 
-    # Sorted, unique (fragment, adjacent component) pairs, from the fragment
-    # voxels' 26 neighbours: each offset's distinct pairs are merged into
-    # one running set, so only distinct pairs are ever held together.
-    vox = np.flatnonzero(is_fragment[flat_comp])
-    coords = np.unravel_index(vox, labels.shape)
-    own = flat_comp[vox].astype(np.int64)
-    _, n1, n2 = labels.shape
-    keys = np.empty(0, dtype=np.int64)
-    for off in _OFFSETS_26.tolist():
-        inside = np.ones(len(vox), dtype=bool)
-        for c, o, n in zip(coords, off, labels.shape):
-            if o:
-                inside &= c > 0 if o < 0 else c < n - 1
-        nbr = flat_comp[vox[inside] + (off[0] * n1 + off[1]) * n2 + off[2]]
-        mine = own[inside]
-        other = nbr != mine
-        new = _distinct(mine[other] * n_comp + nbr[other])
-        keys = _distinct(np.concatenate((keys, new)), kind="stable")
-    del vox, coords, own, inside, nbr, mine, other, new
+    keys = _fragment_pairs(comp, is_fragment)
     frag = keys // n_comp
     adj = np.remainder(keys, n_comp, out=keys)
 
@@ -351,35 +361,15 @@ def _relabel(labels: np.ndarray, table: np.ndarray) -> None:
         labels[lo : lo + _SLAB_ROWS] = table[labels[lo : lo + _SLAB_ROWS]]
 
 
-@functools.cache
-def _kernel():
-    """`slic_assign` of slic_assign.c, loaded with ctypes.  It is compiled
-    once by `_COMPILE` into the package's __pycache__, to a file named by
-    the SHA-256 of the source and the command and written atomically, so a
-    later process loads it without the compiler.  A failed compile raises
-    OSError naming the command and its error output."""
-    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + shlex.join(_COMPILE).encode())
-    lib = _KERNEL_SOURCE.parent / "__pycache__" / f"slic_assign-{key.hexdigest()}.so"
-    if not lib.exists():
-        lib.parent.mkdir(exist_ok=True)
-        tmp = lib.with_name(f"{lib.name}.tmp{os.getpid()}")
-        cmd = [*_COMPILE, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"]
-        try:
-            done = subprocess.run(cmd, capture_output=True, text=True)
-        except OSError as exc:
-            raise OSError(f"cannot compile the SLIC kernel: {shlex.join(cmd)}: {exc}") from None
-        if done.returncode:
-            tmp.unlink(missing_ok=True)
-            raise OSError(f"cannot compile the SLIC kernel: {shlex.join(cmd)} exited with "
-                          f"status {done.returncode}: {done.stderr.strip()}")
-        os.replace(tmp, lib)
-    fn = ctypes.CDLL(str(lib)).slic_assign
-    f64, i64 = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64))
-    out = [np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS,WRITEABLE") for t in (np.int32, np.float64)]
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int, ctypes.c_int64, ctypes.c_int64, f64, f64, f64,
-                   ctypes.c_int64, f64, f64, f64, i64, i64, ctypes.c_int64, ctypes.c_int64, *out]
-    fn.restype = None
-    return fn
+def _check_clusters(what: str, feat, axis_pos, centers, cluster_feat, cluster_m, *buffers):
+    """Raise InvariantError unless the arguments of an assignment fit one
+    another: the kernel trusts every length and type."""
+    n = len(centers)
+    if (not _is_feature(feat, feat.shape) or tuple(map(len, axis_pos)) != feat.shape
+            or any(b.shape != feat.shape for b in buffers)
+            or not centers.shape == (n, 3) or not len(cluster_feat) == len(cluster_m) == n):
+        raise InvariantError(f"cannot {what} a {feat.dtype} feature of shape {feat.shape} "
+                             f"to {n} clusters")
 
 
 def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
@@ -389,17 +379,11 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
     `best_label` with the winning cluster id per voxel, -1 where no window
     covers the voxel, and `best_dist` with its distance.  Both are
     `parallel.shared_array` buffers, which the worker processes write.
-    The loop is the compiled `_kernel`, which reads the C-ordered float32
-    or float64 feature as it is."""
-    # The kernel trusts every length and type, so they are checked here.
-    n = len(centers)
-    if (feat.dtype not in (np.float32, np.float64) or not feat.flags.c_contiguous
-            or not feat.shape == best_label.shape == best_dist.shape
-            or tuple(map(len, axis_pos)) != feat.shape
-            or not centers.shape == (n, 3) or not len(cluster_feat) == len(cluster_m) == n):
-        raise InvariantError(f"cannot assign a {feat.dtype} feature of shape {feat.shape} "
-                             f"to {n} clusters")
-    kernel = _kernel()
+    The loop is the kernel's, which reads the C-ordered float32 or float64
+    feature as it is."""
+    _check_clusters("assign", feat, axis_pos, centers, cluster_feat, cluster_m, best_label,
+                    best_dist)
+    kernel = _kernel().slic_assign
     lo = np.column_stack([np.searchsorted(axis_pos[a], centers[:, a] - window) for a in range(3)])
     hi = np.column_stack([np.searchsorted(axis_pos[a], centers[:, a] + window, side="right")
                           for a in range(3)])
@@ -409,25 +393,36 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
     def slab(row0, row1):
         """The step for axis-0 rows row0..row1: every window is clipped to
         them, so no two slabs write the same voxel."""
-        kernel(feat.ctypes.data, feat.dtype == np.float64, n1, n2, *axis_pos, n, centers,
-               cluster_feat, scale, lo, hi, row0, row1, best_label, best_dist)
+        kernel(feat.ctypes.data, feat.dtype == np.float64, n1, n2, *axis_pos, len(centers),
+               centers, cluster_feat, scale, lo, hi, row0, row1, best_label, best_dist)
 
     # One slab per worker process; the first runs in this one.
     parallel.fork_ranges(slab, n0, -(-n0 // parallel.workers()))
 
 
+def _assign_uncovered(feat, axis_pos, centers, cluster_feat, cluster_m, step, best_label):
+    """Give each voxel that no window covered (label -1) the lowest cluster
+    id of the smallest |f - f_i| + (m_i / step) * |x - c_i| over all
+    clusters, with `np.linalg.norm`'s |x - c_i|.  The kernel holds no
+    temporary, whatever the number of such voxels and clusters."""
+    _check_clusters("fall back from", feat, axis_pos, centers, cluster_feat, cluster_m,
+                    best_label)
+    _kernel().slic_nearest(feat.ctypes.data, feat.dtype == np.float64, *feat.shape, *axis_pos,
+                           len(centers), centers, cluster_feat, cluster_m / step, best_label)
+
+
 def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
     """Each label's voxel count, sums (3, n_clusters) of the voxel
     coordinates axis_pos[a] along each axis a and, given `feat`, its
-    feature sum, minimum and maximum (else None each).  Summed one slab of
-    _SLAB_ROWS axis-0 rows at a time, in raster order: `np.add.at` adds the
-    voxels in that order, from 0.0, as `np.bincount(weights=...)` over the
-    whole volume does, so the sums have its bits without a float64
-    coordinate or feature volume or an intp copy of the labels.  The
-    extremes are taken in the feature's own float type, +inf and -inf for
-    an empty label: exact, whatever the slab order, and `ufunc.at` stays on
-    its fast path (mixed types leave it)."""
-    n0, n1, n2 = labels.shape
+    feature sum, minimum and maximum (else None each).  One raster-order
+    pass of the kernel, in any memory order of the labels: it adds the
+    voxels in that order, from 0.0, as `np.add.at` and a whole-volume
+    `np.bincount(weights=...)` do, and takes the extremes in the feature's
+    own float type as `np.minimum.at` and `np.maximum.at` do, +inf and -inf
+    for an empty label."""
+    if (labels.dtype != np.int32 or tuple(map(len, axis_pos)) != labels.shape
+            or feat is not None and not _is_feature(feat, labels.shape)):
+        raise InvariantError(f"cannot sum a {labels.dtype} labeling of shape {labels.shape}")
     counts = np.zeros(n_clusters, dtype=np.int64)
     sums = np.zeros((3, n_clusters))
     fsums = fmin = fmax = None
@@ -435,18 +430,12 @@ def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
         fsums = np.zeros(n_clusters)
         fmin = np.full(n_clusters, np.inf, dtype=feat.dtype)
         fmax = np.full(n_clusters, -np.inf, dtype=feat.dtype)
-    for lo in range(0, n0, _SLAB_ROWS):
-        hi = min(lo + _SLAB_ROWS, n0)
-        flat = labels[lo:hi].ravel()
-        counts += np.bincount(flat, minlength=n_clusters)
-        coords = (axis_pos[0][lo:hi, None, None], axis_pos[1][:, None], axis_pos[2])
-        for a, coord in enumerate(coords):
-            np.add.at(sums[a], flat, np.broadcast_to(coord, (hi - lo, n1, n2)).ravel())
-        if feat is not None:
-            vals = feat[lo:hi].ravel()
-            np.add.at(fsums, flat, vals.astype(np.float64))
-            np.minimum.at(fmin, flat, vals)
-            np.maximum.at(fmax, flat, vals)
+    addr = [None if a is None else a.ctypes.data for a in (feat, fsums, fmin, fmax)]
+    strides = [s // labels.itemsize for s in labels.strides]
+    if _kernel().slic_sums(labels.ctypes.data, *strides, *labels.shape, *axis_pos, n_clusters,
+                           addr[0], feat is not None and feat.dtype == np.float64, counts,
+                           sums, *addr[1:]):
+        raise InvariantError(f"labels outside 0..{n_clusters - 1}")
     return counts, sums, fsums, fmin, fmax
 
 
@@ -458,24 +447,14 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
             f"target_volume {target_volume} must be at least 8 voxels "
             f"({8.0 * feature.voxel_volume():.1f} mm^3)"
         )
-    if min(feature.dims) < 2:
-        axis = int(np.argmin(feature.dims))
-        raise ValueError(
-            f"axis {axis} has {feature.dims[axis]} voxel; the seed grid's gradient "
-            "needs at least 2 per axis"
-        )
 
     step = target_volume ** (1.0 / 3.0)
+    seeds, centers = _seed_grid(feature, step)
     dims = feature.dims
     sp = np.asarray(feature.spacing)
-    # The feature in the smallest float type that holds it exactly (a
-    # float32 wall map as it is), which the assignment widens to float64
-    # voxel by voxel: the same distances as a float64 copy, without the copy.
-    feat = np.ascontiguousarray(
-        feature.data, dtype=np.result_type(feature.data.dtype, np.float32))
+    feat = _float_feature(feature.data)
     axis_pos = [(np.arange(dims[a]) + 0.5) * sp[a] for a in range(3)]
 
-    seeds, centers = _seed_grid(feature, step)
     n_clusters = len(seeds)
     cluster_feat = feat[seeds[:, 0], seeds[:, 1], seeds[:, 2]].astype(np.float64)
     cluster_m = np.full(n_clusters, float(compactness))
@@ -490,18 +469,7 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
     for it in range(SLIC_ITERATIONS):
         _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
                 best_label, best_dist)
-        stray = best_label < 0
-        if stray.any():
-            coords = np.argwhere(stray)
-            pos = (coords + 0.5) * sp
-            fval = feat[stray]
-            for lo_i in range(0, len(coords), 4096):
-                sl = slice(lo_i, lo_i + 4096)
-                ds = np.linalg.norm(pos[sl, None, :] - centers[None, :, :], axis=2)
-                df = np.abs(fval[sl, None] - cluster_feat[None, :])
-                dist = df + (cluster_m[None, :] / step) * ds
-                best_label[tuple(coords[sl].T)] = np.argmin(dist, axis=1)
-            del coords, pos, fval, ds, df, dist
+        _assign_uncovered(feat, axis_pos, centers, cluster_feat, cluster_m, step, best_label)
         if it == SLIC_ITERATIONS - 1:
             # The connectivity step reads only the labels.
             break
@@ -514,7 +482,7 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
         cluster_feat[occupied] = fsums[occupied] / counts[occupied]
         cluster_m[occupied] = np.maximum(float(compactness), spread[occupied])
 
-    del feat, best_dist, stray
+    del feat, best_dist
     final = _enforce_connectivity(best_label)
     del best_label
     return LabelVolume(final, feature.spacing, feature.origin)

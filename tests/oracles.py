@@ -1,18 +1,20 @@
 """Test-only oracles: an exact must-pass solver, the cost of a visiting
 order over a simplified-graph cost matrix and the dummy-node construction
 of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
-the whole-volume update sums and extremes, the seed-grid loop, the
-all-pairs and the whole-volume same-label components and the per-fragment
-connectivity loop (supervoxels); the all-faces graph build, the
-whole-volume node sums, the node mask applied to a whole-volume graph and
-the f-string graph writer; the whole-ball peak search and the per-peak
-node mapping (sampling); the sampled Gaussian derivative kernel, the
-whole-volume Hessian and the eigvalsh sheet response (wall filter); the
-full-grid centerline distance and the all-pairs strand clearance
-(phantom); the one-blob volume writer (volume files); the per-metric
-point-to-curve distance, match counts, curve-to-curve distance, error-free
-length and its `while`-loop run finder (metrics); and a node's neighbours
-sliced from the adjacency matrix (graph)."""
+the blocked numpy fallback for uncovered voxels, the whole-volume and the
+slab-wise update sums and extremes, the seed-grid loop and the slab-wise
+seed search, the all-pairs and the slab-wise same-label components, the
+per-offset fragment-pair scan and the per-fragment connectivity loop
+(supervoxels); the all-faces graph build, the whole-volume node sums, the
+node mask applied to a whole-volume graph and the f-string graph writer;
+the whole-ball peak search and the per-peak node mapping (sampling); the
+sampled Gaussian derivative kernel, the whole-volume Hessian and the
+eigvalsh sheet response (wall filter); the full-grid centerline distance
+and the all-pairs strand clearance (phantom); the one-blob volume writer
+(volume files); the per-metric point-to-curve distance, match counts,
+curve-to-curve distance, error-free length and its `while`-loop run finder
+(metrics); and a node's neighbours sliced from the adjacency matrix
+(graph)."""
 
 import heapq
 import itertools
@@ -259,6 +261,87 @@ _OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.i
 _OFFSETS_26 = np.delete(_OFFSETS_27, 13, axis=0)
 
 
+def squared_gradient(data: np.ndarray, sp, lo: int, hi: int) -> np.ndarray:
+    """|grad f|^2 (float64) at axis-0 rows lo..hi, with the bits of
+    `np.gradient` over the whole volume: one halo row on each side keeps
+    the central differences, and at the volume's first and last row the
+    one-sided difference reads the same rows."""
+    a, b = max(lo - 1, 0), min(hi + 1, data.shape[0])
+    grads = np.gradient(data[a:b].astype(np.float64), *sp)
+    mag = grads[0] ** 2 + grads[1] ** 2 + grads[2] ** 2
+    return mag[lo - a : hi - a]
+
+
+def seed_grid_slabs(feature, step: float, rows: int = 16):
+    """Seed grid of `supervoxel._seed_grid`, with the gradient taken one
+    slab of `rows` axis-0 rows at a time; each slab fills the 3^3 block
+    entries of the grid points near it."""
+    dims = np.asarray(feature.dims)
+    sp = np.asarray(feature.spacing)
+    extent = dims * sp
+    counts = [max(1, int(round(extent[a] / step))) for a in range(3)]
+    axes = [(np.arange(n) + 0.5) * (extent[a] / n) for a, n in enumerate(counts)]
+    idx = [np.minimum((axes[a] / sp[a]).astype(int), dims[a] - 1) for a in range(3)]
+    grid = np.stack(np.meshgrid(*idx, indexing="ij"), axis=-1).reshape(-1, 3)
+    block = np.full((len(grid), len(_OFFSETS_27)), np.inf)
+    for lo in range(0, dims[0], rows):
+        hi = min(lo + rows, dims[0])
+        mag = squared_gradient(feature.data, sp, lo, hi)
+        # The grid is in raster order, so the points near a slab are one
+        # range of it.
+        near = slice(*np.searchsorted(grid[:, 0], (lo - 1, hi + 1)))
+        for j, off in enumerate(_OFFSETS_27):
+            nbr = grid[near] + off - (lo, 0, 0)
+            inside = np.all((nbr >= 0) & (nbr < mag.shape), axis=1)
+            block[near][inside, j] = mag[tuple(nbr[inside].T)]
+    seeds = grid + _OFFSETS_27[np.argmin(block, axis=1)]
+    centers = (seeds + 0.5) * sp
+    return seeds, centers
+
+
+def cluster_sums_slabs(labels, axis_pos, n_clusters, feat=None, rows: int = 16):
+    """Counts, coordinate sums and feature sums and extremes of
+    `supervoxel._cluster_sums`, one slab of `rows` axis-0 rows at a time:
+    `np.add.at`, `np.minimum.at` and `np.maximum.at` in raster order."""
+    n0, n1, n2 = labels.shape
+    counts = np.zeros(n_clusters, dtype=np.int64)
+    sums = np.zeros((3, n_clusters))
+    fsums = fmin = fmax = None
+    if feat is not None:
+        fsums = np.zeros(n_clusters)
+        fmin = np.full(n_clusters, np.inf, dtype=feat.dtype)
+        fmax = np.full(n_clusters, -np.inf, dtype=feat.dtype)
+    for lo in range(0, n0, rows):
+        hi = min(lo + rows, n0)
+        flat = labels[lo:hi].ravel()
+        counts += np.bincount(flat, minlength=n_clusters)
+        coords = (axis_pos[0][lo:hi, None, None], axis_pos[1][:, None], axis_pos[2])
+        for a, coord in enumerate(coords):
+            np.add.at(sums[a], flat, np.broadcast_to(coord, (hi - lo, n1, n2)).ravel())
+        if feat is not None:
+            vals = feat[lo:hi].ravel()
+            np.add.at(fsums, flat, vals.astype(np.float64))
+            np.minimum.at(fmin, flat, vals)
+            np.maximum.at(fmax, flat, vals)
+    return counts, sums, fsums, fmin, fmax
+
+
+def assign_uncovered_blocks(feat, axis_pos, centers, cluster_feat, cluster_m, step,
+                            best_label, rows: int = 4096):
+    """Fallback of `supervoxel._assign_uncovered`: the voxels labeled -1, in
+    blocks of `rows`, against every cluster at once."""
+    stray = best_label < 0
+    coords = np.argwhere(stray)
+    pos = np.stack([axis_pos[a][coords[:, a]] for a in range(3)], axis=1)
+    fval = feat[stray]
+    for lo in range(0, len(coords), rows):
+        sl = slice(lo, lo + rows)
+        ds = np.linalg.norm(pos[sl, None, :] - centers[None, :, :], axis=2)
+        df = np.abs(fval[sl, None] - cluster_feat[None, :])
+        dist = df + (cluster_m[None, :] / step) * ds
+        best_label[tuple(coords[sl].T)] = np.argmin(dist, axis=1)
+
+
 def same_label_components_all_pairs(labels: np.ndarray):
     """Components of `supervoxel._same_label_components` from an edge for
     every equally labeled pair along the 13 lexicographically positive
@@ -272,40 +355,89 @@ def same_label_components_all_pairs(labels: np.ndarray):
         same = labels[src] == labels[dst]
         rows.append(lin[src][same])
         cols.append(lin[dst][same])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    graph = sparse.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_vox, n_vox)
-    ).tocsr()
-    n_comp, comp = connected_components(graph, directed=False)
+    n_comp, comp = _components(np.concatenate(rows), np.concatenate(cols), n_vox)
     return comp.reshape(labels.shape), n_comp
 
 
-def same_label_components_whole_volume(labels: np.ndarray):
-    """Components of `supervoxel._same_label_components` from one graph over
-    the whole volume: equal face neighbours, and diagonal pairs whose spanned
-    box holds their label at no other corner.  Returns (comp map, count)."""
-    n_vox = labels.size
-    lin = np.arange(n_vox, dtype=np.int64).reshape(labels.shape)
+def _box(off, step, shape):
+    """Slices selecting, for every voxel whose `off` neighbour lies inside
+    `shape`, the voxel `step` away from it."""
+    return tuple(slice(max(0, -o) + s, n - max(0, o) + s) for o, s, n in zip(off, step, shape))
+
+
+def _components(rows, cols, n: int):
+    """Connected components of the undirected graph on n nodes with edges
+    rows[k]-cols[k], numbered by their lowest node: (count, int32 ids)."""
+    graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    return connected_components(graph, directed=False)
+
+
+def _slab_components(slab: np.ndarray):
+    """26-connected components of `slab` alone, numbered from 0 by their
+    lowest voxel: (count, ids).  Equal face neighbours always link; a
+    diagonal pair v, v + off links only when no other corner of the box
+    they span holds their label, since such a corner already joins them."""
+    lin = np.arange(slab.size, dtype=np.int64).reshape(slab.shape)
     rows, cols = [], []
-    for off in _OFFSETS_27[14:]:
-        src = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, labels.shape))
-        dst = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, labels.shape))
-        link = labels[src] == labels[dst]
+    for off in map(tuple, _OFFSETS_27[14:].tolist()):
+        here, there = _box(off, (0, 0, 0), slab.shape), _box(off, off, slab.shape)
+        src = slab[here]
+        link = src == slab[there]
         for corner in itertools.product(*((0, o) if o else (0,) for o in off)):
-            if any(corner) and tuple(corner) != tuple(off):
-                at = tuple(slice(max(0, -o) + c, n - max(0, o) + c)
-                           for o, c, n in zip(off, corner, labels.shape))
-                link &= labels[at] != labels[src]
-        rows.append(lin[src][link])
-        cols.append(lin[dst][link])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    graph = sparse.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n_vox, n_vox)
-    ).tocsr()
-    n_comp, comp = connected_components(graph, directed=False)
-    return comp.reshape(labels.shape), n_comp
+            if any(corner) and corner != off:
+                link &= slab[_box(off, corner, slab.shape)] != src
+        rows.append(lin[here][link])
+        cols.append(lin[there][link])
+    return _components(np.concatenate(rows), np.concatenate(cols), slab.size)
+
+
+def same_label_components_slabs(labels: np.ndarray, rows: int = 4):
+    """Components of `supervoxel._same_label_components` from slabs of
+    `rows` axis-0 rows, numbered by lowest voxel after those of the slabs
+    above, and one small graph over these ids that joins the equally
+    labeled 26-neighbours across each slab face.  Its components, numbered
+    by lowest id, are numbered by lowest voxel too.  Returns (int32 comp
+    map, comp count)."""
+    n0 = labels.shape[0]
+    comp = np.empty(labels.shape, dtype=np.int32)
+    first = [0]
+    for lo in range(0, n0, rows):
+        count, ids = _slab_components(labels[lo : lo + rows])
+        comp[lo : lo + rows] = ids.reshape(labels[lo : lo + rows].shape)
+        first.append(first[-1] + count)
+    n_ids = first[-1]
+    pairs = [np.empty(0, dtype=np.int64)]
+    for k, face in enumerate(range(rows, n0, rows)):
+        pair, ids = labels[face - 1 : face + 1], comp[face - 1 : face + 1].astype(np.int64)
+        for off in itertools.product((1,), (-1, 0, 1), (-1, 0, 1)):
+            here, there = _box(off, (0, 0, 0), pair.shape), _box(off, off, pair.shape)
+            link = pair[here] == pair[there]
+            pairs.append((ids[here][link] + first[k]) * n_ids + ids[there][link] + first[k + 1])
+    n_comp, group = _components(*np.divmod(np.concatenate(pairs), n_ids), n_ids)
+    for k, lo in enumerate(range(0, n0, rows)):
+        comp[lo : lo + rows] = group[first[k] : first[k + 1]][comp[lo : lo + rows]]
+    return comp, n_comp
+
+
+def fragment_pairs_offsets(comp: np.ndarray, is_fragment: np.ndarray) -> np.ndarray:
+    """Keys of `supervoxel._fragment_pairs`, from the fragment voxels' 26
+    neighbours one offset at a time."""
+    n_comp = len(is_fragment)
+    flat_comp = comp.ravel()
+    vox = np.flatnonzero(is_fragment[flat_comp])
+    coords = np.unravel_index(vox, comp.shape)
+    own = flat_comp[vox].astype(np.int64)
+    _, n1, n2 = comp.shape
+    keys = [np.empty(0, dtype=np.int64)]
+    for off in _OFFSETS_26.tolist():
+        inside = np.ones(len(vox), dtype=bool)
+        for c, o, n in zip(coords, off, comp.shape):
+            if o:
+                inside &= c > 0 if o < 0 else c < n - 1
+        nbr = flat_comp[vox[inside] + (off[0] * n1 + off[1]) * n2 + off[2]]
+        other = nbr != own[inside]
+        keys.append(own[inside][other] * n_comp + nbr[other])
+    return np.unique(np.concatenate(keys))
 
 
 def enforce_connectivity_per_fragment(labels: np.ndarray) -> np.ndarray:

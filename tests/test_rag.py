@@ -4,7 +4,6 @@
 import numpy as np
 import pytest
 
-from boweltrack import supervoxel
 from boweltrack.errors import FormatError, InfeasibleError
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.rag import Rag, build_rag, load_rag, save_rag
@@ -294,9 +293,7 @@ class TestMasking:
 
     @pytest.mark.parametrize("origin", [(0.0, 0.0, 0.0), (-31.7, 4.25, 1e3 / 3)])
     @pytest.mark.parametrize("seed", range(6))
-    def test_nodes_match_bincount_oracle_bytes(self, seed, origin, monkeypatch):
-        # Slabs of 3 rows: the last one is short.
-        monkeypatch.setattr(supervoxel, "_SLAB_ROWS", 3)
+    def test_nodes_match_bincount_oracle_bytes(self, seed, origin):
         lv, _ = random_labeling(seed, dims=(11, 8, 7), n_labels=9)
         lv = LabelVolume(lv.data, lv.spacing, origin)
         self.assert_nodes_match_bincount_oracle(lv, random_mask(lv, seed), 0.5)

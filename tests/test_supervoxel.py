@@ -1,14 +1,22 @@
 """Supervoxel clustering: partition/connectivity audits, boundary adherence,
-equivalence with the per-cluster loop and the per-fragment connectivity
-loop, and a memory bound."""
+equivalence of every compiled part with the numpy code it replaced, the
+per-cluster loop and the per-fragment connectivity loop, the kernel's build
+and memory bounds."""
 
+import collections
+import ctypes
+import functools
 import os
+import platform
+import re
+import shutil
 import shlex
 import signal
 import subprocess
 import sys
 import sysconfig
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +36,15 @@ from boweltrack.volume_io import Volume, save_volume
 from memory import range_peaks, traced_peak
 from oracles import (
     assign_per_cluster,
+    assign_uncovered_blocks,
     cluster_sums_bincount,
+    cluster_sums_slabs,
     enforce_connectivity_per_fragment,
+    fragment_pairs_offsets,
     same_label_components_all_pairs,
-    same_label_components_whole_volume,
+    same_label_components_slabs,
     seed_grid_loop,
+    seed_grid_slabs,
 )
 from stage_rule import stage_rejects
 
@@ -57,6 +69,7 @@ def blocky_feature(seed, dims=(18, 15, 12), block=3, levels=4):
                   (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
 
+@functools.cache
 def phantom_wall_map():
     spec = PhantomSpec(dims=(80, 64, 24), bends=1, touch_pairs=0, seed=7)
     intensity, _, _ = generate_phantom(spec)
@@ -149,10 +162,65 @@ class TestInvariants:
         assert np.array_equal(a.data, b.data)
 
 
+def signed_zero_feature(seed, dims=(15, 13, 11)):
+    """A smooth random feature whose values near 0 are 0.0 or -0.0 by their
+    sign: the extremes of `np.minimum.at` and `np.maximum.at` keep the zero
+    that came last."""
+    feature = random_feature(seed, dims)
+    zero = np.copysign(np.float32(0.0), feature.data)
+    return feature.like(np.where(np.abs(feature.data) < 0.02, zero, feature.data))
+
+
+# Each compiled part of slic_supervoxels and the numpy code it replaced.
+NUMPY_PARTS = {
+    "_seed_grid": seed_grid_slabs,
+    "_assign_uncovered": assign_uncovered_blocks,
+    "_cluster_sums": cluster_sums_slabs,
+    "_same_label_components": same_label_components_slabs,
+    "_fragment_pairs": fragment_pairs_offsets,
+}
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays of one dtype and shape, bit for bit, in equal nestings
+    of tuples and lists; other values equal, or the same object."""
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_bits, a, b))
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return a is b or a == b
+
+
+def check_parts(patch) -> collections.Counter:
+    """Patch each compiled part to run its numpy code too, on copies of the
+    arguments, and to assert that both return the same bits and leave the
+    arguments the same; returns the count of calls per part."""
+    calls = collections.Counter()
+
+    def checked(name, part, oracle):
+        def both(*args):
+            copies = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+            want = oracle(*copies)
+            got = part(*args)
+            assert same_bits(got, want), name
+            assert same_bits(list(args), copies), name
+            calls[name] += 1
+            return got
+        return both
+
+    for name, oracle in NUMPY_PARTS.items():
+        patch.setattr(supervoxel, name, checked(name, getattr(supervoxel, name), oracle))
+    return calls
+
+
 def oracle_slic(monkeypatch, feature, target_volume, compactness):
-    """slic_supervoxels with the per-cluster assignment loop and the
-    one-point-at-a-time seed grid."""
+    """slic_supervoxels with the per-cluster assignment loop, the
+    one-point-at-a-time seed grid and the numpy code of every other
+    compiled part."""
     with monkeypatch.context() as patch:
+        for name, oracle in NUMPY_PARTS.items():
+            patch.setattr(supervoxel, name, oracle)
         patch.setattr(supervoxel, "_assign", assign_per_cluster)
         patch.setattr(supervoxel, "_seed_grid", seed_grid_loop)
         return slic_supervoxels(feature, target_volume, compactness)
@@ -185,12 +253,17 @@ EQUIVALENCE_CASES = {
     "blocky": (blocky_feature(21), 27.0, 0.05),
     # Loose clusters drift: some voxels leave their cluster's window.
     "drifting": (random_feature(16), 125.0, 0.001),
+    # Many voxels hold 0.0 or -0.0.
+    "signed-zero": (signed_zero_feature(18), 125.0, 0.01),
+    # Two rows, which have no central difference, and odd dims.
+    "thin": (random_feature(19, dims=(2, 13, 11), spacing=(4.0, 1.0, 1.3)), 64.0, 0.05),
 }
 
 
 class TestOracleEquivalence:
-    """The batched assignment and the vectorised seed grid give the labels
-    of the per-cluster loop, bit for bit."""
+    """The compiled slic gives the labels of the per-cluster loop and the
+    numpy code of its other parts, and each part the bits of its numpy
+    code."""
 
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
     def test_labels_match_per_cluster_loop(self, monkeypatch, case):
@@ -206,6 +279,23 @@ class TestOracleEquivalence:
         expected = oracle_slic(monkeypatch, wall, 216.0, 0.01)
         assert np.array_equal(got.data, expected.data)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES) + ["phantom"])
+    def test_every_part_matches_numpy(self, monkeypatch, case, dtype):
+        """Every call slic_supervoxels makes of a compiled part: the phantom
+        wall map holds -0.0, and the thick-slice case has uncovered
+        voxels."""
+        if case == "phantom":
+            feature, target_volume, compactness = phantom_wall_map(), 216.0, 0.01
+        else:
+            feature, target_volume, compactness = EQUIVALENCE_CASES[case]
+        feature = feature.like(feature.data.astype(dtype))
+        calls = check_parts(monkeypatch)
+        slic_supervoxels(feature, target_volume, compactness)
+        steps = supervoxel.SLIC_ITERATIONS
+        assert calls == {"_seed_grid": 1, "_assign_uncovered": steps, "_cluster_sums": steps - 1,
+                         "_same_label_components": 1, "_fragment_pairs": 1}
+
     @staticmethod
     def assert_seed_grid_matches_loop(feature, target_volume):
         step = target_volume ** (1.0 / 3.0)
@@ -219,18 +309,21 @@ class TestOracleEquivalence:
         feature, target_volume, _ = EQUIVALENCE_CASES[case]
         self.assert_seed_grid_matches_loop(feature, target_volume)
 
-    # Gradient slabs of 1 and 2 rows, and one slab holding every row; the
-    # 2-row volume has no row with a central difference.
+    # The numpy seed search's gradient slabs of 1 and 2 rows, and one slab
+    # holding every row; the 2-row volume has no row with a central
+    # difference.
     @pytest.mark.parametrize("rows", [1, 2, "all"])
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES) + ["two-rows"])
-    def test_seed_grid_any_slab_height(self, monkeypatch, case, rows):
+    def test_seed_grid_any_slab_height(self, case, rows):
         if case == "two-rows":
             feature, target_volume = random_feature(15, dims=(2, 12, 10),
                                                     spacing=(4.0, 1.0, 1.0)), 27.0
         else:
             feature, target_volume, _ = EQUIVALENCE_CASES[case]
-        monkeypatch.setattr(supervoxel, "_SLAB_ROWS",
-                            feature.dims[0] + 1 if rows == "all" else rows)
+        step = target_volume ** (1.0 / 3.0)
+        rows = feature.dims[0] + 1 if rows == "all" else rows
+        got = supervoxel._seed_grid(feature, step)
+        assert same_bits(seed_grid_slabs(feature, step, rows), got)
         self.assert_seed_grid_matches_loop(feature, target_volume)
 
 
@@ -360,10 +453,36 @@ def source_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+# Generates the straight test phantom into argv[1] and tracks it, then
+# prints the path of the kernel it loaded.
+TRACK_SCRIPT = """
+import sys
+from boweltrack import pipeline, supervoxel
+from boweltrack.config import TrackingConfig
+from boweltrack.phantom import PhantomSpec, generate_phantom
+from boweltrack.volume_io import save_polyline, save_volume
+
+out = sys.argv[1]
+spec = PhantomSpec(dims=(64, 28, 28), spacing=(2.0, 2.0, 2.0), inner_radius=12.0, bends=0,
+                   touch_pairs=0, seed=3)
+intensity, seg, gt = generate_phantom(spec)
+save_volume(intensity, out + "/intensity.vol")
+save_volume(seg, out + "/segmentation.vol")
+save_polyline(gt, out + "/gt.poly")
+pipeline.run_track(TrackingConfig(
+    intensity_path=out + "/intensity.vol", segmentation_path=out + "/segmentation.vol",
+    gt_path=out + "/gt.poly", start=tuple(gt.points[0]), end=tuple(gt.points[-1]),
+    output_dir=out + "/track"))
+print(supervoxel._kernel()._name)
+"""
+
+
 class TestKernel:
-    """The compiled assignment loop: the per-cluster loop's labels and
-    distances bit for bit, built once and then loaded, and a failed build
-    that names the compiler command."""
+    """The compiled parts: the per-cluster loop's labels and distances bit
+    for bit, on the AVX2 clone and the default one; every entry point typed
+    and its arguments checked; built once and then loaded, into the user's
+    cache where the package cannot be written, leaving one library; and a
+    failed build that names the compiler command."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32])
@@ -378,8 +497,9 @@ class TestKernel:
             assert dist.tobytes() == oracle_dist.tobytes()
 
     def test_inconsistent_arguments_are_rejected(self):
-        """The loop reads and writes through raw pointers, so each length,
-        type and memory order is checked before it runs."""
+        """The kernel reads and writes through raw pointers, so each entry
+        point checks each length, type and memory order before it runs, and
+        the kernel each label or component id it indexes with."""
         feat = np.zeros((4, 5, 6), dtype=np.float32)
         axis_pos = [np.arange(n) + 0.5 for n in feat.shape]
         centers, cluster_feat, cluster_m = np.full((2, 3), 2.0), np.zeros(2), np.ones(2)
@@ -397,6 +517,80 @@ class TestKernel:
         for f, pos, c, cf in bad:
             with pytest.raises(InvariantError, match="cannot assign"):
                 supervoxel._assign(f, pos, c, cf, cluster_m, 3.0, 4.5, *buffers)
+            with pytest.raises(InvariantError, match="cannot fall back from"):
+                supervoxel._assign_uncovered(f, pos, c, cf, cluster_m, 3.0, buffers[0])
+        with pytest.raises(InvariantError, match="cannot assign"):
+            supervoxel._assign(feat, axis_pos, centers, cluster_feat, cluster_m, 3.0, 4.5,
+                               buffers[0], buffers[1][:3])
+        with pytest.raises(InvariantError, match="cannot fall back from"):
+            supervoxel._assign_uncovered(feat, axis_pos, centers, cluster_feat, cluster_m, 3.0,
+                                         buffers[0][:3])
+
+        labels = (np.arange(feat.size) % 3 == 0).astype(np.int32).reshape(feat.shape)
+        supervoxel._cluster_sums(labels, axis_pos, 2, feat)
+        for lab, pos, f in [(labels.astype(np.int64), axis_pos, feat),
+                            (labels[:3], axis_pos, feat),
+                            (labels, axis_pos[::-1], feat),
+                            (labels, axis_pos, feat[:3]),
+                            (labels, axis_pos, feat.astype(np.int32)),
+                            (labels, axis_pos, np.asfortranarray(feat))]:
+            with pytest.raises(InvariantError, match="cannot sum"):
+                supervoxel._cluster_sums(lab, pos, 2, f)
+        for outside in (-1, 2):
+            labels[1, 2, 3] = outside
+            with pytest.raises(InvariantError, match=r"labels outside 0\.\.1"):
+                supervoxel._cluster_sums(labels, axis_pos, 2, feat)
+        labels[1, 2, 3] = 0
+
+        for lab in (labels.astype(np.int64), np.asfortranarray(labels)):
+            with pytest.raises(InvariantError, match="cannot find the components"):
+                supervoxel._same_label_components(lab)
+        comp, n_comp = supervoxel._same_label_components(labels)
+        is_fragment = np.ones(n_comp, dtype=bool)
+        assert len(supervoxel._fragment_pairs(comp, is_fragment)) > 0
+        for c, frag in [(comp.astype(np.int64), is_fragment), (comp.T, is_fragment),
+                        (comp, is_fragment.astype(np.uint8)), (comp, is_fragment[:, None])]:
+            with pytest.raises(InvariantError, match="cannot scan"):
+                supervoxel._fragment_pairs(c, frag)
+        with pytest.raises(InvariantError, match=f"ids outside 0..{n_comp - 2}"):
+            supervoxel._fragment_pairs(comp, is_fragment[1:])
+
+        with pytest.raises(ValueError, match="axis 1 has 1 voxel"):
+            supervoxel._seed_grid(Volume(feat[:, :1], (1.0, 1.0, 1.0), (0, 0, 0)), 1.0)
+
+    def test_every_entry_point_is_typed(self):
+        """ctypes passes an untyped function's arguments as ints and reads an
+        int back: every function the source exports has its result type and
+        one argument type per parameter."""
+        source = supervoxel._KERNEL_SOURCE.read_text()
+        exported = re.findall(r"^(void|int64_t) (\w+)\(([^)]*)\)", source, flags=re.M)
+        assert sorted(name for _, name, _ in exported) == sorted(supervoxel._SIGNATURES)
+        kernel = supervoxel._kernel()
+        for result, name, params in exported:
+            fn = getattr(kernel, name)
+            assert fn.restype is (None if result == "void" else ctypes.c_int64), name
+            assert len(fn.argtypes) == params.count(",") + 1, name
+
+    @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
+                        reason="the AVX2 clone is built for x86-64 glibc only")
+    def test_assignment_has_an_avx2_clone(self):
+        assert b"slic_assign.avx2" in Path(supervoxel._kernel()._name).read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_default_clone_matches_per_cluster_loop(self, monkeypatch, source_copy, dtype):
+        """The assignment built with no AVX2 clone, as for a CPU, compiler
+        or C library without one."""
+        source = source_copy.read_text()
+        clones = 'target_clones("avx2", "default")'
+        assert source.count(clones) == 1
+        source_copy.write_text(source.replace(clones, "unused"))
+        lib = Path(supervoxel._kernel()._name)
+        assert lib.parent == source_copy.parent / "__pycache__"
+        assert b"slic_assign.avx2" not in lib.read_bytes()
+        feature, compactness = anisotropic_feature(dtype)
+        got = step_states(monkeypatch, supervoxel._assign, feature, 12.0, compactness)
+        expected = step_states(monkeypatch, assign_per_cluster, feature, 12.0, compactness)
+        assert same_bits(got, expected)
 
     @pytest.fixture
     def source_copy(self, monkeypatch, tmp_path):
@@ -452,12 +646,63 @@ class TestKernel:
         assert list((source_copy.parent / "__pycache__").iterdir()) == built
         assert built[0].stat().st_mtime_ns == stamp
 
+    def test_edited_source_leaves_one_library(self, source_copy):
+        supervoxel._kernel()
+        source_copy.write_text(source_copy.read_text() + "/* edited */\n")
+        supervoxel._kernel.cache_clear()
+        lib = Path(supervoxel._kernel()._name)
+        assert list((source_copy.parent / "__pycache__").iterdir()) == [lib]
+
+    def test_builds_without_a_home_directory(self, monkeypatch, source_copy):
+        """No $XDG_CACHE_HOME, and no home directory to put a user cache in:
+        the package's __pycache__ serves."""
+        def no_home():
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+        monkeypatch.setattr(Path, "home", no_home)
+        assert Path(supervoxel._kernel()._name).parent == source_copy.parent / "__pycache__"
+
+    def test_read_only_package_builds_in_user_cache(self, tmp_path):
+        """A package directory that cannot be written, as in a system-wide
+        install or a read-only layer: the kernel is built into
+        $XDG_CACHE_HOME/boweltrack, and a small volume is tracked."""
+        package = tmp_path / "site" / "boweltrack"
+        shutil.copytree(Path(supervoxel.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cmd = [sys.executable, "-c", TRACK_SCRIPT, str(tmp_path)]
+        if os.geteuid() == 0:
+            # Root writes any directory while it holds CAP_DAC_OVERRIDE.
+            if shutil.which("setpriv") is None:
+                pytest.skip("running as root, and setpriv, which drops CAP_DAC_OVERRIDE, "
+                            "is not installed")
+            drop = ["setpriv", "--inh-caps=-dac_override", "--bounding-set=-dac_override"]
+            probe = subprocess.run([*drop, "true"], capture_output=True, text=True)
+            if probe.returncode:
+                pytest.skip(f"running as root, and setpriv cannot drop CAP_DAC_OVERRIDE: "
+                            f"{probe.stderr.strip()}")
+            cmd = [*drop, *cmd]
+        env = dict(os.environ, PYTHONPATH=str(package.parent),
+                   XDG_CACHE_HOME=str(tmp_path / "cache"))
+        package.chmod(0o555)
+        try:
+            done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        finally:
+            package.chmod(0o755)
+        assert done.returncode == 0, done.stderr
+        lib = Path(done.stdout.split()[-1])
+        assert list((tmp_path / "cache" / "boweltrack").iterdir()) == [lib]
+        assert not (package / "__pycache__").exists()
+        assert (tmp_path / "track" / "route.poly").exists()
+
     def test_source_compiles_without_warnings(self, tmp_path):
         """A tooling gate: the source is strict C99 that draws no warning.
         The flags the kernel is built with stay the fixed ones."""
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-        assert supervoxel._COMPILE == [*cc, "-O2", "-shared", "-fPIC", "-ffp-contract=off"]
-        done = subprocess.run([*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-c",
+        assert supervoxel._COMPILE == [*cc, "-O3", "-fno-math-errno", "-ffp-contract=off",
+                                       "-shared", "-fPIC"]
+        done = subprocess.run([*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O3",
+                               "-fno-math-errno", "-ffp-contract=off", "-c",
                                "-o", str(tmp_path / "kernel.o"), str(supervoxel._KERNEL_SOURCE)],
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
@@ -467,8 +712,7 @@ class TestKernel:
 @pytest.mark.parametrize("source", ["random", "phantom"])
 def test_labels_independent_of_workers(monkeypatch, workers, source):
     """Each worker assigns one axis-0 slab; 17 rows on 3, 7 or 16 workers
-    end in a shorter slab.  The connectivity step's slabs of _COMP_ROWS
-    rows are spread over the same workers."""
+    end in a shorter slab."""
     if source == "random":
         feature = random_feature(5, dims=(17, 13, 11), spacing=(2.0, 2.0, 2.0))
     else:
@@ -633,11 +877,12 @@ def test_cluster_extremes_spread_matches_gather(seed):
 @pytest.mark.parametrize("rows", [1, 3, "all"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("seed", range(6))
-def test_cluster_sums_match_whole_volume_bincount(monkeypatch, seed, dtype, rows):
-    """The update step's slab-wise sums and feature extremes have the bits
-    of whole-volume `np.bincount`s, `np.minimum.at` and `np.maximum.at`.  Features from 1e-8 to 1e8 in both signs make every
-    sum depend on the order of its terms, so a `np.add.at` that stopped
-    adding in voxel order would show."""
+def test_cluster_sums_match_whole_volume_bincount(seed, dtype, rows):
+    """The update step's sums and feature extremes, and those of its numpy
+    code at any slab height, have the bits of whole-volume `np.bincount`s,
+    `np.minimum.at` and `np.maximum.at`.  Features from 1e-8 to 1e8 in both
+    signs make every sum depend on the order of its terms, so a kernel or a
+    `np.add.at` that stopped adding in voxel order would show."""
     rng = np.random.default_rng(seed)
     dims = tuple(int(n) for n in rng.integers(2, 14, 3))
     spacing = rng.uniform(0.3, 3.0, 3)
@@ -647,13 +892,29 @@ def test_cluster_sums_match_whole_volume_bincount(monkeypatch, seed, dtype, rows
     labels = ids[rng.integers(0, len(ids), dims)].astype(np.int32)
     feat = (rng.choice((-1.0, 1.0), dims) * 10.0 ** rng.uniform(-8, 8, dims)).astype(dtype)
     axis_pos = [(np.arange(n) + 0.5) * s for n, s in zip(dims, spacing)]
-    monkeypatch.setattr(supervoxel, "_SLAB_ROWS", dims[0] + 1 if rows == "all" else rows)
     got = supervoxel._cluster_sums(labels, axis_pos, n_clusters, feat)
     want = cluster_sums_bincount(labels, feat, axis_pos, n_clusters)
     assert len(got) == len(want) == 5
     assert np.array_equal(got[0], want[0])
     for a, b in zip(got[1:], want[1:]):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    slabs = cluster_sums_slabs(labels, axis_pos, n_clusters, feat,
+                               dims[0] + 1 if rows == "all" else rows)
+    assert same_bits(slabs, got)
+
+
+@pytest.mark.parametrize("dims", [(1, 9, 7), (8, 1, 5), (6, 7, 1), (1, 1, 1)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cluster_sums_any_thin_labeling(dims, order):
+    """One-voxel-thin labelings, and labels in F order, as a loaded label
+    volume holds them: the sums of C-ordered labels, without the
+    feature."""
+    rng = np.random.default_rng(sum(dims))
+    labels = rng.integers(0, 5, dims).astype(np.int32)
+    axis_pos = [rng.uniform(-3.0, 3.0, n) for n in dims]
+    got = supervoxel._cluster_sums(np.asarray(labels, order=order), axis_pos, 5)
+    assert same_bits(got, cluster_sums_slabs(labels, axis_pos, 5, None, 1))
+    assert got[2:] == (None, None, None)
 
 
 def deferred_fragment_labels():
@@ -703,33 +964,31 @@ def u_shape_labels():
 
 
 class TestConnectivityOracle:
-    """Components from slabs of face links and corner-free diagonal links,
-    joined across slab faces, and the fragment placement over the
-    fragment-component adjacency list, against all 13 offset pairs, one
-    whole-volume graph and the per-fragment loop: identical arrays for
-    every slab height and worker count."""
+    """The compiled components and fragment-pair scan, and the fragment
+    placement over the fragment-component adjacency list, against all 13
+    offset pairs, the numpy code (components from slabs of face links and
+    corner-free diagonal links, joined across slab faces, at every slab
+    height; the scan one offset at a time) and the per-fragment loop:
+    identical arrays."""
 
     @staticmethod
     def assert_matches_oracle(monkeypatch, labels):
+        labels = labels.astype(np.int32)
         expected_comp, expected_n = same_label_components_all_pairs(labels)
-        whole_comp, whole_n = same_label_components_whole_volume(labels)
-        assert whole_n == expected_n
-        assert np.array_equal(whole_comp, expected_comp)
+        # Slabs of 1, 2 and 3 rows, and one slab holding every row.
+        for rows in (1, 2, 3, labels.shape[0] + 1):
+            comp, n_comp = same_label_components_slabs(labels, rows)
+            assert n_comp == expected_n
+            assert np.array_equal(comp, expected_comp)
         # The labels that occur, renumbered in order to 0..N-1.
         expected_final = np.unique(enforce_connectivity_per_fragment(labels),
                                    return_inverse=True)[1].reshape(labels.shape)
-        # Slabs of 1, 2 and 3 rows, and one slab holding every row.
-        for rows in (1, 2, 3, labels.shape[0] + 1):
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(supervoxel, "_COMP_ROWS", rows)
-                monkeypatch.setattr(parallel, "workers", lambda: workers)
-                comp, n_comp = supervoxel._same_label_components(labels)
-                assert n_comp == expected_n
-                assert comp.dtype == np.int32
-                assert np.array_equal(comp, expected_comp)
-                final = supervoxel._enforce_connectivity(labels)
-                assert final.dtype == np.int32
-                assert np.array_equal(final, expected_final)
+        with monkeypatch.context() as patch:
+            calls = check_parts(patch)
+            final = supervoxel._enforce_connectivity(labels)
+        assert calls == {"_same_label_components": 1, "_fragment_pairs": 1}
+        assert final.dtype == np.int32
+        assert np.array_equal(final, expected_final)
 
     # Thin volumes keep the 4 values from percolating: many fragments, and
     # on (2, 30, 3) and (1, 12, 10) some seeds need deferred passes.
@@ -742,12 +1001,12 @@ class TestConnectivityOracle:
     def test_deferred_fragment(self, monkeypatch):
         labels = deferred_fragment_labels()
         self.assert_matches_oracle(monkeypatch, labels)
-        final = supervoxel._enforce_connectivity(labels)
+        final = supervoxel._enforce_connectivity(labels.astype(np.int32))
         assert final[0, 0, 0] == final[0, 0, 1] == 0
 
     @pytest.mark.parametrize("dims", [(5, 4, 3), (1, 1, 1)])
     def test_constant_labeling_has_no_fragments(self, monkeypatch, dims):
-        labels = np.full(dims, 3, dtype=np.int64)
+        labels = np.full(dims, 3, dtype=np.int32)
         self.assert_matches_oracle(monkeypatch, labels)
         comp, n_comp = supervoxel._same_label_components(labels)
         assert n_comp == 1 and not comp.any()
@@ -768,22 +1027,22 @@ class TestConnectivityOracle:
         self.assert_matches_oracle(monkeypatch, labels)
 
     def test_corner_contact_across_slab_face(self, monkeypatch):
-        labels = corner_contact_labels()
+        labels = corner_contact_labels().astype(np.int32)
         self.assert_matches_oracle(monkeypatch, labels)
-        monkeypatch.setattr(supervoxel, "_COMP_ROWS", 2)
-        comp, n_comp = supervoxel._same_label_components(labels)
-        assert n_comp == labels.size - 1
-        assert comp[1, 0, 0] == comp[2, 1, 1]
+        for comp, n_comp in (supervoxel._same_label_components(labels),
+                             same_label_components_slabs(labels, 2)):
+            assert n_comp == labels.size - 1
+            assert comp[1, 0, 0] == comp[2, 1, 1]
 
     def test_u_shape_merges_in_later_slab(self, monkeypatch):
-        labels = u_shape_labels()
+        labels = u_shape_labels().astype(np.int32)
         self.assert_matches_oracle(monkeypatch, labels)
-        monkeypatch.setattr(supervoxel, "_COMP_ROWS", 2)
-        comp, n_comp = supervoxel._same_label_components(labels)
-        # Arms, background and the label-2 voxel, by lowest voxel.
-        assert n_comp == 3
-        assert comp[0, 0, 0] == comp[0, 0, 4] == 0
-        assert comp[0, 0, 1] == 1 and comp[0, 0, 2] == 2
+        for comp, n_comp in (supervoxel._same_label_components(labels),
+                             same_label_components_slabs(labels, 2)):
+            # Arms, background and the label-2 voxel, by lowest voxel.
+            assert n_comp == 3
+            assert comp[0, 0, 0] == comp[0, 0, 4] == 0
+            assert comp[0, 0, 1] == 1 and comp[0, 0, 2] == 2
 
 
 def memory_feature():
@@ -829,37 +1088,62 @@ def test_assignment_workers_memory_bounded(monkeypatch):
     assert max(peaks) <= 0.01 * feature.data.size * 8
 
 
-def test_enforce_connectivity_memory_bounded(monkeypatch):
-    """Many fragments: each offset's distinct fragment-component pairs are
-    merged into one running set, the components come from slabs and the
-    labels are written over the component map."""
+def many_fragment_labels():
+    """A 96^3 labeling of 8 values over smooth noise: many fragments."""
     noise = ndimage.gaussian_filter(np.random.default_rng(2).normal(size=(96, 96, 96)), 1.0)
-    labels = np.digitize(noise, np.quantile(noise, np.linspace(0, 1, 9)[1:-1]))
-    # One worker finds every slab's components in this process, where
-    # tracemalloc sees them, and the component map becomes an ordinary
-    # array, which it sees too.
-    monkeypatch.setattr(parallel, "workers", lambda: 1)
-    monkeypatch.setattr(parallel, "shared_array", np.zeros)
+    return np.digitize(noise, np.quantile(noise, np.linspace(0, 1, 9)[1:-1])).astype(np.int32)
+
+
+def test_enforce_connectivity_memory_bounded():
+    """Many fragments: the scan writes only the fragment-component pairs,
+    nearly distinct, and the labels are written over the component map."""
+    labels = many_fragment_labels()
     peak = traced_peak(supervoxel._enforce_connectivity, labels)
-    # 2.4x today.  Three int64 neighbour positions per fragment voxel, the
-    # 26 offsets' distinct keys held until one concatenation, a
-    # whole-volume bincount and a second label map took 3.7x, and 26
-    # concatenated offsets of all int64 keys 10.7x.
+    # Against int64 labels' size: 1.4x today.  The numpy scan over each
+    # offset's distinct pairs, merged into one running set, took 2.4x; three
+    # int64 neighbour positions per fragment voxel, the 26 offsets' distinct
+    # keys held until one concatenation, a whole-volume bincount and a
+    # second label map 3.7x, and 26 concatenated offsets of all int64 keys
+    # 10.7x.  Writing every pair, with no skip of repeats, takes 4.0x.
     assert peak <= 2.7 * labels.size * 8
 
 
-def test_components_memory_bounded(monkeypatch):
-    """Many slab faces: each face's links are reduced to distinct component
-    pairs before the join, so the slabs can be thin."""
-    noise = ndimage.gaussian_filter(np.random.default_rng(2).normal(size=(96, 96, 96)), 1.0)
-    labels = np.digitize(noise, np.quantile(noise, np.linspace(0, 1, 9)[1:-1]))
-    # As above: one slab's graph at a time, and the map, all traced.
+def test_components_memory_bounded():
+    """The union-find lives in the component map: nothing else the size of
+    the volume is made."""
+    labels = many_fragment_labels()
+    peak = traced_peak(supervoxel._same_label_components, labels)
+    # Against int64 labels' size: 0.5x today, the int32 map.  The numpy
+    # slabs, joined across their faces, took 0.94x, and every link of
+    # 16-row slabs 2.3-3.1x.
+    assert peak <= 1.5 * labels.size * 8
+
+
+def test_uncovered_voxels_memory_bounded(monkeypatch):
+    """Thick slices and more than 10,000 clusters: the fallback for voxels
+    no window covers holds no (voxels, clusters) array."""
+    dims = (100, 100, 12)
+    noise = ndimage.gaussian_filter(np.random.default_rng(1).normal(size=dims), (10, 10, 1))
+    feature = Volume(noise.astype(np.float32), (2.0, 2.0, 5.0), (0.0, 0.0, 0.0))
+    uncovered, fall_back = [], supervoxel._assign_uncovered
+
+    def counted(*args):
+        uncovered.append(int(np.count_nonzero(args[-1] < 0)))
+        fall_back(*args)
+
+    # As in test_memory_bounded_by_volume_size; the uncovered voxels are
+    # those of the first step.
+    monkeypatch.setattr(supervoxel, "SLIC_ITERATIONS", 2)
     monkeypatch.setattr(parallel, "workers", lambda: 1)
     monkeypatch.setattr(parallel, "shared_array", np.zeros)
-    peak = traced_peak(supervoxel._same_label_components, labels)
-    # 0.94x today, 0.5x of it the int32 map; every link of 16-row slabs
-    # took 2.3-3.1x.
-    assert peak <= 1.5 * labels.size * 8
+    peak = traced_peak(slic_supervoxels, feature, 216.0, 1.0)
+    monkeypatch.setattr(supervoxel, "_assign_uncovered", counted)
+    slic_supervoxels(feature, 216.0, 1.0)
+    assert uncovered[0] > 900
+    assert len(supervoxel._seed_grid(feature, 216.0 ** (1.0 / 3.0))[0]) > 10_000
+    # 3.7x today.  The numpy blocks of 4,096 voxels against every cluster
+    # took 704x (676 MB).
+    assert peak <= 4.0 * feature.data.size * 8
 
 
 class TestValidation:
