@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import FormatError, InfeasibleError, InvariantError
-from .supervoxel import LabelVolume, _cluster_sums, _distinct
+from .supervoxel import LabelVolume, _cluster_sums
 from .volume_io import Volume, _atomic_write_bytes, check_same_grid, format_lines, read_records
 
 
@@ -72,6 +72,16 @@ class Rag:
             self._adj = csr_array((cost[order], dst[order], indptr),
                                   shape=(self.n_nodes, self.n_nodes))
         return self._adj
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of `keys`, which it sorts in place: one sort,
+    where `np.unique` takes tens of times longer on these keys."""
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def _axis_faces(lab: np.ndarray, kept: np.ndarray, axis: int, n: int):

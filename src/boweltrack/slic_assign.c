@@ -1,12 +1,13 @@
 /* SLIC's per-voxel work (Achanta et al., TPAMI 2012) over a C-ordered
- * n0 x n1 x n2 volume: the seed search, the assignment step, the fallback
- * for voxels no window covers, the update sums, the same-label components
- * and the scan for the components around each fragment.  Every function
+ * n0 x n1 x n2 volume: the seed search, the assignment step with its
+ * fallback for voxels no window covers, the update sums, the same-label
+ * components and the connectivity step's fragment merge.  Every function
  * gives the bits of the numpy code it replaced (tests/oracles.py): it
  * evaluates each expression in double, in the order written here.  It must
  * be compiled without FMA contraction or fast-math reassociation.  The
- * feature is float32, or float64 when `wide` is nonzero.  The callers in
- * supervoxel.py check every length and type. */
+ * feature is float32, or float64 when `wide` is nonzero.  No function
+ * allocates memory: the callers in supervoxel.py pass every buffer and
+ * check every length and type. */
 
 #include <math.h>
 #include <stdint.h>
@@ -48,9 +49,44 @@ static double at(const void *feat, int wide, int64_t v)
 ASSIGN_ROW(assign_row_f32, float)
 ASSIGN_ROW(assign_row_f64, double)
 
+/* Each voxel of the axis-0 rows row0..row1 still labeled -1 takes, of all
+ * clusters, the lowest id with the smallest
+ * D = |f - f_c| + s_c * sqrt((dx*dx + dy*dy) + dz*dz), or the first whose D
+ * is NaN: `np.argmin` of `np.linalg.norm`'s distances. */
+static void nearest(const void *feat, int wide, int64_t n1, int64_t n2, const double *pos0,
+                    const double *pos1, const double *pos2, int64_t n_clusters,
+                    const double *centers, const double *cluster_feat, const double *scale,
+                    int64_t row0, int64_t row1, int32_t *label)
+{
+    for (int64_t i = row0, v = row0 * n1 * n2; i < row1; i++)
+        for (int64_t j = 0; j < n1; j++)
+            for (int64_t k = 0; k < n2; k++, v++) {
+                if (label[v] >= 0)
+                    continue;
+                double f = at(feat, wide, v), best_d = INFINITY;
+                int64_t best = 0;
+                for (int64_t c = 0; c < n_clusters; c++) {
+                    const double *ctr = centers + 3 * c;
+                    double dx = pos0[i] - ctr[0], dy = pos1[j] - ctr[1], dz = pos2[k] - ctr[2];
+                    double d = fabs(f - cluster_feat[c])
+                               + scale[c] * sqrt((dx * dx + dy * dy) + dz * dz);
+                    if (isnan(d)) {
+                        best = c;
+                        break;
+                    }
+                    if (c == 0 || d < best_d) {
+                        best_d = d;
+                        best = c;
+                    }
+                }
+                label[v] = (int32_t)best;
+            }
+}
+
 /* One assignment step over the axis-0 rows row0..row1: clusters in id order
  * over their windows lo..hi (per axis, end exclusive), clipped to the rows.
- * Voxels no window covers keep label -1 and distance +inf. */
+ * Voxels no window covers keep distance +inf and take the nearest cluster
+ * overall. */
 CLONES
 void slic_assign(const void *feat, int wide, int64_t n1, int64_t n2,
                  const double *pos0, const double *pos1, const double *pos2,
@@ -81,39 +117,8 @@ void slic_assign(const void *feat, int wide, int64_t n1, int64_t n2,
             }
         }
     }
-}
-
-/* Each voxel still labeled -1 takes, of all clusters, the lowest id with
- * the smallest D = |f - f_c| + s_c * sqrt((dx*dx + dy*dy) + dz*dz), or the
- * first whose D is NaN: `np.argmin` of `np.linalg.norm`'s distances. */
-void slic_nearest(const void *feat, int wide, int64_t n0, int64_t n1, int64_t n2,
-                  const double *pos0, const double *pos1, const double *pos2,
-                  int64_t n_clusters, const double *centers, const double *cluster_feat,
-                  const double *scale, int32_t *label)
-{
-    for (int64_t i = 0, v = 0; i < n0; i++)
-        for (int64_t j = 0; j < n1; j++)
-            for (int64_t k = 0; k < n2; k++, v++) {
-                if (label[v] >= 0)
-                    continue;
-                double f = at(feat, wide, v), best_d = INFINITY;
-                int64_t best = 0;
-                for (int64_t c = 0; c < n_clusters; c++) {
-                    const double *ctr = centers + 3 * c;
-                    double dx = pos0[i] - ctr[0], dy = pos1[j] - ctr[1], dz = pos2[k] - ctr[2];
-                    double d = fabs(f - cluster_feat[c])
-                               + scale[c] * sqrt((dx * dx + dy * dy) + dz * dz);
-                    if (isnan(d)) {
-                        best = c;
-                        break;
-                    }
-                    if (c == 0 || d < best_d) {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                label[v] = (int32_t)best;
-            }
+    nearest(feat, wide, n1, n2, pos0, pos1, pos2, n_clusters, centers, cluster_feat, scale, row0,
+            row1, label);
 }
 
 /* `np.minimum` and `np.maximum` of the extreme held and a new value: the
@@ -282,41 +287,84 @@ int64_t slic_components(const int32_t *labels, int64_t n0, int64_t n1, int64_t n
     return count;
 }
 
-/* The keys own * n_comp + other of every component `other` 26-adjacent to a
- * voxel of a fragment component `own`, in no order and with repeats: a key
- * is skipped while `seen[other]` (n_comp slots) says it was the last one
- * written for `other`.  Writes the first `capacity` keys and returns how
- * many there are, or -1 at a component outside 0..n_comp-1. */
-int64_t slic_fragment_pairs(const int32_t *comp, int64_t n0, int64_t n1, int64_t n2,
-                            const uint8_t *fragment, int64_t n_comp, int32_t *seen,
-                            int64_t capacity, int64_t *keys)
+/* The connectivity step over `labels` (0..n_labels-1) and their
+ * components `comp` (0..n_comp-1, numbered by lowest voxel), which it
+ * overwrites with the final labels.  Each label keeps its largest
+ * component, the lowest id on a tie.  The other components, the fragments,
+ * are taken in id order: each takes the placed label 26-adjacent to any of
+ * its voxels whose kept component is largest, the lower label on a tie,
+ * and counts as placed for the later ones; one with no placed neighbour
+ * waits for the next pass.  The kept labels, in order, become 0..N-1.
+ * Scratch: `start` holds n_comp + 1 entries, `owner` n_comp, `kept`
+ * n_labels and `vox` one per voxel.  Returns 0, -1 at a label or component
+ * id out of range, or -2 when a pass places nothing. */
+int64_t slic_merge_fragments(const int32_t *labels, int64_t n0, int64_t n1, int64_t n2,
+                             int64_t n_labels, int32_t *comp, int64_t n_comp, int64_t *start,
+                             int32_t *owner, int32_t *kept, int32_t *vox)
 {
-    int64_t count = 0;
+    int64_t n = n0 * n1 * n2;
+    /* Each component's label, -1 for none, and its voxels in raster order
+     * at vox[start[c]..start[c + 1]]: counted at start[c], summed to the
+     * end of each range, and written backwards from there. */
+    for (int64_t c = 0; c < n_comp; c++) {
+        owner[c] = -1;
+        start[c] = 0;
+    }
+    for (int64_t v = 0; v < n; v++) {
+        if (labels[v] < 0 || labels[v] >= n_labels || comp[v] < 0 || comp[v] >= n_comp)
+            return -1;
+        owner[comp[v]] = labels[v];
+        start[comp[v]]++;
+    }
+    for (int64_t c = 1; c < n_comp; c++)
+        start[c] += start[c - 1];
+    start[n_comp] = n;
+    for (int64_t v = n - 1; v >= 0; v--)
+        vox[--start[comp[v]]] = (int32_t)v;
+#define SIZE(c) (start[(c) + 1] - start[c])
+    for (int64_t l = 0; l < n_labels; l++)
+        kept[l] = -1;
+    for (int64_t c = 0; c < n_comp; c++) {
+        int32_t l = owner[c];
+        if (l >= 0 && (kept[l] < 0 || SIZE(c) > SIZE(kept[l])))
+            kept[l] = (int32_t)c;
+    }
     for (int64_t c = 0; c < n_comp; c++)
-        seen[c] = -1;
-    for (int64_t i = 0, v = 0; i < n0; i++)
-        for (int64_t j = 0; j < n1; j++)
-            for (int64_t k = 0; k < n2; k++, v++) {
-                int32_t own = comp[v];
-                if (own < 0 || own >= n_comp)
-                    return -1;
-                if (!fragment[own])
-                    continue;
-                for (int64_t a = i - 1; a <= i + 1; a++)
-                    for (int64_t b = j - 1; b <= j + 1; b++)
-                        for (int64_t c = k - 1; c <= k + 1; c++) {
-                            if (a < 0 || a >= n0 || b < 0 || b >= n1 || c < 0 || c >= n2)
-                                continue;
-                            int32_t other = comp[(a * n1 + b) * n2 + c];
-                            if (other < 0 || other >= n_comp)
-                                return -1;
-                            if (other == own || seen[other] == own)
-                                continue;
-                            seen[other] = own;
-                            if (count < capacity)
-                                keys[count] = (int64_t)own * n_comp + other;
-                            count++;
+        if (owner[c] >= 0 && kept[owner[c]] != c)
+            owner[c] = -1;
+    for (int64_t waiting = 1; waiting;) {
+        int64_t placed = 0;
+        waiting = 0;
+        for (int64_t c = 0; c < n_comp; c++) {
+            if (owner[c] >= 0)
+                continue;
+            int32_t best = -1;
+            int64_t best_size = 0;
+            for (int64_t p = start[c]; p < start[c + 1]; p++) {
+                int64_t i = vox[p] / (n1 * n2), j = vox[p] / n2 % n1, k = vox[p] % n2;
+                for (int64_t a = i > 0 ? i - 1 : 0; a <= i + 1 && a < n0; a++)
+                    for (int64_t b = j > 0 ? j - 1 : 0; b <= j + 1 && b < n1; b++)
+                        for (int64_t d = k > 0 ? k - 1 : 0; d <= k + 1 && d < n2; d++) {
+                            int32_t l = owner[comp[(a * n1 + b) * n2 + d]];
+                            int64_t size = l < 0 ? 0 : SIZE(kept[l]);
+                            if (size > best_size || (size == best_size && l < best)) {
+                                best = l;
+                                best_size = size;
+                            }
                         }
             }
-    return count;
+            owner[c] = best;
+            placed += best >= 0;
+            waiting += best < 0;
+        }
+        if (waiting && !placed)
+            return -2;
+    }
+#undef SIZE
+    int32_t count = 0;
+    for (int64_t l = 0; l < n_labels; l++)
+        kept[l] = kept[l] >= 0 ? count++ : -1;
+    for (int64_t v = 0; v < n; v++)
+        comp[v] = kept[owner[comp[v]]];
+    return 0;
 }

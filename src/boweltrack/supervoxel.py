@@ -19,10 +19,10 @@ are forked processes (`parallel.fork_ranges`) and the buffers they write
 are shared memory.
 
 Every per-voxel pass is compiled from slic_assign.c on first use: the seed
-search, the assignment step, the fallback for uncovered voxels, the update
-sums, the connectivity step's components and its scan for the components
-around each fragment.  Each has the bits of the numpy code it replaced,
-which the tests keep as oracles.
+search, the assignment step with its fallback for uncovered voxels, the
+update sums, and the connectivity step's components and fragment merge.
+Each has the bits of the numpy code it replaced, which the tests keep as
+oracles.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ WINDOW_FACTOR = 1.5
 _KERNEL_SOURCE = Path(__file__).with_name("slic_assign.c")
 _COMPILE = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
             "-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC"]
-# Axis-0 rows per slab of the label counts and the relabelling: bounds
-# their temporaries to a slab, whatever the volume.
+# Axis-0 rows per slab of the label counts: bounds their temporaries to a
+# slab, whatever the volume.
 _SLAB_ROWS = 16
 
 # The 3^3 block in raster order; (0, 0, 0) sits in the middle, at index 13.
@@ -121,7 +121,7 @@ def load_label_volume(path) -> LabelVolume:
 # order.  A feature, which is float32 or float64, and an optional array are
 # passed by address.
 _IN = {t: np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-       for t in (np.float64, np.int64, np.int32, np.bool_)}
+       for t in (np.float64, np.int64, np.int32)}
 _OUT = {t: np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS,WRITEABLE")
         for t in (np.float64, np.int64, np.int32)}
 _N, _ADDR, _FLAG, _REAL = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int, ctypes.c_double
@@ -130,14 +130,13 @@ _CLUSTERS = [_N, *[_IN[np.float64]] * 3]
 _SIGNATURES = {
     "slic_assign": (None, [_ADDR, _FLAG, _N, _N, *_POS, *_CLUSTERS, _IN[np.int64],
                            _IN[np.int64], _N, _N, _OUT[np.int32], _OUT[np.float64]]),
-    "slic_nearest": (None, [_ADDR, _FLAG, _N, _N, _N, *_POS, *_CLUSTERS, _OUT[np.int32]]),
     "slic_sums": (_N, [_ADDR, _N, _N, _N, _N, _N, _N, *_POS, _N, _ADDR, _FLAG,
                        _OUT[np.int64], _OUT[np.float64], _ADDR, _ADDR, _ADDR]),
     "slic_seeds": (None, [_ADDR, _FLAG, _N, _N, _N, _REAL, _REAL, _REAL, _N,
                           _IN[np.int64], _OUT[np.int64]]),
     "slic_components": (_N, [_IN[np.int32], _N, _N, _N, _OUT[np.int32]]),
-    "slic_fragment_pairs": (_N, [_IN[np.int32], _N, _N, _N, _IN[np.bool_], _N,
-                                 _OUT[np.int32], _N, _OUT[np.int64]]),
+    "slic_merge_fragments": (_N, [_IN[np.int32], _N, _N, _N, _N, _OUT[np.int32], _N,
+                                  _OUT[np.int64], *[_OUT[np.int32]] * 3]),
 }
 
 
@@ -261,128 +260,60 @@ def _same_label_components(labels: np.ndarray):
     return comp, n_comp
 
 
-def _fragment_pairs(comp: np.ndarray, is_fragment: np.ndarray) -> np.ndarray:
-    """Sorted, distinct keys f * n + c, n = len(is_fragment), of each
-    fragment component f and each other component c 26-adjacent to one of
-    its voxels.  The kernel counts the keys, then writes them."""
-    n_comp = len(is_fragment)
-    if (comp.dtype != np.int32 or not comp.flags.c_contiguous
-            or is_fragment.dtype != np.bool_ or is_fragment.ndim != 1):
-        raise InvariantError(f"cannot scan a {comp.dtype} component map of shape {comp.shape} "
-                             f"for {n_comp} components")
-    scan = functools.partial(_kernel().slic_fragment_pairs, comp, *comp.shape, is_fragment,
-                             n_comp, np.empty(n_comp, dtype=np.int32))
-    count = scan(0, np.empty(0, dtype=np.int64))
-    keys = np.empty(max(count, 0), dtype=np.int64)
-    if count < 0 or scan(count, keys) != count:
-        raise InvariantError(f"component map holds ids outside 0..{n_comp - 1}")
-    return _distinct(keys)
-
-
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of `keys`, which it sorts in place: one sort,
-    where `np.unique` takes tens of times longer on these keys."""
-    keys.sort()
-    first = np.empty(len(keys), dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
-
-
 def _enforce_connectivity(labels: np.ndarray) -> np.ndarray:
     """Keep each label's largest 26-connected component; every other fragment
     joins the largest 26-adjacent already-kept region (ties to lower label).
     Returns the labels that occur, renumbered in order to 0..N-1, in the
-    component map's buffer: one relabelling pass."""
+    component map's buffer."""
     comp, n_comp = _same_label_components(labels)
-    flat_comp = comp.ravel()
-    comp_size = _label_counts(comp, n_comp)
-    comp_label = np.zeros(n_comp, dtype=labels.dtype)
-    comp_label[flat_comp] = labels.ravel()
-
-    # Main component per label: largest, ties to the lowest component id.
-    order = np.lexsort((np.arange(n_comp), -comp_size, comp_label))
-    sorted_labels = comp_label[order]
-    first = np.ones(n_comp, dtype=bool)
-    first[1:] = sorted_labels[1:] != sorted_labels[:-1]
-    main = order[first]
-    is_fragment = np.ones(n_comp, dtype=bool)
-    is_fragment[main] = False
-    label_sizes = np.zeros(int(labels.max()) + 1, dtype=np.int64)
-    label_sizes[comp_label[main]] = comp_size[main]
-
-    keys = _fragment_pairs(comp, is_fragment)
-    frag = keys // n_comp
-    adj = np.remainder(keys, n_comp, out=keys)
-
-    # Orphans attach to the largest adjacent placed label (ties to the lower
-    # label id), fragments in component order; those with no placed
-    # neighbour wait for the next pass.  Progress is guaranteed because
-    # every fragment chain ends at some label's kept main component.  Sizes
-    # are frozen at the pre-merge main-component sizes: re-measuring after
-    # each merge lets early winners soak up every later fragment and chains
-    # distant fragments into one sprawling label.  A component holds the
-    # rank of its placed label in (size, lower label first) order, -1 until
-    # placed, so the winner is the highest rank around a fragment.  The loop
-    # reads the arrays through memoryviews, which yield Python ints without
-    # a list of them.
-    by_rank = np.lexsort((-np.arange(len(label_sizes)), label_sizes))
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = np.arange(len(by_rank))
-    placed = np.where(is_fragment, -1, rank[comp_label])
-    pending = np.flatnonzero(is_fragment)
-    bounds = np.searchsorted(frag, pending), np.searchsorted(frag, pending, side="right")
-    del frag
-    ranks, nbrs = memoryview(placed), memoryview(adj)
-    while len(pending):
-        wait = np.zeros(len(pending), dtype=bool)
-        waits = memoryview(wait)
-        for i, (f, lo, hi) in enumerate(zip(*map(memoryview, (pending, *bounds)))):
-            best = max(map(ranks.__getitem__, nbrs[lo:hi]), default=-1)
-            if best >= 0:
-                ranks[f] = best
-            else:
-                waits[i] = True
-        if wait.all():
-            raise InvariantError("connectivity enforcement failed to converge")
-        pending, bounds = pending[wait], (bounds[0][wait], bounds[1][wait])
-
-    # A label keeps its main component exactly when it is on some voxel;
-    # the kept labels, in order, become 0..N-1.
-    dense = np.cumsum(label_sizes > 0) - 1
-    _relabel(comp, dense[by_rank[placed]].astype(np.int32))
+    _merge_fragments(labels, comp, n_comp)
     return comp
 
 
-def _relabel(labels: np.ndarray, table: np.ndarray) -> None:
-    """labels[...] = table[labels], in place, one slab of _SLAB_ROWS axis-0
-    rows at a time: no second label volume."""
-    for lo in range(0, labels.shape[0], _SLAB_ROWS):
-        labels[lo : lo + _SLAB_ROWS] = table[labels[lo : lo + _SLAB_ROWS]]
-
-
-def _check_clusters(what: str, feat, axis_pos, centers, cluster_feat, cluster_m, *buffers):
-    """Raise InvariantError unless the arguments of an assignment fit one
-    another: the kernel trusts every length and type."""
-    n = len(centers)
-    if (not _is_feature(feat, feat.shape) or tuple(map(len, axis_pos)) != feat.shape
-            or any(b.shape != feat.shape for b in buffers)
-            or not centers.shape == (n, 3) or not len(cluster_feat) == len(cluster_m) == n):
-        raise InvariantError(f"cannot {what} a {feat.dtype} feature of shape {feat.shape} "
-                             f"to {n} clusters")
+def _merge_fragments(labels: np.ndarray, comp: np.ndarray, n_comp: int) -> None:
+    """Overwrite the component map `comp` of `labels`, `n_comp` components,
+    with the connectivity step's labels: the kernel places each fragment
+    with the label around it whose kept component is largest.  Sizes stay
+    the kept components': re-measuring after each merge lets early winners
+    soak up every later fragment and chains distant fragments into one
+    sprawling label.  The kernel's scratch is made here, where tracemalloc
+    sees it: each component's voxel range and label, each label's kept
+    component, and the voxels sorted by component."""
+    if (labels.dtype != np.int32 or comp.dtype != np.int32 or not labels.flags.c_contiguous
+            or not comp.flags.c_contiguous or labels.shape != comp.shape
+            or not 0 <= n_comp <= comp.size <= np.iinfo(np.int32).max):
+        raise InvariantError(f"cannot merge the fragments of a {labels.dtype} labeling of shape "
+                             f"{labels.shape} with a {comp.dtype} map of shape {comp.shape} "
+                             f"and {n_comp} components")
+    n_labels = int(labels.max(initial=-1)) + 1
+    status = _kernel().slic_merge_fragments(
+        labels, *labels.shape, n_labels, comp, n_comp, np.empty(n_comp + 1, dtype=np.int64),
+        np.empty(n_comp, dtype=np.int32), np.empty(n_labels, dtype=np.int32),
+        np.empty(comp.size, dtype=np.int32))
+    if status == -1:
+        raise InvariantError(f"labels outside 0..{n_labels - 1} or component ids outside "
+                             f"0..{n_comp - 1}")
+    if status:
+        raise InvariantError("connectivity enforcement failed to converge")
 
 
 def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
             best_label, best_dist):
     """One SLIC assignment step.  Every voxel gets the smallest (distance,
     cluster id) pair among the clusters whose window covers it: fills
-    `best_label` with the winning cluster id per voxel, -1 where no window
-    covers the voxel, and `best_dist` with its distance.  Both are
-    `parallel.shared_array` buffers, which the worker processes write.
-    The loop is the kernel's, which reads the C-ordered float32 or float64
-    feature as it is."""
-    _check_clusters("assign", feat, axis_pos, centers, cluster_feat, cluster_m, best_label,
-                    best_dist)
+    `best_label` with the winning cluster id per voxel and `best_dist` with
+    its distance.  A voxel no window covers keeps distance +inf and takes
+    the lowest cluster id of the smallest |f - f_i| + (m_i / step) * |x - c_i|
+    over all clusters, with `np.linalg.norm`'s |x - c_i|.  The buffers are
+    `parallel.shared_array` arrays, which the worker processes write.  The
+    loops are the kernel's, which reads the C-ordered float32 or float64
+    feature as it is and holds no temporary."""
+    n = len(centers)
+    if (not _is_feature(feat, feat.shape) or tuple(map(len, axis_pos)) != feat.shape
+            or best_label.shape != feat.shape or best_dist.shape != feat.shape
+            or not centers.shape == (n, 3) or not len(cluster_feat) == len(cluster_m) == n):
+        raise InvariantError(f"cannot assign a {feat.dtype} feature of shape {feat.shape} "
+                             f"to {n} clusters")
     kernel = _kernel().slic_assign
     lo = np.column_stack([np.searchsorted(axis_pos[a], centers[:, a] - window) for a in range(3)])
     hi = np.column_stack([np.searchsorted(axis_pos[a], centers[:, a] + window, side="right")
@@ -391,24 +322,14 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
     n0, n1, n2 = feat.shape
 
     def slab(row0, row1):
-        """The step for axis-0 rows row0..row1: every window is clipped to
-        them, so no two slabs write the same voxel."""
+        """The step for axis-0 rows row0..row1, and the fallback for their
+        uncovered voxels: every window is clipped to them, so no two slabs
+        write the same voxel."""
         kernel(feat.ctypes.data, feat.dtype == np.float64, n1, n2, *axis_pos, len(centers),
                centers, cluster_feat, scale, lo, hi, row0, row1, best_label, best_dist)
 
     # One slab per worker process; the first runs in this one.
     parallel.fork_ranges(slab, n0, -(-n0 // parallel.workers()))
-
-
-def _assign_uncovered(feat, axis_pos, centers, cluster_feat, cluster_m, step, best_label):
-    """Give each voxel that no window covered (label -1) the lowest cluster
-    id of the smallest |f - f_i| + (m_i / step) * |x - c_i| over all
-    clusters, with `np.linalg.norm`'s |x - c_i|.  The kernel holds no
-    temporary, whatever the number of such voxels and clusters."""
-    _check_clusters("fall back from", feat, axis_pos, centers, cluster_feat, cluster_m,
-                    best_label)
-    _kernel().slic_nearest(feat.ctypes.data, feat.dtype == np.float64, *feat.shape, *axis_pos,
-                           len(centers), centers, cluster_feat, cluster_m / step, best_label)
 
 
 def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
@@ -469,7 +390,6 @@ def slic_supervoxels(feature: Volume, target_volume: float, compactness: float) 
     for it in range(SLIC_ITERATIONS):
         _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
                 best_label, best_dist)
-        _assign_uncovered(feat, axis_pos, centers, cluster_feat, cluster_m, step, best_label)
         if it == SLIC_ITERATIONS - 1:
             # The connectivity step reads only the labels.
             break

@@ -4,9 +4,10 @@ of the start-to-end tour (routing); the per-cluster SLIC assignment loop,
 the blocked numpy fallback for uncovered voxels, the whole-volume and the
 slab-wise update sums and extremes, the seed-grid loop and the slab-wise
 seed search, the all-pairs and the slab-wise same-label components, the
-per-offset fragment-pair scan and the per-fragment connectivity loop
-(supervoxels); the all-faces graph build, the whole-volume node sums, the
-node mask applied to a whole-volume graph and the f-string graph writer;
+per-offset fragment-pair scan, the fragment placement over its pairs and
+the per-fragment connectivity loop (supervoxels); the all-faces graph
+build, the whole-volume node sums, the node mask applied to a
+whole-volume graph and the f-string graph writer;
 the whole-ball peak search and the per-peak node mapping (sampling); the
 sampled Gaussian derivative kernel, the whole-volume Hessian and the
 eigvalsh sheet response (wall filter); the full-grid centerline distance
@@ -213,8 +214,9 @@ def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, w
                        best_label, best_dist):
     """SLIC assignment step of `supervoxel._assign`, one cluster window at a
     time in id order; a cluster takes a voxel only on a strictly smaller
-    distance.  Fills `best_label` with the winning cluster id per voxel, -1
-    if none, and `best_dist` with its distance."""
+    distance.  Fills `best_label` with the winning cluster id per voxel and
+    `best_dist` with its distance; a voxel no window covers keeps +inf and
+    takes the cluster of `assign_uncovered_blocks`."""
     n_clusters = len(centers)
     best_label.fill(-1)
     best_dist.fill(np.inf)
@@ -235,6 +237,7 @@ def assign_per_cluster(feat, axis_pos, centers, cluster_feat, cluster_m, step, w
         if better.any():
             best_dist[region][better] = dist[better]
             best_label[region][better] = i
+    assign_uncovered_blocks(feat, axis_pos, centers, cluster_feat, cluster_m, step, best_label)
 
 
 def cluster_sums_bincount(labels, feat, axis_pos, n_clusters):
@@ -328,8 +331,8 @@ def cluster_sums_slabs(labels, axis_pos, n_clusters, feat=None, rows: int = 16):
 
 def assign_uncovered_blocks(feat, axis_pos, centers, cluster_feat, cluster_m, step,
                             best_label, rows: int = 4096):
-    """Fallback of `supervoxel._assign_uncovered`: the voxels labeled -1, in
-    blocks of `rows`, against every cluster at once."""
+    """Fallback of `supervoxel._assign` for the voxels no window covers
+    (label -1): in blocks of `rows`, against every cluster at once."""
     stray = best_label < 0
     coords = np.argwhere(stray)
     pos = np.stack([axis_pos[a][coords[:, a]] for a in range(3)], axis=1)
@@ -420,8 +423,10 @@ def same_label_components_slabs(labels: np.ndarray, rows: int = 4):
 
 
 def fragment_pairs_offsets(comp: np.ndarray, is_fragment: np.ndarray) -> np.ndarray:
-    """Keys of `supervoxel._fragment_pairs`, from the fragment voxels' 26
-    neighbours one offset at a time."""
+    """Sorted, distinct keys f * n + c, n = len(is_fragment), of each
+    fragment component f and each other component c 26-adjacent to one of
+    its voxels, from the fragment voxels' 26 neighbours one offset at a
+    time."""
     n_comp = len(is_fragment)
     flat_comp = comp.ravel()
     vox = np.flatnonzero(is_fragment[flat_comp])
@@ -438,6 +443,61 @@ def fragment_pairs_offsets(comp: np.ndarray, is_fragment: np.ndarray) -> np.ndar
         other = nbr != own[inside]
         keys.append(own[inside][other] * n_comp + nbr[other])
     return np.unique(np.concatenate(keys))
+
+
+def merge_fragments_pairs(labels: np.ndarray, comp: np.ndarray, n_comp: int) -> None:
+    """Labels of `supervoxel._merge_fragments`, written over `comp`: the
+    fragments placed one pass at a time over their sorted (fragment,
+    adjacent component) keys, each label ranked by (kept size, lower label
+    first), then one relabelling of the components."""
+    flat_comp = comp.ravel()
+    comp_size = np.bincount(flat_comp, minlength=n_comp)
+    comp_label = np.zeros(n_comp, dtype=labels.dtype)
+    comp_label[flat_comp] = labels.ravel()
+
+    # Main component per label: largest, ties to the lowest component id.
+    order = np.lexsort((np.arange(n_comp), -comp_size, comp_label))
+    sorted_labels = comp_label[order]
+    first = np.ones(n_comp, dtype=bool)
+    first[1:] = sorted_labels[1:] != sorted_labels[:-1]
+    main = order[first]
+    is_fragment = np.ones(n_comp, dtype=bool)
+    is_fragment[main] = False
+    label_sizes = np.zeros(int(labels.max()) + 1, dtype=np.int64)
+    label_sizes[comp_label[main]] = comp_size[main]
+
+    keys = fragment_pairs_offsets(comp, is_fragment)
+    frag = keys // n_comp
+    adj = np.remainder(keys, n_comp, out=keys)
+
+    # A component holds the rank of its placed label in (size, lower label
+    # first) order, -1 until placed, so the winner is the highest rank
+    # around a fragment.  The loop reads the arrays through memoryviews,
+    # which yield Python ints without a list of them.
+    by_rank = np.lexsort((-np.arange(len(label_sizes)), label_sizes))
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(len(by_rank))
+    placed = np.where(is_fragment, -1, rank[comp_label])
+    pending = np.flatnonzero(is_fragment)
+    bounds = np.searchsorted(frag, pending), np.searchsorted(frag, pending, side="right")
+    ranks, nbrs = memoryview(placed), memoryview(adj)
+    while len(pending):
+        wait = np.zeros(len(pending), dtype=bool)
+        waits = memoryview(wait)
+        for i, (f, lo, hi) in enumerate(zip(*map(memoryview, (pending, *bounds)))):
+            best = max(map(ranks.__getitem__, nbrs[lo:hi]), default=-1)
+            if best >= 0:
+                ranks[f] = best
+            else:
+                waits[i] = True
+        if wait.all():
+            raise InvariantError("connectivity enforcement failed to converge")
+        pending, bounds = pending[wait], (bounds[0][wait], bounds[1][wait])
+
+    # A label keeps its main component exactly when it is on some voxel;
+    # the kept labels, in order, become 0..N-1.
+    dense = np.cumsum(label_sizes > 0) - 1
+    comp[...] = dense[by_rank[placed]].astype(np.int32)[comp]
 
 
 def enforce_connectivity_per_fragment(labels: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Supervoxel clustering: partition/connectivity audits, boundary adherence,
 equivalence of every compiled part with the numpy code it replaced, the
 per-cluster loop and the per-fragment connectivity loop, the kernel's build
-and memory bounds."""
+and its sanitizer run, and memory bounds."""
 
 import collections
 import ctypes
@@ -40,7 +40,7 @@ from oracles import (
     cluster_sums_bincount,
     cluster_sums_slabs,
     enforce_connectivity_per_fragment,
-    fragment_pairs_offsets,
+    merge_fragments_pairs,
     same_label_components_all_pairs,
     same_label_components_slabs,
     seed_grid_loop,
@@ -174,10 +174,10 @@ def signed_zero_feature(seed, dims=(15, 13, 11)):
 # Each compiled part of slic_supervoxels and the numpy code it replaced.
 NUMPY_PARTS = {
     "_seed_grid": seed_grid_slabs,
-    "_assign_uncovered": assign_uncovered_blocks,
+    "_assign": assign_per_cluster,
     "_cluster_sums": cluster_sums_slabs,
     "_same_label_components": same_label_components_slabs,
-    "_fragment_pairs": fragment_pairs_offsets,
+    "_merge_fragments": merge_fragments_pairs,
 }
 
 
@@ -215,13 +215,12 @@ def check_parts(patch) -> collections.Counter:
 
 
 def oracle_slic(monkeypatch, feature, target_volume, compactness):
-    """slic_supervoxels with the per-cluster assignment loop, the
-    one-point-at-a-time seed grid and the numpy code of every other
-    compiled part."""
+    """slic_supervoxels with the one-point-at-a-time seed grid and the numpy
+    code of every other compiled part, the per-cluster assignment loop
+    among them."""
     with monkeypatch.context() as patch:
         for name, oracle in NUMPY_PARTS.items():
             patch.setattr(supervoxel, name, oracle)
-        patch.setattr(supervoxel, "_assign", assign_per_cluster)
         patch.setattr(supervoxel, "_seed_grid", seed_grid_loop)
         return slic_supervoxels(feature, target_volume, compactness)
 
@@ -293,8 +292,8 @@ class TestOracleEquivalence:
         calls = check_parts(monkeypatch)
         slic_supervoxels(feature, target_volume, compactness)
         steps = supervoxel.SLIC_ITERATIONS
-        assert calls == {"_seed_grid": 1, "_assign_uncovered": steps, "_cluster_sums": steps - 1,
-                         "_same_label_components": 1, "_fragment_pairs": 1}
+        assert calls == {"_seed_grid": 1, "_assign": steps, "_cluster_sums": steps - 1,
+                         "_same_label_components": 1, "_merge_fragments": 1}
 
     @staticmethod
     def assert_seed_grid_matches_loop(feature, target_volume):
@@ -329,7 +328,7 @@ class TestOracleEquivalence:
 
 def step_states(monkeypatch, assign, feature, target_volume, compactness):
     """(labels, distances) after each assignment step of slic_supervoxels
-    run with `assign`, before the fallback fills the uncovered voxels."""
+    run with `assign`."""
     states = []
 
     def record(*args):
@@ -477,12 +476,30 @@ print(supervoxel._kernel()._name)
 """
 
 
+# Builds the kernel from the source copy argv[1] with AddressSanitizer and
+# UndefinedBehaviorSanitizer, which end the process at their first error,
+# and runs the tests argv[2:] on it.
+SANITIZED_TESTS = """
+import sys
+from pathlib import Path
+import pytest
+from boweltrack import supervoxel
+
+supervoxel._KERNEL_SOURCE = Path(sys.argv[1])
+supervoxel._COMPILE = [*supervoxel._COMPILE, "-fsanitize=address,undefined",
+                       "-fno-sanitize-recover=all"]
+assert b"__asan_report" in Path(supervoxel._kernel()._name).read_bytes()
+sys.exit(pytest.main(["-q", "--capture=sys", "-p", "no:cacheprovider", *sys.argv[2:]]))
+"""
+
+
 class TestKernel:
     """The compiled parts: the per-cluster loop's labels and distances bit
     for bit, on the AVX2 clone and the default one; every entry point typed
-    and its arguments checked; built once and then loaded, into the user's
-    cache where the package cannot be written, leaving one library; and a
-    failed build that names the compiler command."""
+    and its arguments checked; no sanitizer error; built once and then
+    loaded, into the user's cache where the package cannot be written,
+    leaving one library; and a failed build that names the compiler
+    command."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32])
@@ -517,14 +534,10 @@ class TestKernel:
         for f, pos, c, cf in bad:
             with pytest.raises(InvariantError, match="cannot assign"):
                 supervoxel._assign(f, pos, c, cf, cluster_m, 3.0, 4.5, *buffers)
-            with pytest.raises(InvariantError, match="cannot fall back from"):
-                supervoxel._assign_uncovered(f, pos, c, cf, cluster_m, 3.0, buffers[0])
-        with pytest.raises(InvariantError, match="cannot assign"):
-            supervoxel._assign(feat, axis_pos, centers, cluster_feat, cluster_m, 3.0, 4.5,
-                               buffers[0], buffers[1][:3])
-        with pytest.raises(InvariantError, match="cannot fall back from"):
-            supervoxel._assign_uncovered(feat, axis_pos, centers, cluster_feat, cluster_m, 3.0,
-                                         buffers[0][:3])
+        for label, dist in [(buffers[0], buffers[1][:3]), (buffers[0][:3], buffers[1])]:
+            with pytest.raises(InvariantError, match="cannot assign"):
+                supervoxel._assign(feat, axis_pos, centers, cluster_feat, cluster_m, 3.0, 4.5,
+                                   label, dist)
 
         labels = (np.arange(feat.size) % 3 == 0).astype(np.int32).reshape(feat.shape)
         supervoxel._cluster_sums(labels, axis_pos, 2, feat)
@@ -546,14 +559,28 @@ class TestKernel:
             with pytest.raises(InvariantError, match="cannot find the components"):
                 supervoxel._same_label_components(lab)
         comp, n_comp = supervoxel._same_label_components(labels)
-        is_fragment = np.ones(n_comp, dtype=bool)
-        assert len(supervoxel._fragment_pairs(comp, is_fragment)) > 0
-        for c, frag in [(comp.astype(np.int64), is_fragment), (comp.T, is_fragment),
-                        (comp, is_fragment.astype(np.uint8)), (comp, is_fragment[:, None])]:
-            with pytest.raises(InvariantError, match="cannot scan"):
-                supervoxel._fragment_pairs(c, frag)
-        with pytest.raises(InvariantError, match=f"ids outside 0..{n_comp - 2}"):
-            supervoxel._fragment_pairs(comp, is_fragment[1:])
+        merged, expected = comp.copy(), comp.copy()
+        supervoxel._merge_fragments(labels, merged, n_comp)
+        merge_fragments_pairs(labels, expected, n_comp)
+        assert np.array_equal(merged, expected)
+        for lab, c in [(labels.astype(np.int64), comp), (np.asfortranarray(labels), comp),
+                       (labels, comp.astype(np.int64)), (labels, np.asfortranarray(comp)),
+                       (labels, comp.reshape(5, 4, 6)), (labels[:, :, :5].copy(), comp)]:
+            with pytest.raises(InvariantError, match="cannot merge the fragments"):
+                supervoxel._merge_fragments(lab, c, n_comp)
+        # A component id at the count, written into the map or left by a
+        # count one too small: the map is left as it was.
+        outside = comp.copy()
+        outside[3, 4, 0] = n_comp
+        for c, n in [(outside, n_comp), (comp, n_comp - 1)]:
+            kept = c.copy()
+            with pytest.raises(InvariantError, match=f"component ids outside 0..{n - 1}"):
+                supervoxel._merge_fragments(labels, kept, n)
+            assert np.array_equal(kept, c)
+        # One more component than the map holds: it has no voxel, so no
+        # pass can place it.
+        with pytest.raises(InvariantError, match="failed to converge"):
+            supervoxel._merge_fragments(labels, comp.copy(), n_comp + 1)
 
         with pytest.raises(ValueError, match="axis 1 has 1 voxel"):
             supervoxel._seed_grid(Volume(feat[:, :1], (1.0, 1.0, 1.0), (0, 0, 0)), 1.0)
@@ -695,6 +722,34 @@ class TestKernel:
         assert not (package / "__pycache__").exists()
         assert (tmp_path / "track" / "route.poly").exists()
 
+    def test_sanitizers_find_no_error(self, tmp_path):
+        """A tooling gate: built with AddressSanitizer and
+        UndefinedBehaviorSanitizer, every entry point gives the bits of its
+        numpy code at every call of slic on four equivalence cases, the
+        thick-slice one with its uncovered voxels and the two-row one among
+        them, and the connectivity step those of its oracles on the random
+        labelings.  gcc's libasan is loaded first, as it must be, into a
+        Python that was not built with it."""
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        version = subprocess.run([*cc, "--version"], capture_output=True, text=True).stdout
+        if "Free Software Foundation" not in version:
+            pytest.skip(f"the compiler {cc[0]} is not gcc")
+        asan = subprocess.run([*cc, "-print-file-name=libasan.so"], capture_output=True,
+                              text=True).stdout.strip()
+        if not os.path.isabs(asan):
+            pytest.skip(f"{cc[0]} has no libasan.so")
+        copy = tmp_path / supervoxel._KERNEL_SOURCE.name
+        copy.write_bytes(supervoxel._KERNEL_SOURCE.read_bytes())
+        tests = [f"{__file__}::TestOracleEquivalence::test_every_part_matches_numpy"
+                 f"[{case}-{dtype}]" for case in ("thick-slice", "thin", "random-0", "signed-zero")
+                 for dtype in ("float32", "float64")]
+        tests.append(f"{__file__}::TestConnectivityOracle::test_random_labelings")
+        env = dict(source_env(), LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0")
+        done = subprocess.run([sys.executable, "-c", SANITIZED_TESTS, str(copy), *tests],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stdout[-4000:] + done.stderr[:4000]
+        assert "40 passed" in done.stdout
+
     def test_source_compiles_without_warnings(self, tmp_path):
         """A tooling gate: the source is strict C99 that draws no warning.
         The flags the kernel is built with stay the fixed ones."""
@@ -790,39 +845,60 @@ def test_workers_die_with_the_tracker():
             os.kill(pid, signal.SIGKILL)
 
 
-def test_uncovered_voxels_take_the_nearest_cluster(monkeypatch):
-    """A voxel that no window covers takes, of all clusters, the lowest id
-    minimising |f - f_i| + (m_i / step) * |x - c_i|."""
-    feature, target_volume, compactness = EQUIVALENCE_CASES["thick-slice"]
-    assign, cluster_sums = supervoxel._assign, supervoxel._cluster_sums
-    seen = {}
+def first_assignment(monkeypatch, feature, target_volume, compactness):
+    """The arguments of slic_supervoxels' first assignment step, after it
+    filled the label and distance buffers: copies of the arrays."""
+    assign, seen = supervoxel._assign, []
 
-    def first_assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-                     best_label, best_dist):
-        assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
-               best_label, best_dist)
+    def record(*args):
+        assign(*args)
         if not seen:
-            seen.update(stray=np.argwhere(best_label < 0), centers=centers.copy(),
-                        cluster_feat=cluster_feat.copy(), cluster_m=cluster_m.copy())
+            seen.extend(a.copy() if isinstance(a, np.ndarray) else a for a in args)
 
-    def fallback_labels(labels, *args):
-        # Runs right after the fallback has written the uncovered voxels.
-        seen.setdefault("labels", labels.copy())
-        return cluster_sums(labels, *args)
-
-    monkeypatch.setattr(supervoxel, "_assign", first_assign)
-    monkeypatch.setattr(supervoxel, "_cluster_sums", fallback_labels)
+    monkeypatch.setattr(supervoxel, "_assign", record)
     slic_supervoxels(feature, target_volume, compactness)
+    return seen
 
-    stray = seen["stray"]
+
+def test_uncovered_voxels_take_the_nearest_cluster(monkeypatch):
+    """A voxel that no window covers keeps distance +inf and takes, of all
+    clusters, the lowest id minimising |f - f_i| + (m_i / step) * |x - c_i|."""
+    feature, target_volume, compactness = EQUIVALENCE_CASES["thick-slice"]
+    feat, axis_pos, centers, cluster_feat, cluster_m, step, _, labels, dist = first_assignment(
+        monkeypatch, feature, target_volume, compactness)
+    stray = np.argwhere(np.isinf(dist))
     assert len(stray) > 0
-    step = target_volume ** (1.0 / 3.0)
-    positions = (stray + 0.5) * np.asarray(feature.spacing)
-    for vox, pos in zip(stray, positions):
-        f = float(feature.data[tuple(vox)])
-        ds = np.sqrt(((pos - seen["centers"]) ** 2).sum(axis=1))
-        dist = np.abs(f - seen["cluster_feat"]) + (seen["cluster_m"] / step) * ds
-        assert seen["labels"][tuple(vox)] == np.flatnonzero(dist == dist.min())[0]
+    for vox in stray:
+        pos = np.array([axis_pos[a][vox[a]] for a in range(3)])
+        ds = np.sqrt(((pos - centers) ** 2).sum(axis=1))
+        d = np.abs(float(feat[tuple(vox)]) - cluster_feat) + (cluster_m / step) * ds
+        assert labels[tuple(vox)] == np.flatnonzero(d == d.min())[0]
+
+
+def test_uncovered_voxel_distance_in_norm_order():
+    """The fallback's |x - c_i| is sqrt((dx*dx + dy*dy) + dz*dz), in
+    `np.linalg.norm`'s order.  One voxel, at the origin, that no window
+    covers and two clusters of equal feature and scale, whose offsets from
+    it are a permutation of each other, so only the rounding tells them
+    apart: a seeded search picks them where sqrt(dx*dx + (dy*dy + dz*dz))
+    picks the other cluster."""
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        offset = rng.uniform(-8.0, 8.0, 3)
+        centers = np.stack([offset, offset[[1, 2, 0]]])
+        dx, dy, dz = centers.T
+        norm = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        if np.argmin(norm) != np.argmin(np.sqrt(dx * dx + (dy * dy + dz * dz))):
+            break
+    else:
+        pytest.fail("no two clusters that the association order tells apart")
+    assert norm.tobytes() == np.linalg.norm(centers, axis=1).tobytes()
+    feat, axis_pos = np.zeros((1, 1, 1), dtype=np.float32), [np.zeros(1)] * 3
+    buffers = parallel.shared_array((1, 1, 1), np.int32), parallel.shared_array((1, 1, 1), float)
+    # Scale m_i / step = 1 and no feature distance: D is the spatial term.
+    supervoxel._assign(feat, axis_pos, centers, np.zeros(2), np.full(2, 3.0), 3.0, 0.1, *buffers)
+    assert np.isinf(buffers[1][0, 0, 0])
+    assert buffers[0][0, 0, 0] == np.argmin(norm)
 
 
 def test_no_update_after_the_last_step(monkeypatch):
@@ -964,12 +1040,11 @@ def u_shape_labels():
 
 
 class TestConnectivityOracle:
-    """The compiled components and fragment-pair scan, and the fragment
-    placement over the fragment-component adjacency list, against all 13
-    offset pairs, the numpy code (components from slabs of face links and
+    """The compiled components and fragment merge against all 13 offset
+    pairs, the numpy code (components from slabs of face links and
     corner-free diagonal links, joined across slab faces, at every slab
-    height; the scan one offset at a time) and the per-fragment loop:
-    identical arrays."""
+    height; the placement over the sorted fragment-component pairs, one
+    offset at a time) and the per-fragment loop: identical arrays."""
 
     @staticmethod
     def assert_matches_oracle(monkeypatch, labels):
@@ -986,7 +1061,7 @@ class TestConnectivityOracle:
         with monkeypatch.context() as patch:
             calls = check_parts(patch)
             final = supervoxel._enforce_connectivity(labels)
-        assert calls == {"_same_label_components": 1, "_fragment_pairs": 1}
+        assert calls == {"_same_label_components": 1, "_merge_fragments": 1}
         assert final.dtype == np.int32
         assert np.array_equal(final, expected_final)
 
@@ -1095,16 +1170,16 @@ def many_fragment_labels():
 
 
 def test_enforce_connectivity_memory_bounded():
-    """Many fragments: the scan writes only the fragment-component pairs,
-    nearly distinct, and the labels are written over the component map."""
+    """Many fragments: the fragment merge holds one int32 voxel list beside
+    the component map, which it overwrites with the labels."""
     labels = many_fragment_labels()
     peak = traced_peak(supervoxel._enforce_connectivity, labels)
-    # Against int64 labels' size: 1.4x today.  The numpy scan over each
-    # offset's distinct pairs, merged into one running set, took 2.4x; three
-    # int64 neighbour positions per fragment voxel, the 26 offsets' distinct
-    # keys held until one concatenation, a whole-volume bincount and a
-    # second label map 3.7x, and 26 concatenated offsets of all int64 keys
-    # 10.7x.  Writing every pair, with no skip of repeats, takes 4.0x.
+    # Against int64 labels' size: 1.0x today.  The fragment-pair scan with
+    # its Python placement took 1.4x; the numpy scan over each offset's
+    # distinct pairs, merged into one running set, 2.4x; three int64
+    # neighbour positions per fragment voxel, the 26 offsets' distinct keys
+    # held until one concatenation, a whole-volume bincount and a second
+    # label map 3.7x, and 26 concatenated offsets of all int64 keys 10.7x.
     assert peak <= 2.7 * labels.size * 8
 
 
@@ -1125,21 +1200,14 @@ def test_uncovered_voxels_memory_bounded(monkeypatch):
     dims = (100, 100, 12)
     noise = ndimage.gaussian_filter(np.random.default_rng(1).normal(size=dims), (10, 10, 1))
     feature = Volume(noise.astype(np.float32), (2.0, 2.0, 5.0), (0.0, 0.0, 0.0))
-    uncovered, fall_back = [], supervoxel._assign_uncovered
-
-    def counted(*args):
-        uncovered.append(int(np.count_nonzero(args[-1] < 0)))
-        fall_back(*args)
-
-    # As in test_memory_bounded_by_volume_size; the uncovered voxels are
-    # those of the first step.
+    # As in test_memory_bounded_by_volume_size.
     monkeypatch.setattr(supervoxel, "SLIC_ITERATIONS", 2)
     monkeypatch.setattr(parallel, "workers", lambda: 1)
     monkeypatch.setattr(parallel, "shared_array", np.zeros)
     peak = traced_peak(slic_supervoxels, feature, 216.0, 1.0)
-    monkeypatch.setattr(supervoxel, "_assign_uncovered", counted)
-    slic_supervoxels(feature, 216.0, 1.0)
-    assert uncovered[0] > 900
+    # The uncovered voxels of the first step keep distance +inf.
+    dist = first_assignment(monkeypatch, feature, 216.0, 1.0)[-1]
+    assert np.count_nonzero(np.isinf(dist)) > 900
     assert len(supervoxel._seed_grid(feature, 216.0 ** (1.0 / 3.0))[0]) > 10_000
     # 3.7x today.  The numpy blocks of 4,096 voxels against every cluster
     # took 704x (676 MB).
