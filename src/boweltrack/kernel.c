@@ -1,20 +1,22 @@
-/* SLIC's per-voxel work (Achanta et al., TPAMI 2012) over a C-ordered
- * n0 x n1 x n2 volume: the seed search, the assignment step with its
- * fallback for voxels no window covers, the update sums, the same-label
- * components and the connectivity step's fragment merge.  Every function
- * gives the bits of the numpy code it replaced (tests/oracles.py): it
- * evaluates each expression in double, in the order written here.  It must
- * be compiled without FMA contraction or fast-math reassociation.  The
+/* The per-voxel passes of the tracker over C-ordered n0 x n1 x n2 volumes:
+ * the wall filter's Gaussian derivative passes, and SLIC's (Achanta et al.,
+ * TPAMI 2012) seed search, assignment step with its fallback for voxels no
+ * window covers, update sums, same-label components and the connectivity
+ * step's fragment merge.  Every function gives the bits of the scipy or
+ * numpy code it replaced (scipy.ndimage, tests/oracles.py): it evaluates
+ * each expression in double, in the order written here.  It must be
+ * compiled without FMA contraction or fast-math reassociation.  A SLIC
  * feature is float32, or float64 when `wide` is nonzero.  No function
- * allocates memory: the callers in supervoxel.py pass every buffer and
- * check every length and type. */
+ * allocates memory: the callers in ridge.py and supervoxel.py pass every
+ * buffer and check every length and type. */
 
 #include <math.h>
 #include <stdint.h>
 
-/* The assignment runs as an AVX2 clone where the CPU has AVX2, else as the
- * default one: same bits, since no FMA is allowed and sqrt rounds
- * correctly in both.  Only x86-64 glibc resolves clones at load time. */
+/* The assignment and the Hessian run as AVX2 clones where the CPU has AVX2,
+ * else as the default ones: same bits, since no FMA is allowed and sqrt
+ * rounds correctly in both.  Only x86-64 glibc resolves clones at load
+ * time. */
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
 #define CLONES __attribute__((target_clones("avx2", "default")))
@@ -367,4 +369,109 @@ int64_t slic_merge_fragments(const int32_t *labels, int64_t n0, int64_t n1, int6
     for (int64_t v = 0; v < n; v++)
         comp[v] = kept[owner[comp[v]]];
     return 0;
+}
+
+/* Index p of an axis of n voxels under scipy.ndimage's mode "reflect"
+ * (d c b a | a b c d | d c b a), which repeats with period 2n: an axis
+ * shorter than the filter radius is reflected more than once. */
+static int64_t reflect(int64_t p, int64_t n)
+{
+    if (p >= 0 && p < n)
+        return p;
+    p %= 2 * n;
+    p += p < 0 ? 2 * n : 0;
+    return p < n ? p : 2 * n - 1 - p;
+}
+
+/* scipy's `correlate1d` at position i of an axis of n, for the m
+ * contiguous values of each position, which are `step` apart in x, into
+ * out: out = x[i] w[R], then out += (x[i - t] +- x[i + t]) w[R - t] for
+ * t = R..1, with - for an antisymmetric (`odd`) filter, as scipy's
+ * symmetric and antisymmetric paths add them.  w holds the 2R + 1 weights
+ * as scipy is handed them.  The taps are added two per pass over the
+ * values, each in its turn.  n = 0 stands for an x that already holds the
+ * reflected positions past both ends.  It is kept out of line, so it is
+ * compiled once per clone: inlined at its three calls, it made the
+ * kernel's build take about twice as long. */
+CLONES __attribute__((noinline))
+static void correlate(const double *restrict x, int64_t step, int64_t n, int64_t i, int64_t m,
+                      const double *w, int64_t radius, int odd, double *restrict out)
+{
+#define AT(p) (x + (n ? reflect(p, n) : (p)) * step)
+    const double *c = AT(i);
+    for (int64_t k = 0; k < m; k++)
+        out[k] = c[k] * w[radius];
+    int64_t t = radius;
+    for (; t >= 2; t -= 2) {
+        const double *lo = AT(i - t), *hi = AT(i + t), *lo2 = AT(i - t + 1), *hi2 = AT(i + t - 1);
+        double wt = w[radius - t], wt2 = w[radius - t + 1];
+        if (odd)
+            for (int64_t k = 0; k < m; k++) {
+                double o = out[k] + (lo[k] - hi[k]) * wt;
+                out[k] = o + (lo2[k] - hi2[k]) * wt2;
+            }
+        else
+            for (int64_t k = 0; k < m; k++) {
+                double o = out[k] + (lo[k] + hi[k]) * wt;
+                out[k] = o + (lo2[k] + hi2[k]) * wt2;
+            }
+    }
+    if (t == 1) {
+        const double *lo = AT(i - 1), *hi = AT(i + 1);
+        if (odd)
+            for (int64_t k = 0; k < m; k++)
+                out[k] += (lo[k] - hi[k]) * w[radius - 1];
+        else
+            for (int64_t k = 0; k < m; k++)
+                out[k] += (lo[k] + hi[k]) * w[radius - 1];
+    }
+#undef AT
+}
+
+/* Derivative orders per axis of Hxx, Hxy, Hxz, Hyy, Hyz, Hzz. */
+static const int ORDERS[6][3] = {{2, 0, 0}, {1, 1, 0}, {1, 0, 1}, {0, 2, 0}, {0, 1, 1}, {0, 0, 2}};
+
+/* The six scaled Hessian components of rows r0..r1 of an n0 x n1 x n2
+ * volume `x`, with the bits of `ndimage.gaussian_filter1d(mode="reflect")`
+ * along axis 0, then 1, then 2, times scale[c].  Row i of component c goes
+ * to h + (c * h_rows + i - r0) * n1 * n2.  Axis a filters with the 2 r_a + 1
+ * weights of order o at w_a + o * (2 r_a + 1); the odd order's are
+ * antisymmetric and the others symmetric.  Each axis-0 order is filtered
+ * once into `rows`, r1 - r0 rows, for the components that share it; `buf`
+ * holds n2 + 2 r2 values. */
+CLONES
+void ridge_hessian(const double *x, int64_t n0, int64_t n1, int64_t n2, int64_t r0, int64_t r1,
+                   const double *w0, int64_t radius0, const double *w1, int64_t radius1,
+                   const double *w2, int64_t radius2, const double *scale, double *h,
+                   int64_t h_rows, double *rows, double *buf)
+{
+    int64_t plane = n1 * n2;
+    for (int order0 = 2; order0 >= 0; order0--) {
+        for (int64_t i = r0; i < r1; i++)
+            correlate(x, plane, n0, i, plane, w0 + order0 * (2 * radius0 + 1), radius0,
+                      order0 & 1, rows + (i - r0) * plane);
+        for (int c = 0; c < 6; c++) {
+            if (ORDERS[c][0] != order0)
+                continue;
+            const double *w1c = w1 + ORDERS[c][1] * (2 * radius1 + 1);
+            const double *w2c = w2 + ORDERS[c][2] * (2 * radius2 + 1);
+            double *hc = h + c * h_rows * plane;
+            /* Each axis-1 output line goes to `buf`, between its reflected
+             * ends, and from there through the axis-2 pass to h: the loop
+             * over the taps runs outside the one over the positions. */
+            double *b = buf + radius2;
+            for (int64_t i = 0; i < r1 - r0; i++)
+                for (int64_t j = 0; j < n1; j++) {
+                    double *out = hc + i * plane + j * n2;
+                    correlate(rows + i * plane, n2, n1, j, n2, w1c, radius1, ORDERS[c][1] & 1, b);
+                    for (int64_t t = 1; t <= radius2; t++) {
+                        b[-t] = b[reflect(-t, n2)];
+                        b[n2 - 1 + t] = b[reflect(n2 - 1 + t, n2)];
+                    }
+                    correlate(b, 1, 0, 0, n2, w2c, radius2, ORDERS[c][2] & 1, out);
+                    for (int64_t k = 0; k < n2; k++)
+                        out[k] *= scale[c];
+                }
+        }
+    }
 }

@@ -3,11 +3,12 @@
 Each range writes a disjoint part of an output with the arithmetic one call
 over all of them would use, so the bytes do not depend on the CPU count.
 `fork_ranges` runs the ranges in forked processes that write `shared_array`
-buffers.  It is the one runner for the wall filter's Gaussian derivatives
-and eigenvalues, the SLIC assignment and the phantom's centerline
-distances: a worker process holds no interpreter lock
+buffers.  It is the one runner for the wall filter's compiled Gaussian
+derivative passes and its eigenvalues, the SLIC assignment and the
+phantom's centerline distances: a worker process holds no interpreter lock
 that another one waits for, and its allocations go back to the system when
-it exits.
+it exits.  A caller loads the compiled kernel before it forks, so the
+workers share the one loaded library.
 """
 
 from __future__ import annotations

@@ -12,16 +12,18 @@ import math
 import warnings
 
 import numpy as np
-from scipy import ndimage
+from scipy.ndimage import _filters
 
-from . import parallel
+from . import kernel, parallel
+from .errors import InvariantError
 from .volume_io import Volume
 
 DEFAULT_SCALES_MM = (2.0, 3.0)
 # Output rows (axis 0) per Hessian sub-slab, whatever the worker count.
 _SLAB_ROWS = 8
 
-# Derivative orders per axis of Hxx, Hxy, Hxz, Hyy, Hyz, Hzz.
+# Derivative orders per axis of Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, the
+# components in the order of kernel.c's ORDERS.
 _ORDERS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 
@@ -42,6 +44,46 @@ def _check_scales(scales_mm, spacing) -> tuple:
     return scales
 
 
+def _taps(sigma_vox: float, radius: int) -> np.ndarray:
+    """The weights `ndimage.gaussian_filter1d` hands to `correlate1d` for
+    orders 0, 1 and 2, one row each.  scipy takes its symmetric path for the
+    even orders and its antisymmetric one for order 1, whose arithmetic the
+    kernel has; they are checked to be exactly symmetric or antisymmetric."""
+    taps = np.array([_filters._gaussian_kernel1d(sigma_vox, order, radius)[::-1]
+                     for order in (0, 1, 2)])
+    for order, w in enumerate(taps):
+        mirror = w[::-1] if order % 2 == 0 else -w[::-1]
+        if not np.array_equal(w[:radius], mirror[:radius]):
+            raise InvariantError(f"the order-{order} Gaussian of sigma {sigma_vox} voxels "
+                                 "is not exactly (anti)symmetric")
+    return taps
+
+
+def _filter_rows(data, r0: int, r1: int, taps, scales, h, rows, buf) -> None:
+    """Hessian rows r0..r1 of the C-ordered float64 volume `data` into
+    h[:, :r1 - r0]: component k filtered along axes 0, 1 and 2 with the taps
+    of its orders (`_ORDERS`), then multiplied by scales[k], all float64.
+    taps[a] holds axis a's weights, one row of 2 R_a + 1 per order.  The
+    compiled kernel reads `data` with axis 0 reflected at its own ends, so
+    the rows of a clipped sub-slab must reach R_0 rows past r0 and r1, or
+    the volume's border.  `rows` holds r1 - r0 rows of the axis-0 pass and
+    `buf` one axis-2 line with R_2 reflected values on either side."""
+    n0, n1, n2 = data.shape
+    radius = [(w.shape[1] - 1) // 2 for w in taps]
+    if (data.dtype != np.float64 or not data.flags.c_contiguous or not data.size
+            or not 0 <= r0 < r1 <= n0
+            or any(w.dtype != np.float64 or w.shape != (3, 2 * r + 1)
+                   for w, r in zip(taps, radius))
+            or scales.shape != (6,) or h.shape[0] != 6 or h.shape[2:] != (n1, n2)
+            or h.shape[1] < r1 - r0 or rows.shape[1:] != (n1, n2) or len(rows) < r1 - r0
+            or len(buf) < n2 + 2 * radius[2]):
+        raise InvariantError(f"cannot filter rows {r0}..{r1} of a {data.dtype} volume of "
+                             f"shape {data.shape}")
+    kernel.load().ridge_hessian(data, n0, n1, n2, r0, r1, taps[0], radius[0], taps[1],
+                                radius[1], taps[2], radius[2], scales, h, h.shape[1], rows,
+                                buf)
+
+
 def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
     """Scale-normalised Hessian at physical scale sigma_mm of a float64
     volume of `shape`, one sub-slab of axis-0 rows at a time.
@@ -56,47 +98,43 @@ def _hessian_slabs(fill, shape, spacing, sigma_mm: float, consume) -> None:
     sigma_mm^2.  consume may overwrite h.
 
     The bytes equal those of ndimage.gaussian_filter(volume, order=...) on
-    the whole volume.  It makes the same one-axis passes, axis 0 first, and
-    an output row of the axis-0 pass reads only input rows within its radius
-    R0; so rows [a - R0, b + R0), clipped to the volume, give rows a..b, and
-    a clipped end is the volume's own border.  The three axis-0 orders are
-    filtered once each and shared by the components that need them.
+    the whole volume.  The kernel makes the same one-axis passes, axis 0
+    first, with scipy's arithmetic, and writes only rows a..b of each; the
+    three axis-0 orders are filtered once each and shared by the components
+    that need them.  An
+    output row of the axis-0 pass reads only input rows within its radius
+    R0; so rows [a - R0, b + R0), clipped to the volume, give rows a..b,
+    and a clipped end is the volume's own border.
     """
     n = shape[0]
     sigma_vox = [sigma_mm / s for s in spacing]
     # Support ceil(4 sigma) per axis; scipy's default int(4 sigma + 0.5) is
     # one voxel shorter when 4 sigma has a fraction below one half.
     radius = [max(1, math.ceil(4.0 * s)) for s in sigma_vox]
-    scales = [sigma_mm**2 / spacing[0]**o0 / spacing[1]**o1 / spacing[2]**o2
-              for o0, o1, o2 in _ORDERS]
+    taps = [_taps(s, r) for s, r in zip(sigma_vox, radius)]
+    scales = np.array([sigma_mm**2 / spacing[0]**o0 / spacing[1]**o1 / spacing[2]**o2
+                       for o0, o1, o2 in _ORDERS])
+    # Built or loaded here, once, not in each forked worker.
+    kernel.load()
 
     rows = _SLAB_ROWS
     read = rows + 2 * radius[0]     # input rows of one sub-slab, unclipped
-    # Each worker writes at least `read` rows, so the workers' buffers (two
-    # of `read` rows, six Hessian arrays and up to four sheet-response
-    # temporaries of `rows` rows each) hold about 2 + 10 rows / read volumes
-    # at most, whatever the CPU count.
+    # Each worker writes at least `read` rows, so the workers' buffers (one
+    # of `read` rows; the axis-0 pass, six Hessian arrays and up to four
+    # sheet-response temporaries of `rows` rows each) hold about
+    # 1 + 11 rows / read volumes at most, whatever the CPU count.
     size = max(-(-n // parallel.workers()), read)
     span = min(read, n)
 
-    def filt(src, axis, order, out):
-        ndimage.gaussian_filter1d(src, sigma_vox[axis], axis=axis, order=order, output=out,
-                                  mode="reflect", radius=radius[axis])
-
     def slab(lo, hi):
-        data, first = np.empty((span,) + shape[1:]), np.empty((span,) + shape[1:])
+        data = np.empty((span,) + shape[1:])
         h = np.empty((6, min(rows, hi - lo)) + shape[1:])
+        scratch, line = np.empty(h.shape[1:]), np.empty(shape[2] + 2 * radius[2])
         for a in range(lo, hi, rows):
             b = min(a + rows, hi)
             s0, s1 = max(0, a - radius[0]), min(n, b + radius[0])
             fill(s0, s1, data[:s1 - s0])
-            for order0 in (2, 1, 0):
-                filt(data[:s1 - s0], 0, order0, first[:s1 - s0])
-                for k, orders in enumerate(_ORDERS):
-                    if orders[0] == order0:
-                        filt(first[a - s0:b - s0], 1, orders[1], h[k, :b - a])
-                        filt(h[k, :b - a], 2, orders[2], h[k, :b - a])
-                        h[k, :b - a] *= scales[k]
+            _filter_rows(data[:s1 - s0], a - s0, b - s0, taps, scales, h, scratch, line)
             consume(a, b, h[:, :b - a])
 
     parallel.fork_ranges(slab, n, size)

@@ -18,7 +18,7 @@ voxel, so the labels do not depend on the number of workers.  The workers
 are forked processes (`parallel.fork_ranges`) and the buffers they write
 are shared memory.
 
-Every per-voxel pass is compiled from slic_assign.c on first use: the seed
+Every per-voxel pass is a function of the compiled kernel (kernel.py): the seed
 search, the assignment step with its fallback for uncovered voxels, the
 update sums, and the connectivity step's components and fragment merge.
 Each has the bits of the numpy code it replaced, which the tests keep as
@@ -27,20 +27,11 @@ oracles.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
 import itertools
-import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
-from . import parallel
+from . import kernel, parallel
 from .errors import FormatError, InvariantError
 from .volume_io import Volume, load_volume, save_volume
 
@@ -48,13 +39,6 @@ SLIC_ITERATIONS = 10
 # Assignment windows extend this many grid steps from the cluster center;
 # 1.5 covers every voxel even when axis extents round the seed grid down.
 WINDOW_FACTOR = 1.5
-# The kernel's source, and the command that compiles it: the compiler
-# Python was built with, with no FMA contraction and no fast-math, so the
-# kernel rounds as the numpy code does on every platform; without errno
-# from sqrt, so that the assignment's sqrt vectorises.
-_KERNEL_SOURCE = Path(__file__).with_name("slic_assign.c")
-_COMPILE = [*shlex.split(sysconfig.get_config_var("CC") or "cc"),
-            "-O3", "-fno-math-errno", "-ffp-contract=off", "-shared", "-fPIC"]
 # Axis-0 rows per slab of the label counts: bounds their temporaries to a
 # slab, whatever the volume.
 _SLAB_ROWS = 16
@@ -117,87 +101,6 @@ def load_label_volume(path) -> LabelVolume:
         raise FormatError(f"{path}: invalid label volume: {exc}") from exc
 
 
-# The result and argument types of each function of slic_assign.c, in its
-# order.  A feature, which is float32 or float64, and an optional array are
-# passed by address.
-_IN = {t: np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
-       for t in (np.float64, np.int64, np.int32)}
-_OUT = {t: np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS,WRITEABLE")
-        for t in (np.float64, np.int64, np.int32)}
-_N, _ADDR, _FLAG, _REAL = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int, ctypes.c_double
-_POS = [_IN[np.float64]] * 3
-_CLUSTERS = [_N, *[_IN[np.float64]] * 3]
-_SIGNATURES = {
-    "slic_assign": (None, [_ADDR, _FLAG, _N, _N, *_POS, *_CLUSTERS, _IN[np.int64],
-                           _IN[np.int64], _N, _N, _OUT[np.int32], _OUT[np.float64]]),
-    "slic_sums": (_N, [_ADDR, _N, _N, _N, _N, _N, _N, *_POS, _N, _ADDR, _FLAG,
-                       _OUT[np.int64], _OUT[np.float64], _ADDR, _ADDR, _ADDR]),
-    "slic_seeds": (None, [_ADDR, _FLAG, _N, _N, _N, _REAL, _REAL, _REAL, _N,
-                          _IN[np.int64], _OUT[np.int64]]),
-    "slic_components": (_N, [_IN[np.int32], _N, _N, _N, _OUT[np.int32]]),
-    "slic_merge_fragments": (_N, [_IN[np.int32], _N, _N, _N, _N, _OUT[np.int32], _N,
-                                  _OUT[np.int64], *[_OUT[np.int32]] * 3]),
-}
-
-
-@functools.cache
-def _kernel():
-    """The functions of slic_assign.c, loaded with ctypes, each with the
-    types of `_SIGNATURES`.  The source is compiled once by `_COMPILE`, to a
-    file named by the SHA-256 of the source and the command, so a later
-    process loads it without the compiler: into the package's __pycache__,
-    or where that cannot be written into the user's cache,
-    $XDG_CACHE_HOME/boweltrack or else ~/.cache/boweltrack."""
-    key = hashlib.sha256(_KERNEL_SOURCE.read_bytes() + shlex.join(_COMPILE).encode())
-    name = f"{_KERNEL_SOURCE.stem}-{key.hexdigest()}.so"
-    dirs = [_KERNEL_SOURCE.parent / "__pycache__"]
-    try:
-        dirs.append(Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-                    / "boweltrack")
-    except RuntimeError:
-        pass  # no home directory, so no user cache
-    lib = next((d / name for d in dirs if (d / name).exists()), None) or _build(dirs, name)
-    kernel = ctypes.CDLL(str(lib))
-    for fn, (restype, argtypes) in _SIGNATURES.items():
-        getattr(kernel, fn).restype = restype
-        getattr(kernel, fn).argtypes = argtypes
-    return kernel
-
-
-def _build(dirs, name: str) -> Path:
-    """Compile the kernel into `name` in the first of `dirs` where a file can
-    be made, written atomically, and remove that directory's builds of
-    other sources.  A failed compile raises OSError naming the command and
-    its error output."""
-    for directory in dirs:
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=f"{name}.", dir=directory)
-        except OSError:
-            continue
-        os.close(fd)
-        tmp = Path(tmp)
-        break
-    else:
-        raise OSError(f"cannot compile the SLIC kernel: none of {', '.join(map(str, dirs))} "
-                      "can be written")
-    cmd = [*_COMPILE, "-o", str(tmp), str(_KERNEL_SOURCE), "-lm"]
-    try:
-        done = subprocess.run(cmd, capture_output=True, text=True)
-    except OSError as exc:
-        tmp.unlink()
-        raise OSError(f"cannot compile the SLIC kernel: {shlex.join(cmd)}: {exc}") from None
-    if done.returncode:
-        tmp.unlink(missing_ok=True)
-        raise OSError(f"cannot compile the SLIC kernel: {shlex.join(cmd)} exited with "
-                      f"status {done.returncode}: {done.stderr.strip()}")
-    lib = tmp.replace(directory / name)
-    for old in directory.glob(f"{_KERNEL_SOURCE.stem}-*.so"):
-        if old != lib:
-            old.unlink(missing_ok=True)
-    return lib
-
-
 def _float_feature(data: np.ndarray) -> np.ndarray:
     """The feature, C-ordered, in the smallest float type that holds it
     exactly (a float32 wall map as it is), which the kernel widens to
@@ -239,8 +142,8 @@ def _seed_grid(feature: Volume, step: float):
     grid = np.stack(np.meshgrid(*idx, indexing="ij"), axis=-1).reshape(-1, 3)
     feat = _float_feature(feature.data)
     best = np.empty(len(grid), dtype=np.int64)
-    _kernel().slic_seeds(feat.ctypes.data, feat.dtype == np.float64, *map(int, dims), *sp,
-                         len(grid), grid, best)
+    kernel.load().slic_seeds(feat.ctypes.data, feat.dtype == np.float64, *map(int, dims),
+                             *sp, len(grid), grid, best)
     seeds = grid + _OFFSETS_27[best]
     centers = (seeds + 0.5) * sp
     return seeds, centers
@@ -256,7 +159,7 @@ def _same_label_components(labels: np.ndarray):
         raise InvariantError(f"cannot find the components of a {labels.dtype} labeling of "
                              f"shape {labels.shape}")
     comp = np.empty(labels.shape, dtype=np.int32)
-    n_comp = _kernel().slic_components(labels, *labels.shape, comp)
+    n_comp = kernel.load().slic_components(labels, *labels.shape, comp)
     return comp, n_comp
 
 
@@ -286,7 +189,7 @@ def _merge_fragments(labels: np.ndarray, comp: np.ndarray, n_comp: int) -> None:
                              f"{labels.shape} with a {comp.dtype} map of shape {comp.shape} "
                              f"and {n_comp} components")
     n_labels = int(labels.max(initial=-1)) + 1
-    status = _kernel().slic_merge_fragments(
+    status = kernel.load().slic_merge_fragments(
         labels, *labels.shape, n_labels, comp, n_comp, np.empty(n_comp + 1, dtype=np.int64),
         np.empty(n_comp, dtype=np.int32), np.empty(n_labels, dtype=np.int32),
         np.empty(comp.size, dtype=np.int32))
@@ -314,7 +217,7 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
             or not centers.shape == (n, 3) or not len(cluster_feat) == len(cluster_m) == n):
         raise InvariantError(f"cannot assign a {feat.dtype} feature of shape {feat.shape} "
                              f"to {n} clusters")
-    kernel = _kernel().slic_assign
+    assign = kernel.load().slic_assign
     lo = np.column_stack([np.searchsorted(axis_pos[a], centers[:, a] - window) for a in range(3)])
     hi = np.column_stack([np.searchsorted(axis_pos[a], centers[:, a] + window, side="right")
                           for a in range(3)])
@@ -325,7 +228,7 @@ def _assign(feat, axis_pos, centers, cluster_feat, cluster_m, step, window,
         """The step for axis-0 rows row0..row1, and the fallback for their
         uncovered voxels: every window is clipped to them, so no two slabs
         write the same voxel."""
-        kernel(feat.ctypes.data, feat.dtype == np.float64, n1, n2, *axis_pos, len(centers),
+        assign(feat.ctypes.data, feat.dtype == np.float64, n1, n2, *axis_pos, len(centers),
                centers, cluster_feat, scale, lo, hi, row0, row1, best_label, best_dist)
 
     # One slab per worker process; the first runs in this one.
@@ -353,9 +256,9 @@ def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
         fmax = np.full(n_clusters, -np.inf, dtype=feat.dtype)
     addr = [None if a is None else a.ctypes.data for a in (feat, fsums, fmin, fmax)]
     strides = [s // labels.itemsize for s in labels.strides]
-    if _kernel().slic_sums(labels.ctypes.data, *strides, *labels.shape, *axis_pos, n_clusters,
-                           addr[0], feat is not None and feat.dtype == np.float64, counts,
-                           sums, *addr[1:]):
+    if kernel.load().slic_sums(labels.ctypes.data, *strides, *labels.shape, *axis_pos,
+                               n_clusters, addr[0], feat is not None and feat.dtype == np.float64,
+                               counts, sums, *addr[1:]):
         raise InvariantError(f"labels outside 0..{n_clusters - 1}")
     return counts, sums, fsums, fmin, fmax
 

@@ -1,13 +1,19 @@
 """Hessian wall-detection filter: analytic values, brute-force convolution
-and whole-volume oracles, the closed-form eigenvalue's accuracy, and the
-published invariants (shift, range, rotation)."""
+and whole-volume oracles, the compiled passes against scipy's, the
+closed-form eigenvalue's accuracy, and the published invariants (shift,
+range, rotation)."""
+
+import math
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 from scipy.ndimage import binary_erosion, correlate
 
-from boweltrack import parallel, ridge
+from boweltrack import kernel, parallel, ridge
+from boweltrack.errors import InvariantError
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.ridge import meijering_response
 from boweltrack.volume_io import Volume
@@ -136,13 +142,14 @@ class TestGaussianHessian:
         # one below the spacing in the filter, one outside the scales' rule
         # where the stage reads its parameters.
         calls = []
-        real = ndimage.gaussian_filter1d
+        lib = kernel.load()
+        real = lib.ridge_hessian
 
-        def spy(*args, **kwargs):
+        def spy(*args):
             calls.append(args)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(ndimage, "gaussian_filter1d", spy)
+        monkeypatch.setattr(lib, "ridge_hessian", spy)
         vol = make_volume(np.random.default_rng(0).random((10, 9, 8)))
         if bad == 0.5:
             with pytest.raises(ValueError, match="spacing"):
@@ -150,11 +157,11 @@ class TestGaussianHessian:
         else:
             assert "positive and finite" in stage_rejects("ridge", [(2.0, bad)], tmp_path)
         assert calls == []
-        # One worker, one sub-slab: a valid scale makes 15 one-axis passes.
+        # One worker, one sub-slab: a valid scale makes one kernel call.
         monkeypatch.setattr(parallel, "workers", lambda: 1)
         monkeypatch.setattr(ridge, "_SLAB_ROWS", vol.dims[0])
         meijering_response(vol, scales_mm=(2.0,))
-        assert len(calls) == 15
+        assert len(calls) == 1
 
 
 class TestMeijeringResponse:
@@ -313,10 +320,11 @@ class TestSlabs:
     def test_memory_peak_bounded(self, monkeypatch):
         # folded-hard's grid, in float64 volumes.  Besides one scale's
         # float64 map and the float32 response (1.5 volumes), the filter
-        # holds only one worker's sub-slab buffers: 2.4 volumes in all.  One
-        # worker runs every sub-slab in this process, where tracemalloc sees
-        # its buffers, and the map becomes an ordinary array, which it sees
-        # too.  A whole-volume float64 copy of the input would add 1.0; a
+        # holds only one worker's sub-slab buffers: 2.36 volumes in all
+        # (2.44 with scipy's passes, which kept a second buffer of input
+        # rows).  One worker runs every sub-slab in this process, where
+        # tracemalloc sees its buffers, and the map becomes an ordinary
+        # array, which it sees too.  A whole-volume float64 copy of the input would add 1.0; a
         # float64 response and 16-row sub-slabs with that copy gave 5.7 at
         # 2 workers, the whole-volume Hessian and eigvalsh slabs 16.1.
         monkeypatch.setattr(parallel, "workers", lambda: 1)
@@ -328,9 +336,10 @@ class TestSlabs:
     @pytest.mark.parametrize("workers", [2, 8, 16])
     def test_worker_memory_bounded(self, monkeypatch, workers):
         # Each range, in this process or a forked worker, allocates only its
-        # sub-slab buffers on top of what the process held: 0.94 volumes
-        # today, two of `read` rows, six Hessian arrays of 8 rows and the
-        # sheet response's temporaries.  A worker writes at least one
+        # sub-slab buffers on top of what the process held: 0.85 volumes
+        # today, one of `read` rows, the axis-0 pass and six Hessian arrays
+        # of 8 rows, one axis-2 line and the sheet response's temporaries
+        # (0.94 with scipy's passes).  A worker writes at least one
         # sub-slab's input rows, so past 8 workers there are fewer ranges
         # than workers.
         monkeypatch.setattr(parallel, "workers", lambda: workers)
@@ -338,6 +347,135 @@ class TestSlabs:
         peaks = range_peaks(monkeypatch, meijering_response, vol)
         assert min(peaks) > 0
         assert max(peaks) <= 1.0 * vol.data.size * 8
+
+
+def one_axis_taps(axis, sigma_vox):
+    """Taps that filter along `axis` alone: scipy's weights of radius
+    ceil(4 sigma) there, and the one weight 1.0, which leaves every value
+    as it is, along the other two axes."""
+    taps = [np.ones((3, 1))] * 3
+    taps[axis] = ridge._taps(sigma_vox, math.ceil(4.0 * sigma_vox))
+    return taps
+
+
+def compiled_hessian(data, taps):
+    """The six components `ridge._filter_rows` writes for every row of
+    `data`, with scales of 1."""
+    h, rows = np.empty((6,) + data.shape), np.empty(data.shape)
+    buf = np.empty(data.shape[2] + taps[2].shape[1] - 1)
+    ridge._filter_rows(data, 0, len(data), taps, np.ones(6), h, rows, buf)
+    return h
+
+
+def signed_data(shape, seed):
+    """Random values over runs of +0.0, -0.0 and two constants, 3 voxels
+    long along each axis, so that sums of zeros have a sign to check."""
+    rng = np.random.default_rng(seed)
+    coarse = rng.choice([0.0, -0.0, 2.5, -1.0], size=[-(-n // 3) for n in shape])
+    data = coarse.repeat(3, 0).repeat(3, 1).repeat(3, 2)[tuple(map(slice, shape))].copy()
+    noisy = rng.random(shape) < 0.4
+    data[noisy] = rng.normal(size=int(noisy.sum()))
+    return data
+
+
+class TestCompiledPasses:
+    """The kernel's one-axis passes against scipy's, its checks, and its
+    build: loaded before the wall filter forks, with an AVX2 clone and a
+    default one of the same bytes."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 1.5, 3.0, 8.0])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(19, 14, 23), (3, 2, 5)])
+    def test_one_axis_pass_is_scipys(self, shape, axis, sigma):
+        # Radius 4 to 32: every line of the small volume, and every line
+        # of the other at sigma 8, is shorter than the radius.
+        data = signed_data(shape, axis)
+        h = compiled_hessian(data, one_axis_taps(axis, sigma))
+        for k, orders in enumerate(ridge._ORDERS):
+            want = ndimage.gaussian_filter1d(data, sigma, axis=axis, order=orders[axis],
+                                             mode="reflect", radius=math.ceil(4.0 * sigma))
+            assert h[k].tobytes() == want.tobytes()
+
+    def test_signed_zeros_reach_the_output(self):
+        # The bit test above sees zeros of both signs come out.
+        data = signed_data((19, 14, 23), 0)
+        h = compiled_hessian(data, one_axis_taps(2, 1.0))
+        assert np.signbit(h[h == 0]).any() and not np.signbit(h[h == 0]).all()
+
+    def test_inconsistent_arguments_are_rejected(self):
+        """The kernel reads and writes through raw pointers, so every length
+        and type is checked before it runs."""
+        data = np.random.default_rng(0).random((7, 5, 6))
+        taps = [ridge._taps(1.5, 6)] * 3
+        h, rows, buf = np.empty((6, 3, 5, 6)), np.empty((3, 5, 6)), np.empty(18)
+        ridge._filter_rows(data, 2, 5, taps, np.ones(6), h, rows, buf)
+        bad = [
+            (data.astype(np.float32), 2, 5, taps, np.ones(6), h, rows, buf),
+            (np.asfortranarray(data), 2, 5, taps, np.ones(6), h, rows, buf),
+            (data[:, :, :0], 2, 5, taps, np.ones(6), h[..., :0], rows[..., :0], buf),
+            (data, 5, 5, taps, np.ones(6), h, rows, buf),
+            (data, 4, 8, taps, np.ones(6), h, rows, buf),
+            (data, -1, 2, taps, np.ones(6), h, rows, buf),
+            (data, 1, 5, taps, np.ones(6), h, rows, buf),
+            (data, 2, 5, [taps[0][:2], *taps[1:]], np.ones(6), h, rows, buf),
+            (data, 2, 5, [taps[0][:, 1:], *taps[1:]], np.ones(6), h, rows, buf),
+            (data, 2, 5, [*taps[:2], taps[2].astype(np.float32)], np.ones(6), h, rows, buf),
+            (data, 2, 5, taps, np.ones(5), h, rows, buf),
+            (data, 2, 5, taps, np.ones(6), h[:5], rows, buf),
+            (data, 2, 5, taps, np.ones(6), h[:, :, :4], rows, buf),
+            (data, 2, 5, taps, np.ones(6), h, rows[:2], buf),
+            (data, 2, 5, taps, np.ones(6), h, rows[:, :4], buf),
+            (data, 2, 5, taps, np.ones(6), h, rows, buf[:17]),
+        ]
+        for args in bad:
+            with pytest.raises(InvariantError, match="cannot filter rows"):
+                ridge._filter_rows(*args)
+
+    def test_weights_that_are_not_exactly_symmetric_are_rejected(self, monkeypatch):
+        # scipy would take its general path, whose sums the kernel lacks.
+        real = ridge._filters._gaussian_kernel1d
+
+        def nudged(sigma, order, radius):
+            w = real(sigma, order, radius)
+            w[0] = np.nextafter(w[0], 1.0)
+            return w
+
+        monkeypatch.setattr(ridge._filters, "_gaussian_kernel1d", nudged)
+        with pytest.raises(InvariantError, match="order-0 Gaussian of sigma 1.5 voxels"):
+            ridge._taps(1.5, 6)
+
+    def test_kernel_loaded_before_the_fork(self, monkeypatch):
+        # Loaded in a forked worker, the kernel would be loaded, or even
+        # compiled, once per worker.
+        fork, forks = parallel._fork, []
+
+        def checked_fork():
+            assert kernel.load.cache_info().currsize == 1, "the kernel is not loaded yet"
+            forks.append(True)
+            return fork()
+
+        monkeypatch.setattr(parallel, "_fork", checked_fork)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
+        kernel.load.cache_clear()
+        vol = make_volume(np.random.default_rng(3).random((48, 9, 7)))
+        meijering_response(vol, scales_mm=(1.5,))
+        assert forks
+
+    @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
+                        reason="the AVX2 clone is built for x86-64 glibc only")
+    def test_hessian_has_an_avx2_clone(self):
+        assert b"ridge_hessian.avx2" in Path(kernel.load()._name).read_bytes()
+
+    def test_default_clone_matches_whole_volume(self, source_copy):
+        """The Hessian built with no AVX2 clone, as for a CPU, compiler or C
+        library without one."""
+        source = source_copy.read_text()
+        clones = 'target_clones("avx2", "default")'
+        assert source.count(clones) == 1
+        source_copy.write_text(source.replace(clones, "unused"))
+        assert b"ridge_hessian.avx2" not in Path(kernel.load()._name).read_bytes()
+        vol = make_volume(np.random.default_rng(9).random((17, 12, 9)), (2.0, 1.0, 1.5))
+        assert_hessian_bytes(vol, 2.5)
 
 
 def memory_phantom():

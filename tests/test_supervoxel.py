@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from boweltrack import cli, parallel, supervoxel
+from boweltrack import cli, kernel, parallel, supervoxel
 from boweltrack.errors import FormatError, InvariantError
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.ridge import meijering_response
@@ -456,7 +456,7 @@ def source_env():
 # prints the path of the kernel it loaded.
 TRACK_SCRIPT = """
 import sys
-from boweltrack import pipeline, supervoxel
+from boweltrack import kernel, pipeline
 from boweltrack.config import TrackingConfig
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.volume_io import save_polyline, save_volume
@@ -472,7 +472,7 @@ pipeline.run_track(TrackingConfig(
     intensity_path=out + "/intensity.vol", segmentation_path=out + "/segmentation.vol",
     gt_path=out + "/gt.poly", start=tuple(gt.points[0]), end=tuple(gt.points[-1]),
     output_dir=out + "/track"))
-print(supervoxel._kernel()._name)
+print(kernel.load()._name)
 """
 
 
@@ -483,12 +483,12 @@ SANITIZED_TESTS = """
 import sys
 from pathlib import Path
 import pytest
-from boweltrack import supervoxel
+from boweltrack import kernel
 
-supervoxel._KERNEL_SOURCE = Path(sys.argv[1])
-supervoxel._COMPILE = [*supervoxel._COMPILE, "-fsanitize=address,undefined",
-                       "-fno-sanitize-recover=all"]
-assert b"__asan_report" in Path(supervoxel._kernel()._name).read_bytes()
+kernel._SOURCE = Path(sys.argv[1])
+kernel._COMPILE = [*kernel._COMPILE, "-fsanitize=address,undefined",
+                   "-fno-sanitize-recover=all"]
+assert b"__asan_report" in Path(kernel.load()._name).read_bytes()
 sys.exit(pytest.main(["-q", "--capture=sys", "-p", "no:cacheprovider", *sys.argv[2:]]))
 """
 
@@ -589,19 +589,20 @@ class TestKernel:
         """ctypes passes an untyped function's arguments as ints and reads an
         int back: every function the source exports has its result type and
         one argument type per parameter."""
-        source = supervoxel._KERNEL_SOURCE.read_text()
+        source = kernel._SOURCE.read_text()
         exported = re.findall(r"^(void|int64_t) (\w+)\(([^)]*)\)", source, flags=re.M)
-        assert sorted(name for _, name, _ in exported) == sorted(supervoxel._SIGNATURES)
-        kernel = supervoxel._kernel()
+        assert sorted(name for _, name, _ in exported) == sorted(kernel._SIGNATURES)
+        assert {"slic_assign", "ridge_hessian"} <= set(kernel._SIGNATURES)
+        lib = kernel.load()
         for result, name, params in exported:
-            fn = getattr(kernel, name)
+            fn = getattr(lib, name)
             assert fn.restype is (None if result == "void" else ctypes.c_int64), name
             assert len(fn.argtypes) == params.count(",") + 1, name
 
     @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
                         reason="the AVX2 clone is built for x86-64 glibc only")
     def test_assignment_has_an_avx2_clone(self):
-        assert b"slic_assign.avx2" in Path(supervoxel._kernel()._name).read_bytes()
+        assert b"slic_assign.avx2" in Path(kernel.load()._name).read_bytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_default_clone_matches_per_cluster_loop(self, monkeypatch, source_copy, dtype):
@@ -611,7 +612,7 @@ class TestKernel:
         clones = 'target_clones("avx2", "default")'
         assert source.count(clones) == 1
         source_copy.write_text(source.replace(clones, "unused"))
-        lib = Path(supervoxel._kernel()._name)
+        lib = Path(kernel.load()._name)
         assert lib.parent == source_copy.parent / "__pycache__"
         assert b"slic_assign.avx2" not in lib.read_bytes()
         feature, compactness = anisotropic_feature(dtype)
@@ -619,65 +620,53 @@ class TestKernel:
         expected = step_states(monkeypatch, assign_per_cluster, feature, 12.0, compactness)
         assert same_bits(got, expected)
 
-    @pytest.fixture
-    def source_copy(self, monkeypatch, tmp_path):
-        """The kernel's source copied to tmp_path, so it builds into
-        tmp_path/__pycache__; the loaded kernel is forgotten before and
-        after the test."""
-        copy = tmp_path / supervoxel._KERNEL_SOURCE.name
-        copy.write_bytes(supervoxel._KERNEL_SOURCE.read_bytes())
-        monkeypatch.setattr(supervoxel, "_KERNEL_SOURCE", copy)
-        supervoxel._kernel.cache_clear()
-        yield copy
-        supervoxel._kernel.cache_clear()
-
     def test_missing_compiler_is_named(self, monkeypatch, source_copy):
-        monkeypatch.setattr(supervoxel, "_COMPILE", ["/nonexistent/cc", "-O2"])
-        with pytest.raises(OSError, match="cannot compile the SLIC kernel: "
+        monkeypatch.setattr(kernel, "_COMPILE", ["/nonexistent/cc", "-O2"])
+        with pytest.raises(OSError, match="cannot compile the C kernel: "
                                           "/nonexistent/cc -O2 .*No such file"):
-            supervoxel._kernel()
+            kernel.load()
 
     def test_compiler_error_output_is_named(self, monkeypatch, source_copy):
-        monkeypatch.setattr(supervoxel, "_COMPILE", [*supervoxel._COMPILE, "-fno-such-option"])
+        monkeypatch.setattr(kernel, "_COMPILE", [*kernel._COMPILE, "-fno-such-option"])
         with pytest.raises(OSError, match=r"-fno-such-option -o .* exited with status "
                                           r"[1-9]\d*: .*no-such-option"):
-            supervoxel._kernel()
+            kernel.load()
         assert list((source_copy.parent / "__pycache__").iterdir()) == []
 
     def test_cli_reports_a_failed_build(self, monkeypatch, source_copy, tmp_path, capsys):
         wall, out = tmp_path / "wall.vol", tmp_path / "labels.vol"
         save_volume(random_feature(0), wall)
-        monkeypatch.setattr(supervoxel, "_COMPILE", ["/nonexistent/cc"])
+        monkeypatch.setattr(kernel, "_COMPILE", ["/nonexistent/cc"])
         assert cli.main(["slic", str(wall), str(out)]) == cli.EXIT_IO
         err = capsys.readouterr().err
-        assert err.startswith("i/o error: cannot compile the SLIC kernel: /nonexistent/cc -o ")
+        assert err.startswith("i/o error: cannot compile the C kernel: /nonexistent/cc -o ")
         assert err.count("\n") == 1
         assert not out.exists()
 
     def test_fresh_process_loads_without_compiling(self, source_copy):
-        supervoxel._kernel()
+        kernel.load()
         built = list((source_copy.parent / "__pycache__").iterdir())
         assert [p.suffix for p in built] == [".so"]
         stamp = built[0].stat().st_mtime_ns
         script = "\n".join([
             "import subprocess",
             "from pathlib import Path",
-            "from boweltrack import supervoxel",
+            "from boweltrack import kernel",
             "def no_compiler(*args, **kwargs):",
             "    raise AssertionError('the compiler ran')",
             "subprocess.run = no_compiler",
-            f"supervoxel._KERNEL_SOURCE = Path({str(source_copy)!r})",
-            "supervoxel._kernel()",
+            f"kernel._SOURCE = Path({str(source_copy)!r})",
+            "kernel.load()",
         ])
         subprocess.run([sys.executable, "-c", script], env=source_env(), check=True)
         assert list((source_copy.parent / "__pycache__").iterdir()) == built
         assert built[0].stat().st_mtime_ns == stamp
 
     def test_edited_source_leaves_one_library(self, source_copy):
-        supervoxel._kernel()
+        kernel.load()
         source_copy.write_text(source_copy.read_text() + "/* edited */\n")
-        supervoxel._kernel.cache_clear()
-        lib = Path(supervoxel._kernel()._name)
+        kernel.load.cache_clear()
+        lib = Path(kernel.load()._name)
         assert list((source_copy.parent / "__pycache__").iterdir()) == [lib]
 
     def test_builds_without_a_home_directory(self, monkeypatch, source_copy):
@@ -688,7 +677,7 @@ class TestKernel:
 
         monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
         monkeypatch.setattr(Path, "home", no_home)
-        assert Path(supervoxel._kernel()._name).parent == source_copy.parent / "__pycache__"
+        assert Path(kernel.load()._name).parent == source_copy.parent / "__pycache__"
 
     def test_read_only_package_builds_in_user_cache(self, tmp_path):
         """A package directory that cannot be written, as in a system-wide
@@ -728,8 +717,11 @@ class TestKernel:
         numpy code at every call of slic on four equivalence cases, the
         thick-slice one with its uncovered voxels and the two-row one among
         them, and the connectivity step those of its oracles on the random
-        labelings.  gcc's libasan is loaded first, as it must be, into a
-        Python that was not built with it."""
+        labelings; the wall filter's Hessian gives scipy's bytes where each
+        axis-0 row reads the 5-row axis reflected more than once, and on
+        anisotropic voxels with sub-slabs of 1 and 3 rows.  gcc's libasan
+        is loaded first, as it must be, into a Python that was not built
+        with it."""
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
         version = subprocess.run([*cc, "--version"], capture_output=True, text=True).stdout
         if "Free Software Foundation" not in version:
@@ -738,27 +730,30 @@ class TestKernel:
                               text=True).stdout.strip()
         if not os.path.isabs(asan):
             pytest.skip(f"{cc[0]} has no libasan.so")
-        copy = tmp_path / supervoxel._KERNEL_SOURCE.name
-        copy.write_bytes(supervoxel._KERNEL_SOURCE.read_bytes())
+        copy = tmp_path / kernel._SOURCE.name
+        copy.write_bytes(kernel._SOURCE.read_bytes())
         tests = [f"{__file__}::TestOracleEquivalence::test_every_part_matches_numpy"
                  f"[{case}-{dtype}]" for case in ("thick-slice", "thin", "random-0", "signed-zero")
                  for dtype in ("float32", "float64")]
         tests.append(f"{__file__}::TestConnectivityOracle::test_random_labelings")
+        ridge_tests = Path(__file__).with_name("test_ridge.py")
+        tests += [f"{ridge_tests}::TestSlabs::test_hessian_axis0_shorter_than_radius",
+                  f"{ridge_tests}::TestSlabs::test_hessian_anisotropic_spacing"]
         env = dict(source_env(), LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0")
         done = subprocess.run([sys.executable, "-c", SANITIZED_TESTS, str(copy), *tests],
                               env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stdout[-4000:] + done.stderr[:4000]
-        assert "40 passed" in done.stdout
+        assert "49 passed" in done.stdout
 
     def test_source_compiles_without_warnings(self, tmp_path):
         """A tooling gate: the source is strict C99 that draws no warning.
         The flags the kernel is built with stay the fixed ones."""
         cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-        assert supervoxel._COMPILE == [*cc, "-O3", "-fno-math-errno", "-ffp-contract=off",
-                                       "-shared", "-fPIC"]
+        assert kernel._COMPILE == [*cc, "-O3", "-fno-math-errno", "-ffp-contract=off",
+                                   "-shared", "-fPIC"]
         done = subprocess.run([*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O3",
                                "-fno-math-errno", "-ffp-contract=off", "-c",
-                               "-o", str(tmp_path / "kernel.o"), str(supervoxel._KERNEL_SOURCE)],
+                               "-o", str(tmp_path / "kernel.o"), str(kernel._SOURCE)],
                               capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
