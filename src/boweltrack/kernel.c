@@ -129,38 +129,34 @@ void slic_assign(const void *feat, int wide, int64_t n1, int64_t n2,
 #define NP_MAX(a, b) (((a) > (b)) | isnan(a) ? (a) : (b))
 
 /* Each label's voxel count, coordinate sums (3 rows of n_clusters) and,
- * given a C-ordered feature, its sum and extremes in its own type, added in
- * raster order to what the arrays hold, as `np.add.at`, `np.minimum.at` and
- * `np.maximum.at` do.  The labels are read with the element strides s0, s1
- * and s2, so a loaded F-ordered labeling needs no copy.  Returns 0, or -1
- * at a label outside 0..n_clusters-1. */
-int64_t slic_sums(const int32_t *labels, int64_t s0, int64_t s1, int64_t s2,
-                  int64_t n0, int64_t n1, int64_t n2,
+ * given a feature, its sum and extremes, added in raster order to what the
+ * arrays hold, as `np.add.at`, `np.minimum.at` and `np.maximum.at` do.  The
+ * extremes are kept in double: a float compares as its double does, so they
+ * are the float extremes, widened.  Returns 0, or -1 at a label outside
+ * 0..n_clusters-1. */
+int64_t slic_sums(const int32_t *labels, int64_t n0, int64_t n1, int64_t n2,
                   const double *pos0, const double *pos1, const double *pos2,
                   int64_t n_clusters, const void *feat, int wide, int64_t *counts,
-                  double *sums, double *fsums, void *fmin, void *fmax)
+                  double *sums, double *fsums, double *fmin, double *fmax)
 {
     double *sum0 = sums, *sum1 = sums + n_clusters, *sum2 = sums + 2 * n_clusters;
-    float *lo32 = fmin, *hi32 = fmax;
-    double *lo64 = fmin, *hi64 = fmax;
     for (int64_t i = 0; i < n0; i++)
         for (int64_t j = 0; j < n1; j++) {
-            const int32_t *row = labels + i * s0 + j * s1;
             int64_t v = (i * n1 + j) * n2;
+            const int32_t *row = labels + v;
             /* One run of equal labels at a time, added up in registers: the
-             * same additions, in the same order, as one per voxel.  A float
-             * compares as its double does, and converts back exactly. */
+             * same additions, in the same order, as one per voxel. */
             for (int64_t k = 0, start = 0; k < n2; start = k) {
-                int32_t l = row[k * s2];
+                int32_t l = row[k];
                 if (l < 0 || l >= n_clusters)
                     return -1;
                 double c0 = sum0[l], c1 = sum1[l], c2 = sum2[l], f = 0, lo = 0, hi = 0;
                 if (feat) {
                     f = fsums[l];
-                    lo = wide ? lo64[l] : lo32[l];
-                    hi = wide ? hi64[l] : hi32[l];
+                    lo = fmin[l];
+                    hi = fmax[l];
                 }
-                for (; k < n2 && row[k * s2] == l; k++) {
+                for (; k < n2 && row[k] == l; k++) {
                     c0 += pos0[i];
                     c1 += pos1[j];
                     c2 += pos2[k];
@@ -175,15 +171,10 @@ int64_t slic_sums(const int32_t *labels, int64_t s0, int64_t s1, int64_t s2,
                 sum0[l] = c0;
                 sum1[l] = c1;
                 sum2[l] = c2;
-                if (!feat)
-                    continue;
-                fsums[l] = f;
-                if (wide) {
-                    lo64[l] = lo;
-                    hi64[l] = hi;
-                } else {
-                    lo32[l] = (float)lo;
-                    hi32[l] = (float)hi;
+                if (feat) {
+                    fsums[l] = f;
+                    fmin[l] = lo;
+                    fmax[l] = hi;
                 }
             }
         }

@@ -42,7 +42,7 @@ _CLUSTERS = [_N, *[_IN[np.float64]] * 3]
 _SIGNATURES = {
     "slic_assign": (None, [_ADDR, _FLAG, _N, _N, *_POS, *_CLUSTERS, _IN[np.int64],
                            _IN[np.int64], _N, _N, _OUT[np.int32], _OUT[np.float64]]),
-    "slic_sums": (_N, [_ADDR, _N, _N, _N, _N, _N, _N, *_POS, _N, _ADDR, _FLAG,
+    "slic_sums": (_N, [_IN[np.int32], _N, _N, _N, *_POS, _N, _ADDR, _FLAG,
                        _OUT[np.int64], _OUT[np.float64], _ADDR, _ADDR, _ADDR]),
     "slic_seeds": (None, [_ADDR, _FLAG, _N, _N, _N, _REAL, _REAL, _REAL, _N,
                           _IN[np.int64], _OUT[np.int64]]),
@@ -106,6 +106,10 @@ def _build(dirs, name: str) -> Path:
         tmp.unlink(missing_ok=True)
         raise OSError(f"cannot compile the C kernel: {shlex.join(cmd)} exited with "
                       f"status {done.returncode}: {done.stderr.strip()}")
+    # mkstemp's file is its owner's alone: take the source's mode, as a .pyc
+    # does, with owner write and execute wherever read is granted.
+    mode = _SOURCE.stat().st_mode & 0o777 | 0o200
+    tmp.chmod(mode | (mode & 0o444) >> 2)
     lib = tmp.replace(directory / name)
     for old in directory.glob(f"{_SOURCE.stem}-*.so"):
         if old != lib:

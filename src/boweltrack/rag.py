@@ -14,7 +14,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .errors import FormatError, InfeasibleError, InvariantError
-from .supervoxel import LabelVolume, _cluster_sums
+from .supervoxel import LabelVolume
 from .volume_io import Volume, _atomic_write_bytes, check_same_grid, format_lines, read_records
 
 
@@ -127,13 +127,8 @@ def build_rag(segmentation: Volume, wall_map: Volume, labels: LabelVolume,
     wall = wall_map.data
     n = labels.label_count
 
-    # Node sums in one raster-order pass over the labels in any memory
-    # order, with whole-volume `bincount` bits (see `_cluster_sums`).
-    axis_pos = [o + (np.arange(d) + 0.5) * s
-                for o, d, s in zip(labels.origin, labels.dims, labels.spacing)]
-    counts, coord_sums, *_ = _cluster_sums(lab, axis_pos, n)
     inside = np.bincount(lab[segmentation.data != 0], minlength=n)
-    keep = inside / counts >= min_inside_fraction
+    keep = inside / labels.counts >= min_inside_fraction
     if not keep.any():
         raise InfeasibleError(
             "no graph nodes survive masking; segmentation and labels likely disagree"
@@ -157,8 +152,8 @@ def build_rag(segmentation: Volume, wall_map: Volume, labels: LabelVolume,
 
     return Rag(
         node_ids=np.flatnonzero(keep),
-        centroids=(coord_sums[:, keep] / counts[keep]).T,
-        counts=counts[keep],
+        centroids=labels.centroids[keep],
+        counts=labels.counts[keep],
         edge_i=node[uniq // n],
         edge_j=node[uniq % n],
         edge_cost=sums / faces,

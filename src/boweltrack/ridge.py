@@ -12,7 +12,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy.ndimage import _filters
+from scipy import ndimage
 
 from . import kernel, parallel
 from .errors import InvariantError
@@ -46,11 +46,23 @@ def _check_scales(scales_mm, spacing) -> tuple:
 
 def _taps(sigma_vox: float, radius: int) -> np.ndarray:
     """The weights `ndimage.gaussian_filter1d` hands to `correlate1d` for
-    orders 0, 1 and 2, one row each.  scipy takes its symmetric path for the
-    even orders and its antisymmetric one for order 1, whose arithmetic the
-    kernel has; they are checked to be exactly symmetric or antisymmetric."""
-    taps = np.array([_filters._gaussian_kernel1d(sigma_vox, order, radius)[::-1]
+    orders 0, 1 and 2, one row each: its response to a unit impulse,
+    reversed, since each output is one weight times 1.0 plus zeros.  scipy
+    takes its symmetric path for the even orders and its antisymmetric one
+    for order 1, whose arithmetic the kernel has; they are checked to be
+    exactly symmetric or antisymmetric.  Below about 0.11 voxel the order-1
+    weights lie within DBL_EPSILON of zero, so scipy's symmetric path
+    answers with the first half mirrored, and unsigned where it underflows;
+    that row is rebuilt from its first half, at most -0.0, into the exactly
+    antisymmetric weights scipy builds."""
+    impulse = np.zeros(2 * radius + 1)
+    impulse[radius] = 1.0
+    taps = np.array([ndimage.gaussian_filter1d(impulse, sigma_vox, order=order,
+                                               mode="constant", radius=radius)[::-1]
                      for order in (0, 1, 2)])
+    if np.array_equal(taps[1, :radius], taps[1, :radius:-1]):
+        first = -np.abs(taps[1, :radius])
+        taps[1, :radius], taps[1, radius + 1:] = first, -first[::-1]
     for order, w in enumerate(taps):
         mirror = w[::-1] if order % 2 == 0 else -w[::-1]
         if not np.array_equal(w[:radius], mirror[:radius]):

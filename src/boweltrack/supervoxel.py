@@ -39,9 +39,6 @@ SLIC_ITERATIONS = 10
 # Assignment windows extend this many grid steps from the cluster center;
 # 1.5 covers every voxel even when axis extents round the seed grid down.
 WINDOW_FACTOR = 1.5
-# Axis-0 rows per slab of the label counts: bounds their temporaries to a
-# slab, whatever the volume.
-_SLAB_ROWS = 16
 
 # The 3^3 block in raster order; (0, 0, 0) sits in the middle, at index 13.
 _OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
@@ -50,39 +47,36 @@ _OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.i
 class LabelVolume(Volume):
     """Dense supervoxel labeling: a Volume whose data holds the labels
     0..label_count-1, each on at least one voxel.  It takes integer data
-    whose values fit 0..voxels-1 and holds it as int32, in the memory order
-    it came in; `label_count`, the largest label + 1, comes from the data,
-    and the grid checks are the Volume's."""
+    whose values fit 0..voxels-1 and holds it as C-ordered int32;
+    `label_count`, the largest label + 1, comes from the data, and the grid
+    checks are the Volume's.  The check sums the labels once, which gives
+    each label's voxel count, `counts`, and the centroid of its voxel
+    centres origin + (i + 0.5) * spacing, `centroids` (label_count, 3) mm."""
 
     label_count: int
+    counts: np.ndarray
+    centroids: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
         if not np.issubdtype(self.data.dtype, np.integer):
             raise InvariantError(f"labels must be integer, got {self.data.dtype}")
-        # Checked before the count, which allocates one slot per value, and
+        # Checked before the sums, which allocate one slot per value, and
         # before the cast, which would wrap labels >= 2^31 negative.
         lo, hi = int(self.data.min()), int(self.data.max())
         if lo < 0 or hi >= self.data.size:
             raise InvariantError(
                 f"labels {lo}..{hi} do not fit 0..{self.data.size - 1}, one per voxel at most"
             )
-        self.data = self.data.astype(np.int32, copy=False)
+        self.data = np.ascontiguousarray(self.data, dtype=np.int32)
         self.label_count = hi + 1
-        counts = _label_counts(self.data, self.label_count)
-        if np.any(counts == 0):
-            missing = int(np.flatnonzero(counts == 0)[0])
+        axis_pos = [o + (np.arange(d) + 0.5) * s
+                    for o, d, s in zip(self.origin, self.dims, self.spacing)]
+        self.counts, sums, *_ = _cluster_sums(self.data, axis_pos, self.label_count)
+        if np.any(self.counts == 0):
+            missing = int(np.flatnonzero(self.counts == 0)[0])
             raise InvariantError(f"label {missing} has no voxels; labels must be contiguous")
-
-
-def _label_counts(labels: np.ndarray, n: int) -> np.ndarray:
-    """Voxels per value 0..n-1 of `labels`, which holds no other value.
-    Counted one slab of _SLAB_ROWS axis-0 rows at a time: `np.bincount`
-    copies non-intp labels to intp, so only one slab is copied at once."""
-    counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, labels.shape[0], _SLAB_ROWS):
-        counts += np.bincount(labels[lo : lo + _SLAB_ROWS].ravel(), minlength=n)
-    return counts
+        self.centroids = (sums / self.counts).T
 
 
 def save_label_volume(lv: LabelVolume, path) -> None:
@@ -239,12 +233,13 @@ def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
     """Each label's voxel count, sums (3, n_clusters) of the voxel
     coordinates axis_pos[a] along each axis a and, given `feat`, its
     feature sum, minimum and maximum (else None each).  One raster-order
-    pass of the kernel, in any memory order of the labels: it adds the
-    voxels in that order, from 0.0, as `np.add.at` and a whole-volume
-    `np.bincount(weights=...)` do, and takes the extremes in the feature's
-    own float type as `np.minimum.at` and `np.maximum.at` do, +inf and -inf
-    for an empty label."""
-    if (labels.dtype != np.int32 or tuple(map(len, axis_pos)) != labels.shape
+    pass of the kernel over the C-ordered labels: it adds the voxels in
+    that order, from 0.0, as `np.add.at` and a whole-volume
+    `np.bincount(weights=...)` do, and takes the extremes of the feature
+    widened to float64 as `np.minimum.at` and `np.maximum.at` do, +inf and
+    -inf for an empty label."""
+    if (labels.dtype != np.int32 or not labels.flags.c_contiguous
+            or tuple(map(len, axis_pos)) != labels.shape
             or feat is not None and not _is_feature(feat, labels.shape)):
         raise InvariantError(f"cannot sum a {labels.dtype} labeling of shape {labels.shape}")
     counts = np.zeros(n_clusters, dtype=np.int64)
@@ -252,12 +247,11 @@ def _cluster_sums(labels, axis_pos, n_clusters, feat=None):
     fsums = fmin = fmax = None
     if feat is not None:
         fsums = np.zeros(n_clusters)
-        fmin = np.full(n_clusters, np.inf, dtype=feat.dtype)
-        fmax = np.full(n_clusters, -np.inf, dtype=feat.dtype)
+        fmin = np.full(n_clusters, np.inf)
+        fmax = np.full(n_clusters, -np.inf)
     addr = [None if a is None else a.ctypes.data for a in (feat, fsums, fmin, fmax)]
-    strides = [s // labels.itemsize for s in labels.strides]
-    if kernel.load().slic_sums(labels.ctypes.data, *strides, *labels.shape, *axis_pos,
-                               n_clusters, addr[0], feat is not None and feat.dtype == np.float64,
+    if kernel.load().slic_sums(labels, *labels.shape, *axis_pos, n_clusters, addr[0],
+                               feat is not None and feat.dtype == np.float64,
                                counts, sums, *addr[1:]):
         raise InvariantError(f"labels outside 0..{n_clusters - 1}")
     return counts, sums, fsums, fmin, fmax

@@ -244,7 +244,8 @@ def cluster_sums_bincount(labels, feat, axis_pos, n_clusters):
     """Counts, coordinate sums, feature sums and feature extremes of
     `supervoxel._cluster_sums`, from whole-volume `np.bincount`s over a
     float64 coordinate volume per axis and whole-volume `np.minimum.at`
-    and `np.maximum.at`."""
+    and `np.maximum.at` in the feature's type, the extremes then widened
+    to float64, which is exact."""
     flat = labels.ravel()
     counts = np.bincount(flat, minlength=n_clusters)
     sums = np.empty((3, n_clusters))
@@ -257,7 +258,7 @@ def cluster_sums_bincount(labels, feat, axis_pos, n_clusters):
     np.minimum.at(fmin, flat, feat.ravel())
     fmax = np.full(n_clusters, -np.inf, dtype=feat.dtype)
     np.maximum.at(fmax, flat, feat.ravel())
-    return counts, sums, fsums, fmin, fmax
+    return counts, sums, fsums, fmin.astype(np.float64), fmax.astype(np.float64)
 
 
 _OFFSETS_27 = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int64)
@@ -305,7 +306,8 @@ def seed_grid_slabs(feature, step: float, rows: int = 16):
 def cluster_sums_slabs(labels, axis_pos, n_clusters, feat=None, rows: int = 16):
     """Counts, coordinate sums and feature sums and extremes of
     `supervoxel._cluster_sums`, one slab of `rows` axis-0 rows at a time:
-    `np.add.at`, `np.minimum.at` and `np.maximum.at` in raster order."""
+    `np.add.at`, `np.minimum.at` and `np.maximum.at` in raster order, the
+    extremes in the feature's type, then widened to float64."""
     n0, n1, n2 = labels.shape
     counts = np.zeros(n_clusters, dtype=np.int64)
     sums = np.zeros((3, n_clusters))
@@ -326,6 +328,8 @@ def cluster_sums_slabs(labels, axis_pos, n_clusters, feat=None, rows: int = 16):
             np.add.at(fsums, flat, vals.astype(np.float64))
             np.minimum.at(fmin, flat, vals)
             np.maximum.at(fmax, flat, vals)
+    if feat is not None:
+        fmin, fmax = fmin.astype(np.float64), fmax.astype(np.float64)
     return counts, sums, fsums, fmin, fmax
 
 

@@ -1,7 +1,8 @@
 """Every function, class and method the package defines is used by the
 package, the bench or the scripts: code that only the tests call is a test
-oracle, and lives in the tests.  And every function reads each of its
-parameters: one it ignores is a leftover of an old signature."""
+oracle, and lives in the tests.  Every function reads each of its
+parameters: one it ignores is a leftover of an old signature.  And no
+module imports a stage's private name."""
 
 import ast
 import re
@@ -66,3 +67,29 @@ def test_every_parameter_is_read():
               for path in sorted(PACKAGE.glob("*.py"))
               for name, param in unread_parameters(ast.parse(path.read_text()))]
     assert unread == []
+
+
+# The pipeline's stages; each offers the others only its public names.
+STAGES = {"ridge", "supervoxel", "rag", "sampling", "route"}
+
+
+def private_stage_imports(tree):
+    """(stage, name) for each `_`-prefixed name that `tree` imports from a
+    stage module, relatively or through the package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is not None:
+            stage = node.module.removeprefix("boweltrack.")
+            if stage in STAGES and (node.level or node.module.startswith("boweltrack.")):
+                found += [(stage, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_a_stage():
+    """A stage's `_` names are its own: shared helpers live outside the
+    stages, as volume_io's do."""
+    imports = [f"{path.stem} <- {stage}.{name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for stage, name in private_stage_imports(ast.parse(path.read_text()))]
+    assert imports == []

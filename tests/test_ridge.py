@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import ndimage
-from scipy.ndimage import binary_erosion, correlate
+from scipy.ndimage import _filters, binary_erosion, correlate
 
 from boweltrack import kernel, parallel, ridge
 from boweltrack.errors import InvariantError
@@ -130,6 +130,16 @@ class TestGaussianHessian:
         assert [str(w.message) for w in caught] == [
             f"sigma_mm {s} below axis 2's voxel spacing 4.0; "
             "the kernel is undersampled along that axis" for s in (2.0, 3.0)]
+
+    def test_scale_a_tenth_of_a_voxel_along_one_axis(self):
+        # 0.5 mm on 5 mm voxels along z: the order-1 weights there are
+        # about 2e-20, which scipy's filter treats as symmetric.
+        vol = make_volume(np.random.default_rng(2).random((10, 9, 6)), spacing=(0.5, 0.5, 5.0))
+        with pytest.warns(UserWarning, match="undersampled along that axis"):
+            got = meijering_response(vol, scales_mm=(0.5,))
+        want = meijering_response_whole_volume(vol, (0.5,))
+        assert got.data.dtype == np.float32
+        assert np.max(np.abs(got.data - want.data)) <= 1e-6
 
     def test_bad_sigma_rejected(self, tmp_path):
         for sigma in (0.0, -1.0, float("nan"), float("inf")):
@@ -431,16 +441,28 @@ class TestCompiledPasses:
             with pytest.raises(InvariantError, match="cannot filter rows"):
                 ridge._filter_rows(*args)
 
+    @pytest.mark.parametrize("sigma", [0.02, 0.05, 0.1, 0.11, 0.12, 0.5, 4 / 3, 2.7, 8.0])
+    def test_taps_are_the_weights_scipy_builds(self, sigma):
+        # The impulse response read back, also below 0.11 voxel, where
+        # scipy's filter takes symmetric sums of the order-1 weights, and
+        # below 0.027, where the weights past the centre underflow to 0.
+        weights = getattr(_filters, "_gaussian_kernel1d", None)
+        if weights is None:
+            pytest.skip("this scipy has no _filters._gaussian_kernel1d to compare with")
+        radius = math.ceil(4.0 * sigma)
+        want = np.array([weights(sigma, order, radius)[::-1] for order in (0, 1, 2)])
+        assert ridge._taps(sigma, radius).tobytes() == want.tobytes()
+
     def test_weights_that_are_not_exactly_symmetric_are_rejected(self, monkeypatch):
         # scipy would take its general path, whose sums the kernel lacks.
-        real = ridge._filters._gaussian_kernel1d
+        real = ndimage.gaussian_filter1d
 
-        def nudged(sigma, order, radius):
-            w = real(sigma, order, radius)
+        def nudged(*args, **kwargs):
+            w = real(*args, **kwargs)
             w[0] = np.nextafter(w[0], 1.0)
             return w
 
-        monkeypatch.setattr(ridge._filters, "_gaussian_kernel1d", nudged)
+        monkeypatch.setattr(ridge.ndimage, "gaussian_filter1d", nudged)
         with pytest.raises(InvariantError, match="order-0 Gaussian of sigma 1.5 voxels"):
             ridge._taps(1.5, 6)
 

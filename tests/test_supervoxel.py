@@ -1,20 +1,16 @@
 """Supervoxel clustering: partition/connectivity audits, boundary adherence,
 equivalence of every compiled part with the numpy code it replaced, the
-per-cluster loop and the per-fragment connectivity loop, the kernel's build
-and its sanitizer run, and memory bounds."""
+per-cluster loop and the per-fragment connectivity loop, the label
+volume's checks and statistics, and memory bounds.  The kernel's build and
+load are tested in test_kernel.py."""
 
 import collections
-import ctypes
 import functools
 import os
 import platform
-import re
-import shutil
-import shlex
 import signal
 import subprocess
 import sys
-import sysconfig
 import time
 from pathlib import Path
 
@@ -22,7 +18,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from boweltrack import cli, kernel, parallel, supervoxel
+from boweltrack import kernel, parallel, supervoxel
 from boweltrack.errors import FormatError, InvariantError
 from boweltrack.phantom import PhantomSpec, generate_phantom
 from boweltrack.ridge import meijering_response
@@ -33,6 +29,7 @@ from boweltrack.supervoxel import (
     slic_supervoxels,
 )
 from boweltrack.volume_io import Volume, save_volume
+from checkout import source_env
 from memory import range_peaks, traced_peak
 from oracles import (
     assign_per_cluster,
@@ -281,9 +278,9 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES) + ["phantom"])
     def test_every_part_matches_numpy(self, monkeypatch, case, dtype):
-        """Every call slic_supervoxels makes of a compiled part: the phantom
-        wall map holds -0.0, and the thick-slice case has uncovered
-        voxels."""
+        """Every call slic_supervoxels makes of a compiled part, its label
+        volume's check among them: the phantom wall map holds -0.0, and the
+        thick-slice case has uncovered voxels."""
         if case == "phantom":
             feature, target_volume, compactness = phantom_wall_map(), 216.0, 0.01
         else:
@@ -292,7 +289,9 @@ class TestOracleEquivalence:
         calls = check_parts(monkeypatch)
         slic_supervoxels(feature, target_volume, compactness)
         steps = supervoxel.SLIC_ITERATIONS
-        assert calls == {"_seed_grid": 1, "_assign": steps, "_cluster_sums": steps - 1,
+        # The cluster sums of the steps - 1 update steps and of the label
+        # volume's check.
+        assert calls == {"_seed_grid": 1, "_assign": steps, "_cluster_sums": steps,
                          "_same_label_components": 1, "_merge_fragments": 1}
 
     @staticmethod
@@ -445,61 +444,10 @@ def anisotropic_feature(dtype, dims=(17, 13, 11)):
     return Volume(data, (0.7, 0.9, 1.3), (0.0, 0.0, 0.0)), 0.1 * float(np.ptp(data))
 
 
-def source_env():
-    """The environment with this checkout's sources first on PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(supervoxel.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-# Generates the straight test phantom into argv[1] and tracks it, then
-# prints the path of the kernel it loaded.
-TRACK_SCRIPT = """
-import sys
-from boweltrack import kernel, pipeline
-from boweltrack.config import TrackingConfig
-from boweltrack.phantom import PhantomSpec, generate_phantom
-from boweltrack.volume_io import save_polyline, save_volume
-
-out = sys.argv[1]
-spec = PhantomSpec(dims=(64, 28, 28), spacing=(2.0, 2.0, 2.0), inner_radius=12.0, bends=0,
-                   touch_pairs=0, seed=3)
-intensity, seg, gt = generate_phantom(spec)
-save_volume(intensity, out + "/intensity.vol")
-save_volume(seg, out + "/segmentation.vol")
-save_polyline(gt, out + "/gt.poly")
-pipeline.run_track(TrackingConfig(
-    intensity_path=out + "/intensity.vol", segmentation_path=out + "/segmentation.vol",
-    gt_path=out + "/gt.poly", start=tuple(gt.points[0]), end=tuple(gt.points[-1]),
-    output_dir=out + "/track"))
-print(kernel.load()._name)
-"""
-
-
-# Builds the kernel from the source copy argv[1] with AddressSanitizer and
-# UndefinedBehaviorSanitizer, which end the process at their first error,
-# and runs the tests argv[2:] on it.
-SANITIZED_TESTS = """
-import sys
-from pathlib import Path
-import pytest
-from boweltrack import kernel
-
-kernel._SOURCE = Path(sys.argv[1])
-kernel._COMPILE = [*kernel._COMPILE, "-fsanitize=address,undefined",
-                   "-fno-sanitize-recover=all"]
-assert b"__asan_report" in Path(kernel.load()._name).read_bytes()
-sys.exit(pytest.main(["-q", "--capture=sys", "-p", "no:cacheprovider", *sys.argv[2:]]))
-"""
-
-
 class TestKernel:
     """The compiled parts: the per-cluster loop's labels and distances bit
-    for bit, on the AVX2 clone and the default one; every entry point typed
-    and its arguments checked; no sanitizer error; built once and then
-    loaded, into the user's cache where the package cannot be written,
-    leaving one library; and a failed build that names the compiler
-    command."""
+    for bit, on the AVX2 clone and the default one, and every entry point's
+    arguments checked."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16, np.int32])
@@ -542,6 +490,7 @@ class TestKernel:
         labels = (np.arange(feat.size) % 3 == 0).astype(np.int32).reshape(feat.shape)
         supervoxel._cluster_sums(labels, axis_pos, 2, feat)
         for lab, pos, f in [(labels.astype(np.int64), axis_pos, feat),
+                            (np.asfortranarray(labels), axis_pos, feat),
                             (labels[:3], axis_pos, feat),
                             (labels, axis_pos[::-1], feat),
                             (labels, axis_pos, feat[:3]),
@@ -585,20 +534,6 @@ class TestKernel:
         with pytest.raises(ValueError, match="axis 1 has 1 voxel"):
             supervoxel._seed_grid(Volume(feat[:, :1], (1.0, 1.0, 1.0), (0, 0, 0)), 1.0)
 
-    def test_every_entry_point_is_typed(self):
-        """ctypes passes an untyped function's arguments as ints and reads an
-        int back: every function the source exports has its result type and
-        one argument type per parameter."""
-        source = kernel._SOURCE.read_text()
-        exported = re.findall(r"^(void|int64_t) (\w+)\(([^)]*)\)", source, flags=re.M)
-        assert sorted(name for _, name, _ in exported) == sorted(kernel._SIGNATURES)
-        assert {"slic_assign", "ridge_hessian"} <= set(kernel._SIGNATURES)
-        lib = kernel.load()
-        for result, name, params in exported:
-            fn = getattr(lib, name)
-            assert fn.restype is (None if result == "void" else ctypes.c_int64), name
-            assert len(fn.argtypes) == params.count(",") + 1, name
-
     @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
                         reason="the AVX2 clone is built for x86-64 glibc only")
     def test_assignment_has_an_avx2_clone(self):
@@ -619,144 +554,6 @@ class TestKernel:
         got = step_states(monkeypatch, supervoxel._assign, feature, 12.0, compactness)
         expected = step_states(monkeypatch, assign_per_cluster, feature, 12.0, compactness)
         assert same_bits(got, expected)
-
-    def test_missing_compiler_is_named(self, monkeypatch, source_copy):
-        monkeypatch.setattr(kernel, "_COMPILE", ["/nonexistent/cc", "-O2"])
-        with pytest.raises(OSError, match="cannot compile the C kernel: "
-                                          "/nonexistent/cc -O2 .*No such file"):
-            kernel.load()
-
-    def test_compiler_error_output_is_named(self, monkeypatch, source_copy):
-        monkeypatch.setattr(kernel, "_COMPILE", [*kernel._COMPILE, "-fno-such-option"])
-        with pytest.raises(OSError, match=r"-fno-such-option -o .* exited with status "
-                                          r"[1-9]\d*: .*no-such-option"):
-            kernel.load()
-        assert list((source_copy.parent / "__pycache__").iterdir()) == []
-
-    def test_cli_reports_a_failed_build(self, monkeypatch, source_copy, tmp_path, capsys):
-        wall, out = tmp_path / "wall.vol", tmp_path / "labels.vol"
-        save_volume(random_feature(0), wall)
-        monkeypatch.setattr(kernel, "_COMPILE", ["/nonexistent/cc"])
-        assert cli.main(["slic", str(wall), str(out)]) == cli.EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("i/o error: cannot compile the C kernel: /nonexistent/cc -o ")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
-    def test_fresh_process_loads_without_compiling(self, source_copy):
-        kernel.load()
-        built = list((source_copy.parent / "__pycache__").iterdir())
-        assert [p.suffix for p in built] == [".so"]
-        stamp = built[0].stat().st_mtime_ns
-        script = "\n".join([
-            "import subprocess",
-            "from pathlib import Path",
-            "from boweltrack import kernel",
-            "def no_compiler(*args, **kwargs):",
-            "    raise AssertionError('the compiler ran')",
-            "subprocess.run = no_compiler",
-            f"kernel._SOURCE = Path({str(source_copy)!r})",
-            "kernel.load()",
-        ])
-        subprocess.run([sys.executable, "-c", script], env=source_env(), check=True)
-        assert list((source_copy.parent / "__pycache__").iterdir()) == built
-        assert built[0].stat().st_mtime_ns == stamp
-
-    def test_edited_source_leaves_one_library(self, source_copy):
-        kernel.load()
-        source_copy.write_text(source_copy.read_text() + "/* edited */\n")
-        kernel.load.cache_clear()
-        lib = Path(kernel.load()._name)
-        assert list((source_copy.parent / "__pycache__").iterdir()) == [lib]
-
-    def test_builds_without_a_home_directory(self, monkeypatch, source_copy):
-        """No $XDG_CACHE_HOME, and no home directory to put a user cache in:
-        the package's __pycache__ serves."""
-        def no_home():
-            raise RuntimeError("Could not determine home directory.")
-
-        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
-        monkeypatch.setattr(Path, "home", no_home)
-        assert Path(kernel.load()._name).parent == source_copy.parent / "__pycache__"
-
-    def test_read_only_package_builds_in_user_cache(self, tmp_path):
-        """A package directory that cannot be written, as in a system-wide
-        install or a read-only layer: the kernel is built into
-        $XDG_CACHE_HOME/boweltrack, and a small volume is tracked."""
-        package = tmp_path / "site" / "boweltrack"
-        shutil.copytree(Path(supervoxel.__file__).parent, package,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        cmd = [sys.executable, "-c", TRACK_SCRIPT, str(tmp_path)]
-        if os.geteuid() == 0:
-            # Root writes any directory while it holds CAP_DAC_OVERRIDE.
-            if shutil.which("setpriv") is None:
-                pytest.skip("running as root, and setpriv, which drops CAP_DAC_OVERRIDE, "
-                            "is not installed")
-            drop = ["setpriv", "--inh-caps=-dac_override", "--bounding-set=-dac_override"]
-            probe = subprocess.run([*drop, "true"], capture_output=True, text=True)
-            if probe.returncode:
-                pytest.skip(f"running as root, and setpriv cannot drop CAP_DAC_OVERRIDE: "
-                            f"{probe.stderr.strip()}")
-            cmd = [*drop, *cmd]
-        env = dict(os.environ, PYTHONPATH=str(package.parent),
-                   XDG_CACHE_HOME=str(tmp_path / "cache"))
-        package.chmod(0o555)
-        try:
-            done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        finally:
-            package.chmod(0o755)
-        assert done.returncode == 0, done.stderr
-        lib = Path(done.stdout.split()[-1])
-        assert list((tmp_path / "cache" / "boweltrack").iterdir()) == [lib]
-        assert not (package / "__pycache__").exists()
-        assert (tmp_path / "track" / "route.poly").exists()
-
-    def test_sanitizers_find_no_error(self, tmp_path):
-        """A tooling gate: built with AddressSanitizer and
-        UndefinedBehaviorSanitizer, every entry point gives the bits of its
-        numpy code at every call of slic on four equivalence cases, the
-        thick-slice one with its uncovered voxels and the two-row one among
-        them, and the connectivity step those of its oracles on the random
-        labelings; the wall filter's Hessian gives scipy's bytes where each
-        axis-0 row reads the 5-row axis reflected more than once, and on
-        anisotropic voxels with sub-slabs of 1 and 3 rows.  gcc's libasan
-        is loaded first, as it must be, into a Python that was not built
-        with it."""
-        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-        version = subprocess.run([*cc, "--version"], capture_output=True, text=True).stdout
-        if "Free Software Foundation" not in version:
-            pytest.skip(f"the compiler {cc[0]} is not gcc")
-        asan = subprocess.run([*cc, "-print-file-name=libasan.so"], capture_output=True,
-                              text=True).stdout.strip()
-        if not os.path.isabs(asan):
-            pytest.skip(f"{cc[0]} has no libasan.so")
-        copy = tmp_path / kernel._SOURCE.name
-        copy.write_bytes(kernel._SOURCE.read_bytes())
-        tests = [f"{__file__}::TestOracleEquivalence::test_every_part_matches_numpy"
-                 f"[{case}-{dtype}]" for case in ("thick-slice", "thin", "random-0", "signed-zero")
-                 for dtype in ("float32", "float64")]
-        tests.append(f"{__file__}::TestConnectivityOracle::test_random_labelings")
-        ridge_tests = Path(__file__).with_name("test_ridge.py")
-        tests += [f"{ridge_tests}::TestSlabs::test_hessian_axis0_shorter_than_radius",
-                  f"{ridge_tests}::TestSlabs::test_hessian_anisotropic_spacing"]
-        env = dict(source_env(), LD_PRELOAD=asan, ASAN_OPTIONS="detect_leaks=0")
-        done = subprocess.run([sys.executable, "-c", SANITIZED_TESTS, str(copy), *tests],
-                              env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stdout[-4000:] + done.stderr[:4000]
-        assert "49 passed" in done.stdout
-
-    def test_source_compiles_without_warnings(self, tmp_path):
-        """A tooling gate: the source is strict C99 that draws no warning.
-        The flags the kernel is built with stay the fixed ones."""
-        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-        assert kernel._COMPILE == [*cc, "-O3", "-fno-math-errno", "-ffp-contract=off",
-                                   "-shared", "-fPIC"]
-        done = subprocess.run([*cc, "-std=c99", "-Wall", "-Wextra", "-Werror", "-O3",
-                               "-fno-math-errno", "-ffp-contract=off", "-c",
-                               "-o", str(tmp_path / "kernel.o"), str(kernel._SOURCE)],
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-
 
 @pytest.mark.parametrize("workers", [2, 3, 7, 16])
 @pytest.mark.parametrize("source", ["random", "phantom"])
@@ -898,17 +695,19 @@ def test_uncovered_voxel_distance_in_norm_order():
 
 def test_no_update_after_the_last_step(monkeypatch):
     """The connectivity step reads only the labels, so the last assignment
-    step is followed by no update: one cluster sum per step but the last."""
-    calls = []
+    step is followed by no update: one cluster sum of the feature per step
+    but the last.  The label volume's check sums no feature."""
+    updates = []
     cluster_sums = supervoxel._cluster_sums
 
-    def counted(*args):
-        calls.append(args)
-        return cluster_sums(*args)
+    def counted(labels, axis_pos, n_clusters, feat=None):
+        if feat is not None:
+            updates.append(n_clusters)
+        return cluster_sums(labels, axis_pos, n_clusters, feat)
 
     monkeypatch.setattr(supervoxel, "_cluster_sums", counted)
     slic_supervoxels(random_feature(0), 125.0, 0.01)
-    assert len(calls) == supervoxel.SLIC_ITERATIONS - 1
+    assert len(updates) == supervoxel.SLIC_ITERATIONS - 1
 
 
 def max_feature_distance_gather(flat_label, flat_feat, cluster_feat):
@@ -951,9 +750,10 @@ def test_cluster_extremes_spread_matches_gather(seed):
 def test_cluster_sums_match_whole_volume_bincount(seed, dtype, rows):
     """The update step's sums and feature extremes, and those of its numpy
     code at any slab height, have the bits of whole-volume `np.bincount`s,
-    `np.minimum.at` and `np.maximum.at`.  Features from 1e-8 to 1e8 in both
-    signs make every sum depend on the order of its terms, so a kernel or a
-    `np.add.at` that stopped adding in voxel order would show."""
+    `np.minimum.at` and `np.maximum.at`, the extremes widened to float64.
+    Features from 1e-8 to 1e8 in both signs make every sum depend on the
+    order of its terms, so a kernel or a `np.add.at` that stopped adding in
+    voxel order would show."""
     rng = np.random.default_rng(seed)
     dims = tuple(int(n) for n in rng.integers(2, 14, 3))
     spacing = rng.uniform(0.3, 3.0, 3)
@@ -978,14 +778,19 @@ def test_cluster_sums_match_whole_volume_bincount(seed, dtype, rows):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_cluster_sums_any_thin_labeling(dims, order):
     """One-voxel-thin labelings, and labels in F order, as a loaded label
-    volume holds them: the sums of C-ordered labels, without the
-    feature."""
+    file holds them: the label volume holds them C-ordered, and their sums,
+    without the feature, and its counts and centroids have the bits of the
+    C-ordered labels' numpy sums."""
     rng = np.random.default_rng(sum(dims))
-    labels = rng.integers(0, 5, dims).astype(np.int32)
-    axis_pos = [rng.uniform(-3.0, 3.0, n) for n in dims]
-    got = supervoxel._cluster_sums(np.asarray(labels, order=order), axis_pos, 5)
-    assert same_bits(got, cluster_sums_slabs(labels, axis_pos, 5, None, 1))
+    size = int(np.prod(dims))
+    labels = (rng.permutation(size) % min(size, 5)).reshape(dims).astype(np.int32)
+    spacing, origin = rng.uniform(0.3, 3.0, 3), rng.uniform(-3.0, 3.0, 3)
+    lv = LabelVolume(np.asarray(labels, order=order), spacing, origin)
+    axis_pos = [o + (np.arange(n) + 0.5) * s for o, n, s in zip(origin, dims, spacing)]
+    got = supervoxel._cluster_sums(lv.data, axis_pos, lv.label_count)
+    assert same_bits(got, cluster_sums_slabs(labels, axis_pos, lv.label_count, None, 1))
     assert got[2:] == (None, None, None)
+    assert same_bits([lv.counts, lv.centroids], [got[0], (got[1] / got[0]).T])
 
 
 def deferred_fragment_labels():
@@ -1272,11 +1077,23 @@ class TestValidation:
         with pytest.raises(InvariantError, match="spacing|origin"):
             LabelVolume(np.zeros((4, 4, 4), dtype=np.int32), spacing, origin)
 
-    def test_label_volume_casts_to_int32_keeping_f_order(self):
-        data = np.asfortranarray(np.arange(64, dtype=np.uint32).reshape(4, 4, 4))
-        lv = LabelVolume(data, (1, 1, 1), (0, 0, 0))
-        assert lv.data.dtype == np.int32 and lv.data.flags.f_contiguous
-        assert np.array_equal(lv.data, data) and lv.label_count == 64
+    def test_label_volume_casts_to_c_ordered_int32(self):
+        """An F-ordered u32 labeling, as a label file loads: held as C-ordered
+        int32, with each label's voxel count and the centroid of its voxel
+        centres origin + (i + 0.5) * spacing, in the bits of whole-volume
+        `np.bincount`s over the C-ordered labels."""
+        data = np.asfortranarray(np.arange(64, dtype=np.uint32).reshape(4, 4, 4) % 7)
+        spacing, origin = (0.7, 1.3, 2.0), (-5.0, 0.25, 3.0)
+        lv = LabelVolume(data, spacing, origin)
+        assert lv.data.dtype == np.int32 and lv.data.flags.c_contiguous
+        assert np.array_equal(lv.data, data) and lv.label_count == 7
+        flat = np.ascontiguousarray(data).ravel()
+        counts = np.bincount(flat)
+        pos = np.meshgrid(*[o + (np.arange(4) + 0.5) * s for o, s in zip(origin, spacing)],
+                          indexing="ij")
+        centroids = np.column_stack([np.bincount(flat, weights=p.ravel()) for p in pos])
+        assert same_bits([lv.counts, lv.centroids],
+                         [counts, centroids / counts[:, None]])
 
 
 class TestSerialization:
